@@ -2,13 +2,17 @@
 /// kernels behind the figure harnesses: event-queue operations, a full
 /// simulated day, the water-filling solver, the closed-form model and
 /// trace parsing. These guard against regressions that would make the
-/// two-week sweeps (Figs. 7-8) impractical.
+/// two-week sweeps (Figs. 7-8) impractical. Per-layer rows for the
+/// probing hot path: the rush-mask slot scan and one adaptive SNIP-RH
+/// wakeup in the exploit phase.
 
 #include <benchmark/benchmark.h>
 
 #include <sstream>
 
+#include "snipr/core/adaptive_snip_rh.hpp"
 #include "snipr/core/experiment.hpp"
+#include "snipr/core/rush_hour_mask.hpp"
 #include "snipr/core/snip_rh.hpp"
 #include "snipr/model/optimizer.hpp"
 #include "snipr/sim/event_queue.hpp"
@@ -51,6 +55,63 @@ void BM_SimulatedDaySnipRh(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatedDaySnipRh);
+
+void BM_RushMaskNextRushStart(benchmark::State& state) {
+  // Ten-minute slots with rush blocks at the paper's 7-9 h and 17-19 h
+  // positions, scaled to the slot count; queries walk the epoch at a
+  // stride that is never slot-aligned, so most land outside the mask and
+  // scan forward.
+  const auto slots = static_cast<std::size_t>(state.range(0));
+  core::RushHourMask mask{
+      sim::Duration::minutes(10) * static_cast<std::int64_t>(slots), slots};
+  for (const std::size_t hour : {7U, 8U, 17U, 18U}) {
+    mask.set(hour * slots / 24, true);
+  }
+  const sim::Duration stride = sim::Duration::seconds(4111);
+  sim::TimePoint t = sim::TimePoint::zero();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mask.next_rush_start(t));
+    t += stride;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RushMaskNextRushStart)->Arg(24)->Arg(48)->Arg(130);
+
+void BM_AdaptiveOnWakeup(benchmark::State& state) {
+  // Adaptive SNIP-RH with UCB exploration, driven through its learning
+  // epochs (rush-hour detections feed the learner) so every timed call
+  // is an exploit-phase wakeup: tracker, exploration plan and rush mask.
+  core::AdaptiveSnipRhConfig config;
+  config.exploration.kind = core::ExplorationPolicyKind::kUcb;
+  core::AdaptiveSnipRh adaptive{sim::Duration::hours(24), 24, config};
+  node::SensorContext ctx;
+  ctx.buffer_bytes = 1e9;
+  ctx.budget_limit = sim::Duration::hours(24);
+  for (std::size_t epoch = 0; epoch < config.learning_epochs; ++epoch) {
+    const sim::TimePoint day =
+        sim::TimePoint::zero() +
+        sim::Duration::hours(24) * static_cast<std::int64_t>(epoch);
+    for (std::int64_t minute = 0; minute < 24 * 60; minute += 7) {
+      ctx.now = day + sim::Duration::minutes(minute);
+      benchmark::DoNotOptimize(adaptive.on_wakeup(ctx));
+      const std::int64_t hour = minute / 60;
+      if (hour == 7 || hour == 8 || hour == 17 || hour == 18) {
+        adaptive.on_probe_detected(ctx.now);
+      }
+    }
+    adaptive.on_epoch_start(static_cast<std::int64_t>(epoch) + 1);
+  }
+  ctx.now = sim::TimePoint::zero() +
+            sim::Duration::hours(24) *
+                static_cast<std::int64_t>(config.learning_epochs);
+  const sim::Duration stride = sim::Duration::seconds(37);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(adaptive.on_wakeup(ctx));
+    ctx.now += stride;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AdaptiveOnWakeup);
 
 void BM_WaterFillingSolve(benchmark::State& state) {
   const auto slots = static_cast<std::size_t>(state.range(0));

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "snipr/contact/slot_clock.hpp"
 #include "snipr/sim/time.hpp"
 
 /// \file profile.hpp
@@ -17,9 +18,6 @@
 
 namespace snipr::contact {
 
-/// Index of a slot within an epoch, in [0, slot_count).
-using SlotIndex = std::size_t;
-
 class ArrivalProfile {
  public:
   /// \param epoch          epoch length Tepoch (> 0).
@@ -31,16 +29,18 @@ class ArrivalProfile {
   /// Sentinel mean interval for slots with no contacts at all.
   static constexpr double kNoContacts = 0.0;
 
-  [[nodiscard]] sim::Duration epoch() const noexcept { return epoch_; }
+  [[nodiscard]] sim::Duration epoch() const noexcept { return clock_.epoch(); }
   [[nodiscard]] std::size_t slot_count() const noexcept {
-    return mean_intervals_.size();
+    return clock_.slot_count();
   }
   [[nodiscard]] sim::Duration slot_length() const noexcept {
-    return epoch_ / static_cast<std::int64_t>(slot_count());
+    return clock_.slot_length();
   }
 
   /// Slot containing absolute time `t` (epoch wraps).
-  [[nodiscard]] SlotIndex slot_of(sim::TimePoint t) const noexcept;
+  [[nodiscard]] SlotIndex slot_of(sim::TimePoint t) const noexcept {
+    return clock_.slot_of(t);
+  }
   /// Start of slot `s` within the epoch containing `t`.
   [[nodiscard]] sim::TimePoint slot_start(sim::TimePoint t) const noexcept;
   /// Epoch index containing `t` (0-based day number for a 24 h epoch).
@@ -70,7 +70,7 @@ class ArrivalProfile {
                                               double mean_interval_s);
 
  private:
-  sim::Duration epoch_;
+  SlotClock clock_;
   std::vector<double> mean_intervals_;
 };
 

@@ -79,6 +79,18 @@ class TokenReader {
     return end == buffer + token.size();
   }
 
+  bool read_i64(std::int64_t& value) noexcept {
+    std::string_view token;
+    if (!next(token)) return false;
+    char buffer[32];
+    if (token.size() >= sizeof buffer || token.empty()) return false;
+    token.copy(buffer, token.size());
+    buffer[token.size()] = '\0';
+    char* end = nullptr;
+    value = std::strtoll(buffer, &end, 10);
+    return end == buffer + token.size();
+  }
+
   /// True when every token has been consumed.
   [[nodiscard]] bool exhausted() noexcept {
     std::size_t at = pos_;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "snipr/contact/slot_clock.hpp"
 #include "snipr/core/rush_hour_mask.hpp"
 #include "snipr/sim/time.hpp"
 
@@ -86,7 +87,7 @@ class RushHourLearner {
   [[nodiscard]] std::size_t epochs_observed() const noexcept {
     return epochs_;
   }
-  [[nodiscard]] sim::Duration epoch() const noexcept { return epoch_; }
+  [[nodiscard]] sim::Duration epoch() const noexcept { return clock_.epoch(); }
   [[nodiscard]] std::size_t slot_count() const noexcept {
     return scores_.size();
   }
@@ -145,9 +146,7 @@ class RushHourLearner {
   void reset() noexcept;
 
  private:
-  [[nodiscard]] std::size_t slot_index(sim::TimePoint t) const noexcept;
-
-  sim::Duration epoch_;
+  contact::SlotClock clock_;
   std::size_t rush_slots_;
   double epoch_weight_;
   double effort_prior_s_;

@@ -3,6 +3,7 @@
 #include <optional>
 #include <vector>
 
+#include "snipr/core/rush_hour_mask.hpp"
 #include "snipr/node/scheduler.hpp"
 #include "snipr/sim/time.hpp"
 
@@ -31,17 +32,18 @@ class SnipOpt final : public node::Scheduler {
   [[nodiscard]] const std::vector<double>& duties() const noexcept {
     return duties_;
   }
+  /// Start of the first slot with a positive duty after the slot
+  /// containing `t`; nullopt for an all-zero plan.
+  [[nodiscard]] std::optional<sim::TimePoint> next_active_slot(
+      sim::TimePoint t) const noexcept {
+    return active_.next_rush_after(t);
+  }
 
  private:
-  [[nodiscard]] std::size_t slot_of(sim::TimePoint t) const noexcept;
-  /// Start of the next slot with a positive duty, at or after `t`.
-  [[nodiscard]] std::optional<sim::TimePoint> next_active_slot(
-      sim::TimePoint t) const noexcept;
-
   std::vector<double> duties_;
-  sim::Duration epoch_;
   sim::Duration ton_;
-  sim::Duration slot_len_;
+  /// The slots with a positive duty, for constant-time slot lookups.
+  RushHourMask active_;
 };
 
 }  // namespace snipr::core

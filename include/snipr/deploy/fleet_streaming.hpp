@@ -77,7 +77,10 @@ struct StreamingOptions {
 /// `options.max_shards` stopped the run early (state saved to the
 /// checkpoint). Store-and-forward routing is rejected: replaying
 /// per-contact sessions is exactly the per-node state streaming exists
-/// to avoid.
+/// to avoid. An enabled `spec.faults` is rejected too (std::invalid_argument
+/// naming the field): this engine has no fault plane, and quietly
+/// returning fault-free numbers for a chaos spec would be wrong. A null or
+/// all-zero spec is accepted.
 [[nodiscard]] std::optional<FleetSummary> run_streaming_fleet(
     const core::RoadsideScenario& scenario, const FleetSpec& spec,
     const FleetConfig& config, const StreamingOptions& options = {});

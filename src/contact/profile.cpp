@@ -8,29 +8,14 @@ namespace snipr::contact {
 
 ArrivalProfile::ArrivalProfile(sim::Duration epoch,
                                std::vector<double> mean_intervals)
-    : epoch_{epoch}, mean_intervals_{std::move(mean_intervals)} {
-  if (!(epoch > sim::Duration::zero())) {
-    throw std::invalid_argument("ArrivalProfile: epoch must be positive");
-  }
-  if (mean_intervals_.empty()) {
-    throw std::invalid_argument("ArrivalProfile: need at least one slot");
-  }
+    : clock_{epoch, mean_intervals.size(), "ArrivalProfile"},
+      mean_intervals_{std::move(mean_intervals)} {
   for (const double m : mean_intervals_) {
     if (m < 0.0) {
       throw std::invalid_argument(
           "ArrivalProfile: mean intervals must be >= 0 (0 = no contacts)");
     }
   }
-  if (epoch_.count() % static_cast<std::int64_t>(mean_intervals_.size()) != 0) {
-    throw std::invalid_argument(
-        "ArrivalProfile: epoch must divide evenly into slots");
-  }
-}
-
-SlotIndex ArrivalProfile::slot_of(sim::TimePoint t) const noexcept {
-  const std::int64_t into_epoch =
-      ((t.count() % epoch_.count()) + epoch_.count()) % epoch_.count();
-  return static_cast<SlotIndex>(into_epoch / slot_length().count());
 }
 
 sim::TimePoint ArrivalProfile::slot_start(sim::TimePoint t) const noexcept {
@@ -40,7 +25,7 @@ sim::TimePoint ArrivalProfile::slot_start(sim::TimePoint t) const noexcept {
 }
 
 std::int64_t ArrivalProfile::epoch_of(sim::TimePoint t) const noexcept {
-  return t.count() / epoch_.count();
+  return t.count() / epoch().count();
 }
 
 double ArrivalProfile::mean_interval_s(SlotIndex s) const {

@@ -62,8 +62,8 @@ node::SchedulerDecision AdaptiveSnipRh::on_wakeup(
   // probes at explore_duty regardless of the rush-hour mask, so slots the
   // mask censors still produce (effort, detection) samples the learner
   // can rank. Same alternation discipline as the tracker.
-  if (plan_.active && plan_.mask.is_rush(ctx.now) &&
-      ctx.now >= next_explore_due_) {
+  const bool in_explore_slot = plan_.active && plan_.mask.is_rush(ctx.now);
+  if (in_explore_slot && ctx.now >= next_explore_due_) {
     const node::SchedulerDecision ex = explore_probe_.on_wakeup(ctx);
     if (ex.probe) {
       next_explore_due_ = ctx.now + ex.next_wakeup;
@@ -85,9 +85,9 @@ node::SchedulerDecision AdaptiveSnipRh::on_wakeup(
   }
   if (plan_.active) {
     sim::Duration until_explore = sim::Duration::seconds(1);
-    if (plan_.mask.is_rush(ctx.now)) {
+    if (in_explore_slot) {
       if (next_explore_due_ > ctx.now) until_explore = next_explore_due_ - ctx.now;
-    } else if (const auto start = plan_.mask.next_rush_start(ctx.now)) {
+    } else if (const auto start = plan_.mask.next_rush_after(ctx.now)) {
       until_explore = std::max(*start - ctx.now, sim::Duration::seconds(1));
     }
     next = std::min(next, until_explore);
@@ -161,7 +161,7 @@ namespace {
 void append_mask_bits(std::string& out, const RushHourMask& mask) {
   ckpt::append_u64(out, static_cast<std::uint64_t>(mask.slot_count()));
   for (std::size_t s = 0; s < mask.slot_count(); ++s) {
-    ckpt::append_u64(out, mask.bits()[s] ? 1 : 0);
+    ckpt::append_u64(out, mask.is_rush_slot(s) ? 1 : 0);
   }
 }
 
@@ -291,7 +291,7 @@ bool AdaptiveSnipRh::restore(std::string_view blob) {
   policy_.set_cursor(static_cast<std::size_t>(cursor));
   plan_.active = plan_active != 0;
   plan_.duty = plan_duty;
-  plan_.mask = RushHourMask{learner_.epoch(), std::move(plan_bits)};
+  plan_.mask = RushHourMask{learner_.epoch(), plan_bits};
   next_track_due_ = sim::TimePoint::at(
       sim::Duration::microseconds(static_cast<std::int64_t>(track_due_us)));
   next_explore_due_ = sim::TimePoint::at(

@@ -9,7 +9,7 @@ namespace snipr::core {
 RushHourLearner::RushHourLearner(sim::Duration epoch, std::size_t slot_count,
                                  std::size_t rush_slots, double epoch_weight,
                                  double effort_prior_s)
-    : epoch_{epoch},
+    : clock_{epoch, slot_count, "RushHourLearner"},
       rush_slots_{rush_slots},
       epoch_weight_{epoch_weight},
       effort_prior_s_{effort_prior_s},
@@ -23,12 +23,6 @@ RushHourLearner::RushHourLearner(sim::Duration epoch, std::size_t slot_count,
     throw std::invalid_argument(
         "RushHourLearner: effort prior must be >= 0");
   }
-  if (!(epoch > sim::Duration::zero())) {
-    throw std::invalid_argument("RushHourLearner: epoch must be positive");
-  }
-  if (slot_count == 0) {
-    throw std::invalid_argument("RushHourLearner: need at least one slot");
-  }
   if (rush_slots == 0 || rush_slots > slot_count) {
     throw std::invalid_argument(
         "RushHourLearner: rush_slots must be in [1, slot_count]");
@@ -37,28 +31,16 @@ RushHourLearner::RushHourLearner(sim::Duration epoch, std::size_t slot_count,
     throw std::invalid_argument(
         "RushHourLearner: epoch_weight must be in (0, 1]");
   }
-  if (epoch_.count() % static_cast<std::int64_t>(slot_count) != 0) {
-    throw std::invalid_argument(
-        "RushHourLearner: epoch must divide evenly into slots");
-  }
-}
-
-std::size_t RushHourLearner::slot_index(sim::TimePoint t) const noexcept {
-  const std::int64_t slot_us =
-      epoch_.count() / static_cast<std::int64_t>(scores_.size());
-  const std::int64_t into_epoch =
-      ((t.count() % epoch_.count()) + epoch_.count()) % epoch_.count();
-  return static_cast<std::size_t>(into_epoch / slot_us);
 }
 
 void RushHourLearner::record_probe(sim::TimePoint t) {
-  ++current_counts_[slot_index(t)];
+  ++current_counts_[clock_.slot_of(t)];
 }
 
 void RushHourLearner::record_effort(sim::TimePoint t,
                                     sim::Duration radio_on) {
   effort_mode_ = true;
-  current_effort_s_[slot_index(t)] += radio_on.to_seconds();
+  current_effort_s_[clock_.slot_of(t)] += radio_on.to_seconds();
 }
 
 void RushHourLearner::finish_epoch() {
@@ -128,7 +110,7 @@ std::vector<contact::SlotIndex> RushHourLearner::slots_by_score() const {
 }
 
 RushHourMask RushHourLearner::mask() const {
-  return RushHourMask::top_k(epoch_, scores_.size(), slots_by_score(),
+  return RushHourMask::top_k(epoch(), scores_.size(), slots_by_score(),
                              rush_slots_);
 }
 

@@ -1,36 +1,30 @@
 #include "snipr/core/rush_hour_mask.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
-#include <utility>
 
 namespace snipr::core {
 
 RushHourMask::RushHourMask(sim::Duration epoch, std::size_t slot_count)
-    : RushHourMask{epoch, std::vector<bool>(slot_count, false)} {}
+    : clock_{epoch, slot_count, "RushHourMask"},
+      words_((slot_count + 63) / 64, 0) {}
 
-RushHourMask::RushHourMask(sim::Duration epoch, std::vector<bool> slots)
-    : epoch_{epoch}, slots_{std::move(slots)} {
-  if (!(epoch > sim::Duration::zero())) {
-    throw std::invalid_argument("RushHourMask: epoch must be positive");
-  }
-  if (slots_.empty()) {
-    throw std::invalid_argument("RushHourMask: need at least one slot");
-  }
-  if (epoch_.count() % static_cast<std::int64_t>(slots_.size()) != 0) {
-    throw std::invalid_argument(
-        "RushHourMask: epoch must divide evenly into slots");
+RushHourMask::RushHourMask(sim::Duration epoch, const std::vector<bool>& slots)
+    : RushHourMask{epoch, slots.size()} {
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    if (slots[s]) set(s, true);
   }
 }
 
 RushHourMask RushHourMask::from_hours(
     std::initializer_list<std::size_t> hours) {
-  std::vector<bool> bits(24, false);
+  RushHourMask mask{sim::Duration::hours(24), 24};
   for (const std::size_t h : hours) {
     if (h >= 24) throw std::invalid_argument("from_hours: hour must be < 24");
-    bits[h] = true;
+    mask.set(h, true);
   }
-  return RushHourMask{sim::Duration::hours(24), std::move(bits)};
+  return mask;
 }
 
 RushHourMask RushHourMask::top_k(sim::Duration epoch, std::size_t slot_count,
@@ -48,46 +42,56 @@ RushHourMask RushHourMask::top_k(sim::Duration epoch, std::size_t slot_count,
 }
 
 bool RushHourMask::is_rush_slot(contact::SlotIndex s) const {
-  if (s >= slots_.size()) throw std::out_of_range("RushHourMask::is_rush_slot");
-  return slots_[s];
-}
-
-bool RushHourMask::is_rush(sim::TimePoint t) const noexcept {
-  const std::int64_t into_epoch =
-      ((t.count() % epoch_.count()) + epoch_.count()) % epoch_.count();
-  const auto slot =
-      static_cast<std::size_t>(into_epoch / slot_length().count());
-  return slots_[slot];
+  if (s >= slot_count()) throw std::out_of_range("RushHourMask::is_rush_slot");
+  return bit(s);
 }
 
 std::optional<sim::TimePoint> RushHourMask::next_rush_start(
     sim::TimePoint t) const noexcept {
   if (is_rush(t)) return t;
-  if (rush_slot_count() == 0) return std::nullopt;
-  const std::int64_t slot_us = slot_length().count();
-  // Scan forward slot by slot; at most one epoch of slots.
-  std::int64_t start = (t.count() / slot_us + 1) * slot_us;
-  for (std::size_t i = 0; i <= slots_.size(); ++i) {
-    const sim::TimePoint candidate =
-        sim::TimePoint::at(sim::Duration::microseconds(start));
-    if (is_rush(candidate)) return candidate;
-    start += slot_us;
-  }
-  return std::nullopt;  // unreachable: some slot is rush
+  return next_rush_after(t);
 }
 
-std::size_t RushHourMask::rush_slot_count() const noexcept {
-  return static_cast<std::size_t>(
-      std::count(slots_.begin(), slots_.end(), true));
+std::optional<sim::TimePoint> RushHourMask::next_rush_after(
+    sim::TimePoint t) const noexcept {
+  if (rush_count_ == 0) return std::nullopt;
+  const contact::SlotClock::Boundary from = clock_.next_boundary(t);
+  // Cyclic find-next-set-bit from `from.slot`: mask off the bits below it
+  // in its word, then walk the words (wrapping once). Some bit is set, so
+  // the loop ends within words_.size() + 1 steps.
+  std::size_t w = from.slot >> 6;
+  std::uint64_t word = words_[w] & (~std::uint64_t{0} << (from.slot & 63));
+  while (word == 0) {
+    w = w + 1 == words_.size() ? 0 : w + 1;
+    word = words_[w];
+  }
+  const std::size_t found =
+      (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
+  const std::size_t ahead = found >= from.slot
+                                ? found - from.slot
+                                : found + slot_count() - from.slot;
+  return from.start + slot_length() * static_cast<std::int64_t>(ahead);
 }
 
 sim::Duration RushHourMask::rush_time_per_epoch() const noexcept {
-  return slot_length() * static_cast<std::int64_t>(rush_slot_count());
+  return slot_length() * static_cast<std::int64_t>(rush_count_);
 }
 
 void RushHourMask::set(contact::SlotIndex s, bool rush) {
-  if (s >= slots_.size()) throw std::out_of_range("RushHourMask::set");
-  slots_[s] = rush;
+  if (s >= slot_count()) throw std::out_of_range("RushHourMask::set");
+  if (bit(s) == rush) return;
+  words_[s >> 6] ^= std::uint64_t{1} << (s & 63);
+  if (rush) {
+    ++rush_count_;
+  } else {
+    --rush_count_;
+  }
+}
+
+std::vector<bool> RushHourMask::bits() const {
+  std::vector<bool> out(slot_count(), false);
+  for (std::size_t s = 0; s < out.size(); ++s) out[s] = bit(s);
+  return out;
 }
 
 }  // namespace snipr::core

@@ -5,49 +5,45 @@
 #include <utility>
 
 namespace snipr::core {
+namespace {
 
-SnipOpt::SnipOpt(std::vector<double> duties, sim::Duration epoch,
-                 sim::Duration ton)
-    : duties_{std::move(duties)}, epoch_{epoch}, ton_{ton}, slot_len_{} {
-  if (duties_.empty()) {
+std::vector<double> validated(std::vector<double> duties, sim::Duration epoch,
+                              sim::Duration ton) {
+  if (duties.empty()) {
     throw std::invalid_argument("SnipOpt: plan must have at least one slot");
   }
-  for (const double d : duties_) {
+  for (const double d : duties) {
     if (d < 0.0 || d > 1.0) {
       throw std::invalid_argument("SnipOpt: duties must lie in [0, 1]");
     }
   }
   if (!(epoch > sim::Duration::zero()) ||
-      epoch_.count() % static_cast<std::int64_t>(duties_.size()) != 0) {
+      epoch.count() % static_cast<std::int64_t>(duties.size()) != 0) {
     throw std::invalid_argument(
         "SnipOpt: epoch must divide evenly into the plan");
   }
   if (!(ton > sim::Duration::zero())) {
     throw std::invalid_argument("SnipOpt: ton must be positive");
   }
-  slot_len_ = epoch_ / static_cast<std::int64_t>(duties_.size());
+  return duties;
 }
 
-std::size_t SnipOpt::slot_of(sim::TimePoint t) const noexcept {
-  const std::int64_t into_epoch =
-      ((t.count() % epoch_.count()) + epoch_.count()) % epoch_.count();
-  return static_cast<std::size_t>(into_epoch / slot_len_.count());
+std::vector<bool> positive_slots(const std::vector<double>& duties) {
+  std::vector<bool> active(duties.size(), false);
+  for (std::size_t s = 0; s < duties.size(); ++s) active[s] = duties[s] > 0.0;
+  return active;
 }
 
-std::optional<sim::TimePoint> SnipOpt::next_active_slot(
-    sim::TimePoint t) const noexcept {
-  std::int64_t start = (t.count() / slot_len_.count() + 1) * slot_len_.count();
-  for (std::size_t i = 0; i <= duties_.size(); ++i) {
-    const auto candidate =
-        sim::TimePoint::at(sim::Duration::microseconds(start));
-    if (duties_[slot_of(candidate)] > 0.0) return candidate;
-    start += slot_len_.count();
-  }
-  return std::nullopt;  // all-zero plan
-}
+}  // namespace
+
+SnipOpt::SnipOpt(std::vector<double> duties, sim::Duration epoch,
+                 sim::Duration ton)
+    : duties_{validated(std::move(duties), epoch, ton)},
+      ton_{ton},
+      active_{epoch, positive_slots(duties_)} {}
 
 node::SchedulerDecision SnipOpt::on_wakeup(const node::SensorContext& ctx) {
-  const double d = duties_[slot_of(ctx.now)];
+  const double d = duties_[active_.slot_clock().slot_of(ctx.now)];
   const bool affordable = ctx.budget_used + ton_ <= ctx.budget_limit;
   if (d > 0.0 && affordable) {
     return {.probe = true,
@@ -55,8 +51,8 @@ node::SchedulerDecision SnipOpt::on_wakeup(const node::SensorContext& ctx) {
   }
   if (!affordable) {
     // Budget spent: sleep to the end of the epoch (it resets there).
-    const std::int64_t next_epoch =
-        (ctx.now.count() / epoch_.count() + 1) * epoch_.count();
+    const std::int64_t epoch_us = active_.epoch().count();
+    const std::int64_t next_epoch = (ctx.now.count() / epoch_us + 1) * epoch_us;
     const auto wake =
         sim::TimePoint::at(sim::Duration::microseconds(next_epoch));
     return {.probe = false,
@@ -65,7 +61,7 @@ node::SchedulerDecision SnipOpt::on_wakeup(const node::SensorContext& ctx) {
   // Idle slot: sleep until the next slot with a positive duty.
   const auto next = next_active_slot(ctx.now);
   if (!next.has_value()) {
-    return {.probe = false, .next_wakeup = epoch_};
+    return {.probe = false, .next_wakeup = active_.epoch()};
   }
   return {.probe = false,
           .next_wakeup = std::max(*next - ctx.now, sim::Duration::seconds(1))};

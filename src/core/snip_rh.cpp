@@ -74,7 +74,7 @@ node::SchedulerDecision SnipRh::on_wakeup(const node::SensorContext& ctx) {
 
   // Condition 1: only probe inside Rush Hours.
   if (!mask_.is_rush(ctx.now)) {
-    const auto next = mask_.next_rush_start(ctx.now);
+    const auto next = mask_.next_rush_after(ctx.now);
     if (!next.has_value()) {
       // Degenerate all-zero mask: re-check once per epoch (the mask may be
       // replaced by an adaptive learner in the meantime).
@@ -128,7 +128,7 @@ std::string SnipRh::checkpoint() const {
   out += "snip-rh-v1 ";
   ckpt::append_u64(out, static_cast<std::uint64_t>(mask_.slot_count()));
   for (std::size_t s = 0; s < mask_.slot_count(); ++s) {
-    ckpt::append_u64(out, mask_.bits()[s] ? 1 : 0);
+    ckpt::append_u64(out, mask_.is_rush_slot(s) ? 1 : 0);
   }
   append_ewma(out, tcontact_s_);
   append_ewma(out, upload_bytes_);
@@ -152,7 +152,7 @@ bool SnipRh::restore(std::string_view blob) {
       !reader.exhausted()) {
     return false;
   }
-  mask_ = RushHourMask{mask_.epoch(), std::move(bits)};
+  mask_ = RushHourMask{mask_.epoch(), bits};
   tcontact_s_ = tcontact;
   upload_bytes_ = upload;
   return true;

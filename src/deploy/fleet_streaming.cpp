@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "snipr/contact/trace_replay.hpp"
+#include "snipr/core/checkpoint_io.hpp"
 #include "snipr/core/crc32.hpp"
 #include "snipr/core/json_writer.hpp"
 #include "snipr/core/strategy.hpp"
@@ -95,6 +97,12 @@ StreamingInputs build_inputs(const core::RoadsideScenario& scenario,
     throw std::invalid_argument(
         "run_streaming_fleet: store-and-forward routing needs the per-node "
         "session export of FleetEngine::run");
+  }
+  if (spec.faults != nullptr && spec.faults->enabled()) {
+    throw std::invalid_argument(
+        "run_streaming_fleet: FleetSpec::faults is enabled, but the "
+        "streaming engine has no fault plane; run faulted fleets through "
+        "FleetEngine::run");
   }
 
   StreamingInputs in;
@@ -362,17 +370,19 @@ CheckpointLoad load_checkpoint(const std::string& path,
     return CheckpointLoad::kCorrupt;
   }
 
-  std::istringstream f{body};
-  std::string magic;
-  std::getline(f, magic);
-  if (magic != kCheckpointMagic) return CheckpointLoad::kCorrupt;
+  // Every token must convert in full and none may be left over: a field
+  // that does not parse is damage, never a 0.0.
+  core::ckpt::TokenReader f{body};
   std::uint64_t ck_nodes = 0;
   std::uint64_t ck_epochs = 0;
   std::uint64_t ck_seed = 0;
   std::uint64_t ck_shards = 0;
   std::uint64_t ck_done = 0;
-  f >> ck_nodes >> ck_epochs >> ck_seed >> ck_shards >> ck_done;
-  if (!f) return CheckpointLoad::kCorrupt;
+  if (!f.expect(kCheckpointMagic) || !f.read_u64(ck_nodes) ||
+      !f.read_u64(ck_epochs) || !f.read_u64(ck_seed) ||
+      !f.read_u64(ck_shards) || !f.read_u64(ck_done)) {
+    return CheckpointLoad::kCorrupt;
+  }
   if (ck_nodes != nodes || ck_epochs != config.deployment.epochs ||
       ck_seed != config.deployment.seed || ck_shards != shards ||
       ck_done > shards) {
@@ -381,29 +391,34 @@ CheckpointLoad load_checkpoint(const std::string& path,
   }
   Accumulator parsed;
   stats::OnlineStats::Snapshot z;
-  std::string tok;
-  const auto next_double = [&]() {
-    f >> tok;
-    return std::strtod(tok.c_str(), nullptr);
-  };
-  f >> z.n;
-  z.mean = next_double();
-  z.m2 = next_double();
-  z.min = next_double();
-  z.max = next_double();
-  parsed.zeta.restore(z);
-  parsed.total_zeta_s = next_double();
-  parsed.total_phi_s = next_double();
-  parsed.total_bytes = next_double();
-  f >> parsed.contacts_probed >> parsed.events;
+  std::uint64_t n = 0;
+  if (!f.read_u64(n) || !f.read_double(z.mean) || !f.read_double(z.m2) ||
+      !f.read_double(z.min) || !f.read_double(z.max) ||
+      !f.read_double(parsed.total_zeta_s) ||
+      !f.read_double(parsed.total_phi_s) ||
+      !f.read_double(parsed.total_bytes) ||
+      !f.read_u64(parsed.contacts_probed) || !f.read_u64(parsed.events)) {
+    return CheckpointLoad::kCorrupt;
+  }
+  z.n = static_cast<std::size_t>(n);
   stats::QuantileSketch::Snapshot s;
-  s.relative_error = next_double();
-  std::size_t bucket_count = 0;
-  f >> s.base >> s.zero_count >> bucket_count;
-  if (!f) return CheckpointLoad::kCorrupt;
-  s.counts.resize(bucket_count);
-  for (std::size_t i = 0; i < bucket_count; ++i) f >> s.counts[i];
-  if (!f) return CheckpointLoad::kCorrupt;
+  std::int64_t base = 0;
+  std::uint64_t bucket_count = 0;
+  if (!f.read_double(s.relative_error) || !(s.relative_error > 0.0) ||
+      !(s.relative_error < 1.0) || !f.read_i64(base) ||
+      base < std::numeric_limits<std::int32_t>::min() ||
+      base > std::numeric_limits<std::int32_t>::max() ||
+      !f.read_u64(s.zero_count) || !f.read_u64(bucket_count) ||
+      bucket_count > body.size()) {
+    return CheckpointLoad::kCorrupt;
+  }
+  s.base = static_cast<std::int32_t>(base);
+  s.counts.resize(static_cast<std::size_t>(bucket_count));
+  for (std::uint64_t& c : s.counts) {
+    if (!f.read_u64(c)) return CheckpointLoad::kCorrupt;
+  }
+  if (!f.exhausted()) return CheckpointLoad::kCorrupt;
+  parsed.zeta.restore(z);
   parsed.sketch = stats::QuantileSketch{s};
   shards_done = ck_done;
   acc = std::move(parsed);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "snipr/core/crc32.hpp"
 #include "snipr/core/json_writer.hpp"
 #include "snipr/core/scenario_catalog.hpp"
 #include "snipr/deploy/fleet_engine.hpp"
@@ -42,6 +43,14 @@ struct FleetCase {
   FleetSpec spec;
   FleetConfig config;
 };
+
+/// Re-frame `body` with a correct CRC line, exactly as the writer does, so
+/// only the parser can reject what the body says.
+std::string crc_framed(const std::string& body) {
+  char crc_line[20];
+  std::snprintf(crc_line, sizeof crc_line, "crc %08x\n", core::crc32(body));
+  return body + crc_line;
+}
 
 FleetCase small_fleet(std::size_t nodes = 24, std::size_t shards = 0) {
   const core::CatalogEntry& entry = fleet_entry();
@@ -246,6 +255,83 @@ TEST(FleetStreaming, CompletionRetiresBothCheckpointGenerations) {
       run_streaming_fleet(s.scenario, s.spec, s.config, opts).has_value());
   EXPECT_TRUE(slurp(path).empty());
   EXPECT_TRUE(slurp(path + ".prev").empty());
+}
+
+TEST(FleetStreaming, CrcValidUnparsableCheckpointIsDamageNotZero) {
+  // A body the CRC frame vouches for can still hold a token that is not a
+  // number (a buggy writer, a hand edit re-framed by a tool). It must load
+  // as damage — fall back to .prev, or throw without one — and never be
+  // read as 0.0, which would resume from a silently-zeroed accumulator.
+  const FleetCase s = small_fleet(24, 6);
+  const auto reference = run_streaming_fleet(s.scenario, s.spec, s.config);
+  ASSERT_TRUE(reference.has_value());
+
+  const std::string path = ::testing::TempDir() + "/fleet_streaming_nan_tok";
+  const std::string prev = path + ".prev";
+  std::remove(path.c_str());
+  std::remove(prev.c_str());
+  StreamingOptions slice;
+  slice.checkpoint_path = path;
+  slice.batch_shards = 1;
+  slice.max_shards = 3;
+  ASSERT_FALSE(
+      run_streaming_fleet(s.scenario, s.spec, s.config, slice).has_value());
+  const std::string framed = slurp(path);
+  const std::string body = framed.substr(0, framed.rfind("crc "));
+
+  // Line 3 starts "<n> <mean> ...": replace the mean's hexfloat with a
+  // token strtod would have turned into 0.0.
+  const std::size_t line3 = body.find('\n', body.find('\n') + 1) + 1;
+  const std::size_t mean_at = body.find(' ', line3) + 1;
+  const std::size_t mean_end = body.find(' ', mean_at);
+  std::string bad_number = body;
+  bad_number.replace(mean_at, mean_end - mean_at, "zz");
+  const std::string leftover = body + "7\n";
+
+  StreamingOptions resume;
+  resume.checkpoint_path = path;
+  for (const std::string& damaged : {bad_number, leftover}) {
+    spill(path, crc_framed(damaged));
+    const auto resumed =
+        run_streaming_fleet(s.scenario, s.spec, s.config, resume);
+    ASSERT_TRUE(resumed.has_value());
+    EXPECT_EQ(to_json(*resumed), to_json(*reference));
+    // The completed run retired both generations; rebuild them.
+    ASSERT_FALSE(
+        run_streaming_fleet(s.scenario, s.spec, s.config, slice).has_value());
+  }
+  // Without an intact .prev the same damage throws.
+  std::remove(prev.c_str());
+  for (const std::string& damaged : {bad_number, leftover}) {
+    spill(path, crc_framed(damaged));
+    EXPECT_THROW(
+        (void)run_streaming_fleet(s.scenario, s.spec, s.config, resume),
+        std::runtime_error);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(FleetStreaming, RejectsEnabledFaultSpec) {
+  // The streaming engine has no fault plane: an enabled spec must be
+  // refused by name rather than answered with fault-free numbers.
+  FleetCase s = small_fleet();
+  auto faults = std::make_shared<fault::FaultSpec>();
+  faults->radio.probe_miss_prob = 0.1;
+  s.spec.faults = faults;
+  try {
+    (void)run_streaming_fleet(s.scenario, s.spec, s.config);
+    FAIL() << "an enabled fault spec was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("faults"), std::string::npos)
+        << e.what();
+  }
+  // Null and all-zero specs are fault-free by definition and stay legal.
+  s.spec.faults = std::make_shared<fault::FaultSpec>();
+  const auto zero = run_streaming_fleet(s.scenario, s.spec, s.config);
+  s.spec.faults.reset();
+  const auto none = run_streaming_fleet(s.scenario, s.spec, s.config);
+  ASSERT_TRUE(zero && none);
+  EXPECT_EQ(to_json(*zero), to_json(*none));
 }
 
 TEST(FleetStreaming, RejectsRoutingAndEmptyFleets) {
