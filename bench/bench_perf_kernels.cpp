@@ -3,8 +3,8 @@
 /// simulated day, the water-filling solver, the closed-form model and
 /// trace parsing. These guard against regressions that would make the
 /// two-week sweeps (Figs. 7-8) impractical. Per-layer rows for the
-/// probing hot path: the rush-mask slot scan and one adaptive SNIP-RH
-/// wakeup in the exploit phase.
+/// probing hot path: one lone node's event loop, the rush-mask slot scan
+/// and one adaptive SNIP-RH wakeup in the exploit phase.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +16,7 @@
 #include "snipr/core/snip_rh.hpp"
 #include "snipr/model/optimizer.hpp"
 #include "snipr/sim/event_queue.hpp"
+#include "snipr/sim/simulator.hpp"
 #include "snipr/trace/one_format.hpp"
 #include "snipr/trace/synthetic.hpp"
 #include "snipr/trace/trace_io.hpp"
@@ -40,6 +41,28 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1000)->Arg(100000);
+
+void BM_SimulatorLoneNode(benchmark::State& state) {
+  // The event loop of one fleet node alone in its simulator: a
+  // self-rescheduling probing wakeup every 10 s beside a self-rescheduling
+  // 24 h epoch event. Each iteration executes one event, so the time per
+  // iteration is ns/event.
+  struct Repeat {
+    sim::Simulator* simulator;
+    sim::Duration period;
+    void operator()() const { simulator->schedule_after(period, *this); }
+  };
+  sim::Simulator simulator{1};
+  simulator.schedule_after(sim::Duration::seconds(10),
+                           Repeat{&simulator, sim::Duration::seconds(10)});
+  simulator.schedule_after(sim::Duration::hours(24),
+                           Repeat{&simulator, sim::Duration::hours(24)});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(simulator.step());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimulatorLoneNode);
 
 void BM_SimulatedDaySnipRh(benchmark::State& state) {
   const core::RoadsideScenario sc;

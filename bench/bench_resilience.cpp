@@ -1,4 +1,5 @@
-/// Resilience sweep: how much detection delay does the fault plane cost?
+/// Resilience sweep: how much probed contact capacity does the fault
+/// plane cost?
 ///
 /// Sweeps a grid of probe-miss probabilities x per-epoch crash rates on
 /// the paper's road-side fleet and runs two policies through each point:
@@ -7,16 +8,19 @@
 ///  - snip-at: the static always-there baseline.
 ///
 /// Reported per (fault mix, policy): mean zeta under faults, the same
-/// policy's fault-free mean zeta, and their difference `zeta_regret_s` —
-/// the detection-delay tax the fault mix extracts. Note the survivorship
-/// twist: SNR-edge-weighted misses preferentially censor the *late*
-/// (low-SNR, near-departure) detections, so the per-detection mean zeta
-/// can fall as the miss rate rises even while `detections_lost` climbs —
-/// which is why the loss counters ride along and the crash rows carry
-/// the positive tax. With --json FILE the rows are written as a
-/// machine-readable artifact (schema "snipr.bench.resilience.v1");
-/// tools/check_bench_regression.py gates the regret counters *upward* —
-/// the tax creeping up is the regression.
+/// policy's fault-free mean zeta, and `zeta_regret_s = fault_free -
+/// faulted`. Zeta is probed contact capacity (departure minus awareness,
+/// summed per epoch; higher is better), so the regret is the capacity
+/// the fault mix costs: missed probes lose whole contacts or re-probe
+/// them later. `detections_lost` and `crashes` ride along to say which
+/// fault took it. The regret can go negative: an amnesiac adaptive node
+/// reboots into its SNIP-AT learning phase, which spends more probing
+/// budget and so probes more capacity than its learned mask would.
+///
+/// With --json FILE the rows are written as a machine-readable artifact
+/// (schema "snipr.bench.resilience.v1"); tools/check_bench_regression.py
+/// gates the regret counters *upward*: losing more capacity to the same
+/// faults is the regression.
 ///
 ///   bench_resilience [--json FILE] [--seed N]
 
@@ -115,8 +119,9 @@ int main(int argc, char** argv) {
   const core::RoadsideScenario scenario;
   std::string rows;
 
-  std::printf("# zeta tax of the fault plane (48-node road fleet, %zu "
-              "epochs, amnesiac reboots; crashwk = 1 crash/node/week)\n",
+  std::printf("# probed capacity lost to the fault plane (48-node road "
+              "fleet, %zu epochs, amnesiac reboots; crashwk = 1 "
+              "crash/node/week; regret = ff_zeta - mean_zeta)\n",
               kEpochs);
   std::printf("# %-18s %-13s %10s %10s %10s %8s %8s %8s\n", "faults",
               "policy", "mean_zeta", "ff_zeta", "regret", "lost",
@@ -133,9 +138,9 @@ int main(int argc, char** argv) {
           deploy::FleetEngine{}.run(scenario, spec, config);
 
       // The first mix is the fault-free reference; every later row's
-      // regret is measured against this policy's own clean run.
+      // regret is the capacity lost against this policy's own clean run.
       if (spec.faults == nullptr) fault_free_zeta_s = outcome.mean_zeta_s;
-      const double zeta_regret_s = outcome.mean_zeta_s - fault_free_zeta_s;
+      const double zeta_regret_s = fault_free_zeta_s - outcome.mean_zeta_s;
 
       std::uint64_t lost = 0;
       std::uint64_t crashes = 0;
@@ -169,11 +174,9 @@ int main(int argc, char** argv) {
       rows += '}';
     }
   }
-  std::printf("# expectation: adaptive-eps keeps a lower mean zeta than "
-              "snip-at at every mix; only the learner pays a positive "
-              "crash tax (amnesiac re-convergence), while rising miss "
-              "rates *lower* the surviving-detection mean via "
-              "survivorship — read them jointly with detections_lost\n");
+  std::printf("# reading: regret > 0 is capacity lost to the faults; "
+              "regret < 0 means the faulted run probed more, e.g. an "
+              "amnesiac learner back in its costlier learning phase\n");
 
   if (!json_path.empty()) {
     std::string json;

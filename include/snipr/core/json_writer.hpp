@@ -36,10 +36,11 @@ inline constexpr const char* kBenchMultihopScaleSchemaV1 =
 /// (bench_regret). Regret counters gate upward in
 /// tools/check_bench_regression.py: more regret is a regression.
 inline constexpr const char* kBenchRegretSchemaV1 = "snipr.bench.regret.v1";
-/// Fault-mix sweep (bench_resilience): ζ degradation of each policy
-/// relative to its own fault-free run, per (probe-miss, crash-rate)
-/// point. The `zeta_regret_s` counters gate upward like the learning
-/// regret ones — resilience eroding is the regression.
+/// Fault-mix sweep (bench_resilience): the probed capacity each policy
+/// loses relative to its own fault-free run (`zeta_regret_s =
+/// fault_free - faulted`), per (probe-miss, crash-rate) point. The
+/// regret counters gate upward like the learning regret ones: losing
+/// more capacity to the same faults is the regression.
 inline constexpr const char* kBenchResilienceSchemaV1 =
     "snipr.bench.resilience.v1";
 

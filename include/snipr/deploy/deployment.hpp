@@ -12,7 +12,7 @@
 #include "snipr/radio/link.hpp"
 
 /// \file deployment.hpp
-/// Multi-node experiment outcomes and the single-simulator runner.
+/// Multi-node experiment outcomes and the single-shard runner.
 ///
 /// N sensor nodes, each with its own channel (over its own contact
 /// schedule), data buffer, budget and scheduler instance, all visited by
@@ -88,7 +88,7 @@ using SchedulerFactory =
 /// empty outcome (leaves the zero/identity defaults).
 void finalize_outcome(DeploymentOutcome& outcome);
 
-/// Run a deployment: one sensor node per schedule, all in one simulator.
+/// Run a deployment: one sensor node per schedule, on one thread.
 /// Equivalent to FleetEngine with a single shard.
 [[nodiscard]] DeploymentOutcome run_deployment(
     std::vector<contact::ContactSchedule> schedules,

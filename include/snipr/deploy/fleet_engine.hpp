@@ -9,34 +9,33 @@
 /// \file fleet_engine.hpp
 /// Sharded multi-threaded deployment engine.
 ///
-/// `run_deployment` simulates every node of a fleet inside one
-/// single-threaded `Simulator`, which tops out at a few dozen nodes: the
-/// event heap holds the whole fleet (every pop pays log of the *fleet's*
-/// pending events) and only one core works. The FleetEngine partitions
-/// the fleet into shards, each owning its own `Simulator` over a
-/// contiguous block of nodes, and fans the shards out across a
-/// `core::ThreadPool`.
+/// The FleetEngine partitions the fleet into shards of contiguous nodes,
+/// each sharing one `node::NodeBlock` of hot state, and fans the shards
+/// out across a `core::ThreadPool`. Inside a shard, every node runs
+/// alone in its own `Simulator` up to the horizon, one node after the
+/// other: nodes never interact while probing, and a lone node's next
+/// wakeup is almost always its queue's earliest event, which the
+/// EventQueue serves without touching its timing wheel.
 ///
 /// Determinism contract (the PR 1/PR 2 guarantee, extended to shards):
 /// node i's RNG stream is forked from a root seeded with `config.seed`
 /// in node order, *before* any partitioning — a pure function of
 /// (seed, i). Nodes never share mutable state (each has its own channel,
-/// buffer, budget and scheduler; shard simulators interleave their
-/// events but the nodes cannot observe each other), and per-shard
-/// NodeOutcomes are merged back in node order, then aggregated in one
-/// `stats::OnlineStats` pass. The outcome — and `to_json`'s bytes — is
-/// therefore identical for ANY shard and thread count.
+/// buffer, budget and scheduler, so no node can observe another), and
+/// per-shard NodeOutcomes are merged back in node order, then aggregated
+/// in one `stats::OnlineStats` pass. The outcome — and `to_json`'s
+/// bytes — is therefore identical for ANY shard and thread count, and
+/// to a run with the whole fleet in one shared `Simulator`.
 
 namespace snipr::deploy {
 
 struct FleetConfig {
   /// Node configuration, link, epochs and root seed (shared by shards).
   DeploymentConfig deployment{};
-  /// Simulator partitions; 0 = max(hardware threads, nodes/16), capped
-  /// at the node count. Purely a performance knob — results never
-  /// depend on it. More shards than threads still helps: each shard's
-  /// event heap covers only its own nodes, so pops sift shorter paths
-  /// over a hotter working set.
+  /// Work partitions; 0 = max(hardware threads, nodes/16), capped at the
+  /// node count. Purely a performance knob — results never depend on
+  /// it. More shards than threads still helps: the pool hands shards to
+  /// whichever worker is free, so small shards balance the load.
   std::size_t shards{0};
   /// Worker threads; 0 = hardware concurrency. Capped at the shard count.
   std::size_t threads{0};

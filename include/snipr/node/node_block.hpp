@@ -10,13 +10,13 @@
 /// \file node_block.hpp
 /// Struct-of-arrays hot state for a block of sensor nodes.
 ///
-/// A fleet shard simulates hundreds of nodes inside one Simulator, and
-/// every probing wakeup mutates a handful of per-node counters (Φ, ζ,
-/// bytes, wakeups, the budget meter, the retiming hints). Keeping those
-/// inside each SensorNode scatters the shard's hot words across
-/// node-sized heap objects; a NodeBlock packs them into one contiguous
-/// lane per field, so the wakeup working set of a whole shard stays
-/// within a few cache lines per counter. The block also carries each
+/// Every probing wakeup mutates a handful of per-node counters (Φ, ζ,
+/// bytes, wakeups, the budget meter, the retiming hints). A NodeBlock
+/// keeps them out of the node objects, in one contiguous lane per
+/// field, allocated once for a whole fleet shard rather than once per
+/// node; the shard's nodes write their own lanes, whether they run one
+/// after another in their own event loops (the fleet engines) or
+/// interleaved in one shared Simulator. The block also carries each
 /// node's *streaming* run totals — per-epoch sums folded at every epoch
 /// boundary — which is what lets a fleet run drop the per-epoch history
 /// vector entirely (SensorNodeConfig::record_epoch_history) and still

@@ -47,7 +47,7 @@ inline constexpr std::size_t kEventCallbackCapacity = 64;
 /// filed directly into the span it opens, is why FIFO ties survive the
 /// wheel (DESIGN.md, "Hot path & memory layout"). Events beyond the
 /// 2^32-µs (~71.6 min) wheel horizon wait in a small overflow min-heap
-/// ordered by (timestamp, seq) and are pulled into the wheels one
+/// ordered by (tick, seq) and are pulled into the wheels one
 /// 2^32-µs span at a time, in that order.
 ///
 /// Callbacks live in a flat slot array (`slots_`), inline via
@@ -57,6 +57,16 @@ inline constexpr std::size_t kEventCallbackCapacity = 64;
 /// carry their heap position for O(log overflow) removal. Occupancy
 /// bitmaps (256 bits per level) let the pop path jump straight to the
 /// next occupied bucket instead of ticking through empty ones.
+///
+/// One event may sit outside the wheel in the *front slot*: an event is
+/// admitted there only when it is strictly earlier than every pending
+/// event and not before the latest popped timestamp, and pops take it
+/// without moving the wheel. A lone self-rescheduling timer (one node's
+/// wakeup beside its daily epoch event) therefore never cascades. A
+/// schedule that is not later than the front event demotes it into the
+/// wheel first, so the front stays strictly earliest and a tie never
+/// enters it (the earlier-scheduled event wins the tie): FIFO ties, ids
+/// and slot retirement order are unchanged.
 ///
 /// Generations wrap at 2^32, skipping generation 0 (reserved so a
 /// recycled slot can never mint an id equal to the `kInvalidEventId`
@@ -71,8 +81,9 @@ class EventQueue {
   /// Schedule `fn` at absolute time `at`. Returns a handle for cancel().
   /// Scheduling before the latest popped timestamp (rejected upstream by
   /// `Simulator::schedule_at`) files the event at the wheel's current
-  /// position: it pops as soon as possible, after pending events at the
-  /// current tick, and still reports its requested timestamp.
+  /// position, the latest popped timestamp: it pops as soon as possible,
+  /// after pending events at the current tick, and still reports its
+  /// requested timestamp.
   EventId schedule(TimePoint at, Callback fn);
 
   /// Cancel a pending event. Returns false if the event already ran,
@@ -86,11 +97,12 @@ class EventQueue {
   [[nodiscard]] bool empty() const { return live_ == 0; }
   /// Number of live (non-cancelled) events.
   [[nodiscard]] std::size_t size() const noexcept { return live_; }
-  /// Entries held by the internal structures (wheel buckets + overflow
-  /// heap). cancel() unlinks its entry eagerly — the wheel keeps no
-  /// tombstones — so this always equals size(). Kept (and pinned by
-  /// tests) as the no-leak guarantee the binary-heap predecessor
-  /// documented: a cancel-heavy workload cannot grow storage unboundedly.
+  /// Entries held by the internal structures (front slot, wheel buckets
+  /// and overflow heap). cancel() unlinks its entry eagerly — the wheel
+  /// keeps no tombstones — so this always equals size(). Kept (and
+  /// pinned by tests) as the no-leak guarantee the binary-heap
+  /// predecessor documented: a cancel-heavy workload cannot grow storage
+  /// unboundedly.
   [[nodiscard]] std::size_t heap_size() const noexcept { return live_; }
 
   /// Pop the earliest event and return it; nullopt when empty.
@@ -128,6 +140,9 @@ class EventQueue {
   struct Slot {
     Callback fn;
     TimePoint at{};
+    /// Filing tick: to_tick(at), raised to the latest popped tick for a
+    /// past schedule. Every ordering decision reads this, never `at`.
+    std::uint64_t tick{0};
     std::uint64_t seq{0};
     std::uint32_t generation{1};
     std::uint32_t prev{kNil};
@@ -151,7 +166,7 @@ class EventQueue {
 
   /// File a live slot into the wheel level/bucket its tick selects
   /// relative to `cur_` (or the overflow heap beyond the horizon).
-  void place(std::uint32_t slot, std::uint64_t tick);
+  void place(std::uint32_t slot);
   /// Append to a bucket's intrusive list (FIFO: pops read the head).
   void link(std::uint32_t bucket, std::uint32_t slot);
   /// Remove a slot from its bucket's list, clearing the occupancy bit
@@ -163,12 +178,12 @@ class EventQueue {
   /// recycle it.
   void retire(std::uint32_t slot);
 
-  /// Slot index of the earliest pending event (kNil when empty),
-  /// without moving the wheel: cur_ must only advance when an event is
-  /// actually consumed, otherwise a later schedule between the last pop
-  /// and the pending head would be misfiled as "past". Scans at most one
-  /// bucket list; the result is cached until a pop, a cancel of the head,
-  /// or an earlier schedule invalidates it.
+  /// Slot index of the earliest pending event (kNil when empty); called
+  /// only while the front slot is empty. Does not move the wheel: cur_
+  /// must only advance when an event is actually consumed, otherwise a
+  /// later schedule between the last pop and the pending head would be
+  /// misfiled. Scans at most one bucket list; the result is cached until
+  /// a pop, a cancel of the head, or an earlier schedule invalidates it.
   [[nodiscard]] std::uint32_t peek_head() const;
 
   /// Re-file every event of a wheel bucket one level down (list order =
@@ -201,11 +216,17 @@ class EventQueue {
   /// One occupancy bit per bucket (bits_[b >> 6] bit (b & 63)).
   std::array<std::uint64_t, kBucketCount / 64> bits_{};
   /// Current wheel tick (biased; starts at the minimum representable
-  /// time, so nothing is "past" until pops advance it).
+  /// time). Only wheel pops advance it, so it may trail `popped_`.
   std::uint64_t cur_{0};
+  /// Tick of the latest popped event, front or wheel: the floor below
+  /// which a schedule counts as "past".
+  std::uint64_t popped_{0};
   /// Cached peek_head() result; kNil when unknown. Mutable so the const
   /// observer next_time() can fill it.
   mutable std::uint32_t peek_{kNil};
+  /// The front slot: an event strictly earlier than everything in the
+  /// wheel and overflow heap, held outside them (kNil when empty).
+  std::uint32_t front_{kNil};
   std::uint64_t next_seq_{1};
   std::size_t live_{0};
 };

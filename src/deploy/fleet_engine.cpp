@@ -9,84 +9,35 @@
 #include "snipr/core/thread_pool.hpp"
 #include "snipr/deploy/collection.hpp"
 #include "snipr/deploy/road_contacts.hpp"
-#include "snipr/node/mobile_node.hpp"
-#include "snipr/radio/channel.hpp"
-#include "snipr/sim/simulator.hpp"
 #include "snipr/trace/trace_catalog.hpp"
+#include "fleet_node.hpp"
 
 namespace snipr::deploy {
 namespace {
 
-/// Simulate nodes [begin, end) in one Simulator and write their outcomes
-/// into the matching slots of `out` (disjoint across shards, so shard
-/// workers never touch the same slot). When `probed` is non-null, each
-/// node's probed-contact log is exported the same way — the input of the
-/// store-and-forward collection pass.
+/// Simulate nodes [begin, end), one at a time (fleet_node.hpp), and
+/// write their outcomes into the matching slots of `out` (disjoint
+/// across shards, so shard workers never touch the same slot). When
+/// `probed` is non-null, each node's probed-contact log is exported the
+/// same way: the input of the store-and-forward collection pass.
 void run_shard(std::vector<contact::ContactSchedule>& schedules,
-               std::vector<sim::Rng>& node_rngs,
+               const std::vector<sim::Rng>& node_rngs,
                const SchedulerFactory& make_scheduler,
                const DeploymentConfig& config, std::size_t begin,
                std::size_t end, std::vector<NodeOutcome>& out,
                std::vector<std::vector<node::ProbedContactRecord>>* probed,
                fault::FaultPlan* faults) {
-  sim::Simulator simulator{config.seed};
-
-  struct NodeWorld {
-    std::size_t total_contacts{0};
-    std::unique_ptr<radio::Channel> channel;
-    std::unique_ptr<node::MobileNode> sink;
-    std::unique_ptr<node::Scheduler> scheduler;
-    std::unique_ptr<node::SensorNode> sensor;
-  };
-  std::vector<NodeWorld> worlds;
-  worlds.reserve(end - begin);
-  // One struct-of-arrays hot-state block for the whole shard: every
-  // node's per-wakeup counters sit in contiguous lanes instead of being
-  // scattered across the node objects.
+  const FleetNodeEnv env{
+      make_scheduler, config, fleet_node_config(config, probed != nullptr),
+      config.node.epoch * static_cast<std::int64_t>(config.epochs)};
+  // One struct-of-arrays hot-state block for the whole shard.
   node::NodeBlock block{end - begin};
-
-  node::SensorNodeConfig node_config = config.node;
-  node_config.expected_epochs = config.epochs;
-  // Run-level summaries read the block's streaming totals (bit-equal to
-  // a history-based summary), so the per-epoch vectors would be dead
-  // weight; per-contact records are kept only when the caller exports
-  // them (the store-and-forward collection pass).
-  node_config.record_epoch_history = false;
-  node_config.record_probed_contacts = probed != nullptr;
-
   for (std::size_t i = begin; i < end; ++i) {
-    NodeWorld w;
-    w.total_contacts = schedules[i].size();
-    w.channel = std::make_unique<radio::Channel>(
-        std::move(schedules[i]), config.link, node_rngs[i]);
-    w.sink = std::make_unique<node::MobileNode>();
-    w.scheduler = make_scheduler(i);
-    if (w.scheduler == nullptr) {
-      throw std::invalid_argument("FleetEngine: factory returned null");
-    }
-    w.sensor = std::make_unique<node::SensorNode>(
-        simulator, *w.channel, *w.sink, *w.scheduler, node_config, block,
-        i - begin);
-    if (faults != nullptr) {
-      // Node i's injector was forked in node order before partitioning,
-      // so its stream — and every fault decision — is independent of the
-      // shard layout. Injectors are never shared across nodes, so shard
-      // workers never race on one.
-      w.sensor->attach_faults(&faults->node(i));
-    }
-    w.sensor->start();
-    worlds.push_back(std::move(w));
-  }
-
-  const sim::Duration horizon =
-      config.node.epoch * static_cast<std::int64_t>(config.epochs);
-  simulator.run_until(sim::TimePoint::zero() + horizon);
-
-  for (std::size_t i = begin; i < end; ++i) {
-    const NodeWorld& w = worlds[i - begin];
-    out[i] = summarize_node(i, *w.sensor, std::string{w.scheduler->name()},
-                            w.total_contacts);
-    if (probed != nullptr) (*probed)[i] = w.sensor->probed_contacts();
+    out[i] = run_fleet_node(env, i, std::move(schedules[i]), node_rngs[i],
+                            block, i - begin,
+                            faults != nullptr ? &faults->node(i) : nullptr,
+                            probed != nullptr ? &(*probed)[i] : nullptr)
+                 .row;
   }
 }
 
@@ -146,9 +97,9 @@ DeploymentOutcome FleetEngine::run_with_probes(
   std::size_t shards = config.shards;
   if (shards == 0) {
     // Default: one shard per worker for parallelism, but never fewer
-    // than one per ~16 nodes — small per-shard event heaps pay even on a
-    // single core (shorter sift paths, hotter cache: ~2.4x at 1024
-    // nodes), and results never depend on the partition anyway.
+    // than one per ~16 nodes: small shards keep the pool's workers
+    // evenly loaded to the end of the run. Results never depend on the
+    // partition, since every node runs in its own event loop anyway.
     shards = std::max(core::ThreadPool::hardware_threads(), n / 16);
   }
   shards = std::min(shards, n);

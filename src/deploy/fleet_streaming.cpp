@@ -18,13 +18,11 @@
 #include "snipr/core/strategy.hpp"
 #include "snipr/core/thread_pool.hpp"
 #include "snipr/deploy/road_contacts.hpp"
-#include "snipr/node/mobile_node.hpp"
 #include "snipr/node/node_block.hpp"
-#include "snipr/radio/channel.hpp"
-#include "snipr/sim/simulator.hpp"
 #include "snipr/stats/online_stats.hpp"
 #include "snipr/stats/quantile_sketch.hpp"
 #include "snipr/trace/trace_catalog.hpp"
+#include "fleet_node.hpp"
 
 namespace snipr::deploy {
 namespace {
@@ -73,7 +71,6 @@ struct Accumulator {
 /// Everything shard workers share read-only: the fleet's deterministic
 /// inputs, materialised once.
 struct StreamingInputs {
-  const core::RoadsideScenario* scenario{nullptr};
   const FleetSpec* spec{nullptr};
   DeploymentConfig deployment;
   sim::Duration horizon{};
@@ -87,8 +84,7 @@ struct StreamingInputs {
   std::vector<sim::Rng> trace_rngs;     ///< replay stream per node
 };
 
-StreamingInputs build_inputs(const core::RoadsideScenario& scenario,
-                             const FleetSpec& spec,
+StreamingInputs build_inputs(const FleetSpec& spec,
                              const FleetConfig& config) {
   if (spec.nodes == 0) {
     throw std::invalid_argument("run_streaming_fleet: needs at least one node");
@@ -106,7 +102,6 @@ StreamingInputs build_inputs(const core::RoadsideScenario& scenario,
   }
 
   StreamingInputs in;
-  in.scenario = &scenario;
   in.spec = &spec;
   in.deployment = config.deployment;
   in.horizon = spec.flow_profile.epoch() *
@@ -175,7 +170,7 @@ StreamingInputs build_inputs(const core::RoadsideScenario& scenario,
 /// Build schedules for nodes [begin, end) only — the lazy step that
 /// bounds memory: a shard's schedules exist only while it runs.
 std::vector<contact::ContactSchedule> build_shard_schedules(
-    StreamingInputs& in, std::size_t begin, std::size_t end) {
+    const StreamingInputs& in, std::size_t begin, std::size_t end) {
   if (const TraceWorkload* trace = in.spec->trace_workload()) {
     std::vector<contact::ContactSchedule> schedules;
     schedules.reserve(end - begin);
@@ -199,57 +194,27 @@ std::vector<contact::ContactSchedule> build_shard_schedules(
   return build_road_schedules(positions, road.range_m, in.vehicles);
 }
 
-ShardResult run_streaming_shard(StreamingInputs& in, std::size_t begin,
-                                std::size_t end) {
+ShardResult run_streaming_shard(const StreamingInputs& in,
+                                const SchedulerFactory& make_scheduler,
+                                std::size_t begin, std::size_t end) {
   std::vector<contact::ContactSchedule> schedules =
       build_shard_schedules(in, begin, end);
-  sim::Simulator simulator{in.deployment.seed};
-  const std::size_t count = end - begin;
-  node::NodeBlock block{count};
-
-  node::SensorNodeConfig node_config = in.deployment.node;
-  node_config.expected_epochs = in.deployment.epochs;
-  node_config.record_epoch_history = false;
-  node_config.record_probed_contacts = false;
-
-  const double phi_max_s = in.deployment.node.budget_limit.to_seconds();
-  struct NodeWorld {
-    std::unique_ptr<radio::Channel> channel;
-    std::unique_ptr<node::MobileNode> sink;
-    std::unique_ptr<node::Scheduler> scheduler;
-    std::unique_ptr<node::SensorNode> sensor;
-  };
-  std::vector<NodeWorld> worlds;
-  worlds.reserve(count);
-  for (std::size_t i = begin; i < end; ++i) {
-    NodeWorld w;
-    sim::Rng rng = in.node_rngs[i];  // copy: keep the inputs re-runnable
-    w.channel = std::make_unique<radio::Channel>(std::move(schedules[i - begin]),
-                                                 in.deployment.link, rng);
-    w.sink = std::make_unique<node::MobileNode>();
-    w.scheduler = core::make_scheduler(*in.scenario, in.spec->strategy,
-                                       in.spec->zeta_target_s, phi_max_s,
-                                       in.spec->exploration);
-    w.sensor = std::make_unique<node::SensorNode>(
-        simulator, *w.channel, *w.sink, *w.scheduler, node_config, block,
-        i - begin);
-    w.sensor->start();
-    worlds.push_back(std::move(w));
-  }
-
+  const FleetNodeEnv env{make_scheduler, in.deployment,
+                         fleet_node_config(in.deployment, false), in.horizon};
+  node::NodeBlock block{end - begin};
   ShardResult result;
-  result.events = simulator.run_until(sim::TimePoint::zero() + in.horizon);
-  result.nodes.resize(count);
-  for (std::size_t lane = 0; lane < count; ++lane) {
+  result.nodes.resize(end - begin);
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::size_t lane = i - begin;
+    const FleetNodeRun run =
+        run_fleet_node(env, i, std::move(schedules[lane]), in.node_rngs[i],
+                       block, lane, nullptr, nullptr);
     NodeAgg& n = result.nodes[lane];
-    const std::uint64_t epochs = block.epochs(lane);
-    if (epochs > 0) {
-      const auto e = static_cast<double>(epochs);
-      n.mean_zeta_s = block.sum_zeta_s(lane) / e;
-      n.mean_phi_s = block.sum_phi_s(lane) / e;
-      n.mean_bytes = block.sum_bytes(lane) / e;
-    }
+    n.mean_zeta_s = run.row.mean_zeta_s;
+    n.mean_phi_s = run.row.mean_phi_s;
+    n.mean_bytes = run.row.mean_bytes_uploaded;
     n.probed_sessions = block.probed_sessions(lane);
+    result.events += run.events;
   }
   return result;
 }
@@ -482,7 +447,12 @@ FleetSummary finalize(const Accumulator& acc, std::uint64_t nodes,
 std::optional<FleetSummary> run_streaming_fleet(
     const core::RoadsideScenario& scenario, const FleetSpec& spec,
     const FleetConfig& config, const StreamingOptions& options) {
-  StreamingInputs in = build_inputs(scenario, spec, config);
+  const StreamingInputs in = build_inputs(spec, config);
+  const double phi_max_s = config.deployment.node.budget_limit.to_seconds();
+  const SchedulerFactory factory = [&](std::size_t) {
+    return core::make_scheduler(scenario, spec.strategy, spec.zeta_target_s,
+                                phi_max_s, spec.exploration);
+  };
 
   const std::size_t n = spec.nodes;
   std::size_t shards = config.shards;
@@ -519,7 +489,7 @@ std::optional<FleetSummary> run_streaming_fleet(
       const std::size_t s = static_cast<std::size_t>(done) + b;
       const std::size_t begin = n * s / shards;
       const std::size_t end = n * (s + 1) / shards;
-      results[b] = run_streaming_shard(in, begin, end);
+      results[b] = run_streaming_shard(in, factory, begin, end);
     });
     // Fold on this thread, in shard order — node order overall, so the
     // accumulator state is independent of the thread count.

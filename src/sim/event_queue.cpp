@@ -1,7 +1,7 @@
 #include "snipr/sim/event_queue.hpp"
 
+#include <algorithm>
 #include <bit>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -56,8 +56,11 @@ void EventQueue::unlink_head(std::uint32_t bucket) {
   }
 }
 
-void EventQueue::place(std::uint32_t slot, std::uint64_t tick) {
-  if (tick < cur_) tick = cur_;  // past schedule: file at the current tick
+void EventQueue::place(std::uint32_t slot) {
+  // Every filing tick is >= cur_: schedule() raises past ticks to
+  // popped_ >= cur_, and cascades and overflow pulls only ever move cur_
+  // to the start of the span holding the ticks they re-file.
+  const std::uint64_t tick = slots_[slot].tick;
   const std::uint64_t delta = tick ^ cur_;
   if ((delta >> (kLevelBits * kLevels)) != 0) {
     overflow_push(slot);
@@ -88,7 +91,7 @@ bool EventQueue::overflow_before(std::uint32_t a,
                                  std::uint32_t b) const noexcept {
   const Slot& x = slots_[a];
   const Slot& y = slots_[b];
-  if (x.at != y.at) return x.at < y.at;
+  if (x.tick != y.tick) return x.tick < y.tick;
   return x.seq < y.seq;
 }
 
@@ -163,23 +166,22 @@ void EventQueue::cascade(std::uint32_t bucket) {
   // equal timestamps keep their relative order through every cascade.
   while (slot != kNil) {
     const std::uint32_t next = slots_[slot].next;
-    place(slot, to_tick(slots_[slot].at));
+    place(slot);
     slot = next;
   }
 }
 
 void EventQueue::pull_overflow() {
-  const std::uint64_t span = to_tick(slots_[overflow_.front()].at) >>
-                             (kLevelBits * kLevels);
+  const std::uint64_t span =
+      slots_[overflow_.front()].tick >> (kLevelBits * kLevels);
   cur_ = span << (kLevelBits * kLevels);
-  // Heap pop order is (timestamp, seq), so same-timestamp events enter
-  // their bucket in schedule order.
+  // Heap pop order is (tick, seq), so same-tick events enter their
+  // bucket in schedule order.
   while (!overflow_.empty() &&
-         (to_tick(slots_[overflow_.front()].at) >> (kLevelBits * kLevels)) ==
-             span) {
+         (slots_[overflow_.front()].tick >> (kLevelBits * kLevels)) == span) {
     const std::uint32_t slot = overflow_.front();
     overflow_remove(0);
-    place(slot, to_tick(slots_[slot].at));
+    place(slot);
   }
 }
 
@@ -206,7 +208,7 @@ std::uint32_t EventQueue::peek_head() const {
     if (index >= kBucketsPerLevel) continue;
     std::uint32_t best = head_[level * kBucketsPerLevel + index];
     for (std::uint32_t s = slots_[best].next; s != kNil; s = slots_[s].next) {
-      if (slots_[s].at < slots_[best].at) best = s;
+      if (slots_[s].tick < slots_[best].tick) best = s;
     }
     peek_ = best;
     return peek_;
@@ -224,8 +226,8 @@ EventId EventQueue::schedule(TimePoint at, Callback fn) {
     slot = free_.back();
     free_.pop_back();
   } else {
-    if (slots_.size() >
-        static_cast<std::size_t>(std::numeric_limits<std::uint32_t>::max())) {
+    // Index kNil is the list terminator, so it can never name a slot.
+    if (slots_.size() >= kNil) {
       throw std::length_error("EventQueue: slot index space exhausted");
     }
     slot = static_cast<std::uint32_t>(slots_.size());
@@ -234,13 +236,36 @@ EventId EventQueue::schedule(TimePoint at, Callback fn) {
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
   s.at = at;
+  // A past schedule files at the latest popped tick, behind the events
+  // pending there (its seq is larger).
+  const std::uint64_t requested = to_tick(at);
+  s.tick = std::max(requested, popped_);
   s.seq = next_seq_++;
   const std::uint32_t generation = s.generation;
-  place(slot, to_tick(at));
+  if (front_ != kNil && s.tick <= slots_[front_].tick) {
+    // Not later than the front event: demote it, so the front stays
+    // strictly earlier than everything filed in the wheel. It precedes
+    // every wheel event, so it becomes the wheel's head.
+    place(front_);
+    peek_ = front_;
+    front_ = kNil;
+  }
+  // Only a forward schedule strictly earlier than everything pending
+  // takes the front slot; a tie goes to the event scheduled first.
+  bool admit = front_ == kNil && requested >= popped_;
+  if (admit) {
+    const std::uint32_t head = peek_head();
+    admit = head == kNil || s.tick < slots_[head].tick;
+  }
+  if (admit) {
+    front_ = slot;
+  } else {
+    place(slot);
+    // A strictly earlier tick takes over the cached head; a tie keeps
+    // the incumbent (lower seq). An unknown cache stays unknown.
+    if (peek_ != kNil && s.tick < slots_[peek_].tick) peek_ = slot;
+  }
   ++live_;
-  // A strictly earlier timestamp takes over the cached head; a tie keeps
-  // the incumbent (lower seq). An unknown cache stays unknown.
-  if (peek_ != kNil && at < slots_[peek_].at) peek_ = slot;
   return pack(generation, slot);
 }
 
@@ -250,18 +275,22 @@ bool EventQueue::cancel(EventId id) {
   if (generation == 0) return false;  // kInvalidEventId and friends
   if (slot >= slots_.size()) return false;
   if (slots_[slot].generation != generation) return false;
-  if (slot == peek_) peek_ = kNil;
-  if (slots_[slot].bucket == kOverflowBucket) {
-    overflow_remove(slots_[slot].heap_index);
+  if (slot == front_) {
+    front_ = kNil;
   } else {
-    unlink(slot);
+    if (slot == peek_) peek_ = kNil;
+    if (slots_[slot].bucket == kOverflowBucket) {
+      overflow_remove(slots_[slot].heap_index);
+    } else {
+      unlink(slot);
+    }
   }
   retire(slot);
   return true;
 }
 
 std::optional<TimePoint> EventQueue::next_time() const {
-  const std::uint32_t head = peek_head();
+  const std::uint32_t head = front_ != kNil ? front_ : peek_head();
   if (head == kNil) return std::nullopt;
   return slots_[head].at;
 }
@@ -271,6 +300,18 @@ std::optional<EventQueue::Popped> EventQueue::pop() {
 }
 
 std::optional<EventQueue::Popped> EventQueue::pop_due(TimePoint limit) {
+  if (front_ != kNil) {
+    // The front event precedes everything in the wheel: take it without
+    // touching the wheel, cur_ or the cached wheel head.
+    const std::uint32_t slot = front_;
+    if (slots_[slot].at > limit) return std::nullopt;
+    front_ = kNil;
+    popped_ = slots_[slot].tick;
+    Popped out{slots_[slot].at, pack(slots_[slot].generation, slot),
+               std::move(slots_[slot].fn)};
+    retire(slot);
+    return out;
+  }
   const std::uint32_t head = peek_head();
   if (head == kNil || slots_[head].at > limit) return std::nullopt;
   // The head is due: now the wheel may actually move, and because the
@@ -294,6 +335,7 @@ std::optional<EventQueue::Popped> EventQueue::pop_due(TimePoint limit) {
     bucket = slots_[head].bucket;
   }
   cur_ = (cur_ & ~std::uint64_t{kBucketsPerLevel - 1}) | bucket;
+  popped_ = cur_;
   const std::uint32_t slot = head_[bucket];
   unlink_head(bucket);
   Popped out{slots_[slot].at, pack(slots_[slot].generation, slot),

@@ -4,11 +4,14 @@
 /// forward-running schedule/cancel/pop interleavings — the full surface
 /// a Simulator can drive (Simulator::schedule_at rejects past times).
 /// Equivalence is exact: both implementations retire slots in the same
-/// order, so even the EventId handles must match bit for bit.
+/// order, so even the EventId handles must match bit for bit. A second
+/// regime drives the queue the way one lone fleet node does, so the
+/// equivalence covers the wheel's front slot too.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "snipr/sim/event_queue.hpp"
@@ -43,6 +46,21 @@ Duration random_delay(Rng& rng) {
       return Duration::hours(1 + static_cast<std::int64_t>(
                                      rng.uniform_int(100)));
   }
+}
+
+/// Drain both queues completely: the tail must pop in lockstep too.
+void expect_same_drain(EventQueue& wheel, ReferenceEventQueue& reference,
+                       int round) {
+  for (;;) {
+    auto a = wheel.pop();
+    auto b = reference.pop();
+    ASSERT_EQ(a.has_value(), b.has_value()) << "drain, round " << round;
+    if (!a.has_value()) break;
+    ASSERT_EQ(a->at, b->at) << "drain, round " << round;
+    ASSERT_EQ(a->id, b->id) << "drain, round " << round;
+  }
+  ASSERT_TRUE(wheel.empty());
+  ASSERT_EQ(wheel.heap_size(), 0U);
 }
 
 TEST(EventQueueEquivalenceProperty, MatchesBinaryHeapReferenceModel) {
@@ -91,17 +109,61 @@ TEST(EventQueueEquivalenceProperty, MatchesBinaryHeapReferenceModel) {
       }
     }
 
-    // Drain both queues completely: the tail must pop in lockstep too.
-    for (;;) {
-      auto a = wheel.pop();
-      auto b = reference.pop();
-      ASSERT_EQ(a.has_value(), b.has_value()) << "drain, round " << round;
-      if (!a.has_value()) break;
-      ASSERT_EQ(a->at, b->at) << "drain, round " << round;
-      ASSERT_EQ(a->id, b->id) << "drain, round " << round;
+    expect_same_drain(wheel, reference, round);
+  }
+}
+
+TEST(EventQueueEquivalenceProperty, LoneNodeRegimeMatchesReference) {
+  // One node alone in its simulator: a self-rescheduling wakeup beside a
+  // far epoch event and the odd transfer completion, 1-3 pending at a
+  // time. Most schedules land strictly before every pending event, so
+  // the front slot admits, demotes and pops on nearly every operation;
+  // the rest tie with the earliest pending event or land anywhere.
+  Rng rng{20261017};
+  for (int round = 0; round < 40; ++round) {
+    EventQueue wheel;
+    ReferenceEventQueue reference;
+    std::vector<EventId> outstanding;
+    TimePoint now = TimePoint::zero();
+
+    const std::size_t ops = 500 + rng.uniform_int(3000);
+    for (std::size_t op = 0; op < ops; ++op) {
+      const std::size_t pending = reference.size();
+      const double coin = rng.uniform();
+      if (pending == 0 || (pending < 3 && coin < 0.55)) {
+        const std::optional<TimePoint> next = reference.next_time();
+        const double kind = rng.uniform();
+        TimePoint at = now + random_delay(rng);
+        if (next.has_value() && kind < 0.75 && *next > now) {
+          at = now + Duration::microseconds(static_cast<std::int64_t>(
+                         rng.uniform_int(
+                             static_cast<std::uint64_t>((*next - now).count()))));
+        } else if (next.has_value() && kind < 0.85) {
+          at = *next;
+        }
+        const EventId a = wheel.schedule(at, [] {});
+        const EventId b = reference.schedule(at, [] {});
+        ASSERT_EQ(a, b) << "ids diverge at op " << op << " round " << round;
+        outstanding.push_back(a);
+      } else if (pending == 3 || coin < 0.85) {
+        auto a = wheel.pop();
+        auto b = reference.pop();
+        ASSERT_EQ(a.has_value(), b.has_value()) << "round " << round;
+        if (a.has_value()) {
+          ASSERT_EQ(a->at, b->at) << "round " << round;
+          ASSERT_EQ(a->id, b->id) << "round " << round;
+          now = a->at;
+        }
+      } else if (coin < 0.93) {
+        const EventId id = outstanding[rng.uniform_int(outstanding.size())];
+        ASSERT_EQ(wheel.cancel(id), reference.cancel(id)) << "round " << round;
+      } else {
+        ASSERT_EQ(wheel.next_time(), reference.next_time())
+            << "round " << round;
+        ASSERT_EQ(wheel.size(), reference.size()) << "round " << round;
+      }
     }
-    ASSERT_TRUE(wheel.empty());
-    ASSERT_EQ(wheel.heap_size(), 0U);
+    expect_same_drain(wheel, reference, round);
   }
 }
 

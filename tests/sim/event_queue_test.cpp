@@ -18,6 +18,11 @@ struct EventQueueTestPeer {
                                        std::uint32_t slot) {
     return q.slots_[slot].generation;
   }
+  /// Id of the event in the front slot; kInvalidEventId when it is empty.
+  static EventId front(const EventQueue& q) {
+    if (q.front_ == EventQueue::kNil) return kInvalidEventId;
+    return EventQueue::pack(q.slots_[q.front_].generation, q.front_);
+  }
 };
 
 namespace {
@@ -274,6 +279,154 @@ TEST(EventQueue, ManyInterleavedOperations) {
     ++popped;
   }
   EXPECT_EQ(popped, 50U);
+}
+
+// --- Front slot: one event held outside the wheel -----------------------
+
+/// Run one event through the front slot and one through the wheel, so
+/// the wheel's clock sits at 1 s: later events within the wheel horizon
+/// are then filed in wheel buckets rather than the overflow heap, whose
+/// (time, seq) order would hide a FIFO slip.
+void advance_wheel(EventQueue& q) {
+  q.schedule(at_s(0), [] {});
+  q.schedule(at_s(1), [] {});
+  ASSERT_TRUE(q.pop().has_value());
+  ASSERT_TRUE(q.pop().has_value());
+}
+
+/// Pops everything, returning the ids in pop order.
+std::vector<EventId> drain_ids(EventQueue& q) {
+  std::vector<EventId> ids;
+  while (auto e = q.pop()) ids.push_back(e->id);
+  return ids;
+}
+
+TEST(EventQueueFrontSlot, StrictlyEarlierScheduleDemotesTheFrontEvent) {
+  EventQueue q;
+  advance_wheel(q);
+  const EventId a = q.schedule(at_s(10), [] {});
+  EXPECT_EQ(EventQueueTestPeer::front(q), a);
+  const EventId b = q.schedule(at_s(20), [] {});
+  EXPECT_EQ(EventQueueTestPeer::front(q), a) << "a later event stays out";
+  const EventId c = q.schedule(at_s(5), [] {});
+  EXPECT_EQ(EventQueueTestPeer::front(q), c);
+  // The demoted event keeps its place: a later tie at its timestamp
+  // still pops after it.
+  const EventId d = q.schedule(at_s(10), [] {});
+  EXPECT_EQ(q.next_time(), at_s(5));
+  EXPECT_EQ(drain_ids(q), (std::vector<EventId>{c, a, d, b}));
+}
+
+TEST(EventQueueFrontSlot, TieAtTheFrontTimestampPopsFifo) {
+  EventQueue q;
+  advance_wheel(q);
+  const EventId a = q.schedule(at_s(7), [] {});
+  ASSERT_EQ(EventQueueTestPeer::front(q), a);
+  const EventId b = q.schedule(at_s(7), [] {});
+  const EventId c = q.schedule(at_s(7), [] {});
+  EXPECT_NE(EventQueueTestPeer::front(q), b);
+  EXPECT_NE(EventQueueTestPeer::front(q), c);
+  // A strictly earlier event after the ties takes the front; the three
+  // ties still pop in schedule order behind it.
+  const EventId e = q.schedule(at_s(3), [] {});
+  EXPECT_EQ(EventQueueTestPeer::front(q), e);
+  EXPECT_EQ(drain_ids(q), (std::vector<EventId>{e, a, b, c}));
+}
+
+TEST(EventQueueFrontSlot, CancellingTheFrontEventExposesTheWheelHead) {
+  EventQueue q;
+  advance_wheel(q);
+  const EventId a = q.schedule(at_s(2), [] {});
+  const EventId b = q.schedule(at_s(3), [] {});
+  const EventId c = q.schedule(at_s(4), [] {});
+  ASSERT_EQ(EventQueueTestPeer::front(q), a);
+  EXPECT_TRUE(q.cancel(a));
+  EXPECT_EQ(EventQueueTestPeer::front(q), kInvalidEventId);
+  EXPECT_FALSE(q.cancel(a));
+  EXPECT_EQ(q.size(), 2U);
+  EXPECT_EQ(q.next_time(), at_s(3));
+  EXPECT_EQ(drain_ids(q), (std::vector<EventId>{b, c}));
+}
+
+TEST(EventQueueFrontSlot, PopDueBelowTheFrontEventLeavesItPending) {
+  EventQueue q;
+  const EventId a = q.schedule(at_s(5), [] {});
+  q.schedule(at_s(9), [] {});
+  ASSERT_EQ(EventQueueTestPeer::front(q), a);
+  EXPECT_FALSE(q.pop_due(at_s(4)).has_value());
+  EXPECT_EQ(EventQueueTestPeer::front(q), a);
+  EXPECT_EQ(q.size(), 2U);
+  EXPECT_EQ(q.next_time(), at_s(5));
+  const auto e = q.pop_due(at_s(5));
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->id, a);
+  EXPECT_FALSE(q.pop_due(at_s(8)).has_value());
+  EXPECT_EQ(q.size(), 1U);
+}
+
+TEST(EventQueueFrontSlot, ObserversCountTheFrontEvent) {
+  EventQueue q;
+  const EventId a = q.schedule(at_s(1), [] {});
+  ASSERT_EQ(EventQueueTestPeer::front(q), a);
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.size(), 1U);
+  EXPECT_EQ(q.heap_size(), 1U);
+  EXPECT_EQ(q.next_time(), at_s(1));
+  q.schedule(at_s(2), [] {});
+  EXPECT_EQ(q.size(), 2U);
+  EXPECT_EQ(q.heap_size(), 2U);
+  EXPECT_EQ(q.next_time(), at_s(1));
+  (void)q.pop();
+  EXPECT_EQ(q.size(), 1U);
+  EXPECT_EQ(q.heap_size(), 1U);
+  EXPECT_EQ(q.next_time(), at_s(2));
+}
+
+TEST(EventQueueFrontSlot, PastScheduleWaitsBehindEventsAtTheLatestPop) {
+  // The header's past-schedule contract after a front pop, which leaves
+  // the wheel's own clock behind: an event scheduled before the latest
+  // popped timestamp pops after the events pending at that timestamp,
+  // before anything later, and reports its requested time.
+  EventQueue q;
+  advance_wheel(q);
+  const EventId late = q.schedule(at_s(100), [] {});
+  const EventId first = q.schedule(at_s(10), [] {});
+  ASSERT_EQ(EventQueueTestPeer::front(q), first);
+  const auto popped = q.pop();
+  ASSERT_TRUE(popped.has_value());
+  ASSERT_EQ(popped->id, first);
+  const EventId b = q.schedule(at_s(10), [] {});
+  const EventId c = q.schedule(at_s(10), [] {});
+  const EventId past = q.schedule(at_s(4), [] {});
+  EXPECT_NE(EventQueueTestPeer::front(q), past);
+  std::vector<EventId> order;
+  std::vector<TimePoint> times;
+  while (auto e = q.pop()) {
+    order.push_back(e->id);
+    times.push_back(e->at);
+  }
+  EXPECT_EQ(order, (std::vector<EventId>{b, c, past, late}));
+  EXPECT_EQ(times, (std::vector<TimePoint>{at_s(10), at_s(10), at_s(4),
+                                           at_s(100)}));
+}
+
+TEST(EventQueueFrontSlot, LoneTimerNeverLeavesTheFrontSlot) {
+  // One node's steady state: a self-rescheduling wakeup beside a far
+  // epoch event. Every wakeup is admitted to the front and popped from
+  // it.
+  EventQueue q;
+  const EventId epoch = q.schedule(at_s(86'400), [] {});
+  TimePoint now = TimePoint::zero();
+  for (int i = 0; i < 1000; ++i) {
+    const EventId wake = q.schedule(now + Duration::seconds(7), [] {});
+    ASSERT_EQ(EventQueueTestPeer::front(q), wake) << "wakeup " << i;
+    const auto e = q.pop();
+    ASSERT_TRUE(e.has_value());
+    ASSERT_EQ(e->id, wake);
+    now = e->at;
+  }
+  EXPECT_EQ(q.size(), 1U);
+  EXPECT_EQ(drain_ids(q), (std::vector<EventId>{epoch}));
 }
 
 }  // namespace

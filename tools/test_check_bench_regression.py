@@ -10,6 +10,8 @@ status of main(), i.e. exactly what CI observes.
 
 import json
 import os
+import re
+import subprocess
 import sys
 import tempfile
 import unittest
@@ -147,6 +149,37 @@ class CheckBenchRegressionTest(unittest.TestCase):
             with self.assertRaises(SystemExit) as ctx:
                 gate.main()
         self.assertEqual(ctx.exception.code, 2)
+
+    def test_missing_baseline_file_exits_2_from_the_command_line(self):
+        # What a CI gate step sees when its baseline was never committed:
+        # the process itself exits 2 and names the file, so the job fails
+        # instead of passing vacuously.
+        cur_path = os.path.join(self.tmp, "cur.json")
+        with open(cur_path, "w", encoding="utf-8") as fh:
+            json.dump({"rows": [{"scenario": "s", "policy": "p",
+                                 "zeta_regret_s": 1.0}]}, fh)
+        missing = os.path.join(self.tmp, "BENCH_resilience.json")
+        script = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              "check_bench_regression.py")
+        proc = subprocess.run(
+            [sys.executable, script, missing, cur_path, "--tolerance", "0.10"],
+            capture_output=True, text=True, check=False)
+        self.assertEqual(proc.returncode, 2)
+        self.assertIn(missing, proc.stderr)
+
+    def test_every_baseline_ci_gates_on_is_committed(self):
+        # A gate whose baseline file is absent exits 2 on every run; this
+        # pins that each baseline the workflow names exists in the tree.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        workflow = os.path.join(root, ".github", "workflows", "ci.yml")
+        if not os.path.exists(workflow):
+            self.skipTest("no CI workflow in this checkout")
+        with open(workflow, encoding="utf-8") as fh:
+            baselines = set(re.findall(r"bench/baselines/BENCH_\w+\.json",
+                                       fh.read()))
+        self.assertIn("bench/baselines/BENCH_resilience.json", baselines)
+        for rel in sorted(baselines):
+            self.assertTrue(os.path.exists(os.path.join(root, rel)), rel)
 
     # --- _mib memory counters fail upward only ---
 
