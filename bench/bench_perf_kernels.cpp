@@ -3,23 +3,27 @@
 /// simulated day, the water-filling solver, the closed-form model and
 /// trace parsing. These guard against regressions that would make the
 /// two-week sweeps (Figs. 7-8) impractical. Per-layer rows for the
-/// probing hot path: one lone node's event loop, the rush-mask slot scan
-/// and one adaptive SNIP-RH wakeup in the exploit phase.
+/// probing hot path: one lone node's event loop, a lone node's runs of
+/// missed probes with and without their fast-forward, the rush-mask slot
+/// scan and one adaptive SNIP-RH wakeup in the exploit phase.
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <sstream>
 
 #include "snipr/core/adaptive_snip_rh.hpp"
 #include "snipr/core/experiment.hpp"
 #include "snipr/core/rush_hour_mask.hpp"
 #include "snipr/core/snip_rh.hpp"
+#include "snipr/core/strategy.hpp"
 #include "snipr/model/optimizer.hpp"
 #include "snipr/sim/event_queue.hpp"
 #include "snipr/sim/simulator.hpp"
 #include "snipr/trace/one_format.hpp"
 #include "snipr/trace/synthetic.hpp"
 #include "snipr/trace/trace_io.hpp"
+#include "support/pass_through_scheduler.hpp"
 
 namespace {
 
@@ -78,6 +82,43 @@ void BM_SimulatedDaySnipRh(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatedDaySnipRh);
+
+void BM_LoneNodeMissRun(benchmark::State& state) {
+  // A lone SNIP-OPT node over 14 days of the paper's road-side schedule,
+  // where nearly every probe misses. Arg 0 runs its scheduler plain, so
+  // runs of missed probes are fast-forwarded; arg 1 wraps it in the
+  // pass-through decorator, which withholds the fast-forward hook, so
+  // every wakeup is simulated. `per_wakeup` is wall time per probing
+  // wakeup, skipped ones included; the two rows of one process give the
+  // ratio the fast-forward buys on the same host.
+  const core::RoadsideScenario sc;
+  core::ExperimentConfig cfg;
+  cfg.epochs = 14;
+  cfg.phi_max_s = sc.phi_max_large_s();
+  cfg.sensing_rate_bps = sc.sensing_rate_for_target(48.0);
+  cfg.seed = 1;
+  sim::Rng rng{cfg.seed};
+  const auto schedule = std::make_shared<const contact::ContactSchedule>(
+      sc.make_schedule(cfg.epochs, cfg.jitter, rng));
+  const bool reference = state.range(0) != 0;
+  double wakeups = 0.0;
+  for (auto _ : state) {
+    std::unique_ptr<node::Scheduler> scheduler = core::make_scheduler(
+        sc, core::Strategy::kSnipOpt, 48.0, cfg.phi_max_s);
+    if (reference) {
+      scheduler =
+          std::make_unique<testing::PassThroughScheduler>(std::move(scheduler));
+    }
+    const core::RunResult r =
+        core::run_experiment_on_schedule(sc, schedule, *scheduler, cfg);
+    benchmark::DoNotOptimize(r.mean_zeta_s);
+    wakeups += r.mean_wakeups * static_cast<double>(r.epochs);
+  }
+  // The inverted rate is seconds per wakeup, printed with an SI prefix.
+  state.counters["per_wakeup"] = benchmark::Counter(
+      wakeups, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_LoneNodeMissRun)->Arg(0)->Arg(1);
 
 void BM_RushMaskNextRushStart(benchmark::State& state) {
   // Ten-minute slots with rush blocks at the paper's 7-9 h and 17-19 h

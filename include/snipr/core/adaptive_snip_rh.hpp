@@ -56,6 +56,13 @@ class AdaptiveSnipRh final : public node::Scheduler {
 
   [[nodiscard]] node::SchedulerDecision on_wakeup(
       const node::SensorContext& ctx) override;
+  /// Delegates to the learning-phase SNIP-AT or to SNIP-RH, within the
+  /// current slot and short of the tracker's and the exploration floor's
+  /// next due times, and records the skipped probes' effort.
+  [[nodiscard]] std::int64_t skip_missed_probes(const node::SensorContext& ctx,
+                                                sim::Duration cycle,
+                                                sim::Duration charge,
+                                                std::int64_t max_k) override;
   void on_probe_detected(sim::TimePoint when) override;
   void on_contact_probed(const node::ProbedContactObservation& obs) override;
   void on_epoch_start(std::int64_t epoch_index) override;

@@ -79,6 +79,13 @@ class RushHourLearner {
   /// scoring.
   void record_effort(sim::TimePoint t, sim::Duration radio_on);
 
+  /// `times` record_effort(t, radio_on) calls: the same additions, one at
+  /// a time, so the per-slot sums stay bit-identical. The fast-forward
+  /// path charges a run of missed probes that all fall in `t`'s slot with
+  /// it. A non-positive count records nothing.
+  void record_repeated_effort(sim::TimePoint t, sim::Duration radio_on,
+                              std::int64_t times);
+
   /// Fold the epoch's samples into the long-term scores. Call at each
   /// epoch boundary.
   void finish_epoch();

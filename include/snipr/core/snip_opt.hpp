@@ -27,6 +27,11 @@ class SnipOpt final : public node::Scheduler {
 
   [[nodiscard]] node::SchedulerDecision on_wakeup(
       const node::SensorContext& ctx) override;
+  /// A probing verdict holds to the end of its slot or of the budget.
+  [[nodiscard]] std::int64_t skip_missed_probes(const node::SensorContext& ctx,
+                                                sim::Duration cycle,
+                                                sim::Duration charge,
+                                                std::int64_t max_k) override;
   [[nodiscard]] std::string name() const override { return "SNIP-OPT"; }
 
   [[nodiscard]] const std::vector<double>& duties() const noexcept {
@@ -42,6 +47,8 @@ class SnipOpt final : public node::Scheduler {
  private:
   std::vector<double> duties_;
   sim::Duration ton_;
+  /// Per slot, the probing cycle Ton/d (zero where d is zero).
+  std::vector<sim::Duration> cycles_;
   /// The slots with a positive duty, for constant-time slot lookups.
   RushHourMask active_;
 };

@@ -56,6 +56,13 @@ class SnipRh final : public node::Scheduler {
 
   [[nodiscard]] node::SchedulerDecision on_wakeup(
       const node::SensorContext& ctx) override;
+  /// A probing verdict holds to the end of its rush slot or of the
+  /// budget: the duty and the upload threshold change only when a contact
+  /// is probed, and the buffer only grows between transfers.
+  [[nodiscard]] std::int64_t skip_missed_probes(const node::SensorContext& ctx,
+                                                sim::Duration cycle,
+                                                sim::Duration charge,
+                                                std::int64_t max_k) override;
   void on_contact_probed(const node::ProbedContactObservation& obs) override;
   [[nodiscard]] std::string name() const override { return "SNIP-RH"; }
 
@@ -82,10 +89,17 @@ class SnipRh final : public node::Scheduler {
   }
 
  private:
+  /// Recompute the cached duty and probing cycle from T̄contact; called
+  /// wherever the estimate changes.
+  void refresh_cycle() noexcept;
+
   RushHourMask mask_;
   SnipRhConfig config_;
   stats::Ewma tcontact_s_;
   stats::Ewma upload_bytes_;
+  /// duty() and the cycle a probing wakeup returns, max(Ton/d, Ton).
+  double duty_{0.0};
+  sim::Duration probe_cycle_{};
 };
 
 }  // namespace snipr::core

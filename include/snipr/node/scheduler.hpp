@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,6 +15,14 @@
 /// (Sec. VI-B of the paper). Concrete policies — SNIP-AT, SNIP-OPT,
 /// SNIP-RH, adaptive variants — live in snipr::core; the node only knows
 /// this interface.
+///
+/// Most SNIP probes hear nothing, and between two contacts the contact
+/// schedule already fixes every one of those outcomes. A scheduler that
+/// can also prove its own next verdicts overrides skip_missed_probes(),
+/// and the node then charges a whole run of missed probes in one step
+/// instead of simulating each wakeup (DESIGN.md, "Hot path"). A
+/// scheduler that does not override it is simply not fast-forwarded:
+/// every wakeup runs through on_wakeup(), as before.
 
 namespace snipr::node {
 
@@ -61,6 +70,25 @@ class Scheduler {
   [[nodiscard]] virtual SchedulerDecision on_wakeup(
       const SensorContext& ctx) = 0;
 
+  /// Fast-forward hook for runs of missed probes.
+  ///
+  /// Called right after a probing wakeup at `ctx.now` heard nothing, with
+  /// that miss already charged (`ctx.budget_used` includes it) and
+  /// `cycle` the delay the wakeup's on_wakeup() returned. Returns a
+  /// k <= `max_k` such that, for each j = 1..k, on_wakeup() at
+  /// `ctx.now + j·cycle`, with `budget_used + (j−1)·charge` and a buffer
+  /// no smaller than `ctx.buffer_bytes` (it only grows between
+  /// transfers), would again return {probe, cycle} — and applies the side
+  /// effects of those k calls, exactly as k on_wakeup() calls would. The
+  /// run may stop short of the longest such k (at a slot boundary, say);
+  /// 0 is always correct. The node proves the k probes miss and charges
+  /// them itself. The default returns 0, which keeps the per-wakeup
+  /// path: a scheduler or decorator that does not override this hook is
+  /// never fast-forwarded.
+  [[nodiscard]] virtual std::int64_t skip_missed_probes(
+      const SensorContext& ctx, sim::Duration cycle, sim::Duration charge,
+      std::int64_t max_k);
+
   /// Called synchronously the instant a new contact is detected (both
   /// sides aware), before any transfer runs. This is the censored-
   /// feedback hook: slot-occupancy learners must count detections here,
@@ -105,5 +133,20 @@ class Scheduler {
     return {};
   }
 };
+
+/// The helpers skip_missed_probes() implementations bound their runs
+/// with. Both count wakeups j = 1, 2, ... and return 0 when none fits.
+
+/// Wakeups j whose budget check `used_j + ton <= ctx.budget_limit`
+/// passes, where used_j = ctx.budget_used + (j−1)·charge: the condition
+/// on_wakeup() tests, so no intermediate sum can overflow.
+[[nodiscard]] std::int64_t probes_within_budget(const SensorContext& ctx,
+                                                sim::Duration ton,
+                                                sim::Duration charge) noexcept;
+
+/// Wakeups j with `now + j·cycle <= last` (`cycle` must be positive).
+[[nodiscard]] std::int64_t wakeups_through(sim::TimePoint now,
+                                           sim::Duration cycle,
+                                           sim::TimePoint last) noexcept;
 
 }  // namespace snipr::node

@@ -168,6 +168,10 @@ class SensorNode {
   void schedule_next(sim::Duration delay);
   void probing_wakeup();
   void snip_wakeup();
+  /// After a SNIP miss at `t0` with next delay `cycle`: when the next
+  /// probes must miss too, let the scheduler vouch for its verdicts and
+  /// charge the run in one step (scheduler.hpp, skip_missed_probes).
+  void fast_forward_misses(sim::TimePoint t0, sim::Duration cycle);
   void mip_wakeup();
   /// `new_session` is false when re-beaconing inside an already-probed
   /// contact (after an early buffer drain): more data may flow, but ζ,

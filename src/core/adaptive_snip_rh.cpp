@@ -95,6 +95,48 @@ node::SchedulerDecision AdaptiveSnipRh::on_wakeup(
   return {.probe = rh.probe, .next_wakeup = next};
 }
 
+std::int64_t AdaptiveSnipRh::skip_missed_probes(
+    const node::SensorContext& ctx, sim::Duration cycle, sim::Duration charge,
+    std::int64_t max_k) {
+  // Stay in ctx.now's slot, so every skipped probe's effort lands in the
+  // one learner slot record_repeated_effort() adds it to, and so the plan
+  // mask's verdict for ctx.now holds for the whole run.
+  const sim::TimePoint slot_end =
+      rh_.mask().slot_clock().next_boundary(ctx.now).start;
+  max_k = std::min(max_k, node::wakeups_through(
+                              ctx.now, cycle,
+                              slot_end - sim::Duration::microseconds(1)));
+  std::int64_t k = 0;
+  if (learning_) {
+    k = learn_probe_.skip_missed_probes(ctx, cycle, charge, max_k);
+  } else {
+    // on_wakeup() takes its plain SNIP-RH path, and returns SNIP-RH's own
+    // cycle, only while the tracker is not due and is at least one cycle
+    // away: stop by next_track_due_ − cycle.
+    if (config_.tracking_duty > 0.0) {
+      max_k = std::min(max_k, node::wakeups_through(ctx.now, cycle,
+                                                    next_track_due_ - cycle));
+    }
+    // The same for the exploration floor: inside a planned slot, its due
+    // time; outside one, the plan's next rush start, which caps the wakeup
+    // delay only when the cycle exceeds one second.
+    if (plan_.active) {
+      if (plan_.mask.is_rush(ctx.now)) {
+        max_k = std::min(max_k, node::wakeups_through(
+                                    ctx.now, cycle, next_explore_due_ - cycle));
+      } else if (cycle > sim::Duration::seconds(1)) {
+        const auto start = plan_.mask.next_rush_after(ctx.now);
+        if (!start.has_value()) return 0;
+        max_k = std::min(max_k,
+                         node::wakeups_through(ctx.now, cycle, *start - cycle));
+      }
+    }
+    k = rh_.skip_missed_probes(ctx, cycle, charge, max_k);
+  }
+  learner_.record_repeated_effort(ctx.now, config_.rh.ton, k);
+  return k;
+}
+
 void AdaptiveSnipRh::on_probe_detected(sim::TimePoint when) {
   learner_.record_probe(when);
 }

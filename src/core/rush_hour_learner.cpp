@@ -43,6 +43,16 @@ void RushHourLearner::record_effort(sim::TimePoint t,
   current_effort_s_[clock_.slot_of(t)] += radio_on.to_seconds();
 }
 
+void RushHourLearner::record_repeated_effort(sim::TimePoint t,
+                                             sim::Duration radio_on,
+                                             std::int64_t times) {
+  if (times <= 0) return;
+  effort_mode_ = true;
+  double& effort = current_effort_s_[clock_.slot_of(t)];
+  const double sample = radio_on.to_seconds();
+  for (std::int64_t i = 0; i < times; ++i) effort += sample;
+}
+
 void RushHourLearner::finish_epoch() {
   double total_effort = 0.0;
   double total_counts = 0.0;

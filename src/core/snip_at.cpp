@@ -1,5 +1,6 @@
 #include "snipr/core/snip_at.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -27,6 +28,14 @@ node::SchedulerDecision SnipAt::on_wakeup(const node::SensorContext& ctx) {
     return {.probe = false, .next_wakeup = idle_check_};
   }
   return {.probe = true, .next_wakeup = cycle_};
+}
+
+std::int64_t SnipAt::skip_missed_probes(const node::SensorContext& ctx,
+                                        sim::Duration cycle,
+                                        sim::Duration charge,
+                                        std::int64_t max_k) {
+  if (cycle != cycle_) return 0;
+  return std::min(max_k, node::probes_within_budget(ctx, ton_, charge));
 }
 
 }  // namespace snipr::core

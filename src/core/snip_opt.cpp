@@ -34,20 +34,31 @@ std::vector<bool> positive_slots(const std::vector<double>& duties) {
   return active;
 }
 
+std::vector<sim::Duration> probing_cycles(const std::vector<double>& duties,
+                                          sim::Duration ton) {
+  std::vector<sim::Duration> cycles(duties.size(), sim::Duration::zero());
+  for (std::size_t s = 0; s < duties.size(); ++s) {
+    if (duties[s] > 0.0) {
+      cycles[s] = sim::Duration::seconds(ton.to_seconds() / duties[s]);
+    }
+  }
+  return cycles;
+}
+
 }  // namespace
 
 SnipOpt::SnipOpt(std::vector<double> duties, sim::Duration epoch,
                  sim::Duration ton)
     : duties_{validated(std::move(duties), epoch, ton)},
       ton_{ton},
+      cycles_{probing_cycles(duties_, ton)},
       active_{epoch, positive_slots(duties_)} {}
 
 node::SchedulerDecision SnipOpt::on_wakeup(const node::SensorContext& ctx) {
-  const double d = duties_[active_.slot_clock().slot_of(ctx.now)];
+  const std::size_t slot = active_.slot_clock().slot_of(ctx.now);
   const bool affordable = ctx.budget_used + ton_ <= ctx.budget_limit;
-  if (d > 0.0 && affordable) {
-    return {.probe = true,
-            .next_wakeup = sim::Duration::seconds(ton_.to_seconds() / d)};
+  if (duties_[slot] > 0.0 && affordable) {
+    return {.probe = true, .next_wakeup = cycles_[slot]};
   }
   if (!affordable) {
     // Budget spent: sleep to the end of the epoch (it resets there).
@@ -65,6 +76,21 @@ node::SchedulerDecision SnipOpt::on_wakeup(const node::SensorContext& ctx) {
   }
   return {.probe = false,
           .next_wakeup = std::max(*next - ctx.now, sim::Duration::seconds(1))};
+}
+
+std::int64_t SnipOpt::skip_missed_probes(const node::SensorContext& ctx,
+                                         sim::Duration cycle,
+                                         sim::Duration charge,
+                                         std::int64_t max_k) {
+  const contact::SlotClock& clock = active_.slot_clock();
+  const std::size_t slot = clock.slot_of(ctx.now);
+  // Zero-duty slots hold a zero cycle, which no positive `cycle` equals.
+  if (cycles_[slot] != cycle) return 0;
+  const sim::TimePoint slot_end = clock.next_boundary(ctx.now).start;
+  return std::min(
+      {max_k, node::probes_within_budget(ctx, ton_, charge),
+       node::wakeups_through(ctx.now, cycle,
+                             slot_end - sim::Duration::microseconds(1))});
 }
 
 }  // namespace snipr::core

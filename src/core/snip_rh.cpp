@@ -44,6 +44,16 @@ SnipRh::SnipRh(RushHourMask mask, SnipRhConfig config)
   if (!(config.min_sleep > sim::Duration::zero())) {
     throw std::invalid_argument("SnipRh: min_sleep must be positive");
   }
+  refresh_cycle();
+}
+
+void SnipRh::refresh_cycle() noexcept {
+  duty_ = duty();
+  probe_cycle_ =
+      duty_ <= 0.0
+          ? sim::Duration::zero()
+          : std::max(sim::Duration::seconds(config_.ton.to_seconds() / duty_),
+                     config_.ton);
 }
 
 double SnipRh::tcontact_estimate_s() const noexcept {
@@ -97,14 +107,29 @@ node::SchedulerDecision SnipRh::on_wakeup(const node::SensorContext& ctx) {
     return {.probe = false, .next_wakeup = wait};
   }
 
-  const double d = duty();
-  if (d <= 0.0) {
+  if (duty_ <= 0.0) {
     return {.probe = false, .next_wakeup = config_.min_sleep};
   }
-  return {.probe = true,
-          .next_wakeup = std::max(
-              sim::Duration::seconds(config_.ton.to_seconds() / d),
-              config_.ton)};
+  return {.probe = true, .next_wakeup = probe_cycle_};
+}
+
+std::int64_t SnipRh::skip_missed_probes(const node::SensorContext& ctx,
+                                        sim::Duration cycle,
+                                        sim::Duration charge,
+                                        std::int64_t max_k) {
+  // on_wakeup()'s rush and upload-threshold checks, passed at ctx.now,
+  // hold for the rest of the slot. A zero duty leaves a zero cycle, which
+  // no positive `cycle` equals; the budget bounds the run below.
+  if (!mask_.is_rush(ctx.now) ||
+      ctx.buffer_bytes < upload_threshold_bytes() || probe_cycle_ != cycle) {
+    return 0;
+  }
+  const sim::TimePoint slot_end =
+      mask_.slot_clock().next_boundary(ctx.now).start;
+  return std::min(
+      {max_k, node::probes_within_budget(ctx, config_.ton, charge),
+       node::wakeups_through(ctx.now, cycle,
+                             slot_end - sim::Duration::microseconds(1))});
 }
 
 void SnipRh::on_contact_probed(const node::ProbedContactObservation& obs) {
@@ -119,7 +144,10 @@ void SnipRh::on_contact_probed(const node::ProbedContactObservation& obs) {
     // The pre-awareness gap is uniform over the cycle: add its mean.
     sample_s += obs.cycle_at_probe.to_seconds() / 2.0;
   }
-  if (sample_s > 0.0) tcontact_s_.add(sample_s);
+  if (sample_s > 0.0) {
+    tcontact_s_.add(sample_s);
+    refresh_cycle();
+  }
   upload_bytes_.add(obs.bytes_uploaded);
 }
 
@@ -155,6 +183,7 @@ bool SnipRh::restore(std::string_view blob) {
   mask_ = RushHourMask{mask_.epoch(), bits};
   tcontact_s_ = tcontact;
   upload_bytes_ = upload;
+  refresh_cycle();
   return true;
 }
 
@@ -162,6 +191,7 @@ void SnipRh::reset() {
   tcontact_s_ =
       stats::Ewma{config_.length_ewma_weight, config_.initial_tcontact_s};
   upload_bytes_ = stats::Ewma{config_.upload_ewma_weight};
+  refresh_cycle();
 }
 
 }  // namespace snipr::core

@@ -1,6 +1,7 @@
 #include "snipr/node/sensor_node.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 #include "snipr/fault/fault_plan.hpp"
@@ -171,6 +172,9 @@ void SensorNode::snip_wakeup() {
     block_->phi_us(lane_) += config_.ton.count();
     // The radio is busy until listen_end: the next wakeup can never come
     // sooner than one Ton, whatever the scheduler asked for.
+    if (last_next_wakeup >= config_.ton) {
+      fast_forward_misses(t0, last_next_wakeup);
+    }
     schedule_next(std::max(last_next_wakeup, config_.ton));
     return;
   }
@@ -193,6 +197,47 @@ void SensorNode::snip_wakeup() {
   // effort paid for it, however long the transfer runs.
   if (new_session) scheduler_.on_probe_detected(reply_end);
   begin_transfer(*active, reply_end, last_next_wakeup, new_session);
+}
+
+void SensorNode::fast_forward_misses(sim::TimePoint t0, sim::Duration cycle) {
+  // A spurious-detection fault draws on every miss: per-wakeup path.
+  if (faults_ != nullptr && faults_->spec().radio.spurious_detect_prob > 0.0) {
+    return;
+  }
+  // Wakeups t0 + j·cycle, j = 1..max_k, that fall before every pending
+  // event and within the simulator's run bound and event budget...
+  std::int64_t max_k = wakeups_through(t0, cycle, sim_.fast_forward_limit());
+  const std::size_t budget = sim_.fast_forward_budget();
+  if (static_cast<std::uint64_t>(max_k) > budget) {
+    max_k = static_cast<std::int64_t>(budget);
+  }
+  if (max_k <= 0) return;
+  // ...and before the next contact arrives. With no contact in range at
+  // t0, none is in range (or departs) before that arrival, so each of
+  // those beacons finds no receiver: try_deliver() fails without an RNG
+  // draw, as does miss_probe(), which only runs on a delivered reply.
+  if (channel_.active_contact(t0).has_value()) return;
+  if (const auto next = channel_.next_arrival_at_or_after(t0)) {
+    const sim::TimePoint last = next->arrival - sim::Duration::microseconds(1);
+    max_k = std::min(max_k, wakeups_through(t0, cycle, last));
+    if (max_k <= 0) return;
+  }
+  const std::int64_t k =
+      scheduler_.skip_missed_probes(make_context(), cycle, config_.ton, max_k);
+  if (k <= 0) return;
+  if (k > max_k) {
+    throw std::logic_error("Scheduler skipped more probes than allowed");
+  }
+  // The k misses, charged as the per-wakeup path charges each one. Every
+  // charge is an integer duration, so k of them sum exactly.
+  const radio::LinkParams& link = channel_.link();
+  block_->wakeups(lane_) += static_cast<std::uint64_t>(k);
+  probing_meter_.accumulate(RadioState::kTx, link.beacon_airtime * k);
+  probing_meter_.accumulate(RadioState::kListen,
+                            (config_.ton - link.beacon_airtime) * k);
+  block_->budget_used_us(lane_) += config_.ton.count() * k;
+  block_->phi_us(lane_) += config_.ton.count() * k;
+  sim_.fast_forward(t0 + cycle * k, static_cast<std::size_t>(k));
 }
 
 void SensorNode::mip_wakeup() {

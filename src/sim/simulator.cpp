@@ -1,5 +1,6 @@
 #include "snipr/sim/simulator.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -25,15 +26,45 @@ EventId Simulator::schedule_after(Duration delay, Callback fn) {
 bool Simulator::cancel(EventId id) { return queue_.cancel(id); }
 
 std::size_t Simulator::drain(TimePoint limit, std::size_t max_events) {
-  std::size_t executed = 0;
-  while (executed < max_events) {
+  // A callback may itself run the simulator; its drain must hand the
+  // enclosing one back its bounds and count.
+  const TimePoint outer_limit = limit_;
+  const std::size_t outer_max = max_events_;
+  const std::size_t outer_executed = executed_;
+  limit_ = limit;
+  max_events_ = max_events;
+  executed_ = 0;
+  while (executed_ < max_events_) {
     auto popped = queue_.pop_due(limit);
     if (!popped.has_value()) break;
     now_ = popped->at;
     popped->fn();
-    ++executed;
+    ++executed_;
   }
+  const std::size_t executed = executed_;
+  limit_ = outer_limit;
+  max_events_ = outer_max;
+  executed_ = outer_executed;
   return executed;
+}
+
+TimePoint Simulator::fast_forward_limit() const {
+  if (executed_ >= max_events_) return now_;
+  TimePoint last = limit_;
+  if (const auto next = queue_.next_time()) {
+    last = std::min(last, *next - Duration::microseconds(1));
+  }
+  return last;
+}
+
+void Simulator::fast_forward(TimePoint to, std::size_t events) {
+  if (to < now_ || to > fast_forward_limit() ||
+      events > fast_forward_budget()) {
+    throw std::logic_error(
+        "Simulator::fast_forward: beyond the next event or the run bound");
+  }
+  now_ = to;
+  executed_ += events;
 }
 
 std::size_t Simulator::run_until(TimePoint until) {

@@ -12,13 +12,18 @@
 /// (epoch = 24 h, so crash_prob_per_epoch = 1/7).
 ///
 ///  - Learning still pays under faults: the adaptive learner with an
-///    epsilon-floor exploration guarantee beats the SNIP-AT baseline on
-///    mean ζ even while losing its state to amnesiac crashes.
+///    epsilon-floor exploration guarantee probes at a lower cost per
+///    second of probed capacity than the SNIP-AT baseline — a lower
+///    ρ = ΣΦ/Σζ, the paper's figure of merit — even while losing its
+///    state to amnesiac crashes. (ζ is a capacity, higher is better, so
+///    mean ζ alone would reward whichever policy spends more energy.)
 ///  - Crashes are survivable: a crashed learner re-converges to ≥90%
 ///    overlap with its pre-crash rush mask (NodeFaultSpec's
 ///    reconvergence_overlap) within a bounded number of epochs.
 ///  - Checkpointed reboots beat amnesia: restoring scheduler state from
-///    the epoch-boundary checkpoint eliminates the re-convergence tax.
+///    the epoch-boundary checkpoint eliminates the re-convergence tax and
+///    buys probed capacity more cheaply (lower ρ) than rebooting into
+///    the learning phase.
 
 namespace snipr::deploy {
 namespace {
@@ -52,6 +57,12 @@ FleetSpec fleet_for(core::Strategy strategy,
   return spec;
 }
 
+/// ρ = ΣΦ/Σζ over the fleet: probing radio-on seconds spent per second
+/// of probed contact capacity (lower is better).
+double fleet_rho(const DeploymentOutcome& outcome) {
+  return outcome.total_phi_s / outcome.total_zeta_s;
+}
+
 DeploymentOutcome run_weeks(const FleetSpec& spec, std::size_t epochs) {
   const core::RoadsideScenario scenario;
   FleetConfig config;
@@ -70,8 +81,12 @@ TEST(ChaosResilience, AdaptiveWithExplorationBeatsSnipAtUnderFaults) {
   EXPECT_GT(adaptive.resilience->probing.detections_lost, 0U);
   EXPECT_GT(adaptive.resilience->probing.crashes, 0U);
   // The paper's bet survives the fault plane: learned rush-hour probing
-  // still detects vehicles sooner than uniform duty.
-  EXPECT_LT(adaptive.mean_zeta_s, baseline.mean_zeta_s);
+  // still buys probed capacity for less probing energy than uniform duty.
+  ASSERT_GT(adaptive.total_zeta_s, 0.0);
+  ASSERT_GT(baseline.total_zeta_s, 0.0);
+  EXPECT_LT(fleet_rho(adaptive), fleet_rho(baseline))
+      << "adaptive rho " << fleet_rho(adaptive) << ", SNIP-AT rho "
+      << fleet_rho(baseline);
 }
 
 TEST(ChaosResilience, AmnesiacCrashesReconvergeWithinBoundedEpochs) {
@@ -126,9 +141,14 @@ TEST(ChaosResilience, CheckpointedRebootsRecoverTheFullMaskInstantly) {
   EXPECT_EQ(restored.resilience->probing.reconvergence_epochs, 0U);
   // Amnesia pays a real re-convergence tax under the same fault mix.
   EXPECT_GT(amnesia.resilience->probing.reconvergence_epochs, 0U);
-  // And the preserved state is worth energy: restored nodes detect no
-  // later, on average, than amnesiac ones.
-  EXPECT_LE(restored.mean_zeta_s, amnesia.mean_zeta_s * 1.02);
+  // And the preserved state is worth energy: restored nodes pay less
+  // probing time per second of probed capacity than amnesiac ones, which
+  // reboot into the costlier learning phase.
+  ASSERT_GT(restored.total_zeta_s, 0.0);
+  ASSERT_GT(amnesia.total_zeta_s, 0.0);
+  EXPECT_LT(fleet_rho(restored), fleet_rho(amnesia))
+      << "restored rho " << fleet_rho(restored) << ", amnesiac rho "
+      << fleet_rho(amnesia);
 }
 
 }  // namespace

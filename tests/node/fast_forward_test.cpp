@@ -1,0 +1,391 @@
+/// SensorNode-level tests of the missed-probe fast-forward. Each case
+/// runs the same world three times: with the plain scheduler (runs of
+/// misses are skipped), wrapped in the pass-through decorator that
+/// withholds `skip_missed_probes` (every wakeup simulated: the
+/// reference), and wrapped in its hook-forwarding counting form. The
+/// runs must agree on `run_until`/`step` event counts, the simulator
+/// clock and pending events, every NodeBlock lane value, the probing
+/// meter (as Joules, hexfloat) and the probed-contact log — at contacts
+/// arriving exactly on a would-be wakeup, a wakeup tied with the epoch
+/// boundary, zero-length contacts, a cycle
+/// shorter than Ton, run_until split into pieces, step(n), two nodes
+/// sharing one simulator, fault plans and the MIP protocol.
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "snipr/core/snip_at.hpp"
+#include "snipr/core/snip_opt.hpp"
+#include "snipr/fault/fault_plan.hpp"
+#include "snipr/node/sensor_node.hpp"
+#include "support/pass_through_scheduler.hpp"
+
+namespace snipr::node {
+namespace {
+
+using contact::Contact;
+using contact::ContactSchedule;
+using sim::Duration;
+using sim::TimePoint;
+using testing::PassThroughScheduler;
+using Hook = PassThroughScheduler::Hook;
+
+TimePoint at_s(double s) { return TimePoint::zero() + Duration::seconds(s); }
+
+/// Probes on every wakeup at one cycle and vouches for any run of it.
+class FixedProbe final : public Scheduler {
+ public:
+  explicit FixedProbe(Duration cycle) : cycle_{cycle} {}
+  SchedulerDecision on_wakeup(const SensorContext&) override {
+    return {.probe = true, .next_wakeup = cycle_};
+  }
+  std::int64_t skip_missed_probes(const SensorContext&, Duration cycle,
+                                  Duration, std::int64_t max_k) override {
+    ++hook_calls;
+    return cycle == cycle_ ? max_k : 0;
+  }
+  std::string name() const override { return "fixed"; }
+  std::uint64_t hook_calls{0};
+
+ private:
+  Duration cycle_;
+};
+
+SensorNodeConfig config() {
+  SensorNodeConfig cfg;
+  cfg.ton = Duration::milliseconds(20);
+  cfg.epoch = Duration::hours(1);
+  cfg.budget_limit = Duration::max();
+  cfg.sensing_rate_bps = 10.0;
+  return cfg;
+}
+
+enum class Variant { kPlain, kReference, kCounted };
+
+std::unique_ptr<Scheduler> wrap(std::unique_ptr<Scheduler> s, Variant v) {
+  switch (v) {
+    case Variant::kPlain:
+      return s;
+    case Variant::kReference:
+      return std::make_unique<PassThroughScheduler>(std::move(s),
+                                                    Hook::kWithhold);
+    case Variant::kCounted:
+      return std::make_unique<PassThroughScheduler>(std::move(s),
+                                                    Hook::kForward);
+  }
+  return s;
+}
+
+/// One node (or several) in one simulator, each with its own lane.
+struct World {
+  sim::Simulator simulator{3};
+  NodeBlock block;
+  std::vector<std::unique_ptr<radio::Channel>> channels;
+  std::vector<std::unique_ptr<MobileNode>> sinks;
+  std::vector<std::unique_ptr<Scheduler>> schedulers;
+  std::vector<std::unique_ptr<fault::NodeFaultInjector>> faults;
+  std::vector<std::unique_ptr<SensorNode>> nodes;
+
+  explicit World(std::size_t n) : block{n} {}
+
+  SensorNode& add(std::vector<Contact> contacts,
+                  std::unique_ptr<Scheduler> scheduler,
+                  SensorNodeConfig cfg = config(),
+                  radio::LinkParams link = {},
+                  const fault::FaultSpec* fault_spec = nullptr) {
+    const std::size_t lane = nodes.size();
+    channels.push_back(std::make_unique<radio::Channel>(
+        ContactSchedule{std::move(contacts)}, link, sim::Rng{99 + lane}));
+    sinks.push_back(std::make_unique<MobileNode>());
+    schedulers.push_back(std::move(scheduler));
+    nodes.push_back(std::make_unique<SensorNode>(
+        simulator, *channels.back(), *sinks.back(), *schedulers.back(), cfg,
+        block, lane));
+    if (fault_spec != nullptr) {
+      faults.push_back(std::make_unique<fault::NodeFaultInjector>(
+          fault_spec, sim::Rng{7 + lane}));
+      nodes.back()->attach_faults(faults.back().get());
+    }
+    nodes.back()->start();
+    return *nodes.back();
+  }
+
+  [[nodiscard]] PassThroughScheduler& counted(std::size_t lane) {
+    return dynamic_cast<PassThroughScheduler&>(*schedulers[lane]);
+  }
+};
+
+void append_hex(std::string& out, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a,", v);
+  out += buf;
+}
+
+/// Everything the fast-forward could disturb, doubles in hexfloat.
+std::string fingerprint(World& w) {
+  std::string out = std::to_string(w.simulator.now().count()) + ',' +
+                    std::to_string(w.simulator.pending()) + ';';
+  for (std::size_t i = 0; i < w.nodes.size(); ++i) {
+    const SensorNode& node = *w.nodes[i];
+    NodeBlock& b = w.block;
+    for (const std::int64_t v :
+         {b.phi_us(i), b.zeta_us(i), b.budget_used_us(i), b.last_wakeup_us(i),
+          b.last_probed_arrival_us(i)}) {
+      out += std::to_string(v) + ',';
+    }
+    for (const std::uint64_t v :
+         {b.contacts_probed(i), b.wakeups(i), b.epochs(i),
+          b.probed_sessions(i)}) {
+      out += std::to_string(v) + ',';
+    }
+    for (const double v : {b.bytes_uploaded(i), b.sum_zeta_s(i),
+                           b.sum_phi_s(i), b.sum_bytes(i), b.sum_contacts(i)}) {
+      append_hex(out, v);
+    }
+    const EpochStats now = node.current_epoch();
+    append_hex(out, now.probing_energy_j);
+    append_hex(out, now.transfer_energy_j);
+    for (const EpochStats& e : node.epoch_history()) {
+      out += std::to_string(e.wakeups) + ',';
+      append_hex(out, e.probing_energy_j);
+    }
+    for (const ProbedContactRecord& r : node.probed_contacts()) {
+      out += std::to_string(r.contact.arrival.count()) + '/' +
+             std::to_string(r.contact.length.count()) + '/' +
+             std::to_string(r.probe_time.count()) + '/';
+      append_hex(out, r.bytes_uploaded);
+    }
+    out += ';';
+  }
+  return out;
+}
+
+using MakeScheduler = std::unique_ptr<Scheduler> (*)();
+
+std::unique_ptr<Scheduler> snip_at() {
+  // d = 0.01 with Ton = 20 ms: a 2 s cycle.
+  return std::make_unique<core::SnipAt>(0.01, Duration::milliseconds(20));
+}
+
+/// The three variants over one contact list, run to `until`; returns the
+/// plain run's skipped-probe count (from the counted variant).
+std::uint64_t expect_identical(const std::vector<Contact>& contacts,
+                               MakeScheduler make, TimePoint until,
+                               radio::LinkParams link = {}) {
+  std::vector<std::string> prints;
+  std::vector<std::size_t> events;
+  std::uint64_t skipped = 0;
+  for (const Variant v :
+       {Variant::kPlain, Variant::kReference, Variant::kCounted}) {
+    World w{1};
+    w.add(contacts, wrap(make(), v), config(), link);
+    events.push_back(w.simulator.run_until(until));
+    prints.push_back(fingerprint(w));
+    if (v == Variant::kCounted) skipped = w.counted(0).skipped_probes();
+  }
+  EXPECT_EQ(events[0], events[1]);
+  EXPECT_EQ(events[0], events[2]);
+  EXPECT_EQ(prints[0], prints[1]);
+  EXPECT_EQ(prints[0], prints[2]);
+  return skipped;
+}
+
+TEST(FastForward, ContactArrivingExactlyAtAWouldBeWakeup) {
+  // Wakeups every 2 s from t = 0 until the first transfer retimes them:
+  // 20 s is a wakeup instant.
+  const std::vector<Contact> contacts{
+      {at_s(20), Duration::seconds(1)},
+      {at_s(41) + Duration::microseconds(1), Duration::seconds(3)},
+      {at_s(60), Duration::milliseconds(5)},
+  };
+  EXPECT_GT(expect_identical(contacts, snip_at, at_s(200)), 0U);
+  // The wakeup at 20 s ends the first run of misses and probes at once;
+  // one microsecond later, the run takes in the 20 s wakeup and the
+  // contact is probed at 22 s.
+  for (const Duration late : {Duration::zero(), Duration::microseconds(1)}) {
+    const std::vector<Contact> one{{at_s(20) + late, Duration::seconds(3)}};
+    EXPECT_GT(expect_identical(one, snip_at, at_s(60)), 0U);
+    World w{1};
+    const SensorNode& node = w.add(one, snip_at());
+    w.simulator.run_until(at_s(60));
+    ASSERT_EQ(node.probed_contacts().size(), 1U);
+    EXPECT_EQ(node.probed_contacts()[0].probe_time,
+              (late.is_zero() ? at_s(20) : at_s(22)) +
+                  Duration::milliseconds(2));
+  }
+}
+
+TEST(FastForward, WakeupOnTheEpochBoundaryRunsAfterIt) {
+  // With no contact before 2 h, wakeups on the 2 s grid land exactly on
+  // the hourly epoch boundaries. The boundary event was scheduled first,
+  // so it wins the tie: a run must stop short of it, and the wakeup on
+  // the boundary is charged to the new epoch.
+  const std::vector<Contact> contacts{{at_s(7300), Duration::seconds(1)}};
+  EXPECT_GT(expect_identical(contacts, snip_at, at_s(3 * 3600)), 0U);
+  World w{1};
+  const SensorNode& node = w.add(contacts, snip_at());
+  w.simulator.run_until(at_s(3600));
+  ASSERT_EQ(node.epoch_history().size(), 1U);
+  EXPECT_EQ(node.epoch_history()[0].wakeups, 1800U);
+}
+
+TEST(FastForward, ZeroLengthContacts) {
+  // On a wakeup instant, between two, and back to back with a real one.
+  const std::vector<Contact> contacts{
+      {at_s(20), Duration::zero()},
+      {at_s(31), Duration::zero()},
+      {at_s(50), Duration::zero()},
+      {at_s(50), Duration::seconds(2)},
+  };
+  EXPECT_GT(expect_identical(contacts, snip_at, at_s(300)), 0U);
+  // A zero-airtime beacon takes the closed-interval delivery path, which
+  // succeeds exactly at a zero-length contact's instant.
+  radio::LinkParams link;
+  link.beacon_airtime = Duration::zero();
+  EXPECT_GT(expect_identical(contacts, snip_at, at_s(300), link), 0U);
+}
+
+TEST(FastForward, CycleShorterThanTonIsNeverSkipped) {
+  // The node stretches a 10 ms cycle to Ton = 20 ms, so its next delay is
+  // not the scheduler's: the hook is never even asked.
+  for (const Variant v : {Variant::kPlain, Variant::kReference}) {
+    World w{1};
+    auto fixed = std::make_unique<FixedProbe>(Duration::milliseconds(10));
+    FixedProbe* probe = fixed.get();
+    w.add({{at_s(3), Duration::seconds(1)}}, wrap(std::move(fixed), v));
+    w.simulator.run_until(at_s(10));
+    EXPECT_EQ(probe->hook_calls, 0U);
+  }
+  // At cycle == Ton runs are skipped, and the bytes still match.
+  const MakeScheduler exact = [] {
+    return std::unique_ptr<Scheduler>{
+        std::make_unique<FixedProbe>(Duration::milliseconds(20))};
+  };
+  EXPECT_GT(expect_identical({{at_s(3), Duration::seconds(1)}}, exact,
+                             at_s(10)),
+            0U);
+  const MakeScheduler short_cycle = [] {
+    return std::unique_ptr<Scheduler>{
+        std::make_unique<FixedProbe>(Duration::milliseconds(10))};
+  };
+  EXPECT_EQ(expect_identical({{at_s(3), Duration::seconds(1)}}, short_cycle,
+                             at_s(10)),
+            0U);
+}
+
+TEST(FastForward, RunUntilSplitIntoPieces) {
+  const std::vector<Contact> contacts{{at_s(20), Duration::seconds(1)},
+                                      {at_s(3700), Duration::seconds(4)}};
+  const std::vector<TimePoint> pieces{
+      at_s(7.3),  at_s(20) - Duration::microseconds(1), at_s(20),
+      at_s(59),   at_s(3600),                           at_s(3600.5),
+      at_s(7300), at_s(7300)};
+  std::vector<std::vector<std::size_t>> counts;
+  std::vector<std::vector<std::string>> prints;
+  for (const Variant v : {Variant::kPlain, Variant::kReference}) {
+    World w{1};
+    w.add(contacts, wrap(snip_at(), v));
+    counts.emplace_back();
+    prints.emplace_back();
+    for (const TimePoint until : pieces) {
+      counts.back().push_back(w.simulator.run_until(until));
+      prints.back().push_back(fingerprint(w));
+    }
+  }
+  EXPECT_EQ(counts[0], counts[1]);
+  EXPECT_EQ(prints[0], prints[1]);
+  // Pieces add up to the same total as one run.
+  World whole{1};
+  whole.add(contacts, snip_at());
+  std::size_t sum = 0;
+  for (const std::size_t c : counts[0]) sum += c;
+  EXPECT_EQ(whole.simulator.run_until(at_s(7300)), sum);
+  EXPECT_EQ(fingerprint(whole), prints[0].back());
+}
+
+TEST(FastForward, StepNExecutesExactlyNEvents) {
+  const std::vector<Contact> contacts{{at_s(20), Duration::seconds(1)},
+                                      {at_s(501), Duration::seconds(2)}};
+  World plain{1};
+  plain.add(contacts, snip_at());
+  World reference{1};
+  reference.add(contacts, wrap(snip_at(), Variant::kReference));
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_EQ(plain.simulator.step(7), 7U) << i;
+    ASSERT_EQ(reference.simulator.step(7), 7U) << i;
+    ASSERT_EQ(fingerprint(plain), fingerprint(reference)) << i;
+  }
+}
+
+TEST(FastForward, NodesSharingOneSimulator) {
+  // Every pending event bounds a run, including the other node's next
+  // wakeup: a 10 min SNIP-OPT cycle beside a 2 s SNIP-AT one.
+  const std::vector<Contact> a{{at_s(20), Duration::seconds(1)},
+                               {at_s(3000), Duration::seconds(5)}};
+  const std::vector<Contact> b{{at_s(1200), Duration::seconds(2)}};
+  const auto make_opt = [] {
+    return std::unique_ptr<Scheduler>{std::make_unique<core::SnipOpt>(
+        std::vector<double>(24, 0.02 / 600.0), Duration::hours(24),
+        Duration::milliseconds(20))};
+  };
+  std::vector<std::string> prints;
+  std::uint64_t skipped = 0;
+  for (const Variant v :
+       {Variant::kPlain, Variant::kReference, Variant::kCounted}) {
+    World w{2};
+    w.add(a, wrap(snip_at(), v));
+    w.add(b, wrap(make_opt(), v));
+    const std::size_t events = w.simulator.run_until(at_s(7200));
+    prints.push_back(fingerprint(w) + std::to_string(events));
+    if (v == Variant::kCounted) skipped = w.counted(0).skipped_probes();
+  }
+  EXPECT_EQ(prints[0], prints[1]);
+  EXPECT_EQ(prints[0], prints[2]);
+  EXPECT_GT(skipped, 0U);
+}
+
+TEST(FastForward, FaultPlansAndMipKeepTheirBytes) {
+  const std::vector<Contact> contacts{{at_s(20), Duration::seconds(1)},
+                                      {at_s(91), Duration::seconds(4)},
+                                      {at_s(1400), Duration::seconds(3)}};
+  fault::FaultSpec misses;
+  misses.radio.probe_miss_prob = 0.5;
+  misses.radio.transfer_abort_prob = 0.5;
+  fault::FaultSpec spurious = misses;
+  spurious.radio.spurious_detect_prob = 0.01;
+  SensorNodeConfig mip = config();
+  mip.protocol = ProbingProtocol::kMip;
+
+  struct Case {
+    const fault::FaultSpec* faults;
+    SensorNodeConfig cfg;
+    bool skips;
+  };
+  for (const Case& c : {Case{&misses, config(), true},
+                        Case{&spurious, config(), false},
+                        Case{nullptr, mip, false}}) {
+    std::vector<std::string> prints;
+    std::uint64_t skipped = 0;
+    for (const Variant v :
+         {Variant::kPlain, Variant::kReference, Variant::kCounted}) {
+      World w{1};
+      w.add(contacts, wrap(snip_at(), v), c.cfg, {}, c.faults);
+      w.simulator.run_until(at_s(3 * 3600));
+      prints.push_back(fingerprint(w));
+      if (v == Variant::kCounted) skipped = w.counted(0).skipped_probes();
+    }
+    EXPECT_EQ(prints[0], prints[1]);
+    EXPECT_EQ(prints[0], prints[2]);
+    // Spurious detections draw on every miss and MIP listens rather than
+    // beacons: both keep the per-wakeup path.
+    EXPECT_EQ(skipped > 0, c.skips);
+  }
+}
+
+}  // namespace
+}  // namespace snipr::node

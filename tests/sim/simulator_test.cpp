@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 namespace snipr::sim {
@@ -113,6 +115,80 @@ TEST(Simulator, TwoWeekClockIsExact) {
   Simulator s;
   s.run_until(TimePoint::zero() + Duration::hours(24) * 14);
   EXPECT_EQ(s.now().count(), 14LL * 86400 * 1'000'000);
+}
+
+
+TEST(Simulator, FastForwardIsClosedOutsideACallback) {
+  Simulator s;
+  s.schedule_at(at_s(5), [] {});
+  EXPECT_EQ(s.fast_forward_limit(), s.now());
+  EXPECT_EQ(s.fast_forward_budget(), 0U);
+  EXPECT_THROW(s.fast_forward(at_s(1), 1), std::logic_error);
+  s.run();
+  EXPECT_EQ(s.fast_forward_budget(), 0U);
+}
+
+TEST(Simulator, FastForwardStopsShortOfThePendingEventAndTheRunBound) {
+  Simulator s;
+  TimePoint limit;
+  std::size_t budget = 0;
+  s.schedule_at(at_s(50), [] {});
+  s.schedule_at(at_s(10), [&] {
+    limit = s.fast_forward_limit();
+    budget = s.fast_forward_budget();
+  });
+  s.run_until(at_s(30));
+  // The run bound (30 s) is nearer than the pending event (50 s).
+  EXPECT_EQ(limit, at_s(30));
+  EXPECT_GT(budget, 1'000'000U);
+  s.schedule_at(at_s(40), [&] { limit = s.fast_forward_limit(); });
+  s.run_until(at_s(100));
+  // A pending event wins a tie with anything scheduled later.
+  EXPECT_EQ(limit, at_s(50) - Duration::microseconds(1));
+}
+
+TEST(Simulator, FastForwardedEventsCountAsExecuted) {
+  // A 1 s tick that resolves its next four ticks itself whenever it may.
+  Simulator s;
+  std::vector<double> fired;
+  struct Tick {
+    Simulator* s;
+    std::vector<double>* fired;
+    void operator()() const {
+      fired->push_back(s->now().to_seconds());
+      const std::size_t k = std::min<std::size_t>(4, s->fast_forward_budget());
+      const TimePoint last = s->now() + Duration::seconds(1) *
+                                            static_cast<std::int64_t>(k);
+      if (k > 0 && last <= s->fast_forward_limit()) {
+        s->fast_forward(last, k);
+      }
+      s->schedule_after(Duration::seconds(1), *this);
+    }
+  };
+  s.schedule_at(at_s(0), Tick{&s, &fired});
+  // Ticks at 0..20 s: 21 events, of which only 0, 5, 10, 15 and 20 ran.
+  EXPECT_EQ(s.run_until(at_s(20)), 21U);
+  EXPECT_EQ(fired, (std::vector<double>{0, 5, 10, 15, 20}));
+  // step(n) still executes exactly n events, skipped ones included: the
+  // budget leaves room for two after the tick at 25 s.
+  EXPECT_EQ(s.step(3), 3U);
+  EXPECT_EQ(s.now(), at_s(23));
+  EXPECT_EQ(fired.back(), 21.0);
+}
+
+TEST(Simulator, FastForwardRefusesToPassItsBounds) {
+  Simulator s;
+  s.schedule_at(at_s(10), [] {});
+  s.schedule_at(at_s(1), [&] {
+    // Onto the pending event, back in time, or past the event budget.
+    EXPECT_THROW(s.fast_forward(at_s(10), 1), std::logic_error);
+    EXPECT_THROW(s.fast_forward(at_s(0.5), 1), std::logic_error);
+    EXPECT_THROW(s.fast_forward(at_s(2), 2), std::logic_error);
+    s.fast_forward(at_s(2), 1);
+  });
+  EXPECT_EQ(s.step(2), 2U);
+  EXPECT_EQ(s.now(), at_s(2));
+  EXPECT_EQ(s.pending(), 1U);
 }
 
 }  // namespace

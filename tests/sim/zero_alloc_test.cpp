@@ -12,7 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
+#include "snipr/core/snip_at.hpp"
+#include "snipr/node/sensor_node.hpp"
 #include "snipr/sim/simulator.hpp"
 #include "support/counting_alloc_hook.hpp"
 
@@ -97,6 +100,38 @@ TEST(ZeroAllocTest, ScheduleCancelChurnAllocatesNothingAfterWarmup) {
   EXPECT_EQ(testing::alloc_calls.load(std::memory_order_relaxed),
             allocs_before);
   EXPECT_GT(fired, 1000U);
+}
+
+TEST(ZeroAllocTest, SensorNodeMissRunsAllocateNothing) {
+  // A SNIP node whose probes mostly miss: runs of misses are
+  // fast-forwarded between hourly contacts, and neither the skip nor the
+  // probes, transfers and epoch boundaries around it may allocate.
+  std::vector<contact::Contact> contacts;
+  for (std::int64_t h = 0; h < 24 * 8; ++h) {
+    contacts.push_back({TimePoint::zero() + Duration::hours(h) +
+                            Duration::seconds(1800),
+                        Duration::seconds(30)});
+  }
+  Simulator simulator{3};
+  radio::Channel channel{contact::ContactSchedule{std::move(contacts)},
+                         radio::LinkParams{}, Rng{5}};
+  node::MobileNode sink;
+  core::SnipAt scheduler{0.01, Duration::milliseconds(20)};
+  node::SensorNodeConfig config;
+  config.record_epoch_history = false;
+  config.record_probed_contacts = false;
+  node::SensorNode sensor{simulator, channel, sink, scheduler, config};
+  sensor.start();
+  simulator.run_until(TimePoint::zero() + Duration::hours(24));
+
+  const std::uint64_t allocs_before =
+      testing::alloc_calls.load(std::memory_order_relaxed);
+  const std::size_t events =
+      simulator.run_until(TimePoint::zero() + Duration::hours(24 * 7));
+  EXPECT_EQ(testing::alloc_calls.load(std::memory_order_relaxed),
+            allocs_before);
+  EXPECT_GT(events, 100000U) << "skipped wakeups count as events";
+  EXPECT_GT(sensor.block().probed_sessions(sensor.lane()), 100U);
 }
 
 }  // namespace

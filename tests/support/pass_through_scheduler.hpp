@@ -1,0 +1,112 @@
+#pragma once
+
+#include <atomic>
+#include <cstdint>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "snipr/node/scheduler.hpp"
+
+/// \file pass_through_scheduler.hpp
+/// A Scheduler decorator that forwards every virtual to the scheduler it
+/// wraps except `skip_missed_probes`, which it leaves at the base
+/// default (0). A node running a wrapped scheduler therefore takes the
+/// per-wakeup path on every wakeup, the reference the fast-forward of
+/// missed-probe runs must reproduce byte for byte.
+///
+/// Constructed with `Hook::kForward` it forwards the hook too, and is a
+/// transparent counter: the differential tests use that form to show the
+/// fast path really ran. Counts go to the decorator and, when a tally is
+/// given, into it on destruction (fleet engines destroy each node's
+/// scheduler when the node finishes, possibly on a worker thread).
+///
+/// Header-only: shared by the property and unit tests and by
+/// bench/bench_perf_kernels.cpp.
+
+namespace snipr::testing {
+
+struct PassThroughTally {
+  std::atomic<std::uint64_t> wakeup_calls{0};
+  std::atomic<std::uint64_t> skipped_probes{0};
+};
+
+class PassThroughScheduler final : public node::Scheduler {
+ public:
+  enum class Hook { kWithhold, kForward };
+
+  explicit PassThroughScheduler(std::unique_ptr<node::Scheduler> inner,
+                                Hook hook = Hook::kWithhold,
+                                PassThroughTally* tally = nullptr)
+      : inner_{std::move(inner)}, hook_{hook}, tally_{tally} {
+    if (inner_ == nullptr) {
+      throw std::invalid_argument("PassThroughScheduler: null scheduler");
+    }
+  }
+  ~PassThroughScheduler() override {
+    if (tally_ != nullptr) {
+      tally_->wakeup_calls.fetch_add(wakeup_calls_, std::memory_order_relaxed);
+      tally_->skipped_probes.fetch_add(skipped_probes_,
+                                       std::memory_order_relaxed);
+    }
+  }
+  PassThroughScheduler(const PassThroughScheduler&) = delete;
+  PassThroughScheduler& operator=(const PassThroughScheduler&) = delete;
+  PassThroughScheduler(PassThroughScheduler&&) = delete;
+  PassThroughScheduler& operator=(PassThroughScheduler&&) = delete;
+
+  [[nodiscard]] node::SchedulerDecision on_wakeup(
+      const node::SensorContext& ctx) override {
+    ++wakeup_calls_;
+    return inner_->on_wakeup(ctx);
+  }
+  [[nodiscard]] std::int64_t skip_missed_probes(const node::SensorContext& ctx,
+                                                sim::Duration cycle,
+                                                sim::Duration charge,
+                                                std::int64_t max_k) override {
+    if (hook_ == Hook::kWithhold) return 0;
+    const std::int64_t k =
+        inner_->skip_missed_probes(ctx, cycle, charge, max_k);
+    skipped_probes_ += static_cast<std::uint64_t>(k);
+    return k;
+  }
+  void on_probe_detected(sim::TimePoint when) override {
+    inner_->on_probe_detected(when);
+  }
+  void on_contact_probed(const node::ProbedContactObservation& obs) override {
+    inner_->on_contact_probed(obs);
+  }
+  void on_epoch_start(std::int64_t epoch_index) override {
+    inner_->on_epoch_start(epoch_index);
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] std::string checkpoint() const override {
+    return inner_->checkpoint();
+  }
+  bool restore(std::string_view blob) override {
+    return inner_->restore(blob);
+  }
+  void reset() override { inner_->reset(); }
+  [[nodiscard]] std::vector<bool> rush_mask_bits() const override {
+    return inner_->rush_mask_bits();
+  }
+
+  [[nodiscard]] std::uint64_t wakeup_calls() const noexcept {
+    return wakeup_calls_;
+  }
+  [[nodiscard]] std::uint64_t skipped_probes() const noexcept {
+    return skipped_probes_;
+  }
+
+ private:
+  std::unique_ptr<node::Scheduler> inner_;
+  Hook hook_;
+  PassThroughTally* tally_;
+  std::uint64_t wakeup_calls_{0};
+  std::uint64_t skipped_probes_{0};
+};
+
+}  // namespace snipr::testing
