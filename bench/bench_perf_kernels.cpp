@@ -120,6 +120,40 @@ void BM_LoneNodeMissRun(benchmark::State& state) {
 }
 BENCHMARK(BM_LoneNodeMissRun)->Arg(0)->Arg(1);
 
+void BM_LoneNodeAdaptive(benchmark::State& state) {
+  // Adaptive SNIP-RH alone on 14 days of the road-side schedule at the
+  // paper's small budget, Φmax 43.2 s. Past its learning days it spends
+  // the budget and then polls at 1 Hz to each epoch's end, and its
+  // background tracker probes outside the mask. Arg 0 runs it plain, so
+  // those polls and lone tracker probes are fast-forwarded with its
+  // missed probes; arg 1 wraps it in the pass-through decorator, which
+  // withholds the hook, so every wakeup is simulated. The time per
+  // iteration is one 14-day run; the two rows of one process give the
+  // ratio on the same host.
+  const core::RoadsideScenario sc;
+  core::ExperimentConfig cfg;
+  cfg.epochs = 14;
+  cfg.phi_max_s = 43.2;
+  cfg.sensing_rate_bps = sc.sensing_rate_for_target(48.0);
+  cfg.seed = 1;
+  sim::Rng rng{cfg.seed};
+  const auto schedule = std::make_shared<const contact::ContactSchedule>(
+      sc.make_schedule(cfg.epochs, cfg.jitter, rng));
+  const bool reference = state.range(0) != 0;
+  for (auto _ : state) {
+    std::unique_ptr<node::Scheduler> scheduler = core::make_scheduler(
+        sc, core::Strategy::kAdaptive, 48.0, cfg.phi_max_s);
+    if (reference) {
+      scheduler =
+          std::make_unique<testing::PassThroughScheduler>(std::move(scheduler));
+    }
+    const core::RunResult r =
+        core::run_experiment_on_schedule(sc, schedule, *scheduler, cfg);
+    benchmark::DoNotOptimize(r.mean_zeta_s);
+  }
+}
+BENCHMARK(BM_LoneNodeAdaptive)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 void BM_RushMaskNextRushStart(benchmark::State& state) {
   // Ten-minute slots with rush blocks at the paper's 7-9 h and 17-19 h
   // positions, scaled to the slot count; queries walk the epoch at a

@@ -130,6 +130,13 @@ class SegmentedSnipOpt final : public node::Scheduler {
       const node::SensorContext& ctx) override {
     return active(ctx.epoch_index).on_wakeup(ctx);
   }
+  /// A run never crosses the epoch boundary, so one plan vouches for it.
+  [[nodiscard]] std::int64_t skip_missed_probes(
+      const node::SensorContext& ctx, node::SchedulerDecision verdict,
+      sim::Duration charge, std::int64_t max_k) override {
+    return active(ctx.epoch_index)
+        .skip_missed_probes(ctx, verdict, charge, max_k);
+  }
   [[nodiscard]] std::string name() const override {
     return "SNIP-OPT/clairvoyant";
   }

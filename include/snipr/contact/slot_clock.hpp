@@ -61,6 +61,14 @@ class SlotClock {
             static_cast<SlotIndex>(slot)};
   }
 
+  /// Start of the epoch after `t`'s, where a spent per-epoch budget
+  /// resets (the quotient truncates toward zero, as next_boundary's does).
+  [[nodiscard]] sim::TimePoint next_epoch_start(
+      sim::TimePoint t) const noexcept {
+    return sim::TimePoint::at(
+        sim::Duration::microseconds((t.count() / epoch_us_ + 1) * epoch_us_));
+  }
+
  private:
   std::int64_t epoch_us_;
   std::int64_t slot_us_;

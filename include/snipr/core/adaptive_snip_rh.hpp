@@ -56,11 +56,13 @@ class AdaptiveSnipRh final : public node::Scheduler {
 
   [[nodiscard]] node::SchedulerDecision on_wakeup(
       const node::SensorContext& ctx) override;
-  /// Delegates to the learning-phase SNIP-AT or to SNIP-RH, within the
-  /// current slot and short of the tracker's and the exploration floor's
-  /// next due times, and records the skipped probes' effort.
+  /// Within the current slot: delegates a probing run to the
+  /// learning-phase SNIP-AT or to SNIP-RH, short of the tracker's and the
+  /// exploration floor's next due times; runs lone tracker probes outside
+  /// the mask at the tracker's own cycle; records the skipped probes'
+  /// effort. A non-probing run is the exploit phase's budget-spent poll.
   [[nodiscard]] std::int64_t skip_missed_probes(const node::SensorContext& ctx,
-                                                sim::Duration cycle,
+                                                node::SchedulerDecision verdict,
                                                 sim::Duration charge,
                                                 std::int64_t max_k) override;
   void on_probe_detected(sim::TimePoint when) override;
@@ -69,6 +71,10 @@ class AdaptiveSnipRh final : public node::Scheduler {
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] bool learning() const noexcept { return learning_; }
+  /// The background tracker's probing cycle, Ton / tracking_duty.
+  [[nodiscard]] sim::Duration tracker_cycle() const noexcept {
+    return track_probe_.cycle();
+  }
   [[nodiscard]] const RushHourMask& current_mask() const noexcept {
     return rh_.mask();
   }
@@ -98,6 +104,15 @@ class AdaptiveSnipRh final : public node::Scheduler {
   /// Mask to adopt/refresh against: the learner's ranking, viewed through
   /// the exploration policy's (possibly optimistic) score lens.
   [[nodiscard]] RushHourMask ranked_mask() const;
+  /// skip_missed_probes()'s two exploit-phase runs that SNIP-RH does not
+  /// vouch for: tracker probes outside the mask, and idle polls.
+  [[nodiscard]] std::int64_t skip_tracker_probes(const node::SensorContext& ctx,
+                                                 sim::Duration cycle,
+                                                 sim::Duration charge,
+                                                 std::int64_t max_k);
+  [[nodiscard]] std::int64_t skip_budget_spent_polls(
+      const node::SensorContext& ctx, sim::Duration cycle,
+      std::int64_t max_k) const;
 
   AdaptiveSnipRhConfig config_;
   RushHourLearner learner_;

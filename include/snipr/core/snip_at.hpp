@@ -25,7 +25,7 @@ class SnipAt final : public node::Scheduler {
       const node::SensorContext& ctx) override;
   /// A probing verdict changes only when the budget runs out.
   [[nodiscard]] std::int64_t skip_missed_probes(const node::SensorContext& ctx,
-                                                sim::Duration cycle,
+                                                node::SchedulerDecision verdict,
                                                 sim::Duration charge,
                                                 std::int64_t max_k) override;
   [[nodiscard]] std::string name() const override { return "SNIP-AT"; }

@@ -29,7 +29,7 @@ class SnipOpt final : public node::Scheduler {
       const node::SensorContext& ctx) override;
   /// A probing verdict holds to the end of its slot or of the budget.
   [[nodiscard]] std::int64_t skip_missed_probes(const node::SensorContext& ctx,
-                                                sim::Duration cycle,
+                                                node::SchedulerDecision verdict,
                                                 sim::Duration charge,
                                                 std::int64_t max_k) override;
   [[nodiscard]] std::string name() const override { return "SNIP-OPT"; }

@@ -60,7 +60,7 @@ class SnipRh final : public node::Scheduler {
   /// budget: the duty and the upload threshold change only when a contact
   /// is probed, and the buffer only grows between transfers.
   [[nodiscard]] std::int64_t skip_missed_probes(const node::SensorContext& ctx,
-                                                sim::Duration cycle,
+                                                node::SchedulerDecision verdict,
                                                 sim::Duration charge,
                                                 std::int64_t max_k) override;
   void on_contact_probed(const node::ProbedContactObservation& obs) override;

@@ -17,12 +17,14 @@
 /// this interface.
 ///
 /// Most SNIP probes hear nothing, and between two contacts the contact
-/// schedule already fixes every one of those outcomes. A scheduler that
-/// can also prove its own next verdicts overrides skip_missed_probes(),
-/// and the node then charges a whole run of missed probes in one step
-/// instead of simulating each wakeup (DESIGN.md, "Hot path"). A
-/// scheduler that does not override it is simply not fast-forwarded:
-/// every wakeup runs through on_wakeup(), as before.
+/// schedule already fixes every one of those outcomes; a node whose
+/// budget is spent may likewise poll with the same verdict until the
+/// epoch ends. A scheduler that can also prove its own next verdicts
+/// overrides skip_missed_probes(), and the node then charges a whole run
+/// of missed probes or idle polls in one step instead of simulating each
+/// wakeup (DESIGN.md, "Hot path"). A scheduler that does not override it
+/// is simply not fast-forwarded: every wakeup runs through on_wakeup(),
+/// as before.
 
 namespace snipr::node {
 
@@ -70,24 +72,26 @@ class Scheduler {
   [[nodiscard]] virtual SchedulerDecision on_wakeup(
       const SensorContext& ctx) = 0;
 
-  /// Fast-forward hook for runs of missed probes.
+  /// Fast-forward hook for runs of repeated verdicts.
   ///
-  /// Called right after a probing wakeup at `ctx.now` heard nothing, with
-  /// that miss already charged (`ctx.budget_used` includes it) and
-  /// `cycle` the delay the wakeup's on_wakeup() returned. Returns a
-  /// k <= `max_k` such that, for each j = 1..k, on_wakeup() at
-  /// `ctx.now + j·cycle`, with `budget_used + (j−1)·charge` and a buffer
-  /// no smaller than `ctx.buffer_bytes` (it only grows between
-  /// transfers), would again return {probe, cycle} — and applies the side
-  /// effects of those k calls, exactly as k on_wakeup() calls would. The
-  /// run may stop short of the longest such k (at a slot boundary, say);
-  /// 0 is always correct. The node proves the k probes miss and charges
-  /// them itself. The default returns 0, which keeps the per-wakeup
-  /// path: a scheduler or decorator that does not override this hook is
-  /// never fast-forwarded.
+  /// Called right after the node carried out `verdict`, the value
+  /// on_wakeup() returned at `ctx.now`: a probing wakeup that heard
+  /// nothing, with that miss already charged (`ctx.budget_used` includes
+  /// it), or a non-probing one, which charges nothing (`charge` is then
+  /// zero). Returns a k <= `max_k` such that, for each j = 1..k,
+  /// on_wakeup() at `ctx.now + j·verdict.next_wakeup`, with
+  /// `budget_used + (j−1)·charge` and a buffer no smaller than
+  /// `ctx.buffer_bytes` (it only grows between transfers), would again
+  /// return `verdict` — and applies the side effects of those k calls,
+  /// exactly as k on_wakeup() calls would. The run may stop short of the
+  /// longest such k (at a slot boundary, say); 0 is always correct. For a
+  /// probing verdict the node proves the k probes miss and charges them
+  /// itself; a non-probing wakeup touches nothing but the clock. The
+  /// default returns 0, which keeps the per-wakeup path: a scheduler or
+  /// decorator that does not override this hook is never fast-forwarded.
   [[nodiscard]] virtual std::int64_t skip_missed_probes(
-      const SensorContext& ctx, sim::Duration cycle, sim::Duration charge,
-      std::int64_t max_k);
+      const SensorContext& ctx, SchedulerDecision verdict,
+      sim::Duration charge, std::int64_t max_k);
 
   /// Called synchronously the instant a new contact is detected (both
   /// sides aware), before any transfer runs. This is the censored-

@@ -172,6 +172,12 @@ class SensorNode {
   /// probes must miss too, let the scheduler vouch for its verdicts and
   /// charge the run in one step (scheduler.hpp, skip_missed_probes).
   void fast_forward_misses(sim::TimePoint t0, sim::Duration cycle);
+  /// The run of wakeups repeating `verdict` that the scheduler vouches
+  /// for, each `charge` apart in budget, the last no later than `last`
+  /// and all before the simulator's next event and run bound.
+  [[nodiscard]] std::int64_t vouched_run(SchedulerDecision verdict,
+                                         sim::Duration charge,
+                                         sim::TimePoint last);
   void mip_wakeup();
   /// `new_session` is false when re-beaconing inside an already-probed
   /// contact (after an early buffer drain): more data may flow, but ζ,

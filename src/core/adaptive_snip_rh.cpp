@@ -7,6 +7,13 @@
 #include "snipr/core/checkpoint_io.hpp"
 
 namespace snipr::core {
+namespace {
+
+/// The exploit phase's re-check period while the tracker or the
+/// exploration floor is overdue.
+constexpr sim::Duration kPollPeriod = sim::Duration::seconds(1);
+
+}  // namespace
 
 AdaptiveSnipRh::AdaptiveSnipRh(sim::Duration epoch, std::size_t slot_count,
                                AdaptiveSnipRhConfig config)
@@ -79,16 +86,15 @@ node::SchedulerDecision AdaptiveSnipRh::on_wakeup(
   sim::Duration next = rh.next_wakeup;
   if (config_.tracking_duty > 0.0) {
     const sim::Duration until_track =
-        next_track_due_ > ctx.now ? next_track_due_ - ctx.now
-                                  : sim::Duration::seconds(1);
+        next_track_due_ > ctx.now ? next_track_due_ - ctx.now : kPollPeriod;
     next = std::min(next, until_track);
   }
   if (plan_.active) {
-    sim::Duration until_explore = sim::Duration::seconds(1);
+    sim::Duration until_explore = kPollPeriod;
     if (in_explore_slot) {
       if (next_explore_due_ > ctx.now) until_explore = next_explore_due_ - ctx.now;
     } else if (const auto start = plan_.mask.next_rush_after(ctx.now)) {
-      until_explore = std::max(*start - ctx.now, sim::Duration::seconds(1));
+      until_explore = std::max(*start - ctx.now, kPollPeriod);
     }
     next = std::min(next, until_explore);
   }
@@ -96,8 +102,9 @@ node::SchedulerDecision AdaptiveSnipRh::on_wakeup(
 }
 
 std::int64_t AdaptiveSnipRh::skip_missed_probes(
-    const node::SensorContext& ctx, sim::Duration cycle, sim::Duration charge,
-    std::int64_t max_k) {
+    const node::SensorContext& ctx, node::SchedulerDecision verdict,
+    sim::Duration charge, std::int64_t max_k) {
+  const sim::Duration cycle = verdict.next_wakeup;
   // Stay in ctx.now's slot, so every skipped probe's effort lands in the
   // one learner slot record_repeated_effort() adds it to, and so the plan
   // mask's verdict for ctx.now holds for the whole run.
@@ -106,9 +113,14 @@ std::int64_t AdaptiveSnipRh::skip_missed_probes(
   max_k = std::min(max_k, node::wakeups_through(
                               ctx.now, cycle,
                               slot_end - sim::Duration::microseconds(1)));
+  if (!verdict.probe) return skip_budget_spent_polls(ctx, cycle, max_k);
   std::int64_t k = 0;
   if (learning_) {
-    k = learn_probe_.skip_missed_probes(ctx, cycle, charge, max_k);
+    k = learn_probe_.skip_missed_probes(ctx, verdict, charge, max_k);
+  } else if (config_.tracking_duty > 0.0 && cycle == tracker_cycle() &&
+             next_track_due_ == ctx.now + cycle &&
+             !rh_.mask().is_rush(ctx.now)) {
+    k = skip_tracker_probes(ctx, cycle, charge, max_k);
   } else {
     // on_wakeup() takes its plain SNIP-RH path, and returns SNIP-RH's own
     // cycle, only while the tracker is not due and is at least one cycle
@@ -124,17 +136,60 @@ std::int64_t AdaptiveSnipRh::skip_missed_probes(
       if (plan_.mask.is_rush(ctx.now)) {
         max_k = std::min(max_k, node::wakeups_through(
                                     ctx.now, cycle, next_explore_due_ - cycle));
-      } else if (cycle > sim::Duration::seconds(1)) {
+      } else if (cycle > kPollPeriod) {
         const auto start = plan_.mask.next_rush_after(ctx.now);
         if (!start.has_value()) return 0;
         max_k = std::min(max_k,
                          node::wakeups_through(ctx.now, cycle, *start - cycle));
       }
     }
-    k = rh_.skip_missed_probes(ctx, cycle, charge, max_k);
+    k = rh_.skip_missed_probes(ctx, verdict, charge, max_k);
   }
   learner_.record_repeated_effort(ctx.now, config_.rh.ton, k);
   return k;
+}
+
+std::int64_t AdaptiveSnipRh::skip_tracker_probes(
+    const node::SensorContext& ctx, sim::Duration cycle, sim::Duration charge,
+    std::int64_t max_k) {
+  // The tracker probed at ctx.now outside the mask and is due again one
+  // cycle later. At each wakeup of the run it is due, so it probes while
+  // the budget lasts, and the returned delay is its cycle while SNIP-RH's
+  // sleep to the next rush slot is no shorter: stop by that start − cycle.
+  // An all-zero mask sleeps one epoch at every wakeup, as at ctx.now.
+  if (const auto rush = rh_.mask().next_rush_after(ctx.now)) {
+    max_k =
+        std::min(max_k, node::wakeups_through(ctx.now, cycle, *rush - cycle));
+  }
+  const std::int64_t k = std::min(
+      max_k, node::probes_within_budget(ctx, config_.rh.ton, charge));
+  next_track_due_ = ctx.now + cycle * (k + 1);
+  return k;
+}
+
+std::int64_t AdaptiveSnipRh::skip_budget_spent_polls(
+    const node::SensorContext& ctx, sim::Duration cycle,
+    std::int64_t max_k) const {
+  // Exploit phase with the budget spent: an overdue tracker (and, inside
+  // an exploration slot, an overdue floor) finds no Ton to spend, so
+  // on_wakeup() changes nothing and cuts SNIP-RH's sleep until the epoch
+  // end down to the poll period. Both stay overdue, and the run stays in
+  // ctx.now's plan slot, so the floor's clamp does not change either.
+  // SNIP-RH's sleep can drop below the poll period in the epoch's last
+  // second: stop by the epoch end − cycle.
+  if (learning_ || cycle != kPollPeriod || config_.tracking_duty <= 0.0 ||
+      next_track_due_ > ctx.now ||
+      ctx.budget_used + config_.rh.ton <= ctx.budget_limit) {
+    return 0;
+  }
+  if (plan_.active && plan_.mask.is_rush(ctx.now) &&
+      next_explore_due_ > ctx.now) {
+    return 0;
+  }
+  const sim::TimePoint epoch_end =
+      rh_.mask().slot_clock().next_epoch_start(ctx.now);
+  return std::min(max_k,
+                  node::wakeups_through(ctx.now, cycle, epoch_end - cycle));
 }
 
 void AdaptiveSnipRh::on_probe_detected(sim::TimePoint when) {

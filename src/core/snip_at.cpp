@@ -31,10 +31,10 @@ node::SchedulerDecision SnipAt::on_wakeup(const node::SensorContext& ctx) {
 }
 
 std::int64_t SnipAt::skip_missed_probes(const node::SensorContext& ctx,
-                                        sim::Duration cycle,
+                                        node::SchedulerDecision verdict,
                                         sim::Duration charge,
                                         std::int64_t max_k) {
-  if (cycle != cycle_) return 0;
+  if (!verdict.probe || verdict.next_wakeup != cycle_) return 0;
   return std::min(max_k, node::probes_within_budget(ctx, ton_, charge));
 }
 

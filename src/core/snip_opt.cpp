@@ -62,10 +62,7 @@ node::SchedulerDecision SnipOpt::on_wakeup(const node::SensorContext& ctx) {
   }
   if (!affordable) {
     // Budget spent: sleep to the end of the epoch (it resets there).
-    const std::int64_t epoch_us = active_.epoch().count();
-    const std::int64_t next_epoch = (ctx.now.count() / epoch_us + 1) * epoch_us;
-    const auto wake =
-        sim::TimePoint::at(sim::Duration::microseconds(next_epoch));
+    const sim::TimePoint wake = active_.slot_clock().next_epoch_start(ctx.now);
     return {.probe = false,
             .next_wakeup = std::max(wake - ctx.now, sim::Duration::seconds(1))};
   }
@@ -79,13 +76,14 @@ node::SchedulerDecision SnipOpt::on_wakeup(const node::SensorContext& ctx) {
 }
 
 std::int64_t SnipOpt::skip_missed_probes(const node::SensorContext& ctx,
-                                         sim::Duration cycle,
+                                         node::SchedulerDecision verdict,
                                          sim::Duration charge,
                                          std::int64_t max_k) {
   const contact::SlotClock& clock = active_.slot_clock();
   const std::size_t slot = clock.slot_of(ctx.now);
+  const sim::Duration cycle = verdict.next_wakeup;
   // Zero-duty slots hold a zero cycle, which no positive `cycle` equals.
-  if (cycles_[slot] != cycle) return 0;
+  if (!verdict.probe || cycles_[slot] != cycle) return 0;
   const sim::TimePoint slot_end = clock.next_boundary(ctx.now).start;
   return std::min(
       {max_k, node::probes_within_budget(ctx, ton_, charge),

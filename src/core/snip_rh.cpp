@@ -74,10 +74,7 @@ node::SchedulerDecision SnipRh::on_wakeup(const node::SensorContext& ctx) {
   // Condition 3: the epoch's probing budget must afford one more wakeup.
   if (ctx.budget_used + config_.ton > ctx.budget_limit) {
     // Budget resets at the next epoch boundary.
-    const std::int64_t epoch_us = mask_.epoch().count();
-    const std::int64_t next_epoch = (ctx.now.count() / epoch_us + 1) * epoch_us;
-    const auto wake =
-        sim::TimePoint::at(sim::Duration::microseconds(next_epoch));
+    const sim::TimePoint wake = mask_.slot_clock().next_epoch_start(ctx.now);
     return {.probe = false,
             .next_wakeup = std::max(wake - ctx.now, config_.min_sleep)};
   }
@@ -114,13 +111,14 @@ node::SchedulerDecision SnipRh::on_wakeup(const node::SensorContext& ctx) {
 }
 
 std::int64_t SnipRh::skip_missed_probes(const node::SensorContext& ctx,
-                                        sim::Duration cycle,
+                                        node::SchedulerDecision verdict,
                                         sim::Duration charge,
                                         std::int64_t max_k) {
   // on_wakeup()'s rush and upload-threshold checks, passed at ctx.now,
   // hold for the rest of the slot. A zero duty leaves a zero cycle, which
   // no positive `cycle` equals; the budget bounds the run below.
-  if (!mask_.is_rush(ctx.now) ||
+  const sim::Duration cycle = verdict.next_wakeup;
+  if (!verdict.probe || !mask_.is_rush(ctx.now) ||
       ctx.buffer_bytes < upload_threshold_bytes() || probe_cycle_ != cycle) {
     return 0;
   }

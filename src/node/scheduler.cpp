@@ -5,7 +5,7 @@
 namespace snipr::node {
 
 std::int64_t Scheduler::skip_missed_probes(const SensorContext& /*ctx*/,
-                                           sim::Duration /*cycle*/,
+                                           SchedulerDecision /*verdict*/,
                                            sim::Duration /*charge*/,
                                            std::int64_t /*max_k*/) {
   return 0;

@@ -108,6 +108,14 @@ void SensorNode::cpu_wakeup() {
   if (decision.probe) {
     probing_wakeup();  // schedules the next CPU wakeup itself
   } else {
+    // A non-probing wakeup touches neither the radio nor a fault stream:
+    // only pending events and the run bound limit a run of them.
+    const std::int64_t k =
+        vouched_run(decision, sim::Duration::zero(), sim::TimePoint::max());
+    if (k > 0) {
+      sim_.fast_forward(sim_.now() + decision.next_wakeup * k,
+                        static_cast<std::size_t>(k));
+    }
     schedule_next(decision.next_wakeup);
   }
 }
@@ -199,35 +207,46 @@ void SensorNode::snip_wakeup() {
   begin_transfer(*active, reply_end, last_next_wakeup, new_session);
 }
 
+std::int64_t SensorNode::vouched_run(SchedulerDecision verdict,
+                                     sim::Duration charge,
+                                     sim::TimePoint last) {
+  // Wakeups now + j·delay, j = 1..max_k, no later than `last`, before
+  // every pending event and within the simulator's run bound and event
+  // budget.
+  std::int64_t max_k =
+      wakeups_through(sim_.now(), verdict.next_wakeup,
+                      std::min(last, sim_.fast_forward_limit()));
+  const std::size_t budget = sim_.fast_forward_budget();
+  if (static_cast<std::uint64_t>(max_k) > budget) {
+    max_k = static_cast<std::int64_t>(budget);
+  }
+  if (max_k <= 0) return 0;
+  const std::int64_t k =
+      scheduler_.skip_missed_probes(make_context(), verdict, charge, max_k);
+  if (k > max_k) {
+    throw std::logic_error("Scheduler skipped more wakeups than allowed");
+  }
+  return k;
+}
+
 void SensorNode::fast_forward_misses(sim::TimePoint t0, sim::Duration cycle) {
   // A spurious-detection fault draws on every miss: per-wakeup path.
   if (faults_ != nullptr && faults_->spec().radio.spurious_detect_prob > 0.0) {
     return;
   }
-  // Wakeups t0 + j·cycle, j = 1..max_k, that fall before every pending
-  // event and within the simulator's run bound and event budget...
-  std::int64_t max_k = wakeups_through(t0, cycle, sim_.fast_forward_limit());
-  const std::size_t budget = sim_.fast_forward_budget();
-  if (static_cast<std::uint64_t>(max_k) > budget) {
-    max_k = static_cast<std::int64_t>(budget);
-  }
-  if (max_k <= 0) return;
-  // ...and before the next contact arrives. With no contact in range at
-  // t0, none is in range (or departs) before that arrival, so each of
-  // those beacons finds no receiver: try_deliver() fails without an RNG
-  // draw, as does miss_probe(), which only runs on a delivered reply.
+  // The run must end before the next contact arrives. With no contact in
+  // range at t0, none is in range (or departs) before that arrival, so
+  // each of those beacons finds no receiver: try_deliver() fails without
+  // an RNG draw, as does miss_probe(), which only runs on a delivered
+  // reply.
   if (channel_.active_contact(t0).has_value()) return;
+  sim::TimePoint last = sim::TimePoint::max();
   if (const auto next = channel_.next_arrival_at_or_after(t0)) {
-    const sim::TimePoint last = next->arrival - sim::Duration::microseconds(1);
-    max_k = std::min(max_k, wakeups_through(t0, cycle, last));
-    if (max_k <= 0) return;
+    last = next->arrival - sim::Duration::microseconds(1);
   }
   const std::int64_t k =
-      scheduler_.skip_missed_probes(make_context(), cycle, config_.ton, max_k);
+      vouched_run({.probe = true, .next_wakeup = cycle}, config_.ton, last);
   if (k <= 0) return;
-  if (k > max_k) {
-    throw std::logic_error("Scheduler skipped more probes than allowed");
-  }
   // The k misses, charged as the per-wakeup path charges each one. Every
   // charge is an integer duration, so k of them sum exactly.
   const radio::LinkParams& link = channel_.link();

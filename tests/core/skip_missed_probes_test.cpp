@@ -1,14 +1,17 @@
 /// Unit tests of `Scheduler::skip_missed_probes` for the four core
 /// schedulers. Every case runs two identically configured schedulers:
-/// one skips a run of missed probes through the hook, its twin makes the
-/// same wakeups one on_wakeup() call at a time, and the two must agree on
-/// every verdict and end in the same state (checkpoint(), which carries
-/// the adaptive learner's effort sums in hexfloat, so equal strings mean
-/// bit-identical sums). The edge cases pin the exact run lengths: the
-/// budget running out at the k-th skipped probe, runs ending 1 µs before
-/// a slot boundary or the tracker's due time, and the cached SNIP-RH
-/// cycle following every change of its estimate. A lockstep replay then
-/// drives whole epochs of all-miss wakeups through both twins.
+/// one skips a run of missed probes or idle polls through the hook, its
+/// twin makes the same wakeups one on_wakeup() call at a time, and the
+/// two must agree on every verdict and end in the same state
+/// (checkpoint(), which carries the adaptive learner's effort sums in
+/// hexfloat, so equal strings mean bit-identical sums). The edge cases
+/// pin the exact run lengths: the budget running out at the k-th skipped
+/// probe, runs ending 1 µs before a slot boundary or the tracker's due
+/// time, adaptive SNIP-RH's lone tracker probes stopping one cycle short
+/// of the next rush slot, its budget-spent poll stopping one delay
+/// before the epoch end, and the cached SNIP-RH cycle following every
+/// change of its estimate. A lockstep replay then drives whole epochs of
+/// all-miss wakeups through both twins.
 
 #include <gtest/gtest.h>
 
@@ -36,6 +39,10 @@ constexpr Duration kMicro = Duration::microseconds(1);
 
 TimePoint at_s(double s) { return TimePoint::zero() + Duration::seconds(s); }
 
+SchedulerDecision probing(Duration cycle) {
+  return {.probe = true, .next_wakeup = cycle};
+}
+
 SensorContext context(TimePoint now, Duration budget_used = Duration::zero(),
                       Duration budget_limit = Duration::max(),
                       double buffer_bytes = 1e9) {
@@ -47,33 +54,36 @@ SensorContext context(TimePoint now, Duration budget_used = Duration::zero(),
   return ctx;
 }
 
-/// The wakeup at `ctx` on both twins (it must probe), its miss charged,
-/// then up to `max_k` skipped by `fast` and made one by one by `ref`.
-/// Returns k; fails the test when the twins disagree.
+/// The wakeup at `ctx` on both twins (it must probe, or for `probing`
+/// false must not), its miss charged, then up to `max_k` skipped by
+/// `fast` and made one by one by `ref`. Returns k; fails the test when
+/// the twins disagree.
 std::int64_t skip_against_twin(Scheduler& fast, Scheduler& ref,
-                               SensorContext ctx, std::int64_t max_k) {
+                               SensorContext ctx, std::int64_t max_k,
+                               bool probing = true) {
   const SchedulerDecision first = fast.on_wakeup(ctx);
   const SchedulerDecision twin = ref.on_wakeup(ctx);
   EXPECT_EQ(first.probe, twin.probe);
   EXPECT_EQ(first.next_wakeup, twin.next_wakeup);
-  if (!first.probe) {
-    ADD_FAILURE() << "the first wakeup must probe";
+  if (first.probe != probing) {
+    ADD_FAILURE() << "the first wakeup must " << (probing ? "" : "not ")
+                  << "probe";
     return -1;
   }
-  const Duration cycle = first.next_wakeup;
-  ctx.budget_used += kTon;
-  const std::int64_t k = fast.skip_missed_probes(ctx, cycle, kTon, max_k);
+  const Duration charge = probing ? kTon : Duration::zero();
+  ctx.budget_used += charge;
+  const std::int64_t k = fast.skip_missed_probes(ctx, first, charge, max_k);
   EXPECT_GE(k, 0);
   EXPECT_LE(k, max_k);
   SensorContext step = ctx;
   for (std::int64_t j = 1; j <= k; ++j) {
-    step.now = ctx.now + cycle * j;
+    step.now = ctx.now + first.next_wakeup * j;
     const SchedulerDecision d = ref.on_wakeup(step);
-    if (!d.probe || d.next_wakeup != cycle) {
+    if (d.probe != first.probe || d.next_wakeup != first.next_wakeup) {
       ADD_FAILURE() << "skipped wakeup " << j << " would not repeat";
       return k;
     }
-    step.budget_used += kTon;
+    step.budget_used += charge;
   }
   EXPECT_EQ(fast.checkpoint(), ref.checkpoint());
   return k;
@@ -109,12 +119,13 @@ TEST(SkipMissedProbes, SnipAtHonoursMaxKAndItsOwnCycle) {
   // A cycle the scheduler would not return (a decorator's, say): no run.
   SnipAt at{0.01, kTon};
   EXPECT_EQ(at.skip_missed_probes(context(at_s(0), kTon),
-                                  at.cycle() + kMicro, kTon, kUnbounded),
+                                  probing(at.cycle() + kMicro), kTon,
+                                  kUnbounded),
             0);
   // The hook is only ever offered a run the budget allows; an exhausted
   // budget at ctx.now skips nothing.
   EXPECT_EQ(at.skip_missed_probes(context(at_s(0), kTon * 10, kTon * 10),
-                                  at.cycle(), kTon, kUnbounded),
+                                  probing(at.cycle()), kTon, kUnbounded),
             0);
 }
 
@@ -187,12 +198,12 @@ TEST(SkipMissedProbes, SnipRhSkipsNothingBelowTheUploadThreshold) {
   const Duration cycle = rh.on_wakeup(context(at_s(25300))).next_wakeup;
   // min_data_bytes = 1: an empty buffer would not probe.
   EXPECT_EQ(rh.skip_missed_probes(
-                context(at_s(25300), kTon, Duration::max(), 0.5), cycle, kTon,
-                kUnbounded),
+                context(at_s(25300), kTon, Duration::max(), 0.5),
+                probing(cycle), kTon, kUnbounded),
             0);
   // Outside the rush slot nothing is skipped either.
-  EXPECT_EQ(rh.skip_missed_probes(context(at_s(3600), kTon), cycle, kTon,
-                                  kUnbounded),
+  EXPECT_EQ(rh.skip_missed_probes(context(at_s(3600), kTon), probing(cycle),
+                                  kTon, kUnbounded),
             0);
 }
 
@@ -205,8 +216,7 @@ TEST(SkipMissedProbes, SnipRhCachedCycleFollowsEveryEstimateChange) {
     EXPECT_EQ(d.next_wakeup,
               std::max(Duration::seconds(kTon.to_seconds() / rh.duty()),
                        kTon));
-    EXPECT_EQ(rh.skip_missed_probes(context(at_s(25300), kTon),
-                                    d.next_wakeup, kTon, 1),
+    EXPECT_EQ(rh.skip_missed_probes(context(at_s(25300), kTon), d, kTon, 1),
               1);
   };
   SnipRh rh = rush_seven();
@@ -305,12 +315,10 @@ TEST(SkipMissedProbes, AdaptiveExploitRunEndsOneCycleShortOfTheTracker) {
   }
 }
 
-/// `s`'s checkpoint with the exploration plan made active over `slots`,
-/// its floor due at time zero. The trailing tokens are the plan's
-/// active flag, duty, slot count and bits, then the tracker's and the
-/// floor's due times.
-std::string with_plan(const AdaptiveSnipRh& s,
-                      const std::vector<std::size_t>& slots) {
+/// An adaptive checkpoint as tokens, to restore an edited state. The
+/// trailing tokens are the plan's active flag, duty, slot count and 24
+/// bits, then the tracker's and the floor's due times (µs).
+std::vector<std::string> tokens_of(const AdaptiveSnipRh& s) {
   std::vector<std::string> tokens;
   const std::string blob = s.checkpoint();
   std::size_t at = 0;
@@ -319,22 +327,40 @@ std::string with_plan(const AdaptiveSnipRh& s,
     if (end > at) tokens.push_back(blob.substr(at, end - at));
     at = end + 1;
   }
-  const std::size_t bits = tokens.size() - 2 - 24;
+  return tokens;
+}
+
+std::string joined(const std::vector<std::string>& tokens) {
   std::string out;
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    std::string_view token = tokens[i];
-    if (i == bits - 3 || (i >= bits && i < bits + 24)) {
-      const bool planned =
-          i < bits || std::find(slots.begin(), slots.end(), i - bits) !=
-                          slots.end();
-      token = planned ? "1" : "0";
-    } else if (i + 1 == tokens.size()) {
-      token = "0";
-    }
-    out.append(token);
-    out += ' ';
-  }
+  for (const std::string& token : tokens) out += token + ' ';
   return out;
+}
+
+std::size_t track_due_token(const std::vector<std::string>& tokens) {
+  return tokens.size() - 2;
+}
+std::size_t explore_due_token(const std::vector<std::string>& tokens) {
+  return tokens.size() - 1;
+}
+
+std::string due_us(TimePoint t) { return std::to_string(t.count()); }
+std::string bit(bool set) { return set ? "1" : "0"; }
+
+/// `s`'s checkpoint with the exploration plan made active over `slots`,
+/// its floor due at `explore_due`.
+std::string with_plan(const AdaptiveSnipRh& s,
+                      const std::vector<std::size_t>& slots,
+                      TimePoint explore_due = TimePoint::zero()) {
+  std::vector<std::string> tokens = tokens_of(s);
+  const std::size_t bits = tokens.size() - 2 - 24;
+  tokens[bits - 3] = bit(true);
+  for (std::size_t slot = 0; slot < 24; ++slot) {
+    const bool planned =
+        std::find(slots.begin(), slots.end(), slot) != slots.end();
+    tokens[bits + slot] = bit(planned);
+  }
+  tokens[explore_due_token(tokens)] = due_us(explore_due);
+  return joined(tokens);
 }
 
 TEST(SkipMissedProbes, AdaptiveExploitRunStopsShortOfTheExplorationFloor) {
@@ -378,8 +404,260 @@ TEST(SkipMissedProbes, AdaptiveExploitOutsideTheMaskSkipsNothing) {
   AdaptiveSnipRh s{Duration::hours(24), 24, adaptive_config(0.0)};
   learn_rush_seven_and_seventeen(s);
   const SensorContext ctx = context(at_s(2 * 86400.0 + 3 * 3600), kTon);
-  EXPECT_EQ(s.skip_missed_probes(ctx, Duration::seconds(2), kTon, kUnbounded),
+  EXPECT_EQ(
+      s.skip_missed_probes(ctx, probing(Duration::seconds(2)), kTon,
+                           kUnbounded),
+      0);
+}
+
+// --- Adaptive SNIP-RH: lone tracker probes ----------------------------------
+
+/// A time on day 2, the first exploit day after
+/// learn_rush_seven_and_seventeen(); the tracker is overdue from then on.
+TimePoint day2(double hours) { return at_s(2 * 86400.0 + hours * 3600); }
+
+constexpr Duration kTrackerCycle = Duration::seconds(200);  // 20 ms / 1e-4
+
+TEST(SkipMissedProbes, TrackerRunEndsOneMicrosecondBeforeTheSlotBoundary) {
+  // Slot 3 lies outside the mask {7, 17}. From 4 h − 3400 s − 1 µs the
+  // 17th skipped tracker probe is at 4 h − 1 µs; 1 µs later it would be
+  // on the boundary itself.
+  for (const Duration late : {Duration::zero(), kMicro}) {
+    AdaptiveSnipRh fast{Duration::hours(24), 24, adaptive_config(1e-4)};
+    AdaptiveSnipRh ref{Duration::hours(24), 24, adaptive_config(1e-4)};
+    learn_rush_seven_and_seventeen(fast);
+    learn_rush_seven_and_seventeen(ref);
+    ASSERT_EQ(fast.tracker_cycle(), kTrackerCycle);
+    const SensorContext ctx =
+        context(day2(4) - Duration::seconds(3400) - kMicro + late);
+    EXPECT_EQ(skip_against_twin(fast, ref, ctx, kUnbounded),
+              late.is_zero() ? 17 : 16);
+    // The effort of all of them went to slot 3, one sample at a time.
+    fast.on_epoch_start(3);
+    ref.on_epoch_start(3);
+    EXPECT_EQ(fast.checkpoint(), ref.checkpoint());
+  }
+}
+
+TEST(SkipMissedProbes, TrackerRunStopsOneCycleShortOfTheNextRushSlot) {
+  // Slot 6 ends where rush slot 7 starts. The slot end alone would allow
+  // 17 probes from 7 h − 3450 s; at the 17th, 50 s before the rush slot,
+  // SNIP-RH's shorter sleep sets the delay, so the run stops at 16.
+  AdaptiveSnipRh fast{Duration::hours(24), 24, adaptive_config(1e-4)};
+  AdaptiveSnipRh ref{Duration::hours(24), 24, adaptive_config(1e-4)};
+  learn_rush_seven_and_seventeen(fast);
+  learn_rush_seven_and_seventeen(ref);
+  const SensorContext ctx = context(day2(7) - Duration::seconds(3450));
+  EXPECT_EQ(skip_against_twin(fast, ref, ctx, kUnbounded), 16);
+  const SchedulerDecision next =
+      wakeup_after_run(ref, ctx, kTrackerCycle, 16);
+  EXPECT_TRUE(next.probe);
+  EXPECT_EQ(next.next_wakeup, Duration::seconds(50));
+}
+
+TEST(SkipMissedProbes, TrackerRunStopsWhereTheBudgetRunsOut) {
+  AdaptiveSnipRh fast{Duration::hours(24), 24, adaptive_config(1e-4)};
+  AdaptiveSnipRh ref{Duration::hours(24), 24, adaptive_config(1e-4)};
+  learn_rush_seven_and_seventeen(fast);
+  learn_rush_seven_and_seventeen(ref);
+  // t0 is the third wakeup the budget pays for; wakeups 4..6 still fit.
+  const SensorContext ctx = context(day2(3) + Duration::seconds(10), kTon * 2,
+                                    kTon * 6);
+  EXPECT_EQ(skip_against_twin(fast, ref, ctx, kUnbounded), 3);
+  EXPECT_FALSE(wakeup_after_run(ref, ctx, kTrackerCycle, 3).probe);
+}
+
+TEST(SkipMissedProbes, TrackerRunUnderAnAllZeroMask) {
+  // A restored all-zero mask has no next rush slot: SNIP-RH sleeps one
+  // epoch at every wakeup and only the slot end bounds the run, one probe
+  // longer than under the mask {7, 17} from the same instant.
+  AdaptiveSnipRh learned{Duration::hours(24), 24, adaptive_config(1e-4)};
+  learn_rush_seven_and_seventeen(learned);
+  std::vector<std::string> tokens = tokens_of(learned);
+  // Magic, phase, slot count, six per-slot arrays, effort mode, epochs;
+  // then SNIP-RH's magic and slot count precede its mask bits.
+  const std::size_t rh_bits = 3 + 6 * 24 + 2 + 2;
+  ASSERT_EQ(tokens[rh_bits - 2], "snip-rh-v1");
+  for (std::size_t slot = 0; slot < 24; ++slot) {
+    tokens[rh_bits + slot] = bit(false);
+  }
+  AdaptiveSnipRh fast{Duration::hours(24), 24, adaptive_config(1e-4)};
+  AdaptiveSnipRh ref{Duration::hours(24), 24, adaptive_config(1e-4)};
+  ASSERT_TRUE(fast.restore(joined(tokens)));
+  ASSERT_TRUE(ref.restore(joined(tokens)));
+  ASSERT_EQ(fast.current_mask().rush_slot_count(), 0U);
+  const SensorContext ctx =
+      context(day2(7) - Duration::seconds(3400) - kMicro);
+  EXPECT_EQ(skip_against_twin(fast, ref, ctx, kUnbounded), 17);
+
+  AdaptiveSnipRh masked_fast{Duration::hours(24), 24, adaptive_config(1e-4)};
+  AdaptiveSnipRh masked_ref{Duration::hours(24), 24, adaptive_config(1e-4)};
+  learn_rush_seven_and_seventeen(masked_fast);
+  learn_rush_seven_and_seventeen(masked_ref);
+  EXPECT_EQ(skip_against_twin(masked_fast, masked_ref, ctx, kUnbounded), 16);
+}
+
+TEST(SkipMissedProbes, TrackerRunNeedsTheTrackersOwnProbeOutsideTheMask) {
+  // Inside the mask the tracker's probe returns SNIP-RH's shorter cycle;
+  // a verdict at the tracker's cycle there (a decorator's, say) is not
+  // vouched for, though the tracker is due one cycle later.
+  AdaptiveSnipRh in_mask{Duration::hours(24), 24, adaptive_config(1e-4)};
+  learn_rush_seven_and_seventeen(in_mask);
+  const SchedulerDecision rush = in_mask.on_wakeup(context(day2(7.5)));
+  ASSERT_TRUE(rush.probe);
+  EXPECT_LT(rush.next_wakeup, kTrackerCycle);
+  const SchedulerDecision tracker{.probe = true, .next_wakeup = kTrackerCycle};
+  EXPECT_EQ(in_mask.skip_missed_probes(context(day2(7.5), kTon), tracker,
+                                       kTon, kUnbounded),
             0);
+  // Outside the mask, but with the tracker not due one cycle later: no
+  // run.
+  AdaptiveSnipRh out{Duration::hours(24), 24, adaptive_config(1e-4)};
+  learn_rush_seven_and_seventeen(out);
+  ASSERT_EQ(out.on_wakeup(context(day2(3))).next_wakeup, kTrackerCycle);
+  EXPECT_EQ(out.skip_missed_probes(context(day2(3) + kMicro, kTon), tracker,
+                                   kTon, kUnbounded),
+            0);
+  // The same verdict in the learning phase: the learning duty's cycle is
+  // not the tracker's, so nothing is skipped.
+  AdaptiveSnipRh learning{Duration::hours(24), 24, adaptive_config(1e-4)};
+  EXPECT_EQ(learning.skip_missed_probes(context(at_s(100), kTon), tracker,
+                                        kTon, kUnbounded),
+            0);
+}
+
+// --- Adaptive SNIP-RH: the budget-spent poll --------------------------------
+
+/// A context whose budget cannot afford another Ton.
+SensorContext spent(TimePoint now) {
+  return context(now, kTon * 10, kTon * 10);
+}
+
+constexpr Duration kPoll = Duration::seconds(1);
+
+TEST(SkipMissedProbes, PollRunEndsOneMicrosecondBeforeTheSlotBoundary) {
+  // From 4 h − 10 s − 1 µs the tenth skipped poll is at 4 h − 1 µs, the
+  // last instant of slot 3.
+  for (const Duration late : {Duration::zero(), kMicro}) {
+    AdaptiveSnipRh fast{Duration::hours(24), 24, adaptive_config(1e-4)};
+    AdaptiveSnipRh ref{Duration::hours(24), 24, adaptive_config(1e-4)};
+    learn_rush_seven_and_seventeen(fast);
+    learn_rush_seven_and_seventeen(ref);
+    const SensorContext ctx =
+        spent(day2(4) - Duration::seconds(10) - kMicro + late);
+    EXPECT_EQ(fast.on_wakeup(ctx).next_wakeup, kPoll);
+    EXPECT_EQ(skip_against_twin(fast, ref, ctx, kUnbounded, false),
+              late.is_zero() ? 10 : 9);
+  }
+}
+
+TEST(SkipMissedProbes, PollRunStopsOneDelayBeforeTheEpochEnds) {
+  // In the epoch's last second SNIP-RH's sleep to the boundary drops
+  // below the poll period when min_sleep allows it: with 100 ms, the
+  // wakeup 0.25 s before the boundary sleeps 0.25 s. The run stops one
+  // delay before the boundary whatever min_sleep is.
+  const TimePoint epoch_end = at_s(3 * 86400.0);
+  const SensorContext ctx = spent(epoch_end - Duration::milliseconds(20250));
+  for (const Duration min_sleep : {Duration::milliseconds(100), kPoll}) {
+    AdaptiveSnipRhConfig config = adaptive_config(1e-4);
+    config.rh.min_sleep = min_sleep;
+    AdaptiveSnipRh fast{Duration::hours(24), 24, config};
+    AdaptiveSnipRh ref{Duration::hours(24), 24, config};
+    learn_rush_seven_and_seventeen(fast);
+    learn_rush_seven_and_seventeen(ref);
+    EXPECT_EQ(skip_against_twin(fast, ref, ctx, kUnbounded, false), 19);
+    const SchedulerDecision last =
+        ref.on_wakeup(spent(epoch_end - Duration::milliseconds(250)));
+    EXPECT_FALSE(last.probe);
+    EXPECT_EQ(last.next_wakeup,
+              std::max(Duration::milliseconds(250), min_sleep));
+  }
+}
+
+TEST(SkipMissedProbes, PollInTheEpochsLastSecondSkipsNothing) {
+  for (const Duration min_sleep : {Duration::milliseconds(100), kPoll}) {
+    AdaptiveSnipRhConfig config = adaptive_config(1e-4);
+    config.rh.min_sleep = min_sleep;
+    AdaptiveSnipRh s{Duration::hours(24), 24, config};
+    learn_rush_seven_and_seventeen(s);
+    const SensorContext ctx =
+        spent(at_s(3 * 86400.0) - Duration::milliseconds(750));
+    const SchedulerDecision d = s.on_wakeup(ctx);
+    ASSERT_FALSE(d.probe);
+    EXPECT_EQ(s.skip_missed_probes(ctx, d, Duration::zero(), kUnbounded), 0);
+  }
+}
+
+TEST(SkipMissedProbes, PollRunNeedsAnExploitPhaseWithAnOverdueTracker) {
+  const SchedulerDecision poll{.probe = false, .next_wakeup = kPoll};
+  const SensorContext ctx = spent(day2(3));
+  // Learning phase: the spent learning SNIP-AT re-checks every 10 min;
+  // even a 1 s poll verdict is not vouched for.
+  AdaptiveSnipRh learning{Duration::hours(24), 24, adaptive_config(1e-4)};
+  EXPECT_EQ(learning.on_wakeup(ctx).next_wakeup, Duration::minutes(10));
+  EXPECT_EQ(learning.skip_missed_probes(ctx, poll, Duration::zero(),
+                                        kUnbounded),
+            0);
+  // No tracker: SNIP-RH sleeps to the epoch end, and no poll is vouched
+  // for either.
+  AdaptiveSnipRh untracked{Duration::hours(24), 24, adaptive_config(0.0)};
+  learn_rush_seven_and_seventeen(untracked);
+  EXPECT_EQ(untracked.on_wakeup(ctx).next_wakeup, at_s(3 * 86400.0) - ctx.now);
+  EXPECT_EQ(untracked.skip_missed_probes(ctx, poll, Duration::zero(),
+                                         kUnbounded),
+            0);
+  // A tracker due 5.5 s from now sets the sleep itself; a 1 s poll
+  // verdict is not vouched for before it falls due.
+  AdaptiveSnipRh learned{Duration::hours(24), 24, adaptive_config(1e-4)};
+  learn_rush_seven_and_seventeen(learned);
+  std::vector<std::string> tokens = tokens_of(learned);
+  tokens[track_due_token(tokens)] =
+      due_us(ctx.now + Duration::milliseconds(5500));
+  AdaptiveSnipRh pending{Duration::hours(24), 24, adaptive_config(1e-4)};
+  ASSERT_TRUE(pending.restore(joined(tokens)));
+  EXPECT_EQ(pending.on_wakeup(ctx).next_wakeup, Duration::milliseconds(5500));
+  EXPECT_EQ(pending.skip_missed_probes(ctx, poll, Duration::zero(),
+                                       kUnbounded),
+            0);
+  // An affordable budget: no poll verdict to repeat.
+  EXPECT_EQ(learned.skip_missed_probes(context(day2(3)), poll,
+                                       Duration::zero(), kUnbounded),
+            0);
+  // The overdue tracker with the budget spent: the run reaches the slot
+  // end.
+  EXPECT_EQ(learned.skip_missed_probes(ctx, poll, Duration::zero(),
+                                       kUnbounded),
+            3599);
+}
+
+TEST(SkipMissedProbes, PollRunWaitsForAPendingExplorationProbe) {
+  AdaptiveSnipRhConfig config = adaptive_config(1e-4);
+  config.exploration.kind = ExplorationPolicyKind::kEpsilonFloor;
+  config.exploration.explore_duty = 0.002;
+  AdaptiveSnipRh learned{Duration::hours(24), 24, config};
+  learn_rush_seven_and_seventeen(learned);
+  const SensorContext ctx = spent(day2(3) + Duration::seconds(10));
+  const TimePoint soon = ctx.now + Duration::milliseconds(5500);
+  // Inside a planned slot, with the floor due 5.5 s from now, the fifth
+  // poll would sleep only 0.5 s: no run.
+  AdaptiveSnipRh pending{Duration::hours(24), 24, config};
+  ASSERT_TRUE(pending.restore(with_plan(learned, {3}, soon)));
+  const SchedulerDecision d = pending.on_wakeup(ctx);
+  EXPECT_EQ(d.next_wakeup, kPoll);
+  EXPECT_EQ(pending.skip_missed_probes(ctx, d, Duration::zero(), kUnbounded),
+            0);
+  EXPECT_EQ(pending.on_wakeup(spent(ctx.now + kPoll * 5)).next_wakeup,
+            Duration::milliseconds(500));
+  // An overdue floor in the slot, or a pending one outside the planned
+  // slots, leaves the poll period alone: runs to the slot end.
+  for (const std::string& blob :
+       {with_plan(learned, {3}), with_plan(learned, {4}, soon)}) {
+    AdaptiveSnipRh fast{Duration::hours(24), 24, config};
+    AdaptiveSnipRh ref{Duration::hours(24), 24, config};
+    ASSERT_TRUE(fast.restore(blob));
+    ASSERT_TRUE(ref.restore(blob));
+    EXPECT_EQ(skip_against_twin(fast, ref, ctx, kUnbounded, false), 3589);
+  }
 }
 
 // --- Lockstep replay --------------------------------------------------------
@@ -390,20 +668,25 @@ struct Replay {
   double sensing_rate_bps{0.05};
 };
 
+struct Skipped {
+  std::int64_t probes{0};
+  std::int64_t polls{0};
+};
+
 /// Whole epochs of a node whose probes all miss, run through both twins:
-/// `fast` skips every run its hook vouches for (bounded by the next epoch
-/// boundary, as the node's epoch event bounds it), `ref` makes every
-/// wakeup. Each epoch's detections favour slots 7, 8, 17 and 18, so the
-/// adaptive learner adopts and refreshes masks. Returns the probes
-/// skipped.
-std::int64_t replay(Scheduler& fast, Scheduler& ref, const Replay& r) {
+/// `fast` skips every run of probes or idle polls its hook vouches for
+/// (bounded by the next epoch boundary, as the node's epoch event bounds
+/// it), `ref` makes every wakeup. Each epoch's detections favour slots 7,
+/// 8, 17 and 18, so the adaptive learner adopts and refreshes masks.
+/// Returns the wakeups skipped.
+Skipped replay(Scheduler& fast, Scheduler& ref, const Replay& r) {
   const Duration epoch = Duration::hours(24);
   TimePoint t = TimePoint::zero();
   TimePoint boundary = TimePoint::zero() + epoch;
   const TimePoint horizon = TimePoint::zero() + epoch * r.epochs;
   std::int64_t index = 0;
   Duration used = Duration::zero();
-  std::int64_t skipped = 0;
+  Skipped skipped;
   const auto at = [&](TimePoint now) {
     SensorContext ctx = context(now, used, r.budget_limit,
                                 r.sensing_rate_bps * now.to_seconds());
@@ -435,55 +718,61 @@ std::int64_t replay(Scheduler& fast, Scheduler& ref, const Replay& r) {
       ADD_FAILURE() << "verdicts differ at " << t;
       return skipped;
     }
-    if (!df.probe) {
-      t += df.next_wakeup;
-      continue;
-    }
-    used += kTon;
-    const Duration cycle = std::max(df.next_wakeup, kTon);
-    if (df.next_wakeup >= kTon) {
+    const Duration charge = df.probe ? kTon : Duration::zero();
+    used += charge;
+    // The node stretches a probing delay shorter than Ton and then offers
+    // no run.
+    const Duration delay =
+        df.probe ? std::max(df.next_wakeup, kTon) : df.next_wakeup;
+    if (delay == df.next_wakeup) {
       const std::int64_t max_k =
-          node::wakeups_through(t, cycle, boundary - kMicro);
+          node::wakeups_through(t, delay, boundary - kMicro);
       const std::int64_t k =
-          max_k > 0 ? fast.skip_missed_probes(at(t), cycle, kTon, max_k) : 0;
+          max_k > 0 ? fast.skip_missed_probes(at(t), df, charge, max_k) : 0;
       EXPECT_GE(k, 0);
       EXPECT_LE(k, max_k);
       for (std::int64_t j = 1; j <= k; ++j) {
-        const SchedulerDecision d = ref.on_wakeup(at(t + cycle * j));
-        if (!d.probe || d.next_wakeup != cycle) {
+        const SchedulerDecision d = ref.on_wakeup(at(t + delay * j));
+        if (d.probe != df.probe || d.next_wakeup != delay) {
           ADD_FAILURE() << "skipped wakeup " << j << " after " << t
                         << " would not repeat";
           return skipped;
         }
-        used += kTon;
+        used += charge;
       }
-      t += cycle * k;
-      skipped += k;
+      t += delay * k;
+      (df.probe ? skipped.probes : skipped.polls) += k;
     }
-    t += cycle;
+    t += delay;
   }
   EXPECT_EQ(fast.checkpoint(), ref.checkpoint());
   return skipped;
 }
 
 TEST(SkipMissedProbes, LockstepReplayFixedPlans) {
+  // Their idle verdicts (budget spent, outside the mask or an active
+  // slot) are single long sleeps: only probing runs are vouched for.
+  const auto expect_probe_runs_only = [](Skipped s) {
+    EXPECT_GT(s.probes, 0);
+    EXPECT_EQ(s.polls, 0);
+  };
   for (const Duration limit : {Duration::max(), Duration::seconds(3)}) {
     Replay r;
     r.budget_limit = limit;
     SnipAt at_fast{0.004, kTon};
     SnipAt at_ref{0.004, kTon};
-    EXPECT_GT(replay(at_fast, at_ref, r), 0);
+    expect_probe_runs_only(replay(at_fast, at_ref, r));
     std::vector<double> duties(24, 0.0);
     for (std::size_t s = 0; s < 24; ++s) duties[s] = 0.001 * (s % 5);
     SnipOpt opt_fast{duties, Duration::hours(24), kTon};
     SnipOpt opt_ref{duties, Duration::hours(24), kTon};
-    EXPECT_GT(replay(opt_fast, opt_ref, r), 0);
+    expect_probe_runs_only(replay(opt_fast, opt_ref, r));
     SnipRhConfig config;
     config.ton = kTon;
     const RushHourMask mask = RushHourMask::from_hours({7, 8, 17, 18});
     SnipRh rh_fast{mask, config};
     SnipRh rh_ref{mask, config};
-    EXPECT_GT(replay(rh_fast, rh_ref, r), 0);
+    expect_probe_runs_only(replay(rh_fast, rh_ref, r));
   }
 }
 
@@ -503,7 +792,10 @@ TEST(SkipMissedProbes, LockstepReplayAdaptiveEveryExplorationPolicy) {
       Replay r;
       r.epochs = 12;
       r.budget_limit = limit;
-      EXPECT_GT(replay(fast, ref, r), 0)
+      const Skipped s = replay(fast, ref, r);
+      EXPECT_GT(s.probes, 0) << exploration_policy_kind_id(kind);
+      // Only a spent budget makes the exploit phase poll.
+      EXPECT_EQ(s.polls > 0, limit != Duration::max())
           << exploration_policy_kind_id(kind);
     }
   }

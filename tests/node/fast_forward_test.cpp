@@ -1,15 +1,17 @@
-/// SensorNode-level tests of the missed-probe fast-forward. Each case
-/// runs the same world three times: with the plain scheduler (runs of
-/// misses are skipped), wrapped in the pass-through decorator that
-/// withholds `skip_missed_probes` (every wakeup simulated: the
+/// SensorNode-level tests of the fast-forward of missed probes and idle
+/// polls. Each case runs the same world three times: with the plain
+/// scheduler (runs are skipped), wrapped in the pass-through decorator
+/// that withholds `skip_missed_probes` (every wakeup simulated: the
 /// reference), and wrapped in its hook-forwarding counting form. The
 /// runs must agree on `run_until`/`step` event counts, the simulator
 /// clock and pending events, every NodeBlock lane value, the probing
 /// meter (as Joules, hexfloat) and the probed-contact log — at contacts
 /// arriving exactly on a would-be wakeup, a wakeup tied with the epoch
-/// boundary, zero-length contacts, a cycle
-/// shorter than Ton, run_until split into pieces, step(n), two nodes
-/// sharing one simulator, fault plans and the MIP protocol.
+/// boundary, zero-length contacts, a cycle shorter than Ton, run_until
+/// split into pieces, step(n), two nodes sharing one simulator, poll
+/// runs ending at an epoch event or another node's transfer completion,
+/// an adaptive node's polls and tracker probes with and without crash
+/// plans, fault plans and the MIP protocol.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "snipr/core/adaptive_snip_rh.hpp"
 #include "snipr/core/snip_at.hpp"
 #include "snipr/core/snip_opt.hpp"
 #include "snipr/fault/fault_plan.hpp"
@@ -44,16 +47,46 @@ class FixedProbe final : public Scheduler {
   SchedulerDecision on_wakeup(const SensorContext&) override {
     return {.probe = true, .next_wakeup = cycle_};
   }
-  std::int64_t skip_missed_probes(const SensorContext&, Duration cycle,
-                                  Duration, std::int64_t max_k) override {
+  std::int64_t skip_missed_probes(const SensorContext&,
+                                  SchedulerDecision verdict, Duration,
+                                  std::int64_t max_k) override {
     ++hook_calls;
-    return cycle == cycle_ ? max_k : 0;
+    return verdict.probe && verdict.next_wakeup == cycle_ ? max_k : 0;
   }
   std::string name() const override { return "fixed"; }
   std::uint64_t hook_calls{0};
 
  private:
   Duration cycle_;
+};
+
+/// Never probes, polls at one period, and vouches for any run of polls;
+/// records each run the node offers.
+class FixedPoll final : public Scheduler {
+ public:
+  struct Offer {
+    TimePoint now;
+    std::int64_t max_k;
+  };
+
+  explicit FixedPoll(Duration period) : period_{period} {}
+  SchedulerDecision on_wakeup(const SensorContext&) override {
+    return {.probe = false, .next_wakeup = period_};
+  }
+  std::int64_t skip_missed_probes(const SensorContext& ctx,
+                                  SchedulerDecision verdict, Duration charge,
+                                  std::int64_t max_k) override {
+    EXPECT_FALSE(verdict.probe);
+    EXPECT_EQ(verdict.next_wakeup, period_);
+    EXPECT_TRUE(charge.is_zero());
+    offers.push_back({ctx.now, max_k});
+    return max_k;
+  }
+  std::string name() const override { return "poll"; }
+  std::vector<Offer> offers;
+
+ private:
+  Duration period_;
 };
 
 SensorNodeConfig config() {
@@ -347,6 +380,135 @@ TEST(FastForward, NodesSharingOneSimulator) {
   EXPECT_EQ(prints[0], prints[1]);
   EXPECT_EQ(prints[0], prints[2]);
   EXPECT_GT(skipped, 0U);
+}
+
+TEST(FastForward, PollRunStopsBeforeTheEpochEvent) {
+  // 1 s polls from t = 0 beside hourly epoch events: the first run takes
+  // the wakeups at 1..3599 s, and the one at 3600 s runs after the
+  // boundary, which was scheduled first.
+  std::vector<std::size_t> events;
+  std::vector<std::string> prints;
+  for (const Variant v : {Variant::kPlain, Variant::kReference}) {
+    World w{1};
+    auto poll = std::make_unique<FixedPoll>(Duration::seconds(1));
+    FixedPoll* fixed = poll.get();
+    w.add({}, wrap(std::move(poll), v));
+    events.push_back(w.simulator.run_until(at_s(2 * 3600 + 0.5)));
+    prints.push_back(fingerprint(w));
+    if (v == Variant::kPlain) {
+      // The run_until bound leaves no room for a run after the poll at
+      // 7200 s, so the hook is not asked there.
+      ASSERT_EQ(fixed->offers.size(), 2U);
+      EXPECT_EQ(fixed->offers[0].now, at_s(0));
+      EXPECT_EQ(fixed->offers[0].max_k, 3599);
+      EXPECT_EQ(fixed->offers[1].now, at_s(3600));
+      EXPECT_EQ(fixed->offers[1].max_k, 3599);
+    } else {
+      EXPECT_TRUE(fixed->offers.empty());
+    }
+  }
+  // Every poll and both boundaries count as events either way.
+  EXPECT_EQ(events[0], events[1]);
+  EXPECT_EQ(events[0], 7201U + 2U);
+  EXPECT_EQ(prints[0], prints[1]);
+}
+
+TEST(FastForward, PollRunStopsBeforeAnotherNodesTransferCompletion) {
+  // Node 0 probes a 100 s contact at 20 s and, with a link slower than
+  // its sensing rate, uploads until the contact departs at 120 s; its
+  // only pending event meanwhile is that completion. Node 1 polls every
+  // second, and its run stops at 119 s, the last poll before it.
+  radio::LinkParams slow;
+  slow.data_rate_bps = 5.0;
+  std::vector<std::string> prints;
+  for (const Variant v : {Variant::kPlain, Variant::kReference}) {
+    World w{2};
+    w.add({{at_s(20), Duration::seconds(100)}}, wrap(snip_at(), v), config(),
+          slow);
+    auto poll = std::make_unique<FixedPoll>(Duration::seconds(1));
+    FixedPoll* fixed = poll.get();
+    w.add({}, wrap(std::move(poll), v));
+    const std::size_t events = w.simulator.run_until(at_s(300));
+    prints.push_back(fingerprint(w) + std::to_string(events));
+    ASSERT_EQ(w.nodes[0]->probed_contacts().size(), 1U);
+    if (v == Variant::kPlain) {
+      bool stopped_at_completion = false;
+      for (const FixedPoll::Offer& o : fixed->offers) {
+        if (o.now >= at_s(120)) break;
+        const TimePoint last = o.now + Duration::seconds(1) * o.max_k;
+        EXPECT_LT(last, at_s(120)) << o.now << " + " << o.max_k;
+        stopped_at_completion = o.now >= at_s(20) && last == at_s(119);
+      }
+      EXPECT_TRUE(stopped_at_completion);
+    }
+  }
+  EXPECT_EQ(prints[0], prints[1]);
+}
+
+/// Days whose only contacts are 2 min long, every 5 min in hours 7 and 17.
+std::vector<Contact> commuter_days(int days) {
+  std::vector<Contact> contacts;
+  for (int day = 0; day < days; ++day) {
+    for (const int hour : {7, 17}) {
+      for (int minute = 2; minute < 60; minute += 5) {
+        contacts.push_back(
+            {at_s(day * 86400.0 + hour * 3600.0 + minute * 60.0),
+             Duration::seconds(120)});
+      }
+    }
+  }
+  return contacts;
+}
+
+TEST(FastForward, AdaptiveNodeSkipsPollsAndTrackerProbes) {
+  // Two learning days at the tracker's duty, then adaptive SNIP-RH with
+  // two rush slots, a 200 s tracker and an 8 s budget: tracker probes
+  // outside the mask form runs, and once the budget is spent the node
+  // polls at 1 Hz to the end of the day. Crash plans reboot it at four
+  // epoch boundaries. An amnesiac reboot relearns the mask; a restored
+  // one here adopts slots 0 and 1, spends the budget there each morning
+  // and then only polls, so it has no tracker runs to skip.
+  const auto make = [] {
+    core::AdaptiveSnipRhConfig cfg;
+    cfg.learning_epochs = 2;
+    cfg.learning_duty = 1e-4;
+    cfg.rush_slots = 2;
+    cfg.rh.ton = Duration::milliseconds(20);
+    return std::unique_ptr<Scheduler>{std::make_unique<core::AdaptiveSnipRh>(
+        Duration::hours(24), 24, cfg)};
+  };
+  SensorNodeConfig cfg = config();
+  cfg.epoch = Duration::hours(24);
+  cfg.budget_limit = Duration::seconds(8);
+  fault::FaultSpec amnesia;
+  amnesia.node.crash_prob_per_epoch = 0.4;
+  fault::FaultSpec restore = amnesia;
+  restore.node.restore_from_checkpoint = true;
+  struct Plan {
+    const fault::FaultSpec* faults;
+    bool tracker_runs;
+  };
+  for (const Plan& plan : {Plan{nullptr, true}, Plan{&amnesia, true},
+                           Plan{&restore, false}}) {
+    std::vector<std::string> prints;
+    for (const Variant v :
+         {Variant::kPlain, Variant::kReference, Variant::kCounted}) {
+      World w{1};
+      w.add(commuter_days(10), wrap(make(), v), cfg, {}, plan.faults);
+      const std::size_t events = w.simulator.run_until(at_s(10 * 86400.0));
+      prints.push_back(fingerprint(w) + std::to_string(events));
+      if (plan.faults != nullptr) {
+        EXPECT_EQ(w.faults[0]->counters().crashes, 4U);
+      }
+      if (v == Variant::kCounted) {
+        EXPECT_GT(w.counted(0).skipped_polls(), 10000U);
+        EXPECT_EQ(w.counted(0).skipped_tracker_probes() > 1000U,
+                  plan.tracker_runs);
+      }
+    }
+    EXPECT_EQ(prints[0], prints[1]);
+    EXPECT_EQ(prints[0], prints[2]);
+  }
 }
 
 TEST(FastForward, FaultPlansAndMipKeepTheirBytes) {

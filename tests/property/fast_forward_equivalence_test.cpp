@@ -1,24 +1,31 @@
-/// Property: fast-forwarding runs of missed probes changes no output bit.
+/// Property: fast-forwarding runs of repeated verdicts changes no output
+/// bit.
 ///
 /// A node whose scheduler overrides `Scheduler::skip_missed_probes`
-/// charges a run of provably empty SNIP wakeups in one step; wrapped in
-/// the pass-through decorator (tests/support/pass_through_scheduler.hpp),
-/// which withholds that hook, the same scheduler runs every wakeup
-/// through `on_wakeup`. The two must agree byte for byte:
+/// charges a run of provably empty SNIP wakeups, or of idle polls, in one
+/// step; wrapped in the pass-through decorator
+/// (tests/support/pass_through_scheduler.hpp), which withholds that
+/// hook, the same scheduler runs every wakeup through `on_wakeup`. The
+/// two must agree byte for byte:
 ///  - on a reduced copy of every fleet catalog entry, through
 ///    `FleetEngine::run`'s schedules overload (`snipr.fleet.v1`/`v3`
 ///    JSON), faults included — `chaos-lossy-radio`'s spurious detections
-///    keep every node on the per-wakeup path, which the tally confirms;
+///    keep every probing wakeup on the per-wakeup path, which the tally
+///    confirms;
 ///  - on single-node experiments for every strategy × exploration policy
 ///    over several scenarios, one with a Φmax tight enough that runs end
-///    on the budget (every RunResult field and per-epoch row, hexfloat).
+///    on the budget (every RunResult field and per-epoch row, hexfloat);
+///  - on a slice of the paper's Fig. 7/8 grid, where adaptive SNIP-RH
+///    must skip both budget-spent polls and lone tracker probes.
 /// A third, hook-forwarding counting run shows the fast path really ran:
-/// its scheduler calls plus skipped probes equal the reference's calls.
+/// its scheduler calls plus skipped wakeups equal the reference's calls.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -166,15 +173,15 @@ TEST_P(FleetFastForward, SameJsonWithAndWithoutThePassThroughWrapper) {
 
   EXPECT_EQ(plain, reference) << entry.name;
   EXPECT_EQ(plain, counted) << entry.name;
-  EXPECT_EQ(reference_tally.skipped_probes.load(), 0U);
-  EXPECT_EQ(forward_tally.wakeup_calls.load() +
-                forward_tally.skipped_probes.load(),
+  EXPECT_EQ(reference_tally.skipped(), 0U);
+  EXPECT_EQ(forward_tally.wakeup_calls.load() + forward_tally.skipped(),
             reference_tally.wakeup_calls.load())
       << entry.name;
   const bool spurious = spec.faults != nullptr &&
                         spec.faults->radio.spurious_detect_prob > 0.0;
   if (spurious) {
-    // A spurious-detection draw is possible on every miss: no skipping.
+    // A spurious-detection draw is possible on every miss: no probe is
+    // skipped.
     EXPECT_EQ(forward_tally.skipped_probes.load(), 0U) << entry.name;
   } else {
     EXPECT_GT(forward_tally.skipped_probes.load(), 0U) << entry.name;
@@ -226,6 +233,44 @@ std::string fingerprint(const core::RunResult& r) {
   return out;
 }
 
+/// One single-node experiment three ways: plain, with the hook withheld
+/// (the reference) and forwarded through a counter that adds to `tally`.
+/// Fails the test unless all three are bit-identical and the counted
+/// calls plus skipped wakeups equal the reference's calls. Returns the
+/// plain run's result.
+core::RunResult expect_same_bits(
+    const core::RoadsideScenario& scenario,
+    const std::shared_ptr<const contact::ContactSchedule>& schedule,
+    const core::ExperimentConfig& config,
+    const std::function<std::unique_ptr<node::Scheduler>()>& make,
+    const std::string& label, PassThroughTally& tally) {
+  const std::unique_ptr<node::Scheduler> plain = make();
+  PassThroughScheduler reference{make(), Hook::kWithhold};
+  std::uint64_t counted_calls = 0;
+  std::uint64_t counted_skips = 0;
+  core::RunResult f;
+  {
+    PassThroughScheduler counted{make(), Hook::kForward, &tally};
+    f = core::run_experiment_on_schedule(scenario, schedule, counted, config);
+    counted_calls = counted.wakeup_calls();
+    counted_skips = counted.skipped_probes() + counted.skipped_polls();
+  }
+  const core::RunResult a =
+      core::run_experiment_on_schedule(scenario, schedule, *plain, config);
+  const core::RunResult b =
+      core::run_experiment_on_schedule(scenario, schedule, reference, config);
+  EXPECT_EQ(fingerprint(a), fingerprint(b)) << label;
+  EXPECT_EQ(fingerprint(a), fingerprint(f)) << label;
+  EXPECT_EQ(counted_calls + counted_skips, reference.wakeup_calls()) << label;
+  return a;
+}
+
+constexpr std::array<core::ExplorationPolicyKind, 4> kEveryPolicy{
+    core::ExplorationPolicyKind::kNone,
+    core::ExplorationPolicyKind::kEpsilonFloor,
+    core::ExplorationPolicyKind::kUcb,
+    core::ExplorationPolicyKind::kOptimistic};
+
 struct ExperimentCase {
   std::string scenario;
   /// Φmax override; 0 = the entry's default.
@@ -240,7 +285,7 @@ TEST(ExperimentFastForward, EveryStrategyAndExplorationPolicyMatches) {
       // Tight enough that every strategy runs out of budget each epoch.
       {"roadside", 4.0},
   };
-  std::uint64_t total_skipped = 0;
+  PassThroughTally tally;
   std::uint64_t budget_bound_runs = 0;
   for (const ExperimentCase& c : cases) {
     const core::CatalogEntry& entry =
@@ -258,46 +303,76 @@ TEST(ExperimentFastForward, EveryStrategyAndExplorationPolicyMatches) {
         entry.scenario.make_schedule(config.epochs, config.jitter, rng));
 
     for (const core::Strategy strategy : core::all_strategies()) {
-      for (const core::ExplorationPolicyKind kind :
-           {core::ExplorationPolicyKind::kNone,
-            core::ExplorationPolicyKind::kEpsilonFloor,
-            core::ExplorationPolicyKind::kUcb,
-            core::ExplorationPolicyKind::kOptimistic}) {
+      for (const core::ExplorationPolicyKind kind : kEveryPolicy) {
         core::ExplorationConfig exploration;
         exploration.kind = kind;
-        const auto make = [&] {
-          return core::make_scheduler(entry.scenario, strategy, target,
-                                      phi_max_s, exploration);
-        };
         const std::string label =
             c.scenario + "/" + std::to_string(phi_max_s) + "/" +
             std::string{core::strategy_id(strategy)} + "/" +
             std::string{core::exploration_policy_kind_id(kind)};
-
-        const std::unique_ptr<node::Scheduler> plain = make();
-        PassThroughScheduler reference{make(), Hook::kWithhold};
-        PassThroughScheduler counted{make(), Hook::kForward};
-        const core::RunResult a = core::run_experiment_on_schedule(
-            entry.scenario, schedule, *plain, config);
-        const core::RunResult b = core::run_experiment_on_schedule(
-            entry.scenario, schedule, reference, config);
-        const core::RunResult f = core::run_experiment_on_schedule(
-            entry.scenario, schedule, counted, config);
-        EXPECT_EQ(fingerprint(a), fingerprint(b)) << label;
-        EXPECT_EQ(fingerprint(a), fingerprint(f)) << label;
-        EXPECT_EQ(counted.wakeup_calls() + counted.skipped_probes(),
-                  reference.wakeup_calls())
-            << label;
-        total_skipped += counted.skipped_probes();
+        const core::RunResult a = expect_same_bits(
+            entry.scenario, schedule, config,
+            [&] {
+              return core::make_scheduler(entry.scenario, strategy, target,
+                                          phi_max_s, exploration);
+            },
+            label, tally);
         if (c.phi_max_s > 0.0 && a.mean_phi_s >= 0.9 * phi_max_s) {
           ++budget_bound_runs;
         }
       }
     }
   }
-  EXPECT_GT(total_skipped, 0U);
+  EXPECT_GT(tally.skipped_probes.load(), 0U);
   // The tight-budget case must really end runs on the budget.
   EXPECT_GT(budget_bound_runs, 0U);
+}
+
+TEST(ExperimentFastForward, PaperGridSliceMatchesWithPollAndTrackerRuns) {
+  // A slice of the Fig. 7/8 grid: every strategy at both of the paper's
+  // budgets and three ζ targets over 14 epochs on the road-side scenario,
+  // adaptive SNIP-RH under every exploration policy (the fixed schedulers
+  // take none). Adaptive SNIP-RH spends its budget in the exploit phase
+  // and polls, and its tracker probes outside the mask: the counted runs
+  // must skip both, so neither run kind can pass this test vacuously.
+  const core::CatalogEntry& entry =
+      core::ScenarioCatalog::instance().at("roadside");
+  constexpr std::size_t kPaperEpochs = 14;
+  sim::Rng rng{kSeed};
+  core::ExperimentConfig base;
+  base.epochs = kPaperEpochs;
+  base.seed = kSeed;
+  const auto schedule = std::make_shared<const contact::ContactSchedule>(
+      entry.scenario.make_schedule(base.epochs, base.jitter, rng));
+  PassThroughTally tally;
+  for (const double phi_max_s : {43.2, 86.4}) {
+    for (const double target : {16.0, 32.0, 56.0}) {
+      core::ExperimentConfig config = base;
+      config.phi_max_s = phi_max_s;
+      config.sensing_rate_bps = entry.scenario.sensing_rate_for_target(target);
+      for (const core::Strategy strategy : core::all_strategies()) {
+        const bool adaptive = strategy == core::Strategy::kAdaptive;
+        for (const core::ExplorationPolicyKind kind : kEveryPolicy) {
+          if (!adaptive && kind != core::ExplorationPolicyKind::kNone) break;
+          core::ExplorationConfig exploration;
+          exploration.kind = kind;
+          const std::string label =
+              std::to_string(phi_max_s) + "/" + std::to_string(target) + "/" +
+              std::string{core::strategy_id(strategy)} + "/" +
+              std::string{core::exploration_policy_kind_id(kind)};
+          (void)expect_same_bits(
+              entry.scenario, schedule, config,
+              [&] {
+                return core::make_scheduler(entry.scenario, strategy, target,
+                                            phi_max_s, exploration);
+              },
+              label, tally);
+        }
+      }
+    }
+  }
+  EXPECT_GT(tally.skipped_polls.load(), 0U);
+  EXPECT_GT(tally.skipped_tracker_probes.load(), 0U);
 }
 
 }  // namespace

@@ -12,12 +12,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "snipr/core/adaptive_snip_rh.hpp"
 #include "snipr/core/snip_at.hpp"
 #include "snipr/node/sensor_node.hpp"
 #include "snipr/sim/simulator.hpp"
 #include "support/counting_alloc_hook.hpp"
+#include "support/pass_through_scheduler.hpp"
 
 namespace snipr::sim {
 namespace {
@@ -132,6 +135,60 @@ TEST(ZeroAllocTest, SensorNodeMissRunsAllocateNothing) {
             allocs_before);
   EXPECT_GT(events, 100000U) << "skipped wakeups count as events";
   EXPECT_GT(sensor.block().probed_sessions(sensor.lane()), 100U);
+}
+
+TEST(ZeroAllocTest, AdaptiveNodePollAndTrackerRunsAllocateNothing) {
+  // Adaptive SNIP-RH past its learning days, with contacts only in hours
+  // 7 and 17: outside the mask its tracker probes form runs, and once the
+  // 8 s budget is spent it polls at 1 Hz to the end of the day. Within an
+  // exploit day neither run kind, nor the probes, transfers and learner
+  // updates around them, may allocate. (The epoch boundary's mask
+  // refresh builds new masks and is outside the measured day.)
+  std::vector<contact::Contact> contacts;
+  for (std::int64_t day = 0; day < 4; ++day) {
+    for (const std::int64_t hour : {7, 17}) {
+      for (std::int64_t minute = 2; minute < 60; minute += 5) {
+        contacts.push_back({TimePoint::zero() + Duration::hours(24 * day) +
+                                Duration::hours(hour) +
+                                Duration::minutes(minute),
+                            Duration::seconds(120)});
+      }
+    }
+  }
+  Simulator simulator{3};
+  radio::Channel channel{contact::ContactSchedule{std::move(contacts)},
+                         radio::LinkParams{}, Rng{5}};
+  node::MobileNode sink;
+  core::AdaptiveSnipRhConfig adaptive;
+  adaptive.learning_epochs = 2;
+  adaptive.learning_duty = 1e-4;
+  adaptive.rush_slots = 2;
+  adaptive.rh.ton = Duration::milliseconds(20);
+  testing::PassThroughScheduler scheduler{
+      std::make_unique<core::AdaptiveSnipRh>(Duration::hours(24), 24,
+                                             adaptive),
+      testing::PassThroughScheduler::Hook::kForward};
+  node::SensorNodeConfig config;
+  config.epoch = Duration::hours(24);
+  config.budget_limit = Duration::seconds(8);
+  config.record_epoch_history = false;
+  config.record_probed_contacts = false;
+  node::SensorNode sensor{simulator, channel, sink, scheduler, config};
+  sensor.start();
+  simulator.run_until(TimePoint::zero() + Duration::hours(24 * 3) +
+                      Duration::seconds(1));
+
+  const std::uint64_t polls_before = scheduler.skipped_polls();
+  const std::uint64_t tracker_before = scheduler.skipped_tracker_probes();
+  const std::uint64_t allocs_before =
+      testing::alloc_calls.load(std::memory_order_relaxed);
+  simulator.run_until(TimePoint::zero() + Duration::hours(24 * 4) -
+                      Duration::seconds(1));
+  EXPECT_EQ(testing::alloc_calls.load(std::memory_order_relaxed),
+            allocs_before);
+  EXPECT_GT(scheduler.skipped_polls() - polls_before, 1000U);
+  EXPECT_GT(scheduler.skipped_tracker_probes() - tracker_before, 100U);
+  EXPECT_GT(sensor.block().probed_sessions(sensor.lane()), 0U);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "snipr/core/adaptive_snip_rh.hpp"
 #include "snipr/node/scheduler.hpp"
 
 /// \file pass_through_scheduler.hpp
@@ -16,13 +17,17 @@
 /// wraps except `skip_missed_probes`, which it leaves at the base
 /// default (0). A node running a wrapped scheduler therefore takes the
 /// per-wakeup path on every wakeup, the reference the fast-forward of
-/// missed-probe runs must reproduce byte for byte.
+/// runs of missed probes and idle polls must reproduce byte for byte.
 ///
 /// Constructed with `Hook::kForward` it forwards the hook too, and is a
 /// transparent counter: the differential tests use that form to show the
-/// fast path really ran. Counts go to the decorator and, when a tally is
-/// given, into it on destruction (fleet engines destroy each node's
-/// scheduler when the node finishes, possibly on a worker thread).
+/// fast path really ran. It counts skipped probes and skipped idle polls
+/// apart, and, of the probes, those an adaptive SNIP-RH scheduler skipped
+/// outside its mask in the exploit phase: its lone tracker probes, since
+/// SNIP-RH runs stay inside the mask. Counts go to the decorator and,
+/// when a tally is given, into it on destruction (fleet engines destroy
+/// each node's scheduler when the node finishes, possibly on a worker
+/// thread).
 ///
 /// Header-only: shared by the property and unit tests and by
 /// bench/bench_perf_kernels.cpp.
@@ -32,6 +37,13 @@ namespace snipr::testing {
 struct PassThroughTally {
   std::atomic<std::uint64_t> wakeup_calls{0};
   std::atomic<std::uint64_t> skipped_probes{0};
+  std::atomic<std::uint64_t> skipped_tracker_probes{0};
+  std::atomic<std::uint64_t> skipped_polls{0};
+
+  /// Wakeups the forwarded hook skipped, of either kind.
+  [[nodiscard]] std::uint64_t skipped() const noexcept {
+    return skipped_probes.load() + skipped_polls.load();
+  }
 };
 
 class PassThroughScheduler final : public node::Scheduler {
@@ -41,7 +53,10 @@ class PassThroughScheduler final : public node::Scheduler {
   explicit PassThroughScheduler(std::unique_ptr<node::Scheduler> inner,
                                 Hook hook = Hook::kWithhold,
                                 PassThroughTally* tally = nullptr)
-      : inner_{std::move(inner)}, hook_{hook}, tally_{tally} {
+      : inner_{std::move(inner)},
+        adaptive_{dynamic_cast<const core::AdaptiveSnipRh*>(inner_.get())},
+        hook_{hook},
+        tally_{tally} {
     if (inner_ == nullptr) {
       throw std::invalid_argument("PassThroughScheduler: null scheduler");
     }
@@ -51,6 +66,10 @@ class PassThroughScheduler final : public node::Scheduler {
       tally_->wakeup_calls.fetch_add(wakeup_calls_, std::memory_order_relaxed);
       tally_->skipped_probes.fetch_add(skipped_probes_,
                                        std::memory_order_relaxed);
+      tally_->skipped_tracker_probes.fetch_add(skipped_tracker_probes_,
+                                               std::memory_order_relaxed);
+      tally_->skipped_polls.fetch_add(skipped_polls_,
+                                      std::memory_order_relaxed);
     }
   }
   PassThroughScheduler(const PassThroughScheduler&) = delete;
@@ -64,13 +83,22 @@ class PassThroughScheduler final : public node::Scheduler {
     return inner_->on_wakeup(ctx);
   }
   [[nodiscard]] std::int64_t skip_missed_probes(const node::SensorContext& ctx,
-                                                sim::Duration cycle,
+                                                node::SchedulerDecision verdict,
                                                 sim::Duration charge,
                                                 std::int64_t max_k) override {
     if (hook_ == Hook::kWithhold) return 0;
     const std::int64_t k =
-        inner_->skip_missed_probes(ctx, cycle, charge, max_k);
-    skipped_probes_ += static_cast<std::uint64_t>(k);
+        inner_->skip_missed_probes(ctx, verdict, charge, max_k);
+    const auto n = static_cast<std::uint64_t>(k);
+    if (!verdict.probe) {
+      skipped_polls_ += n;
+    } else {
+      skipped_probes_ += n;
+      if (adaptive_ != nullptr && !adaptive_->learning() &&
+          !adaptive_->current_mask().is_rush(ctx.now)) {
+        skipped_tracker_probes_ += n;
+      }
+    }
     return k;
   }
   void on_probe_detected(sim::TimePoint when) override {
@@ -100,13 +128,22 @@ class PassThroughScheduler final : public node::Scheduler {
   [[nodiscard]] std::uint64_t skipped_probes() const noexcept {
     return skipped_probes_;
   }
+  [[nodiscard]] std::uint64_t skipped_tracker_probes() const noexcept {
+    return skipped_tracker_probes_;
+  }
+  [[nodiscard]] std::uint64_t skipped_polls() const noexcept {
+    return skipped_polls_;
+  }
 
  private:
   std::unique_ptr<node::Scheduler> inner_;
+  const core::AdaptiveSnipRh* adaptive_;
   Hook hook_;
   PassThroughTally* tally_;
   std::uint64_t wakeup_calls_{0};
   std::uint64_t skipped_probes_{0};
+  std::uint64_t skipped_tracker_probes_{0};
+  std::uint64_t skipped_polls_{0};
 };
 
 }  // namespace snipr::testing
