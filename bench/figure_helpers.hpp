@@ -75,7 +75,7 @@ void print_figure(const char* title, double phi_max, PointFn&& point) {
 /// Figs. 7/8 methodology: normal-jittered intervals and lengths, per-day
 /// averages) through the BatchRunner worker pool and print it. Also emits
 /// the aggregate JSON to `json_path` when non-null, so figure data feeds
-/// the same pipeline as `snipr_cli --batch`. Returns false when that dump
+/// the same pipeline as `snipr_cli batch`. Returns false when that dump
 /// was requested but could not be written.
 [[nodiscard]] inline bool print_simulated_figure(
     const char* title, const core::RoadsideScenario& sc, double phi_max,

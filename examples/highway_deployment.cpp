@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "snipr/core/snip_rh.hpp"
-#include "snipr/deploy/deployment.hpp"
+#include "snipr/deploy/fleet_engine.hpp"
 #include "snipr/deploy/road_contacts.hpp"
 #include "snipr/energy/battery.hpp"
 
@@ -42,14 +42,15 @@ int main() {
   cfg.node.budget_limit = sim::Duration::seconds(86.4);
   cfg.node.sensing_rate_bps = 16.0 * 12500.0 / 86400.0;  // ζtarget = 16 s
 
-  const auto outcome = deploy::run_deployment(
+  // One shard on one thread: a single-simulator deployment.
+  const auto outcome = deploy::FleetEngine{}.run(
       std::move(schedules),
       [](std::size_t) {
         return std::make_unique<core::SnipRh>(
             core::RushHourMask::from_hours({7, 8, 17, 18}),
             core::SnipRhConfig{});
       },
-      cfg);
+      {cfg, 1, 1});
 
   std::printf("%5s %8s | %10s %10s %8s %10s\n", "node", "pos (m)",
               "ζ (s/day)", "Φ (s/day)", "ρ", "latency(h)");

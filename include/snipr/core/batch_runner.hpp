@@ -25,7 +25,7 @@
 /// aggregated JSON — is byte-identical no matter how many workers execute
 /// it.
 ///
-/// `bench_fig7/8`, the ablation drivers and `snipr_cli --batch` all feed
+/// `bench_fig7/8`, the ablation drivers and `snipr_cli batch` all feed
 /// this one engine instead of hand-rolling their own sweep loops.
 
 namespace snipr::core {

@@ -7,12 +7,13 @@
 #include <string_view>
 
 /// \file checkpoint_io.hpp
-/// Tiny text (de)serialization helpers for scheduler/learner checkpoints
-/// (the crash-recovery seam). Doubles travel as hexfloats ("%a", parsed
-/// back by strtod) so a snapshot -> restore round trip is bit-exact —
-/// the same convention the streaming-fleet checkpoint file uses. Tokens
-/// are space-separated; readers fail soft (return false) so a truncated
-/// or foreign blob is rejected instead of half-applied.
+/// The one text checkpoint codec: scheduler/learner snapshots (the
+/// crash-recovery seam) and the streaming-fleet checkpoint file both
+/// write and read through it. Doubles travel as hexfloats ("%a", parsed
+/// back by strtod) so a snapshot -> restore round trip is bit-exact.
+/// Each appended token ends in one space; readers fail soft (return
+/// false) so a truncated or foreign blob is rejected instead of
+/// half-applied.
 
 namespace snipr::core::ckpt {
 
@@ -27,6 +28,13 @@ inline void append_u64(std::string& out, std::uint64_t value) {
   char buffer[32];
   std::snprintf(buffer, sizeof buffer, "%llu",
                 static_cast<unsigned long long>(value));
+  out += buffer;
+  out += ' ';
+}
+
+inline void append_i64(std::string& out, std::int64_t value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, "%lld", static_cast<long long>(value));
   out += buffer;
   out += ' ';
 }

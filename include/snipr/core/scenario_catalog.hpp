@@ -31,13 +31,13 @@ namespace snipr::core {
 /// One named scenario: the environment plus its published sweep defaults.
 struct CatalogEntry {
   std::string name;         ///< stable CLI / JSON identifier
-  std::string description;  ///< one line, shown by --list-scenarios
+  std::string description;  ///< one line, shown by `snipr_cli list scenarios`
   RoadsideScenario scenario;
   /// Default per-epoch probing budget Φmax for this environment.
   double phi_max_s{86.4};
   /// Representative ζtarget sweep points (golden corpus grid).
   std::vector<double> zeta_targets_s{16.0, 56.0};
-  /// Set on fleet entries (snipr_cli --fleet, the FleetEngine golden
+  /// Set on fleet entries (snipr_cli fleet NAME, the FleetEngine golden
   /// corpus): the multi-node deployment this environment describes.
   /// `scenario` then holds the per-node environment (mask, Ton, link)
   /// that every fleet node runs. Null on single-node entries.
@@ -79,7 +79,7 @@ class ScenarioCatalog {
                                       std::size_t seeds, std::size_t epochs);
 
 /// The one trace -> replay-environment rule, shared by the catalog's
-/// replay entries and `snipr_cli --trace`: estimate the arrival profile
+/// replay entries and `snipr_cli trace NAME`: estimate the arrival profile
 /// from `contacts` on the entry's slot grid, mark the top `rush_slots`
 /// busiest slots as rush hours, and attach the contacts for exact replay
 /// (tiled at the entry's epoch, with `replay_jitter_s` day-to-day jitter

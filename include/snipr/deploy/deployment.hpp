@@ -12,14 +12,14 @@
 #include "snipr/radio/link.hpp"
 
 /// \file deployment.hpp
-/// Multi-node experiment outcomes and the single-shard runner.
+/// Multi-node experiment outcomes and configuration.
 ///
 /// N sensor nodes, each with its own channel (over its own contact
 /// schedule), data buffer, budget and scheduler instance, all visited by
 /// the same vehicle flow. Reports per-node and aggregate outcomes —
 /// including the min/max fairness spread that a single-node study cannot
-/// see. `run_deployment` is the historical single-shard entry point; the
-/// sharded engine behind it lives in fleet_engine.hpp.
+/// see. The engine that runs a deployment, at one shard or many, is
+/// `FleetEngine` in fleet_engine.hpp.
 
 namespace snipr::deploy {
 
@@ -87,11 +87,5 @@ using SchedulerFactory =
 /// a raw Σζ² that cancels catastrophically at fleet scale). Safe on an
 /// empty outcome (leaves the zero/identity defaults).
 void finalize_outcome(DeploymentOutcome& outcome);
-
-/// Run a deployment: one sensor node per schedule, on one thread.
-/// Equivalent to FleetEngine with a single shard.
-[[nodiscard]] DeploymentOutcome run_deployment(
-    std::vector<contact::ContactSchedule> schedules,
-    const SchedulerFactory& make_scheduler, const DeploymentConfig& config);
 
 }  // namespace snipr::deploy

@@ -55,10 +55,13 @@ class FleetEngine {
       const fault::FaultSpec* faults = nullptr) const;
 
   /// Materialise `spec`'s road geometry and vehicle flow (one flow shared
-  /// by every node, so contacts stay correlated across the fleet), build
-  /// one scheduler per node from `spec.strategy` against `scenario`, and
-  /// run. The vehicle-flow RNG stream is drawn after all per-node forks,
-  /// so it is independent of every node stream.
+  /// by every node, so contacts stay correlated across the fleet) or its
+  /// trace replay streams, build one scheduler per node from
+  /// `spec.strategy` against `scenario`, and run. Each shard builds the
+  /// schedules of its own node range inside its worker. The vehicle-flow
+  /// RNG stream is drawn after all per-node forks, so it is independent
+  /// of every node stream. Throws std::invalid_argument naming the
+  /// offending field of an invalid spec.
   [[nodiscard]] DeploymentOutcome run(const core::RoadsideScenario& scenario,
                                       const FleetSpec& spec,
                                       const FleetConfig& config) const;
@@ -72,17 +75,6 @@ class FleetEngine {
   /// outcome, same bytes — and outcomes are shard-count-independent, so
   /// this is what the fleet golden corpus pins.
   [[nodiscard]] static std::string to_json(const DeploymentOutcome& outcome);
-
- private:
-  /// `run`, with each node's probed-contact log exported through
-  /// `probed` (resized to the fleet; slot i is node i's log) — the
-  /// session list the store-and-forward collection pass replays — and
-  /// node i wired to `faults->node(i)` when a fault plan is attached.
-  [[nodiscard]] DeploymentOutcome run_with_probes(
-      std::vector<contact::ContactSchedule> schedules,
-      const SchedulerFactory& make_scheduler, const FleetConfig& config,
-      std::vector<std::vector<node::ProbedContactRecord>>* probed,
-      fault::FaultPlan* faults) const;
 };
 
 /// Node/link configuration for a catalog-style fleet run: Ton and link

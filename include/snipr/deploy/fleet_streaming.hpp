@@ -11,16 +11,16 @@
 /// \file fleet_streaming.hpp
 /// Bounded-memory streaming fleet runs.
 ///
-/// `FleetEngine::run` materialises every node's contact schedule up
-/// front and returns one NodeOutcome row per node — O(fleet) memory
-/// twice over, which a million-node run cannot afford. The streaming
-/// path processes the fleet shard by shard: each shard builds the
-/// schedules for *its own* node range just before simulating it (from
-/// the shared vehicle flow, which is materialised once), folds its
-/// nodes' results into scalar accumulators (Welford mean/variance via
-/// `stats::OnlineStats`, quantiles via `stats::QuantileSketch`) and
-/// frees everything before the next batch starts. Peak memory is the
-/// vehicle flow plus one batch of shards, independent of fleet size.
+/// Both fleet engines share one pipeline: one input builder (the node
+/// streams, the shared vehicle flow or the trace replay streams), and
+/// one range runner that builds a shard's schedules just before
+/// simulating it. `FleetEngine::run` keeps one NodeOutcome row per node,
+/// O(fleet) memory that a million-node run cannot afford. The streaming
+/// engine keeps none: it runs the fleet batch by batch, folds each
+/// node's results into scalar accumulators (Welford mean/variance via
+/// `stats::OnlineStats`, quantiles via `stats::QuantileSketch`) and frees
+/// everything before the next batch starts. Peak memory is the vehicle
+/// flow plus one batch of shards, independent of fleet size.
 ///
 /// Determinism matches the run() contract: node i's RNG stream is a
 /// pure function of (seed, i); per-node values are folded into the
@@ -70,6 +70,7 @@ struct StreamingOptions {
   std::size_t batch_shards{0};
   /// Process at most this many shards in this call, then checkpoint and
   /// return nullopt (time-slicing a huge run). 0 = run to completion.
+  /// Needs a `checkpoint_path`; without one it is rejected.
   std::size_t max_shards{0};
 };
 
@@ -80,7 +81,8 @@ struct StreamingOptions {
 /// to avoid. An enabled `spec.faults` is rejected too (std::invalid_argument
 /// naming the field): this engine has no fault plane, and quietly
 /// returning fault-free numbers for a chaos spec would be wrong. A null or
-/// all-zero spec is accepted.
+/// all-zero spec is accepted. An invalid spec, or `max_shards` without a
+/// `checkpoint_path`, throws std::invalid_argument naming the field.
 [[nodiscard]] std::optional<FleetSummary> run_streaming_fleet(
     const core::RoadsideScenario& scenario, const FleetSpec& spec,
     const FleetConfig& config, const StreamingOptions& options = {});

@@ -27,7 +27,7 @@
 ///    on demand. Unlimited trace corpora with zero bytes shipped; every
 ///    load reproduces the identical contacts.
 ///
-/// Entries are resolvable from `snipr_cli --trace`, the scenario catalog
+/// Entries are resolvable from `snipr_cli trace NAME`, the scenario catalog
 /// (trace-replay environments) and `deploy::FleetSpec::trace`
 /// (heterogeneous fleets where each node replays its own slice).
 
@@ -40,7 +40,7 @@ enum class TraceSource {
 
 struct TraceEntry {
   std::string name;         ///< stable CLI / catalog identifier
-  std::string description;  ///< one line, shown by --list-traces
+  std::string description;  ///< one line, shown by `snipr_cli list traces`
   TraceSource source{TraceSource::kGenerator};
   /// kFile: report file name (relative to the data dir) and the sensor
   /// host whose contacts are extracted.

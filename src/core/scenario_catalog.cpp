@@ -278,7 +278,7 @@ std::vector<CatalogEntry> build_entries() {
                  e.what());
   }
 
-  // --- Fleet entries (deploy::FleetEngine; snipr_cli --fleet). The
+  // --- Fleet entries (deploy::FleetEngine; snipr_cli fleet NAME). The
   // scenario field holds the per-node environment; the FleetSpec the road
   // geometry and the shared vehicle flow.
 

@@ -1,6 +1,5 @@
 #include "snipr/deploy/deployment.hpp"
 
-#include "snipr/deploy/fleet_engine.hpp"
 #include "snipr/stats/online_stats.hpp"
 
 namespace snipr::deploy {
@@ -58,16 +57,6 @@ void finalize_outcome(DeploymentOutcome& outcome) {
   const double mean_sq = zeta.mean() * zeta.mean();
   const double denom = mean_sq + zeta.variance();
   outcome.zeta_fairness = denom > 0.0 ? mean_sq / denom : 1.0;
-}
-
-DeploymentOutcome run_deployment(
-    std::vector<contact::ContactSchedule> schedules,
-    const SchedulerFactory& make_scheduler, const DeploymentConfig& config) {
-  FleetConfig fleet;
-  fleet.deployment = config;
-  fleet.shards = 1;
-  fleet.threads = 1;
-  return FleetEngine{}.run(std::move(schedules), make_scheduler, fleet);
 }
 
 }  // namespace snipr::deploy

@@ -1,0 +1,267 @@
+#include "fleet_inputs.hpp"
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <utility>
+
+#include "snipr/contact/trace_replay.hpp"
+#include "snipr/core/thread_pool.hpp"
+#include "snipr/node/mobile_node.hpp"
+#include "snipr/node/node_block.hpp"
+#include "snipr/node/sensor_node.hpp"
+#include "snipr/radio/channel.hpp"
+#include "snipr/sim/simulator.hpp"
+#include "snipr/trace/trace_catalog.hpp"
+
+namespace snipr::deploy {
+namespace {
+
+/// The one FleetSpec validator. Every message names the engine and the
+/// offending field.
+void validate(const FleetSpec& spec, FleetOutput output) {
+  const std::string engine =
+      output == FleetOutput::kRows ? "FleetEngine" : "run_streaming_fleet";
+  const auto reject = [&engine](const char* what) {
+    throw std::invalid_argument(engine + ": " + what);
+  };
+  if (spec.nodes == 0) reject("FleetSpec::nodes must be at least 1");
+  if (output == FleetOutput::kSummary) {
+    if (spec.routing.has_value()) {
+      reject(
+          "FleetSpec::routing needs the per-node session export of "
+          "FleetEngine::run");
+    }
+    if (spec.faults != nullptr && spec.faults->enabled()) {
+      reject(
+          "FleetSpec::faults is enabled, but the streaming engine has no "
+          "fault plane; run faulted fleets through FleetEngine::run");
+    }
+  }
+  const RoadWorkload* road = spec.road_workload();
+  if (road == nullptr) {
+    if (spec.routing.has_value()) {
+      reject(
+          "FleetSpec::routing needs a road workload (a trace replay has no "
+          "vehicle identity to ferry data with)");
+    }
+    return;
+  }
+  const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  if (!positive(road->spacing_m)) {
+    reject("RoadWorkload::spacing_m must be finite and positive");
+  }
+  if (!positive(road->range_m)) {
+    reject("RoadWorkload::range_m must be finite and positive");
+  }
+  if (!(std::isfinite(road->first_position_m) &&
+        road->first_position_m >= 0.0)) {
+    reject("RoadWorkload::first_position_m must be finite and non-negative");
+  }
+  if (!(road->through_fraction >= 0.0 && road->through_fraction <= 1.0)) {
+    reject("RoadWorkload::through_fraction must be in [0, 1]");
+  }
+}
+
+/// What every contact source shares: the node environment, the node
+/// channel streams (the first `nodes` forks of `root`, which is left
+/// advanced past them) and the fault plan.
+FleetInputs start_inputs(SchedulerFactory make_scheduler,
+                         const FleetConfig& config, std::size_t nodes,
+                         bool record_probed, const fault::FaultSpec* faults,
+                         sim::Rng& root) {
+  FleetInputs in;
+  in.make_scheduler = std::move(make_scheduler);
+  in.deployment = config.deployment;
+  in.deployment.node.expected_epochs = config.deployment.epochs;
+  in.deployment.node.record_epoch_history = false;
+  in.deployment.node.record_probed_contacts = record_probed;
+  in.horizon = config.deployment.node.epoch *
+               static_cast<std::int64_t>(config.deployment.epochs);
+  in.node_rngs.reserve(nodes);
+  for (std::size_t i = 0; i < nodes; ++i) in.node_rngs.push_back(root.fork());
+  if (faults != nullptr && faults->enabled()) {
+    in.faults = std::make_unique<fault::FaultPlan>(*faults, nodes);
+  }
+  return in;
+}
+
+/// Simulate node `index` of `in` alone from time zero to the horizon
+/// over `schedule`, its hot state in `block` lane `lane`.
+FleetNodeRun run_fleet_node(const FleetInputs& in, std::size_t index,
+                            contact::ContactSchedule schedule,
+                            node::NodeBlock& block, std::size_t lane) {
+  const std::unique_ptr<node::Scheduler> scheduler = in.make_scheduler(index);
+  if (scheduler == nullptr) {
+    throw std::invalid_argument("FleetEngine: factory returned null");
+  }
+  FleetNodeRun run;
+  run.schedule =
+      std::make_shared<const contact::ContactSchedule>(std::move(schedule));
+  sim::Simulator simulator{in.deployment.seed};
+  radio::Channel channel{run.schedule, in.deployment.link,
+                         in.node_rngs[index]};
+  node::MobileNode sink;
+  node::SensorNode sensor{simulator, channel, sink, *scheduler,
+                          in.deployment.node, block, lane};
+  // Node i's injector was forked in node order before partitioning, so
+  // its stream, and every fault decision, is independent of the shard
+  // layout; injectors are never shared, so range workers never race.
+  sensor.attach_faults(in.faults != nullptr ? &in.faults->node(index)
+                                            : nullptr);
+  sensor.start();
+
+  run.events = simulator.run_until(sim::TimePoint::zero() + in.horizon);
+  run.row = summarize_node(index, sensor, std::string{scheduler->name()},
+                           run.schedule->size());
+  run.probed_sessions = block.probed_sessions(lane);
+  if (in.deployment.node.record_probed_contacts) {
+    run.probed = sensor.probed_contacts();
+  }
+  return run;
+}
+
+}  // namespace
+
+FleetInputs build_fleet_inputs(const core::RoadsideScenario& scenario,
+                               const FleetSpec& spec,
+                               const FleetConfig& config, FleetOutput output) {
+  validate(spec, output);
+  const double phi_max_s = config.deployment.node.budget_limit.to_seconds();
+  sim::Rng root{config.deployment.seed};
+  FleetInputs in = start_inputs(
+      [&scenario, &spec, phi_max_s](std::size_t) {
+        return core::make_scheduler(scenario, spec.strategy,
+                                    spec.zeta_target_s, phi_max_s,
+                                    spec.exploration);
+      },
+      config, spec.nodes, spec.routing.has_value(), spec.faults.get(), root);
+  in.contact_horizon = spec.flow_profile.epoch() *
+                       static_cast<std::int64_t>(config.deployment.epochs);
+
+  if (const TraceWorkload* trace = spec.trace_workload()) {
+    const trace::TraceEntry& entry =
+        trace::TraceCatalog::instance().at(trace->trace);
+    in.trace = trace;
+    in.trace_base = trace::TraceCatalog::load(entry, trace->data_dir);
+    // Tile at the trace's own recorded epoch: the flow profile's epoch
+    // governs the horizon and the nodes' slot grids, not the replay.
+    in.trace_period = entry.epoch;
+    in.trace_rngs.reserve(spec.nodes);
+    for (std::size_t i = 0; i < spec.nodes; ++i) {
+      in.trace_rngs.push_back(root.fork());
+    }
+    return in;
+  }
+
+  const RoadWorkload& road = *spec.road_workload();
+  in.road = &road;
+  VehicleFlow flow;
+  flow.profile = spec.flow_profile;
+  flow.jitter = road.jitter;
+  if (road.speed_stddev_mps > 0.0) {
+    flow.speed_mps = std::make_unique<sim::TruncatedNormalDistribution>(
+        road.speed_mean_mps, road.speed_stddev_mps, road.speed_min_mps);
+  } else {
+    flow.speed_mps =
+        std::make_unique<sim::FixedDistribution>(road.speed_mean_mps);
+  }
+  in.vehicles = materialize_vehicles(flow, in.contact_horizon, root);
+  in.positions_m.reserve(spec.nodes);
+  for (std::size_t i = 0; i < spec.nodes; ++i) {
+    in.positions_m.push_back(road.first_position_m +
+                             road.spacing_m * static_cast<double>(i));
+  }
+  // Early exits, drawn from the root *after* the flow, so a pure
+  // through-flow (through_fraction == 1, no draws) leaves every stream
+  // unchanged.
+  if (road.through_fraction < 1.0) {
+    const double road_end = in.positions_m.back() + road.range_m;
+    for (VehicleEntry& v : in.vehicles) {
+      if (!root.bernoulli(road.through_fraction)) {
+        v.exit_m = root.uniform(0.0, road_end);
+      }
+    }
+  }
+  return in;
+}
+
+FleetInputs prebuilt_fleet_inputs(
+    std::vector<contact::ContactSchedule> schedules,
+    const SchedulerFactory& make_scheduler, const FleetConfig& config,
+    const fault::FaultSpec* faults) {
+  if (schedules.empty()) {
+    throw std::invalid_argument("FleetEngine: no schedules");
+  }
+  if (!make_scheduler) {
+    throw std::invalid_argument("FleetEngine: scheduler factory required");
+  }
+  sim::Rng root{config.deployment.seed};
+  // Call the caller's factory by reference: a copy would split the state
+  // of a stateful one.
+  FleetInputs in = start_inputs(
+      [&make_scheduler](std::size_t i) { return make_scheduler(i); }, config,
+      schedules.size(), false, faults, root);
+  in.schedules = std::move(schedules);
+  return in;
+}
+
+FleetPartition partition_fleet(const FleetConfig& config, std::size_t nodes) {
+  const std::size_t hardware = core::ThreadPool::hardware_threads();
+  // Default: one shard per worker for parallelism, but never fewer than
+  // one per ~16 nodes: small shards keep the pool's workers evenly
+  // loaded to the end of the run. Results never depend on the partition,
+  // since every node runs in its own event loop anyway.
+  const std::size_t shards = std::min(
+      config.shards == 0 ? std::max(hardware, nodes / 16) : config.shards,
+      nodes);
+  return {nodes, shards,
+          std::min(config.threads == 0 ? hardware : config.threads, shards)};
+}
+
+void simulate_range(FleetInputs& in, std::size_t begin, std::size_t end,
+                    const std::function<void(FleetNodeRun&)>& on_node) {
+  std::vector<contact::ContactSchedule> built;
+  std::vector<std::vector<std::uint32_t>> carriers;
+  if (in.road != nullptr) {
+    const std::vector<double> positions(
+        in.positions_m.begin() + static_cast<std::ptrdiff_t>(begin),
+        in.positions_m.begin() + static_cast<std::ptrdiff_t>(end));
+    RoadContactPlan plan =
+        build_road_contact_plan(positions, in.road->range_m, in.vehicles);
+    built = std::move(plan.schedules);
+    carriers = std::move(plan.carriers);
+  } else if (in.trace != nullptr) {
+    // Node i replays the trace phase-rotated by i * stagger and jittered
+    // from its own pre-forked stream.
+    built.reserve(end - begin);
+    for (std::size_t i = begin; i < end; ++i) {
+      contact::TraceReplayConfig config;
+      config.period = in.trace_period;
+      config.offset = sim::Duration::seconds(in.trace->stagger_s *
+                                             static_cast<double>(i));
+      config.jitter_stddev_s = in.trace->jitter_stddev_s;
+      contact::TraceReplayProcess process{in.trace_base, config};
+      sim::Rng rng = in.trace_rngs[i];  // a copy: a range may run again
+      built.emplace_back(
+          contact::materialize(process, in.contact_horizon, rng));
+    }
+  }
+
+  // One struct-of-arrays hot-state block for the whole range.
+  node::NodeBlock block{end - begin};
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::size_t lane = i - begin;
+    FleetNodeRun run = run_fleet_node(
+        in, i,
+        in.schedules.empty() ? std::move(built[lane])
+                             : std::move(in.schedules[i]),
+        block, lane);
+    if (!carriers.empty()) run.carriers = std::move(carriers[lane]);
+    on_node(run);
+  }
+}
+
+}  // namespace snipr::deploy

@@ -1,0 +1,136 @@
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <vector>
+
+#include "snipr/contact/schedule.hpp"
+#include "snipr/core/scenario.hpp"
+#include "snipr/deploy/fleet.hpp"
+#include "snipr/deploy/fleet_engine.hpp"
+#include "snipr/deploy/road_contacts.hpp"
+#include "snipr/fault/fault_plan.hpp"
+#include "snipr/sim/rng.hpp"
+
+/// \file fleet_inputs.hpp
+/// The fleet pipeline both engines share (library-internal): one input
+/// builder, one partition rule and one node-range runner. `FleetEngine`
+/// and `run_streaming_fleet` differ only in what their `simulate_range`
+/// callback keeps of each node.
+///
+/// Determinism contract: node i's channel stream is the i-th fork of
+/// root(seed), taken in node order before any partitioning. Every
+/// auxiliary stream comes from the root after those forks: the shared
+/// vehicle flow and then the early-exit draws (road), or one replay
+/// stream per node (trace). A node's contacts and results are therefore
+/// a pure function of (spec, seed, i), whatever the shard and thread
+/// counts.
+///
+/// Fleet nodes never interact while probing: each has its own channel,
+/// buffer, budget, scheduler and fault stream, and the store-and-forward
+/// pass runs only afterwards, over the exported probed contacts. So a
+/// range simulates its nodes one at a time, each alone in its own
+/// `sim::Simulator` up to the horizon. Alone, a node's next wakeup is
+/// almost always the earliest pending event, which the EventQueue's
+/// front slot serves without touching its wheel; a shared loop would
+/// interleave the range's nodes and cascade the wheel on nearly every
+/// pop. The results are the same either way.
+
+namespace snipr::deploy {
+
+/// Which engine consumes the inputs. The summary engine keeps no
+/// per-node state, so it rejects routing and an enabled fault spec.
+enum class FleetOutput { kRows, kSummary };
+
+/// A fleet's deterministic inputs, built and validated once. Exactly one
+/// contact source is set: prebuilt `schedules`, a `road` flow, or a
+/// `trace` replay.
+struct FleetInputs {
+  SchedulerFactory make_scheduler;
+  /// The run's deployment, its node config as fleet nodes run it: the
+  /// epoch count known up front, no per-epoch history (summaries read
+  /// the NodeBlock's streaming totals, bit-equal to a history-based
+  /// summary), and per-contact records only when routing replays them.
+  DeploymentConfig deployment;
+  /// Each node's simulated span: its epoch × epochs.
+  sim::Duration horizon{};
+  /// Span the contact sources cover: the flow profile's epoch × epochs.
+  sim::Duration contact_horizon{};
+  std::vector<sim::Rng> node_rngs;  ///< channel stream per node
+  /// Attached when the fault spec is enabled.
+  std::unique_ptr<fault::FaultPlan> faults;
+
+  /// Prebuilt schedules; simulate_range moves schedules[i] out.
+  std::vector<contact::ContactSchedule> schedules;
+
+  const RoadWorkload* road{nullptr};
+  std::vector<double> positions_m;
+  std::vector<VehicleEntry> vehicles;
+
+  const TraceWorkload* trace{nullptr};
+  std::vector<contact::Contact> trace_base;
+  sim::Duration trace_period{};
+  std::vector<sim::Rng> trace_rngs;  ///< replay stream per node
+
+  [[nodiscard]] std::size_t nodes() const noexcept {
+    return node_rngs.size();
+  }
+};
+
+/// Validate `spec` for the `output` engine, then fork the node streams
+/// and draw the road flow and exits, or fork the trace replay streams.
+/// Throws std::invalid_argument naming the offending field. `scenario`
+/// and `spec` must outlive the result.
+[[nodiscard]] FleetInputs build_fleet_inputs(
+    const core::RoadsideScenario& scenario, const FleetSpec& spec,
+    const FleetConfig& config, FleetOutput output);
+
+/// Inputs over caller-built schedules (node i runs schedules[i]).
+/// `make_scheduler` must outlive the result.
+[[nodiscard]] FleetInputs prebuilt_fleet_inputs(
+    std::vector<contact::ContactSchedule> schedules,
+    const SchedulerFactory& make_scheduler, const FleetConfig& config,
+    const fault::FaultSpec* faults);
+
+/// How a run splits the fleet: `shards` contiguous node ranges, handed
+/// to a pool of `threads` workers.
+struct FleetPartition {
+  std::size_t nodes;
+  std::size_t shards;
+  std::size_t threads;
+
+  /// First node of shard s; shard s owns [begin(s), begin(s + 1)).
+  [[nodiscard]] std::size_t begin(std::size_t s) const noexcept {
+    return nodes * s / shards;
+  }
+};
+
+/// `config`'s shard and thread counts resolved for `nodes` nodes.
+[[nodiscard]] FleetPartition partition_fleet(const FleetConfig& config,
+                                             std::size_t nodes);
+
+/// One node's run, as simulate_range hands it to its callback.
+struct FleetNodeRun {
+  NodeOutcome row;
+  /// Events the node's simulator executed up to the horizon.
+  std::size_t events{0};
+  /// Contacts the node probed (exact, from its NodeBlock lane).
+  std::uint64_t probed_sessions{0};
+  /// The node's probed-contact log; empty unless routing records it.
+  std::vector<node::ProbedContactRecord> probed;
+  /// The contacts the node ran over.
+  std::shared_ptr<const contact::ContactSchedule> schedule;
+  /// Road fleets: carriers[j] is the vehicle behind contact j; empty for
+  /// other sources.
+  std::vector<std::uint32_t> carriers;
+};
+
+/// Build the schedules of nodes [begin, end) only, simulate each node in
+/// node order, and hand each result to `on_node`. Concurrent calls over
+/// disjoint ranges are safe.
+void simulate_range(FleetInputs& inputs, std::size_t begin, std::size_t end,
+                    const std::function<void(FleetNodeRun&)>& on_node);
+
+}  // namespace snipr::deploy

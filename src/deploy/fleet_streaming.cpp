@@ -5,24 +5,18 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "snipr/contact/trace_replay.hpp"
 #include "snipr/core/checkpoint_io.hpp"
 #include "snipr/core/crc32.hpp"
 #include "snipr/core/json_writer.hpp"
-#include "snipr/core/strategy.hpp"
 #include "snipr/core/thread_pool.hpp"
-#include "snipr/deploy/road_contacts.hpp"
-#include "snipr/node/node_block.hpp"
 #include "snipr/stats/online_stats.hpp"
 #include "snipr/stats/quantile_sketch.hpp"
-#include "snipr/trace/trace_catalog.hpp"
-#include "fleet_node.hpp"
+#include "fleet_inputs.hpp"
 
 namespace snipr::deploy {
 namespace {
@@ -68,161 +62,10 @@ struct Accumulator {
   }
 };
 
-/// Everything shard workers share read-only: the fleet's deterministic
-/// inputs, materialised once.
-struct StreamingInputs {
-  const FleetSpec* spec{nullptr};
-  DeploymentConfig deployment;
-  sim::Duration horizon{};
-  std::vector<sim::Rng> node_rngs;      ///< channel stream per node
-  // Road workload.
-  std::vector<double> positions_m;
-  std::vector<VehicleEntry> vehicles;
-  // Trace workload.
-  std::vector<contact::Contact> trace_base;
-  sim::Duration trace_period{};
-  std::vector<sim::Rng> trace_rngs;     ///< replay stream per node
-};
-
-StreamingInputs build_inputs(const FleetSpec& spec,
-                             const FleetConfig& config) {
-  if (spec.nodes == 0) {
-    throw std::invalid_argument("run_streaming_fleet: needs at least one node");
-  }
-  if (spec.routing.has_value()) {
-    throw std::invalid_argument(
-        "run_streaming_fleet: store-and-forward routing needs the per-node "
-        "session export of FleetEngine::run");
-  }
-  if (spec.faults != nullptr && spec.faults->enabled()) {
-    throw std::invalid_argument(
-        "run_streaming_fleet: FleetSpec::faults is enabled, but the "
-        "streaming engine has no fault plane; run faulted fleets through "
-        "FleetEngine::run");
-  }
-
-  StreamingInputs in;
-  in.spec = &spec;
-  in.deployment = config.deployment;
-  in.horizon = spec.flow_profile.epoch() *
-               static_cast<std::int64_t>(config.deployment.epochs);
-
-  // The run() determinism contract, replayed exactly: node channel
-  // streams are the first `nodes` forks of root(seed); every auxiliary
-  // stream (vehicle flow, exit draws, trace replay streams) comes from
-  // the root *after* those forks.
-  sim::Rng channel_root{config.deployment.seed};
-  in.node_rngs.reserve(spec.nodes);
-  for (std::size_t i = 0; i < spec.nodes; ++i) {
-    in.node_rngs.push_back(channel_root.fork());
-  }
-  sim::Rng root{config.deployment.seed};
-  for (std::size_t i = 0; i < spec.nodes; ++i) (void)root.fork();
-
-  if (const TraceWorkload* trace = spec.trace_workload()) {
-    const trace::TraceEntry& entry =
-        trace::TraceCatalog::instance().at(trace->trace);
-    in.trace_base = trace::TraceCatalog::load(entry, trace->data_dir);
-    in.trace_period = entry.epoch;
-    in.trace_rngs.reserve(spec.nodes);
-    for (std::size_t i = 0; i < spec.nodes; ++i) {
-      in.trace_rngs.push_back(root.fork());
-    }
-    return in;
-  }
-
-  const RoadWorkload& road = *spec.road_workload();
-  if (road.spacing_m <= 0.0 || road.range_m <= 0.0) {
-    throw std::invalid_argument(
-        "run_streaming_fleet: spacing and range must be positive");
-  }
-  VehicleFlow flow;
-  flow.profile = spec.flow_profile;
-  flow.jitter = road.jitter;
-  if (road.speed_stddev_mps > 0.0) {
-    flow.speed_mps = std::make_unique<sim::TruncatedNormalDistribution>(
-        road.speed_mean_mps, road.speed_stddev_mps, road.speed_min_mps);
-  } else {
-    flow.speed_mps =
-        std::make_unique<sim::FixedDistribution>(road.speed_mean_mps);
-  }
-  in.vehicles = materialize_vehicles(flow, in.horizon, root);
-  in.positions_m.reserve(spec.nodes);
-  for (std::size_t i = 0; i < spec.nodes; ++i) {
-    in.positions_m.push_back(road.first_position_m +
-                             road.spacing_m * static_cast<double>(i));
-  }
-  if (road.through_fraction < 1.0) {
-    if (road.through_fraction < 0.0) {
-      throw std::invalid_argument(
-          "run_streaming_fleet: through_fraction must be in [0, 1]");
-    }
-    const double road_end = in.positions_m.back() + road.range_m;
-    for (VehicleEntry& v : in.vehicles) {
-      if (!root.bernoulli(road.through_fraction)) {
-        v.exit_m = root.uniform(0.0, road_end);
-      }
-    }
-  }
-  return in;
-}
-
-/// Build schedules for nodes [begin, end) only — the lazy step that
-/// bounds memory: a shard's schedules exist only while it runs.
-std::vector<contact::ContactSchedule> build_shard_schedules(
-    const StreamingInputs& in, std::size_t begin, std::size_t end) {
-  if (const TraceWorkload* trace = in.spec->trace_workload()) {
-    std::vector<contact::ContactSchedule> schedules;
-    schedules.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      contact::TraceReplayConfig config;
-      config.period = in.trace_period;
-      config.offset = sim::Duration::seconds(trace->stagger_s *
-                                             static_cast<double>(i));
-      config.jitter_stddev_s = trace->jitter_stddev_s;
-      contact::TraceReplayProcess process{in.trace_base, config};
-      sim::Rng rng = in.trace_rngs[i];  // copy: shard re-runs are possible
-      schedules.emplace_back(contact::materialize(process, in.horizon, rng));
-    }
-    return schedules;
-  }
-  const RoadWorkload& road = *in.spec->road_workload();
-  const std::vector<double> positions(in.positions_m.begin() +
-                                          static_cast<std::ptrdiff_t>(begin),
-                                      in.positions_m.begin() +
-                                          static_cast<std::ptrdiff_t>(end));
-  return build_road_schedules(positions, road.range_m, in.vehicles);
-}
-
-ShardResult run_streaming_shard(const StreamingInputs& in,
-                                const SchedulerFactory& make_scheduler,
-                                std::size_t begin, std::size_t end) {
-  std::vector<contact::ContactSchedule> schedules =
-      build_shard_schedules(in, begin, end);
-  const FleetNodeEnv env{make_scheduler, in.deployment,
-                         fleet_node_config(in.deployment, false), in.horizon};
-  node::NodeBlock block{end - begin};
-  ShardResult result;
-  result.nodes.resize(end - begin);
-  for (std::size_t i = begin; i < end; ++i) {
-    const std::size_t lane = i - begin;
-    const FleetNodeRun run =
-        run_fleet_node(env, i, std::move(schedules[lane]), in.node_rngs[i],
-                       block, lane, nullptr, nullptr);
-    NodeAgg& n = result.nodes[lane];
-    n.mean_zeta_s = run.row.mean_zeta_s;
-    n.mean_phi_s = run.row.mean_phi_s;
-    n.mean_bytes = run.row.mean_bytes_uploaded;
-    n.probed_sessions = block.probed_sessions(lane);
-    result.events += run.events;
-  }
-  return result;
-}
-
 // --- Checkpointing -----------------------------------------------------
 //
-// Text format, one value per token; doubles as hexfloats ("%a") so
-// restore round-trips bit-exactly. Hardened (v2):
+// Text format in the core::ckpt codec, one value per token; doubles as
+// hexfloats so restore round-trips bit-exactly. Hardened (v2):
 //  - the last line is a CRC-32 frame over every preceding byte, so a
 //    torn write, truncation or bit flip is *detected*, never parsed into
 //    a silently-wrong accumulator;
@@ -236,42 +79,44 @@ ShardResult run_streaming_shard(const StreamingInputs& in,
 
 constexpr const char* kCheckpointMagic = "snipr-fleet-checkpoint-v2";
 
-void append_hex(std::string& out, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a ", v);
-  out += buf;
-}
+/// Replace the trailing token separator with a line break.
+void end_line(std::string& out) { out.back() = '\n'; }
 
 void write_checkpoint(const std::string& path, const FleetConfig& config,
                       std::uint64_t nodes, std::uint64_t shards,
                       std::uint64_t shards_done, const Accumulator& acc) {
+  using core::ckpt::append_double;
+  using core::ckpt::append_i64;
+  using core::ckpt::append_u64;
   std::string out;
   out.reserve(4096);
   out += kCheckpointMagic;
   out += '\n';
-  out += std::to_string(nodes) + ' ' +
-         std::to_string(config.deployment.epochs) + ' ' +
-         std::to_string(config.deployment.seed) + ' ' +
-         std::to_string(shards) + ' ' + std::to_string(shards_done) + '\n';
+  append_u64(out, nodes);
+  append_u64(out, config.deployment.epochs);
+  append_u64(out, config.deployment.seed);
+  append_u64(out, shards);
+  append_u64(out, shards_done);
+  end_line(out);
   const stats::OnlineStats::Snapshot z = acc.zeta.snapshot();
-  out += std::to_string(z.n) + ' ';
-  append_hex(out, z.mean);
-  append_hex(out, z.m2);
-  append_hex(out, z.min);
-  append_hex(out, z.max);
-  append_hex(out, acc.total_zeta_s);
-  append_hex(out, acc.total_phi_s);
-  append_hex(out, acc.total_bytes);
-  out += std::to_string(acc.contacts_probed) + ' ' +
-         std::to_string(acc.events) + '\n';
+  append_u64(out, z.n);
+  append_double(out, z.mean);
+  append_double(out, z.m2);
+  append_double(out, z.min);
+  append_double(out, z.max);
+  append_double(out, acc.total_zeta_s);
+  append_double(out, acc.total_phi_s);
+  append_double(out, acc.total_bytes);
+  append_u64(out, acc.contacts_probed);
+  append_u64(out, acc.events);
+  end_line(out);
   const stats::QuantileSketch::Snapshot s = acc.sketch.snapshot();
-  append_hex(out, s.relative_error);
-  out += std::to_string(s.base) + ' ' + std::to_string(s.zero_count) + ' ' +
-         std::to_string(s.counts.size()) + '\n';
-  for (const std::uint64_t c : s.counts) {
-    out += std::to_string(c);
-    out += ' ';
-  }
+  append_double(out, s.relative_error);
+  append_i64(out, s.base);
+  append_u64(out, s.zero_count);
+  append_u64(out, s.counts.size());
+  end_line(out);
+  for (const std::uint64_t c : s.counts) append_u64(out, c);
   out += '\n';
 
   // CRC frame over every byte above, as the final line.
@@ -447,24 +292,19 @@ FleetSummary finalize(const Accumulator& acc, std::uint64_t nodes,
 std::optional<FleetSummary> run_streaming_fleet(
     const core::RoadsideScenario& scenario, const FleetSpec& spec,
     const FleetConfig& config, const StreamingOptions& options) {
-  const StreamingInputs in = build_inputs(spec, config);
-  const double phi_max_s = config.deployment.node.budget_limit.to_seconds();
-  const SchedulerFactory factory = [&](std::size_t) {
-    return core::make_scheduler(scenario, spec.strategy, spec.zeta_target_s,
-                                phi_max_s, spec.exploration);
-  };
-
-  const std::size_t n = spec.nodes;
-  std::size_t shards = config.shards;
-  if (shards == 0) {
-    shards = std::max(core::ThreadPool::hardware_threads(), n / 16);
+  if (options.max_shards != 0 && options.checkpoint_path.empty()) {
+    // Each slice would return nullopt and save nothing, so a caller that
+    // keeps slicing would never finish.
+    throw std::invalid_argument(
+        "run_streaming_fleet: StreamingOptions::max_shards needs a "
+        "checkpoint_path to resume from");
   }
-  shards = std::min(shards, n);
-
-  const core::ThreadPool pool{
-      std::min(config.threads == 0 ? core::ThreadPool::hardware_threads()
-                                   : config.threads,
-               shards)};
+  FleetInputs in =
+      build_fleet_inputs(scenario, spec, config, FleetOutput::kSummary);
+  const std::size_t n = spec.nodes;
+  const FleetPartition partition = partition_fleet(config, n);
+  const std::size_t shards = partition.shards;
+  const core::ThreadPool pool{partition.threads};
   const std::size_t batch_shards =
       options.batch_shards == 0 ? pool.threads() : options.batch_shards;
 
@@ -487,9 +327,16 @@ std::optional<FleetSummary> run_streaming_fleet(
     std::vector<ShardResult> results(batch);
     pool.parallel_for(batch, [&](std::size_t b) {
       const std::size_t s = static_cast<std::size_t>(done) + b;
-      const std::size_t begin = n * s / shards;
-      const std::size_t end = n * (s + 1) / shards;
-      results[b] = run_streaming_shard(in, factory, begin, end);
+      ShardResult& result = results[b];
+      result.nodes.reserve(partition.begin(s + 1) - partition.begin(s));
+      simulate_range(in, partition.begin(s), partition.begin(s + 1),
+                     [&result](FleetNodeRun& run) {
+                       result.nodes.push_back(
+                           NodeAgg{run.row.mean_zeta_s, run.row.mean_phi_s,
+                                   run.row.mean_bytes_uploaded,
+                                   run.probed_sessions});
+                       result.events += run.events;
+                     });
     });
     // Fold on this thread, in shard order — node order overall, so the
     // accumulator state is independent of the thread count.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "snipr/core/snip_rh.hpp"
+#include "snipr/deploy/fleet_engine.hpp"
 #include "snipr/deploy/road_contacts.hpp"
 
 namespace snipr::deploy {
@@ -30,17 +31,18 @@ SchedulerFactory rh_factory() {
   };
 }
 
-DeploymentConfig quick_config() {
+/// One shard on one thread: the single-simulator deployment.
+FleetConfig quick_config() {
   DeploymentConfig cfg;
   cfg.epochs = 2;
   cfg.node.budget_limit = Duration::seconds(864.0);
   cfg.node.sensing_rate_bps = 1e6;  // no data gating
-  return cfg;
+  return {cfg, 1, 1};
 }
 
 TEST(Deployment, PerNodeOutcomesMatchSingleNodeBehaviour) {
-  const auto out = run_deployment(two_day_schedules({100.0, 5000.0}),
-                                  rh_factory(), quick_config());
+  const auto out = FleetEngine{}.run(two_day_schedules({100.0, 5000.0}),
+                                     rh_factory(), quick_config());
   ASSERT_EQ(out.nodes.size(), 2U);
   for (const NodeOutcome& n : out.nodes) {
     EXPECT_EQ(n.scheduler_name, "SNIP-RH");
@@ -54,8 +56,8 @@ TEST(Deployment, PerNodeOutcomesMatchSingleNodeBehaviour) {
 }
 
 TEST(Deployment, AggregatesSumPerNodeValues) {
-  const auto out = run_deployment(two_day_schedules({100.0, 900.0, 4200.0}),
-                                  rh_factory(), quick_config());
+  const auto out = FleetEngine{}.run(
+      two_day_schedules({100.0, 900.0, 4200.0}), rh_factory(), quick_config());
   double sum = 0.0;
   for (const NodeOutcome& n : out.nodes) sum += n.mean_zeta_s;
   EXPECT_NEAR(out.total_zeta_s, sum, 1e-9);
@@ -79,10 +81,10 @@ TEST(Deployment, NodesShareTheVehicleFlow) {
 }
 
 TEST(Deployment, DeterministicAcrossRuns) {
-  const auto a = run_deployment(two_day_schedules({100.0, 5000.0}, 9),
-                                rh_factory(), quick_config());
-  const auto b = run_deployment(two_day_schedules({100.0, 5000.0}, 9),
-                                rh_factory(), quick_config());
+  const auto a = FleetEngine{}.run(two_day_schedules({100.0, 5000.0}, 9),
+                                   rh_factory(), quick_config());
+  const auto b = FleetEngine{}.run(two_day_schedules({100.0, 5000.0}, 9),
+                                   rh_factory(), quick_config());
   ASSERT_EQ(a.nodes.size(), b.nodes.size());
   for (std::size_t i = 0; i < a.nodes.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.nodes[i].mean_zeta_s, b.nodes[i].mean_zeta_s);
@@ -131,30 +133,14 @@ TEST(Deployment, FinalizeOutcomeSurvivesNearEqualZetaAtScale) {
 }
 
 TEST(Deployment, OutcomeCarriesWelfordAggregates) {
-  const auto out = run_deployment(two_day_schedules({100.0, 900.0, 4200.0}),
-                                  rh_factory(), quick_config());
+  const auto out = FleetEngine{}.run(
+      two_day_schedules({100.0, 900.0, 4200.0}), rh_factory(), quick_config());
   EXPECT_NEAR(out.mean_zeta_s, out.total_zeta_s / 3.0, 1e-9);
   EXPECT_NEAR(out.zeta_stddev_s * out.zeta_stddev_s, out.zeta_variance,
               1e-9);
   EXPECT_GE(out.zeta_variance, 0.0);
   EXPECT_LE(out.min_zeta_s, out.mean_zeta_s);
   EXPECT_GE(out.max_zeta_s, out.mean_zeta_s);
-}
-
-TEST(Deployment, Validation) {
-  EXPECT_THROW(
-      (void)run_deployment({}, rh_factory(), quick_config()),
-      std::invalid_argument);
-  EXPECT_THROW((void)run_deployment(two_day_schedules({100.0}), nullptr,
-                                    quick_config()),
-               std::invalid_argument);
-  EXPECT_THROW(
-      (void)run_deployment(two_day_schedules({100.0}),
-                           [](std::size_t) {
-                             return std::unique_ptr<node::Scheduler>{};
-                           },
-                           quick_config()),
-      std::invalid_argument);
 }
 
 }  // namespace

@@ -37,31 +37,24 @@ FleetConfig quick_config(std::size_t shards) {
   return cfg;
 }
 
-TEST(FleetEngine, MatchesRunDeploymentExactly) {
-  // run_deployment is FleetEngine at one shard; both must agree with a
-  // multi-shard run bit for bit (the per-node streams are fixed before
-  // partitioning).
+TEST(FleetEngine, OneShardMatchesManyShardsExactly) {
+  // The per-node streams are fixed before partitioning, so a single
+  // shard on one thread and a multi-shard run agree bit for bit.
   const std::vector<double> positions{100.0, 900.0, 4200.0, 7100.0};
-  DeploymentConfig legacy;
-  legacy.epochs = 2;
-  legacy.node.budget_limit = Duration::seconds(864.0);
-  legacy.node.sensing_rate_bps = 1e6;
+  FleetConfig single = quick_config(1);
+  single.threads = 1;
   const auto reference =
-      run_deployment(two_day_schedules(positions), rh_factory(), legacy);
+      FleetEngine{}.run(two_day_schedules(positions), rh_factory(), single);
   const auto sharded = FleetEngine{}.run(two_day_schedules(positions),
                                          rh_factory(), quick_config(3));
   ASSERT_EQ(reference.nodes.size(), sharded.nodes.size());
   for (std::size_t i = 0; i < reference.nodes.size(); ++i) {
     EXPECT_EQ(reference.nodes[i].node_index, sharded.nodes[i].node_index);
-    EXPECT_DOUBLE_EQ(reference.nodes[i].mean_zeta_s,
-                     sharded.nodes[i].mean_zeta_s);
-    EXPECT_DOUBLE_EQ(reference.nodes[i].mean_phi_s,
-                     sharded.nodes[i].mean_phi_s);
-    EXPECT_DOUBLE_EQ(reference.nodes[i].miss_ratio,
-                     sharded.nodes[i].miss_ratio);
+    EXPECT_EQ(reference.nodes[i].mean_zeta_s, sharded.nodes[i].mean_zeta_s);
+    EXPECT_EQ(reference.nodes[i].mean_phi_s, sharded.nodes[i].mean_phi_s);
+    EXPECT_EQ(reference.nodes[i].miss_ratio, sharded.nodes[i].miss_ratio);
   }
-  EXPECT_DOUBLE_EQ(reference.zeta_fairness, sharded.zeta_fairness);
-  EXPECT_DOUBLE_EQ(reference.zeta_variance, sharded.zeta_variance);
+  EXPECT_EQ(FleetEngine::to_json(reference), FleetEngine::to_json(sharded));
 }
 
 TEST(FleetEngine, AggregatesAreInternallyConsistent) {

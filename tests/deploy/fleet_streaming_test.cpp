@@ -1,7 +1,10 @@
 #include "snipr/deploy/fleet_streaming.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -63,33 +66,61 @@ FleetCase small_fleet(std::size_t nodes = 24, std::size_t shards = 0) {
   return s;
 }
 
-TEST(FleetStreaming, MatchesMaterialisingEngineBitForBit) {
+/// Every fault-free catalog fleet without routing: the fleets both
+/// engines accept, road and trace workloads alike.
+class StreamingMatchesEngine : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(StreamingMatchesEngine, BitForBit) {
   // The streaming path folds exactly the values FleetEngine::run folds
   // (per-node means in node order), so every aggregate it shares with
   // DeploymentOutcome must match to the last bit — not approximately.
-  const FleetCase s = small_fleet();
-  const DeploymentOutcome reference =
-      FleetEngine{}.run(s.scenario, s.spec, s.config);
-  const auto summary = run_streaming_fleet(s.scenario, s.spec, s.config);
-  ASSERT_TRUE(summary.has_value());
-  EXPECT_EQ(summary->nodes, reference.nodes.size());
-  EXPECT_EQ(summary->epochs, 2u);
-  EXPECT_EQ(summary->total_zeta_s, reference.total_zeta_s);
-  EXPECT_EQ(summary->total_phi_s, reference.total_phi_s);
-  EXPECT_EQ(summary->total_bytes, reference.total_bytes);
-  EXPECT_EQ(summary->mean_zeta_s, reference.mean_zeta_s);
-  EXPECT_EQ(summary->zeta_variance, reference.zeta_variance);
-  EXPECT_EQ(summary->zeta_stddev_s, reference.zeta_stddev_s);
-  EXPECT_EQ(summary->min_zeta_s, reference.min_zeta_s);
-  EXPECT_EQ(summary->max_zeta_s, reference.max_zeta_s);
-  EXPECT_EQ(summary->zeta_fairness, reference.zeta_fairness);
-  // The sketch is lossy by design; its medians must still bracket the
-  // exact mean-adjacent range (1% relative error on per-node means).
-  EXPECT_GE(summary->zeta_p50_s, reference.min_zeta_s * 0.98);
-  EXPECT_LE(summary->zeta_p99_s, reference.max_zeta_s * 1.02);
-  EXPECT_GE(summary->zeta_p90_s, summary->zeta_p50_s);
-  EXPECT_GE(summary->zeta_p99_s, summary->zeta_p90_s);
+  const core::CatalogEntry& entry =
+      core::ScenarioCatalog::instance().at(GetParam());
+  ASSERT_TRUE(entry.is_fleet());
+  FleetSpec spec = *entry.fleet;
+  ASSERT_FALSE(spec.routing.has_value());
+  ASSERT_FALSE(spec.faults != nullptr && spec.faults->enabled());
+  spec.nodes = std::min<std::size_t>(spec.nodes, 40);
+  for (const std::size_t shards : {1U, 5U}) {
+    SCOPED_TRACE(shards);
+    FleetConfig config;
+    config.deployment = make_fleet_deployment_config(
+        entry.scenario, spec, entry.phi_max_s, /*epochs=*/2, /*seed=*/7);
+    config.shards = shards;
+    const DeploymentOutcome reference =
+        FleetEngine{}.run(entry.scenario, spec, config);
+    const auto summary = run_streaming_fleet(entry.scenario, spec, config);
+    ASSERT_TRUE(summary.has_value());
+    EXPECT_EQ(summary->nodes, reference.nodes.size());
+    EXPECT_EQ(summary->epochs, 2u);
+    EXPECT_EQ(summary->total_zeta_s, reference.total_zeta_s);
+    EXPECT_EQ(summary->total_phi_s, reference.total_phi_s);
+    EXPECT_EQ(summary->total_bytes, reference.total_bytes);
+    EXPECT_EQ(summary->mean_zeta_s, reference.mean_zeta_s);
+    EXPECT_EQ(summary->zeta_variance, reference.zeta_variance);
+    EXPECT_EQ(summary->zeta_stddev_s, reference.zeta_stddev_s);
+    EXPECT_EQ(summary->min_zeta_s, reference.min_zeta_s);
+    EXPECT_EQ(summary->max_zeta_s, reference.max_zeta_s);
+    EXPECT_EQ(summary->zeta_fairness, reference.zeta_fairness);
+    EXPECT_GT(summary->total_zeta_s, 0.0);
+    // The sketch is lossy by design; its medians must still bracket the
+    // exact mean-adjacent range (1% relative error on per-node means).
+    EXPECT_GE(summary->zeta_p50_s, reference.min_zeta_s * 0.98);
+    EXPECT_LE(summary->zeta_p99_s, reference.max_zeta_s * 1.02);
+    EXPECT_GE(summary->zeta_p90_s, summary->zeta_p50_s);
+    EXPECT_GE(summary->zeta_p99_s, summary->zeta_p90_s);
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Catalog, StreamingMatchesEngine,
+    ::testing::Values("fleet-highway-1k", "fleet-urban-grid",
+                      "fleet-rural-sparse", "fleet-trace-metro"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      std::string name = info.param;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 TEST(FleetStreaming, JsonIsShardAndBatchInvariant) {
   const FleetCase base = small_fleet();
@@ -344,6 +375,94 @@ TEST(FleetStreaming, RejectsRoutingAndEmptyFleets) {
   EXPECT_THROW(
       (void)run_streaming_fleet(empty.scenario, empty.spec, empty.config),
       std::invalid_argument);
+}
+
+TEST(FleetStreaming, FirstBatchCheckpointBytesArePinned) {
+  // The on-disk snipr-fleet-checkpoint-v2 format, byte for byte: two
+  // nodes in two shards, stopped after the first. A format change must
+  // show up here, and bump the magic.
+  const FleetCase s = small_fleet(2, 2);
+  const std::string path = ::testing::TempDir() + "/fleet_streaming_pinned";
+  std::remove(path.c_str());
+  std::remove((path + ".prev").c_str());
+  StreamingOptions slice;
+  slice.checkpoint_path = path;
+  slice.batch_shards = 1;
+  slice.max_shards = 1;
+  ASSERT_FALSE(
+      run_streaming_fleet(s.scenario, s.spec, s.config, slice).has_value());
+  EXPECT_EQ(slurp(path),
+            "snipr-fleet-checkpoint-v2\n"
+            "2 2 7 2 1\n"
+            "1 0x1.f0a06fac6045cp+3 0x0p+0 0x1.f0a06fac6045cp+3 "
+            "0x1.f0a06fac6045cp+3 0x1.f0a06fac6045cp+3 0x1.273f7ced91688p+5 "
+            "0x1.5a9f0a90ea3b2p+17 26 3844\n"
+            "0x1.47ae147ae147bp-7 138 0 1\n"
+            "1 \n"
+            "crc 57d7fcd2\n");
+  std::remove(path.c_str());
+  std::remove((path + ".prev").c_str());
+}
+
+TEST(FleetStreaming, MaxShardsWithoutCheckpointIsRejected) {
+  // Each slice would return nullopt and save nothing, so a caller that
+  // keeps slicing would loop forever.
+  const FleetCase s = small_fleet(24, 6);
+  StreamingOptions slice;
+  slice.max_shards = 2;
+  try {
+    (void)run_streaming_fleet(s.scenario, s.spec, s.config, slice);
+    FAIL() << "max_shards without a checkpoint_path was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("max_shards"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FleetSpecValidation, BothEnginesRejectBadRoadGeometryByName) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct BadValue {
+    const char* field;
+    double RoadWorkload::*member;
+    double value;
+  };
+  const BadValue cases[] = {
+      {"spacing_m", &RoadWorkload::spacing_m, kNaN},
+      {"spacing_m", &RoadWorkload::spacing_m, kInf},
+      {"spacing_m", &RoadWorkload::spacing_m, 0.0},
+      {"spacing_m", &RoadWorkload::spacing_m, -300.0},
+      {"range_m", &RoadWorkload::range_m, kNaN},
+      {"range_m", &RoadWorkload::range_m, kInf},
+      {"range_m", &RoadWorkload::range_m, 0.0},
+      {"range_m", &RoadWorkload::range_m, -10.0},
+      {"first_position_m", &RoadWorkload::first_position_m, kNaN},
+      {"first_position_m", &RoadWorkload::first_position_m, kInf},
+      {"first_position_m", &RoadWorkload::first_position_m, -1.0},
+      {"through_fraction", &RoadWorkload::through_fraction, kNaN},
+      {"through_fraction", &RoadWorkload::through_fraction, 1.5},
+      {"through_fraction", &RoadWorkload::through_fraction, -0.1},
+  };
+  for (const BadValue& bad : cases) {
+    SCOPED_TRACE(std::string{bad.field} + " = " + std::to_string(bad.value));
+    FleetCase s = small_fleet(4);
+    RoadWorkload road = *s.spec.road_workload();
+    road.*bad.member = bad.value;
+    s.spec.workload = road;
+    const auto expect_named = [&bad](const auto& run) {
+      try {
+        run();
+        ADD_FAILURE() << "accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string{e.what()}.find(bad.field), std::string::npos)
+            << e.what();
+      }
+    };
+    expect_named(
+        [&] { (void)FleetEngine{}.run(s.scenario, s.spec, s.config); });
+    expect_named(
+        [&] { (void)run_streaming_fleet(s.scenario, s.spec, s.config); });
+  }
 }
 
 }  // namespace

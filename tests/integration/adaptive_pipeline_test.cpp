@@ -3,7 +3,7 @@
 #include "snipr/core/adaptive_snip_rh.hpp"
 #include "snipr/core/experiment.hpp"
 #include "snipr/core/snip_rh.hpp"
-#include "snipr/deploy/deployment.hpp"
+#include "snipr/deploy/fleet_engine.hpp"
 #include "snipr/deploy/road_contacts.hpp"
 
 /// End-to-end pipelines that cross module boundaries: autonomous
@@ -89,7 +89,7 @@ TEST(HeterogeneousDeployment, MixedPoliciesPerNode) {
   cfg.node.budget_limit = sim::Duration::seconds(864.0);
   cfg.node.sensing_rate_bps = 1e6;
 
-  const auto out = deploy::run_deployment(
+  const auto out = deploy::FleetEngine{}.run(
       std::move(schedules),
       [](std::size_t i) -> std::unique_ptr<node::Scheduler> {
         if (i == 0) {
@@ -104,7 +104,7 @@ TEST(HeterogeneousDeployment, MixedPoliciesPerNode) {
         return std::make_unique<core::AdaptiveSnipRh>(
             sim::Duration::hours(24), 24, acfg);
       },
-      cfg);
+      {cfg, 1, 1});
 
   ASSERT_EQ(out.nodes.size(), 2U);
   EXPECT_EQ(out.nodes[0].scheduler_name, "SNIP-RH");

@@ -1,0 +1,51 @@
+# snipr_cli's subcommand surface: each subcommand answers --help, the
+# mode flags that predate subcommands (--batch, --fleet, --trace,
+# --list-scenarios, --list-traces) exit with a usage error on their own
+# and under a subcommand, and `trace NAME --batch` still sweeps a replay.
+# Run via ctest (cli_subcommands); expects -DSNIPR_CLI=<path>.
+
+if(NOT DEFINED SNIPR_CLI)
+  message(FATAL_ERROR
+          "usage: cmake -DSNIPR_CLI=... -P cli_subcommands_test.cmake")
+endif()
+
+function(run_cli out_var rc_var)
+  execute_process(COMMAND "${SNIPR_CLI}" ${ARGN}
+                  OUTPUT_VARIABLE stdout
+                  ERROR_VARIABLE stderr
+                  RESULT_VARIABLE rc)
+  set(${out_var} "${stdout}" PARENT_SCOPE)
+  set(${rc_var} "${rc}" PARENT_SCOPE)
+endfunction()
+
+# 1. Per-subcommand help answers without running anything.
+foreach(sub run batch fleet trace list)
+  run_cli(help rc ${sub} --help)
+  if(NOT rc EQUAL 0 OR NOT help MATCHES "usage:")
+    message(FATAL_ERROR "'${sub} --help' failed (rc ${rc})")
+  endif()
+endforeach()
+
+# 2. The top-level mode flags are rejected: a bare flag means `run`.
+foreach(flag --batch "--fleet;fleet-highway-1k"
+             "--trace;synthetic-metro-drift" --list-scenarios --list-traces)
+  run_cli(out rc ${flag})
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "'${flag}' should exit 2 (got ${rc})")
+  endif()
+endforeach()
+
+# 3. So are they under a subcommand.
+run_cli(out rc run --fleet fleet-highway-1k)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "'run --fleet' should exit 2 (got ${rc})")
+endif()
+
+# 4. --batch keeps its one remaining meaning: a sweep over a replay.
+run_cli(out rc trace synthetic-metro-drift --batch --mechanisms rh
+        --targets 16 --seeds 1 --epochs 2)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "^{\"schema\":\"snipr\\.batch\\.v1\"")
+  message(FATAL_ERROR "'trace NAME --batch' failed (rc ${rc})")
+endif()
+
+message(STATUS "cli subcommands: all checks passed")

@@ -12,11 +12,10 @@
 ///                                   --batch for a sweep over it)
 ///   snipr_cli list   [scenarios|traces]  print the catalogs
 ///
-/// Each subcommand has its own --help. Invocations that start with a
-/// flag instead of a subcommand take the legacy spelling (`--batch`,
-/// `--fleet NAME`, `--trace NAME`, `--list-scenarios`, `--list-traces`)
-/// and behave identically — existing scripts keep working, with a
-/// deprecation note on stderr.
+/// Each subcommand has its own --help. An invocation that starts with a
+/// flag instead of a subcommand word is a `run`; the old mode-selecting
+/// flags (`--batch`, `--fleet`, `--trace`, `--list-scenarios`,
+/// `--list-traces`) are rejected with a pointer at their subcommand.
 ///
 /// Environments come from the named scenario library
 /// (`core::ScenarioCatalog`). Without `--scenario` the defaults
@@ -52,7 +51,6 @@ enum class Mode { kRun, kBatch, kFleet, kTrace, kList };
 
 struct Options {
   Mode mode{Mode::kRun};
-  bool legacy{false};  // flag-spelling invocation (no subcommand word)
   std::string scenario;  // empty = paper default (catalog "roadside")
   bool list_scenarios{false};
   bool list_traces{false};
@@ -184,9 +182,7 @@ void print_overview(const char* argv0) {
       "  fleet    a multi-node deployment through the sharded FleetEngine\n"
       "  trace    replay a trace-catalog workload\n"
       "  list     print the scenario / trace catalogs\n"
-      "run '%s <subcommand> --help' for that subcommand's options.\n"
-      "legacy flag spellings (--batch, --fleet NAME, --trace NAME,\n"
-      "--list-scenarios, --list-traces) are still accepted.\n",
+      "run '%s <subcommand> --help' for that subcommand's options.\n",
       argv0, argv0);
 }
 
@@ -229,16 +225,12 @@ std::vector<std::string> split_csv(const std::string& list) {
   return items;
 }
 
-/// The flags that used to select a mode. Under a subcommand they are
-/// rejected with a pointer at the positional spelling, so the two ways
-/// of saying the same thing cannot be combined into a third.
-bool reject_mode_flag(const Options& opt, const std::string& arg,
-                      const char* replacement) {
-  if (!opt.legacy) {
-    std::fprintf(stderr, "'%s' is the legacy spelling; use '%s'\n",
-                 arg.c_str(), replacement);
-    return true;
-  }
+/// The flags that selected a mode before subcommands existed: rejected
+/// with a pointer at the subcommand that replaced them. Returns false,
+/// the parse result.
+bool reject_mode_flag(const std::string& arg, const char* replacement) {
+  std::fprintf(stderr, "'%s' is not an option; use '%s'\n", arg.c_str(),
+               replacement);
   return false;
 }
 
@@ -316,29 +308,21 @@ bool parse(int argc, char** argv, int first, Options& opt) {
     if (arg == "--csv") {
       opt.csv = true;
     } else if (arg == "--batch") {
-      // Legacy mode flag; also accepted under the trace subcommand (a
-      // sweep over the replay) and redundantly under batch itself.
-      if (opt.mode != Mode::kBatch && opt.mode != Mode::kTrace &&
-          reject_mode_flag(opt, arg, "snipr_cli batch")) {
-        return false;
+      // A sweep over a trace replay; redundant under batch itself.
+      if (opt.mode != Mode::kBatch && opt.mode != Mode::kTrace) {
+        return reject_mode_flag(arg, "snipr_cli batch");
       }
       opt.batch = true;
     } else if (arg == "--list-scenarios") {
-      if (reject_mode_flag(opt, arg, "snipr_cli list scenarios")) {
-        return false;
-      }
-      opt.list_scenarios = true;
+      return reject_mode_flag(arg, "snipr_cli list scenarios");
     } else if (arg == "--list-traces") {
-      if (reject_mode_flag(opt, arg, "snipr_cli list traces")) return false;
-      opt.list_traces = true;
+      return reject_mode_flag(arg, "snipr_cli list traces");
     } else if (arg == "--scenario") {
       if (!take_string(opt.scenario)) return false;
     } else if (arg == "--fleet") {
-      if (reject_mode_flag(opt, arg, "snipr_cli fleet NAME")) return false;
-      if (!take_string(opt.fleet)) return false;
+      return reject_mode_flag(arg, "snipr_cli fleet NAME");
     } else if (arg == "--trace") {
-      if (reject_mode_flag(opt, arg, "snipr_cli trace NAME")) return false;
-      if (!take_string(opt.trace)) return false;
+      return reject_mode_flag(arg, "snipr_cli trace NAME");
     } else if (arg == "--trace-dir") {
       if (!take_string(opt.trace_dir)) return false;
     } else if (arg == "--replay-jitter") {
@@ -617,47 +601,23 @@ int main(int argc, char** argv) {
       return 2;
     }
     first = 2;
-  } else {
-    // Flag spelling: the pre-subcommand interface, kept working verbatim
-    // so scripts and CI pipelines migrate on their own schedule.
-    opt.legacy = true;
   }
   if (!parse(argc, argv, first, opt)) {
-    if (!opt.legacy) print_usage(argv[0], opt.mode);
+    print_usage(argv[0], opt.mode);
     return 2;
   }
   if (opt.help) {
-    if (opt.legacy) {
+    // Bare `--help` names the subcommands; `SUB --help` details one.
+    if (first == 1) {
       print_overview(argv[0]);
     } else {
       print_usage(argv[0], opt.mode);
     }
     return 0;
   }
-  if (opt.legacy) {
-    // Map the legacy mode flags onto the subcommands they became.
-    if (opt.list_scenarios || opt.list_traces) {
-      opt.mode = Mode::kList;
-    } else if (!opt.fleet.empty()) {
-      opt.mode = Mode::kFleet;
-    } else if (!opt.trace.empty()) {
-      opt.mode = Mode::kTrace;
-    } else if (opt.batch) {
-      opt.mode = Mode::kBatch;
-    }
-    if (opt.mode != Mode::kRun) {
-      std::fprintf(stderr,
-                   "note: flag-selected modes are deprecated; this is "
-                   "'snipr_cli %s'\n",
-                   opt.mode == Mode::kList    ? "list"
-                   : opt.mode == Mode::kFleet ? "fleet NAME"
-                   : opt.mode == Mode::kTrace ? "trace NAME"
-                                              : "batch");
-    }
-  }
   if (opt.mode == Mode::kList) {
-    // The subcommand's positional (or the legacy flag) narrows to one
-    // catalog; bare `list` prints both.
+    // The subcommand's positional narrows to one catalog; bare `list`
+    // prints both.
     const bool both = opt.list_scenarios == opt.list_traces;
     if (both || opt.list_scenarios) print_scenarios(stdout);
     if (both || opt.list_traces) print_traces(stdout);
@@ -673,12 +633,11 @@ int main(int argc, char** argv) {
     print_usage(argv[0], Mode::kTrace);
     return 2;
   }
-  // A run's environment comes from exactly one source; rejecting the
-  // combinations (rather than silently preferring one) must happen
-  // before the fleet dispatch, or the trace would be dropped unnoticed.
-  if (!opt.trace.empty() && (!opt.scenario.empty() || !opt.fleet.empty())) {
-    std::fprintf(stderr, "a trace replay is mutually exclusive with "
-                         "--scenario and a fleet entry\n");
+  // A run's environment comes from exactly one source: reject the
+  // combination rather than silently prefer one.
+  if (!opt.trace.empty() && !opt.scenario.empty()) {
+    std::fprintf(stderr,
+                 "a trace replay is mutually exclusive with --scenario\n");
     return 2;
   }
   if (opt.mode == Mode::kFleet) return run_fleet(opt);
