@@ -17,6 +17,7 @@
 
 #include "snipr/core/batch_runner.hpp"
 #include "snipr/core/experiment.hpp"
+#include "snipr/core/metrics.hpp"
 #include "snipr/core/scenario_catalog.hpp"
 #include "snipr/core/strategy.hpp"
 
@@ -25,7 +26,7 @@ namespace snipr::bench {
 struct Point {
   double zeta;
   double phi;
-  [[nodiscard]] double rho() const { return zeta > 0.0 ? phi / zeta : 0.0; }
+  [[nodiscard]] double rho() const { return core::rho(phi, zeta); }
 };
 
 inline constexpr std::array<core::Strategy, 3> kFigureStrategies{

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 
+#include "snipr/core/metrics.hpp"
 #include "snipr/core/snip_rh.hpp"
 #include "snipr/deploy/fleet_engine.hpp"
 #include "snipr/deploy/road_contacts.hpp"
@@ -57,7 +58,8 @@ int main() {
   for (const deploy::NodeOutcome& n : outcome.nodes) {
     std::printf("%5zu %8.0f | %10.2f %10.2f %8.2f %10.1f\n", n.node_index,
                 positions[n.node_index], n.mean_zeta_s, n.mean_phi_s,
-                n.rho(), n.mean_delivery_latency_s / 3600.0);
+                core::rho(n.mean_phi_s, n.mean_zeta_s),
+                n.mean_delivery_latency_s / 3600.0);
   }
   std::printf("\nfleet: total ζ %.1f s/day, fairness (Jain) %.3f, "
               "spread [%.2f, %.2f]\n",

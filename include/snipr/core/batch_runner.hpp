@@ -89,9 +89,9 @@ struct BatchAggregate {
   double mean_probing_energy_j{0.0};
   double mean_delivery_latency_s{0.0};
 
-  /// ρ = Φ/ζ of the seed-averaged means.
+  /// ρ = Φ/ζ of the seed-averaged means (core::rho).
   [[nodiscard]] double rho() const noexcept {
-    return mean_zeta_s > 0.0 ? mean_phi_s / mean_zeta_s : 0.0;
+    return core::rho(mean_phi_s, mean_zeta_s);
   }
 };
 

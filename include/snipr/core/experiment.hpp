@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "snipr/contact/schedule.hpp"
+#include "snipr/core/metrics.hpp"
 #include "snipr/core/scenario.hpp"
 #include "snipr/node/scheduler.hpp"
 #include "snipr/node/sensor_node.hpp"
@@ -35,9 +36,9 @@ struct RunResult {
   double transfer_energy_j{0.0};  ///< mean Joules per epoch, transfer
   std::vector<node::EpochStats> per_epoch;
 
-  /// ρ = Φ/ζ of the epoch means.
+  /// ρ = Φ/ζ of the epoch means (core::rho).
   [[nodiscard]] double rho() const noexcept {
-    return mean_zeta_s > 0.0 ? mean_phi_s / mean_zeta_s : 0.0;
+    return core::rho(mean_phi_s, mean_zeta_s);
   }
 };
 
@@ -56,7 +57,8 @@ struct ExperimentConfig {
   std::size_t warmup_epochs{0};
 };
 
-/// Run `scheduler` over `scenario` and aggregate the outcome.
+/// Run `scheduler` over `scenario` and aggregate the outcome. Throws
+/// std::invalid_argument naming the bad field of an unusable `config`.
 [[nodiscard]] RunResult run_experiment(const RoadsideScenario& scenario,
                                        node::Scheduler& scheduler,
                                        const ExperimentConfig& config);

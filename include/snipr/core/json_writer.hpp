@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -28,10 +29,6 @@ inline constexpr const char* kFleetSchemaV2 = "snipr.fleet.v2";
 inline constexpr const char* kFleetSchemaV3 = "snipr.fleet.v3";
 /// Bounded-memory streaming fleet aggregate (no per-node rows).
 inline constexpr const char* kFleetSummarySchemaV1 = "snipr.fleet_summary.v1";
-inline constexpr const char* kBenchDeploymentScaleSchemaV1 =
-    "snipr.bench.deployment_scale.v1";
-inline constexpr const char* kBenchMultihopScaleSchemaV1 =
-    "snipr.bench.multihop_scale.v1";
 /// Per-policy regret vs the clairvoyant SNIP-OPT benchmark
 /// (bench_regret). Regret counters gate upward in
 /// tools/check_bench_regression.py: more regret is a regression.
@@ -65,7 +62,12 @@ inline void open_document(std::string& out, const char* schema) {
   return json.substr(begin, end - begin);
 }
 
+/// JSON has no inf or nan: a non-finite value is written as `null`.
 inline void append_number(std::string& out, double value) {
+  if (!std::isfinite(value)) {
+    out += "null";
+    return;
+  }
   char buffer[64];
   std::snprintf(buffer, sizeof buffer, "%.10g", value);
   out += buffer;

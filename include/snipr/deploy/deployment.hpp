@@ -34,10 +34,6 @@ struct NodeOutcome {
   double mean_contacts_probed{0.0};
   double miss_ratio{0.0};
   double mean_delivery_latency_s{0.0};
-
-  [[nodiscard]] double rho() const noexcept {
-    return mean_zeta_s > 0.0 ? mean_phi_s / mean_zeta_s : 0.0;
-  }
 };
 
 /// Whole-deployment outcome.

@@ -68,11 +68,4 @@ struct TraceWorkload {
 
 using Workload = std::variant<RoadWorkload, TraceWorkload>;
 
-[[nodiscard]] inline bool is_road(const Workload& w) noexcept {
-  return std::holds_alternative<RoadWorkload>(w);
-}
-[[nodiscard]] inline bool is_trace(const Workload& w) noexcept {
-  return std::holds_alternative<TraceWorkload>(w);
-}
-
 }  // namespace snipr::deploy

@@ -22,7 +22,7 @@ namespace snipr::model {
 struct PlanMetrics {
   double zeta_s{0.0};  ///< probed contact capacity per epoch (s)
   double phi_s{0.0};   ///< probing overhead per epoch (radio-on s)
-  /// ρ = Φ/ζ; +inf when nothing is probed but energy was spent, 0 when idle.
+  /// ρ = Φ/ζ (core::rho): +∞ when nothing is probed but energy was spent.
   [[nodiscard]] double rho() const noexcept;
 };
 

@@ -1,5 +1,8 @@
 #include "snipr/core/experiment.hpp"
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "snipr/radio/channel.hpp"
@@ -22,6 +25,17 @@ RunResult run_experiment_on_schedule(
     const RoadsideScenario& scenario,
     std::shared_ptr<const contact::ContactSchedule> schedule,
     node::Scheduler& scheduler, const ExperimentConfig& config) {
+  // Configs that would report ζ = Φ = ρ = 0 as if they had run.
+  const auto reject = [](const char* what) {
+    throw std::invalid_argument(std::string{"ExperimentConfig::"} + what);
+  };
+  if (config.epochs == 0) reject("epochs must be > 0");
+  if (config.warmup_epochs >= config.epochs) {
+    reject("warmup_epochs must be < epochs");
+  }
+  if (!(std::isfinite(config.phi_max_s) && config.phi_max_s >= 0.0)) {
+    reject("phi_max_s must be finite and >= 0");
+  }
   sim::Simulator simulator{config.seed};
   const std::size_t total_contacts = schedule->size();
   radio::Channel channel{std::move(schedule), scenario.link,

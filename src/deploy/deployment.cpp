@@ -1,6 +1,6 @@
 #include "snipr/deploy/deployment.hpp"
 
-#include "snipr/stats/online_stats.hpp"
+#include "fleet_inputs.hpp"
 
 namespace snipr::deploy {
 
@@ -44,19 +44,7 @@ void finalize_outcome(DeploymentOutcome& outcome) {
     outcome.total_bytes += n.mean_bytes_uploaded;
     zeta.add(n.mean_zeta_s);
   }
-  if (zeta.count() == 0) return;
-  outcome.min_zeta_s = zeta.min();
-  outcome.max_zeta_s = zeta.max();
-  outcome.mean_zeta_s = zeta.mean();
-  outcome.zeta_variance = zeta.variance();
-  outcome.zeta_stddev_s = zeta.stddev();
-  // Jain's index (Σζ)²/(nΣζ²) rewritten on (mean, variance):
-  //   Σζ = n·mean, Σζ² = n·(variance + mean²)  =>  mean²/(mean² + var).
-  // Algebraically identical, but conditioned on the *spread* instead of
-  // on the difference of two enormous nearly-equal sums.
-  const double mean_sq = zeta.mean() * zeta.mean();
-  const double denom = mean_sq + zeta.variance();
-  outcome.zeta_fairness = denom > 0.0 ? mean_sq / denom : 1.0;
+  if (zeta.count() > 0) set_zeta_spread(outcome, zeta);
 }
 
 }  // namespace snipr::deploy

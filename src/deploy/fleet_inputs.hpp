@@ -13,6 +13,7 @@
 #include "snipr/deploy/road_contacts.hpp"
 #include "snipr/fault/fault_plan.hpp"
 #include "snipr/sim/rng.hpp"
+#include "snipr/stats/online_stats.hpp"
 
 /// \file fleet_inputs.hpp
 /// The fleet pipeline both engines share (library-internal): one input
@@ -132,5 +133,20 @@ struct FleetNodeRun {
 /// disjoint ranges are safe.
 void simulate_range(FleetInputs& inputs, std::size_t begin, std::size_t end,
                     const std::function<void(FleetNodeRun&)>& on_node);
+
+/// Set either engine's per-node ζ spread from a non-empty fleet's stats.
+/// Jain's index (Σζ)²/(nΣζ²) is taken as mean²/(mean² + var), the same
+/// value conditioned on the spread, not on two huge nearly-equal sums.
+template <class Result>
+void set_zeta_spread(Result& out, const stats::OnlineStats& zeta) {
+  out.min_zeta_s = zeta.min();
+  out.max_zeta_s = zeta.max();
+  out.mean_zeta_s = zeta.mean();
+  out.zeta_variance = zeta.variance();
+  out.zeta_stddev_s = zeta.stddev();
+  const double mean_sq = out.mean_zeta_s * out.mean_zeta_s;
+  const double denom = mean_sq + out.zeta_variance;
+  out.zeta_fairness = denom > 0.0 ? mean_sq / denom : 1.0;
+}
 
 }  // namespace snipr::deploy

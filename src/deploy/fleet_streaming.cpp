@@ -272,15 +272,7 @@ FleetSummary finalize(const Accumulator& acc, std::uint64_t nodes,
   s.contacts_probed = acc.contacts_probed;
   s.events_executed = acc.events;
   if (acc.zeta.count() == 0) return s;
-  s.min_zeta_s = acc.zeta.min();
-  s.max_zeta_s = acc.zeta.max();
-  s.mean_zeta_s = acc.zeta.mean();
-  s.zeta_variance = acc.zeta.variance();
-  s.zeta_stddev_s = acc.zeta.stddev();
-  // Jain's index on (mean, variance) — see finalize_outcome.
-  const double mean_sq = s.mean_zeta_s * s.mean_zeta_s;
-  const double denom = mean_sq + s.zeta_variance;
-  s.zeta_fairness = denom > 0.0 ? mean_sq / denom : 1.0;
+  set_zeta_spread(s, acc.zeta);
   s.zeta_p50_s = acc.sketch.quantile(0.50);
   s.zeta_p90_s = acc.sketch.quantile(0.90);
   s.zeta_p99_s = acc.sketch.quantile(0.99);

@@ -2,18 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
+#include "snipr/core/metrics.hpp"
 #include "snipr/model/optimizer.hpp"
 
 namespace snipr::model {
 
-double PlanMetrics::rho() const noexcept {
-  if (zeta_s > 0.0) return phi_s / zeta_s;
-  return phi_s > 0.0 ? std::numeric_limits<double>::infinity() : 0.0;
-}
+double PlanMetrics::rho() const noexcept { return core::rho(phi_s, zeta_s); }
 
 namespace {
 

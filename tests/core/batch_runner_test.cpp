@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "snipr/core/snip_rh.hpp"
 
 namespace snipr::core {
@@ -173,6 +175,29 @@ TEST(BatchRunnerTest, ScheduleSharingSplitsOnEpochsJitterAndSeed) {
   const std::uint64_t before = BatchRunner::schedule_builds();
   (void)BatchRunner{BatchRunner::Config{.threads = 2}}.run(runs);
   EXPECT_EQ(BatchRunner::schedule_builds() - before, 4u);
+}
+
+TEST(BatchRunnerTest, ZeroCaptureRunReportsTheWorstRho) {
+  // 5 ms contacts close before any probe handshake completes: SNIP-AT
+  // spends its whole budget and captures nothing. ρ is +∞, the worst
+  // value, and JSON, which has no inf, writes it as null.
+  SweepSpec sweep = small_sweep();
+  sweep.scenario.tcontact_s = 0.005;
+  sweep.strategies = {Strategy::kSnipAt};
+  sweep.zeta_targets_s = {16.0};
+  sweep.seeds = {1};
+  const auto results = BatchRunner{}.run(expand_sweep(sweep));
+  ASSERT_EQ(results.size(), 1U);
+  EXPECT_EQ(results[0].run.mean_zeta_s, 0.0);
+  EXPECT_GT(results[0].run.mean_phi_s, 0.0);
+  EXPECT_TRUE(std::isinf(results[0].run.rho()));
+  const auto cells = BatchRunner::aggregate(results);
+  ASSERT_EQ(cells.size(), 1U);
+  EXPECT_TRUE(std::isinf(cells[0].rho()));
+  const std::string json = BatchRunner::to_json(results);
+  EXPECT_NE(json.find("\"rho\":null"), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"rho\":0,"), std::string::npos) << json;
+  EXPECT_EQ(json.find("inf"), std::string::npos) << json;
 }
 
 TEST(BatchRunnerTest, ZeroThreadConfigFallsBackToHardwareConcurrency) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "snipr/core/snip_at.hpp"
 #include "snipr/core/snip_opt.hpp"
 #include "snipr/core/snip_rh.hpp"
@@ -72,6 +76,46 @@ TEST(Experiment, WarmupEpochsAreExcluded) {
   const auto r = run_experiment(sc, rh, cfg);
   EXPECT_EQ(r.epochs, 4U);                  // 6 simulated − 2 warm-up
   EXPECT_EQ(r.per_epoch.size(), 6U);        // history still complete
+}
+
+TEST(Experiment, ConfigsWithNothingToReportAreRejectedByName) {
+  // Each would otherwise report ζ = Φ = ρ = 0, or probe nothing, and
+  // look like a run.
+  const RoadsideScenario sc;
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    std::size_t epochs;
+    std::size_t warmup;
+    double phi_max_s;
+    const char* field;
+  } cases[] = {
+      {0, 0, 86.4, "ExperimentConfig::epochs"},
+      {14, 14, 86.4, "ExperimentConfig::warmup_epochs"},
+      {14, 20, 86.4, "ExperimentConfig::warmup_epochs"},
+      {6, 0, inf, "ExperimentConfig::phi_max_s"},
+      {6, 0, std::numeric_limits<double>::quiet_NaN(),
+       "ExperimentConfig::phi_max_s"},
+      {6, 0, -1.0, "ExperimentConfig::phi_max_s"},
+  };
+  for (const auto& c : cases) {
+    ExperimentConfig cfg = quick_config(86.4, 16.0, sc);
+    cfg.epochs = c.epochs;
+    cfg.warmup_epochs = c.warmup;
+    cfg.phi_max_s = c.phi_max_s;
+    SnipRh rh{sc.rush_mask, SnipRhConfig{}};
+    try {
+      (void)run_experiment(sc, rh, cfg);
+      ADD_FAILURE() << c.field << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(c.field), std::string::npos)
+          << e.what();
+    }
+    sim::Rng rng{1};
+    EXPECT_THROW((void)run_experiment_on_schedule(
+                     sc, sc.make_schedule(1, cfg.jitter, rng), rh, cfg),
+                 std::invalid_argument)
+        << c.field;
+  }
 }
 
 TEST(Experiment, MissRatioWithinBounds) {

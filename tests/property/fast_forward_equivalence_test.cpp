@@ -35,11 +35,10 @@
 #include "snipr/core/scenario_catalog.hpp"
 #include "snipr/core/strategy.hpp"
 #include "snipr/deploy/fleet_engine.hpp"
-#include "snipr/deploy/road_contacts.hpp"
 #include "snipr/fault/fault_plan.hpp"
-#include "snipr/sim/distributions.hpp"
 #include "snipr/trace/trace_catalog.hpp"
 #include "support/pass_through_scheduler.hpp"
+#include "support/road_inputs.hpp"
 
 namespace snipr {
 namespace {
@@ -60,54 +59,28 @@ constexpr std::size_t kFleetEpochs = 5;  // past the adaptive learning phase
 /// one rotated, jittered replay per node (trace).
 std::vector<contact::ContactSchedule> fleet_schedules(
     const deploy::FleetSpec& spec, sim::Duration horizon) {
+  const deploy::TraceWorkload* trace = spec.trace_workload();
+  if (trace == nullptr) {
+    return testing::road_contact_plan(spec, kSeed, horizon).schedules;
+  }
   sim::Rng root{kSeed};
   for (std::size_t i = 0; i < spec.nodes; ++i) (void)root.fork();
+  const trace::TraceEntry& entry =
+      trace::TraceCatalog::instance().at(trace->trace);
+  const std::vector<contact::Contact> base =
+      trace::TraceCatalog::load(entry, trace->data_dir);
   std::vector<contact::ContactSchedule> schedules;
-  if (const deploy::TraceWorkload* trace = spec.trace_workload()) {
-    const trace::TraceEntry& entry =
-        trace::TraceCatalog::instance().at(trace->trace);
-    const std::vector<contact::Contact> base =
-        trace::TraceCatalog::load(entry, trace->data_dir);
-    for (std::size_t i = 0; i < spec.nodes; ++i) {
-      contact::TraceReplayConfig config;
-      config.period = entry.epoch;
-      config.offset =
-          sim::Duration::seconds(trace->stagger_s * static_cast<double>(i));
-      config.jitter_stddev_s = trace->jitter_stddev_s;
-      contact::TraceReplayProcess process{base, config};
-      sim::Rng rng = root.fork();
-      schedules.emplace_back(contact::materialize(process, horizon, rng));
-    }
-    return schedules;
-  }
-  const deploy::RoadWorkload& road = *spec.road_workload();
-  deploy::VehicleFlow flow;
-  flow.profile = spec.flow_profile;
-  flow.jitter = road.jitter;
-  if (road.speed_stddev_mps > 0.0) {
-    flow.speed_mps = std::make_unique<sim::TruncatedNormalDistribution>(
-        road.speed_mean_mps, road.speed_stddev_mps, road.speed_min_mps);
-  } else {
-    flow.speed_mps =
-        std::make_unique<sim::FixedDistribution>(road.speed_mean_mps);
-  }
-  std::vector<deploy::VehicleEntry> vehicles =
-      deploy::materialize_vehicles(flow, horizon, root);
-  std::vector<double> positions;
   for (std::size_t i = 0; i < spec.nodes; ++i) {
-    positions.push_back(road.first_position_m +
-                        road.spacing_m * static_cast<double>(i));
+    contact::TraceReplayConfig config;
+    config.period = entry.epoch;
+    config.offset =
+        sim::Duration::seconds(trace->stagger_s * static_cast<double>(i));
+    config.jitter_stddev_s = trace->jitter_stddev_s;
+    contact::TraceReplayProcess process{base, config};
+    sim::Rng rng = root.fork();
+    schedules.emplace_back(contact::materialize(process, horizon, rng));
   }
-  const double road_end = positions.back() + road.range_m;
-  if (road.through_fraction < 1.0) {
-    for (deploy::VehicleEntry& v : vehicles) {
-      if (!root.bernoulli(road.through_fraction)) {
-        v.exit_m = root.uniform(0.0, road_end);
-      }
-    }
-  }
-  return deploy::build_road_contact_plan(positions, road.range_m, vehicles)
-      .schedules;
+  return schedules;
 }
 
 std::vector<std::string> fleet_entry_names() {

@@ -28,8 +28,8 @@
 #include "snipr/node/node_block.hpp"
 #include "snipr/node/sensor_node.hpp"
 #include "snipr/radio/channel.hpp"
-#include "snipr/sim/distributions.hpp"
 #include "snipr/sim/simulator.hpp"
+#include "support/road_inputs.hpp"
 
 namespace snipr::deploy {
 namespace {
@@ -54,38 +54,6 @@ FleetSpec small_faulted_relay(const core::CatalogEntry& entry) {
   return spec;
 }
 
-/// The road inputs FleetEngine::run materialises: node streams first,
-/// then the vehicle flow and exit draws from the advanced root.
-struct RoadInputs {
-  std::vector<double> positions_m;
-  std::vector<VehicleEntry> vehicles;
-};
-
-RoadInputs materialize_road(const FleetSpec& spec, sim::Duration horizon) {
-  const RoadWorkload& road = *spec.road_workload();
-  sim::Rng root{kSeed};
-  for (std::size_t i = 0; i < spec.nodes; ++i) (void)root.fork();
-  VehicleFlow flow;
-  flow.profile = spec.flow_profile;
-  flow.jitter = road.jitter;
-  flow.speed_mps = std::make_unique<sim::TruncatedNormalDistribution>(
-      road.speed_mean_mps, road.speed_stddev_mps, road.speed_min_mps);
-  RoadInputs in;
-  in.vehicles = materialize_vehicles(flow, horizon, root);
-  in.positions_m.reserve(spec.nodes);
-  for (std::size_t i = 0; i < spec.nodes; ++i) {
-    in.positions_m.push_back(road.first_position_m +
-                             road.spacing_m * static_cast<double>(i));
-  }
-  const double road_end = in.positions_m.back() + road.range_m;
-  for (VehicleEntry& v : in.vehicles) {
-    if (!root.bernoulli(road.through_fraction)) {
-      v.exit_m = root.uniform(0.0, road_end);
-    }
-  }
-  return in;
-}
-
 /// The whole fleet in one shared Simulator, then the collection pass.
 DeploymentOutcome run_in_one_simulator(const core::CatalogEntry& entry,
                                        const FleetSpec& spec,
@@ -93,7 +61,7 @@ DeploymentOutcome run_in_one_simulator(const core::CatalogEntry& entry,
   const sim::Duration horizon =
       spec.flow_profile.epoch() * static_cast<std::int64_t>(kEpochs);
   const RoadWorkload& road = *spec.road_workload();
-  RoadInputs in = materialize_road(spec, horizon);
+  testing::RoadInputs in = testing::materialize_road(spec, kSeed, horizon);
   const RoadContactPlan plan =
       build_road_contact_plan(in.positions_m, road.range_m, in.vehicles);
   fault::FaultPlan faults{*spec.faults, spec.nodes};

@@ -8,12 +8,10 @@
 /// \file counting_alloc_hook.hpp
 /// Global operator new/delete replacement that counts every allocation.
 ///
-/// Shared by tests/sim/zero_alloc_test.cpp (the steady-state
-/// zero-allocation guarantee) and bench/bench_hotpath.cpp (the
-/// allocs/bytes-per-event counters), so the two observers can never
-/// drift apart. Covers the plain, nothrow, array and C++17 aligned
-/// overloads — an over-aligned allocation on the hot path is counted,
-/// not missed.
+/// Used by tests/sim/zero_alloc_test.cpp to pin the steady-state
+/// zero-allocation guarantee. Covers the plain, nothrow, array and C++17
+/// aligned overloads — an over-aligned allocation on the hot path is
+/// counted, not missed.
 ///
 /// Replacement allocation functions must not be inline
 /// ([replacement.functions]), so this header defines them at namespace

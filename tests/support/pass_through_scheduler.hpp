@@ -24,13 +24,15 @@
 /// fast path really ran. It counts skipped probes and skipped idle polls
 /// apart, and, of the probes, those an adaptive SNIP-RH scheduler skipped
 /// outside its mask in the exploit phase: its lone tracker probes, since
-/// SNIP-RH runs stay inside the mask. Counts go to the decorator and,
+/// SNIP-RH runs stay inside the mask. It also counts probed contacts
+/// (`on_contact_probed` calls, one per collection session a routed fleet
+/// replays). Counts go to the decorator and,
 /// when a tally is given, into it on destruction (fleet engines destroy
 /// each node's scheduler when the node finishes, possibly on a worker
 /// thread).
 ///
-/// Header-only: shared by the property and unit tests and by
-/// bench/bench_perf_kernels.cpp.
+/// Header-only: shared by the property, unit and integration tests and
+/// by bench/bench_perf_kernels.cpp.
 
 namespace snipr::testing {
 
@@ -39,6 +41,7 @@ struct PassThroughTally {
   std::atomic<std::uint64_t> skipped_probes{0};
   std::atomic<std::uint64_t> skipped_tracker_probes{0};
   std::atomic<std::uint64_t> skipped_polls{0};
+  std::atomic<std::uint64_t> contacts_probed{0};
 
   /// Wakeups the forwarded hook skipped, of either kind.
   [[nodiscard]] std::uint64_t skipped() const noexcept {
@@ -70,6 +73,8 @@ class PassThroughScheduler final : public node::Scheduler {
                                                std::memory_order_relaxed);
       tally_->skipped_polls.fetch_add(skipped_polls_,
                                       std::memory_order_relaxed);
+      tally_->contacts_probed.fetch_add(contacts_probed_,
+                                        std::memory_order_relaxed);
     }
   }
   PassThroughScheduler(const PassThroughScheduler&) = delete;
@@ -105,6 +110,7 @@ class PassThroughScheduler final : public node::Scheduler {
     inner_->on_probe_detected(when);
   }
   void on_contact_probed(const node::ProbedContactObservation& obs) override {
+    ++contacts_probed_;
     inner_->on_contact_probed(obs);
   }
   void on_epoch_start(std::int64_t epoch_index) override {
@@ -144,6 +150,7 @@ class PassThroughScheduler final : public node::Scheduler {
   std::uint64_t skipped_probes_{0};
   std::uint64_t skipped_tracker_probes_{0};
   std::uint64_t skipped_polls_{0};
+  std::uint64_t contacts_probed_{0};
 };
 
 }  // namespace snipr::testing

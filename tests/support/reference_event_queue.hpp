@@ -17,7 +17,7 @@
 /// `sim::EventQueue` must be observationally equivalent to it on every
 /// schedule/cancel/pop interleaving a forward-running simulation can
 /// produce — pinned by `property_event_queue_equivalence_test` — and
-/// `bench_hotpath`'s churn benchmark races the two on the mixed
+/// `bench_perf_kernels`' churn benchmark races the two on the mixed
 /// schedule/cancel workload. Heap-internal observables (tombstone
 /// counts) are intentionally not part of the equivalence surface.
 

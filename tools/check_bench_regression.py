@@ -1,121 +1,58 @@
 #!/usr/bin/env python3
-"""Compare a fresh bench artifact against the checked-in baseline.
+"""Compare a fresh learner-quality artifact against the checked-in baseline.
 
-Understands both artifact shapes this repo produces:
+Reads artifacts with a "rows" array keyed by (scenario, policy, epochs):
+BENCH_regret.json from bench_regret and BENCH_resilience.json from
+bench_resilience. Rows pair up by those identity fields, so baseline
+and current rows match even if the sweep order changes.
 
-* google-benchmark JSON ("benchmarks" array, as in BENCH_hotpath.json);
-* sweep artifacts with a "rows" array and an optional "mega" object
-  (BENCH_deployment_scale.json, BENCH_multihop_scale.json). Rows are
-  keyed by their identity fields (nodes / node_store_bytes / epochs) so
-  baseline and current rows pair up even if the sweep order changes.
-
-* regret artifacts with a "rows" array keyed by (scenario, policy)
-  (BENCH_regret.json from bench_regret).
-
-Four counter kinds are compared, selected by name:
-
-* ``*_per_sec`` — throughput; more than --tolerance BELOW the baseline
-  is a regression. Improvements are reported but never fail.
-* ``*_per_event`` — steady-state allocation counters; a baseline of zero
-  that becomes nonzero fails (the zero-allocation hot path was lost).
-* ``*_mib`` — memory footprints; more than --tolerance ABOVE the
-  baseline is a regression (the bounded-memory plateau was lost).
-* ``*regret*`` — regret vs the clairvoyant benchmark; more than
-  max(--tolerance * |baseline|, 1.0) ABOVE the baseline is a regression
-  (a learner/exploration change broke censored recovery). Less regret is
-  an improvement and never fails; the absolute 1 s slack keeps near-zero
-  baselines from turning noise into a gate.
+Every ``*regret*`` field is compared: more than
+max(--tolerance * |baseline|, 1.0) ABOVE the baseline is a regression
+(a learner/exploration change broke censored recovery, or a policy now
+loses more capacity to the same faults). Less regret is an improvement
+and never fails; the absolute 1 s slack keeps near-zero baselines from
+turning noise into a gate.
 
 A baseline that yields no comparable counters at all is an error, not a
 pass: a silently empty comparison is how a gate rots. Exit status: 0 =
 within tolerance, 1 = regression, 2 = usage/IO error or empty baseline.
-The CI jobs running this are non-blocking (continue-on-error) — the gate
-exists to flag drift in the PR log, not to brick the build on a noisy
-shared runner.
+The CI jobs running this are non-blocking (continue-on-error): the
+intended way to land a behaviour change is to commit the fresh JSON as
+the new baseline.
 """
 
 import argparse
 import json
 import sys
 
-# Fields that identify a sweep row across runs (order-independent).
-IDENTITY_KEYS = ("scenario", "policy", "nodes", "node_store_bytes", "epochs")
+# Fields that identify a row across runs (order-independent).
+IDENTITY_KEYS = ("scenario", "policy", "epochs")
 
 # Regret counters below this baseline magnitude gate on an absolute 1 s
 # slack instead of a fraction of nothing.
 REGRET_ABS_SLACK_S = 1.0
 
 
-def counter_kind(key):
-    """'rate', 'alloc', 'mem', 'regret', or None for non-counter fields."""
-    if key.endswith("_per_sec"):
-        return "rate"
-    if key.endswith("_per_event"):
-        return "alloc"
-    if key.endswith("_mib"):
-        return "mem"
-    if "regret" in key:
-        return "regret"
-    return None
-
-
-def row_counters(row):
-    return {
-        key: float(value)
-        for key, value in row.items()
-        if counter_kind(key) is not None and isinstance(value, (int, float))
-    }
-
-
-def row_name(prefix, row):
-    parts = [prefix]
-    parts.extend(
-        f"{key}:{row[key]:g}" if isinstance(row[key], float)
-        else f"{key}:{row[key]}"
-        for key in IDENTITY_KEYS
-        if key in row
-    )
-    return "/".join(parts)
+def row_name(row):
+    return "/".join(["rows"] + [f"{key}:{row[key]}" for key in IDENTITY_KEYS
+                                if key in row])
 
 
 def load_counters(path):
-    """Map benchmark/row name -> {counter: value} for every counter kind.
-
-    Repetition runs (--benchmark_repetitions=N emits N "iteration"
-    entries under the same name) are averaged, so the gate sees the mean
-    of all repetitions rather than silently keeping only the last one.
-    """
+    """Map row name -> {regret counter: value}."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, ValueError) as err:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         sys.exit(2)
-    sums = {}
-    counts = {}
-
-    def accumulate(name, counters):
-        if not counters:
-            return
-        acc = sums.setdefault(name, {})
-        for key, value in counters.items():
-            acc[key] = acc.get(key, 0.0) + value
-        counts[name] = counts.get(name, 0) + 1
-
-    for bench in doc.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        accumulate(bench["name"], row_counters(bench))
+    counters = {}
     for row in doc.get("rows", []):
-        accumulate(row_name("rows", row), row_counters(row))
-    mega = doc.get("mega")
-    if isinstance(mega, dict):
-        accumulate(row_name("mega", mega), row_counters(mega))
-
-    return {
-        name: {key: value / counts[name] for key, value in acc.items()}
-        for name, acc in sums.items()
-    }
+        regrets = {key: float(value) for key, value in row.items()
+                   if "regret" in key and isinstance(value, (int, float))}
+        if regrets:
+            counters[row_name(row)] = regrets
+    return counters
 
 
 def main():
@@ -148,53 +85,22 @@ def main():
             if cur is None:
                 failures.append(f"{name}/{counter}: missing from current run")
                 continue
-            kind = counter_kind(counter)
-            if kind == "alloc":
-                if base == 0.0 and cur > 0.0:
-                    failures.append(
-                        f"{name}/{counter}: baseline 0, now {cur:g} — "
-                        "steady-state allocations reintroduced")
-                continue
-            if kind == "regret":
-                # Regret gates upward on an absolute scale: negative and
-                # near-zero baselines are legitimate (a policy may beat
-                # the mean clairvoyant trace on lucky draws), so a ratio
-                # test would divide by ~0.
-                slack = max(args.tolerance * abs(base), REGRET_ABS_SLACK_S)
-                verdict = "ok"
-                if cur > base + slack:
-                    verdict = "REGRESSION"
-                    failures.append(
-                        f"{name}/{counter}: regret {base:.3g} -> {cur:.3g} s "
-                        f"(+{cur - base:.3g} s) — censored-feedback "
-                        "recovery got worse")
-                elif cur < base - slack:
-                    verdict = "improved"
-                print(f"{name}/{counter}: {base:.3g} -> {cur:.3g} s "
-                      f"({cur - base:+.3g} s) {verdict}")
-                continue
-            if base <= 0.0:
-                continue
-            ratio = cur / base
+            # Regret gates upward on an absolute scale: negative and
+            # near-zero baselines are legitimate (a policy may beat the
+            # mean clairvoyant trace on lucky draws), so a ratio test
+            # would divide by ~0.
+            slack = max(args.tolerance * abs(base), REGRET_ABS_SLACK_S)
             verdict = "ok"
-            if kind == "mem":
-                if ratio > 1.0 + args.tolerance:
-                    verdict = "REGRESSION"
-                    failures.append(
-                        f"{name}/{counter}: {base:.3g} -> {cur:.3g} MiB "
-                        f"({(ratio - 1.0) * 100.0:+.1f}%) — memory grew")
-                elif ratio < 1.0 - args.tolerance:
-                    verdict = "improved"
-            else:  # rate
-                if ratio < 1.0 - args.tolerance:
-                    verdict = "REGRESSION"
-                    failures.append(
-                        f"{name}/{counter}: {base:.3g} -> {cur:.3g} "
-                        f"({(ratio - 1.0) * 100.0:+.1f}%)")
-                elif ratio > 1.0 + args.tolerance:
-                    verdict = "improved"
-            print(f"{name}/{counter}: {base:.3g} -> {cur:.3g} "
-                  f"({(ratio - 1.0) * 100.0:+.1f}%) {verdict}")
+            if cur > base + slack:
+                verdict = "REGRESSION"
+                failures.append(
+                    f"{name}/{counter}: regret {base:.3g} -> {cur:.3g} s "
+                    f"(+{cur - base:.3g} s) — censored-feedback "
+                    "recovery got worse")
+            elif cur < base - slack:
+                verdict = "improved"
+            print(f"{name}/{counter}: {base:.3g} -> {cur:.3g} s "
+                  f"({cur - base:+.3g} s) {verdict}")
 
     if failures:
         print(f"\n{len(failures)} regression(s) beyond "

@@ -1,7 +1,8 @@
 # snipr_cli's subcommand surface: each subcommand answers --help, the
 # mode flags that predate subcommands (--batch, --fleet, --trace,
 # --list-scenarios, --list-traces) exit with a usage error on their own
-# and under a subcommand, and `trace NAME --batch` still sweeps a replay.
+# and under a subcommand, `trace NAME --batch` still sweeps a replay, and
+# a number or config the run would silently zero out is a usage error.
 # Run via ctest (cli_subcommands); expects -DSNIPR_CLI=<path>.
 
 if(NOT DEFINED SNIPR_CLI)
@@ -16,6 +17,7 @@ function(run_cli out_var rc_var)
                   RESULT_VARIABLE rc)
   set(${out_var} "${stdout}" PARENT_SCOPE)
   set(${rc_var} "${rc}" PARENT_SCOPE)
+  set(last_stderr "${stderr}" PARENT_SCOPE)
 endfunction()
 
 # 1. Per-subcommand help answers without running anything.
@@ -47,5 +49,20 @@ run_cli(out rc trace synthetic-metro-drift --batch --mechanisms rh
 if(NOT rc EQUAL 0 OR NOT out MATCHES "^{\"schema\":\"snipr\\.batch\\.v1\"")
   message(FATAL_ERROR "'trace NAME --batch' failed (rc ${rc})")
 endif()
+
+# 5. Non-finite numbers and configs with nothing to aggregate exit 2,
+#    naming the flag or the field.
+foreach(case "--budget;run --budget inf" "--target;run --target nan"
+             "--targets;batch --targets 16,nan --seeds 1 --epochs 2"
+             "warmup_epochs;run --warmup 20 --epochs 14"
+             "epochs;run --epochs 0")
+  list(POP_FRONT case expected)
+  separate_arguments(args UNIX_COMMAND "${case}")
+  run_cli(out rc ${args})
+  if(NOT rc EQUAL 2 OR NOT last_stderr MATCHES "${expected}")
+    message(FATAL_ERROR "'${case}' should exit 2 naming ${expected} "
+                        "(got ${rc}: ${last_stderr})")
+  endif()
+endforeach()
 
 message(STATUS "cli subcommands: all checks passed")

@@ -27,6 +27,7 @@
 ///   ./snipr_cli fleet fleet-multihop-relay --epochs 3 --json relay.json
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -186,8 +187,9 @@ void print_overview(const char* argv0) {
       argv0, argv0);
 }
 
-/// Parse a comma-separated list of strictly numeric values; false (and a
-/// diagnostic) on any token atof would silently fold to 0.
+/// Parse a comma-separated list of finite numbers; false (and a
+/// diagnostic) on any token atof would silently fold to 0, and on
+/// nan/inf, which strtod accepts.
 bool parse_double_list(const char* flag, const std::string& list,
                        std::vector<double>& out) {
   out.clear();
@@ -199,7 +201,8 @@ bool parse_double_list(const char* flag, const std::string& list,
       const std::string token = list.substr(start, end - start);
       char* token_end = nullptr;
       const double value = std::strtod(token.c_str(), &token_end);
-      if (token_end == token.c_str() || *token_end != '\0') {
+      if (token_end == token.c_str() || *token_end != '\0' ||
+          !std::isfinite(value)) {
         std::fprintf(stderr, "%s: invalid number '%s'\n", flag,
                      token.c_str());
         return false;
@@ -255,7 +258,7 @@ bool parse(int argc, char** argv, int first, Options& opt) {
       if (v == nullptr) return false;
       char* end = nullptr;
       out = std::strtod(v, &end);
-      if (end == v || *end != '\0') {
+      if (end == v || *end != '\0' || !std::isfinite(out)) {
         std::fprintf(stderr, "%s: invalid number '%s'\n", arg.c_str(), v);
         return false;
       }
@@ -562,7 +565,13 @@ int run_batch(const Options& opt, const core::RoadsideScenario& scenario,
 
   const core::BatchRunner runner{
       core::BatchRunner::Config{.threads = opt.threads}};
-  const auto results = runner.run(core::expand_sweep(sweep));
+  std::vector<core::BatchRunResult> results;
+  try {
+    results = runner.run(core::expand_sweep(sweep));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
   const std::string json = core::BatchRunner::to_json(results);
 
   if (opt.json_path.empty()) {
@@ -707,7 +716,13 @@ int main(int argc, char** argv) {
   const std::unique_ptr<node::Scheduler> scheduler =
       core::make_scheduler(scenario, strategy, opt.target_s, budget_s);
 
-  const core::RunResult r = core::run_experiment(scenario, *scheduler, cfg);
+  core::RunResult r;
+  try {
+    r = core::run_experiment(scenario, *scheduler, cfg);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   if (opt.csv) {
     std::printf(

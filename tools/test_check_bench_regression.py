@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Unit tests for check_bench_regression.py — the ±15% bench gate.
+"""Unit tests for check_bench_regression.py — the regret gate.
 
 Pytest-style test functions wrapped in a unittest.TestCase so the same
 file runs under `pytest` and under `python3 -m unittest` (what the
@@ -39,11 +39,11 @@ def run_gate(tmp, baseline, current, tolerance=0.15):
             return err.code
 
 
-def gb(name, **counters):
-    """One google-benchmark iteration entry."""
-    entry = {"name": name, "run_type": "iteration"}
-    entry.update(counters)
-    return entry
+def regret_row(scenario, policy, cumulative, mean=0.0):
+    """One bench_regret row."""
+    return {"scenario": scenario, "policy": policy, "epochs": 28,
+            "cumulative_regret_s": cumulative, "mean_regret_s": mean,
+            "mean_zeta_s": 30.0, "opt_mean_zeta_s": 50.0}
 
 
 class CheckBenchRegressionTest(unittest.TestCase):
@@ -52,97 +52,43 @@ class CheckBenchRegressionTest(unittest.TestCase):
         self.tmp = self._tmp.name
         self.addCleanup(self._tmp.cleanup)
 
-    # --- google-benchmark ("benchmarks") schema ---
-
-    def test_rate_within_tolerance_passes(self):
-        base = {"benchmarks": [gb("BM_Loop", events_per_sec=1000.0)]}
-        cur = {"benchmarks": [gb("BM_Loop", events_per_sec=900.0)]}
-        self.assertEqual(run_gate(self.tmp, base, cur), 0)
-
-    def test_rate_drop_beyond_tolerance_fails(self):
-        base = {"benchmarks": [gb("BM_Loop", events_per_sec=1000.0)]}
-        cur = {"benchmarks": [gb("BM_Loop", events_per_sec=700.0)]}
-        self.assertEqual(run_gate(self.tmp, base, cur), 1)
-
-    def test_rate_improvement_never_fails(self):
-        base = {"benchmarks": [gb("BM_Loop", events_per_sec=1000.0)]}
-        cur = {"benchmarks": [gb("BM_Loop", events_per_sec=5000.0)]}
-        self.assertEqual(run_gate(self.tmp, base, cur), 0)
-
-    def test_repetitions_are_averaged_not_last_wins(self):
-        # Mean of (700, 1100) = 900 is within 15% of 1000; the last
-        # repetition alone (1100) and the first alone (700) are not both.
-        base = {"benchmarks": [gb("BM_Loop", events_per_sec=1000.0)]}
-        cur = {"benchmarks": [gb("BM_Loop", events_per_sec=700.0),
-                              gb("BM_Loop", events_per_sec=1100.0)]}
-        self.assertEqual(run_gate(self.tmp, base, cur), 0)
-
-    def test_aggregate_entries_are_ignored(self):
-        base = {"benchmarks": [gb("BM_Loop", events_per_sec=1000.0)]}
-        cur = {"benchmarks": [
-            gb("BM_Loop", events_per_sec=1000.0),
-            {"name": "BM_Loop", "run_type": "aggregate",
-             "events_per_sec": 1.0}]}
-        self.assertEqual(run_gate(self.tmp, base, cur), 0)
-
-    # --- rows/mega sweep schema ---
+    # --- rows pair by (scenario, policy, epochs) ---
 
     def test_rows_pair_by_identity_despite_reordering(self):
-        base = {"rows": [
-            {"nodes": 1, "events_per_sec": 100.0},
-            {"nodes": 1024, "events_per_sec": 900.0}]}
-        cur = {"rows": [
-            {"nodes": 1024, "events_per_sec": 910.0},
-            {"nodes": 1, "events_per_sec": 101.0}]}
+        base = {"rows": [regret_row("roadside", "naive", 100.0),
+                         regret_row("roadside", "ucb", 900.0)]}
+        cur = {"rows": [regret_row("roadside", "ucb", 910.0),
+                        regret_row("roadside", "naive", 101.0)]}
         self.assertEqual(run_gate(self.tmp, base, cur), 0)
 
-    def test_rows_regression_is_attributed_to_the_right_row(self):
-        base = {"rows": [
-            {"nodes": 1, "events_per_sec": 100.0},
-            {"nodes": 1024, "events_per_sec": 900.0}]}
-        cur = {"rows": [
-            {"nodes": 1024, "events_per_sec": 900.0},
-            {"nodes": 1, "events_per_sec": 10.0}]}
-        self.assertEqual(run_gate(self.tmp, base, cur), 1)
-
-    def test_mega_object_is_compared(self):
-        base = {"rows": [{"nodes": 1, "events_per_sec": 100.0}],
-                "mega": {"nodes": 50000, "epochs": 52,
-                         "events_per_sec": 1000.0}}
-        cur = {"rows": [{"nodes": 1, "events_per_sec": 100.0}],
-               "mega": {"nodes": 50000, "epochs": 52,
-                        "events_per_sec": 100.0}}
-        self.assertEqual(run_gate(self.tmp, base, cur), 1)
-
     def test_missing_row_in_current_fails(self):
-        base = {"rows": [{"nodes": 1, "events_per_sec": 100.0},
-                         {"nodes": 2, "events_per_sec": 100.0}]}
-        cur = {"rows": [{"nodes": 1, "events_per_sec": 100.0}]}
+        base = {"rows": [regret_row("roadside", "naive", 100.0),
+                         regret_row("roadside", "ucb", 100.0)]}
+        cur = {"rows": [regret_row("roadside", "naive", 100.0)]}
         self.assertEqual(run_gate(self.tmp, base, cur), 1)
 
     # --- empty / broken artifacts exit 2, never pass vacuously ---
 
     def test_empty_baseline_exits_2(self):
-        base = {"benchmarks": []}
-        cur = {"benchmarks": [gb("BM_Loop", events_per_sec=1.0)]}
+        base = {"rows": []}
+        cur = {"rows": [regret_row("roadside", "ucb", 1.0)]}
         self.assertEqual(run_gate(self.tmp, base, cur), 2)
 
-    def test_baseline_without_counter_suffixes_exits_2(self):
-        # Fields exist but none carry a _per_sec/_per_event/_mib suffix:
-        # the rows-schema regression the PR 7 rework fixed.
-        base = {"rows": [{"nodes": 1, "wall_s": 3.5}]}
-        cur = {"rows": [{"nodes": 1, "wall_s": 3.5}]}
+    def test_baseline_without_regret_counters_exits_2(self):
+        # Rows exist but no field is a regret counter.
+        base = {"rows": [{"scenario": "roadside", "mean_zeta_s": 3.5}]}
+        cur = {"rows": [{"scenario": "roadside", "mean_zeta_s": 3.5}]}
         self.assertEqual(run_gate(self.tmp, base, cur), 2)
 
     def test_empty_current_exits_2(self):
-        base = {"benchmarks": [gb("BM_Loop", events_per_sec=1.0)]}
-        cur = {"benchmarks": []}
+        base = {"rows": [regret_row("roadside", "ucb", 1.0)]}
+        cur = {"rows": []}
         self.assertEqual(run_gate(self.tmp, base, cur), 2)
 
     def test_unreadable_baseline_exits_2(self):
         cur_path = os.path.join(self.tmp, "cur.json")
         with open(cur_path, "w", encoding="utf-8") as fh:
-            json.dump({"benchmarks": [gb("B", x_per_sec=1.0)]}, fh)
+            json.dump({"rows": [regret_row("roadside", "ucb", 1.0)]}, fh)
         argv = ["check_bench_regression.py",
                 os.path.join(self.tmp, "does_not_exist.json"), cur_path]
         with mock.patch.object(sys, "argv", argv):
@@ -181,79 +127,42 @@ class CheckBenchRegressionTest(unittest.TestCase):
         for rel in sorted(baselines):
             self.assertTrue(os.path.exists(os.path.join(root, rel)), rel)
 
-    # --- _mib memory counters fail upward only ---
-
-    def test_mib_growth_beyond_tolerance_fails(self):
-        base = {"mega": {"nodes": 5, "rss_peak_mib": 40.0}}
-        cur = {"mega": {"nodes": 5, "rss_peak_mib": 60.0}}
-        self.assertEqual(run_gate(self.tmp, base, cur), 1)
-
-    def test_mib_shrink_is_an_improvement_not_a_failure(self):
-        base = {"mega": {"nodes": 5, "rss_peak_mib": 40.0}}
-        cur = {"mega": {"nodes": 5, "rss_peak_mib": 10.0}}
-        self.assertEqual(run_gate(self.tmp, base, cur), 0)
-
-    # --- _per_event alloc counters: zero is a contract, not a number ---
-
-    def test_alloc_zero_to_nonzero_fails(self):
-        base = {"benchmarks": [gb("BM_Loop", allocs_per_event=0.0)]}
-        cur = {"benchmarks": [gb("BM_Loop", allocs_per_event=0.001)]}
-        self.assertEqual(run_gate(self.tmp, base, cur), 1)
-
-    def test_alloc_zero_stays_zero_passes(self):
-        base = {"benchmarks": [gb("BM_Loop", allocs_per_event=0.0)]}
-        cur = {"benchmarks": [gb("BM_Loop", allocs_per_event=0.0)]}
-        self.assertEqual(run_gate(self.tmp, base, cur), 0)
-
     # --- *regret* counters fail upward on an absolute-or-relative slack ---
 
-    @staticmethod
-    def regret_row(scenario, policy, cumulative, mean):
-        return {"scenario": scenario, "policy": policy, "epochs": 28,
-                "cumulative_regret_s": cumulative, "mean_regret_s": mean,
-                "mean_zeta_s": 30.0, "opt_mean_zeta_s": 50.0}
-
     def test_regret_growth_beyond_tolerance_fails(self):
-        base = {"rows": [self.regret_row("migrating-peaks", "ucb",
+        base = {"rows": [regret_row("migrating-peaks", "ucb",
                                          1000.0, 35.7)]}
-        cur = {"rows": [self.regret_row("migrating-peaks", "ucb",
+        cur = {"rows": [regret_row("migrating-peaks", "ucb",
                                         1200.0, 42.9)]}
         self.assertEqual(run_gate(self.tmp, base, cur, tolerance=0.10), 1)
 
     def test_regret_drop_is_an_improvement_not_a_failure(self):
-        base = {"rows": [self.regret_row("migrating-peaks", "ucb",
+        base = {"rows": [regret_row("migrating-peaks", "ucb",
                                          1200.0, 42.9)]}
-        cur = {"rows": [self.regret_row("migrating-peaks", "ucb",
+        cur = {"rows": [regret_row("migrating-peaks", "ucb",
                                         600.0, 21.4)]}
         self.assertEqual(run_gate(self.tmp, base, cur, tolerance=0.10), 0)
 
     def test_regret_rows_pair_by_scenario_and_policy(self):
         # Same counters, swapped across policies: the ucb row regressed
         # even though the artifact-wide totals are unchanged.
-        base = {"rows": [self.regret_row("roadside", "naive", 800.0, 33.0),
-                         self.regret_row("roadside", "ucb", 500.0, 21.0)]}
-        cur = {"rows": [self.regret_row("roadside", "ucb", 800.0, 33.0),
-                        self.regret_row("roadside", "naive", 500.0, 21.0)]}
+        base = {"rows": [regret_row("roadside", "naive", 800.0, 33.0),
+                         regret_row("roadside", "ucb", 500.0, 21.0)]}
+        cur = {"rows": [regret_row("roadside", "ucb", 800.0, 33.0),
+                        regret_row("roadside", "naive", 500.0, 21.0)]}
         self.assertEqual(run_gate(self.tmp, base, cur, tolerance=0.10), 1)
 
     def test_regret_near_zero_baseline_uses_absolute_slack(self):
         # 0.1 s -> 0.9 s is a 9x ratio but well under the 1 s absolute
         # slack — simulator noise on an already-near-clairvoyant policy.
-        base = {"rows": [self.regret_row("roadside", "ucb", 0.1, 0.004)]}
-        cur = {"rows": [self.regret_row("roadside", "ucb", 0.9, 0.032)]}
+        base = {"rows": [regret_row("roadside", "ucb", 0.1, 0.004)]}
+        cur = {"rows": [regret_row("roadside", "ucb", 0.9, 0.032)]}
         self.assertEqual(run_gate(self.tmp, base, cur, tolerance=0.10), 0)
 
     def test_regret_negative_baseline_gates_without_ratio(self):
-        base = {"rows": [self.regret_row("roadside", "ucb", -5.0, -0.2)]}
-        cur = {"rows": [self.regret_row("roadside", "ucb", 20.0, 0.7)]}
+        base = {"rows": [regret_row("roadside", "ucb", -5.0, -0.2)]}
+        cur = {"rows": [regret_row("roadside", "ucb", 20.0, 0.7)]}
         self.assertEqual(run_gate(self.tmp, base, cur, tolerance=0.10), 1)
-
-    def test_alloc_nonzero_baseline_tolerates_drift(self):
-        # A baseline that already allocates is not the zero-alloc
-        # contract; drift there is the rate gate's business, not this one.
-        base = {"benchmarks": [gb("BM_Old", allocs_per_event=2.0)]}
-        cur = {"benchmarks": [gb("BM_Old", allocs_per_event=3.0)]}
-        self.assertEqual(run_gate(self.tmp, base, cur), 0)
 
 
 if __name__ == "__main__":
