@@ -4,16 +4,26 @@
 #include <functional>
 
 /// \file thread_pool.hpp
-/// Reusable fork-join worker pool.
+/// Fork-join work distribution: each call spawns its workers and joins
+/// them before returning, so a pool object holds nothing but a worker
+/// count. Engines amortise the spawn by making one call per run.
 ///
 /// Extracted from `core::BatchRunner` so every parallel engine (the batch
-/// grid, the deployment `FleetEngine`, future sweeps) shares one
+/// grid, the deployment `FleetEngine`, the streaming fleet) shares one
 /// work-distribution strategy instead of hand-rolling its own: a shared
-/// atomic index hands item `i` to whichever worker gets there first, so
+/// index hands item `i` to whichever worker gets there first, so
 /// assignment order can never influence output order — each item owns its
-/// own result slot and its own deterministic state. The first exception
-/// thrown by any item is rethrown on the caller's thread after all
-/// workers join.
+/// own result slot and its own deterministic state.
+///
+/// Two primitives:
+///  - `parallel_for` runs independent items; the first exception thrown
+///    by any item is rethrown on the caller's thread after all workers
+///    join.
+///  - `ordered_for` runs items concurrently and *commits* them one at a
+///    time in index order, as a sequential loop would, with a bounded
+///    number of items in flight. It is how a run folds results into one
+///    order-sensitive accumulator (and checkpoints it) without a
+///    spawn-join barrier between folds.
 
 namespace snipr::core {
 
@@ -31,6 +41,23 @@ class ThreadPool {
   /// returned; rethrows the first exception any body threw.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& body) const;
+
+  /// Invoke `body(i)` for every i in [0, count) concurrently, and
+  /// `commit(i)` once body(i) has returned, in index order: commit(i)
+  /// runs only after commit(i − 1), under one lock, on whichever worker
+  /// completed the prefix up to i. At most `window` items are started
+  /// but not yet committed, so a body may write a slot indexed by
+  /// i % window that commit(i) reads. Bodies must not share mutable state
+  /// except through their own index; commits may share anything.
+  ///
+  /// Failure is sequential-equivalent: the first exception (from a body
+  /// or a commit) stops hand-out and wakes every waiting worker; items
+  /// already running finish. After the join, the exception of the
+  /// lowest failed index f is rethrown, and commit has run for exactly
+  /// [0, f). Throws std::invalid_argument when `window` is 0.
+  void ordered_for(std::size_t count, std::size_t window,
+                   const std::function<void(std::size_t)>& body,
+                   const std::function<void(std::size_t)>& commit) const;
 
   /// std::thread::hardware_concurrency(), never 0.
   [[nodiscard]] static std::size_t hardware_threads() noexcept;

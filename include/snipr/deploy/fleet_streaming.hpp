@@ -16,21 +16,23 @@
 /// one range runner that builds a shard's schedules just before
 /// simulating it. `FleetEngine::run` keeps one NodeOutcome row per node,
 /// O(fleet) memory that a million-node run cannot afford. The streaming
-/// engine keeps none: it runs the fleet batch by batch, folds each
-/// node's results into scalar accumulators (Welford mean/variance via
-/// `stats::OnlineStats`, quantiles via `stats::QuantileSketch`) and frees
-/// everything before the next batch starts. Peak memory is the vehicle
-/// flow plus one batch of shards, independent of fleet size.
+/// engine keeps none: its workers simulate shards concurrently, and each
+/// shard's per-node results fold into scalar accumulators (Welford
+/// mean/variance via `stats::OnlineStats`, quantiles via
+/// `stats::QuantileSketch`) as soon as every earlier shard has folded.
+/// Peak memory is the vehicle flow plus the schedules of the shards
+/// being simulated (at most one per worker), independent of fleet size.
 ///
 /// Determinism matches the run() contract: node i's RNG stream is a
 /// pure function of (seed, i); per-node values are folded into the
 /// accumulators in node order regardless of shard/thread count, so the
 /// summary — and its JSON — is byte-identical for any partitioning.
 ///
-/// Long runs can checkpoint: after each shard batch the accumulator
-/// state is written (atomically) to `StreamingOptions::checkpoint_path`,
-/// and a later call with the same configuration resumes from the last
-/// completed batch, bit-identical to an uninterrupted run.
+/// Long runs can checkpoint: every `StreamingOptions::batch_shards`
+/// folded shards the accumulator state is written (atomically) to
+/// `StreamingOptions::checkpoint_path`, and a later call with the same
+/// configuration resumes from the last checkpoint, bit-identical to an
+/// uninterrupted run.
 
 namespace snipr::deploy {
 
@@ -64,9 +66,13 @@ struct FleetSummary {
 struct StreamingOptions {
   /// Checkpoint file; empty disables checkpointing.
   std::string checkpoint_path;
-  /// Shards simulated per batch (between checkpoint writes; also the
-  /// number of shards whose schedules coexist in memory). 0 = the
-  /// worker-thread count.
+  /// Checkpoint cadence: the state is written after every `batch_shards`
+  /// folded shards, counted from the resume point, and at the end of the
+  /// call. It also sets the fold window: at most 2 × `batch_shards`
+  /// shards are simulated or awaiting their fold at once, so a slow shard
+  /// stalls the workers only after they run that far ahead of it.
+  /// Schedules coexist only for the shards being simulated, at most the
+  /// worker count. 0 = the worker count.
   std::size_t batch_shards{0};
   /// Process at most this many shards in this call, then checkpoint and
   /// return nullopt (time-slicing a huge run). 0 = run to completion.
@@ -76,7 +82,8 @@ struct StreamingOptions {
 
 /// Run `spec` as a streaming fleet. Returns the summary, or nullopt when
 /// `options.max_shards` stopped the run early (state saved to the
-/// checkpoint). Store-and-forward routing is rejected: replaying
+/// checkpoint). The run is one `core::ThreadPool::ordered_for` call over
+/// this call's shards. Store-and-forward routing is rejected: replaying
 /// per-contact sessions is exactly the per-node state streaming exists
 /// to avoid. An enabled `spec.faults` is rejected too (std::invalid_argument
 /// naming the field): this engine has no fault plane, and quietly

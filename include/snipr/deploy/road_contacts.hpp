@@ -75,6 +75,14 @@ struct RoadContactPlan {
 /// flow) but honouring per-vehicle exits and recording which vehicle
 /// carries each contact — the contact plan the store-and-forward
 /// collection pass routes data over.
+///
+/// Cost: each node computes its offsets once per run of consecutive
+/// vehicles with equal (speed, exit), and carries the previous node's
+/// (arrival, vehicle) pass order forward, so sorted positions cost
+/// O(V + overtakes) per node. Throws std::invalid_argument naming
+/// `positions_m` (empty, negative or non-finite), `range_m` (not finite
+/// and positive), `VehicleEntry::speed_mps` (not finite and positive) or
+/// `VehicleEntry::exit_m` (NaN or −∞; +∞ drives through).
 [[nodiscard]] RoadContactPlan build_road_contact_plan(
     const std::vector<double>& positions_m, double range_m,
     const std::vector<VehicleEntry>& vehicles);

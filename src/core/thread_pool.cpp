@@ -1,8 +1,11 @@
 #include "snipr/core/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -51,6 +54,91 @@ void ThreadPool::parallel_for(
   for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker);
   for (std::thread& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
+}
+
+void ThreadPool::ordered_for(
+    std::size_t count, std::size_t window,
+    const std::function<void(std::size_t)>& body,
+    const std::function<void(std::size_t)>& commit) const {
+  if (window == 0) {
+    throw std::invalid_argument("ThreadPool::ordered_for: window must be >= 1");
+  }
+  if (count == 0) return;
+
+  const std::size_t workers = std::min({threads_, count, window});
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < count; ++i) {
+      body(i);
+      commit(i);
+    }
+    return;
+  }
+
+  // All hand-out, completion and commit state lives under one mutex. A
+  // worker that finishes an item commits every finished item from the
+  // committed prefix onwards, so commits run in index order on whichever
+  // worker closes the gap.
+  std::mutex mutex;
+  std::condition_variable window_open;
+  std::size_t next = 0;       // next index to hand out
+  std::size_t committed = 0;  // commit(committed) is the next commit
+  // finished[i % window]: body(i) returned. Started-but-uncommitted
+  // items span fewer than `window` consecutive indices, so slots never
+  // collide.
+  std::vector<char> finished(window, 0);
+  std::size_t failed = count;  // lowest failed index; count = none
+  std::exception_ptr error;
+  bool stop = false;
+  const auto record = [&](std::size_t i, std::exception_ptr e) {
+    if (i < failed) {
+      failed = i;
+      error = std::move(e);
+    }
+    stop = true;
+  };
+
+  auto worker = [&] {
+    std::unique_lock lock{mutex};
+    for (;;) {
+      window_open.wait(lock, [&] {
+        return stop || next >= count || next - committed < window;
+      });
+      if (stop || next >= count) return;
+      const std::size_t i = next++;
+      lock.unlock();
+      std::exception_ptr body_error;
+      try {
+        body(i);
+      } catch (...) {
+        body_error = std::current_exception();
+      }
+      lock.lock();
+      if (body_error) {
+        record(i, std::move(body_error));
+      } else {
+        finished[i % window] = 1;
+        // Items below a failure still commit; a failed item is never
+        // marked finished, so the committed prefix ends right before it.
+        while (committed < count && finished[committed % window] != 0) {
+          finished[committed % window] = 0;
+          try {
+            commit(committed);
+          } catch (...) {
+            record(committed, std::current_exception());
+            break;
+          }
+          ++committed;
+        }
+      }
+      window_open.notify_all();
+    }
+  };
+
+  std::vector<std::thread> pool;
+  pool.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker);
+  for (std::thread& t : pool) t.join();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace snipr::core

@@ -21,9 +21,9 @@
 namespace snipr::deploy {
 namespace {
 
-/// Per-node means a shard hands back — a few doubles per node, freed as
-/// soon as the batch folds. (Folding happens on the caller's thread, in
-/// node order, so the accumulator state never depends on the partition.)
+/// Per-node means a shard hands back — a few doubles per node, held only
+/// until the shard folds. (Shards fold one at a time in shard order, so
+/// the accumulator state never depends on the partition.)
 struct NodeAgg {
   double mean_zeta_s{0.0};
   double mean_phi_s{0.0};
@@ -37,7 +37,7 @@ struct ShardResult {
 };
 
 /// Running aggregate across all folded shards — the entire resident
-/// state of a streaming run between batches.
+/// state of a streaming run between checkpoints.
 struct Accumulator {
   stats::OnlineStats zeta;
   stats::QuantileSketch sketch{0.01};
@@ -71,7 +71,7 @@ struct Accumulator {
 //    a silently-wrong accumulator;
 //  - writes go to <path>.tmp, the current checkpoint is demoted to
 //    <path>.prev, then the tmp is renamed in — keep-last-good: damage to
-//    the newest file costs at most one batch of progress;
+//    the newest file costs at most one checkpoint interval of progress;
 //  - restore prefers <path>, falls back to an intact <path>.prev when
 //    the main file is damaged or missing, and throws only when damage
 //    exists with no good fallback (a damaged checkpoint must never turn
@@ -307,37 +307,48 @@ std::optional<FleetSummary> run_streaming_fleet(
                           acc);
   }
 
-  std::size_t processed = 0;
-  while (done < shards) {
-    if (options.max_shards != 0 && processed >= options.max_shards) {
-      return std::nullopt;  // time slice exhausted; checkpoint holds state
-    }
-    std::size_t batch = std::min<std::size_t>(batch_shards, shards - done);
-    if (options.max_shards != 0) {
-      batch = std::min(batch, options.max_shards - processed);
-    }
-    std::vector<ShardResult> results(batch);
-    pool.parallel_for(batch, [&](std::size_t b) {
-      const std::size_t s = static_cast<std::size_t>(done) + b;
-      ShardResult& result = results[b];
-      result.nodes.reserve(partition.begin(s + 1) - partition.begin(s));
-      simulate_range(in, partition.begin(s), partition.begin(s + 1),
-                     [&result](FleetNodeRun& run) {
-                       result.nodes.push_back(
-                           NodeAgg{run.row.mean_zeta_s, run.row.mean_phi_s,
-                                   run.row.mean_bytes_uploaded,
-                                   run.probed_sessions});
-                       result.events += run.events;
-                     });
-    });
-    // Fold on this thread, in shard order — node order overall, so the
-    // accumulator state is independent of the thread count.
-    for (const ShardResult& r : results) acc.fold(r);
-    done += batch;
-    processed += batch;
-    if (!options.checkpoint_path.empty()) {
-      write_checkpoint(options.checkpoint_path, config, n, shards, done, acc);
-    }
+  // This call's slice: the rest of the run, or `max_shards` of it.
+  const std::size_t start = static_cast<std::size_t>(done);
+  const std::size_t slice =
+      options.max_shards == 0
+          ? shards - start
+          : std::min<std::size_t>(options.max_shards, shards - start);
+  // Up to `window` shards are simulated or awaiting their fold at once;
+  // slot k % window holds shard start + k until it folds.
+  const std::size_t window = 2 * batch_shards;
+  std::vector<ShardResult> pending(std::min(window, slice));
+  pool.ordered_for(
+      slice, window,
+      [&](std::size_t k) {
+        const std::size_t s = start + k;
+        ShardResult& result = pending[k % window];
+        result.nodes.clear();
+        result.nodes.reserve(partition.begin(s + 1) - partition.begin(s));
+        result.events = 0;
+        simulate_range(in, partition.begin(s), partition.begin(s + 1),
+                       [&result](FleetNodeRun& run) {
+                         result.nodes.push_back(
+                             NodeAgg{run.row.mean_zeta_s, run.row.mean_phi_s,
+                                     run.row.mean_bytes_uploaded,
+                                     run.probed_sessions});
+                         result.events += run.events;
+                       });
+      },
+      // Commits run in shard order — node order overall, so the
+      // accumulator state is independent of the thread count. The
+      // checkpoint cadence is every `batch_shards` shards from the resume
+      // point, plus the slice end.
+      [&](std::size_t k) {
+        acc.fold(pending[k % window]);
+        done = start + k + 1;
+        if (!options.checkpoint_path.empty() &&
+            ((k + 1) % batch_shards == 0 || k + 1 == slice)) {
+          write_checkpoint(options.checkpoint_path, config, n, shards, done,
+                           acc);
+        }
+      });
+  if (done < shards) {
+    return std::nullopt;  // time slice exhausted; checkpoint holds state
   }
   if (!options.checkpoint_path.empty()) {
     // Completed: retire both generations, or a stale .prev could

@@ -1,6 +1,8 @@
 #include "snipr/deploy/road_contacts.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "snipr/contact/process.hpp"
@@ -29,71 +31,127 @@ std::vector<VehicleEntry> materialize_vehicles(const VehicleFlow& flow,
   return vehicles;
 }
 
+namespace {
+
+/// Restore `order` to ascending (arrival, vehicle) after the arrivals
+/// moved. Insertion sort costs O(V + inversions), and an order carried
+/// over from the previous node has few: the overtakes between the two
+/// positions. A carry with many (a range's first node, positions out of
+/// order) falls back to std::sort once the shifts pass 8V. Both yield the
+/// one sorted permutation, since (arrival, vehicle) is a strict total
+/// order.
+void restore_pass_order(std::vector<std::uint32_t>& order,
+                        const std::vector<sim::TimePoint>& arrival) {
+  const auto before = [&arrival](std::uint32_t a, std::uint32_t b) {
+    if (arrival[a] != arrival[b]) return arrival[a] < arrival[b];
+    return a < b;  // deterministic carrier on ties
+  };
+  std::size_t budget = 8 * order.size();
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    const std::uint32_t k = order[i];
+    std::size_t j = i;
+    for (; j > 0 && before(k, order[j - 1]); --j) order[j] = order[j - 1];
+    order[j] = k;
+    if (i - j > budget) {
+      std::sort(order.begin(), order.end(), before);
+      return;
+    }
+    budget -= i - j;
+  }
+}
+
+}  // namespace
+
 RoadContactPlan build_road_contact_plan(
     const std::vector<double>& positions_m, double range_m,
     const std::vector<VehicleEntry>& vehicles) {
   if (positions_m.empty()) {
-    throw std::invalid_argument("build_road_schedules: no node positions");
+    throw std::invalid_argument(
+        "build_road_contact_plan: positions_m is empty");
   }
-  if (!(range_m > 0.0)) {
-    throw std::invalid_argument("build_road_schedules: range must be > 0");
+  if (!(range_m > 0.0) || !std::isfinite(range_m)) {
+    throw std::invalid_argument(
+        "build_road_contact_plan: range_m must be finite and > 0");
   }
   for (const double x : positions_m) {
-    if (x < 0.0) {
+    if (!(x >= 0.0) || !std::isfinite(x)) {
       throw std::invalid_argument(
-          "build_road_schedules: positions must be >= 0");
+          "build_road_contact_plan: positions_m must be finite and >= 0");
     }
   }
   for (const VehicleEntry& v : vehicles) {
-    if (!(v.speed_mps > 0.0)) {
+    if (!(v.speed_mps > 0.0) || !std::isfinite(v.speed_mps)) {
       throw std::invalid_argument(
-          "build_road_schedules: vehicle speeds must be > 0");
+          "build_road_contact_plan: VehicleEntry::speed_mps must be finite "
+          "and > 0");
+    }
+    // Rejects NaN and -inf; +inf means the vehicle drives through.
+    if (!(v.exit_m > -std::numeric_limits<double>::infinity())) {
+      throw std::invalid_argument(
+          "build_road_contact_plan: VehicleEntry::exit_m must be a number "
+          "or +inf (drives through)");
     }
   }
 
-  struct Pass {
-    contact::Contact contact;
-    std::uint32_t vehicle;
-  };
+  // Consecutive vehicles that share (speed, exit) share every offset at
+  // a node, so each node computes them once per run of such vehicles.
+  const auto count = static_cast<std::uint32_t>(vehicles.size());
+  std::vector<std::uint32_t> run_ends;  // run r is [run_ends[r-1], run_ends[r])
+  for (std::uint32_t k = 1; k <= count; ++k) {
+    if (k == count || vehicles[k].speed_mps != vehicles[k - 1].speed_mps ||
+        vehicles[k].exit_m != vehicles[k - 1].exit_m) {
+      run_ends.push_back(k);
+    }
+  }
+  // Per-node keys, reused across nodes; a zero length means no pass.
+  std::vector<sim::TimePoint> arrival(count);
+  std::vector<sim::Duration> length(count);
+  // Vehicles in (arrival, vehicle) order, carried from node to node.
+  std::vector<std::uint32_t> order(count);
+  for (std::uint32_t k = 0; k < count; ++k) order[k] = k;
 
   RoadContactPlan plan;
   plan.schedules.reserve(positions_m.size());
   plan.carriers.reserve(positions_m.size());
   for (const double x : positions_m) {
-    std::vector<Pass> raw;
-    raw.reserve(vehicles.size());
-    for (std::uint32_t k = 0; k < vehicles.size(); ++k) {
+    const double near_edge = std::max(0.0, x - range_m);
+    std::size_t passes = 0;
+    std::uint32_t k = 0;
+    for (const std::uint32_t run_end : run_ends) {
       const VehicleEntry& v = vehicles[k];
-      const double near_edge = std::max(0.0, x - range_m);
-      if (v.exit_m <= near_edge) continue;  // exits before reaching range
       const double start_s = near_edge / v.speed_mps;
       const double end_s = std::min(x + range_m, v.exit_m) / v.speed_mps;
-      const sim::TimePoint arrival =
-          v.entry + sim::Duration::seconds(start_s);
-      const sim::Duration length = sim::Duration::seconds(end_s - start_s);
-      if (length > sim::Duration::zero()) {
-        raw.push_back(Pass{contact::Contact{arrival, length}, k});
+      const sim::Duration start = sim::Duration::seconds(start_s);
+      // A vehicle exiting before the near edge never reaches range.
+      const sim::Duration span =
+          v.exit_m <= near_edge
+              ? sim::Duration::zero()
+              : std::max(sim::Duration::zero(),
+                         sim::Duration::seconds(end_s - start_s));
+      if (span > sim::Duration::zero()) passes += run_end - k;
+      for (; k < run_end; ++k) {
+        arrival[k] = vehicles[k].entry + start;
+        length[k] = span;
       }
     }
-    std::sort(raw.begin(), raw.end(), [](const Pass& a, const Pass& b) {
-      if (a.contact.arrival != b.contact.arrival) {
-        return a.contact.arrival < b.contact.arrival;
-      }
-      return a.vehicle < b.vehicle;  // deterministic carrier on ties
-    });
+    restore_pass_order(order, arrival);
+
     // Merge overlapping passes into single contacts. The merged contact
     // keeps the first pass's vehicle: the carrier a probe would reach.
     std::vector<contact::Contact> merged;
     std::vector<std::uint32_t> carriers;
-    for (const Pass& p : raw) {
-      const contact::Contact& c = p.contact;
+    merged.reserve(passes);
+    carriers.reserve(passes);
+    for (const std::uint32_t vehicle : order) {
+      if (length[vehicle] == sim::Duration::zero()) continue;
+      const contact::Contact c{arrival[vehicle], length[vehicle]};
       if (!merged.empty() && c.arrival < merged.back().departure()) {
         const sim::TimePoint span_end =
             std::max(merged.back().departure(), c.departure());
         merged.back().length = span_end - merged.back().arrival;
       } else {
         merged.push_back(c);
-        carriers.push_back(p.vehicle);
+        carriers.push_back(vehicle);
       }
     }
     plan.schedules.emplace_back(std::move(merged));

@@ -7,6 +7,8 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -402,6 +404,51 @@ TEST(FleetStreaming, FirstBatchCheckpointBytesArePinned) {
             "crc 57d7fcd2\n");
   std::remove(path.c_str());
   std::remove((path + ".prev").c_str());
+}
+
+TEST(FleetStreaming, SliceCheckpointIsPartitionInvariant) {
+  // The file a slice leaves depends only on how many shards it folded,
+  // never on the worker count or the fold window; and the generation it
+  // demoted to .prev is the one from the previous `batch_shards`
+  // boundary, so the checkpoint cadence is pinned too.
+  const std::string path = ::testing::TempDir() + "/fleet_streaming_slices";
+  const auto clear = [&path] {
+    std::remove(path.c_str());
+    std::remove((path + ".prev").c_str());
+  };
+  const auto slice_file = [&](std::size_t threads, std::size_t batch,
+                              std::size_t max_shards) {
+    FleetCase s = small_fleet(24, 6);
+    s.config.threads = threads;
+    StreamingOptions slice;
+    slice.checkpoint_path = path;
+    slice.batch_shards = batch;
+    slice.max_shards = max_shards;
+    clear();
+    EXPECT_FALSE(run_streaming_fleet(s.scenario, s.spec, s.config, slice)
+                     .has_value());
+    return std::pair{slurp(path), slurp(path + ".prev")};
+  };
+  // after[d]: the checkpoint after d shards, one shard per slice call.
+  std::vector<std::string> after(6);
+  for (std::size_t d = 1; d < 6; ++d) after[d] = slice_file(1, 1, d).first;
+
+  for (const std::size_t max_shards : {1U, 2U, 5U}) {
+    for (const std::size_t threads : {1U, 2U, 4U}) {
+      for (const std::size_t batch : {1U, 2U, 3U}) {
+        const auto [file, prev] = slice_file(threads, batch, max_shards);
+        const std::size_t last = max_shards % batch == 0
+                                     ? max_shards - batch
+                                     : max_shards - max_shards % batch;
+        SCOPED_TRACE(::testing::Message()
+                     << "threads " << threads << ", batch_shards " << batch
+                     << ", max_shards " << max_shards);
+        EXPECT_EQ(file, after[max_shards]);
+        EXPECT_EQ(prev, last == 0 ? std::string{} : after[last]);
+      }
+    }
+  }
+  clear();
 }
 
 TEST(FleetStreaming, MaxShardsWithoutCheckpointIsRejected) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 namespace snipr::deploy {
 namespace {
 
@@ -118,6 +122,58 @@ TEST(BuildRoadSchedules, Validation) {
   const std::vector<VehicleEntry> bad{{at_s(0), 0.0}};
   EXPECT_THROW((void)build_road_schedules({100.0}, 10.0, bad),
                std::invalid_argument);
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// Expect build_road_contact_plan to throw std::invalid_argument whose
+/// message names `field`.
+void expect_rejected(const std::vector<double>& positions, double range_m,
+                     const std::vector<VehicleEntry>& vehicles,
+                     const std::string& field) {
+  try {
+    (void)build_road_contact_plan(positions, range_m, vehicles);
+    ADD_FAILURE() << "accepted bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(BuildRoadContactPlan, RejectsNaNExit) {
+  // NaN compares false against every edge, so it used to drive through.
+  VehicleEntry v{at_s(0), 10.0};
+  v.exit_m = kNaN;
+  expect_rejected({100.0}, 10.0, {v}, "VehicleEntry::exit_m");
+  v.exit_m = -kInf;
+  expect_rejected({100.0}, 10.0, {v}, "VehicleEntry::exit_m");
+}
+
+TEST(BuildRoadContactPlan, RejectsInfiniteSpeed) {
+  // An infinite speed gives a zero-length pass, which used to vanish.
+  expect_rejected({100.0}, 10.0, {{at_s(0), kInf}},
+                  "VehicleEntry::speed_mps");
+}
+
+TEST(BuildRoadContactPlan, RejectsNonFinitePositions) {
+  const std::vector<VehicleEntry> ok{{at_s(0), 10.0}};
+  expect_rejected({100.0, kNaN}, 10.0, ok, "positions_m");
+  expect_rejected({kInf}, 10.0, ok, "positions_m");
+  expect_rejected({-kInf}, 10.0, ok, "positions_m");
+}
+
+TEST(BuildRoadContactPlan, RejectsInfiniteRange) {
+  expect_rejected({100.0}, kInf, {{at_s(0), 10.0}}, "range_m");
+}
+
+TEST(BuildRoadContactPlan, InfiniteExitStillDrivesThrough) {
+  VehicleEntry v{at_s(0), 10.0};
+  v.exit_m = kInf;
+  const RoadContactPlan plan = build_road_contact_plan({1000.0}, 10.0, {v});
+  ASSERT_EQ(plan.schedules[0].size(), 1U);
+  EXPECT_EQ(plan.schedules[0].contacts().front().arrival, at_s(99.0));
+  EXPECT_EQ(plan.carriers[0], (std::vector<std::uint32_t>{0}));
 }
 
 }  // namespace
