@@ -2,7 +2,8 @@
 /// kernels behind the figure harnesses: event-queue operations (and the
 /// timing wheel against its reference heap under churn), a full
 /// simulated day, the water-filling solver, the closed-form model and
-/// trace parsing. These guard against regressions that would make the
+/// trace parsing, and the planning layer (one SNIP-AT/SNIP-OPT plan, the
+/// solve a fleet runs once). These guard against regressions that would make the
 /// two-week sweeps (Figs. 7-8) impractical. Per-layer rows for the
 /// probing hot path: one lone node's event loop, a lone node's runs of
 /// missed probes with and without their fast-forward, the rush-mask slot
@@ -18,6 +19,7 @@
 #include "snipr/core/adaptive_snip_rh.hpp"
 #include "snipr/core/experiment.hpp"
 #include "snipr/core/rush_hour_mask.hpp"
+#include "snipr/core/scenario_catalog.hpp"
 #include "snipr/core/snip_rh.hpp"
 #include "snipr/core/strategy.hpp"
 #include "snipr/model/optimizer.hpp"
@@ -282,6 +284,29 @@ void BM_WaterFillingSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WaterFillingSolve)->Arg(24)->Arg(96);
+
+/// One plan: the fluid-model solve behind a SNIP-AT or SNIP-OPT maker, at
+/// a catalog entry's first ζtarget and its Φmax. A fleet pays this once,
+/// not once per node; calling the maker only constructs.
+void BM_PlanScheduler(benchmark::State& state, const char* entry_name,
+                      core::Strategy strategy) {
+  const core::CatalogEntry& entry =
+      core::ScenarioCatalog::instance().at(entry_name);
+  for (auto _ : state) {
+    const core::SchedulerMaker maker =
+        core::plan_scheduler(entry.scenario, strategy,
+                             entry.zeta_targets_s.front(), entry.phi_max_s);
+    benchmark::DoNotOptimize(&maker);
+  }
+}
+BENCHMARK_CAPTURE(BM_PlanScheduler, at_roadside, "roadside",
+                  core::Strategy::kSnipAt);
+BENCHMARK_CAPTURE(BM_PlanScheduler, opt_roadside, "roadside",
+                  core::Strategy::kSnipOpt);
+BENCHMARK_CAPTURE(BM_PlanScheduler, at_chaos_lossy_collection,
+                  "chaos-lossy-collection", core::Strategy::kSnipAt);
+BENCHMARK_CAPTURE(BM_PlanScheduler, opt_chaos_lossy_collection,
+                  "chaos-lossy-collection", core::Strategy::kSnipOpt);
 
 void BM_UpsilonClosedForm(benchmark::State& state) {
   double duty = 0.001;

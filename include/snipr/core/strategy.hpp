@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -19,6 +20,11 @@
 /// duty plan -> SnipAt/SnipOpt/SnipRh/AdaptiveSnipRh). They now all call
 /// `make_scheduler`, so a change to how a mechanism is parameterised lands
 /// in one place.
+///
+/// A plan depends only on (environment, ζtarget, Φmax), never on the node
+/// that runs it, so a fleet plans once: `plan_scheduler` solves the fluid
+/// model up front and hands back a maker that only constructs.
+/// `make_scheduler` is that maker called once.
 
 namespace snipr::core {
 
@@ -46,15 +52,31 @@ enum class Strategy {
 [[nodiscard]] std::optional<Strategy> parse_strategy(
     std::string_view id) noexcept;
 
-/// Build the scheduler implementing `strategy` for one experiment point.
+/// Builds a fresh scheduler on every call.
+using SchedulerMaker = std::function<std::unique_ptr<node::Scheduler>()>;
+
+/// Plan `strategy` for one experiment point and return its maker.
 ///
 /// AT and OPT are planned offline against the scenario's fluid model for
 /// the given ζtarget and Φmax (exactly the paper's methodology for
-/// Figs. 7-8); RH and adaptive take their duty online from the scenario's
-/// Ton and contact-length prior and ignore the planning inputs.
+/// Figs. 7-8); the solve runs here, once, and the maker builds each
+/// scheduler from the captured duties. RH and adaptive take their duty
+/// online from the scenario's Ton and contact-length prior and ignore the
+/// planning inputs; their maker captures the mask and config.
 /// `exploration` applies to kAdaptive only (how the learner keeps sampling
 /// slots its adopted mask would otherwise censor); other strategies ignore
 /// it, and the default kNone keeps the legacy behaviour.
+///
+/// The maker holds copies, not references, and only reads them, so it
+/// outlives `scenario` and may be called from several threads at once.
+/// A plan the scheduler rejects (e.g. a zero SNIP-AT duty) throws from
+/// the maker's call, as `make_scheduler` does.
+[[nodiscard]] SchedulerMaker plan_scheduler(
+    const RoadsideScenario& scenario, Strategy strategy, double zeta_target_s,
+    double phi_max_s, const ExplorationConfig& exploration = {});
+
+/// Build the scheduler implementing `strategy` for one experiment point:
+/// `plan_scheduler(...)()`.
 [[nodiscard]] std::unique_ptr<node::Scheduler> make_scheduler(
     const RoadsideScenario& scenario, Strategy strategy, double zeta_target_s,
     double phi_max_s, const ExplorationConfig& exploration = {});

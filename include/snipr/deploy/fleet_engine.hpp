@@ -56,12 +56,13 @@ class FleetEngine {
 
   /// Materialise `spec`'s road geometry and vehicle flow (one flow shared
   /// by every node, so contacts stay correlated across the fleet) or its
-  /// trace replay streams, build one scheduler per node from
-  /// `spec.strategy` against `scenario`, and run. Each shard builds the
-  /// schedules of its own node range inside its worker. The vehicle-flow
-  /// RNG stream is drawn after all per-node forks, so it is independent
-  /// of every node stream. Throws std::invalid_argument naming the
-  /// offending field of an invalid spec.
+  /// trace replay streams, plan `spec.strategy` once against `scenario`
+  /// (core::plan_scheduler), build one scheduler per node from that
+  /// plan, and run. Each shard builds the schedules of its own node range
+  /// inside its worker. The vehicle-flow RNG stream is drawn after all
+  /// per-node forks, so it is independent of every node stream. Throws
+  /// std::invalid_argument naming the offending field of an invalid spec
+  /// (a non-finite or negative ζtarget or a negative budget included).
   [[nodiscard]] DeploymentOutcome run(const core::RoadsideScenario& scenario,
                                       const FleetSpec& spec,
                                       const FleetConfig& config) const;
@@ -79,7 +80,8 @@ class FleetEngine {
 
 /// Node/link configuration for a catalog-style fleet run: Ton and link
 /// from the scenario, epoch length from the flow profile, budget Φmax
-/// and the sensing rate implied by `spec.zeta_target_s`.
+/// and the sensing rate implied by `spec.zeta_target_s`. Throws
+/// std::invalid_argument unless `phi_max_s` is finite and >= 0.
 [[nodiscard]] DeploymentConfig make_fleet_deployment_config(
     const core::RoadsideScenario& scenario, const FleetSpec& spec,
     double phi_max_s, std::size_t epochs, std::uint64_t seed);

@@ -77,6 +77,9 @@ class EpochModel {
   /// ζ for a uniform duty across the whole epoch (SNIP-AT's shape).
   [[nodiscard]] double capacity_at_uniform_duty(double duty) const;
   /// Smallest uniform duty with ζ(d) >= target; nullopt if unreachable.
+  /// Bisects for at most 200 steps and stops at the first step that
+  /// leaves its bracket unchanged, since every later step would repeat
+  /// it: the same duty as all 200, bit for bit.
   [[nodiscard]] std::optional<double> uniform_duty_for_capacity(
       double zeta_target_s) const;
 

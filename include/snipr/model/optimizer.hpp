@@ -23,6 +23,13 @@
 /// plan for ζtarget = 56 s raises the rush-hour duty to 0.012 rather than
 /// activating off-peak slots. Equal-rate slots are filled at equal duty,
 /// which matches the uniform rush-hour duty SNIP-RH uses.
+///
+/// Both steps bisect on λ for at most 300 steps, and stop early at the
+/// bisection's fixed point: a step that leaves (lo, hi) unchanged has
+/// landed on adjacent doubles, the next midpoint and its test repeat it,
+/// and so would every step after it. The plan is therefore bit-identical
+/// to running all 300 (`property_model_bisection_equivalence_test`); in
+/// practice the fixed point comes after 53 to 115 steps.
 
 namespace snipr::model {
 

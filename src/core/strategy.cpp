@@ -1,5 +1,8 @@
 #include "snipr/core/strategy.hpp"
 
+#include <utility>
+#include <vector>
+
 #include "snipr/core/adaptive_snip_rh.hpp"
 #include "snipr/core/snip_at.hpp"
 #include "snipr/core/snip_opt.hpp"
@@ -45,39 +48,53 @@ std::optional<Strategy> parse_strategy(std::string_view id) noexcept {
   return std::nullopt;
 }
 
-std::unique_ptr<node::Scheduler> make_scheduler(
-    const RoadsideScenario& scenario, Strategy strategy, double zeta_target_s,
-    double phi_max_s, const ExplorationConfig& exploration) {
+SchedulerMaker plan_scheduler(const RoadsideScenario& scenario,
+                              Strategy strategy, double zeta_target_s,
+                              double phi_max_s,
+                              const ExplorationConfig& exploration) {
   const sim::Duration ton = sim::Duration::seconds(scenario.snip.ton_s);
   switch (strategy) {
     case Strategy::kSnipAt: {
-      const model::EpochModel model = scenario.make_model();
-      const auto plan = model.snip_at(zeta_target_s, phi_max_s);
-      return std::make_unique<SnipAt>(plan.duties[0], ton);
+      const double duty =
+          scenario.make_model().snip_at(zeta_target_s, phi_max_s).duties[0];
+      return [duty, ton] { return std::make_unique<SnipAt>(duty, ton); };
     }
     case Strategy::kSnipOpt: {
-      const model::EpochModel model = scenario.make_model();
-      const auto plan = model.snip_opt(zeta_target_s, phi_max_s);
-      return std::make_unique<SnipOpt>(plan.duties, scenario.profile.epoch(),
-                                       ton);
+      std::vector<double> duties =
+          scenario.make_model().snip_opt(zeta_target_s, phi_max_s).duties;
+      const sim::Duration epoch = scenario.profile.epoch();
+      return [duties = std::move(duties), epoch, ton] {
+        return std::make_unique<SnipOpt>(duties, epoch, ton);
+      };
     }
     case Strategy::kSnipRh: {
       SnipRhConfig config;
       config.ton = ton;
       config.initial_tcontact_s = scenario.tcontact_s;
-      return std::make_unique<SnipRh>(scenario.rush_mask, config);
+      return [mask = scenario.rush_mask, config] {
+        return std::make_unique<SnipRh>(mask, config);
+      };
     }
     case Strategy::kAdaptive: {
       AdaptiveSnipRhConfig config;
       config.rh.ton = ton;
       config.rh.initial_tcontact_s = scenario.tcontact_s;
       config.exploration = exploration;
-      return std::make_unique<AdaptiveSnipRh>(scenario.profile.epoch(),
-                                              scenario.profile.slot_count(),
-                                              config);
+      const sim::Duration epoch = scenario.profile.epoch();
+      const std::size_t slots = scenario.profile.slot_count();
+      return [epoch, slots, config] {
+        return std::make_unique<AdaptiveSnipRh>(epoch, slots, config);
+      };
     }
   }
-  return nullptr;
+  return [] { return std::unique_ptr<node::Scheduler>{}; };
+}
+
+std::unique_ptr<node::Scheduler> make_scheduler(
+    const RoadsideScenario& scenario, Strategy strategy, double zeta_target_s,
+    double phi_max_s, const ExplorationConfig& exploration) {
+  return plan_scheduler(scenario, strategy, zeta_target_s, phi_max_s,
+                        exploration)();
 }
 
 }  // namespace snipr::core

@@ -1,6 +1,7 @@
 #include "snipr/deploy/fleet_engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -233,6 +234,10 @@ std::string FleetEngine::to_json(const DeploymentOutcome& outcome) {
 DeploymentConfig make_fleet_deployment_config(
     const core::RoadsideScenario& scenario, const FleetSpec& spec,
     double phi_max_s, std::size_t epochs, std::uint64_t seed) {
+  if (!(std::isfinite(phi_max_s) && phi_max_s >= 0.0)) {
+    throw std::invalid_argument(
+        "make_fleet_deployment_config: phi_max_s must be finite and >= 0");
+  }
   DeploymentConfig config;
   config.node.ton = sim::Duration::seconds(scenario.snip.ton_s);
   config.node.epoch = spec.flow_profile.epoch();

@@ -21,13 +21,20 @@ namespace {
 
 /// The one FleetSpec validator. Every message names the engine and the
 /// offending field.
-void validate(const FleetSpec& spec, FleetOutput output) {
+void validate(const FleetSpec& spec, const DeploymentConfig& deployment,
+              FleetOutput output) {
   const std::string engine =
       output == FleetOutput::kRows ? "FleetEngine" : "run_streaming_fleet";
   const auto reject = [&engine](const char* what) {
     throw std::invalid_argument(engine + ": " + what);
   };
   if (spec.nodes == 0) reject("FleetSpec::nodes must be at least 1");
+  if (!(std::isfinite(spec.zeta_target_s) && spec.zeta_target_s >= 0.0)) {
+    reject("FleetSpec::zeta_target_s must be finite and >= 0");
+  }
+  if (deployment.node.budget_limit < sim::Duration::zero()) {
+    reject("DeploymentConfig::node.budget_limit must be >= 0");
+  }
   if (output == FleetOutput::kSummary) {
     if (spec.routing.has_value()) {
       reject(
@@ -128,16 +135,16 @@ FleetNodeRun run_fleet_node(const FleetInputs& in, std::size_t index,
 FleetInputs build_fleet_inputs(const core::RoadsideScenario& scenario,
                                const FleetSpec& spec,
                                const FleetConfig& config, FleetOutput output) {
-  validate(spec, output);
-  const double phi_max_s = config.deployment.node.budget_limit.to_seconds();
+  validate(spec, config.deployment, output);
+  // Every node runs the same plan: solve it once, here, and let the shard
+  // workers only construct from it.
+  core::SchedulerMaker maker = core::plan_scheduler(
+      scenario, spec.strategy, spec.zeta_target_s,
+      config.deployment.node.budget_limit.to_seconds(), spec.exploration);
   sim::Rng root{config.deployment.seed};
   FleetInputs in = start_inputs(
-      [&scenario, &spec, phi_max_s](std::size_t) {
-        return core::make_scheduler(scenario, spec.strategy,
-                                    spec.zeta_target_s, phi_max_s,
-                                    spec.exploration);
-      },
-      config, spec.nodes, spec.routing.has_value(), spec.faults.get(), root);
+      [maker = std::move(maker)](std::size_t) { return maker(); }, config,
+      spec.nodes, spec.routing.has_value(), spec.faults.get(), root);
   in.contact_horizon = spec.flow_profile.epoch() *
                        static_cast<std::int64_t>(config.deployment.epochs);
 

@@ -80,10 +80,11 @@ struct FleetInputs {
   }
 };
 
-/// Validate `spec` for the `output` engine, then fork the node streams
-/// and draw the road flow and exits, or fork the trace replay streams.
-/// Throws std::invalid_argument naming the offending field. `scenario`
-/// and `spec` must outlive the result.
+/// Validate `spec` and the node budget for the `output` engine, plan
+/// `spec.strategy` once (the maker in `make_scheduler` only constructs),
+/// then fork the node streams and draw the road flow and exits, or fork
+/// the trace replay streams. Throws std::invalid_argument naming the
+/// offending field. `spec` must outlive the result.
 [[nodiscard]] FleetInputs build_fleet_inputs(
     const core::RoadsideScenario& scenario, const FleetSpec& spec,
     const FleetConfig& config, FleetOutput output);

@@ -105,15 +105,20 @@ std::optional<double> EpochModel::uniform_duty_for_capacity(
   if (capacity_at_uniform_duty(1.0) + 1e-12 < zeta_target_s) {
     return std::nullopt;
   }
+  // Stop at the fixed point: once a step leaves (lo, hi) as it was, every
+  // later step repeats it, so the 200-step cap's answer is already in hand.
   double lo = 0.0;
   double hi = 1.0;
   for (int iter = 0; iter < 200; ++iter) {
     const double mid = 0.5 * (lo + hi);
+    const double old_lo = lo;
+    const double old_hi = hi;
     if (capacity_at_uniform_duty(mid) < zeta_target_s) {
       lo = mid;
     } else {
       hi = mid;
     }
+    if (lo == old_lo && hi == old_hi) break;
   }
   return hi;
 }

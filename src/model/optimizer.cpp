@@ -114,11 +114,14 @@ WaterFillingResult maximize_capacity(const EpochModel& model,
   double hi = max_e;
   for (int iter = 0; iter < 300; ++iter) {
     const double mid = 0.5 * (lo + hi);
+    const double old_lo = lo;
+    const double old_hi = hi;
     if (phi_at(mid) > phi_max_s) {
       lo = mid;
     } else {
       hi = mid;
     }
+    if (lo == old_lo && hi == old_hi) break;  // fixed point, see header
   }
   for (const RateGroup& g : groups) {
     assign(duties, g, duty_at_lambda(g, ton, hi));
@@ -195,11 +198,14 @@ WaterFillingResult minimize_overhead(const EpochModel& model,
   double hi = max_e;
   for (int iter = 0; iter < 300; ++iter) {
     const double mid = 0.5 * (lo + hi);
+    const double old_lo = lo;
+    const double old_hi = hi;
     if (zeta_at(mid) >= zeta_target_s) {
       lo = mid;
     } else {
       hi = mid;
     }
+    if (lo == old_lo && hi == old_hi) break;  // fixed point, see header
   }
   // Allocate from the cheap side (hi: ζ < target), then buy the deficit
   // from the marginal group's linear segment at its constant efficiency.

@@ -512,5 +512,52 @@ TEST(FleetSpecValidation, BothEnginesRejectBadRoadGeometryByName) {
   }
 }
 
+TEST(FleetSpecValidation, BothEnginesRejectBadTargetsAndBudgetsByName) {
+  // Unrejected, a NaN ζtarget had SNIP-OPT report ζ = 0 at full budget,
+  // RH and adaptive run at a NaN sensing rate and SNIP-AT die on a
+  // non-positive wakeup: every strategy must refuse it by name instead.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto expect_named = [](const char* field, const auto& run) {
+    try {
+      run();
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  const auto both_engines = [&expect_named](const char* field,
+                                            const FleetCase& s) {
+    expect_named(
+        field, [&] { (void)FleetEngine{}.run(s.scenario, s.spec, s.config); });
+    expect_named(field, [&] {
+      (void)run_streaming_fleet(s.scenario, s.spec, s.config);
+    });
+  };
+  for (const core::Strategy strategy : core::all_strategies()) {
+    for (const double target : {kNaN, kInf, -kInf, -1.0}) {
+      SCOPED_TRACE(std::string{core::strategy_id(strategy)} +
+                   " zeta_target_s = " + std::to_string(target));
+      FleetCase s = small_fleet(4);
+      s.spec.strategy = strategy;
+      s.spec.zeta_target_s = target;
+      both_engines("zeta_target_s", s);
+    }
+    SCOPED_TRACE(std::string{core::strategy_id(strategy)} + " budget");
+    FleetCase s = small_fleet(4);
+    s.spec.strategy = strategy;
+    s.config.deployment.node.budget_limit = sim::Duration::seconds(-1.0);
+    both_engines("budget_limit", s);
+  }
+  const FleetCase s = small_fleet(4);
+  for (const double phi : {kNaN, kInf, -1.0}) {
+    SCOPED_TRACE("phi_max_s = " + std::to_string(phi));
+    expect_named("phi_max_s", [&] {
+      (void)make_fleet_deployment_config(s.scenario, s.spec, phi, 2, 7);
+    });
+  }
+}
+
 }  // namespace
 }  // namespace snipr::deploy
