@@ -6,8 +6,10 @@
 /// solve a fleet runs once). These guard against regressions that would make the
 /// two-week sweeps (Figs. 7-8) impractical. Per-layer rows for the
 /// probing hot path: one lone node's event loop, a lone node's runs of
-/// missed probes with and without their fast-forward, the rush-mask slot
-/// scan and one adaptive SNIP-RH wakeup in the exploit phase.
+/// missed probes with and without their fast-forward (on the road-side
+/// schedule, and on a dense schedule of contacts the probe grid steps
+/// over), the rush-mask slot scan and one adaptive SNIP-RH wakeup in the
+/// exploit phase.
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +22,7 @@
 #include "snipr/core/experiment.hpp"
 #include "snipr/core/rush_hour_mask.hpp"
 #include "snipr/core/scenario_catalog.hpp"
+#include "snipr/core/snip_at.hpp"
 #include "snipr/core/snip_rh.hpp"
 #include "snipr/core/strategy.hpp"
 #include "snipr/model/optimizer.hpp"
@@ -211,6 +214,55 @@ void BM_LoneNodeAdaptive(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LoneNodeAdaptive)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_LoneNodeSteppedOver(benchmark::State& state) {
+  // A lone SNIP-AT node probing every 20 s over 14 days of 0.2 s contacts
+  // arriving every 10 s, ±2 s: most contacts fall between two probes, so
+  // a run of missed probes steps over about two contacts per probe. Arg 0
+  // runs the scheduler plain, so those runs are fast-forwarded; arg 1
+  // wraps it in the pass-through decorator, which withholds the hook, so
+  // every wakeup is simulated. `per_wakeup` is wall time per probing
+  // wakeup, skipped ones included; the two rows of one process give the
+  // ratio on the same host.
+  const core::RoadsideScenario sc;
+  core::ExperimentConfig cfg;
+  cfg.epochs = 14;
+  cfg.phi_max_s = 1e6;
+  cfg.sensing_rate_bps = sc.sensing_rate_for_target(16.0);
+  cfg.seed = 1;
+  sim::Rng rng{cfg.seed};
+  std::vector<contact::Contact> contacts;
+  const sim::TimePoint end =
+      sim::TimePoint::zero() +
+      sc.profile.epoch() * static_cast<std::int64_t>(cfg.epochs);
+  for (sim::TimePoint t = sim::TimePoint::zero() + sim::Duration::seconds(8);
+       t < end; t += sim::Duration::seconds(rng.uniform(8.0, 12.0))) {
+    contacts.push_back({t, sim::Duration::milliseconds(200)});
+  }
+  const auto schedule =
+      std::make_shared<const contact::ContactSchedule>(std::move(contacts));
+  const sim::Duration ton = sim::Duration::seconds(sc.snip.ton_s);
+  const bool reference = state.range(0) != 0;
+  double wakeups = 0.0;
+  for (auto _ : state) {
+    std::unique_ptr<node::Scheduler> scheduler =
+        std::make_unique<core::SnipAt>(0.001, ton);
+    if (reference) {
+      scheduler =
+          std::make_unique<testing::PassThroughScheduler>(std::move(scheduler));
+    }
+    const core::RunResult r =
+        core::run_experiment_on_schedule(sc, schedule, *scheduler, cfg);
+    benchmark::DoNotOptimize(r.mean_zeta_s);
+    wakeups += r.mean_wakeups * static_cast<double>(r.epochs);
+  }
+  state.counters["per_wakeup"] = benchmark::Counter(
+      wakeups, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_LoneNodeSteppedOver)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RushMaskNextRushStart(benchmark::State& state) {
   // Ten-minute slots with rush blocks at the paper's 7-9 h and 17-19 h

@@ -32,12 +32,6 @@ class ContactSchedule {
   /// First contact with arrival >= t.
   [[nodiscard]] std::optional<Contact> next_arrival_at_or_after(
       sim::TimePoint t) const;
-  /// Index of the first contact with departure() > t; size() when every
-  /// contact has departed. Departures are non-decreasing (the list is
-  /// sorted and non-overlapping), so this is the resume point for any
-  /// forward-in-time scan — radio::Channel seeds its monotone query
-  /// cursor here on backward jumps.
-  [[nodiscard]] std::size_t first_undeparted_index(sim::TimePoint t) const;
 
   /// Total capacity (Σ Tcontact) of contacts arriving in [from, to).
   [[nodiscard]] sim::Duration capacity_in(sim::TimePoint from,

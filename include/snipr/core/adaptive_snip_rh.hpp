@@ -56,11 +56,13 @@ class AdaptiveSnipRh final : public node::Scheduler {
 
   [[nodiscard]] node::SchedulerDecision on_wakeup(
       const node::SensorContext& ctx) override;
-  /// Within the current slot: delegates a probing run to the
-  /// learning-phase SNIP-AT or to SNIP-RH, short of the tracker's and the
-  /// exploration floor's next due times; runs lone tracker probes outside
-  /// the mask at the tracker's own cycle; records the skipped probes'
-  /// effort. A non-probing run is the exploit phase's budget-spent poll.
+  /// Delegates a probing run to the learning-phase SNIP-AT (bounded by
+  /// its budget alone), or, within the current slot, to SNIP-RH, short of
+  /// the tracker's and the exploration floor's next due times; runs lone
+  /// tracker probes outside the mask at the tracker's own cycle, up to
+  /// one cycle before the next rush slot; records the skipped probes'
+  /// effort, each in its own slot. A non-probing run is the exploit
+  /// phase's budget-spent poll, within the current slot.
   [[nodiscard]] std::int64_t skip_missed_probes(const node::SensorContext& ctx,
                                                 node::SchedulerDecision verdict,
                                                 sim::Duration charge,

@@ -79,12 +79,14 @@ class RushHourLearner {
   /// scoring.
   void record_effort(sim::TimePoint t, sim::Duration radio_on);
 
-  /// `times` record_effort(t, radio_on) calls: the same additions, one at
-  /// a time, so the per-slot sums stay bit-identical. The fast-forward
-  /// path charges a run of missed probes that all fall in `t`'s slot with
-  /// it. A non-positive count records nothing.
-  void record_repeated_effort(sim::TimePoint t, sim::Duration radio_on,
-                              std::int64_t times);
+  /// record_effort(t0 + j·cycle, radio_on) for j = 1..times: the same
+  /// additions, one at a time and in time order, each into its own
+  /// wakeup's slot, so every per-slot sum stays bit-identical. The
+  /// fast-forward path charges a run of skipped probes with it, whatever
+  /// slots the run spans. `cycle` must be positive; a non-positive count
+  /// records nothing.
+  void record_repeated_effort(sim::TimePoint t0, sim::Duration cycle,
+                              sim::Duration radio_on, std::int64_t times);
 
   /// Fold the epoch's samples into the long-term scores. Call at each
   /// epoch boundary.

@@ -16,15 +16,19 @@
 /// SNIP-RH, adaptive variants — live in snipr::core; the node only knows
 /// this interface.
 ///
-/// Most SNIP probes hear nothing, and between two contacts the contact
-/// schedule already fixes every one of those outcomes; a node whose
-/// budget is spent may likewise poll with the same verdict until the
-/// epoch ends. A scheduler that can also prove its own next verdicts
-/// overrides skip_missed_probes(), and the node then charges a whole run
-/// of missed probes or idle polls in one step instead of simulating each
-/// wakeup (DESIGN.md, "Hot path"). A scheduler that does not override it
-/// is simply not fast-forwarded: every wakeup runs through on_wakeup(),
-/// as before.
+/// Most SNIP probes hear nothing, and the contact schedule already fixes
+/// each of those outcomes up to the first contact a probe lands in:
+/// contacts that fall between two probes of the grid change nothing. A
+/// node whose budget is spent may likewise poll with the same verdict
+/// until the epoch ends. A scheduler that can also prove its own next
+/// verdicts overrides skip_missed_probes(), and the node then charges a
+/// whole run of missed probes or idle polls in one step instead of
+/// simulating each wakeup (DESIGN.md, "Hot path"). The node proves the
+/// misses; the scheduler bounds the run only where its verdict could
+/// change (its budget, a slot end where the verdict depends on the
+/// slot, a due time), so a run may cross slot boundaries. A scheduler
+/// that does not override it is simply not fast-forwarded: every wakeup
+/// runs through on_wakeup(), as before.
 
 namespace snipr::node {
 

@@ -168,13 +168,15 @@ class SensorNode {
   void schedule_next(sim::Duration delay);
   void probing_wakeup();
   void snip_wakeup();
-  /// After a SNIP miss at `t0` with next delay `cycle`: when the next
-  /// probes must miss too, let the scheduler vouch for its verdicts and
-  /// charge the run in one step (scheduler.hpp, skip_missed_probes).
+  /// After a SNIP miss at `t0` with next delay `cycle`: the next probes
+  /// miss too up to the first contact a probe lands in (stepping over
+  /// the contacts the grid t0 + j·cycle falls between), so let the
+  /// scheduler vouch for its verdicts and charge the run in one step
+  /// (scheduler.hpp, skip_missed_probes).
   void fast_forward_misses(sim::TimePoint t0, sim::Duration cycle);
   /// The run of wakeups repeating `verdict` that the scheduler vouches
-  /// for, each `charge` apart in budget, the last no later than `last`
-  /// and all before the simulator's next event and run bound.
+  /// for, each `charge` apart in budget, the last no later than `last`,
+  /// which the caller bounds by the simulator's fast_forward_limit().
   [[nodiscard]] std::int64_t vouched_run(SchedulerDecision verdict,
                                          sim::Duration charge,
                                          sim::TimePoint last);
@@ -213,6 +215,14 @@ class SensorNode {
   double probing_j_mark_{0.0};
   double transfer_j_mark_{0.0};
   bool started_{false};
+
+  /// Where fast_forward_misses() last stopped walking the schedule: every
+  /// contact from the channel's cursor up to `walk_next_` falls between
+  /// two points of the probe grid walk_grid_ + j·walk_cycle_ (a zero
+  /// cycle: no walk yet).
+  sim::TimePoint walk_grid_{};
+  sim::Duration walk_cycle_{};
+  std::size_t walk_next_{0};
 
   /// Fault plane (null = no faults; every hook is then skipped).
   fault::NodeFaultInjector* faults_{nullptr};

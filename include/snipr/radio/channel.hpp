@@ -24,10 +24,10 @@
 /// moves forward, so instead of a fresh O(log n) binary search per
 /// wakeup the channel remembers the first contact that has not yet
 /// departed and advances it linearly — amortised O(1) across a run. A
-/// backward query (replay, tests, the post-probe `active_contact`
-/// re-read) falls back to a binary search that repositions the cursor,
-/// so any query sequence returns exactly what ContactSchedule's own
-/// binary-search lookups would.
+/// backward query (the post-probe `active_contact` re-read, replay,
+/// tests) steps the cursor back over the contacts that have not departed
+/// by then, so any query sequence returns exactly what ContactSchedule's
+/// own binary-search lookups would.
 
 namespace snipr::radio {
 
@@ -50,6 +50,10 @@ class Channel {
   /// ContactSchedule::next_arrival_at_or_after).
   [[nodiscard]] std::optional<contact::Contact> next_arrival_at_or_after(
       sim::TimePoint t) const;
+  /// Index in schedule().contacts() of that contact; size() when none
+  /// arrives at or after t. A forward walk over the schedule from here
+  /// sees every later arrival in order.
+  [[nodiscard]] std::size_t next_arrival_index(sim::TimePoint t) const;
 
   /// True when a frame transmitted over [start, start+airtime) is
   /// delivered: the receiver must be in range for the whole airtime and
@@ -58,7 +62,7 @@ class Channel {
   [[nodiscard]] bool try_deliver(sim::TimePoint start, sim::Duration airtime);
 
  private:
-  /// Advance (or binary-search back) the cursor to the first contact
+  /// Advance (or step back) the cursor to the first contact
   /// with departure() > t, the only candidate able to cover t or any
   /// later instant. Returns the cursor index.
   std::size_t position_cursor(sim::TimePoint t) const;

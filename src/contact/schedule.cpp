@@ -44,14 +44,6 @@ std::optional<Contact> ContactSchedule::next_arrival_at_or_after(
   return *it;
 }
 
-std::size_t ContactSchedule::first_undeparted_index(sim::TimePoint t) const {
-  return static_cast<std::size_t>(
-      std::partition_point(
-          contacts_.begin(), contacts_.end(),
-          [t](const Contact& c) { return c.departure() <= t; }) -
-      contacts_.begin());
-}
-
 sim::Duration ContactSchedule::capacity_in(sim::TimePoint from,
                                            sim::TimePoint to) const {
   sim::Duration total = sim::Duration::zero();

@@ -105,15 +105,11 @@ std::int64_t AdaptiveSnipRh::skip_missed_probes(
     const node::SensorContext& ctx, node::SchedulerDecision verdict,
     sim::Duration charge, std::int64_t max_k) {
   const sim::Duration cycle = verdict.next_wakeup;
-  // Stay in ctx.now's slot, so every skipped probe's effort lands in the
-  // one learner slot record_repeated_effort() adds it to, and so the plan
-  // mask's verdict for ctx.now holds for the whole run.
-  const sim::TimePoint slot_end =
-      rh_.mask().slot_clock().next_boundary(ctx.now).start;
-  max_k = std::min(max_k, node::wakeups_through(
-                              ctx.now, cycle,
-                              slot_end - sim::Duration::microseconds(1)));
   if (!verdict.probe) return skip_budget_spent_polls(ctx, cycle, max_k);
+  // Learning-phase SNIP-AT ignores slots, and the tracker's path returns
+  // before the plan is read, so their runs cross slot boundaries;
+  // record_repeated_effort() adds each skipped probe's effort into its
+  // own wakeup's slot.
   std::int64_t k = 0;
   if (learning_) {
     k = learn_probe_.skip_missed_probes(ctx, verdict, charge, max_k);
@@ -122,9 +118,11 @@ std::int64_t AdaptiveSnipRh::skip_missed_probes(
              !rh_.mask().is_rush(ctx.now)) {
     k = skip_tracker_probes(ctx, cycle, charge, max_k);
   } else {
-    // on_wakeup() takes its plain SNIP-RH path, and returns SNIP-RH's own
-    // cycle, only while the tracker is not due and is at least one cycle
-    // away: stop by next_track_due_ − cycle.
+    // SNIP-RH vouches only within ctx.now's slot, where the plan mask's
+    // verdict for ctx.now holds too. on_wakeup() takes its plain SNIP-RH
+    // path, and returns SNIP-RH's own cycle, only while the tracker is
+    // not due and is at least one cycle away: stop by next_track_due_ −
+    // cycle.
     if (config_.tracking_duty > 0.0) {
       max_k = std::min(max_k, node::wakeups_through(ctx.now, cycle,
                                                     next_track_due_ - cycle));
@@ -145,7 +143,7 @@ std::int64_t AdaptiveSnipRh::skip_missed_probes(
     }
     k = rh_.skip_missed_probes(ctx, verdict, charge, max_k);
   }
-  learner_.record_repeated_effort(ctx.now, config_.rh.ton, k);
+  learner_.record_repeated_effort(ctx.now, cycle, config_.rh.ton, k);
   return k;
 }
 
@@ -174,7 +172,7 @@ std::int64_t AdaptiveSnipRh::skip_budget_spent_polls(
   // an exploration slot, an overdue floor) finds no Ton to spend, so
   // on_wakeup() changes nothing and cuts SNIP-RH's sleep until the epoch
   // end down to the poll period. Both stay overdue, and the run stays in
-  // ctx.now's plan slot, so the floor's clamp does not change either.
+  // ctx.now's slot, so the floor's clamp does not change either.
   // SNIP-RH's sleep can drop below the poll period in the epoch's last
   // second: stop by the epoch end − cycle.
   if (learning_ || cycle != kPollPeriod || config_.tracking_duty <= 0.0 ||
@@ -186,10 +184,14 @@ std::int64_t AdaptiveSnipRh::skip_budget_spent_polls(
       next_explore_due_ > ctx.now) {
     return 0;
   }
-  const sim::TimePoint epoch_end =
-      rh_.mask().slot_clock().next_epoch_start(ctx.now);
-  return std::min(max_k,
-                  node::wakeups_through(ctx.now, cycle, epoch_end - cycle));
+  const contact::SlotClock& clock = rh_.mask().slot_clock();
+  const sim::TimePoint slot_end = clock.next_boundary(ctx.now).start;
+  return std::min(
+      {max_k,
+       node::wakeups_through(ctx.now, cycle,
+                             slot_end - sim::Duration::microseconds(1)),
+       node::wakeups_through(ctx.now, cycle,
+                             clock.next_epoch_start(ctx.now) - cycle)});
 }
 
 void AdaptiveSnipRh::on_probe_detected(sim::TimePoint when) {

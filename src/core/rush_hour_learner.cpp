@@ -43,14 +43,26 @@ void RushHourLearner::record_effort(sim::TimePoint t,
   current_effort_s_[clock_.slot_of(t)] += radio_on.to_seconds();
 }
 
-void RushHourLearner::record_repeated_effort(sim::TimePoint t,
+void RushHourLearner::record_repeated_effort(sim::TimePoint t0,
+                                             sim::Duration cycle,
                                              sim::Duration radio_on,
                                              std::int64_t times) {
   if (times <= 0) return;
   effort_mode_ = true;
-  double& effort = current_effort_s_[clock_.slot_of(t)];
   const double sample = radio_on.to_seconds();
-  for (std::int64_t i = 0; i < times; ++i) effort += sample;
+  // Slot by slot, in time order: the wakeups t0 + j·cycle up to the
+  // current slot's last instant all add into that slot's sum.
+  std::int64_t j = 1;
+  while (j <= times) {
+    const sim::TimePoint t = t0 + cycle * j;
+    const sim::TimePoint slot_end = clock_.next_boundary(t).start;
+    const std::int64_t last = std::min(
+        times,
+        (slot_end - sim::Duration::microseconds(1) - t0).count() /
+            cycle.count());
+    double& effort = current_effort_s_[clock_.slot_of(t)];
+    for (; j <= last; ++j) effort += sample;
+  }
 }
 
 void RushHourLearner::finish_epoch() {

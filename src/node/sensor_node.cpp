@@ -110,8 +110,8 @@ void SensorNode::cpu_wakeup() {
   } else {
     // A non-probing wakeup touches neither the radio nor a fault stream:
     // only pending events and the run bound limit a run of them.
-    const std::int64_t k =
-        vouched_run(decision, sim::Duration::zero(), sim::TimePoint::max());
+    const std::int64_t k = vouched_run(decision, sim::Duration::zero(),
+                                       sim_.fast_forward_limit());
     if (k > 0) {
       sim_.fast_forward(sim_.now() + decision.next_wakeup * k,
                         static_cast<std::size_t>(k));
@@ -210,12 +210,9 @@ void SensorNode::snip_wakeup() {
 std::int64_t SensorNode::vouched_run(SchedulerDecision verdict,
                                      sim::Duration charge,
                                      sim::TimePoint last) {
-  // Wakeups now + j·delay, j = 1..max_k, no later than `last`, before
-  // every pending event and within the simulator's run bound and event
-  // budget.
-  std::int64_t max_k =
-      wakeups_through(sim_.now(), verdict.next_wakeup,
-                      std::min(last, sim_.fast_forward_limit()));
+  // Wakeups now + j·delay, j = 1..max_k, no later than `last` and within
+  // the simulator's event budget.
+  std::int64_t max_k = wakeups_through(sim_.now(), verdict.next_wakeup, last);
   const std::size_t budget = sim_.fast_forward_budget();
   if (static_cast<std::uint64_t>(max_k) > budget) {
     max_k = static_cast<std::int64_t>(budget);
@@ -234,16 +231,41 @@ void SensorNode::fast_forward_misses(sim::TimePoint t0, sim::Duration cycle) {
   if (faults_ != nullptr && faults_->spec().radio.spurious_detect_prob > 0.0) {
     return;
   }
-  // The run must end before the next contact arrives. With no contact in
-  // range at t0, none is in range (or departs) before that arrival, so
-  // each of those beacons finds no receiver: try_deliver() fails without
-  // an RNG draw, as does miss_probe(), which only runs on a delivered
-  // reply.
+  // A probe at a grid point t0 + j·cycle that no contact covers finds no
+  // receiver: try_deliver() fails without an RNG draw, and miss_probe(),
+  // which only runs on a delivered reply, does not run either. So the
+  // run may step over every contact that falls wholly between two grid
+  // points, and must end before the first contact a grid point lands in.
+  // "Lands in" takes the closed interval [arrival, departure], where even
+  // a zero-airtime frame finds nobody outside it. The walk reads the
+  // schedule forward from the channel's cursor and stops at the
+  // simulator's next event, so it never looks past where a run can reach.
+  // A miss on the grid of the previous walk resumes where that walk
+  // stopped: the scheduler may have vouched for fewer wakeups than the
+  // walk allowed (a slot end, the hook withheld), and re-walking from the
+  // cursor at every such miss would cost as many contacts again. A
+  // contact the resumed walk finds already departed has no grid point
+  // ahead of t0 in it, so it counts as stepped over, as it should.
   if (channel_.active_contact(t0).has_value()) return;
-  sim::TimePoint last = sim::TimePoint::max();
-  if (const auto next = channel_.next_arrival_at_or_after(t0)) {
-    last = next->arrival - sim::Duration::microseconds(1);
+  const std::vector<contact::Contact>& contacts =
+      channel_.schedule().contacts();
+  const bool same_grid = cycle == walk_cycle_ &&
+                         (t0 - walk_grid_).count() % cycle.count() == 0;
+  std::size_t i = same_grid ? walk_next_ : channel_.next_arrival_index(t0);
+  sim::TimePoint last = sim_.fast_forward_limit();
+  for (; i < contacts.size() && contacts[i].arrival <= last; ++i) {
+    const contact::Contact& c = contacts[i];
+    // The first grid point of the run at or after the arrival.
+    const std::int64_t j = std::max<std::int64_t>(
+        1, ((c.arrival - t0).count() + cycle.count() - 1) / cycle.count());
+    if (t0 + cycle * j <= c.departure()) {
+      last = c.arrival - sim::Duration::microseconds(1);
+      break;
+    }
   }
+  walk_grid_ = t0;
+  walk_cycle_ = cycle;
+  walk_next_ = i;
   const std::int64_t k =
       vouched_run({.probe = true, .next_wakeup = cycle}, config_.ton, last);
   if (k <= 0) return;

@@ -17,8 +17,12 @@ Channel::Channel(std::shared_ptr<const contact::ContactSchedule> schedule,
 std::size_t Channel::position_cursor(sim::TimePoint t) const {
   const std::vector<contact::Contact>& contacts = schedule_->contacts();
   if (t < cursor_time_) {
-    // Backward query: re-derive the cursor by binary search.
-    cursor_ = schedule_->first_undeparted_index(t);
+    // Backward query: step back over the contacts that have not departed
+    // by t. Departures are non-decreasing (the schedule is sorted and
+    // non-overlapping), so those contacts are exactly the ones between
+    // the new cursor and the old one. The post-probe re-read at the
+    // beacon's start steps back at most one contact.
+    while (cursor_ > 0 && contacts[cursor_ - 1].departure() > t) --cursor_;
   } else {
     while (cursor_ < contacts.size() &&
            contacts[cursor_].departure() <= t) {
@@ -37,8 +41,7 @@ std::optional<contact::Contact> Channel::active_contact(
   return std::nullopt;
 }
 
-std::optional<contact::Contact> Channel::next_arrival_at_or_after(
-    sim::TimePoint t) const {
+std::size_t Channel::next_arrival_index(sim::TimePoint t) const {
   const std::vector<contact::Contact>& contacts = schedule_->contacts();
   std::size_t i = position_cursor(t);
   // The cursor keeps only undeparted contacts ahead of it, which is one
@@ -52,6 +55,13 @@ std::optional<contact::Contact> Channel::next_arrival_at_or_after(
   // The contact at the cursor has not departed yet, but may be active
   // (arrival < t); every later contact arrives strictly after t.
   if (i < contacts.size() && contacts[i].arrival < t) ++i;
+  return i;
+}
+
+std::optional<contact::Contact> Channel::next_arrival_at_or_after(
+    sim::TimePoint t) const {
+  const std::vector<contact::Contact>& contacts = schedule_->contacts();
+  const std::size_t i = next_arrival_index(t);
   if (i >= contacts.size()) return std::nullopt;
   return contacts[i];
 }

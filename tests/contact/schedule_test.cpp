@@ -94,21 +94,6 @@ TEST(ContactSchedule, EmptySchedule) {
   EXPECT_EQ(s.capacity_in(at_s(0), at_s(100)), Duration::zero());
 }
 
-TEST(ContactSchedule, FirstUndepartedIndexPartitionsByDeparture) {
-  // Contacts [10, 12) and [15, 17): the index is the resume point for a
-  // forward scan — first contact whose departure lies strictly after t.
-  const ContactSchedule s{{{at_s(10), Duration::seconds(2)},
-                           {at_s(15), Duration::seconds(2)}}};
-  EXPECT_EQ(s.first_undeparted_index(at_s(0)), 0U);
-  EXPECT_EQ(s.first_undeparted_index(at_s(11)), 0U);
-  EXPECT_EQ(s.first_undeparted_index(at_s(12)), 1U);  // departure == t
-  EXPECT_EQ(s.first_undeparted_index(at_s(14)), 1U);
-  EXPECT_EQ(s.first_undeparted_index(at_s(16)), 1U);
-  EXPECT_EQ(s.first_undeparted_index(at_s(17)), 2U);
-  EXPECT_EQ(s.first_undeparted_index(at_s(100)), 2U);
-  EXPECT_EQ(ContactSchedule{{}}.first_undeparted_index(at_s(0)), 0U);
-}
-
 TEST(ContactSchedule, PerSlotAggregation) {
   const ArrivalProfile layout = ArrivalProfile::roadside();
   // Two contacts in slot 7 (across two different days) and one in slot 0.

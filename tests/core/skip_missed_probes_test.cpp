@@ -6,12 +6,16 @@
 /// (checkpoint(), which carries the adaptive learner's effort sums in
 /// hexfloat, so equal strings mean bit-identical sums). The edge cases
 /// pin the exact run lengths: the budget running out at the k-th skipped
-/// probe, runs ending 1 µs before a slot boundary or the tracker's due
-/// time, adaptive SNIP-RH's lone tracker probes stopping one cycle short
-/// of the next rush slot, its budget-spent poll stopping one delay
-/// before the epoch end, and the cached SNIP-RH cycle following every
-/// change of its estimate. A lockstep replay then drives whole epochs of
-/// all-miss wakeups through both twins.
+/// probe, SNIP-OPT, SNIP-RH and budget-spent poll runs ending 1 µs before
+/// a slot boundary, runs ending one cycle short of the tracker's due
+/// time, adaptive SNIP-RH's learning runs and lone tracker probes
+/// crossing slot boundaries with each probe's effort in its own slot, the
+/// tracker's runs stopping one cycle short of the next rush slot, the
+/// budget-spent poll stopping one delay before the epoch end, and the
+/// cached SNIP-RH cycle following every change of its estimate. A run an
+/// unbounded budget would not stop gets a finite max_k, so its twin makes
+/// few wakeups. A lockstep replay then drives whole epochs of all-miss
+/// wakeups through both twins.
 
 #include <gtest/gtest.h>
 
@@ -266,20 +270,35 @@ void learn_rush_seven_and_seventeen(AdaptiveSnipRh& s) {
   ASSERT_FALSE(s.learning());
 }
 
-TEST(SkipMissedProbes, AdaptiveLearningRunStaysInItsSlotWithExactEffort) {
-  // Learning duty 0.001 -> 20 s cycle. From 3400 s − 1 µs the tenth
-  // skipped wakeup is 3600 s − 1 µs, the last instant of slot 0.
+/// The sum of `n` effort samples of one Ton, added one at a time as the
+/// per-wakeup path adds them.
+double effort_of(int n) {
+  double sum = 0.0;
+  for (int i = 0; i < n; ++i) sum += kTon.to_seconds();
+  return sum;
+}
+
+TEST(SkipMissedProbes, AdaptiveLearningRunCrossesSlotsWithExactEffort) {
+  // Learning duty 0.001 -> 20 s cycle. SNIP-AT ignores slots, so only
+  // max_k bounds a run under an unbounded budget: from 3400 s − 1 µs the
+  // 400 skipped wakeups reach 11400 s − 1 µs, across slots 0 to 3.
   const SensorContext ctx = context(at_s(3600 - 200) - kMicro);
   AdaptiveSnipRh fast{Duration::hours(24), 24, adaptive_config(0.0)};
   AdaptiveSnipRh ref{Duration::hours(24), 24, adaptive_config(0.0)};
-  EXPECT_EQ(skip_against_twin(fast, ref, ctx, kUnbounded), 10);
-  // The effort sums (in the checkpoint) matched bit for bit above; the
-  // learner's view of slot 0 holds the eleven wakeups' effort.
+  EXPECT_EQ(skip_against_twin(fast, ref, ctx, 400), 400);
+  // Each wakeup's effort went to its own slot, one sample at a time: t0
+  // and ten skipped ones in slot 0, 180 in each of slots 1 and 2, and 30
+  // in slot 3. The sums match the twin's bit for bit.
   fast.on_epoch_start(1);
   ref.on_epoch_start(1);
   EXPECT_EQ(fast.checkpoint(), ref.checkpoint());
-  EXPECT_EQ(fast.learner().total_effort_s()[0],
-            ref.learner().total_effort_s()[0]);
+  const std::vector<double>& effort = fast.learner().total_effort_s();
+  const std::vector<double>& twin = ref.learner().total_effort_s();
+  const std::vector<int> samples{11, 180, 180, 30, 0};
+  for (std::size_t slot = 0; slot < samples.size(); ++slot) {
+    EXPECT_EQ(effort[slot], twin[slot]) << "slot " << slot;
+    EXPECT_EQ(effort[slot], effort_of(samples[slot])) << "slot " << slot;
+  }
 }
 
 TEST(SkipMissedProbes, AdaptiveLearningStopsWhereTheBudgetRunsOut) {
@@ -418,10 +437,12 @@ TimePoint day2(double hours) { return at_s(2 * 86400.0 + hours * 3600); }
 
 constexpr Duration kTrackerCycle = Duration::seconds(200);  // 20 ms / 1e-4
 
-TEST(SkipMissedProbes, TrackerRunEndsOneMicrosecondBeforeTheSlotBoundary) {
-  // Slot 3 lies outside the mask {7, 17}. From 4 h − 3400 s − 1 µs the
-  // 17th skipped tracker probe is at 4 h − 1 µs; 1 µs later it would be
-  // on the boundary itself.
+TEST(SkipMissedProbes, TrackerRunCrossesSlotsToOneCycleBeforeTheRushSlot) {
+  // Slots 3 to 6 lie outside the mask {7, 17}, and the tracker's path
+  // never reads the slot. From 7 h − 14200 s the 70th skipped tracker
+  // probe is at 7 h − 200 s, the last wakeup whose SNIP-RH sleep to the
+  // rush slot is no shorter than the tracker's cycle; 1 µs later only 69
+  // fit.
   for (const Duration late : {Duration::zero(), kMicro}) {
     AdaptiveSnipRh fast{Duration::hours(24), 24, adaptive_config(1e-4)};
     AdaptiveSnipRh ref{Duration::hours(24), 24, adaptive_config(1e-4)};
@@ -429,10 +450,10 @@ TEST(SkipMissedProbes, TrackerRunEndsOneMicrosecondBeforeTheSlotBoundary) {
     learn_rush_seven_and_seventeen(ref);
     ASSERT_EQ(fast.tracker_cycle(), kTrackerCycle);
     const SensorContext ctx =
-        context(day2(4) - Duration::seconds(3400) - kMicro + late);
-    EXPECT_EQ(skip_against_twin(fast, ref, ctx, kUnbounded),
-              late.is_zero() ? 17 : 16);
-    // The effort of all of them went to slot 3, one sample at a time.
+        context(day2(7) - Duration::seconds(14200) + late);
+    EXPECT_EQ(skip_against_twin(fast, ref, ctx, 100),
+              late.is_zero() ? 70 : 69);
+    // The effort went to slots 3 to 6, one sample at a time.
     fast.on_epoch_start(3);
     ref.on_epoch_start(3);
     EXPECT_EQ(fast.checkpoint(), ref.checkpoint());
@@ -469,8 +490,9 @@ TEST(SkipMissedProbes, TrackerRunStopsWhereTheBudgetRunsOut) {
 
 TEST(SkipMissedProbes, TrackerRunUnderAnAllZeroMask) {
   // A restored all-zero mask has no next rush slot: SNIP-RH sleeps one
-  // epoch at every wakeup and only the slot end bounds the run, one probe
-  // longer than under the mask {7, 17} from the same instant.
+  // epoch at every wakeup, so no rush start bounds the run and max_k
+  // does, across slots 6 to 11. Under the mask {7, 17} the same instant
+  // runs only to one cycle before the rush slot.
   AdaptiveSnipRh learned{Duration::hours(24), 24, adaptive_config(1e-4)};
   learn_rush_seven_and_seventeen(learned);
   std::vector<std::string> tokens = tokens_of(learned);
@@ -488,13 +510,13 @@ TEST(SkipMissedProbes, TrackerRunUnderAnAllZeroMask) {
   ASSERT_EQ(fast.current_mask().rush_slot_count(), 0U);
   const SensorContext ctx =
       context(day2(7) - Duration::seconds(3400) - kMicro);
-  EXPECT_EQ(skip_against_twin(fast, ref, ctx, kUnbounded), 17);
+  EXPECT_EQ(skip_against_twin(fast, ref, ctx, 100), 100);
 
   AdaptiveSnipRh masked_fast{Duration::hours(24), 24, adaptive_config(1e-4)};
   AdaptiveSnipRh masked_ref{Duration::hours(24), 24, adaptive_config(1e-4)};
   learn_rush_seven_and_seventeen(masked_fast);
   learn_rush_seven_and_seventeen(masked_ref);
-  EXPECT_EQ(skip_against_twin(masked_fast, masked_ref, ctx, kUnbounded), 16);
+  EXPECT_EQ(skip_against_twin(masked_fast, masked_ref, ctx, 100), 16);
 }
 
 TEST(SkipMissedProbes, TrackerRunNeedsTheTrackersOwnProbeOutsideTheMask) {

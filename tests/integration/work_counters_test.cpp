@@ -16,6 +16,12 @@
 /// losing a fast-forward or building a schedule twice, moves a count and
 /// fails here; wall-clock speed is snipbench's business. A change meant
 /// to move a count updates its pin and says why.
+///
+/// Each scheduler pin also carries the fleet's wakeup decisions: the
+/// on_wakeup() calls a node would make with every wakeup simulated. The
+/// executed calls plus the skipped probes and polls must add up to it,
+/// so a fast-forward that grows can only move work from executed to
+/// skipped, never drop any.
 
 #include <gtest/gtest.h>
 
@@ -42,6 +48,9 @@ using Hook = PassThroughScheduler::Hook;
 
 /// Scheduler work through the decorator, plus the contacts built.
 struct Work {
+  /// Executed calls + skipped probes + skipped polls (lone tracker
+  /// probes are counted among the skipped probes).
+  std::uint64_t decisions;
   std::uint64_t wakeup_calls;
   std::uint64_t skipped_probes;
   std::uint64_t skipped_polls;
@@ -52,6 +61,9 @@ struct Work {
 
 void expect_work(const PassThroughTally& tally, std::uint64_t contacts_built,
                  const Work& pinned) {
+  EXPECT_EQ(pinned.wakeup_calls + pinned.skipped_probes + pinned.skipped_polls,
+            pinned.decisions);
+  EXPECT_EQ(tally.wakeup_calls.load() + tally.skipped(), pinned.decisions);
   EXPECT_EQ(tally.wakeup_calls.load(), pinned.wakeup_calls);
   EXPECT_EQ(tally.skipped_probes.load(), pinned.skipped_probes);
   EXPECT_EQ(tally.skipped_polls.load(), pinned.skipped_polls);
@@ -121,7 +133,7 @@ TEST(WorkCounters, UrbanGridAdaptiveUcb) {
   const std::uint64_t built = contacts_in(schedules);
   PassThroughTally tally;
   (void)fleet.run_counted(std::move(schedules), tally);
-  expect_work(tally, built, {28649, 442630, 0, 17796, 1795, 15315});
+  expect_work(tally, built, {471279, 9141, 462138, 0, 24657, 1795, 15315});
 }
 
 TEST(WorkCounters, ChaosLossyCollectionRelay) {
@@ -132,7 +144,7 @@ TEST(WorkCounters, ChaosLossyCollectionRelay) {
   (void)fleet.run_counted(plan.schedules, tally);
   // One collection session per probed contact.
   expect_work(tally, contacts_in(plan.schedules),
-              {3850, 457430, 0, 0, 335, 5375});
+              {461280, 2681, 458599, 0, 0, 335, 5375});
 
   const deploy::DeploymentOutcome routed = deploy::FleetEngine{}.run(
       fleet.entry.scenario, fleet.spec, fleet.config);
@@ -202,7 +214,7 @@ TEST(WorkCounters, PaperGridThroughBatchRunner) {
     built += sweep.scenario.make_schedule(sweep.epochs, sweep.jitter, rng)
                  .size();
   }
-  expect_work(tally, built, {12374, 359175, 37181, 2111, 1550, 707});
+  expect_work(tally, built, {408730, 6193, 365356, 37181, 2643, 1550, 707});
   // One schedule per seed, shared by every run on it.
   EXPECT_EQ(builds, 2U);
 }

@@ -6,7 +6,8 @@
 /// runs must agree on `run_until`/`step` event counts, the simulator
 /// clock and pending events, every NodeBlock lane value, the probing
 /// meter (as Joules, hexfloat) and the probed-contact log — at contacts
-/// arriving exactly on a would-be wakeup, a wakeup tied with the epoch
+/// arriving exactly on a would-be wakeup, contacts a run steps over
+/// between two wakeups, a wakeup tied with the epoch
 /// boundary, zero-length contacts, a cycle shorter than Ton, run_until
 /// split into pieces, step(n), two nodes sharing one simulator, poll
 /// runs ending at an epoch event or another node's transfer completion,
@@ -251,6 +252,29 @@ TEST(FastForward, ContactArrivingExactlyAtAWouldBeWakeup) {
               (late.is_zero() ? at_s(20) : at_s(22)) +
                   Duration::milliseconds(2));
   }
+}
+
+TEST(FastForward, RunStepsOverContactsBetweenGridPoints) {
+  // Wakeups every 2 s from t = 0. A lone contact, a back-to-back pair and
+  // a zero-length contact all fall between two wakeups, so the run from
+  // the miss at t = 0 steps over them and ends at 48 s, before the
+  // contact the 50 s probe lands in.
+  const std::vector<Contact> contacts{
+      {at_s(10.5), Duration::milliseconds(500)},
+      {at_s(21.2), Duration::milliseconds(300)},
+      {at_s(21.5), Duration::milliseconds(400)},
+      {at_s(33), Duration::zero()},
+      {at_s(49.9), Duration::milliseconds(500)},
+  };
+  EXPECT_GT(expect_identical(contacts, snip_at, at_s(60)), 0U);
+  World w{1};
+  const SensorNode& node = w.add(contacts, wrap(snip_at(), Variant::kCounted));
+  w.simulator.run_until(at_s(50) - Duration::microseconds(1));
+  EXPECT_EQ(w.counted(0).wakeup_calls(), 1U);
+  EXPECT_EQ(w.counted(0).skipped_probes(), 24U);
+  w.simulator.run_until(at_s(60));
+  ASSERT_EQ(node.probed_contacts().size(), 1U);
+  EXPECT_EQ(node.probed_contacts()[0].contact.arrival, at_s(49.9));
 }
 
 TEST(FastForward, WakeupOnTheEpochBoundaryRunsAfterIt) {

@@ -1,11 +1,13 @@
 /// Property: the Channel's monotone-cursor queries are observationally
 /// identical to ContactSchedule's binary-search lookups, for any query
 /// sequence — forward-running (the simulation hot path the cursor
-/// accelerates), backward jumps (which force the binary-search
-/// fallback), and exact boundary hits.
+/// accelerates), backward jumps (which step the cursor back), the
+/// probe's own pattern (a beacon at t, the reply one airtime later, then
+/// the re-read at t), and exact boundary hits.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -102,6 +104,11 @@ TEST(ChannelCursorProperty, MatchesBinarySearchOnRandomQuerySequences) {
     Channel channel{schedule, link, Rng{1}};
 
     for (const TimePoint t : random_queries(rng, schedule, 400)) {
+      // A probe's reply query one airtime ahead, so the queries below at
+      // t step the cursor back, as the post-probe re-read does.
+      if (rng.bernoulli(0.3)) {
+        (void)channel.active_contact(t + Duration::microseconds(1000));
+      }
       const auto expected = schedule.active_at(t);
       const auto actual = channel.active_contact(t);
       ASSERT_EQ(expected.has_value(), actual.has_value())
@@ -110,6 +117,17 @@ TEST(ChannelCursorProperty, MatchesBinarySearchOnRandomQuerySequences) {
         ASSERT_EQ(expected->arrival, actual->arrival);
         ASSERT_EQ(expected->length, actual->length);
       }
+
+      const std::vector<Contact>& contacts = schedule.contacts();
+      const auto first_at_or_after =
+          std::lower_bound(contacts.begin(), contacts.end(), t,
+                           [](const Contact& c, TimePoint at) {
+                             return c.arrival < at;
+                           }) -
+          contacts.begin();
+      ASSERT_EQ(channel.next_arrival_index(t),
+                static_cast<std::size_t>(first_at_or_after))
+          << "next_arrival_index mismatch at t=" << t << " round " << round;
 
       const auto expected_next = schedule.next_arrival_at_or_after(t);
       const auto actual_next = channel.next_arrival_at_or_after(t);

@@ -16,7 +16,14 @@
 ///    over several scenarios, one with a Φmax tight enough that runs end
 ///    on the budget (every RunResult field and per-epoch row, hexfloat);
 ///  - on a slice of the paper's Fig. 7/8 grid, where adaptive SNIP-RH
-///    must skip both budget-spent polls and lone tracker probes.
+///    must skip both budget-spent polls and lone tracker probes;
+///  - on adversarial schedules built to trip the contact step-over:
+///    contacts shorter than the cycle, back-to-back and zero-length
+///    contacts, and probes landing inside a contact's last beacon
+///    airtime, under frame loss and probe-miss and abort faults (a
+///    spurious-detection fault keeps every probe on the per-wakeup path),
+///    for every strategy and adaptive SNIP-RH under every exploration
+///    policy with a nonzero tracking duty.
 /// A third, hook-forwarding counting run shows the fast path really ran:
 /// its scheduler calls plus skipped wakeups equal the reference's calls.
 
@@ -31,8 +38,10 @@
 #include <vector>
 
 #include "snipr/contact/trace_replay.hpp"
+#include "snipr/core/adaptive_snip_rh.hpp"
 #include "snipr/core/experiment.hpp"
 #include "snipr/core/scenario_catalog.hpp"
+#include "snipr/core/snip_at.hpp"
 #include "snipr/core/strategy.hpp"
 #include "snipr/deploy/fleet_engine.hpp"
 #include "snipr/fault/fault_plan.hpp"
@@ -99,6 +108,42 @@ std::string test_name(const ::testing::TestParamInfo<std::string>& info) {
   return name;
 }
 
+/// A fleet of `make` schedulers three ways: plain, hook withheld and hook
+/// forwarded, the last counted into `forward_tally`. Fails the test
+/// unless the three JSON outcomes are identical, the withheld run skipped
+/// nothing and the forwarded run's calls plus skipped wakeups equal the
+/// withheld run's calls.
+void expect_same_fleet_json(
+    const std::vector<contact::ContactSchedule>& schedules,
+    const std::function<std::unique_ptr<node::Scheduler>()>& make,
+    const deploy::FleetConfig& config, const fault::FaultSpec* faults,
+    const std::string& label, PassThroughTally& forward_tally) {
+  const deploy::FleetEngine engine;
+  const std::string plain = deploy::FleetEngine::to_json(engine.run(
+      schedules, [&](std::size_t) { return make(); }, config, faults));
+  PassThroughTally reference_tally;
+  const std::string reference = deploy::FleetEngine::to_json(engine.run(
+      schedules,
+      [&](std::size_t) {
+        return std::make_unique<PassThroughScheduler>(
+            make(), Hook::kWithhold, &reference_tally);
+      },
+      config, faults));
+  const std::string counted = deploy::FleetEngine::to_json(engine.run(
+      schedules,
+      [&](std::size_t) {
+        return std::make_unique<PassThroughScheduler>(make(), Hook::kForward,
+                                                      &forward_tally);
+      },
+      config, faults));
+  EXPECT_EQ(plain, reference) << label;
+  EXPECT_EQ(plain, counted) << label;
+  EXPECT_EQ(reference_tally.skipped(), 0U) << label;
+  EXPECT_EQ(forward_tally.wakeup_calls.load() + forward_tally.skipped(),
+            reference_tally.wakeup_calls.load())
+      << label;
+}
+
 class FleetFastForward : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(FleetFastForward, SameJsonWithAndWithoutThePassThroughWrapper) {
@@ -123,33 +168,9 @@ TEST_P(FleetFastForward, SameJsonWithAndWithoutThePassThroughWrapper) {
                                 spec.exploration);
   };
 
-  const deploy::FleetEngine engine;
-  const std::string plain = deploy::FleetEngine::to_json(engine.run(
-      schedules, [&](std::size_t) { return make(); }, config,
-      spec.faults.get()));
-  PassThroughTally reference_tally;
-  const std::string reference = deploy::FleetEngine::to_json(engine.run(
-      schedules,
-      [&](std::size_t) {
-        return std::make_unique<PassThroughScheduler>(
-            make(), Hook::kWithhold, &reference_tally);
-      },
-      config, spec.faults.get()));
   PassThroughTally forward_tally;
-  const std::string counted = deploy::FleetEngine::to_json(engine.run(
-      schedules,
-      [&](std::size_t) {
-        return std::make_unique<PassThroughScheduler>(make(), Hook::kForward,
-                                                      &forward_tally);
-      },
-      config, spec.faults.get()));
-
-  EXPECT_EQ(plain, reference) << entry.name;
-  EXPECT_EQ(plain, counted) << entry.name;
-  EXPECT_EQ(reference_tally.skipped(), 0U);
-  EXPECT_EQ(forward_tally.wakeup_calls.load() + forward_tally.skipped(),
-            reference_tally.wakeup_calls.load())
-      << entry.name;
+  expect_same_fleet_json(schedules, make, config, spec.faults.get(),
+                         entry.name, forward_tally);
   const bool spurious = spec.faults != nullptr &&
                         spec.faults->radio.spurious_detect_prob > 0.0;
   if (spurious) {
@@ -346,6 +367,182 @@ TEST(ExperimentFastForward, PaperGridSliceMatchesWithPollAndTrackerRuns) {
   }
   EXPECT_GT(tally.skipped_polls.load(), 0U);
   EXPECT_GT(tally.skipped_tracker_probes.load(), 0U);
+}
+
+
+// --- Adversarial schedules ------------------------------------------------
+
+constexpr std::size_t kAdversarialNodes = 4;
+constexpr std::size_t kAdversarialEpochs = 6;
+
+sim::Duration random_span(sim::Rng& rng, double lo_s, double hi_s) {
+  return sim::Duration::seconds(rng.uniform(lo_s, hi_s));
+}
+
+/// Contacts that probe grids step over or just catch: a third of zero
+/// length, a third shorter than a second, the rest up to a minute; one
+/// in four back-to-back with the one before, the others after a gap
+/// that is ten times shorter in two daily rush windows (7–9 h and
+/// 16–18 h), so adaptive nodes learn a mask.
+contact::ContactSchedule adversarial_schedule(sim::Rng& rng,
+                                              sim::Duration horizon) {
+  const sim::TimePoint end = sim::TimePoint::zero() + horizon;
+  std::vector<contact::Contact> contacts;
+  sim::TimePoint t = sim::TimePoint::zero();
+  while (true) {
+    if (!rng.bernoulli(0.25)) {
+      const double hour =
+          static_cast<double>((t - sim::TimePoint::zero()).count() %
+                              sim::Duration::hours(24).count()) /
+          3.6e9;
+      const bool rush = (hour >= 7 && hour < 9) || (hour >= 16 && hour < 18);
+      t += random_span(rng, 0.001, rush ? 60.0 : 600.0);
+    }
+    const double kind = rng.uniform();
+    const sim::Duration length = kind < 1.0 / 3   ? sim::Duration::zero()
+                                 : kind < 2.0 / 3 ? random_span(rng, 1e-6, 1.0)
+                                                  : random_span(rng, 1.0, 60.0);
+    if (t + length >= end) break;
+    contacts.push_back({t, length});
+    t += length;
+  }
+  return contact::ContactSchedule{std::move(contacts)};
+}
+
+/// The road-side scenario's node and link over kAdversarialEpochs days,
+/// at Φmax `phi_max_s` and with `frame_loss`.
+deploy::FleetConfig adversarial_config(const core::RoadsideScenario& scenario,
+                                       double phi_max_s, double frame_loss) {
+  deploy::FleetConfig config;
+  deploy::DeploymentConfig& d = config.deployment;
+  d.node.ton = sim::Duration::seconds(scenario.snip.ton_s);
+  d.node.epoch = scenario.profile.epoch();
+  d.node.budget_limit = sim::Duration::seconds(phi_max_s);
+  d.node.sensing_rate_bps = scenario.sensing_rate_for_target(16.0);
+  d.link = scenario.link;
+  d.link.frame_loss = frame_loss;
+  d.epochs = kAdversarialEpochs;
+  d.seed = kSeed;
+  config.shards = 2;
+  config.threads = 2;
+  return config;
+}
+
+TEST(AdversarialFastForward, EveryStrategyMatchesUnderLossAndFaults) {
+  const core::CatalogEntry& entry =
+      core::ScenarioCatalog::instance().at("roadside");
+  const core::RoadsideScenario& scenario = entry.scenario;
+  sim::Rng rng{kSeed};
+  std::vector<contact::ContactSchedule> schedules;
+  for (std::size_t i = 0; i < kAdversarialNodes; ++i) {
+    schedules.push_back(adversarial_schedule(
+        rng, scenario.profile.epoch() *
+                 static_cast<std::int64_t>(kAdversarialEpochs)));
+  }
+
+  fault::FaultSpec miss_and_abort;
+  miss_and_abort.radio.probe_miss_prob = 0.3;
+  miss_and_abort.radio.snr_edge_weight = 1.0;
+  miss_and_abort.radio.transfer_abort_prob = 0.3;
+  fault::FaultSpec spurious;
+  spurious.radio.spurious_detect_prob = 0.01;
+  const std::array<const fault::FaultSpec*, 3> fault_specs{
+      nullptr, &miss_and_abort, &spurious};
+
+  // The fixed plans through the planner; adaptive SNIP-RH built with a
+  // tracker ten times the default duty, so its lone tracker probes meet
+  // many contacts, and a floor cycle of 10 s.
+  std::vector<std::pair<std::string,
+                        std::function<std::unique_ptr<node::Scheduler>()>>>
+      makers;
+  for (const core::Strategy strategy :
+       {core::Strategy::kSnipAt, core::Strategy::kSnipOpt,
+        core::Strategy::kSnipRh}) {
+    makers.emplace_back(
+        std::string{core::strategy_id(strategy)},
+        core::plan_scheduler(scenario, strategy, 16.0, entry.phi_max_s, {}));
+  }
+  for (const core::ExplorationPolicyKind kind : kEveryPolicy) {
+    core::AdaptiveSnipRhConfig adaptive;
+    adaptive.learning_epochs = 2;
+    adaptive.tracking_duty = 1e-3;
+    adaptive.rh.ton = sim::Duration::seconds(scenario.snip.ton_s);
+    adaptive.rh.initial_tcontact_s = scenario.tcontact_s;
+    adaptive.exploration.kind = kind;
+    adaptive.exploration.epsilon = 0.3;
+    adaptive.exploration.explore_duty = 0.002;
+    const sim::Duration epoch = scenario.profile.epoch();
+    const std::size_t slots = scenario.profile.slot_count();
+    makers.emplace_back(
+        "adaptive/" + std::string{core::exploration_policy_kind_id(kind)},
+        [epoch, slots, adaptive] {
+          return std::make_unique<core::AdaptiveSnipRh>(epoch, slots,
+                                                        adaptive);
+        });
+  }
+
+  for (const auto& [name, make] : makers) {
+    for (const double phi_max_s : {entry.phi_max_s, 4.0}) {
+      const deploy::FleetConfig config =
+          adversarial_config(scenario, phi_max_s, 0.3);
+      for (const fault::FaultSpec* faults : fault_specs) {
+        const std::string label =
+            name + "/" + std::to_string(phi_max_s) + "/" +
+            (faults == nullptr       ? "no-faults"
+             : faults == &spurious ? "spurious"
+                                   : "miss-and-abort");
+        PassThroughTally tally;
+        expect_same_fleet_json(schedules, make, config, faults, label, tally);
+        if (faults == &spurious) {
+          EXPECT_EQ(tally.skipped_probes.load(), 0U) << label;
+        } else {
+          EXPECT_GT(tally.skipped_probes.load(), 0U) << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(AdversarialFastForward, ProbesInsideAContactsLastAirtimeOrAtItsArrival) {
+  // A SNIP-AT node probing every 20 s from t = 0 with nothing detected
+  // keeps its grid j·20 s. Every third grid point falls 0.5 ms before a
+  // 3 ms contact departs, inside the last beacon airtime (1 ms): the
+  // contact covers the probe, but the beacon cannot finish, so the probe
+  // misses without a frame-loss draw. Contacts between grid points are
+  // stepped over; runs stop before each covering one. The last contact,
+  // 5 ms long, arrives exactly on the third grid point of a run: without
+  // frame loss it is the one contact probed.
+  const core::RoadsideScenario& scenario =
+      core::ScenarioCatalog::instance().at("roadside").scenario;
+  const sim::Duration ton = sim::Duration::seconds(scenario.snip.ton_s);
+  const sim::Duration cycle = core::SnipAt{0.001, ton}.cycle();
+  const sim::Duration ms = sim::Duration::milliseconds(1);
+  ASSERT_EQ(scenario.link.beacon_airtime, ms);
+  ASSERT_EQ(scenario.link.reply_airtime, ms);
+  const sim::Duration horizon =
+      scenario.profile.epoch() * static_cast<std::int64_t>(kAdversarialEpochs);
+  std::vector<contact::Contact> contacts;
+  std::int64_t j = 3;
+  for (; cycle * (j + 8) < horizon; j += 3) {
+    const sim::TimePoint grid = sim::TimePoint::zero() + cycle * j;
+    contacts.push_back({grid - sim::Duration::microseconds(2500), ms * 3});
+    contacts.push_back({grid + cycle / 2, ms * 5});
+  }
+  contacts.push_back({sim::TimePoint::zero() + cycle * (j + 1), ms * 5});
+  const std::vector<contact::ContactSchedule> schedules{
+      contact::ContactSchedule{std::move(contacts)}};
+  for (const double frame_loss : {0.5, 0.0}) {
+    PassThroughTally tally;
+    expect_same_fleet_json(
+        schedules,
+        [ton] { return std::make_unique<core::SnipAt>(0.001, ton); },
+        adversarial_config(scenario, 1e9, frame_loss),
+        nullptr, "frame loss " + std::to_string(frame_loss), tally);
+    EXPECT_GT(tally.skipped_probes.load(), 0U);
+    if (frame_loss == 0.0) {
+      EXPECT_EQ(tally.contacts_probed.load(), 1U);
+    }
+  }
 }
 
 }  // namespace
