@@ -1,6 +1,5 @@
 /// Performance microbenchmarks (google-benchmark) for the computational
-/// kernels behind the figure harnesses: event-queue operations (and the
-/// timing wheel against its reference heap under churn), a full
+/// kernels behind the figure harnesses: event-queue operations, a full
 /// simulated day, the water-filling solver, the closed-form model and
 /// trace parsing, and the planning layer (one SNIP-AT/SNIP-OPT plan, the
 /// solve a fleet runs once). These guard against regressions that would make the
@@ -32,7 +31,6 @@
 #include "snipr/trace/synthetic.hpp"
 #include "snipr/trace/trace_io.hpp"
 #include "support/pass_through_scheduler.hpp"
-#include "support/reference_event_queue.hpp"
 
 namespace {
 
@@ -48,64 +46,12 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
                          static_cast<std::int64_t>((i * 7919) % n)),
                  [] {});
     }
-    while (auto e = q.pop()) benchmark::DoNotOptimize(e->id);
+    while (auto e = q.pop()) benchmark::DoNotOptimize(e->at);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(n) *
                           state.iterations());
 }
 BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1000)->Arg(100000);
-
-/// Mixed schedule/cancel churn straight against the queue, the
-/// retimed-wakeup steady state of every duty-cycled node: each step
-/// retimes one pending event (cancel + reschedule), then pops the
-/// earliest and replaces it, over a standing population of range(0)
-/// pending events. Delays are mostly sub-second (wheel levels 0-2) with
-/// an occasional beyond-horizon hop so the overflow heap stays on the
-/// measured path. Runs identically against the timing-wheel
-/// `sim::EventQueue` and the binary-heap reference model it replaced, so
-/// the two rows of one process give the wheel's ratio on the same host.
-/// The steady state allocating nothing is zero_alloc_test's contract.
-template <class Queue>
-void queue_churn(benchmark::State& state) {
-  const auto population = static_cast<std::size_t>(state.range(0));
-  Queue q;
-  std::vector<sim::EventId> pending(population);
-  std::uint64_t lcg = 0x9E3779B97F4A7C15ull;
-  const auto delay = [&lcg]() {
-    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-    const std::uint64_t r = lcg >> 33;
-    if ((r & 0xFF) == 0) return sim::Duration::hours(2);
-    return sim::Duration::microseconds(
-        static_cast<std::int64_t>(r % 1'000'000));
-  };
-  sim::TimePoint now = sim::TimePoint::zero();
-  for (auto& id : pending) id = q.schedule(now + delay(), [] {});
-  std::size_t cursor = 0;
-  const auto step = [&] {
-    // Retime: the cancel misses when a pop already consumed the handle,
-    // exactly as a node's stale retimer would.
-    (void)q.cancel(pending[cursor]);
-    pending[cursor] = q.schedule(now + delay(), [] {});
-    cursor = (cursor + 1) % population;
-    auto popped = q.pop();
-    now = popped->at;
-    (void)q.schedule(now + delay(), [] {});
-  };
-  for (std::size_t i = 0; i < 4 * population + 1024; ++i) step();
-  for (auto _ : state) step();
-  // Four queue operations per step.
-  state.SetItemsProcessed(4 * state.iterations());
-}
-
-void BM_EventQueueChurn(benchmark::State& state) {
-  queue_churn<sim::EventQueue>(state);
-}
-BENCHMARK(BM_EventQueueChurn)->Arg(64)->Arg(4096);
-
-void BM_EventQueueChurnReference(benchmark::State& state) {
-  queue_churn<testing::ReferenceEventQueue>(state);
-}
-BENCHMARK(BM_EventQueueChurnReference)->Arg(64)->Arg(4096);
 
 void BM_SimulatorLoneNode(benchmark::State& state) {
   // The event loop of one fleet node alone in its simulator: a

@@ -70,7 +70,8 @@ struct ExperimentConfig {
 
 /// Variant over a shared immutable schedule: many runs (a BatchRunner
 /// grid cell, concurrent workers) can execute against one materialised
-/// schedule without copying it. The schedule must not be null.
+/// schedule without copying it. A null schedule throws
+/// std::invalid_argument.
 [[nodiscard]] RunResult run_experiment_on_schedule(
     const RoadsideScenario& scenario,
     std::shared_ptr<const contact::ContactSchedule> schedule,

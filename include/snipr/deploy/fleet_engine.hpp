@@ -13,9 +13,8 @@
 /// each sharing one `node::NodeBlock` of hot state, and fans the shards
 /// out across a `core::ThreadPool`. Inside a shard, every node runs
 /// alone in its own `Simulator` up to the horizon, one node after the
-/// other: nodes never interact while probing, and a lone node's next
-/// wakeup is almost always its queue's earliest event, which the
-/// EventQueue serves without touching its timing wheel.
+/// other: nodes never interact while probing, so each node's event
+/// queue stays a few events deep.
 ///
 /// Determinism contract (the PR 1/PR 2 guarantee, extended to shards):
 /// node i's RNG stream is forked from a root seeded with `config.seed`

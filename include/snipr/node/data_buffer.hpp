@@ -26,7 +26,8 @@ namespace snipr::node {
 
 class FluidBuffer {
  public:
-  /// \param rate_bps data generation rate in bytes/second (>= 0).
+  /// \param rate_bps data generation rate in bytes/second (finite,
+  /// >= 0).
   explicit FluidBuffer(double rate_bps);
 
   [[nodiscard]] double rate_bps() const noexcept { return rate_bps_; }

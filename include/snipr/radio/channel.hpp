@@ -34,6 +34,7 @@ namespace snipr::radio {
 class Channel {
  public:
   Channel(contact::ContactSchedule schedule, LinkParams link, sim::Rng rng);
+  /// Throws std::invalid_argument when `schedule` is null.
   Channel(std::shared_ptr<const contact::ContactSchedule> schedule,
           LinkParams link, sim::Rng rng);
 

@@ -16,10 +16,11 @@
 /// size (16 bytes on libstdc++/libc++) — and the transfer-completion
 /// closure in SensorNode::begin_transfer captures ~56 bytes, so every
 /// simulated event used to pay a malloc/free pair. InlineCallback embeds
-/// the closure directly in the owner (an EventQueue slot), type-erasing
-/// only through a static vtable of move/invoke/destroy thunks; a closure
-/// that does not fit the capacity is rejected at compile time, so growing
-/// a capture list can never silently reintroduce the allocation.
+/// the closure directly in its owner (an EventQueue slot, which heap
+/// sifts never move), type-erasing only through a static vtable of
+/// move/invoke/destroy thunks; a closure that does not fit the capacity
+/// is rejected at compile time, so growing a capture list can never
+/// silently reintroduce the allocation.
 
 namespace snipr::sim {
 
@@ -43,7 +44,8 @@ class InlineCallback {
     static_assert(alignof(Fn) <= alignof(std::max_align_t),
                   "closure is over-aligned for InlineCallback storage");
     static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                  "closures must be nothrow-movable (heap sifts move them)");
+                  "closures must be nothrow-movable (slot growth and pops "
+                  "move them)");
     ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
     vtable_ = vtable_for<Fn>();
   }

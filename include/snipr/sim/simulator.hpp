@@ -29,11 +29,9 @@ class Simulator {
   [[nodiscard]] Rng& rng() noexcept { return rng_; }
 
   /// Schedule at an absolute time (must not be before now()).
-  EventId schedule_at(TimePoint at, Callback fn);
+  void schedule_at(TimePoint at, Callback fn);
   /// Schedule after a non-negative delay from now().
-  EventId schedule_after(Duration delay, Callback fn);
-  /// Cancel a pending event; false if already fired/cancelled.
-  bool cancel(EventId id);
+  void schedule_after(Duration delay, Callback fn);
 
   /// Run all events with timestamp <= until, then advance the clock to
   /// `until` even if idle. Returns the number of events executed.

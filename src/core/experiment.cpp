@@ -36,10 +36,14 @@ RunResult run_experiment_on_schedule(
   if (!(std::isfinite(config.phi_max_s) && config.phi_max_s >= 0.0)) {
     reject("phi_max_s must be finite and >= 0");
   }
+  if (!(std::isfinite(config.sensing_rate_bps) &&
+        config.sensing_rate_bps >= 0.0)) {
+    reject("sensing_rate_bps must be finite and >= 0");
+  }
   sim::Simulator simulator{config.seed};
-  const std::size_t total_contacts = schedule->size();
   radio::Channel channel{std::move(schedule), scenario.link,
                          simulator.rng().fork()};
+  const std::size_t total_contacts = channel.schedule().size();
   node::MobileNode sink;
 
   node::SensorNodeConfig node_cfg;

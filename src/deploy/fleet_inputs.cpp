@@ -19,12 +19,15 @@
 namespace snipr::deploy {
 namespace {
 
+const char* engine_name(FleetOutput output) {
+  return output == FleetOutput::kRows ? "FleetEngine" : "run_streaming_fleet";
+}
+
 /// The one FleetSpec validator. Every message names the engine and the
 /// offending field.
 void validate(const FleetSpec& spec, const DeploymentConfig& deployment,
               FleetOutput output) {
-  const std::string engine =
-      output == FleetOutput::kRows ? "FleetEngine" : "run_streaming_fleet";
+  const std::string engine = engine_name(output);
   const auto reject = [&engine](const char* what) {
     throw std::invalid_argument(engine + ": " + what);
   };
@@ -74,11 +77,18 @@ void validate(const FleetSpec& spec, const DeploymentConfig& deployment,
 
 /// What every contact source shares: the node environment, the node
 /// channel streams (the first `nodes` forks of `root`, which is left
-/// advanced past them) and the fault plan.
-FleetInputs start_inputs(SchedulerFactory make_scheduler,
+/// advanced past them) and the fault plan. Rejects a sensing rate no
+/// node could run at, in `engine`'s name.
+FleetInputs start_inputs(const char* engine, SchedulerFactory make_scheduler,
                          const FleetConfig& config, std::size_t nodes,
                          bool record_probed, const fault::FaultSpec* faults,
                          sim::Rng& root) {
+  const double rate = config.deployment.node.sensing_rate_bps;
+  if (!(std::isfinite(rate) && rate >= 0.0)) {
+    throw std::invalid_argument(
+        std::string{engine} +
+        ": DeploymentConfig::node.sensing_rate_bps must be finite and >= 0");
+  }
   FleetInputs in;
   in.make_scheduler = std::move(make_scheduler);
   in.deployment = config.deployment;
@@ -143,6 +153,7 @@ FleetInputs build_fleet_inputs(const core::RoadsideScenario& scenario,
       config.deployment.node.budget_limit.to_seconds(), spec.exploration);
   sim::Rng root{config.deployment.seed};
   FleetInputs in = start_inputs(
+      engine_name(output),
       [maker = std::move(maker)](std::size_t) { return maker(); }, config,
       spec.nodes, spec.routing.has_value(), spec.faults.get(), root);
   in.contact_horizon = spec.flow_profile.epoch() *
@@ -209,6 +220,7 @@ FleetInputs prebuilt_fleet_inputs(
   // Call the caller's factory by reference: a copy would split the state
   // of a stateful one.
   FleetInputs in = start_inputs(
+      "FleetEngine",
       [&make_scheduler](std::size_t i) { return make_scheduler(i); }, config,
       schedules.size(), false, faults, root);
   in.schedules = std::move(schedules);

@@ -33,11 +33,8 @@
 /// buffer, budget, scheduler and fault stream, and the store-and-forward
 /// pass runs only afterwards, over the exported probed contacts. So a
 /// range simulates its nodes one at a time, each alone in its own
-/// `sim::Simulator` up to the horizon. Alone, a node's next wakeup is
-/// almost always the earliest pending event, which the EventQueue's
-/// front slot serves without touching its wheel; a shared loop would
-/// interleave the range's nodes and cascade the wheel on nearly every
-/// pop. The results are the same either way.
+/// `sim::Simulator` up to the horizon, whose event queue then holds
+/// about three events. The results are the same as in one shared loop.
 
 namespace snipr::deploy {
 

@@ -7,8 +7,8 @@
 namespace snipr::node {
 
 FluidBuffer::FluidBuffer(double rate_bps) : rate_bps_{rate_bps} {
-  if (rate_bps < 0.0) {
-    throw std::invalid_argument("FluidBuffer: rate must be >= 0");
+  if (!(std::isfinite(rate_bps) && rate_bps >= 0.0)) {
+    throw std::invalid_argument("FluidBuffer: rate must be finite and >= 0");
   }
 }
 

@@ -1,5 +1,6 @@
 #include "snipr/radio/channel.hpp"
 
+#include <stdexcept>
 #include <utility>
 
 namespace snipr::radio {
@@ -12,7 +13,11 @@ Channel::Channel(contact::ContactSchedule schedule, LinkParams link,
 
 Channel::Channel(std::shared_ptr<const contact::ContactSchedule> schedule,
                  LinkParams link, sim::Rng rng)
-    : schedule_{std::move(schedule)}, link_{link}, rng_{rng} {}
+    : schedule_{std::move(schedule)}, link_{link}, rng_{rng} {
+  if (schedule_ == nullptr) {
+    throw std::invalid_argument("radio::Channel: schedule must not be null");
+  }
+}
 
 std::size_t Channel::position_cursor(sim::TimePoint t) const {
   const std::vector<contact::Contact>& contacts = schedule_->contacts();

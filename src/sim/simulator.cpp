@@ -9,21 +9,19 @@ namespace snipr::sim {
 
 Simulator::Simulator(std::uint64_t seed) : rng_{seed} {}
 
-EventId Simulator::schedule_at(TimePoint at, Callback fn) {
+void Simulator::schedule_at(TimePoint at, Callback fn) {
   if (at < now_) {
     throw std::logic_error("Simulator::schedule_at: time is in the past");
   }
-  return queue_.schedule(at, std::move(fn));
+  queue_.schedule(at, std::move(fn));
 }
 
-EventId Simulator::schedule_after(Duration delay, Callback fn) {
+void Simulator::schedule_after(Duration delay, Callback fn) {
   if (delay.is_negative()) {
     throw std::logic_error("Simulator::schedule_after: negative delay");
   }
-  return queue_.schedule(now_ + delay, std::move(fn));
+  queue_.schedule(now_ + delay, std::move(fn));
 }
-
-bool Simulator::cancel(EventId id) { return queue_.cancel(id); }
 
 std::size_t Simulator::drain(TimePoint limit, std::size_t max_events) {
   // A callback may itself run the simulator; its drain must hand the

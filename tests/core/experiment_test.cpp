@@ -116,6 +116,35 @@ TEST(Experiment, ConfigsWithNothingToReportAreRejectedByName) {
                  std::invalid_argument)
         << c.field;
   }
+  // A NaN rate ran and reported 0 bytes and 0 s latency; +inf reported
+  // finite bytes and latency.
+  for (const double rate :
+       {std::numeric_limits<double>::quiet_NaN(), inf, -1.0}) {
+    SCOPED_TRACE("sensing_rate_bps = " + std::to_string(rate));
+    ExperimentConfig cfg = quick_config(86.4, 16.0, sc);
+    cfg.epochs = 3;
+    cfg.sensing_rate_bps = rate;
+    SnipAt at{0.01, sim::Duration::seconds(sc.snip.ton_s)};
+    try {
+      (void)run_experiment(sc, at, cfg);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(
+                    "ExperimentConfig::sensing_rate_bps"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Experiment, NullScheduleIsRejected) {
+  const RoadsideScenario sc;
+  SnipRh rh{sc.rush_mask, SnipRhConfig{}};
+  EXPECT_THROW(
+      (void)run_experiment_on_schedule(
+          sc, std::shared_ptr<const contact::ContactSchedule>{}, rh,
+          quick_config(86.4, 16.0, sc)),
+      std::invalid_argument);
 }
 
 TEST(Experiment, MissRatioWithinBounds) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -15,6 +16,7 @@
 #include "snipr/core/crc32.hpp"
 #include "snipr/core/json_writer.hpp"
 #include "snipr/core/scenario_catalog.hpp"
+#include "snipr/core/snip_at.hpp"
 #include "snipr/deploy/fleet_engine.hpp"
 
 namespace snipr::deploy {
@@ -549,6 +551,22 @@ TEST(FleetSpecValidation, BothEnginesRejectBadTargetsAndBudgetsByName) {
     s.spec.strategy = strategy;
     s.config.deployment.node.budget_limit = sim::Duration::seconds(-1.0);
     both_engines("budget_limit", s);
+  }
+  // Checked once on the shared input path: both engines and both
+  // FleetEngine::run overloads.
+  const SchedulerFactory snip_at = [](std::size_t) {
+    return std::make_unique<core::SnipAt>(0.01, sim::Duration::seconds(0.02));
+  };
+  for (const double rate : {kNaN, kInf, -1.0}) {
+    SCOPED_TRACE("sensing_rate_bps = " + std::to_string(rate));
+    FleetCase s = small_fleet(4);
+    s.config.deployment.node.sensing_rate_bps = rate;
+    both_engines("DeploymentConfig::node.sensing_rate_bps", s);
+    expect_named("DeploymentConfig::node.sensing_rate_bps", [&] {
+      const contact::ContactSchedule empty{std::vector<contact::Contact>{}};
+      (void)FleetEngine{}.run(std::vector<contact::ContactSchedule>(2, empty),
+                              snip_at, s.config);
+    });
   }
   const FleetCase s = small_fleet(4);
   for (const double phi : {kNaN, kInf, -1.0}) {

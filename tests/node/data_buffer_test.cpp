@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 namespace snipr::node {
 namespace {
 
@@ -49,8 +52,12 @@ TEST(FluidBuffer, ZeroRateNeverAccumulates) {
   EXPECT_DOUBLE_EQ(b.take(at_s(1000), 5.0), 0.0);
 }
 
-TEST(FluidBuffer, NegativeRateThrows) {
+TEST(FluidBuffer, NegativeOrNonFiniteRateThrows) {
   EXPECT_THROW(FluidBuffer{-1.0}, std::invalid_argument);
+  EXPECT_THROW(FluidBuffer{std::numeric_limits<double>::quiet_NaN()},
+               std::invalid_argument);
+  EXPECT_THROW(FluidBuffer{std::numeric_limits<double>::infinity()},
+               std::invalid_argument);
 }
 
 TEST(FluidBuffer, LatencyOfSingleTakeIsExact) {

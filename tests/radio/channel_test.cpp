@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+
 namespace snipr::radio {
 namespace {
 
@@ -139,6 +142,12 @@ TEST(Channel, ActiveContactLookup) {
   EXPECT_TRUE(ch.active_contact(at_s(100.1)).has_value());
   EXPECT_FALSE(ch.active_contact(at_s(99.0)).has_value());
   EXPECT_EQ(ch.active_contact(at_s(100.1))->arrival, at_s(100));
+}
+
+TEST(Channel, NullScheduleIsRejected) {
+  EXPECT_THROW((Channel{std::shared_ptr<const ContactSchedule>{},
+                        LinkParams{}, sim::Rng{1}}),
+               std::invalid_argument);
 }
 
 TEST(Channel, DefaultLinkParameters) {

@@ -75,15 +75,6 @@ TEST(Simulator, RunUntilBackwardsThrows) {
   EXPECT_THROW(s.run_until(at_s(1)), std::logic_error);
 }
 
-TEST(Simulator, CancelledEventNeverFires) {
-  Simulator s;
-  bool ran = false;
-  const EventId id = s.schedule_at(at_s(1), [&] { ran = true; });
-  EXPECT_TRUE(s.cancel(id));
-  s.run();
-  EXPECT_FALSE(ran);
-}
-
 TEST(Simulator, StepLimitsExecution) {
   Simulator s;
   int fired = 0;
