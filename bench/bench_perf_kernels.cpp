@@ -8,22 +8,29 @@
 /// missed probes with and without their fast-forward (on the road-side
 /// schedule, and on a dense schedule of contacts the probe grid steps
 /// over), the rush-mask slot scan and one adaptive SNIP-RH wakeup in the
-/// exploit phase.
+/// exploit phase. Per-layer rows for the relay fleet's serial tail: one
+/// store-and-forward collection pass and the JSON writer's numbers.
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "snipr/core/adaptive_snip_rh.hpp"
 #include "snipr/core/experiment.hpp"
+#include "snipr/core/json_writer.hpp"
 #include "snipr/core/rush_hour_mask.hpp"
 #include "snipr/core/scenario_catalog.hpp"
 #include "snipr/core/snip_at.hpp"
 #include "snipr/core/snip_rh.hpp"
 #include "snipr/core/strategy.hpp"
+#include "snipr/deploy/collection.hpp"
+#include "snipr/deploy/fleet_engine.hpp"
+#include "snipr/fault/fault_plan.hpp"
 #include "snipr/model/optimizer.hpp"
 #include "snipr/sim/event_queue.hpp"
 #include "snipr/sim/simulator.hpp"
@@ -31,6 +38,7 @@
 #include "snipr/trace/synthetic.hpp"
 #include "snipr/trace/trace_io.hpp"
 #include "support/pass_through_scheduler.hpp"
+#include "support/road_inputs.hpp"
 
 namespace {
 
@@ -364,6 +372,82 @@ void BM_OneStreamingIngest(benchmark::State& state) {
   state.counters["peak_window"] = static_cast<double>(last.peak_window);
 }
 BENCHMARK(BM_OneStreamingIngest)->Arg(14)->Arg(140);
+
+/// One collection pass over a session list the size of catalog
+/// `chaos-lossy-collection`'s at 52 epochs: its 96 nodes, vehicle flow,
+/// routing and lossy hand-offs, with about one contact in eighteen
+/// probed (about 4.1k sessions, as its SNIP-OPT fleet probes), listed
+/// node by node in probe order as the engine exports them.
+void BM_RunCollection(benchmark::State& state) {
+  const core::CatalogEntry& entry =
+      core::ScenarioCatalog::instance().at("chaos-lossy-collection");
+  const deploy::FleetSpec& spec = *entry.fleet;
+  const std::size_t epochs = 52;
+  const sim::Duration horizon =
+      spec.flow_profile.epoch() * static_cast<std::int64_t>(epochs);
+  const deploy::DeploymentConfig deployment =
+      deploy::make_fleet_deployment_config(entry.scenario, spec,
+                                           entry.phi_max_s, epochs, 1);
+  testing::RoadInputs road = testing::materialize_road(spec, 1, horizon);
+  const deploy::RoadContactPlan plan = deploy::build_road_contact_plan(
+      road.positions_m, spec.road_workload()->range_m, road.vehicles);
+
+  deploy::CollectionInput input;
+  input.routing = *spec.routing;
+  input.sensing_rate_bps = deployment.node.sensing_rate_bps;
+  input.data_rate_bps = deployment.link.data_rate_bps;
+  input.range_m = spec.road_workload()->range_m;
+  input.horizon_s = horizon.to_seconds();
+  sim::Rng pick{2};
+  for (std::uint32_t i = 0; i < plan.schedules.size(); ++i) {
+    const std::vector<contact::Contact>& contacts =
+        plan.schedules[i].contacts();
+    for (std::size_t j = 0; j < contacts.size(); ++j) {
+      if (!pick.bernoulli(1.0 / 18.0)) continue;
+      deploy::CollectionSession session;
+      session.node = i;
+      session.vehicle = plan.carriers[i][j];
+      session.probe_time_s =
+          (contacts[j].arrival + contacts[j].length / 4).to_seconds();
+      session.departure_s = contacts[j].departure().to_seconds();
+      input.sessions.push_back(session);
+    }
+  }
+  input.positions_m = std::move(road.positions_m);
+  input.vehicles = std::move(road.vehicles);
+  const fault::FaultPlan faults{*spec.faults, spec.nodes};
+  for (auto _ : state) {
+    fault::CollectionFaultState lossy{spec.faults->collection,
+                                      faults.collection_stream(),
+                                      input.data_rate_bps};
+    input.faults = &lossy;
+    const deploy::NetworkOutcome out = deploy::run_collection(input);
+    benchmark::DoNotOptimize(out.delivered_bytes);
+  }
+  state.counters["sessions"] = static_cast<double>(input.sessions.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(input.sessions.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_RunCollection)->Unit(benchmark::kMicrosecond);
+
+/// The JSON writer's number formatting ("%.10g"), over metric-like
+/// doubles spread across 26 decades.
+void BM_JsonAppendNumber(benchmark::State& state) {
+  std::vector<double> values(4096);
+  sim::Rng rng{3};
+  for (double& v : values) {
+    v = rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform(-12.0, 14.0));
+  }
+  std::string out;
+  for (auto _ : state) {
+    out.clear();
+    for (const double v : values) core::json::append_number(out, v);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(values.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_JsonAppendNumber);
 
 }  // namespace
 

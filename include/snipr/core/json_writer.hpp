@@ -1,5 +1,6 @@
 #pragma once
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -9,9 +10,10 @@
 /// \file json_writer.hpp
 /// Minimal deterministic JSON building, shared by every emitter
 /// (`BatchRunner::to_json`, `FleetEngine::to_json`, the bench artifact
-/// writers): fixed field order, "%.10g" doubles, no locale dependence
-/// (snprintf with the C locale's decimal point — metrics never pass
-/// through iostreams). Same inputs, same bytes — the property the golden
+/// writers): fixed field order, numbers through `std::to_chars`, which
+/// ignores the locale. A double is written as `chars_format::general` at
+/// precision 10, which the standard defines as printf's "%.10g", and an
+/// integer as "%llu". Same inputs, same bytes — the property the golden
 /// corpus and the thread/shard determinism tests pin down.
 
 namespace snipr::core::json {
@@ -68,9 +70,10 @@ inline void append_number(std::string& out, double value) {
     out += "null";
     return;
   }
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.10g", value);
-  out += buffer;
+  char buffer[32];  // "%.10g" needs at most 17: -1.234567891e-308
+  const std::to_chars_result r = std::to_chars(
+      buffer, buffer + sizeof buffer, value, std::chars_format::general, 10);
+  out.append(buffer, r.ptr);
 }
 
 inline void append_field(std::string& out, const char* key, double value,
@@ -84,13 +87,13 @@ inline void append_field(std::string& out, const char* key, double value,
 
 inline void append_uint_field(std::string& out, const char* key,
                               std::uint64_t value, bool comma = true) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%llu",
-                static_cast<unsigned long long>(value));
+  char buffer[20];  // UINT64_MAX has 20 digits
+  const std::to_chars_result r =
+      std::to_chars(buffer, buffer + sizeof buffer, value);
   out += '"';
   out += key;
   out += "\":";
-  out += buffer;
+  out.append(buffer, r.ptr);
   if (comma) out += ',';
 }
 

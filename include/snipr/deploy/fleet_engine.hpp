@@ -31,10 +31,11 @@ namespace snipr::deploy {
 struct FleetConfig {
   /// Node configuration, link, epochs and root seed (shared by shards).
   DeploymentConfig deployment{};
-  /// Work partitions; 0 = max(hardware threads, nodes/16), capped at the
-  /// node count. Purely a performance knob — results never depend on
-  /// it. More shards than threads still helps: the pool hands shards to
-  /// whichever worker is free, so small shards balance the load.
+  /// Work partitions; 0 = max(hardware threads, nodes/16) rounded up to
+  /// a multiple of the worker count, capped at the node count. Purely a
+  /// performance knob — results never depend on it. More shards than
+  /// threads still helps: the pool hands shards to whichever worker is
+  /// free, so small shards balance the load.
   std::size_t shards{0};
   /// Worker threads; 0 = hardware concurrency. Capped at the shard count.
   std::size_t threads{0};

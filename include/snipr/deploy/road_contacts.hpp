@@ -56,7 +56,8 @@ struct VehicleFlow {
 ///   [t + max(0, x − R)/v,  t + (x + R)/v).
 /// Overlapping passes at one node (two vehicles in range together) are
 /// merged into a single contact, honouring the reference model's
-/// one-mobile-at-a-time assumption (Sec. II).
+/// one-mobile-at-a-time assumption (Sec. II). A vehicle leaves range at
+/// its exit. No carrier lists are built; see build_road_contact_plan.
 [[nodiscard]] std::vector<contact::ContactSchedule> build_road_schedules(
     const std::vector<double>& positions_m, double range_m,
     const std::vector<VehicleEntry>& vehicles);
@@ -71,10 +72,9 @@ struct RoadContactPlan {
   std::vector<std::vector<std::uint32_t>> carriers;
 };
 
-/// Like build_road_schedules (identical schedules for an all-through
-/// flow) but honouring per-vehicle exits and recording which vehicle
-/// carries each contact — the contact plan the store-and-forward
-/// collection pass routes data over.
+/// The schedules of build_road_schedules plus which vehicle carries
+/// each contact — the contact plan the store-and-forward collection pass
+/// routes data over.
 ///
 /// Cost: each node computes its offsets once per run of consecutive
 /// vehicles with equal (speed, exit), and carries the previous node's

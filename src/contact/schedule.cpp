@@ -15,14 +15,15 @@ bool arrival_less(const Contact& a, const Contact& b) {
 
 ContactSchedule::ContactSchedule(std::vector<Contact> contacts)
     : contacts_{std::move(contacts)} {
-  if (!std::is_sorted(contacts_.begin(), contacts_.end(), arrival_less)) {
-    throw std::invalid_argument("ContactSchedule: contacts must be sorted");
-  }
+  // One pass; disorder anywhere is reported ahead of an overlap.
+  bool overlap = false;
   for (std::size_t i = 1; i < contacts_.size(); ++i) {
-    if (contacts_[i].arrival < contacts_[i - 1].departure()) {
-      throw std::invalid_argument("ContactSchedule: contacts overlap");
+    if (arrival_less(contacts_[i], contacts_[i - 1])) {
+      throw std::invalid_argument("ContactSchedule: contacts must be sorted");
     }
+    overlap = overlap || contacts_[i].arrival < contacts_[i - 1].departure();
   }
+  if (overlap) throw std::invalid_argument("ContactSchedule: contacts overlap");
 }
 
 std::optional<Contact> ContactSchedule::active_at(sim::TimePoint t) const {

@@ -1,10 +1,13 @@
 #include "snipr/deploy/collection.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
+#include "snipr/deploy/collection_detail.hpp"
 #include "snipr/fault/fault_plan.hpp"
 #include "snipr/node/data_buffer.hpp"
 
@@ -12,85 +15,17 @@ namespace snipr::deploy {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-/// Learned-hops sentinel: "no vehicle has beaconed a route yet".
-constexpr std::uint8_t kUnknownHops = 255;
 /// Minimum transfer unit: a session whose bandwidth budget cannot move
 /// one whole byte moves nothing (the "contact too short" edge — the
 /// fluid model would otherwise happily ship 10^-7 bytes).
 constexpr double kMinTransferBytes = 1.0;
 
-/// One byte-weighted uniform latency segment: `bytes` of data whose
-/// end-to-end latency is uniformly distributed over [lo_s, hi_s] (the
-/// fluid image of a parcel's generation interval at its delivery time).
-struct LatencySegment {
-  double lo_s;
-  double hi_s;
-  double bytes;
-};
-
-/// Exact quantile of the piecewise-uniform mixture the segments form.
-/// Sweeps segment endpoints in time order, accumulating mass at the
-/// current total density, and interpolates inside the interval where the
-/// target mass is crossed.
-double mixture_quantile(std::vector<LatencySegment>& segments, double q) {
-  if (segments.empty()) return 0.0;
-  double total = 0.0;
-  for (const LatencySegment& s : segments) total += s.bytes;
-  if (total <= 0.0) return 0.0;
-  const double target = q * total;
-
-  struct Edge {
-    double t;
-    double density_delta;  // bytes per second of latency
-  };
-  std::vector<Edge> edges;
-  edges.reserve(2 * segments.size());
-  for (const LatencySegment& s : segments) {
-    if (s.hi_s - s.lo_s > 1e-12) {
-      const double density = s.bytes / (s.hi_s - s.lo_s);
-      edges.push_back(Edge{s.lo_s, density});
-      edges.push_back(Edge{s.hi_s, -density});
-    } else {
-      // Degenerate (near-instant generation): a point mass, widened by
-      // an epsilon so the sweep stays piecewise linear.
-      const double width = 1e-12;
-      const double density = s.bytes / width;
-      edges.push_back(Edge{s.lo_s, density});
-      edges.push_back(Edge{s.lo_s + width, -density});
-    }
-  }
-  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
-    return a.t < b.t;
-  });
-
-  double mass = 0.0;
-  double density = 0.0;
-  for (std::size_t i = 0; i + 1 <= edges.size(); ++i) {
-    density += edges[i].density_delta;
-    if (i + 1 == edges.size()) break;
-    const double span = edges[i + 1].t - edges[i].t;
-    const double gained = density * span;
-    if (mass + gained >= target && density > 0.0) {
-      return edges[i].t + (target - mass) / density;
-    }
-    mass += gained;
-  }
-  return edges.back().t;  // q == 1 (or rounding): the latest latency
-}
+using detail::CollectionEvent;
+using detail::LatencySegment;
 
 struct VehicleState {
   std::vector<node::Parcel> cargo;
   double cargo_bytes{0.0};
-};
-
-struct EventRef {
-  double t_s;
-  /// 0 = probed session, 1 = sink pass; sessions at the same instant
-  /// run before the delivery window opens.
-  int kind;
-  std::uint32_t node;
-  std::uint32_t vehicle;
-  double departure_s;  // sessions: carrier leaves range; sink: window end
 };
 
 double cargo_sum(const std::vector<node::Parcel>& cargo) {
@@ -113,6 +48,148 @@ double expire_cargo(std::vector<node::Parcel>& cargo, double t_s) {
 
 }  // namespace
 
+namespace detail {
+
+void sort_events(std::vector<CollectionEvent>& events) {
+  // Run r is [bounds[r], bounds[r + 1]): a maximal ascending stretch.
+  std::vector<std::size_t> bounds{0};
+  for (std::size_t i = 1; i < events.size(); ++i) {
+    if (event_before(events[i], events[i - 1])) bounds.push_back(i);
+  }
+  bounds.push_back(events.size());
+  std::size_t runs = bounds.size() - 1;
+  if (runs <= 1) return;
+  const auto at = [](std::vector<CollectionEvent>& v, std::size_t i) {
+    return v.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  std::vector<CollectionEvent> merged(events.size());
+  while (runs > 1) {
+    // Merge runs 2m and 2m + 1 into run m; an odd last run is copied.
+    std::size_t kept = 0;
+    for (std::size_t r = 0; r < runs; r += 2) {
+      const std::size_t mid = bounds[r + 1];
+      const std::size_t end = r + 2 <= runs ? bounds[r + 2] : mid;
+      std::merge(at(events, bounds[r]), at(events, mid), at(events, mid),
+                 at(events, end), at(merged, bounds[r]), event_before);
+      bounds[++kept] = end;
+    }
+    runs = kept;
+    events.swap(merged);
+  }
+}
+
+void mixture_quantiles(const std::vector<LatencySegment>& segments,
+                       std::span<const double> qs, std::span<double> out) {
+  std::fill(out.begin(), out.end(), 0.0);
+  double total = 0.0;
+  for (const LatencySegment& s : segments) total += s.bytes;
+  if (segments.empty() || total <= 0.0) return;
+
+  struct Edge {
+    double t;
+    double density_delta;  // bytes per second of latency
+    double jump;           // bytes of a point mass at t
+  };
+  std::vector<Edge> edges;
+  edges.reserve(2 * segments.size());
+  for (const LatencySegment& s : segments) {
+    if (s.hi_s - s.lo_s > 1e-12) {
+      const double density = s.bytes / (s.hi_s - s.lo_s);
+      edges.push_back(Edge{s.lo_s, density, 0.0});
+      edges.push_back(Edge{s.hi_s, -density, 0.0});
+    } else {
+      // Near-instant generation: a point mass, carried as a jump. (A
+      // slab 1e-12 s wide would round to another width from about 1e3 s
+      // of latency, and to none at all from 16,384 s.)
+      edges.push_back(Edge{s.lo_s, 0.0, s.bytes});
+    }
+  }
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return a.t < b.t;
+  });
+
+  // Targets ascend with q, so one sweep resolves them in order.
+  std::size_t j = 0;
+  const auto target = [&](std::size_t k) { return qs[k] * total; };
+  double mass = 0.0;
+  double density = 0.0;
+  for (std::size_t i = 0; i < edges.size() && j < qs.size(); ++i) {
+    const Edge& e = edges[i];
+    if (e.jump > 0.0) {
+      mass += e.jump;
+      for (; j < qs.size() && mass >= target(j); ++j) out[j] = e.t;
+    }
+    density += e.density_delta;
+    if (i + 1 == edges.size()) break;
+    const double gained = density * (edges[i + 1].t - e.t);
+    while (j < qs.size() && density > 0.0 && mass + gained >= target(j)) {
+      out[j] = e.t + (target(j) - mass) / density;
+      ++j;
+    }
+    mass += gained;
+  }
+  // q == 1 (or rounding): the latest latency.
+  for (; j < qs.size(); ++j) out[j] = edges.back().t;
+}
+
+RelayHops::RelayHops(const std::vector<double>& positions_m)
+    : hops_(positions_m.size(), kUnknown), rank_(positions_m.size()) {
+  std::vector<std::uint32_t> order(positions_m.size());
+  std::iota(order.begin(), order.end(), 0U);
+  const auto by_position = [&](std::uint32_t a, std::uint32_t b) {
+    return positions_m[a] < positions_m[b];
+  };
+  std::sort(order.begin(), order.end(), by_position);
+  sorted_m_.reserve(order.size());
+  for (std::size_t r = 0; r < order.size(); ++r) {
+    sorted_m_.push_back(positions_m[order[r]]);
+    rank_[order[r]] = static_cast<std::uint32_t>(r);
+  }
+  for (std::vector<std::uint64_t>& level : known_) {
+    level.assign((order.size() + 63) / 64, 0);
+  }
+}
+
+void RelayHops::lower(std::size_t node, std::uint8_t hops) {
+  if (hops >= hops_[node]) return;
+  hops_[node] = hops;
+  const std::uint32_t r = rank_[node];
+  for (std::size_t h = hops; h < known_.size(); ++h) {
+    known_[h][r / 64] |= std::uint64_t{1} << (r % 64);
+  }
+}
+
+std::uint8_t RelayHops::min_in(double x_m, double exit_m) const {
+  const auto rank_above = [this](double x) {
+    return static_cast<std::size_t>(
+        std::upper_bound(sorted_m_.begin(), sorted_m_.end(), x) -
+        sorted_m_.begin());
+  };
+  const std::size_t lo = rank_above(x_m);
+  const std::size_t hi = rank_above(exit_m);  // NaN: every rank above x
+  if (lo >= hi) return kUnknown;
+  const std::size_t first = lo / 64;
+  const std::size_t last = (hi - 1) / 64;
+  const std::uint64_t head = ~std::uint64_t{0} << (lo % 64);
+  const std::uint64_t tail = ~std::uint64_t{0} >> (63 - (hi - 1) % 64);
+  for (std::size_t h = 0; h < known_.size(); ++h) {
+    const std::vector<std::uint64_t>& bits = known_[h];
+    bool any = false;
+    if (first == last) {
+      any = (bits[first] & head & tail) != 0;
+    } else {
+      any = (bits[first] & head) != 0 || (bits[last] & tail) != 0;
+      for (std::size_t w = first + 1; !any && w < last; ++w) {
+        any = bits[w] != 0;
+      }
+    }
+    if (any) return static_cast<std::uint8_t>(h);
+  }
+  return kUnknown;
+}
+
+}  // namespace detail
+
 double sink_position_m(const CollectionInput& input) {
   if (input.routing.sink_node.has_value()) {
     const std::size_t sink = *input.routing.sink_node;
@@ -133,6 +210,11 @@ NetworkOutcome run_collection(const CollectionInput& input) {
   }
   if (!(input.data_rate_bps > 0.0)) {
     throw std::invalid_argument("run_collection: data rate must be > 0");
+  }
+  for (const double x : input.positions_m) {
+    if (!std::isfinite(x)) {
+      throw std::invalid_argument("run_collection: positions must be finite");
+    }
   }
   const RoutingSpec& routing = input.routing;
   const double sink_pos = sink_position_m(input);
@@ -155,7 +237,6 @@ NetworkOutcome run_collection(const CollectionInput& input) {
     stores.emplace_back(node_cap, drop_policy);
   }
   std::vector<double> last_accrue_s(n, 0.0);
-  std::vector<std::uint8_t> hops_to_sink(n, kUnknownHops);
   std::vector<double> generated(n, 0.0);
   std::vector<VehicleState> vehicle_states(input.vehicles.size());
 
@@ -168,7 +249,9 @@ NetworkOutcome run_collection(const CollectionInput& input) {
   // the always-on sink-pass events below, not the duty-cycled probe).
   const std::size_t sink_node =
       routing.sink_node.has_value() ? *routing.sink_node : n;
-  if (sink_node < n) hops_to_sink[sink_node] = 0;
+  // Learned hops to the sink; 255 until a vehicle beacons a route.
+  detail::RelayHops hops_to_sink{input.positions_m};
+  if (sink_node < n) hops_to_sink.lower(sink_node, 0);
 
   auto vehicle_reaches_sink = [&](std::uint32_t k) {
     return input.vehicles[k].exit_m >= sink_pos;
@@ -176,14 +259,14 @@ NetworkOutcome run_collection(const CollectionInput& input) {
 
   // --- Build the deterministic event list: probed sessions plus one
   // sink pass per sink-reaching vehicle.
-  std::vector<EventRef> events;
+  std::vector<CollectionEvent> events;
   events.reserve(input.sessions.size() + input.vehicles.size());
   for (const CollectionSession& s : input.sessions) {
     if (s.node >= n || s.vehicle >= input.vehicles.size()) {
       throw std::invalid_argument("run_collection: session out of range");
     }
     events.push_back(
-        EventRef{s.probe_time_s, 0, s.node, s.vehicle, s.departure_s});
+        CollectionEvent{s.probe_time_s, s.node, s.vehicle, s.departure_s});
   }
   for (std::uint32_t k = 0; k < input.vehicles.size(); ++k) {
     if (!vehicle_reaches_sink(k)) continue;
@@ -191,16 +274,10 @@ NetworkOutcome run_collection(const CollectionInput& input) {
     const double reach_s = v.entry.to_seconds() + sink_pos / v.speed_mps;
     if (reach_s >= input.horizon_s) continue;
     const double window_s = 2.0 * input.range_m / v.speed_mps;
-    events.push_back(EventRef{reach_s, 1, static_cast<std::uint32_t>(n), k,
-                              reach_s + window_s});
+    events.push_back(CollectionEvent{reach_s, static_cast<std::uint32_t>(n),
+                                     k, reach_s + window_s});
   }
-  std::sort(events.begin(), events.end(),
-            [](const EventRef& a, const EventRef& b) {
-              if (a.t_s != b.t_s) return a.t_s < b.t_s;
-              if (a.kind != b.kind) return a.kind < b.kind;
-              if (a.node != b.node) return a.node < b.node;
-              return a.vehicle < b.vehicle;
-            });
+  detail::sort_events(events);
 
   // kTimeCost scores both custodians by *estimated time for the data to
   // reach the sink from now*, at the current carrier's speed (the one
@@ -218,28 +295,25 @@ NetworkOutcome run_collection(const CollectionInput& input) {
   //               the metric degrades to greedy until the hop field
   //               seeds, a conservative cold start).
   auto node_cost_s = [&](std::uint32_t i, double speed_mps) {
-    return static_cast<double>(hops_to_sink[i]) * routing.est_hop_delay_s +
+    return static_cast<double>(hops_to_sink.hops(i)) *
+               routing.est_hop_delay_s +
            std::max(0.0, sink_pos - input.positions_m[i]) / speed_mps;
   };
   auto vehicle_cost_s = [&](std::uint32_t k, double x_now) {
     const VehicleEntry& v = input.vehicles[k];
     const double ferry = std::max(0.0, sink_pos - x_now) / v.speed_mps;
     if (vehicle_reaches_sink(k)) return ferry;
-    std::uint8_t best = kUnknownHops;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (input.positions_m[j] <= x_now) continue;
-      if (input.positions_m[j] > v.exit_m) continue;
-      best = std::min(best, hops_to_sink[j]);
-    }
-    return ferry + static_cast<double>(best) * routing.est_hop_delay_s +
+    return ferry +
+           static_cast<double>(hops_to_sink.min_in(x_now, v.exit_m)) *
+               routing.est_hop_delay_s +
            routing.handoff_risk_s;
   };
 
   std::vector<LatencySegment> latency;
   std::vector<node::Parcel> scratch;
 
-  for (const EventRef& ev : events) {
-    if (ev.kind == 1) {
+  for (const CollectionEvent& ev : events) {
+    if (ev.node == n) {
       // --- Sink pass: the always-on base station drains the carrier,
       // bounded by link rate over the pass window.
       VehicleState& vs = vehicle_states[ev.vehicle];
@@ -308,10 +382,7 @@ NetworkOutcome run_collection(const CollectionInput& input) {
     // 2. Hop beacon: the carrier announces its own cost in carriers
     // (1 = ferries to the sink itself, 2 = needs one relay handoff),
     // and the node min-learns it. The sink node stays 0.
-    if (i != sink_node) {
-      const std::uint8_t beacon = vehicle_reaches_sink(k) ? 1 : 2;
-      hops_to_sink[i] = std::min(hops_to_sink[i], beacon);
-    }
+    hops_to_sink.lower(i, vehicle_reaches_sink(k) ? 1 : 2);
 
     // 3. Bandwidth budget for the residual contact.
     double budget = input.data_rate_bps * (ev.departure_s - ev.t_s);
@@ -400,7 +471,7 @@ NetworkOutcome run_collection(const CollectionInput& input) {
     row.dropped_bytes = stores[i].dropped_bytes();
     row.max_store_bytes = stores[i].max_level();
     row.mean_store_bytes = stores[i].mean_level(input.horizon_s);
-    row.hops_to_sink = hops_to_sink[i];
+    row.hops_to_sink = hops_to_sink.hops(i);
   }
   for (std::uint32_t k = 0; k < vehicle_states.size(); ++k) {
     const double aboard = cargo_sum(vehicle_states[k].cargo);
@@ -422,9 +493,12 @@ NetworkOutcome run_collection(const CollectionInput& input) {
       latency_mass += s.bytes * (s.lo_s + s.hi_s) / 2.0;
     }
     out.latency_mean_s = latency_mass / out.delivered_bytes;
-    out.latency_p50_s = mixture_quantile(latency, 0.50);
-    out.latency_p90_s = mixture_quantile(latency, 0.90);
-    out.latency_p99_s = mixture_quantile(latency, 0.99);
+    constexpr std::array<double, 3> kQs{0.50, 0.90, 0.99};
+    std::array<double, 3> quantiles{};
+    detail::mixture_quantiles(latency, kQs, quantiles);
+    out.latency_p50_s = quantiles[0];
+    out.latency_p90_s = quantiles[1];
+    out.latency_p99_s = quantiles[2];
   } else {
     out.mean_hops = 0.0;
   }

@@ -229,15 +229,20 @@ FleetInputs prebuilt_fleet_inputs(
 
 FleetPartition partition_fleet(const FleetConfig& config, std::size_t nodes) {
   const std::size_t hardware = core::ThreadPool::hardware_threads();
-  // Default: one shard per worker for parallelism, but never fewer than
-  // one per ~16 nodes: small shards keep the pool's workers evenly
-  // loaded to the end of the run. Results never depend on the partition,
-  // since every node runs in its own event loop anyway.
-  const std::size_t shards = std::min(
-      config.shards == 0 ? std::max(hardware, nodes / 16) : config.shards,
-      nodes);
-  return {nodes, shards,
-          std::min(config.threads == 0 ? hardware : config.threads, shards)};
+  const std::size_t workers = config.threads == 0 ? hardware : config.threads;
+  // Default: one shard per hardware thread for parallelism, but never
+  // fewer than one per ~16 nodes: small shards keep the pool's workers
+  // evenly loaded to the end of the run. The count is rounded up to a
+  // multiple of the workers, so no round of shards leaves a worker idle
+  // (96 nodes on 4 workers: 8 shards of 12, not 6 of 16). Results never
+  // depend on the partition, since every node runs in its own event loop.
+  std::size_t shards = config.shards;
+  if (shards == 0) {
+    shards = std::max(hardware, nodes / 16);
+    shards += (workers - shards % workers) % workers;
+  }
+  shards = std::min(shards, nodes);
+  return {nodes, shards, std::min(workers, shards)};
 }
 
 void simulate_range(FleetInputs& in, std::size_t begin, std::size_t end,
@@ -248,10 +253,15 @@ void simulate_range(FleetInputs& in, std::size_t begin, std::size_t end,
     const std::vector<double> positions(
         in.positions_m.begin() + static_cast<std::ptrdiff_t>(begin),
         in.positions_m.begin() + static_cast<std::ptrdiff_t>(end));
-    RoadContactPlan plan =
-        build_road_contact_plan(positions, in.road->range_m, in.vehicles);
-    built = std::move(plan.schedules);
-    carriers = std::move(plan.carriers);
+    // Carriers are read only to map probed contacts to sessions.
+    if (in.deployment.node.record_probed_contacts) {
+      RoadContactPlan plan =
+          build_road_contact_plan(positions, in.road->range_m, in.vehicles);
+      built = std::move(plan.schedules);
+      carriers = std::move(plan.carriers);
+    } else {
+      built = build_road_schedules(positions, in.road->range_m, in.vehicles);
+    }
   } else if (in.trace != nullptr) {
     // Node i replays the trace phase-rotated by i * stagger and jittered
     // from its own pre-forked stream.

@@ -121,8 +121,8 @@ struct FleetNodeRun {
   std::vector<node::ProbedContactRecord> probed;
   /// The contacts the node ran over.
   std::shared_ptr<const contact::ContactSchedule> schedule;
-  /// Road fleets: carriers[j] is the vehicle behind contact j; empty for
-  /// other sources.
+  /// Road fleets that record probed contacts: carriers[j] is the vehicle
+  /// behind contact j; empty otherwise.
   std::vector<std::uint32_t> carriers;
 };
 

@@ -60,11 +60,11 @@ void restore_pass_order(std::vector<std::uint32_t>& order,
   }
 }
 
-}  // namespace
-
-RoadContactPlan build_road_contact_plan(
-    const std::vector<double>& positions_m, double range_m,
-    const std::vector<VehicleEntry>& vehicles) {
+/// The contact plan, with carrier lists only when `with_carriers`.
+RoadContactPlan build_plan(const std::vector<double>& positions_m,
+                           double range_m,
+                           const std::vector<VehicleEntry>& vehicles,
+                           bool with_carriers) {
   if (positions_m.empty()) {
     throw std::invalid_argument(
         "build_road_contact_plan: positions_m is empty");
@@ -112,7 +112,7 @@ RoadContactPlan build_road_contact_plan(
 
   RoadContactPlan plan;
   plan.schedules.reserve(positions_m.size());
-  plan.carriers.reserve(positions_m.size());
+  if (with_carriers) plan.carriers.reserve(positions_m.size());
   for (const double x : positions_m) {
     const double near_edge = std::max(0.0, x - range_m);
     std::size_t passes = 0;
@@ -141,7 +141,7 @@ RoadContactPlan build_road_contact_plan(
     std::vector<contact::Contact> merged;
     std::vector<std::uint32_t> carriers;
     merged.reserve(passes);
-    carriers.reserve(passes);
+    if (with_carriers) carriers.reserve(passes);
     for (const std::uint32_t vehicle : order) {
       if (length[vehicle] == sim::Duration::zero()) continue;
       const contact::Contact c{arrival[vehicle], length[vehicle]};
@@ -151,19 +151,27 @@ RoadContactPlan build_road_contact_plan(
         merged.back().length = span_end - merged.back().arrival;
       } else {
         merged.push_back(c);
-        carriers.push_back(vehicle);
+        if (with_carriers) carriers.push_back(vehicle);
       }
     }
     plan.schedules.emplace_back(std::move(merged));
-    plan.carriers.push_back(std::move(carriers));
+    if (with_carriers) plan.carriers.push_back(std::move(carriers));
   }
   return plan;
+}
+
+}  // namespace
+
+RoadContactPlan build_road_contact_plan(
+    const std::vector<double>& positions_m, double range_m,
+    const std::vector<VehicleEntry>& vehicles) {
+  return build_plan(positions_m, range_m, vehicles, true);
 }
 
 std::vector<contact::ContactSchedule> build_road_schedules(
     const std::vector<double>& positions_m, double range_m,
     const std::vector<VehicleEntry>& vehicles) {
-  return build_road_contact_plan(positions_m, range_m, vehicles).schedules;
+  return build_plan(positions_m, range_m, vehicles, false).schedules;
 }
 
 }  // namespace snipr::deploy

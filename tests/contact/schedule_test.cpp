@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <stdexcept>
+#include <string>
+
+#include "snipr/sim/rng.hpp"
+
 namespace snipr::contact {
 namespace {
 
@@ -28,6 +35,49 @@ TEST(ContactSchedule, RejectsOverlap) {
   std::vector<Contact> bad{{at_s(10), Duration::seconds(5)},
                            {at_s(12), Duration::seconds(2)}};
   EXPECT_THROW(ContactSchedule{bad}, std::invalid_argument);
+}
+
+bool by_arrival(const Contact& a, const Contact& b) {
+  return a.arrival < b.arrival;
+}
+
+/// The constructor's two rules checked one after the other, as two
+/// passes: any disorder is reported first, then any overlap.
+std::optional<std::string> two_pass_verdict(const std::vector<Contact>& c) {
+  if (!std::is_sorted(c.begin(), c.end(), by_arrival)) {
+    return "ContactSchedule: contacts must be sorted";
+  }
+  for (std::size_t i = 1; i < c.size(); ++i) {
+    if (c[i].arrival < c[i - 1].departure()) {
+      return "ContactSchedule: contacts overlap";
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(ContactSchedule, OnePassCheckRejectsWhatTwoPassesReject) {
+  // Short lists on a coarse grid, so disorder, overlap, both at once (in
+  // either order along the list) and touching contacts are all common.
+  sim::Rng rng{5};
+  for (int round = 0; round < 5000; ++round) {
+    std::vector<Contact> contacts;
+    for (std::uint64_t n = rng.uniform_int(6); n > 0; --n) {
+      const auto arrival_s = static_cast<double>(rng.uniform_int(8));
+      const auto length_s = static_cast<double>(rng.uniform_int(3));
+      contacts.push_back({at_s(arrival_s), Duration::seconds(length_s)});
+    }
+    if (rng.bernoulli(0.5)) {
+      std::sort(contacts.begin(), contacts.end(), by_arrival);
+    }
+    const std::optional<std::string> expected = two_pass_verdict(contacts);
+    std::optional<std::string> got;
+    try {
+      (void)ContactSchedule{contacts};
+    } catch (const std::invalid_argument& e) {
+      got = e.what();
+    }
+    ASSERT_EQ(got, expected) << "round " << round;
+  }
 }
 
 TEST(ContactSchedule, BackToBackContactsAllowed) {

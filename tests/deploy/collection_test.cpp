@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <limits>
+#include <stdexcept>
+#include <vector>
+
+#include "snipr/deploy/collection_detail.hpp"
 #include "snipr/sim/time.hpp"
 
 namespace snipr::deploy {
@@ -108,6 +114,43 @@ TEST(Collection, SinkNodeGeneratesNothingAndServesAsBase) {
   EXPECT_DOUBLE_EQ(out.nodes[1].generated_bytes, 0.0);
   EXPECT_EQ(out.nodes[1].hops_to_sink, 0);
   EXPECT_GT(out.delivered_bytes, 0.0);
+}
+
+TEST(Collection, NonFinitePositionsAreRejected) {
+  CollectionInput input = one_node_input();
+  input.positions_m = {std::numeric_limits<double>::quiet_NaN()};
+  EXPECT_THROW((void)run_collection(input), std::invalid_argument);
+  input.positions_m = {std::numeric_limits<double>::infinity()};
+  EXPECT_THROW((void)run_collection(input), std::invalid_argument);
+}
+
+TEST(LatencyQuantiles, PointMassBetweenTwoSlabsHoldsTheMedian) {
+  // One byte each: a slab over [1e4, 1.5e4] s, an instantly generated
+  // parcel delivered with 2e4 s latency, and a slab over [2.5e4, 3e4] s.
+  // The median falls in the point mass. (Widened to a 1e-12 s slab, it
+  // would round to zero width at 2e4 s and drop out of the sweep.)
+  const std::vector<detail::LatencySegment> segments{
+      {1e4, 1.5e4, 1.0}, {2e4, 2e4, 1.0}, {2.5e4, 3e4, 1.0}};
+  const std::array<double, 3> qs{0.2, 0.5, 0.9};
+  std::array<double, 3> out{};
+  detail::mixture_quantiles(segments, qs, out);
+  EXPECT_DOUBLE_EQ(out[0], 1.3e4);
+  EXPECT_EQ(out[1], 2e4);
+  EXPECT_DOUBLE_EQ(out[2], 2.85e4);
+}
+
+TEST(LatencyQuantiles, PointMassKeepsItsFullWeight) {
+  // Slab [0, 1000] s with 1 byte, a 1-byte point mass at 1500 s, slab
+  // [2000, 3000] s with 2 bytes. The 0.6 quantile (2.4 of 4 bytes) lies
+  // 0.4 bytes into the last slab only if the point mass weighs exactly
+  // 1 byte.
+  const std::vector<detail::LatencySegment> segments{
+      {0.0, 1000.0, 1.0}, {1500.0, 1500.0, 1.0}, {2000.0, 3000.0, 2.0}};
+  const std::array<double, 2> qs{0.5, 0.6};
+  std::array<double, 2> out{};
+  detail::mixture_quantiles(segments, qs, out);
+  EXPECT_EQ(out[0], 1500.0);
+  EXPECT_NEAR(out[1], 2200.0, 1e-9);
 }
 
 }  // namespace

@@ -136,10 +136,17 @@ TEST(FleetStreaming, JsonIsShardAndBatchInvariant) {
   tiny_batches.batch_shards = 1;
   const auto batched = run_streaming_fleet(
       base.scenario, base.spec, small_fleet(24, 5).config, tiny_batches);
-  ASSERT_TRUE(one && five && batched);
+  // The default partition on three workers: a multiple of three shards.
+  FleetCase by_default = small_fleet(24, 0);
+  by_default.config.threads = 3;
+  const auto defaulted = run_streaming_fleet(base.scenario, base.spec,
+                                             by_default.config);
+  ASSERT_TRUE(one && five && batched && defaulted);
+  EXPECT_EQ(defaulted->shards % 3, 0U);
   const std::string json = to_json(*one);
   EXPECT_EQ(json, to_json(*five));
   EXPECT_EQ(json, to_json(*batched));
+  EXPECT_EQ(json, to_json(*defaulted));
   EXPECT_EQ(core::json::extract_schema(json), "snipr.fleet_summary.v1");
 }
 

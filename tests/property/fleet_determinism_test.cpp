@@ -9,7 +9,7 @@
 
 /// Property: for every fleet catalog entry, the FleetEngine outcome JSON
 /// is a pure function of (spec, seed, epochs) — byte-identical at 1, 2
-/// and 8 shards (and any thread count). This mirrors
+/// and 8 shards, at the default partition (and any thread count). This mirrors
 /// catalog_determinism_test for the sharded engine and is the guarantee
 /// the fleet golden corpus rests on: node i's RNG stream is forked in
 /// node order before partitioning, so the partition cannot leak into the
@@ -52,6 +52,8 @@ TEST_P(FleetDeterminism, SameSeedSameJsonAtAnyShardCount) {
   const std::string eight_shards = fleet_json(entry, 8);
   EXPECT_EQ(one_shard, two_shards) << entry.name;
   EXPECT_EQ(one_shard, eight_shards) << entry.name;
+  // The default partition (0: rounded up to a multiple of the workers).
+  EXPECT_EQ(one_shard, fleet_json(entry, 0)) << entry.name;
   // And replaying the same spec reproduces the same bytes (no hidden
   // global state in the engine).
   EXPECT_EQ(one_shard, fleet_json(entry, 1)) << entry.name;

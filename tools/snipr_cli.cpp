@@ -82,7 +82,7 @@ struct Options {
   std::string json_path;   // empty = stdout
   // Fleet mode.
   std::string fleet;       // fleet catalog entry name
-  std::size_t shards{0};   // 0 = one shard per hardware thread
+  std::size_t shards{0};   // 0 = the engines' default partition
   // Trace mode.
   std::string trace;       // trace catalog entry name
   std::string trace_dir;   // data dir override for file-backed entries
@@ -141,7 +141,9 @@ void print_usage(const char* argv0, Mode mode) {
           "sharded FleetEngine; entries with a RoutingSpec also run the\n"
           "multi-hop collection pass and emit the v2 network outcome.\n"
           "  --shards N                     simulator shards (default: one\n"
-          "                                 per hardware thread; never\n"
+          "                                 per hardware thread or 16\n"
+          "                                 nodes, rounded up to a\n"
+          "                                 multiple of the workers; never\n"
           "                                 changes the results, only the\n"
           "                                 wall clock)\n"
           "  --threads N                    worker threads\n"
