@@ -11,14 +11,12 @@
 
 #include "snipr/contact/schedule.hpp"
 #include "snipr/core/adaptive_snip_rh.hpp"
+#include "snipr/core/experiment.hpp"
 #include "snipr/core/scenario.hpp"
 #include "snipr/core/scenario_catalog.hpp"
 #include "snipr/core/snip_opt.hpp"
 #include "snipr/model/epoch_model.hpp"
-#include "snipr/node/mobile_node.hpp"
-#include "snipr/node/sensor_node.hpp"
-#include "snipr/radio/channel.hpp"
-#include "snipr/sim/simulator.hpp"
+#include "snipr/node/scheduler.hpp"
 
 /// \file regret_harness.hpp
 /// Shared machinery for the censored-feedback regret benches
@@ -162,21 +160,15 @@ inline std::vector<double> run_per_epoch_zeta(
     node::Scheduler& scheduler, const contact::ContactSchedule& schedule,
     const core::RoadsideScenario& sc, std::size_t epochs,
     double phi_max_s) {
-  sim::Simulator simulator{3};
-  radio::Channel channel{schedule, sc.link, simulator.rng().fork()};
-  node::MobileNode sink;
-  node::SensorNodeConfig cfg;
-  cfg.ton = sim::Duration::seconds(sc.snip.ton_s);
-  cfg.epoch = sc.profile.epoch();
-  cfg.budget_limit = sim::Duration::seconds(phi_max_s);
+  core::ExperimentConfig cfg;
+  cfg.epochs = epochs;
+  cfg.phi_max_s = phi_max_s;
   cfg.sensing_rate_bps = 1e6;  // no data gating: isolates mask quality
-  node::SensorNode sensor{simulator, channel, sink, scheduler, cfg};
-  sensor.start();
-  simulator.run_until(sim::TimePoint::zero() +
-                      sc.profile.epoch() *
-                          static_cast<std::int64_t>(epochs));
+  cfg.seed = 3;
+  const core::RunResult run =
+      core::run_experiment_on_schedule(sc, schedule, scheduler, cfg);
   std::vector<double> zetas;
-  for (const auto& e : sensor.epoch_history()) {
+  for (const auto& e : run.per_epoch) {
     zetas.push_back(e.zeta.to_seconds());
   }
   return zetas;

@@ -2,38 +2,31 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "snipr/contact/schedule.hpp"
 #include "snipr/core/metrics.hpp"
 #include "snipr/core/scenario.hpp"
+#include "snipr/node/lone_node.hpp"
 #include "snipr/node/scheduler.hpp"
 #include "snipr/node/sensor_node.hpp"
 
 /// \file experiment.hpp
 /// End-to-end experiment driver: scenario + scheduler -> per-epoch metrics.
 ///
-/// This regenerates the paper's simulation results (Figs. 7-8): it builds
-/// the discrete-event world (channel from a contact schedule, one mobile
-/// node, one duty-cycled sensor node), runs a number of epochs, and
-/// reports per-epoch ζ (probed capacity), Φ (probing overhead),
+/// This regenerates the paper's simulation results (Figs. 7-8): it runs
+/// one duty-cycled sensor node over a contact schedule for a number of
+/// epochs (node::run_lone_node, the world every fleet node runs in too)
+/// and reports per-epoch ζ (probed capacity), Φ (probing overhead),
 /// ρ = Φ/ζ, upload volume, contact miss ratio and delivery latency.
 
 namespace snipr::core {
 
-/// Aggregated outcome of a run (means over complete epochs).
-struct RunResult {
+/// Aggregated outcome of a run: the node::NodeSummary means over the
+/// epochs after warm-up, plus the full per-epoch history.
+struct RunResult : node::NodeSummary {
   std::string scheduler_name;
-  std::size_t epochs{0};
-  double mean_zeta_s{0.0};        ///< probed capacity per epoch
-  double mean_phi_s{0.0};         ///< probing overhead per epoch
-  double mean_bytes_uploaded{0.0};
-  double mean_contacts_probed{0.0};
-  double mean_wakeups{0.0};
-  double miss_ratio{0.0};         ///< 1 − probed/total contacts (whole run)
-  double mean_delivery_latency_s{0.0};
-  double probing_energy_j{0.0};   ///< mean Joules per epoch, probing
-  double transfer_energy_j{0.0};  ///< mean Joules per epoch, transfer
   std::vector<node::EpochStats> per_epoch;
 
   /// ρ = Φ/ζ of the epoch means (core::rho).

@@ -8,6 +8,7 @@
 #include "snipr/contact/schedule.hpp"
 #include "snipr/deploy/routing.hpp"
 #include "snipr/fault/fault_plan.hpp"
+#include "snipr/node/lone_node.hpp"
 #include "snipr/node/sensor_node.hpp"
 #include "snipr/radio/link.hpp"
 
@@ -23,17 +24,11 @@
 
 namespace snipr::deploy {
 
-/// Per-node outcome over the run (means across complete epochs).
-struct NodeOutcome {
+/// Per-node outcome over the run: the node::NodeSummary means across
+/// complete epochs.
+struct NodeOutcome : node::NodeSummary {
   std::size_t node_index{0};
   std::string scheduler_name;
-  std::size_t epochs{0};
-  double mean_zeta_s{0.0};
-  double mean_phi_s{0.0};
-  double mean_bytes_uploaded{0.0};
-  double mean_contacts_probed{0.0};
-  double miss_ratio{0.0};
-  double mean_delivery_latency_s{0.0};
 };
 
 /// Whole-deployment outcome.
@@ -71,12 +66,6 @@ struct DeploymentConfig {
 /// shard worker threads; each call must return a fresh scheduler.
 using SchedulerFactory =
     std::function<std::unique_ptr<node::Scheduler>(std::size_t node_index)>;
-
-/// Snapshot one simulated node into its NodeOutcome row.
-[[nodiscard]] NodeOutcome summarize_node(std::size_t node_index,
-                                         const node::SensorNode& sensor,
-                                         std::string scheduler_name,
-                                         std::size_t total_contacts);
 
 /// Recompute every aggregate field of `outcome` from its per-node rows,
 /// in node order, with `stats::OnlineStats` (single Welford pass — never

@@ -9,12 +9,11 @@
 /// \file fleet_engine.hpp
 /// Sharded multi-threaded deployment engine.
 ///
-/// The FleetEngine partitions the fleet into shards of contiguous nodes,
-/// each sharing one `node::NodeBlock` of hot state, and fans the shards
-/// out across a `core::ThreadPool`. Inside a shard, every node runs
-/// alone in its own `Simulator` up to the horizon, one node after the
-/// other: nodes never interact while probing, so each node's event
-/// queue stays a few events deep.
+/// The FleetEngine partitions the fleet into shards of contiguous nodes
+/// and fans the shards out across a `core::ThreadPool`. Inside a shard,
+/// every node runs alone in its own `Simulator` up to the horizon
+/// (node::run_lone_node), one node after the other: nodes never interact
+/// while probing, so each node's event queue stays a few events deep.
 ///
 /// Determinism contract (the PR 1/PR 2 guarantee, extended to shards):
 /// node i's RNG stream is forked from a root seeded with `config.seed`

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "snipr/contact/contact.hpp"
@@ -30,10 +30,10 @@
 /// matching the paper's Table I definition of Φ.
 ///
 /// The per-wakeup-mutated counters (Φ, ζ, bytes, wakeups, budget, the
-/// retiming hints) live in a struct-of-arrays node::NodeBlock lane, not
-/// in the node object: a FleetEngine shard hands every node a lane of
-/// its own block, so the shard's hot state stays contiguous. Standalone
-/// nodes own a private 1-lane block.
+/// retiming hints) are one node::NodeCounters, held by value, or an entry
+/// of a caller's node::NodeBlock when several nodes share one Simulator.
+/// node::run_lone_node (lone_node.hpp) runs a node alone and summarises
+/// it; every single-node experiment and every fleet node runs that way.
 
 namespace snipr::fault {
 class NodeFaultInjector;
@@ -67,17 +67,17 @@ struct SensorNodeConfig {
   ProbingProtocol protocol{ProbingProtocol::kSnip};
   /// Epochs the run is expected to simulate (0 = unknown). Drivers that
   /// know their horizon set it so the per-epoch history is reserved up
-  /// front instead of growing geometrically across a long run.
+  /// front instead of growing geometrically across a long run
+  /// (node::run_lone_node sets it from its horizon).
   std::size_t expected_epochs{0};
-  /// Retain the per-epoch EpochStats history (one entry per epoch).
-  /// Fleet runs turn this off: the NodeBlock's streaming totals carry
-  /// the identical information for run-level summaries, in O(1) memory
-  /// per node regardless of epoch count.
+  /// Retain the per-epoch EpochStats history (one entry per epoch), the
+  /// input of every run-level summary; node::run_lone_node always turns
+  /// it on. A caller that never summarises a node may turn it off.
   bool record_epoch_history{true};
   /// Retain the per-contact ProbedContactRecord log. Needed only by
   /// consumers that replay individual sessions (the store-and-forward
   /// collection pass, miss-ratio drill-downs); the probed-session *count*
-  /// is maintained in the NodeBlock either way.
+  /// is maintained in the node's counters either way.
   bool record_probed_contacts{true};
 };
 
@@ -103,16 +103,19 @@ struct ProbedContactRecord {
 class SensorNode {
  public:
   /// All references must outlive the node. Call start() once before
-  /// running the simulator. This standalone form owns a private 1-lane
-  /// NodeBlock.
+  /// running the simulator. This standalone form holds its counters.
   SensorNode(sim::Simulator& simulator, radio::Channel& channel,
              MobileNode& sink, Scheduler& scheduler, SensorNodeConfig config);
 
-  /// Fleet form: hot state lives in `block` lane `lane` (owned by the
-  /// caller, shared by the shard's nodes; must outlive the node).
+  /// Block form: the counters are `block.lanes[lane]` (owned by the
+  /// caller; must outlive the node).
   SensorNode(sim::Simulator& simulator, radio::Channel& channel,
              MobileNode& sink, Scheduler& scheduler, SensorNodeConfig config,
              NodeBlock& block, std::size_t lane);
+
+  /// Scheduled events hold `this`, and the counters may be the node's own.
+  SensorNode(const SensorNode&) = delete;
+  SensorNode& operator=(const SensorNode&) = delete;
 
   /// Schedule the first CPU wakeup and the epoch-boundary bookkeeping.
   void start();
@@ -122,31 +125,36 @@ class SensorNode {
   }
 
   /// Epochs completed so far (snapshotted stats). Empty when
-  /// `config.record_epoch_history` is off — use the NodeBlock's
-  /// streaming totals instead.
+  /// `config.record_epoch_history` is off.
   [[nodiscard]] const std::vector<EpochStats>& epoch_history() const noexcept {
     return history_;
   }
-  /// Counters for the epoch in progress, assembled from the block lane.
+  /// Counters for the epoch in progress.
   [[nodiscard]] EpochStats current_epoch() const noexcept;
   /// Every successfully probed contact since start(). Empty when
-  /// `config.record_probed_contacts` is off (the count survives in the
-  /// block's probed_sessions lane).
+  /// `config.record_probed_contacts` is off (the count survives in
+  /// counters().probed_sessions).
   [[nodiscard]] const std::vector<ProbedContactRecord>& probed_contacts()
       const noexcept {
     return probed_;
   }
+  /// Move the history and the probed-contact log out of a finished node.
+  [[nodiscard]] std::vector<EpochStats> take_epoch_history() noexcept {
+    return std::move(history_);
+  }
+  [[nodiscard]] std::vector<ProbedContactRecord>
+  take_probed_contacts() noexcept {
+    return std::move(probed_);
+  }
   [[nodiscard]] const FluidBuffer& buffer() const noexcept { return buffer_; }
   /// Probing radio-on time in the current epoch (the budget meter).
   [[nodiscard]] sim::Duration budget_used() const noexcept {
-    return sim::Duration::microseconds(block_->budget_used_us(lane_));
+    return sim::Duration::microseconds(counters_->budget_used_us);
   }
-
-  /// The hot-state block this node writes (its own 1-lane block for the
-  /// standalone form) and the lane within it — how summaries read the
-  /// streaming totals without per-epoch history.
-  [[nodiscard]] const NodeBlock& block() const noexcept { return *block_; }
-  [[nodiscard]] std::size_t lane() const noexcept { return lane_; }
+  /// The counters this node writes.
+  [[nodiscard]] const NodeCounters& counters() const noexcept {
+    return *counters_;
+  }
 
   /// Attach this node's fault-plan stream (fault::FaultPlan hands out one
   /// injector per node; must outlive the node). Null detaches. With no
@@ -157,13 +165,6 @@ class SensorNode {
   }
 
  private:
-  /// Shared delegate: `owned` is the standalone form's private block
-  /// (null for fleet nodes); `block` overrides it when non-null.
-  SensorNode(sim::Simulator& simulator, radio::Channel& channel,
-             MobileNode& sink, Scheduler& scheduler, SensorNodeConfig config,
-             std::unique_ptr<NodeBlock> owned, NodeBlock* block,
-             std::size_t lane);
-
   void cpu_wakeup();
   void schedule_next(sim::Duration delay);
   void probing_wakeup();
@@ -199,11 +200,10 @@ class SensorNode {
   Scheduler& scheduler_;
   SensorNodeConfig config_;
 
-  /// Present only for the standalone form; fleet nodes borrow the
-  /// shard's block.
-  std::unique_ptr<NodeBlock> owned_block_;
-  NodeBlock* block_;
-  std::size_t lane_;
+  /// The standalone form's counters; `counters_` points here or into
+  /// the caller's block.
+  NodeCounters own_counters_;
+  NodeCounters* counters_{&own_counters_};
 
   FluidBuffer buffer_;
   energy::EnergyMeter probing_meter_;

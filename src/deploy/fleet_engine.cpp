@@ -19,7 +19,7 @@ namespace {
 void append_sessions(const FleetNodeRun& run,
                      std::vector<CollectionSession>& sessions) {
   const std::vector<contact::Contact>& contacts = run.schedule->contacts();
-  for (const node::ProbedContactRecord& record : run.probed) {
+  for (const node::ProbedContactRecord& record : run.lone.probed) {
     const auto it = std::lower_bound(
         contacts.begin(), contacts.end(), record.contact.arrival,
         [](const contact::Contact& c, sim::TimePoint t) {

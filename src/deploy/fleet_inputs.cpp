@@ -9,11 +9,7 @@
 
 #include "snipr/contact/trace_replay.hpp"
 #include "snipr/core/thread_pool.hpp"
-#include "snipr/node/mobile_node.hpp"
-#include "snipr/node/node_block.hpp"
-#include "snipr/node/sensor_node.hpp"
-#include "snipr/radio/channel.hpp"
-#include "snipr/sim/simulator.hpp"
+#include "snipr/node/lone_node.hpp"
 #include "snipr/trace/trace_catalog.hpp"
 
 namespace snipr::deploy {
@@ -77,23 +73,26 @@ void validate(const FleetSpec& spec, const DeploymentConfig& deployment,
 
 /// What every contact source shares: the node environment, the node
 /// channel streams (the first `nodes` forks of `root`, which is left
-/// advanced past them) and the fault plan. Rejects a sensing rate no
-/// node could run at, in `engine`'s name.
+/// advanced past them) and the fault plan. Rejects, in `engine`'s name,
+/// a run of no epochs (it would report all-zero rows as if it had run)
+/// and a sensing rate no node could run at.
 FleetInputs start_inputs(const char* engine, SchedulerFactory make_scheduler,
                          const FleetConfig& config, std::size_t nodes,
                          bool record_probed, const fault::FaultSpec* faults,
                          sim::Rng& root) {
+  const auto reject = [engine](const char* what) {
+    throw std::invalid_argument(std::string{engine} + ": " + what);
+  };
+  if (config.deployment.epochs == 0) {
+    reject("DeploymentConfig::epochs must be > 0");
+  }
   const double rate = config.deployment.node.sensing_rate_bps;
   if (!(std::isfinite(rate) && rate >= 0.0)) {
-    throw std::invalid_argument(
-        std::string{engine} +
-        ": DeploymentConfig::node.sensing_rate_bps must be finite and >= 0");
+    reject("DeploymentConfig::node.sensing_rate_bps must be finite and >= 0");
   }
   FleetInputs in;
   in.make_scheduler = std::move(make_scheduler);
   in.deployment = config.deployment;
-  in.deployment.node.expected_epochs = config.deployment.epochs;
-  in.deployment.node.record_epoch_history = false;
   in.deployment.node.record_probed_contacts = record_probed;
   in.horizon = config.deployment.node.epoch *
                static_cast<std::int64_t>(config.deployment.epochs);
@@ -106,10 +105,9 @@ FleetInputs start_inputs(const char* engine, SchedulerFactory make_scheduler,
 }
 
 /// Simulate node `index` of `in` alone from time zero to the horizon
-/// over `schedule`, its hot state in `block` lane `lane`.
+/// over `schedule`.
 FleetNodeRun run_fleet_node(const FleetInputs& in, std::size_t index,
-                            contact::ContactSchedule schedule,
-                            node::NodeBlock& block, std::size_t lane) {
+                            contact::ContactSchedule schedule) {
   const std::unique_ptr<node::Scheduler> scheduler = in.make_scheduler(index);
   if (scheduler == nullptr) {
     throw std::invalid_argument("FleetEngine: factory returned null");
@@ -117,26 +115,16 @@ FleetNodeRun run_fleet_node(const FleetInputs& in, std::size_t index,
   FleetNodeRun run;
   run.schedule =
       std::make_shared<const contact::ContactSchedule>(std::move(schedule));
-  sim::Simulator simulator{in.deployment.seed};
-  radio::Channel channel{run.schedule, in.deployment.link,
-                         in.node_rngs[index]};
-  node::MobileNode sink;
-  node::SensorNode sensor{simulator, channel, sink, *scheduler,
-                          in.deployment.node, block, lane};
   // Node i's injector was forked in node order before partitioning, so
   // its stream, and every fault decision, is independent of the shard
   // layout; injectors are never shared, so range workers never race.
-  sensor.attach_faults(in.faults != nullptr ? &in.faults->node(index)
-                                            : nullptr);
-  sensor.start();
-
-  run.events = simulator.run_until(sim::TimePoint::zero() + in.horizon);
-  run.row = summarize_node(index, sensor, std::string{scheduler->name()},
-                           run.schedule->size());
-  run.probed_sessions = block.probed_sessions(lane);
-  if (in.deployment.node.record_probed_contacts) {
-    run.probed = sensor.probed_contacts();
-  }
+  run.lone = node::run_lone_node(
+      *scheduler, run.schedule, in.deployment.link, in.node_rngs[index],
+      in.deployment.node, in.horizon,
+      in.faults != nullptr ? &in.faults->node(index) : nullptr);
+  static_cast<node::NodeSummary&>(run.row) = node::summarize(run.lone);
+  run.row.node_index = index;
+  run.row.scheduler_name = scheduler->name();
   return run;
 }
 
@@ -279,16 +267,12 @@ void simulate_range(FleetInputs& in, std::size_t begin, std::size_t end,
     }
   }
 
-  // One struct-of-arrays hot-state block for the whole range.
-  node::NodeBlock block{end - begin};
   for (std::size_t i = begin; i < end; ++i) {
-    const std::size_t lane = i - begin;
     FleetNodeRun run = run_fleet_node(
         in, i,
-        in.schedules.empty() ? std::move(built[lane])
-                             : std::move(in.schedules[i]),
-        block, lane);
-    if (!carriers.empty()) run.carriers = std::move(carriers[lane]);
+        in.schedules.empty() ? std::move(built[i - begin])
+                             : std::move(in.schedules[i]));
+    if (!carriers.empty()) run.carriers = std::move(carriers[i - begin]);
     on_node(run);
   }
 }

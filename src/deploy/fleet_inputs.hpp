@@ -12,6 +12,7 @@
 #include "snipr/deploy/fleet_engine.hpp"
 #include "snipr/deploy/road_contacts.hpp"
 #include "snipr/fault/fault_plan.hpp"
+#include "snipr/node/lone_node.hpp"
 #include "snipr/sim/rng.hpp"
 #include "snipr/stats/online_stats.hpp"
 
@@ -33,8 +34,9 @@
 /// buffer, budget, scheduler and fault stream, and the store-and-forward
 /// pass runs only afterwards, over the exported probed contacts. So a
 /// range simulates its nodes one at a time, each alone in its own
-/// `sim::Simulator` up to the horizon, whose event queue then holds
-/// about three events. The results are the same as in one shared loop.
+/// `sim::Simulator` up to the horizon (node::run_lone_node, the runner
+/// single-node experiments use too), whose event queue then holds about
+/// three events. The results are the same as in one shared loop.
 
 namespace snipr::deploy {
 
@@ -47,10 +49,8 @@ enum class FleetOutput { kRows, kSummary };
 /// `trace` replay.
 struct FleetInputs {
   SchedulerFactory make_scheduler;
-  /// The run's deployment, its node config as fleet nodes run it: the
-  /// epoch count known up front, no per-epoch history (summaries read
-  /// the NodeBlock's streaming totals, bit-equal to a history-based
-  /// summary), and per-contact records only when routing replays them.
+  /// The run's deployment, its node config as fleet nodes run it:
+  /// per-contact records only when routing replays them.
   DeploymentConfig deployment;
   /// Each node's simulated span: its epoch × epochs.
   sim::Duration horizon{};
@@ -112,13 +112,11 @@ struct FleetPartition {
 
 /// One node's run, as simulate_range hands it to its callback.
 struct FleetNodeRun {
+  /// The node's row: node::summarize over `lone`.
   NodeOutcome row;
-  /// Events the node's simulator executed up to the horizon.
-  std::size_t events{0};
-  /// Contacts the node probed (exact, from its NodeBlock lane).
-  std::uint64_t probed_sessions{0};
-  /// The node's probed-contact log; empty unless routing records it.
-  std::vector<node::ProbedContactRecord> probed;
+  /// The lone node's run; its probed-contact log is empty unless routing
+  /// records it.
+  node::LoneNodeRun lone;
   /// The contacts the node ran over.
   std::shared_ptr<const contact::ContactSchedule> schedule;
   /// Road fleets that record probed contacts: carriers[j] is the vehicle

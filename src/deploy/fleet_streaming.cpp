@@ -330,8 +330,8 @@ std::optional<FleetSummary> run_streaming_fleet(
                          result.nodes.push_back(
                              NodeAgg{run.row.mean_zeta_s, run.row.mean_phi_s,
                                      run.row.mean_bytes_uploaded,
-                                     run.probed_sessions});
-                         result.events += run.events;
+                                     run.lone.probed_sessions});
+                         result.events += run.lone.events;
                        });
       },
       // Commits run in shard order — node order overall, so the

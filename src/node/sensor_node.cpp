@@ -15,30 +15,11 @@ using energy::RadioState;
 SensorNode::SensorNode(sim::Simulator& simulator, radio::Channel& channel,
                        MobileNode& sink, Scheduler& scheduler,
                        SensorNodeConfig config)
-    : SensorNode{simulator,          channel, sink,
-                 scheduler,          std::move(config),
-                 std::make_unique<NodeBlock>(1), nullptr,
-                 0} {}
-
-SensorNode::SensorNode(sim::Simulator& simulator, radio::Channel& channel,
-                       MobileNode& sink, Scheduler& scheduler,
-                       SensorNodeConfig config, NodeBlock& block,
-                       std::size_t lane)
-    : SensorNode{simulator, channel, sink,    scheduler, std::move(config),
-                 nullptr,   &block,  lane} {}
-
-SensorNode::SensorNode(sim::Simulator& simulator, radio::Channel& channel,
-                       MobileNode& sink, Scheduler& scheduler,
-                       SensorNodeConfig config, std::unique_ptr<NodeBlock> owned,
-                       NodeBlock* block, std::size_t lane)
     : sim_{simulator},
       channel_{channel},
       sink_{sink},
       scheduler_{scheduler},
       config_{config},
-      owned_block_{std::move(owned)},
-      block_{block != nullptr ? block : owned_block_.get()},
-      lane_{lane},
       buffer_{config.sensing_rate_bps},
       probing_meter_{config.energy_model, RadioState::kOff, simulator.now()},
       transfer_meter_{config.energy_model, RadioState::kOff, simulator.now()} {
@@ -48,9 +29,17 @@ SensorNode::SensorNode(sim::Simulator& simulator, radio::Channel& channel,
   if (!(config.epoch > sim::Duration::zero())) {
     throw std::invalid_argument("SensorNode: epoch must be positive");
   }
-  if (lane >= block_->size()) {
+}
+
+SensorNode::SensorNode(sim::Simulator& simulator, radio::Channel& channel,
+                       MobileNode& sink, Scheduler& scheduler,
+                       SensorNodeConfig config, NodeBlock& block,
+                       std::size_t lane)
+    : SensorNode{simulator, channel, sink, scheduler, std::move(config)} {
+  if (lane >= block.lanes.size()) {
     throw std::out_of_range("SensorNode: lane outside the node block");
   }
+  counters_ = &block.lanes[lane];
 }
 
 void SensorNode::start() {
@@ -62,9 +51,9 @@ void SensorNode::start() {
   if (config_.record_probed_contacts) {
     // Each schedule contact is probed at most once, so schedule size is a
     // hard bound — but duty-cycled nodes typically probe a small fraction
-    // of it, so cap the up-front commitment (a fleet holds every node's
-    // world at once); a heavier-probing run still grows geometrically
-    // past the cap.
+    // of it, so cap the up-front commitment rather than reserve a slot
+    // for every contact the node will sleep through; a heavier-probing
+    // run still grows geometrically past the cap.
     constexpr std::size_t kProbedReserveCap = 1024;
     probed_.reserve(std::min(channel_.schedule().size(), kProbedReserveCap));
   }
@@ -85,11 +74,11 @@ SensorContext SensorNode::make_context() const {
 EpochStats SensorNode::current_epoch() const noexcept {
   EpochStats e;
   e.epoch_index = epoch_index_;
-  e.phi = sim::Duration::microseconds(block_->phi_us(lane_));
-  e.zeta = sim::Duration::microseconds(block_->zeta_us(lane_));
-  e.bytes_uploaded = block_->bytes_uploaded(lane_);
-  e.contacts_probed = block_->contacts_probed(lane_);
-  e.wakeups = block_->wakeups(lane_);
+  e.phi = sim::Duration::microseconds(counters_->phi_us);
+  e.zeta = sim::Duration::microseconds(counters_->zeta_us);
+  e.bytes_uploaded = counters_->bytes_uploaded;
+  e.contacts_probed = counters_->contacts_probed;
+  e.wakeups = counters_->wakeups;
   e.probing_energy_j = probing_meter_.energy_j() - probing_j_mark_;
   e.transfer_energy_j = transfer_meter_.energy_j() - transfer_j_mark_;
   return e;
@@ -104,7 +93,7 @@ void SensorNode::cpu_wakeup() {
   if (!(decision.next_wakeup > sim::Duration::zero())) {
     throw std::logic_error("Scheduler returned a non-positive next_wakeup");
   }
-  block_->last_wakeup_us(lane_) = decision.next_wakeup.count();
+  counters_->last_wakeup_us = decision.next_wakeup.count();
   if (decision.probe) {
     probing_wakeup();  // schedules the next CPU wakeup itself
   } else {
@@ -121,7 +110,7 @@ void SensorNode::cpu_wakeup() {
 }
 
 void SensorNode::probing_wakeup() {
-  ++block_->wakeups(lane_);
+  ++counters_->wakeups;
   if (config_.protocol == ProbingProtocol::kMip) {
     mip_wakeup();
   } else {
@@ -133,7 +122,7 @@ void SensorNode::snip_wakeup() {
   const sim::TimePoint t0 = sim_.now();
   const radio::LinkParams& link = channel_.link();
   const sim::Duration last_next_wakeup =
-      sim::Duration::microseconds(block_->last_wakeup_us(lane_));
+      sim::Duration::microseconds(counters_->last_wakeup_us);
 
   // Beacon transmission. The exchange resolves synchronously: the only
   // parties are this node and (at most) the one mobile node in range, so
@@ -176,8 +165,8 @@ void SensorNode::snip_wakeup() {
     // Listen out the rest of Ton, then sleep. Full Ton charged to Φ.
     probing_meter_.accumulate(RadioState::kListen,
                               listen_end - beacon_end);
-    block_->budget_used_us(lane_) += config_.ton.count();
-    block_->phi_us(lane_) += config_.ton.count();
+    counters_->budget_used_us += config_.ton.count();
+    counters_->phi_us += config_.ton.count();
     // The radio is busy until listen_end: the next wakeup can never come
     // sooner than one Ton, whatever the scheduler asked for.
     if (last_next_wakeup >= config_.ton) {
@@ -191,16 +180,16 @@ void SensorNode::snip_wakeup() {
   // exchange up to awareness; the transfer session is metered separately.
   probing_meter_.accumulate(RadioState::kRx, link.reply_airtime);
   const sim::Duration probe_cost = reply_end - t0;
-  block_->budget_used_us(lane_) += probe_cost.count();
-  block_->phi_us(lane_) += probe_cost.count();
+  counters_->budget_used_us += probe_cost.count();
+  counters_->phi_us += probe_cost.count();
 
   const auto active = channel_.active_contact(t0);
   if (!active.has_value()) {
     throw std::logic_error("probed without an active contact");
   }
   const bool new_session =
-      block_->last_probed_arrival_us(lane_) != active->arrival.count();
-  block_->last_probed_arrival_us(lane_) = active->arrival.count();
+      counters_->last_probed_arrival_us != active->arrival.count();
+  counters_->last_probed_arrival_us = active->arrival.count();
   // Detection is observable now; learners bucket it into the epoch whose
   // effort paid for it, however long the transfer runs.
   if (new_session) scheduler_.on_probe_detected(reply_end);
@@ -272,12 +261,12 @@ void SensorNode::fast_forward_misses(sim::TimePoint t0, sim::Duration cycle) {
   // The k misses, charged as the per-wakeup path charges each one. Every
   // charge is an integer duration, so k of them sum exactly.
   const radio::LinkParams& link = channel_.link();
-  block_->wakeups(lane_) += static_cast<std::uint64_t>(k);
+  counters_->wakeups += static_cast<std::uint64_t>(k);
   probing_meter_.accumulate(RadioState::kTx, link.beacon_airtime * k);
   probing_meter_.accumulate(RadioState::kListen,
                             (config_.ton - link.beacon_airtime) * k);
-  block_->budget_used_us(lane_) += config_.ton.count() * k;
-  block_->phi_us(lane_) += config_.ton.count() * k;
+  counters_->budget_used_us += config_.ton.count() * k;
+  counters_->phi_us += config_.ton.count() * k;
   sim_.fast_forward(t0 + cycle * k, static_cast<std::size_t>(k));
 }
 
@@ -286,7 +275,7 @@ void SensorNode::mip_wakeup() {
   const radio::LinkParams& link = channel_.link();
   const sim::TimePoint listen_end = t0 + config_.ton;
   const sim::Duration last_next_wakeup =
-      sim::Duration::microseconds(block_->last_wakeup_us(lane_));
+      sim::Duration::microseconds(counters_->last_wakeup_us);
 
   // MIP: the sensor only listens; the mobile beacons every
   // mobile_beacon_period while in range. Candidate contact: the one in
@@ -343,18 +332,18 @@ void SensorNode::mip_wakeup() {
       scheduler_.on_probe_detected(t0 + config_.ton);
     }
     probing_meter_.accumulate(RadioState::kListen, config_.ton);
-    block_->budget_used_us(lane_) += config_.ton.count();
-    block_->phi_us(lane_) += config_.ton.count();
+    counters_->budget_used_us += config_.ton.count();
+    counters_->phi_us += config_.ton.count();
     schedule_next(std::max(last_next_wakeup, config_.ton));
     return;
   }
 
   const sim::Duration probe_cost = aware - t0;
-  block_->budget_used_us(lane_) += probe_cost.count();
-  block_->phi_us(lane_) += probe_cost.count();
+  counters_->budget_used_us += probe_cost.count();
+  counters_->phi_us += probe_cost.count();
   const bool new_session =
-      block_->last_probed_arrival_us(lane_) != cand->arrival.count();
-  block_->last_probed_arrival_us(lane_) = cand->arrival.count();
+      counters_->last_probed_arrival_us != cand->arrival.count();
+  counters_->last_probed_arrival_us = cand->arrival.count();
   if (new_session) scheduler_.on_probe_detected(aware);
   begin_transfer(*cand, aware, last_next_wakeup, new_session);
 }
@@ -396,8 +385,8 @@ void SensorNode::begin_transfer(const contact::Contact& active,
   if (new_session) {
     // Ground-truth probed capacity is Tprobed = departure − awareness,
     // independent of how much of it the transfer used (Table I).
-    block_->zeta_us(lane_) += (active.departure() - probe_time).count();
-    ++block_->contacts_probed(lane_);
+    counters_->zeta_us += (active.departure() - probe_time).count();
+    ++counters_->contacts_probed;
   }
 
   // Bools ride at the tail of the capture list so the closure packs into
@@ -412,10 +401,10 @@ void SensorNode::begin_transfer(const contact::Contact& active,
     const double duration_s = (transfer_end - probe_time).to_seconds();
     const double bytes = buffer_.take(
         transfer_end, channel_.link().data_rate_bps * duration_s);
-    block_->bytes_uploaded(lane_) += bytes;
+    counters_->bytes_uploaded += bytes;
     sink_.deliver(bytes, transfer_end, new_session);
     if (new_session) {
-      ++block_->probed_sessions(lane_);
+      ++counters_->probed_sessions;
       if (config_.record_probed_contacts) {
         probed_.push_back(ProbedContactRecord{active, probe_time, bytes});
       }
@@ -427,7 +416,7 @@ void SensorNode::begin_transfer(const contact::Contact& active,
       obs.saw_departure = saw_departure;
       scheduler_.on_contact_probed(obs);
     }
-    schedule_next(sim::Duration::microseconds(block_->last_wakeup_us(lane_)));
+    schedule_next(sim::Duration::microseconds(counters_->last_wakeup_us));
   });
 }
 
@@ -438,9 +427,14 @@ void SensorNode::epoch_boundary() {
   probing_j_mark_ = probing_meter_.energy_j();
   transfer_j_mark_ = transfer_meter_.energy_j();
 
-  // Fold this epoch into the streaming totals and zero the counters —
-  // the same additions, in the same order, a history-based summary does.
-  block_->fold_epoch(lane_);
+  // The epoch is recorded: zero its counters.
+  NodeCounters& c = *counters_;
+  c.phi_us = 0;
+  c.zeta_us = 0;
+  c.bytes_uploaded = 0.0;
+  c.contacts_probed = 0;
+  c.wakeups = 0;
+  c.budget_used_us = 0;
   ++epoch_index_;
   if (faults_ != nullptr) {
     crash_and_recovery_step();

@@ -76,6 +76,32 @@ TEST(Experiment, WarmupEpochsAreExcluded) {
   const auto r = run_experiment(sc, rh, cfg);
   EXPECT_EQ(r.epochs, 4U);                  // 6 simulated − 2 warm-up
   EXPECT_EQ(r.per_epoch.size(), 6U);        // history still complete
+  // Each reported mean is the in-order mean over per_epoch[2..], to the
+  // last bit.
+  const auto mean = [&r](auto field) {
+    double sum = 0.0;
+    for (std::size_t e = 2; e < r.per_epoch.size(); ++e) {
+      sum += field(r.per_epoch[e]);
+    }
+    return sum / 4.0;
+  };
+  using node::EpochStats;
+  EXPECT_EQ(r.mean_zeta_s,
+            mean([](const EpochStats& e) { return e.zeta.to_seconds(); }));
+  EXPECT_EQ(r.mean_phi_s,
+            mean([](const EpochStats& e) { return e.phi.to_seconds(); }));
+  EXPECT_EQ(r.mean_bytes_uploaded,
+            mean([](const EpochStats& e) { return e.bytes_uploaded; }));
+  EXPECT_EQ(r.mean_contacts_probed, mean([](const EpochStats& e) {
+              return static_cast<double>(e.contacts_probed);
+            }));
+  EXPECT_EQ(r.mean_wakeups, mean([](const EpochStats& e) {
+              return static_cast<double>(e.wakeups);
+            }));
+  EXPECT_EQ(r.probing_energy_j,
+            mean([](const EpochStats& e) { return e.probing_energy_j; }));
+  EXPECT_EQ(r.transfer_energy_j,
+            mean([](const EpochStats& e) { return e.transfer_energy_j; }));
 }
 
 TEST(Experiment, ConfigsWithNothingToReportAreRejectedByName) {

@@ -575,6 +575,18 @@ TEST(FleetSpecValidation, BothEnginesRejectBadTargetsAndBudgetsByName) {
                               snip_at, s.config);
     });
   }
+  {
+    // A run of no epochs would report all-zero rows as if it had run.
+    SCOPED_TRACE("epochs = 0");
+    FleetCase s = small_fleet(4);
+    s.config.deployment.epochs = 0;
+    both_engines("DeploymentConfig::epochs", s);
+    expect_named("DeploymentConfig::epochs", [&] {
+      const contact::ContactSchedule empty{std::vector<contact::Contact>{}};
+      (void)FleetEngine{}.run(std::vector<contact::ContactSchedule>(2, empty),
+                              snip_at, s.config);
+    });
+  }
   const FleetCase s = small_fleet(4);
   for (const double phi : {kNaN, kInf, -1.0}) {
     SCOPED_TRACE("phi_max_s = " + std::to_string(phi));

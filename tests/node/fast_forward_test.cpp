@@ -4,15 +4,15 @@
 /// that withholds `skip_missed_probes` (every wakeup simulated: the
 /// reference), and wrapped in its hook-forwarding counting form. The
 /// runs must agree on `run_until`/`step` event counts, the simulator
-/// clock and pending events, every NodeBlock lane value, the probing
-/// meter (as Joules, hexfloat) and the probed-contact log — at contacts
-/// arriving exactly on a would-be wakeup, contacts a run steps over
-/// between two wakeups, a wakeup tied with the epoch
-/// boundary, zero-length contacts, a cycle shorter than Ton, run_until
-/// split into pieces, step(n), two nodes sharing one simulator, poll
-/// runs ending at an epoch event or another node's transfer completion,
-/// an adaptive node's polls and tracker probes with and without crash
-/// plans, fault plans and the MIP protocol.
+/// clock and pending events, every counter, every field of the per-epoch
+/// history, the probing meter (as Joules, hexfloat) and the
+/// probed-contact log — at contacts arriving exactly on a would-be
+/// wakeup, contacts a run steps over between two wakeups, a wakeup tied
+/// with the epoch boundary, zero-length contacts, a cycle shorter than
+/// Ton, run_until split into pieces, step(n), two nodes sharing one
+/// simulator, poll runs ending at an epoch event or another node's
+/// transfer completion, an adaptive node's polls and tracker probes with
+/// and without crash plans, fault plans and the MIP protocol.
 
 #include <gtest/gtest.h>
 
@@ -166,27 +166,30 @@ std::string fingerprint(World& w) {
                     std::to_string(w.simulator.pending()) + ';';
   for (std::size_t i = 0; i < w.nodes.size(); ++i) {
     const SensorNode& node = *w.nodes[i];
-    NodeBlock& b = w.block;
-    for (const std::int64_t v :
-         {b.phi_us(i), b.zeta_us(i), b.budget_used_us(i), b.last_wakeup_us(i),
-          b.last_probed_arrival_us(i)}) {
+    const NodeCounters& c = w.block.lanes[i];
+    for (const std::int64_t v : {c.phi_us, c.zeta_us, c.budget_used_us,
+                                 c.last_wakeup_us, c.last_probed_arrival_us}) {
       out += std::to_string(v) + ',';
     }
     for (const std::uint64_t v :
-         {b.contacts_probed(i), b.wakeups(i), b.epochs(i),
-          b.probed_sessions(i)}) {
+         {c.contacts_probed, c.wakeups, c.probed_sessions}) {
       out += std::to_string(v) + ',';
     }
-    for (const double v : {b.bytes_uploaded(i), b.sum_zeta_s(i),
-                           b.sum_phi_s(i), b.sum_bytes(i), b.sum_contacts(i)}) {
-      append_hex(out, v);
-    }
+    append_hex(out, c.bytes_uploaded);
     const EpochStats now = node.current_epoch();
     append_hex(out, now.probing_energy_j);
     append_hex(out, now.transfer_energy_j);
     for (const EpochStats& e : node.epoch_history()) {
-      out += std::to_string(e.wakeups) + ',';
+      for (const std::int64_t v :
+           {e.epoch_index, e.phi.count(), e.zeta.count()}) {
+        out += std::to_string(v) + ',';
+      }
+      for (const std::uint64_t v : {e.contacts_probed, e.wakeups}) {
+        out += std::to_string(v) + ',';
+      }
+      append_hex(out, e.bytes_uploaded);
       append_hex(out, e.probing_energy_j);
+      append_hex(out, e.transfer_energy_j);
     }
     for (const ProbedContactRecord& r : node.probed_contacts()) {
       out += std::to_string(r.contact.arrival.count()) + '/' +

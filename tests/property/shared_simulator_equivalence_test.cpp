@@ -24,6 +24,7 @@
 #include "snipr/deploy/fleet_engine.hpp"
 #include "snipr/deploy/road_contacts.hpp"
 #include "snipr/fault/fault_plan.hpp"
+#include "snipr/node/lone_node.hpp"
 #include "snipr/node/mobile_node.hpp"
 #include "snipr/node/node_block.hpp"
 #include "snipr/node/sensor_node.hpp"
@@ -71,7 +72,7 @@ DeploymentOutcome run_in_one_simulator(const core::CatalogEntry& entry,
   node::NodeBlock block{spec.nodes};
   node::SensorNodeConfig node_config = deployment.node;
   node_config.expected_epochs = kEpochs;
-  node_config.record_epoch_history = false;
+  node_config.record_epoch_history = true;  // what node::summarize reads
   node_config.record_probed_contacts = true;
   struct NodeWorld {
     std::unique_ptr<radio::Channel> channel;
@@ -100,10 +101,17 @@ DeploymentOutcome run_in_one_simulator(const core::CatalogEntry& entry,
   for (std::size_t i = 0; i < spec.nodes; ++i) {
     const std::vector<contact::Contact>& contacts =
         plan.schedules[i].contacts();
-    outcome.nodes.push_back(
-        summarize_node(i, *worlds[i].sensor,
-                       std::string{worlds[i].scheduler->name()},
-                       contacts.size()));
+    const node::SensorNode& sensor = *worlds[i].sensor;
+    node::LoneNodeRun run;
+    run.per_epoch = sensor.epoch_history();
+    run.probed_sessions = sensor.counters().probed_sessions;
+    run.total_contacts = contacts.size();
+    run.mean_delivery_latency_s = sensor.buffer().mean_delivery_latency_s();
+    NodeOutcome row;
+    static_cast<node::NodeSummary&>(row) = node::summarize(run);
+    row.node_index = i;
+    row.scheduler_name = worlds[i].scheduler->name();
+    outcome.nodes.push_back(std::move(row));
     for (const node::ProbedContactRecord& record :
          worlds[i].sensor->probed_contacts()) {
       const auto it = std::lower_bound(

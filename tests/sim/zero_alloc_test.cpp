@@ -101,10 +101,10 @@ TEST(ZeroAllocTest, OneShotChurnAllocatesNothingAfterWarmup) {
   EXPECT_GT(fired, 1000U);
 }
 
-TEST(ZeroAllocTest, SensorNodeMissRunsAllocateNothing) {
-  // A SNIP node whose probes mostly miss: runs of misses are
-  // fast-forwarded between hourly contacts, and neither the skip nor the
-  // probes, transfers and epoch boundaries around it may allocate.
+/// A SNIP node whose probes mostly miss: runs of misses are
+/// fast-forwarded between hourly contacts, and neither the skip nor the
+/// probes, transfers and epoch boundaries around it may allocate.
+void expect_miss_runs_allocate_nothing(const node::SensorNodeConfig& config) {
   std::vector<contact::Contact> contacts;
   for (std::int64_t h = 0; h < 24 * 8; ++h) {
     contacts.push_back({TimePoint::zero() + Duration::hours(h) +
@@ -116,9 +116,6 @@ TEST(ZeroAllocTest, SensorNodeMissRunsAllocateNothing) {
                          radio::LinkParams{}, Rng{5}};
   node::MobileNode sink;
   core::SnipAt scheduler{0.01, Duration::milliseconds(20)};
-  node::SensorNodeConfig config;
-  config.record_epoch_history = false;
-  config.record_probed_contacts = false;
   node::SensorNode sensor{simulator, channel, sink, scheduler, config};
   sensor.start();
   simulator.run_until(TimePoint::zero() + Duration::hours(24));
@@ -130,7 +127,26 @@ TEST(ZeroAllocTest, SensorNodeMissRunsAllocateNothing) {
   EXPECT_EQ(testing::alloc_calls.load(std::memory_order_relaxed),
             allocs_before);
   EXPECT_GT(events, 100000U) << "skipped wakeups count as events";
-  EXPECT_GT(sensor.block().probed_sessions(sensor.lane()), 100U);
+  EXPECT_GT(sensor.counters().probed_sessions, 100U);
+  EXPECT_EQ(sensor.epoch_history().size(),
+            config.record_epoch_history ? 7U : 0U);
+}
+
+TEST(ZeroAllocTest, SensorNodeMissRunsAllocateNothing) {
+  node::SensorNodeConfig config;
+  config.record_epoch_history = false;
+  config.record_probed_contacts = false;
+  expect_miss_runs_allocate_nothing(config);
+}
+
+TEST(ZeroAllocTest, LoneNodeRunnerConfigAllocatesNothing) {
+  // The node config node::run_lone_node runs every experiment and fleet
+  // node with: the per-epoch history on and reserved for the whole run,
+  // and, as in a fleet without routing, no probed-contact log.
+  node::SensorNodeConfig config;
+  config.expected_epochs = 8;
+  config.record_probed_contacts = false;
+  expect_miss_runs_allocate_nothing(config);
 }
 
 TEST(ZeroAllocTest, AdaptiveNodePollAndTrackerRunsAllocateNothing) {
@@ -184,7 +200,7 @@ TEST(ZeroAllocTest, AdaptiveNodePollAndTrackerRunsAllocateNothing) {
             allocs_before);
   EXPECT_GT(scheduler.skipped_polls() - polls_before, 1000U);
   EXPECT_GT(scheduler.skipped_tracker_probes() - tracker_before, 100U);
-  EXPECT_GT(sensor.block().probed_sessions(sensor.lane()), 0U);
+  EXPECT_GT(sensor.counters().probed_sessions, 0U);
 }
 
 }  // namespace

@@ -55,7 +55,8 @@ endif()
 foreach(case "--budget;run --budget inf" "--target;run --target nan"
              "--targets;batch --targets 16,nan --seeds 1 --epochs 2"
              "warmup_epochs;run --warmup 20 --epochs 14"
-             "epochs;run --epochs 0")
+             "epochs;run --epochs 0"
+             "epochs;fleet fleet-rural-sparse --epochs 0")
   list(POP_FRONT case expected)
   separate_arguments(args UNIX_COMMAND "${case}")
   run_cli(out rc ${args})

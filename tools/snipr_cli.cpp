@@ -471,8 +471,13 @@ int run_fleet(const Options& opt) {
       entry->scenario, *entry->fleet, entry->phi_max_s, opt.epochs, opt.seed);
   config.shards = opt.shards;
   config.threads = opt.threads;
-  const deploy::DeploymentOutcome outcome =
-      deploy::FleetEngine{}.run(entry->scenario, *entry->fleet, config);
+  deploy::DeploymentOutcome outcome;
+  try {
+    outcome = deploy::FleetEngine{}.run(entry->scenario, *entry->fleet, config);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   if (!opt.json_path.empty()) {
     const std::string json = deploy::FleetEngine::to_json(outcome);

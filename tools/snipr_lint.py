@@ -30,7 +30,7 @@ Rules (ids are stable; use them in suppressions):
 * ``raw-variance-accumulation`` — no ``acc += x * x`` (or
   ``+= pow(x, 2)``) second-moment accumulation loops in include/ or
   src/. Naive sum-of-squares cancels catastrophically (the PR 3 fleet
-  ζ-variance bug); use ``stats::OnlineStats`` / ``node::fold_epoch``.
+  ζ-variance bug); use ``stats::OnlineStats``.
 * ``censored-feedback`` — the learner family (rush_hour_learner,
   adaptive_snip_rh, exploration_policy, snip_rh, snip_at, scheduler —
   library code under include/ and src/) must never touch ground-truth
@@ -336,7 +336,7 @@ def check_file(rel, raw_lines, findings):
             if SQUARE_ACCUM_RE.search(line) or POW_ACCUM_RE.search(line):
                 emit(idx, "raw-variance-accumulation",
                      "raw sum-of-squares accumulation cancels "
-                     "catastrophically; use stats::OnlineStats / fold_epoch")
+                     "catastrophically; use stats::OnlineStats")
 
 
 def gather_files(root, compile_db):
