@@ -129,18 +129,22 @@ class SegmentedSnipOpt final : public node::Scheduler {
     return active(ctx.epoch_index).on_wakeup(ctx);
   }
   /// A run never crosses the epoch boundary, so one plan vouches for it.
-  [[nodiscard]] std::int64_t skip_missed_probes(
+  [[nodiscard]] std::int64_t repeat_bound(
       const node::SensorContext& ctx, node::SchedulerDecision verdict,
-      sim::Duration charge, std::int64_t max_k) override {
-    return active(ctx.epoch_index)
-        .skip_missed_probes(ctx, verdict, charge, max_k);
+      sim::Duration charge) const override {
+    return active(ctx.epoch_index).repeat_bound(ctx, verdict, charge);
+  }
+  void commit_repeats(const node::SensorContext& ctx,
+                      node::SchedulerDecision verdict,
+                      std::int64_t k) override {
+    active(ctx.epoch_index).commit_repeats(ctx, verdict, k);
   }
   [[nodiscard]] std::string name() const override {
     return "SNIP-OPT/clairvoyant";
   }
 
  private:
-  [[nodiscard]] core::SnipOpt& active(std::int64_t epoch_index) {
+  [[nodiscard]] core::SnipOpt& active(std::int64_t epoch_index) const {
     const auto e = static_cast<std::size_t>(epoch_index < 0 ? 0 : epoch_index);
     for (std::size_t i = 0; i < segment_end_epoch_.size(); ++i) {
       if (e < segment_end_epoch_[i]) return *plans_[i];

@@ -56,17 +56,20 @@ class AdaptiveSnipRh final : public node::Scheduler {
 
   [[nodiscard]] node::SchedulerDecision on_wakeup(
       const node::SensorContext& ctx) override;
-  /// Delegates a probing run to the learning-phase SNIP-AT (bounded by
-  /// its budget alone), or, within the current slot, to SNIP-RH, short of
-  /// the tracker's and the exploration floor's next due times; runs lone
-  /// tracker probes outside the mask at the tracker's own cycle, up to
-  /// one cycle before the next rush slot; records the skipped probes'
-  /// effort, each in its own slot. A non-probing run is the exploit
-  /// phase's budget-spent poll, within the current slot.
-  [[nodiscard]] std::int64_t skip_missed_probes(const node::SensorContext& ctx,
-                                                node::SchedulerDecision verdict,
-                                                sim::Duration charge,
-                                                std::int64_t max_k) override;
+  /// Bounds a probing run by the learning-phase SNIP-AT (its budget
+  /// alone), or, within the current slot, by SNIP-RH, short of the
+  /// tracker's and the exploration floor's next due times; bounds lone
+  /// tracker probes outside the mask at the tracker's own cycle by the
+  /// budget and one cycle before the next rush slot. A non-probing run is
+  /// the exploit phase's budget-spent poll, within the current slot.
+  [[nodiscard]] std::int64_t repeat_bound(const node::SensorContext& ctx,
+                                          node::SchedulerDecision verdict,
+                                          sim::Duration charge) const override;
+  /// Records the skipped probes' effort, each in its own slot, and moves
+  /// the tracker's due time on by a run of its probes.
+  void commit_repeats(const node::SensorContext& ctx,
+                      node::SchedulerDecision verdict,
+                      std::int64_t k) override;
   void on_probe_detected(sim::TimePoint when) override;
   void on_contact_probed(const node::ProbedContactObservation& obs) override;
   void on_epoch_start(std::int64_t epoch_index) override;
@@ -106,15 +109,13 @@ class AdaptiveSnipRh final : public node::Scheduler {
   /// Mask to adopt/refresh against: the learner's ranking, viewed through
   /// the exploration policy's (possibly optimistic) score lens.
   [[nodiscard]] RushHourMask ranked_mask() const;
-  /// skip_missed_probes()'s two exploit-phase runs that SNIP-RH does not
-  /// vouch for: tracker probes outside the mask, and idle polls.
-  [[nodiscard]] std::int64_t skip_tracker_probes(const node::SensorContext& ctx,
-                                                 sim::Duration cycle,
-                                                 sim::Duration charge,
-                                                 std::int64_t max_k);
-  [[nodiscard]] std::int64_t skip_budget_spent_polls(
-      const node::SensorContext& ctx, sim::Duration cycle,
-      std::int64_t max_k) const;
+  /// True when a probing run at `cycle` is the tracker's own, outside
+  /// the mask in the exploit phase.
+  [[nodiscard]] bool tracker_run(const node::SensorContext& ctx,
+                                 sim::Duration cycle) const;
+  /// repeat_bound() for the exploit phase's budget-spent poll.
+  [[nodiscard]] std::int64_t poll_run_bound(const node::SensorContext& ctx,
+                                            sim::Duration cycle) const;
 
   AdaptiveSnipRhConfig config_;
   RushHourLearner learner_;

@@ -123,6 +123,11 @@ class ExplorationPolicy {
   /// eps-floor round-robin position, persisted across epochs so the
   /// rotation covers every out-of-mask slot before revisiting one.
   std::size_t cursor_{0};
+  /// plan_epoch()'s scratch, reused across epochs: the out-of-mask
+  /// slots, their UCB indices and the selection order over them.
+  std::vector<std::size_t> candidates_;
+  std::vector<double> index_;
+  std::vector<std::size_t> order_;
 };
 
 }  // namespace snipr::core

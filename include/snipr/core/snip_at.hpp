@@ -24,10 +24,9 @@ class SnipAt final : public node::Scheduler {
   [[nodiscard]] node::SchedulerDecision on_wakeup(
       const node::SensorContext& ctx) override;
   /// A probing verdict changes only when the budget runs out.
-  [[nodiscard]] std::int64_t skip_missed_probes(const node::SensorContext& ctx,
-                                                node::SchedulerDecision verdict,
-                                                sim::Duration charge,
-                                                std::int64_t max_k) override;
+  [[nodiscard]] std::int64_t repeat_bound(const node::SensorContext& ctx,
+                                          node::SchedulerDecision verdict,
+                                          sim::Duration charge) const override;
   [[nodiscard]] std::string name() const override { return "SNIP-AT"; }
 
   [[nodiscard]] double duty() const noexcept { return duty_; }

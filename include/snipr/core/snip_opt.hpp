@@ -28,10 +28,9 @@ class SnipOpt final : public node::Scheduler {
   [[nodiscard]] node::SchedulerDecision on_wakeup(
       const node::SensorContext& ctx) override;
   /// A probing verdict holds to the end of its slot or of the budget.
-  [[nodiscard]] std::int64_t skip_missed_probes(const node::SensorContext& ctx,
-                                                node::SchedulerDecision verdict,
-                                                sim::Duration charge,
-                                                std::int64_t max_k) override;
+  [[nodiscard]] std::int64_t repeat_bound(const node::SensorContext& ctx,
+                                          node::SchedulerDecision verdict,
+                                          sim::Duration charge) const override;
   [[nodiscard]] std::string name() const override { return "SNIP-OPT"; }
 
   [[nodiscard]] const std::vector<double>& duties() const noexcept {

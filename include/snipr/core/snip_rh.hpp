@@ -59,10 +59,9 @@ class SnipRh final : public node::Scheduler {
   /// A probing verdict holds to the end of its rush slot or of the
   /// budget: the duty and the upload threshold change only when a contact
   /// is probed, and the buffer only grows between transfers.
-  [[nodiscard]] std::int64_t skip_missed_probes(const node::SensorContext& ctx,
-                                                node::SchedulerDecision verdict,
-                                                sim::Duration charge,
-                                                std::int64_t max_k) override;
+  [[nodiscard]] std::int64_t repeat_bound(const node::SensorContext& ctx,
+                                          node::SchedulerDecision verdict,
+                                          sim::Duration charge) const override;
   void on_contact_probed(const node::ProbedContactObservation& obs) override;
   [[nodiscard]] std::string name() const override { return "SNIP-RH"; }
 

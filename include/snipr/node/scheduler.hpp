@@ -20,15 +20,18 @@
 /// each of those outcomes up to the first contact a probe lands in:
 /// contacts that fall between two probes of the grid change nothing. A
 /// node whose budget is spent may likewise poll with the same verdict
-/// until the epoch ends. A scheduler that can also prove its own next
-/// verdicts overrides skip_missed_probes(), and the node then charges a
-/// whole run of missed probes or idle polls in one step instead of
-/// simulating each wakeup (DESIGN.md, "Hot path"). The node proves the
-/// misses; the scheduler bounds the run only where its verdict could
-/// change (its budget, a slot end where the verdict depends on the
-/// slot, a due time), so a run may cross slot boundaries. A scheduler
-/// that does not override it is simply not fast-forwarded: every wakeup
-/// runs through on_wakeup(), as before.
+/// until the epoch ends. A scheduler that can prove its own next verdicts
+/// says so in two steps. repeat_bound() is a pure question: for how many
+/// wakeups would the verdict just carried out repeat? The node asks it
+/// first, walks the contact schedule only as far as that bound, takes the
+/// shortest of the bound, the walk and the simulator's event budget, and
+/// then hands the chosen run to commit_repeats(), which applies the side
+/// effects of exactly those wakeups (DESIGN.md, "Missed-probe
+/// fast-forward"). The node proves the misses; the scheduler bounds the
+/// run only where its verdict could change (its budget, a slot end where
+/// the verdict depends on the slot, a due time), so a run may cross slot
+/// boundaries. A scheduler that overrides neither is never
+/// fast-forwarded: every wakeup runs through on_wakeup(), as before.
 
 namespace snipr::node {
 
@@ -76,26 +79,35 @@ class Scheduler {
   [[nodiscard]] virtual SchedulerDecision on_wakeup(
       const SensorContext& ctx) = 0;
 
-  /// Fast-forward hook for runs of repeated verdicts.
+  /// Fast-forward bound for runs of repeated verdicts.
   ///
-  /// Called right after the node carried out `verdict`, the value
+  /// Asked right after the node carried out `verdict`, the value
   /// on_wakeup() returned at `ctx.now`: a probing wakeup that heard
   /// nothing, with that miss already charged (`ctx.budget_used` includes
   /// it), or a non-probing one, which charges nothing (`charge` is then
-  /// zero). Returns a k <= `max_k` such that, for each j = 1..k,
-  /// on_wakeup() at `ctx.now + j·verdict.next_wakeup`, with
-  /// `budget_used + (j−1)·charge` and a buffer no smaller than
-  /// `ctx.buffer_bytes` (it only grows between transfers), would again
-  /// return `verdict` — and applies the side effects of those k calls,
-  /// exactly as k on_wakeup() calls would. The run may stop short of the
-  /// longest such k (at a slot boundary, say); 0 is always correct. For a
-  /// probing verdict the node proves the k probes miss and charges them
-  /// itself; a non-probing wakeup touches nothing but the clock. The
-  /// default returns 0, which keeps the per-wakeup path: a scheduler or
-  /// decorator that does not override this hook is never fast-forwarded.
-  [[nodiscard]] virtual std::int64_t skip_missed_probes(
-      const SensorContext& ctx, SchedulerDecision verdict,
-      sim::Duration charge, std::int64_t max_k);
+  /// zero). Returns a B >= 0 such that, for each j = 1..B, on_wakeup() at
+  /// `ctx.now + j·verdict.next_wakeup`, with `budget_used + (j−1)·charge`
+  /// and a buffer no smaller than `ctx.buffer_bytes` (it only grows
+  /// between transfers), would again return `verdict`. It may stop short
+  /// of the longest such run (at a slot boundary, say); 0 is always
+  /// correct. Pure: it changes no state, so the node may ask it and then
+  /// run every wakeup after all. The default returns 0, which keeps the
+  /// per-wakeup path: a scheduler or decorator that does not override
+  /// this is never fast-forwarded.
+  [[nodiscard]] virtual std::int64_t repeat_bound(const SensorContext& ctx,
+                                                  SchedulerDecision verdict,
+                                                  sim::Duration charge) const;
+
+  /// Commit a run of k skipped wakeups, 0 < k <= repeat_bound() at the
+  /// same `ctx` and `verdict`, with no other call in between: applies
+  /// the side effects of the k on_wakeup() calls at `ctx.now +
+  /// j·verdict.next_wakeup`, j = 1..k, exactly as those calls would. For
+  /// a probing verdict the node proves the k probes miss and charges
+  /// them itself; a non-probing wakeup touches nothing but the clock.
+  /// The default does nothing, right for a scheduler whose verdicts
+  /// carry no state.
+  virtual void commit_repeats(const SensorContext& ctx,
+                              SchedulerDecision verdict, std::int64_t k);
 
   /// Called synchronously the instant a new contact is detected (both
   /// sides aware), before any transfer runs. This is the censored-
@@ -142,8 +154,8 @@ class Scheduler {
   }
 };
 
-/// The helpers skip_missed_probes() implementations bound their runs
-/// with. Both count wakeups j = 1, 2, ... and return 0 when none fits.
+/// The helpers repeat_bound() implementations bound their runs with.
+/// Both count wakeups j = 1, 2, ... and return 0 when none fits.
 
 /// Wakeups j whose budget check `used_j + ton <= ctx.budget_limit`
 /// passes, where used_j = ctx.budget_used + (j−1)·charge: the condition

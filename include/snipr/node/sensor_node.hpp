@@ -169,18 +169,17 @@ class SensorNode {
   void schedule_next(sim::Duration delay);
   void probing_wakeup();
   void snip_wakeup();
-  /// After a SNIP miss at `t0` with next delay `cycle`: the next probes
-  /// miss too up to the first contact a probe lands in (stepping over
-  /// the contacts the grid t0 + j·cycle falls between), so let the
-  /// scheduler vouch for its verdicts and charge the run in one step
-  /// (scheduler.hpp, skip_missed_probes).
+  /// After a SNIP miss at `t0` with next delay `cycle`: asks the
+  /// scheduler how many of the next probes would repeat the verdict,
+  /// proves that many miss too up to the first contact a probe lands in
+  /// (stepping over the contacts the grid t0 + j·cycle falls between),
+  /// and charges the run in one step (scheduler.hpp, repeat_bound).
   void fast_forward_misses(sim::TimePoint t0, sim::Duration cycle);
-  /// The run of wakeups repeating `verdict` that the scheduler vouches
-  /// for, each `charge` apart in budget, the last no later than `last`,
-  /// which the caller bounds by the simulator's fast_forward_limit().
-  [[nodiscard]] std::int64_t vouched_run(SchedulerDecision verdict,
-                                         sim::Duration charge,
-                                         sim::TimePoint last);
+  /// The first `bound` wakeups now + j·delay cut to those the simulator
+  /// can skip: no later than its fast_forward_limit() and within its
+  /// event budget (0 for a bound of 0).
+  [[nodiscard]] std::int64_t within_limits(std::int64_t bound,
+                                           sim::Duration delay) const;
   void mip_wakeup();
   /// `new_session` is false when re-beaconing inside an already-probed
   /// contact (after an early buffer drain): more data may flow, but ζ,
@@ -215,14 +214,6 @@ class SensorNode {
   double probing_j_mark_{0.0};
   double transfer_j_mark_{0.0};
   bool started_{false};
-
-  /// Where fast_forward_misses() last stopped walking the schedule: every
-  /// contact from the channel's cursor up to `walk_next_` falls between
-  /// two points of the probe grid walk_grid_ + j·walk_cycle_ (a zero
-  /// cycle: no walk yet).
-  sim::TimePoint walk_grid_{};
-  sim::Duration walk_cycle_{};
-  std::size_t walk_next_{0};
 
   /// Fault plane (null = no faults; every hook is then skipped).
   fault::NodeFaultInjector* faults_{nullptr};

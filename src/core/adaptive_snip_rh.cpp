@@ -101,73 +101,79 @@ node::SchedulerDecision AdaptiveSnipRh::on_wakeup(
   return {.probe = rh.probe, .next_wakeup = next};
 }
 
-std::int64_t AdaptiveSnipRh::skip_missed_probes(
-    const node::SensorContext& ctx, node::SchedulerDecision verdict,
-    sim::Duration charge, std::int64_t max_k) {
+bool AdaptiveSnipRh::tracker_run(const node::SensorContext& ctx,
+                                 sim::Duration cycle) const {
+  // The tracker probed at ctx.now outside the mask, and is due again one
+  // cycle later.
+  return !learning_ && config_.tracking_duty > 0.0 &&
+         cycle == tracker_cycle() && next_track_due_ == ctx.now + cycle &&
+         !rh_.mask().is_rush(ctx.now);
+}
+
+std::int64_t AdaptiveSnipRh::repeat_bound(const node::SensorContext& ctx,
+                                          node::SchedulerDecision verdict,
+                                          sim::Duration charge) const {
   const sim::Duration cycle = verdict.next_wakeup;
-  if (!verdict.probe) return skip_budget_spent_polls(ctx, cycle, max_k);
+  if (!verdict.probe) return poll_run_bound(ctx, cycle);
   // Learning-phase SNIP-AT ignores slots, and the tracker's path returns
   // before the plan is read, so their runs cross slot boundaries;
-  // record_repeated_effort() adds each skipped probe's effort into its
-  // own wakeup's slot.
-  std::int64_t k = 0;
-  if (learning_) {
-    k = learn_probe_.skip_missed_probes(ctx, verdict, charge, max_k);
-  } else if (config_.tracking_duty > 0.0 && cycle == tracker_cycle() &&
-             next_track_due_ == ctx.now + cycle &&
-             !rh_.mask().is_rush(ctx.now)) {
-    k = skip_tracker_probes(ctx, cycle, charge, max_k);
-  } else {
-    // SNIP-RH vouches only within ctx.now's slot, where the plan mask's
-    // verdict for ctx.now holds too. on_wakeup() takes its plain SNIP-RH
-    // path, and returns SNIP-RH's own cycle, only while the tracker is
-    // not due and is at least one cycle away: stop by next_track_due_ −
-    // cycle.
-    if (config_.tracking_duty > 0.0) {
-      max_k = std::min(max_k, node::wakeups_through(ctx.now, cycle,
-                                                    next_track_due_ - cycle));
+  // commit_repeats() adds each skipped probe's effort into its own
+  // wakeup's slot.
+  if (learning_) return learn_probe_.repeat_bound(ctx, verdict, charge);
+  if (tracker_run(ctx, cycle)) {
+    // At each wakeup of the run the tracker is due, so it probes while
+    // the budget lasts, and the returned delay is its cycle while
+    // SNIP-RH's sleep to the next rush slot is no shorter: stop by that
+    // start − cycle. An all-zero mask sleeps one epoch at every wakeup,
+    // as at ctx.now.
+    std::int64_t bound = node::probes_within_budget(ctx, config_.rh.ton,
+                                                    charge);
+    if (const auto rush = rh_.mask().next_rush_after(ctx.now)) {
+      bound =
+          std::min(bound, node::wakeups_through(ctx.now, cycle, *rush - cycle));
     }
-    // The same for the exploration floor: inside a planned slot, its due
-    // time; outside one, the plan's next rush start, which caps the wakeup
-    // delay only when the cycle exceeds one second.
-    if (plan_.active) {
-      if (plan_.mask.is_rush(ctx.now)) {
-        max_k = std::min(max_k, node::wakeups_through(
-                                    ctx.now, cycle, next_explore_due_ - cycle));
-      } else if (cycle > kPollPeriod) {
-        const auto start = plan_.mask.next_rush_after(ctx.now);
-        if (!start.has_value()) return 0;
-        max_k = std::min(max_k,
-                         node::wakeups_through(ctx.now, cycle, *start - cycle));
-      }
-    }
-    k = rh_.skip_missed_probes(ctx, verdict, charge, max_k);
+    return bound;
   }
+  // SNIP-RH vouches only within ctx.now's slot, where the plan mask's
+  // verdict for ctx.now holds too. on_wakeup() takes its plain SNIP-RH
+  // path, and returns SNIP-RH's own cycle, only while the tracker is not
+  // due and is at least one cycle away: stop by next_track_due_ − cycle.
+  std::int64_t bound = rh_.repeat_bound(ctx, verdict, charge);
+  if (config_.tracking_duty > 0.0) {
+    bound = std::min(bound, node::wakeups_through(ctx.now, cycle,
+                                                  next_track_due_ - cycle));
+  }
+  // The same for the exploration floor: inside a planned slot, its due
+  // time; outside one, the plan's next rush start, which caps the wakeup
+  // delay only when the cycle exceeds one second.
+  if (plan_.active) {
+    if (plan_.mask.is_rush(ctx.now)) {
+      bound = std::min(bound, node::wakeups_through(
+                                  ctx.now, cycle, next_explore_due_ - cycle));
+    } else if (cycle > kPollPeriod) {
+      const auto start = plan_.mask.next_rush_after(ctx.now);
+      if (!start.has_value()) return 0;
+      bound = std::min(bound,
+                       node::wakeups_through(ctx.now, cycle, *start - cycle));
+    }
+  }
+  return bound;
+}
+
+void AdaptiveSnipRh::commit_repeats(const node::SensorContext& ctx,
+                                    node::SchedulerDecision verdict,
+                                    std::int64_t k) {
+  // A budget-spent poll changes nothing; SNIP-AT and SNIP-RH keep no
+  // per-wakeup state. The tracker moves on k cycles, and every probing
+  // run records its k effort samples.
+  if (!verdict.probe) return;
+  const sim::Duration cycle = verdict.next_wakeup;
+  if (tracker_run(ctx, cycle)) next_track_due_ = ctx.now + cycle * (k + 1);
   learner_.record_repeated_effort(ctx.now, cycle, config_.rh.ton, k);
-  return k;
 }
 
-std::int64_t AdaptiveSnipRh::skip_tracker_probes(
-    const node::SensorContext& ctx, sim::Duration cycle, sim::Duration charge,
-    std::int64_t max_k) {
-  // The tracker probed at ctx.now outside the mask and is due again one
-  // cycle later. At each wakeup of the run it is due, so it probes while
-  // the budget lasts, and the returned delay is its cycle while SNIP-RH's
-  // sleep to the next rush slot is no shorter: stop by that start − cycle.
-  // An all-zero mask sleeps one epoch at every wakeup, as at ctx.now.
-  if (const auto rush = rh_.mask().next_rush_after(ctx.now)) {
-    max_k =
-        std::min(max_k, node::wakeups_through(ctx.now, cycle, *rush - cycle));
-  }
-  const std::int64_t k = std::min(
-      max_k, node::probes_within_budget(ctx, config_.rh.ton, charge));
-  next_track_due_ = ctx.now + cycle * (k + 1);
-  return k;
-}
-
-std::int64_t AdaptiveSnipRh::skip_budget_spent_polls(
-    const node::SensorContext& ctx, sim::Duration cycle,
-    std::int64_t max_k) const {
+std::int64_t AdaptiveSnipRh::poll_run_bound(const node::SensorContext& ctx,
+                                            sim::Duration cycle) const {
   // Exploit phase with the budget spent: an overdue tracker (and, inside
   // an exploration slot, an overdue floor) finds no Ton to spend, so
   // on_wakeup() changes nothing and cuts SNIP-RH's sleep until the epoch
@@ -187,11 +193,10 @@ std::int64_t AdaptiveSnipRh::skip_budget_spent_polls(
   const contact::SlotClock& clock = rh_.mask().slot_clock();
   const sim::TimePoint slot_end = clock.next_boundary(ctx.now).start;
   return std::min(
-      {max_k,
-       node::wakeups_through(ctx.now, cycle,
-                             slot_end - sim::Duration::microseconds(1)),
-       node::wakeups_through(ctx.now, cycle,
-                             clock.next_epoch_start(ctx.now) - cycle)});
+      node::wakeups_through(ctx.now, cycle,
+                            slot_end - sim::Duration::microseconds(1)),
+      node::wakeups_through(ctx.now, cycle,
+                            clock.next_epoch_start(ctx.now) - cycle));
 }
 
 void AdaptiveSnipRh::on_probe_detected(sim::TimePoint when) {

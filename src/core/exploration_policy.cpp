@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
 
 namespace snipr::core {
@@ -61,28 +62,30 @@ ExplorationPlan ExplorationPolicy::plan_epoch(const RushHourLearner& learner,
       config_.epsilon <= 0.0) {
     return plan;
   }
-  std::vector<std::size_t> candidates;
+  candidates_.clear();
   for (std::size_t s = 0; s < n; ++s) {
-    if (!rush_mask.is_rush_slot(s)) candidates.push_back(s);
+    if (!rush_mask.is_rush_slot(s)) candidates_.push_back(s);
   }
-  if (candidates.empty()) return plan;  // mask already covers every slot
+  if (candidates_.empty()) return plan;  // mask already covers every slot
 
   const std::size_t want = std::max<std::size_t>(
       1, static_cast<std::size_t>(
              std::llround(config_.epsilon * static_cast<double>(n))));
-  const std::size_t m = std::min(want, candidates.size());
+  const std::size_t m = std::min(want, candidates_.size());
 
-  std::vector<std::size_t> picked;
-  picked.reserve(m);
   if (config_.kind == ExplorationPolicyKind::kEpsilonFloor) {
     // Deterministic round-robin over the slot index space: every slot
     // outside the mask receives its duty floor within ceil(|outside|/m)
     // epochs, whatever the scores say. The cursor persists so consecutive
     // epochs continue the rotation instead of restarting it.
+    std::size_t picked = 0;
     std::size_t scanned = 0;
     std::size_t idx = cursor_ % n;
-    while (picked.size() < m && scanned < n) {
-      if (!rush_mask.is_rush_slot(idx)) picked.push_back(idx);
+    while (picked < m && scanned < n) {
+      if (!rush_mask.is_rush_slot(idx)) {
+        plan.mask.set(idx, true);
+        ++picked;
+      }
       idx = (idx + 1) % n;
       ++scanned;
     }
@@ -100,24 +103,29 @@ ExplorationPlan ExplorationPolicy::plan_epoch(const RushHourLearner& learner,
     if (max_score <= 0.0) max_score = 1.0;
     const double horizon =
         std::log1p(static_cast<double>(learner.epochs_observed()));
-    std::vector<double> index(candidates.size(), 0.0);
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const std::size_t s = candidates[i];
-      index[i] = scores[s] / max_score +
-                 config_.ucb_c *
-                     std::sqrt(horizon / (1.0 + static_cast<double>(
-                                                    samples[s])));
+    index_.resize(candidates_.size());
+    order_.resize(candidates_.size());
+    for (std::size_t i = 0; i < candidates_.size(); ++i) {
+      const std::size_t s = candidates_[i];
+      index_[i] = scores[s] / max_score +
+                  config_.ucb_c *
+                      std::sqrt(horizon / (1.0 + static_cast<double>(
+                                                     samples[s])));
+      order_[i] = i;
     }
-    std::vector<std::size_t> order(candidates.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return index[a] > index[b];
-                     });
-    for (std::size_t i = 0; i < m; ++i) picked.push_back(candidates[order[i]]);
+    // The m highest indices, ties to the earlier candidate: the first m
+    // of a stable descending sort, without sorting the rest.
+    std::partial_sort(order_.begin(),
+                      order_.begin() + static_cast<std::ptrdiff_t>(m),
+                      order_.end(), [&](std::size_t a, std::size_t b) {
+                        return index_[a] > index_[b] ||
+                               (index_[a] == index_[b] && a < b);
+                      });
+    for (std::size_t i = 0; i < m; ++i) {
+      plan.mask.set(candidates_[order_[i]], true);
+    }
   }
 
-  for (const std::size_t s : picked) plan.mask.set(s, true);
   plan.duty = config_.explore_duty;
   plan.active = true;
   return plan;

@@ -1,6 +1,5 @@
 #include "snipr/core/snip_at.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -30,12 +29,11 @@ node::SchedulerDecision SnipAt::on_wakeup(const node::SensorContext& ctx) {
   return {.probe = true, .next_wakeup = cycle_};
 }
 
-std::int64_t SnipAt::skip_missed_probes(const node::SensorContext& ctx,
-                                        node::SchedulerDecision verdict,
-                                        sim::Duration charge,
-                                        std::int64_t max_k) {
+std::int64_t SnipAt::repeat_bound(const node::SensorContext& ctx,
+                                  node::SchedulerDecision verdict,
+                                  sim::Duration charge) const {
   if (!verdict.probe || verdict.next_wakeup != cycle_) return 0;
-  return std::min(max_k, node::probes_within_budget(ctx, ton_, charge));
+  return node::probes_within_budget(ctx, ton_, charge);
 }
 
 }  // namespace snipr::core

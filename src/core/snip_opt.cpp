@@ -75,20 +75,19 @@ node::SchedulerDecision SnipOpt::on_wakeup(const node::SensorContext& ctx) {
           .next_wakeup = std::max(*next - ctx.now, sim::Duration::seconds(1))};
 }
 
-std::int64_t SnipOpt::skip_missed_probes(const node::SensorContext& ctx,
-                                         node::SchedulerDecision verdict,
-                                         sim::Duration charge,
-                                         std::int64_t max_k) {
+std::int64_t SnipOpt::repeat_bound(const node::SensorContext& ctx,
+                                   node::SchedulerDecision verdict,
+                                   sim::Duration charge) const {
   const contact::SlotClock& clock = active_.slot_clock();
   const std::size_t slot = clock.slot_of(ctx.now);
   const sim::Duration cycle = verdict.next_wakeup;
   // Zero-duty slots hold a zero cycle, which no positive `cycle` equals.
   if (!verdict.probe || cycles_[slot] != cycle) return 0;
   const sim::TimePoint slot_end = clock.next_boundary(ctx.now).start;
-  return std::min(
-      {max_k, node::probes_within_budget(ctx, ton_, charge),
-       node::wakeups_through(ctx.now, cycle,
-                             slot_end - sim::Duration::microseconds(1))});
+  return std::min(node::probes_within_budget(ctx, ton_, charge),
+                  node::wakeups_through(
+                      ctx.now, cycle,
+                      slot_end - sim::Duration::microseconds(1)));
 }
 
 }  // namespace snipr::core

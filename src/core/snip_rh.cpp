@@ -110,10 +110,9 @@ node::SchedulerDecision SnipRh::on_wakeup(const node::SensorContext& ctx) {
   return {.probe = true, .next_wakeup = probe_cycle_};
 }
 
-std::int64_t SnipRh::skip_missed_probes(const node::SensorContext& ctx,
-                                        node::SchedulerDecision verdict,
-                                        sim::Duration charge,
-                                        std::int64_t max_k) {
+std::int64_t SnipRh::repeat_bound(const node::SensorContext& ctx,
+                                  node::SchedulerDecision verdict,
+                                  sim::Duration charge) const {
   // on_wakeup()'s rush and upload-threshold checks, passed at ctx.now,
   // hold for the rest of the slot. A zero duty leaves a zero cycle, which
   // no positive `cycle` equals; the budget bounds the run below.
@@ -124,10 +123,10 @@ std::int64_t SnipRh::skip_missed_probes(const node::SensorContext& ctx,
   }
   const sim::TimePoint slot_end =
       mask_.slot_clock().next_boundary(ctx.now).start;
-  return std::min(
-      {max_k, node::probes_within_budget(ctx, config_.ton, charge),
-       node::wakeups_through(ctx.now, cycle,
-                             slot_end - sim::Duration::microseconds(1))});
+  return std::min(node::probes_within_budget(ctx, config_.ton, charge),
+                  node::wakeups_through(
+                      ctx.now, cycle,
+                      slot_end - sim::Duration::microseconds(1)));
 }
 
 void SnipRh::on_contact_probed(const node::ProbedContactObservation& obs) {

@@ -4,12 +4,15 @@
 
 namespace snipr::node {
 
-std::int64_t Scheduler::skip_missed_probes(const SensorContext& /*ctx*/,
-                                           SchedulerDecision /*verdict*/,
-                                           sim::Duration /*charge*/,
-                                           std::int64_t /*max_k*/) {
+std::int64_t Scheduler::repeat_bound(const SensorContext& /*ctx*/,
+                                     SchedulerDecision /*verdict*/,
+                                     sim::Duration /*charge*/) const {
   return 0;
 }
+
+void Scheduler::commit_repeats(const SensorContext& /*ctx*/,
+                               SchedulerDecision /*verdict*/,
+                               std::int64_t /*k*/) {}
 
 void Scheduler::on_probe_detected(sim::TimePoint /*when*/) {}
 

@@ -89,7 +89,8 @@ void SensorNode::schedule_next(sim::Duration delay) {
 }
 
 void SensorNode::cpu_wakeup() {
-  const SchedulerDecision decision = scheduler_.on_wakeup(make_context());
+  const SensorContext ctx = make_context();
+  const SchedulerDecision decision = scheduler_.on_wakeup(ctx);
   if (!(decision.next_wakeup > sim::Duration::zero())) {
     throw std::logic_error("Scheduler returned a non-positive next_wakeup");
   }
@@ -99,10 +100,12 @@ void SensorNode::cpu_wakeup() {
   } else {
     // A non-probing wakeup touches neither the radio nor a fault stream:
     // only pending events and the run bound limit a run of them.
-    const std::int64_t k = vouched_run(decision, sim::Duration::zero(),
-                                       sim_.fast_forward_limit());
+    const std::int64_t k = within_limits(
+        scheduler_.repeat_bound(ctx, decision, sim::Duration::zero()),
+        decision.next_wakeup);
     if (k > 0) {
-      sim_.fast_forward(sim_.now() + decision.next_wakeup * k,
+      scheduler_.commit_repeats(ctx, decision, k);
+      sim_.fast_forward(ctx.now + decision.next_wakeup * k,
                         static_cast<std::size_t>(k));
     }
     schedule_next(decision.next_wakeup);
@@ -196,21 +199,17 @@ void SensorNode::snip_wakeup() {
   begin_transfer(*active, reply_end, last_next_wakeup, new_session);
 }
 
-std::int64_t SensorNode::vouched_run(SchedulerDecision verdict,
-                                     sim::Duration charge,
-                                     sim::TimePoint last) {
-  // Wakeups now + j·delay, j = 1..max_k, no later than `last` and within
-  // the simulator's event budget.
-  std::int64_t max_k = wakeups_through(sim_.now(), verdict.next_wakeup, last);
+std::int64_t SensorNode::within_limits(std::int64_t bound,
+                                       sim::Duration delay) const {
+  // Wakeups now + j·delay, j = 1..bound, no later than the simulator's
+  // limit and within its event budget. A bound of 0 reads neither.
+  if (bound <= 0) return 0;
+  const std::int64_t through =
+      wakeups_through(sim_.now(), delay, sim_.fast_forward_limit());
   const std::size_t budget = sim_.fast_forward_budget();
-  if (static_cast<std::uint64_t>(max_k) > budget) {
-    max_k = static_cast<std::int64_t>(budget);
-  }
-  if (max_k <= 0) return 0;
-  const std::int64_t k =
-      scheduler_.skip_missed_probes(make_context(), verdict, charge, max_k);
-  if (k > max_k) {
-    throw std::logic_error("Scheduler skipped more wakeups than allowed");
+  std::int64_t k = std::min(bound, through);
+  if (static_cast<std::uint64_t>(k) > budget) {
+    k = static_cast<std::int64_t>(budget);
   }
   return k;
 }
@@ -220,6 +219,14 @@ void SensorNode::fast_forward_misses(sim::TimePoint t0, sim::Duration cycle) {
   if (faults_ != nullptr && faults_->spec().radio.spurious_detect_prob > 0.0) {
     return;
   }
+  // The scheduler answers first: a run it does not vouch for costs no
+  // walk of the schedule.
+  const SensorContext ctx = make_context();
+  const SchedulerDecision verdict{.probe = true, .next_wakeup = cycle};
+  const std::int64_t bound = scheduler_.repeat_bound(ctx, verdict, config_.ton);
+  if (bound <= 0 || channel_.active_contact(t0).has_value()) return;
+  std::int64_t k = within_limits(bound, cycle);
+  if (k <= 0) return;
   // A probe at a grid point t0 + j·cycle that no contact covers finds no
   // receiver: try_deliver() fails without an RNG draw, and miss_probe(),
   // which only runs on a delivered reply, does not run either. So the
@@ -227,37 +234,24 @@ void SensorNode::fast_forward_misses(sim::TimePoint t0, sim::Duration cycle) {
   // points, and must end before the first contact a grid point lands in.
   // "Lands in" takes the closed interval [arrival, departure], where even
   // a zero-airtime frame finds nobody outside it. The walk reads the
-  // schedule forward from the channel's cursor and stops at the
-  // simulator's next event, so it never looks past where a run can reach.
-  // A miss on the grid of the previous walk resumes where that walk
-  // stopped: the scheduler may have vouched for fewer wakeups than the
-  // walk allowed (a slot end, the hook withheld), and re-walking from the
-  // cursor at every such miss would cost as many contacts again. A
-  // contact the resumed walk finds already departed has no grid point
-  // ahead of t0 in it, so it counts as stepped over, as it should.
-  if (channel_.active_contact(t0).has_value()) return;
+  // schedule forward from the channel's cursor and stops at the run's
+  // last grid point, so it never looks past where the run can reach.
   const std::vector<contact::Contact>& contacts =
       channel_.schedule().contacts();
-  const bool same_grid = cycle == walk_cycle_ &&
-                         (t0 - walk_grid_).count() % cycle.count() == 0;
-  std::size_t i = same_grid ? walk_next_ : channel_.next_arrival_index(t0);
-  sim::TimePoint last = sim_.fast_forward_limit();
-  for (; i < contacts.size() && contacts[i].arrival <= last; ++i) {
+  const sim::TimePoint last = t0 + cycle * k;
+  for (std::size_t i = channel_.next_arrival_index(t0);
+       i < contacts.size() && contacts[i].arrival <= last; ++i) {
     const contact::Contact& c = contacts[i];
     // The first grid point of the run at or after the arrival.
     const std::int64_t j = std::max<std::int64_t>(
         1, ((c.arrival - t0).count() + cycle.count() - 1) / cycle.count());
     if (t0 + cycle * j <= c.departure()) {
-      last = c.arrival - sim::Duration::microseconds(1);
+      k = j - 1;
       break;
     }
   }
-  walk_grid_ = t0;
-  walk_cycle_ = cycle;
-  walk_next_ = i;
-  const std::int64_t k =
-      vouched_run({.probe = true, .next_wakeup = cycle}, config_.ton, last);
   if (k <= 0) return;
+  scheduler_.commit_repeats(ctx, verdict, k);
   // The k misses, charged as the per-wakeup path charges each one. Every
   // charge is an integer duration, so k of them sum exactly.
   const radio::LinkParams& link = channel_.link();

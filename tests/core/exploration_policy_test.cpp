@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
+
+#include "snipr/sim/rng.hpp"
 
 namespace snipr::core {
 namespace {
@@ -145,6 +153,106 @@ TEST(ExplorationPolicy, UcbWithZeroBonusExploitsBestCensoredScore) {
   const ExplorationPlan plan = policy.plan_epoch(learner, mask);
   ASSERT_TRUE(plan.active);
   EXPECT_TRUE(plan.mask.is_rush_slot(11));
+}
+
+/// The UCB plan as first written: every candidate's index, a stable
+/// descending sort of all of them, the first m taken. Sets
+/// `boundary_tie` when the m-th pick ties with the first one left out,
+/// where the choice rests on the tie-break alone.
+ExplorationPlan stable_sort_ucb_plan(const ExplorationConfig& cfg,
+                                     const RushHourLearner& learner,
+                                     const RushHourMask& rush_mask,
+                                     bool& boundary_tie) {
+  boundary_tie = false;
+  const std::size_t n = rush_mask.slot_count();
+  ExplorationPlan plan{.mask = RushHourMask{learner.epoch(), n},
+                       .duty = 0.0,
+                       .active = false};
+  std::vector<std::size_t> candidates;
+  for (std::size_t s = 0; s < n; ++s) {
+    if (!rush_mask.is_rush_slot(s)) candidates.push_back(s);
+  }
+  if (candidates.empty()) return plan;
+  const std::size_t want = std::max<std::size_t>(
+      1, static_cast<std::size_t>(
+             std::llround(cfg.epsilon * static_cast<double>(n))));
+  const std::size_t m = std::min(want, candidates.size());
+  const std::vector<double>& scores = learner.scores();
+  const std::vector<std::uint32_t>& samples = learner.slot_samples();
+  double max_score = 0.0;
+  for (const double v : scores) max_score = std::max(max_score, v);
+  if (max_score <= 0.0) max_score = 1.0;
+  const double horizon =
+      std::log1p(static_cast<double>(learner.epochs_observed()));
+  std::vector<double> index(candidates.size(), 0.0);
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const std::size_t s = candidates[i];
+    index[i] = scores[s] / max_score +
+               cfg.ucb_c *
+                   std::sqrt(horizon /
+                             (1.0 + static_cast<double>(samples[s])));
+  }
+  std::vector<std::size_t> order(candidates.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return index[a] > index[b];
+                   });
+  for (std::size_t i = 0; i < m; ++i) plan.mask.set(candidates[order[i]], true);
+  boundary_tie = m < order.size() && index[order[m - 1]] == index[order[m]];
+  plan.duty = cfg.explore_duty;
+  plan.active = true;
+  return plan;
+}
+
+TEST(ExplorationPolicy, UcbPlanMatchesTheStableSortSelection) {
+  // Random scores and sample counts drawn from a few values, so many
+  // candidates tie on their index, over random masks (some covering
+  // every slot) and slot counts. One policy plans every state of a
+  // config in turn, reusing its buffers as the candidate count moves.
+  sim::Rng rng{2024};
+  const std::vector<double> score_values{0.0, 0.25, 1.0, 3.0};
+  const std::vector<std::size_t> slot_counts{4, 6, 8, 12, 24, 48};
+  std::size_t ties = 0;
+  for (int config = 0; config < 60; ++config) {
+    ExplorationConfig cfg = config_of(ExplorationPolicyKind::kUcb);
+    cfg.epsilon = rng.uniform(0.01, 1.0);
+    cfg.ucb_c = rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.0, 3.0);
+    ExplorationPolicy policy{cfg};
+    const std::size_t n = slot_counts[rng.uniform_int(slot_counts.size())];
+    const RushHourLearner fresh{Duration::hours(24), n, 4};
+    for (int state = 0; state < 20; ++state) {
+      RushHourLearner::Snapshot snap = fresh.snapshot();
+      for (double& v : snap.scores) {
+        v = score_values[rng.uniform_int(score_values.size())];
+      }
+      for (std::uint32_t& v : snap.slot_samples) {
+        v = static_cast<std::uint32_t>(rng.uniform_int(3));
+      }
+      snap.epochs = rng.uniform_int(20);
+      RushHourLearner learner = fresh;
+      learner.restore(snap);
+      RushHourMask mask{Duration::hours(24), n};
+      const double rush_share = rng.bernoulli(0.1) ? 1.0 : rng.uniform();
+      for (std::size_t s = 0; s < n; ++s) {
+        if (rng.bernoulli(rush_share)) mask.set(s, true);
+      }
+      bool boundary_tie = false;
+      const ExplorationPlan expected =
+          stable_sort_ucb_plan(cfg, learner, mask, boundary_tie);
+      const ExplorationPlan plan = policy.plan_epoch(learner, mask);
+      const std::string label =
+          std::to_string(config) + "/" + std::to_string(state);
+      EXPECT_EQ(plan.active, expected.active) << label;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(plan.duty),
+                std::bit_cast<std::uint64_t>(expected.duty))
+          << label;
+      EXPECT_EQ(plan.mask.bits(), expected.mask.bits()) << label;
+      if (boundary_tie) ++ties;
+    }
+  }
+  // A tie across the cut is the case a selection could break otherwise.
+  EXPECT_GT(ties, 100U);
 }
 
 TEST(ExplorationPolicy, OptimismLiftsUnexploredSlotIntoContention) {

@@ -1,6 +1,8 @@
-/// Unit tests of `Scheduler::skip_missed_probes` for the four core
-/// schedulers. Every case runs two identically configured schedulers:
-/// one skips a run of missed probes or idle polls through the hook, its
+/// Unit tests of the fast-forward pair `Scheduler::repeat_bound` /
+/// `commit_repeats` for the four core schedulers, driven as a node drives
+/// them (tests/support/skip_run.hpp: the bound capped at `max_k`, then
+/// committed). Every case runs two identically configured schedulers:
+/// one skips a run of missed probes or idle polls through the pair, its
 /// twin makes the same wakeups one on_wakeup() call at a time, and the
 /// two must agree on every verdict and end in the same state
 /// (checkpoint(), which carries the adaptive learner's effort sums in
@@ -28,6 +30,7 @@
 #include "snipr/core/snip_at.hpp"
 #include "snipr/core/snip_opt.hpp"
 #include "snipr/core/snip_rh.hpp"
+#include "support/skip_run.hpp"
 
 namespace snipr::core {
 namespace {
@@ -37,6 +40,7 @@ using node::SchedulerDecision;
 using node::SensorContext;
 using sim::Duration;
 using sim::TimePoint;
+using testing::skip_run;
 
 constexpr Duration kTon = Duration::milliseconds(20);
 constexpr Duration kMicro = Duration::microseconds(1);
@@ -76,7 +80,7 @@ std::int64_t skip_against_twin(Scheduler& fast, Scheduler& ref,
   }
   const Duration charge = probing ? kTon : Duration::zero();
   ctx.budget_used += charge;
-  const std::int64_t k = fast.skip_missed_probes(ctx, first, charge, max_k);
+  const std::int64_t k = skip_run(fast, ctx, first, charge, max_k);
   EXPECT_GE(k, 0);
   EXPECT_LE(k, max_k);
   SensorContext step = ctx;
@@ -122,14 +126,13 @@ TEST(SkipMissedProbes, SnipAtHonoursMaxKAndItsOwnCycle) {
   EXPECT_EQ(skip_against_twin(fast, ref, context(at_s(0)), 3), 3);
   // A cycle the scheduler would not return (a decorator's, say): no run.
   SnipAt at{0.01, kTon};
-  EXPECT_EQ(at.skip_missed_probes(context(at_s(0), kTon),
-                                  probing(at.cycle() + kMicro), kTon,
-                                  kUnbounded),
+  EXPECT_EQ(skip_run(at, context(at_s(0), kTon), probing(at.cycle() + kMicro),
+                     kTon, kUnbounded),
             0);
   // The hook is only ever offered a run the budget allows; an exhausted
   // budget at ctx.now skips nothing.
-  EXPECT_EQ(at.skip_missed_probes(context(at_s(0), kTon * 10, kTon * 10),
-                                  probing(at.cycle()), kTon, kUnbounded),
+  EXPECT_EQ(skip_run(at, context(at_s(0), kTon * 10, kTon * 10),
+                     probing(at.cycle()), kTon, kUnbounded),
             0);
 }
 
@@ -201,13 +204,12 @@ TEST(SkipMissedProbes, SnipRhSkipsNothingBelowTheUploadThreshold) {
   SnipRh rh = rush_seven();
   const Duration cycle = rh.on_wakeup(context(at_s(25300))).next_wakeup;
   // min_data_bytes = 1: an empty buffer would not probe.
-  EXPECT_EQ(rh.skip_missed_probes(
-                context(at_s(25300), kTon, Duration::max(), 0.5),
-                probing(cycle), kTon, kUnbounded),
+  EXPECT_EQ(skip_run(rh, context(at_s(25300), kTon, Duration::max(), 0.5),
+                     probing(cycle), kTon, kUnbounded),
             0);
   // Outside the rush slot nothing is skipped either.
-  EXPECT_EQ(rh.skip_missed_probes(context(at_s(3600), kTon), probing(cycle),
-                                  kTon, kUnbounded),
+  EXPECT_EQ(skip_run(rh, context(at_s(3600), kTon), probing(cycle), kTon,
+                     kUnbounded),
             0);
 }
 
@@ -220,8 +222,7 @@ TEST(SkipMissedProbes, SnipRhCachedCycleFollowsEveryEstimateChange) {
     EXPECT_EQ(d.next_wakeup,
               std::max(Duration::seconds(kTon.to_seconds() / rh.duty()),
                        kTon));
-    EXPECT_EQ(rh.skip_missed_probes(context(at_s(25300), kTon), d, kTon, 1),
-              1);
+    EXPECT_EQ(skip_run(rh, context(at_s(25300), kTon), d, kTon, 1), 1);
   };
   SnipRh rh = rush_seven();
   expect_fresh(rh);
@@ -424,8 +425,7 @@ TEST(SkipMissedProbes, AdaptiveExploitOutsideTheMaskSkipsNothing) {
   learn_rush_seven_and_seventeen(s);
   const SensorContext ctx = context(at_s(2 * 86400.0 + 3 * 3600), kTon);
   EXPECT_EQ(
-      s.skip_missed_probes(ctx, probing(Duration::seconds(2)), kTon,
-                           kUnbounded),
+      skip_run(s, ctx, probing(Duration::seconds(2)), kTon, kUnbounded),
       0);
 }
 
@@ -529,22 +529,22 @@ TEST(SkipMissedProbes, TrackerRunNeedsTheTrackersOwnProbeOutsideTheMask) {
   ASSERT_TRUE(rush.probe);
   EXPECT_LT(rush.next_wakeup, kTrackerCycle);
   const SchedulerDecision tracker{.probe = true, .next_wakeup = kTrackerCycle};
-  EXPECT_EQ(in_mask.skip_missed_probes(context(day2(7.5), kTon), tracker,
-                                       kTon, kUnbounded),
+  EXPECT_EQ(skip_run(in_mask, context(day2(7.5), kTon), tracker, kTon,
+                     kUnbounded),
             0);
   // Outside the mask, but with the tracker not due one cycle later: no
   // run.
   AdaptiveSnipRh out{Duration::hours(24), 24, adaptive_config(1e-4)};
   learn_rush_seven_and_seventeen(out);
   ASSERT_EQ(out.on_wakeup(context(day2(3))).next_wakeup, kTrackerCycle);
-  EXPECT_EQ(out.skip_missed_probes(context(day2(3) + kMicro, kTon), tracker,
-                                   kTon, kUnbounded),
+  EXPECT_EQ(skip_run(out, context(day2(3) + kMicro, kTon), tracker, kTon,
+                     kUnbounded),
             0);
   // The same verdict in the learning phase: the learning duty's cycle is
   // not the tracker's, so nothing is skipped.
   AdaptiveSnipRh learning{Duration::hours(24), 24, adaptive_config(1e-4)};
-  EXPECT_EQ(learning.skip_missed_probes(context(at_s(100), kTon), tracker,
-                                        kTon, kUnbounded),
+  EXPECT_EQ(skip_run(learning, context(at_s(100), kTon), tracker, kTon,
+                     kUnbounded),
             0);
 }
 
@@ -606,7 +606,7 @@ TEST(SkipMissedProbes, PollInTheEpochsLastSecondSkipsNothing) {
         spent(at_s(3 * 86400.0) - Duration::milliseconds(750));
     const SchedulerDecision d = s.on_wakeup(ctx);
     ASSERT_FALSE(d.probe);
-    EXPECT_EQ(s.skip_missed_probes(ctx, d, Duration::zero(), kUnbounded), 0);
+    EXPECT_EQ(skip_run(s, ctx, d, Duration::zero(), kUnbounded), 0);
   }
 }
 
@@ -617,17 +617,13 @@ TEST(SkipMissedProbes, PollRunNeedsAnExploitPhaseWithAnOverdueTracker) {
   // even a 1 s poll verdict is not vouched for.
   AdaptiveSnipRh learning{Duration::hours(24), 24, adaptive_config(1e-4)};
   EXPECT_EQ(learning.on_wakeup(ctx).next_wakeup, Duration::minutes(10));
-  EXPECT_EQ(learning.skip_missed_probes(ctx, poll, Duration::zero(),
-                                        kUnbounded),
-            0);
+  EXPECT_EQ(skip_run(learning, ctx, poll, Duration::zero(), kUnbounded), 0);
   // No tracker: SNIP-RH sleeps to the epoch end, and no poll is vouched
   // for either.
   AdaptiveSnipRh untracked{Duration::hours(24), 24, adaptive_config(0.0)};
   learn_rush_seven_and_seventeen(untracked);
   EXPECT_EQ(untracked.on_wakeup(ctx).next_wakeup, at_s(3 * 86400.0) - ctx.now);
-  EXPECT_EQ(untracked.skip_missed_probes(ctx, poll, Duration::zero(),
-                                         kUnbounded),
-            0);
+  EXPECT_EQ(skip_run(untracked, ctx, poll, Duration::zero(), kUnbounded), 0);
   // A tracker due 5.5 s from now sets the sleep itself; a 1 s poll
   // verdict is not vouched for before it falls due.
   AdaptiveSnipRh learned{Duration::hours(24), 24, adaptive_config(1e-4)};
@@ -638,18 +634,14 @@ TEST(SkipMissedProbes, PollRunNeedsAnExploitPhaseWithAnOverdueTracker) {
   AdaptiveSnipRh pending{Duration::hours(24), 24, adaptive_config(1e-4)};
   ASSERT_TRUE(pending.restore(joined(tokens)));
   EXPECT_EQ(pending.on_wakeup(ctx).next_wakeup, Duration::milliseconds(5500));
-  EXPECT_EQ(pending.skip_missed_probes(ctx, poll, Duration::zero(),
-                                       kUnbounded),
-            0);
+  EXPECT_EQ(skip_run(pending, ctx, poll, Duration::zero(), kUnbounded), 0);
   // An affordable budget: no poll verdict to repeat.
-  EXPECT_EQ(learned.skip_missed_probes(context(day2(3)), poll,
-                                       Duration::zero(), kUnbounded),
+  EXPECT_EQ(skip_run(learned, context(day2(3)), poll, Duration::zero(),
+                     kUnbounded),
             0);
   // The overdue tracker with the budget spent: the run reaches the slot
   // end.
-  EXPECT_EQ(learned.skip_missed_probes(ctx, poll, Duration::zero(),
-                                       kUnbounded),
-            3599);
+  EXPECT_EQ(skip_run(learned, ctx, poll, Duration::zero(), kUnbounded), 3599);
 }
 
 TEST(SkipMissedProbes, PollRunWaitsForAPendingExplorationProbe) {
@@ -666,8 +658,7 @@ TEST(SkipMissedProbes, PollRunWaitsForAPendingExplorationProbe) {
   ASSERT_TRUE(pending.restore(with_plan(learned, {3}, soon)));
   const SchedulerDecision d = pending.on_wakeup(ctx);
   EXPECT_EQ(d.next_wakeup, kPoll);
-  EXPECT_EQ(pending.skip_missed_probes(ctx, d, Duration::zero(), kUnbounded),
-            0);
+  EXPECT_EQ(skip_run(pending, ctx, d, Duration::zero(), kUnbounded), 0);
   EXPECT_EQ(pending.on_wakeup(spent(ctx.now + kPoll * 5)).next_wakeup,
             Duration::milliseconds(500));
   // An overdue floor in the slot, or a pending one outside the planned
@@ -750,7 +741,7 @@ Skipped replay(Scheduler& fast, Scheduler& ref, const Replay& r) {
       const std::int64_t max_k =
           node::wakeups_through(t, delay, boundary - kMicro);
       const std::int64_t k =
-          max_k > 0 ? fast.skip_missed_probes(at(t), df, charge, max_k) : 0;
+          max_k > 0 ? skip_run(fast, at(t), df, charge, max_k) : 0;
       EXPECT_GE(k, 0);
       EXPECT_LE(k, max_k);
       for (std::int64_t j = 1; j <= k; ++j) {

@@ -1,13 +1,16 @@
 /// SensorNode-level tests of the fast-forward of missed probes and idle
 /// polls. Each case runs the same world three times: with the plain
 /// scheduler (runs are skipped), wrapped in the pass-through decorator
-/// that withholds `skip_missed_probes` (every wakeup simulated: the
+/// that withholds `repeat_bound` (every wakeup simulated: the
 /// reference), and wrapped in its hook-forwarding counting form. The
 /// runs must agree on `run_until`/`step` event counts, the simulator
 /// clock and pending events, every counter, every field of the per-epoch
 /// history, the probing meter (as Joules, hexfloat) and the
 /// probed-contact log — at contacts arriving exactly on a would-be
-/// wakeup, contacts a run steps over between two wakeups, a wakeup tied
+/// wakeup, contacts a run steps over between two wakeups, a walk capped
+/// by the scheduler's bound (a contact on the bound's grid point, 1 µs
+/// after it, zero-length, a bound of 1, a bound beyond the event
+/// budget), a wakeup tied
 /// with the epoch boundary, zero-length contacts, a cycle shorter than
 /// Ton, run_until split into pieces, step(n), two nodes sharing one
 /// simulator, poll runs ending at an epoch event or another node's
@@ -17,6 +20,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -41,28 +46,43 @@ using Hook = PassThroughScheduler::Hook;
 
 TimePoint at_s(double s) { return TimePoint::zero() + Duration::seconds(s); }
 
-/// Probes on every wakeup at one cycle and vouches for any run of it.
+/// Probes on every wakeup at one cycle and vouches for a run of it up to
+/// `bound` wakeups long; records each run the node commits.
 class FixedProbe final : public Scheduler {
  public:
-  explicit FixedProbe(Duration cycle) : cycle_{cycle} {}
+  struct Run {
+    TimePoint now;
+    std::int64_t k;
+  };
+
+  explicit FixedProbe(
+      Duration cycle,
+      std::int64_t bound = std::numeric_limits<std::int64_t>::max())
+      : cycle_{cycle}, bound_{bound} {}
   SchedulerDecision on_wakeup(const SensorContext&) override {
     return {.probe = true, .next_wakeup = cycle_};
   }
-  std::int64_t skip_missed_probes(const SensorContext&,
-                                  SchedulerDecision verdict, Duration,
-                                  std::int64_t max_k) override {
+  std::int64_t repeat_bound(const SensorContext&, SchedulerDecision verdict,
+                            Duration) const override {
     ++hook_calls;
-    return verdict.probe && verdict.next_wakeup == cycle_ ? max_k : 0;
+    return verdict.probe && verdict.next_wakeup == cycle_ ? bound_ : 0;
+  }
+  void commit_repeats(const SensorContext& ctx, SchedulerDecision,
+                      std::int64_t k) override {
+    runs.push_back({ctx.now, k});
   }
   std::string name() const override { return "fixed"; }
-  std::uint64_t hook_calls{0};
+  mutable std::uint64_t hook_calls{0};
+  std::vector<Run> runs;
 
  private:
   Duration cycle_;
+  std::int64_t bound_;
 };
 
 /// Never probes, polls at one period, and vouches for any run of polls;
-/// records each run the node offers.
+/// records each run the node commits (`max_k`: the run's length, all the
+/// node's limits allowed).
 class FixedPoll final : public Scheduler {
  public:
   struct Offer {
@@ -74,14 +94,17 @@ class FixedPoll final : public Scheduler {
   SchedulerDecision on_wakeup(const SensorContext&) override {
     return {.probe = false, .next_wakeup = period_};
   }
-  std::int64_t skip_missed_probes(const SensorContext& ctx,
-                                  SchedulerDecision verdict, Duration charge,
-                                  std::int64_t max_k) override {
+  std::int64_t repeat_bound(const SensorContext&, SchedulerDecision verdict,
+                            Duration charge) const override {
     EXPECT_FALSE(verdict.probe);
     EXPECT_EQ(verdict.next_wakeup, period_);
     EXPECT_TRUE(charge.is_zero());
-    offers.push_back({ctx.now, max_k});
-    return max_k;
+    return std::numeric_limits<std::int64_t>::max();
+  }
+  void commit_repeats(const SensorContext& ctx, SchedulerDecision verdict,
+                      std::int64_t k) override {
+    EXPECT_FALSE(verdict.probe);
+    offers.push_back({ctx.now, k});
   }
   std::string name() const override { return "poll"; }
   std::vector<Offer> offers;
@@ -202,7 +225,7 @@ std::string fingerprint(World& w) {
   return out;
 }
 
-using MakeScheduler = std::unique_ptr<Scheduler> (*)();
+using MakeScheduler = std::function<std::unique_ptr<Scheduler>()>;
 
 std::unique_ptr<Scheduler> snip_at() {
   // d = 0.01 with Ton = 20 ms: a 2 s cycle.
@@ -338,6 +361,82 @@ TEST(FastForward, CycleShorterThanTonIsNeverSkipped) {
             0U);
 }
 
+TEST(FastForward, WalkStopsAtTheSchedulersBound) {
+  // Probes every 2 s from t = 0 under a scheduler that vouches for at
+  // most B wakeups per miss, so the node walks the schedule only to
+  // t0 + B·cycle. A contact arriving exactly on that last grid point, even
+  // a zero-length one, is a probe the run may not skip: the first run
+  // stops at B − 1. One arriving 1 µs later is stepped over up to the
+  // bound, and the run takes all B wakeups.
+  struct Case {
+    std::int64_t bound;
+    Duration late;
+    Duration length;
+    std::int64_t first_run;
+  };
+  const Duration micro = Duration::microseconds(1);
+  for (const Case& c : {Case{5, Duration::zero(), Duration::seconds(3), 4},
+                        Case{5, micro, Duration::seconds(3), 5},
+                        Case{5, Duration::zero(), Duration::zero(), 4},
+                        Case{5, micro, Duration::zero(), 5},
+                        Case{1, Duration::zero(), Duration::seconds(3), 0},
+                        Case{1, micro, Duration::seconds(3), 1},
+                        Case{1, Duration::zero(), Duration::zero(), 0}}) {
+    const Duration cycle = Duration::seconds(2);
+    const std::vector<Contact> contacts{
+        {TimePoint::zero() + cycle * c.bound + c.late, c.length},
+        {at_s(101), Duration::seconds(1)}};
+    const MakeScheduler make = [&] {
+      return std::unique_ptr<Scheduler>{
+          std::make_unique<FixedProbe>(cycle, c.bound)};
+    };
+    EXPECT_GT(expect_identical(contacts, make, at_s(200)), 0U);
+    World w{1};
+    auto fixed = std::make_unique<FixedProbe>(cycle, c.bound);
+    const FixedProbe& probe = *fixed;
+    w.add(contacts, std::move(fixed));
+    w.simulator.run_until(at_s(200));
+    ASSERT_FALSE(probe.runs.empty());
+    const std::string label = std::to_string(c.bound) + "/" +
+                              std::to_string(c.late.count()) + "/" +
+                              std::to_string(c.length.count());
+    if (c.first_run == 0) {
+      EXPECT_GT(probe.runs[0].now, at_s(0)) << label;
+    } else {
+      EXPECT_EQ(probe.runs[0].now, at_s(0)) << label;
+      EXPECT_EQ(probe.runs[0].k, c.first_run) << label;
+    }
+    for (const FixedProbe::Run& r : probe.runs) {
+      EXPECT_GT(r.k, 0) << label;
+      EXPECT_LE(r.k, c.bound) << label;
+    }
+  }
+}
+
+TEST(FastForward, BoundBeyondTheEventBudget) {
+  // step(7) leaves a wakeup at most six more events: a bound of 1000
+  // is cut to the budget, and the steps still match the reference.
+  const std::vector<Contact> contacts{{at_s(501), Duration::seconds(2)}};
+  World plain{1};
+  auto fixed = std::make_unique<FixedProbe>(Duration::seconds(2), 1000);
+  const FixedProbe& probe = *fixed;
+  plain.add(contacts, std::move(fixed));
+  World reference{1};
+  reference.add(contacts,
+                wrap(std::make_unique<FixedProbe>(Duration::seconds(2), 1000),
+                     Variant::kReference));
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(plain.simulator.step(7), 7U) << i;
+    ASSERT_EQ(reference.simulator.step(7), 7U) << i;
+    ASSERT_EQ(fingerprint(plain), fingerprint(reference)) << i;
+  }
+  ASSERT_FALSE(probe.runs.empty());
+  for (const FixedProbe::Run& r : probe.runs) {
+    EXPECT_GT(r.k, 0);
+    EXPECT_LT(r.k, 7);
+  }
+}
+
 TEST(FastForward, RunUntilSplitIntoPieces) {
   const std::vector<Contact> contacts{{at_s(20), Duration::seconds(1)},
                                       {at_s(3700), Duration::seconds(4)}};
@@ -424,7 +523,7 @@ TEST(FastForward, PollRunStopsBeforeTheEpochEvent) {
     prints.push_back(fingerprint(w));
     if (v == Variant::kPlain) {
       // The run_until bound leaves no room for a run after the poll at
-      // 7200 s, so the hook is not asked there.
+      // 7200 s, so no run is committed there.
       ASSERT_EQ(fixed->offers.size(), 2U);
       EXPECT_EQ(fixed->offers[0].now, at_s(0));
       EXPECT_EQ(fixed->offers[0].max_k, 3599);

@@ -1,11 +1,11 @@
 /// Property: fast-forwarding runs of repeated verdicts changes no output
 /// bit.
 ///
-/// A node whose scheduler overrides `Scheduler::skip_missed_probes`
-/// charges a run of provably empty SNIP wakeups, or of idle polls, in one
-/// step; wrapped in the pass-through decorator
+/// A node whose scheduler overrides `Scheduler::repeat_bound` (and
+/// `commit_repeats`) charges a run of provably empty SNIP wakeups, or of
+/// idle polls, in one step; wrapped in the pass-through decorator
 /// (tests/support/pass_through_scheduler.hpp), which withholds that
-/// hook, the same scheduler runs every wakeup through `on_wakeup`. The
+/// pair, the same scheduler runs every wakeup through `on_wakeup`. The
 /// two must agree byte for byte:
 ///  - on a reduced copy of every fleet catalog entry, through
 ///    `FleetEngine::run`'s schedules overload (`snipr.fleet.v1`/`v3`
@@ -23,7 +23,9 @@
 ///    airtime, under frame loss and probe-miss and abort faults (a
 ///    spurious-detection fault keeps every probe on the per-wakeup path),
 ///    for every strategy and adaptive SNIP-RH under every exploration
-///    policy with a nonzero tracking duty.
+///    policy with a nonzero tracking duty, and with the scheduler's bound
+///    capped at a few wakeups so walks end exactly on, or 1 µs before,
+///    a contact (zero-length ones included).
 /// A third, hook-forwarding counting run shows the fast path really ran:
 /// its scheduler calls plus skipped wakeups equal the reference's calls.
 
@@ -541,6 +543,95 @@ TEST(AdversarialFastForward, ProbesInsideAContactsLastAirtimeOrAtItsArrival) {
     EXPECT_GT(tally.skipped_probes.load(), 0U);
     if (frame_loss == 0.0) {
       EXPECT_EQ(tally.contacts_probed.load(), 1U);
+    }
+  }
+}
+
+/// Caps its scheduler's bound at `cap` wakeups, so node walks end at
+/// grid points a contact may sit on; forwards everything else.
+class CappedBound final : public node::Scheduler {
+ public:
+  CappedBound(std::unique_ptr<node::Scheduler> inner, std::int64_t cap)
+      : inner_{std::move(inner)}, cap_{cap} {}
+  node::SchedulerDecision on_wakeup(const node::SensorContext& ctx) override {
+    return inner_->on_wakeup(ctx);
+  }
+  std::int64_t repeat_bound(const node::SensorContext& ctx,
+                            node::SchedulerDecision verdict,
+                            sim::Duration charge) const override {
+    return std::min(cap_, inner_->repeat_bound(ctx, verdict, charge));
+  }
+  void commit_repeats(const node::SensorContext& ctx,
+                      node::SchedulerDecision verdict,
+                      std::int64_t k) override {
+    inner_->commit_repeats(ctx, verdict, k);
+  }
+  void on_probe_detected(sim::TimePoint when) override {
+    inner_->on_probe_detected(when);
+  }
+  void on_contact_probed(const node::ProbedContactObservation& obs) override {
+    inner_->on_contact_probed(obs);
+  }
+  void on_epoch_start(std::int64_t epoch_index) override {
+    inner_->on_epoch_start(epoch_index);
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<node::Scheduler> inner_;
+  std::int64_t cap_;
+};
+
+TEST(AdversarialFastForward, CappedWalksEndingOnAContact) {
+  // A SNIP-AT node probing every 20 s from t = 0 keeps its grid j·20 s
+  // while it detects nothing, and every miss starts a run whose bound
+  // (capped at B) ends on a grid point. Contacts sit on random grid
+  // points: zero-length ones exactly on them (a grid point lands in
+  // them, but no beacon fits, so the grid survives), and ones shorter
+  // than the cycle 1 µs after them (stepped over). A run whose last
+  // grid point holds a contact stops one short of B; one 1 µs after it
+  // keeps B. The last contact, 5 ms long, arrives exactly on a grid
+  // point and is probed without frame loss.
+  const core::RoadsideScenario& scenario =
+      core::ScenarioCatalog::instance().at("roadside").scenario;
+  const sim::Duration ton = sim::Duration::seconds(scenario.snip.ton_s);
+  const sim::Duration cycle = core::SnipAt{0.001, ton}.cycle();
+  const sim::Duration micro = sim::Duration::microseconds(1);
+  const sim::Duration horizon =
+      scenario.profile.epoch() * static_cast<std::int64_t>(kAdversarialEpochs);
+  sim::Rng rng{kSeed};
+  std::vector<contact::Contact> contacts;
+  std::int64_t j = 1;
+  for (; cycle * (j + 8) < horizon;
+       j += 1 + static_cast<std::int64_t>(rng.uniform_int(4))) {
+    const sim::TimePoint grid = sim::TimePoint::zero() + cycle * j;
+    if (rng.bernoulli(0.5)) {
+      contacts.push_back({grid, sim::Duration::zero()});
+    } else {
+      contacts.push_back({grid + micro, random_span(rng, 1e-6, 10.0)});
+    }
+  }
+  contacts.push_back({sim::TimePoint::zero() + cycle * (j + 1),
+                      sim::Duration::milliseconds(5)});
+  const std::vector<contact::ContactSchedule> schedules{
+      contact::ContactSchedule{std::move(contacts)}};
+  for (const std::int64_t cap : {1, 2, 3, 7}) {
+    for (const double frame_loss : {0.5, 0.0}) {
+      const std::string label = "cap " + std::to_string(cap) +
+                                ", frame loss " + std::to_string(frame_loss);
+      PassThroughTally tally;
+      expect_same_fleet_json(
+          schedules,
+          [ton, cap] {
+            return std::make_unique<CappedBound>(
+                std::make_unique<core::SnipAt>(0.001, ton), cap);
+          },
+          adversarial_config(scenario, 1e9, frame_loss), nullptr, label,
+          tally);
+      EXPECT_GT(tally.skipped_probes.load(), 0U) << label;
+      if (frame_loss == 0.0) {
+        EXPECT_EQ(tally.contacts_probed.load(), 1U) << label;
+      }
     }
   }
 }

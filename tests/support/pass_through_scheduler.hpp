@@ -14,14 +14,18 @@
 
 /// \file pass_through_scheduler.hpp
 /// A Scheduler decorator that forwards every virtual to the scheduler it
-/// wraps except `skip_missed_probes`, which it leaves at the base
-/// default (0). A node running a wrapped scheduler therefore takes the
-/// per-wakeup path on every wakeup, the reference the fast-forward of
-/// runs of missed probes and idle polls must reproduce byte for byte.
+/// wraps except the fast-forward pair `repeat_bound`/`commit_repeats`,
+/// which it leaves at the base defaults (a bound of 0). A node running a
+/// wrapped scheduler therefore takes the per-wakeup path on every wakeup,
+/// the reference the fast-forward of runs of missed probes and idle polls
+/// must reproduce byte for byte.
 ///
-/// Constructed with `Hook::kForward` it forwards the hook too, and is a
+/// Constructed with `Hook::kForward` it forwards the pair too, and is a
 /// transparent counter: the differential tests use that form to show the
-/// fast path really ran. It counts skipped probes and skipped idle polls
+/// fast path really ran. Every commit must follow the bound it commits
+/// against: 0 < k <= the bound the decorator returned at the same
+/// `ctx.now` and verdict, with no other commit in between; anything else
+/// throws std::logic_error. It counts committed probes and idle polls
 /// apart, and, of the probes, those an adaptive SNIP-RH scheduler skipped
 /// outside its mask in the exploit phase: its lone tracker probes, since
 /// SNIP-RH runs stay inside the mask. It also counts probed contacts
@@ -87,13 +91,24 @@ class PassThroughScheduler final : public node::Scheduler {
     ++wakeup_calls_;
     return inner_->on_wakeup(ctx);
   }
-  [[nodiscard]] std::int64_t skip_missed_probes(const node::SensorContext& ctx,
-                                                node::SchedulerDecision verdict,
-                                                sim::Duration charge,
-                                                std::int64_t max_k) override {
+  [[nodiscard]] std::int64_t repeat_bound(const node::SensorContext& ctx,
+                                          node::SchedulerDecision verdict,
+                                          sim::Duration charge) const override {
     if (hook_ == Hook::kWithhold) return 0;
-    const std::int64_t k =
-        inner_->skip_missed_probes(ctx, verdict, charge, max_k);
+    const std::int64_t bound = inner_->repeat_bound(ctx, verdict, charge);
+    offered_ = {.now = ctx.now, .verdict = verdict, .bound = bound};
+    return bound;
+  }
+  void commit_repeats(const node::SensorContext& ctx,
+                      node::SchedulerDecision verdict,
+                      std::int64_t k) override {
+    if (k <= 0 || k > offered_.bound || ctx.now != offered_.now ||
+        verdict.probe != offered_.verdict.probe ||
+        verdict.next_wakeup != offered_.verdict.next_wakeup) {
+      throw std::logic_error(
+          "PassThroughScheduler: commit outside the bound just returned");
+    }
+    offered_.bound = 0;
     const auto n = static_cast<std::uint64_t>(k);
     if (!verdict.probe) {
       skipped_polls_ += n;
@@ -104,7 +119,7 @@ class PassThroughScheduler final : public node::Scheduler {
         skipped_tracker_probes_ += n;
       }
     }
-    return k;
+    inner_->commit_repeats(ctx, verdict, k);
   }
   void on_probe_detected(sim::TimePoint when) override {
     inner_->on_probe_detected(when);
@@ -142,8 +157,16 @@ class PassThroughScheduler final : public node::Scheduler {
   }
 
  private:
+  /// The last bound returned, which the next commit must stay within.
+  struct Offer {
+    sim::TimePoint now;
+    node::SchedulerDecision verdict;
+    std::int64_t bound{0};
+  };
+
   std::unique_ptr<node::Scheduler> inner_;
   const core::AdaptiveSnipRh* adaptive_;
+  mutable Offer offered_;
   Hook hook_;
   PassThroughTally* tally_;
   std::uint64_t wakeup_calls_{0};

@@ -1,8 +1,9 @@
 # snipr_cli's subcommand surface: each subcommand answers --help, the
 # mode flags that predate subcommands (--batch, --fleet, --trace,
 # --list-scenarios, --list-traces) exit with a usage error on their own
-# and under a subcommand, `trace NAME --batch` still sweeps a replay, and
-# a number or config the run would silently zero out is a usage error.
+# and under a subcommand, `trace NAME --batch` still sweeps a replay, a
+# number or config the run would silently zero out is a usage error, and
+# so is a flag the subcommand does not read.
 # Run via ctest (cli_subcommands); expects -DSNIPR_CLI=<path>.
 
 if(NOT DEFINED SNIPR_CLI)
@@ -65,5 +66,48 @@ foreach(case "--budget;run --budget inf" "--target;run --target nan"
                         "(got ${rc}: ${last_stderr})")
   endif()
 endforeach()
+
+# 6. A subcommand rejects every flag it would parse and then ignore,
+#    naming the flag and the subcommand. One row per (subcommand, foreign
+#    flag), each on an otherwise valid command line.
+function(expect_foreign sub command)
+  separate_arguments(command_args UNIX_COMMAND "${command}")
+  foreach(row ${ARGN})
+    separate_arguments(flag_args UNIX_COMMAND "${row}")
+    list(GET flag_args 0 flag)
+    run_cli(out rc ${command_args} ${flag_args})
+    if(NOT rc EQUAL 2 OR
+       NOT last_stderr MATCHES "'${flag}' is not an option of '${sub}'")
+      message(FATAL_ERROR "'${command} ${row}' should exit 2 naming "
+                          "${flag} and ${sub} (got ${rc}: ${last_stderr})")
+    endif()
+  endforeach()
+endfunction()
+
+expect_foreign(run "run"
+  "--mechanisms rh" "--targets 16" "--budgets 1" "--seeds 1"
+  "--threads 1" "--json out.json" "--shards 2" "--trace-dir data"
+  "--replay-jitter 0")
+expect_foreign(run ""
+  "--mechanisms rh" "--json out.json" "--shards 2")
+expect_foreign(batch "batch"
+  "--mechanism rh" "--seed 1" "--csv" "--shards 2" "--trace-dir data"
+  "--replay-jitter 0")
+expect_foreign(fleet "fleet fleet-rural-sparse --epochs 3"
+  "--scenario roadside" "--mechanism at" "--target 48" "--budget 1"
+  "--warmup 2" "--csv" "--deterministic" "--ton 0.02" "--tcontact 2"
+  "--mechanisms rh" "--targets 16" "--budgets 1" "--seeds 1"
+  "--trace-dir data" "--replay-jitter 0")
+expect_foreign(trace "trace synthetic-metro-drift"
+  "--scenario roadside" "--mechanisms rh" "--targets 16" "--budgets 1"
+  "--seeds 1" "--threads 1" "--json out.json" "--shards 2")
+expect_foreign("trace --batch" "trace synthetic-metro-drift --batch"
+  "--scenario roadside" "--mechanism rh" "--seed 1" "--csv" "--shards 2")
+expect_foreign(list "list"
+  "--scenario roadside" "--mechanism rh" "--target 16" "--budget 1"
+  "--csv" "--seed 1" "--epochs 2" "--warmup 1" "--deterministic"
+  "--ton 0.02" "--tcontact 2" "--mechanisms rh" "--targets 16"
+  "--budgets 1" "--seeds 1" "--threads 1" "--json out.json"
+  "--shards 2" "--trace-dir data" "--replay-jitter 0")
 
 message(STATUS "cli subcommands: all checks passed")

@@ -31,6 +31,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -91,12 +92,57 @@ struct Options {
   double replay_jitter_s{5.0};
 };
 
+/// The flags a subcommand reads. A flag outside its subcommand's set
+/// would be parsed and then ignored, so it is a usage error instead.
+bool reads_flag(const Options& opt, std::string_view flag) {
+  const auto in = [flag](std::initializer_list<std::string_view> set) {
+    return std::find(set.begin(), set.end(), flag) != set.end();
+  };
+  // The environment and horizon of a single run or a sweep.
+  const bool environment =
+      in({"--epochs", "--warmup", "--deterministic", "--ton", "--tcontact"});
+  const bool single = in({"--mechanism", "--target", "--budget", "--seed",
+                          "--csv"});
+  const bool sweep = in({"--batch", "--mechanisms", "--targets", "--budgets",
+                         "--target", "--budget", "--seeds", "--threads",
+                         "--json"});
+  switch (opt.mode) {
+    case Mode::kRun:
+      return environment || single || flag == "--scenario";
+    case Mode::kBatch:
+      return environment || sweep || flag == "--scenario";
+    case Mode::kTrace:
+      return environment || (opt.batch ? sweep : single) ||
+             in({"--batch", "--trace-dir", "--replay-jitter"});
+    case Mode::kFleet:
+      return in({"--shards", "--threads", "--epochs", "--seed", "--json"});
+    case Mode::kList:
+      return false;
+  }
+  return false;
+}
+
+const char* subcommand_name(const Options& opt) {
+  switch (opt.mode) {
+    case Mode::kRun:
+      return "run";
+    case Mode::kBatch:
+      return "batch";
+    case Mode::kTrace:
+      return opt.batch ? "trace --batch" : "trace";
+    case Mode::kFleet:
+      return "fleet";
+    case Mode::kList:
+      return "list";
+  }
+  return "run";
+}
+
 void print_common_flags() {
   std::printf(
       "common options:\n"
       "  --epochs N                     epochs to simulate (default 14)\n"
       "  --warmup N                     epochs excluded from averages\n"
-      "  --seed N                       single-run RNG seed (default 1)\n"
       "  --deterministic                no interval jitter (analysis env)\n"
       "  --ton S                        SNIP wakeup on-time (default 0.02)\n"
       "  --tcontact S                   mean contact length (default 2)\n");
@@ -113,6 +159,7 @@ void print_usage(const char* argv0, Mode mode) {
           "  --target S                     zeta target per epoch, seconds\n"
           "  --budget S                     probing budget per epoch, "
           "seconds\n"
+          "  --seed N                       RNG seed (default 1)\n"
           "  --csv                          machine-readable output\n",
           argv0);
       print_common_flags();
@@ -126,6 +173,7 @@ void print_usage(const char* argv0, Mode mode) {
           "at,opt,rh)\n"
           "  --targets s1,s2,...            grid zeta targets, seconds\n"
           "  --budgets s1,s2,...            grid budgets, seconds\n"
+          "  --target S, --budget S         a one-value grid\n"
           "  --seeds N                      seeds 1..N per grid point\n"
           "  --threads N                    worker threads (default: all "
           "cores)\n"
@@ -163,8 +211,10 @@ void print_usage(const char* argv0, Mode mode) {
           "                                 stddev (default 5; 0 = exact\n"
           "                                 replay, all seeds identical)\n"
           "  --batch                        sweep over the replay (then the\n"
-          "                                 batch options apply)\n"
-          "  --mechanism|--target|--budget  as in 'run'\n",
+          "                                 'batch' options apply, but not\n"
+          "                                 --scenario)\n"
+          "  --mechanism, --target, --budget, --seed, --csv\n"
+          "                                 as in 'run' (without --batch)\n",
           argv0, argv0);
       print_common_flags();
       return;
@@ -240,6 +290,9 @@ bool reject_mode_flag(const std::string& arg, const char* replacement) {
 }
 
 bool parse(int argc, char** argv, int first, Options& opt) {
+  // Every option flag given, checked against the subcommand's own set
+  // once the whole command line (and so `trace --batch`) is known.
+  std::vector<std::string> flags;
   for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next_value = [&]() -> const char* {
@@ -310,6 +363,7 @@ bool parse(int argc, char** argv, int first, Options& opt) {
       std::fprintf(stderr, "unexpected argument '%s'\n", arg.c_str());
       return false;
     }
+    flags.push_back(arg);
     if (arg == "--csv") {
       opt.csv = true;
     } else if (arg == "--batch") {
@@ -389,6 +443,13 @@ bool parse(int argc, char** argv, int first, Options& opt) {
       }
     } else {
       std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
+      return false;
+    }
+  }
+  for (const std::string& flag : flags) {
+    if (!reads_flag(opt, flag)) {
+      std::fprintf(stderr, "'%s' is not an option of '%s'\n", flag.c_str(),
+                   subcommand_name(opt));
       return false;
     }
   }
@@ -647,13 +708,6 @@ int main(int argc, char** argv) {
   if (opt.mode == Mode::kTrace && opt.trace.empty()) {
     std::fprintf(stderr, "trace: missing workload NAME\n");
     print_usage(argv[0], Mode::kTrace);
-    return 2;
-  }
-  // A run's environment comes from exactly one source: reject the
-  // combination rather than silently prefer one.
-  if (!opt.trace.empty() && !opt.scenario.empty()) {
-    std::fprintf(stderr,
-                 "a trace replay is mutually exclusive with --scenario\n");
     return 2;
   }
   if (opt.mode == Mode::kFleet) return run_fleet(opt);
