@@ -61,8 +61,7 @@ int main() {
     std::printf("  %10.2f %10.4f | %10.2f %10.2f %8.2f | %10.2f %10.2f "
                 "%8.2f\n",
                 mult, duty, ana.metrics.zeta_s, ana.metrics.phi_s,
-                ana.metrics.rho(), sim.mean_zeta_s, sim.mean_phi_s,
-                sim.mean_zeta_s > 0 ? sim.mean_phi_s / sim.mean_zeta_s : 0.0);
+                ana.metrics.rho(), sim.mean_zeta_s, sim.mean_phi_s, sim.rho());
   }
 
   std::printf("# expectation: rho flat below the knee, gentle rise just "

@@ -42,8 +42,7 @@ int main() {
 
       std::printf("  %8.2f %6s | %12.3f %10.4f | %10.2f %10.2f %8.2f\n",
                   weight, head ? "yes" : "no", rh.tcontact_estimate_s(),
-                  rh.duty(), r.mean_zeta_s, r.mean_phi_s,
-                  r.mean_zeta_s > 0 ? r.mean_phi_s / r.mean_zeta_s : 0.0);
+                  rh.duty(), r.mean_zeta_s, r.mean_phi_s, r.rho());
     }
   }
 

@@ -69,8 +69,7 @@ int main() {
                                                     rh, cfg);
 
     std::printf("  %-16s %14.4f | %10.2f %10.2f %8.2f\n", c.name, upsilon,
-                r.mean_zeta_s, r.mean_phi_s,
-                r.mean_zeta_s > 0 ? r.mean_phi_s / r.mean_zeta_s : 0.0);
+                r.mean_zeta_s, r.mean_phi_s, r.rho());
   }
 
   std::printf("# expectation: exponential lengths double the linear-regime"

@@ -1,8 +1,5 @@
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
 #include "snipr/sim/time.hpp"
 
 /// \file contact.hpp
@@ -25,9 +22,5 @@ struct Contact {
 
   friend bool operator==(const Contact&, const Contact&) = default;
 };
-
-/// Total contact capacity (Σ Tcontact) of a set of contacts.
-[[nodiscard]] sim::Duration total_capacity(
-    const std::vector<Contact>& contacts);
 
 }  // namespace snipr::contact

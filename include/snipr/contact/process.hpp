@@ -13,15 +13,12 @@
 /// Contact arrival processes.
 ///
 /// A ContactProcess turns the environment description (ArrivalProfile +
-/// contact-length distribution) into a concrete stream of contacts. Three
-/// generative families cover the paper plus extensions:
+/// contact-length distribution) into a concrete stream of contacts:
 ///  - IntervalContactProcess: next arrival = previous arrival + Tinterval,
 ///    with Tinterval drawn per slot. With FixedDistribution jitter this is
 ///    the paper's analysis environment; with TruncatedNormal (sigma = mean/10)
 ///    it is the paper's COOJA simulation environment (Sec. VII-A.2).
-///  - PoissonContactProcess: non-homogeneous Poisson arrivals matching the
-///    per-slot rates (thinning), a common DTN workload extension.
-///  - TraceContactProcess: replays a recorded/synthetic trace.
+///  - TraceReplayProcess (trace_replay.hpp): replays a recorded trace.
 
 namespace snipr::contact {
 
@@ -102,39 +99,6 @@ class IntervalContactProcess final : public ContactProcess {
   bool fresh_slot_{true};
   sim::TimePoint cursor_{sim::TimePoint::zero()};
   std::optional<Contact> previous_{};
-};
-
-/// Non-homogeneous Poisson arrivals via thinning against the profile's
-/// maximum rate. Contact lengths are iid from the supplied distribution.
-class PoissonContactProcess final : public ContactProcess {
- public:
-  PoissonContactProcess(ArrivalProfile profile,
-                        std::unique_ptr<sim::Distribution> contact_length);
-
-  [[nodiscard]] std::optional<Contact> next(sim::Rng& rng) override;
-  void reset() override;
-
- private:
-  ArrivalProfile profile_;
-  std::unique_ptr<sim::Distribution> contact_length_;
-  double max_rate_;
-  sim::TimePoint cursor_{sim::TimePoint::zero()};
-  sim::TimePoint last_departure_{sim::TimePoint::zero()};
-};
-
-/// Replays a fixed, sorted contact list (from trace IO or a generator).
-class TraceContactProcess final : public ContactProcess {
- public:
-  explicit TraceContactProcess(std::vector<Contact> contacts);
-
-  [[nodiscard]] std::optional<Contact> next(sim::Rng& rng) override;
-  void reset() override;
-
-  [[nodiscard]] std::size_t size() const noexcept { return contacts_.size(); }
-
- private:
-  std::vector<Contact> contacts_;
-  std::size_t cursor_{0};
 };
 
 /// Materialise a process over [0, horizon). Contacts whose arrival falls

@@ -43,8 +43,6 @@ class ArrivalProfile {
   }
   /// Start of slot `s` within the epoch containing `t`.
   [[nodiscard]] sim::TimePoint slot_start(sim::TimePoint t) const noexcept;
-  /// Epoch index containing `t` (0-based day number for a 24 h epoch).
-  [[nodiscard]] std::int64_t epoch_of(sim::TimePoint t) const noexcept;
 
   /// Mean inter-arrival seconds for slot `s`; kNoContacts when dead.
   [[nodiscard]] double mean_interval_s(SlotIndex s) const;

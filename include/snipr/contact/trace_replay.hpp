@@ -11,8 +11,7 @@
 /// \file trace_replay.hpp
 /// Trace replay as a first-class ContactProcess.
 ///
-/// `TraceContactProcess` plays a recorded contact list back exactly once,
-/// which is enough for offline slot statistics but a dead end for the
+/// Played back once, a recorded contact list is a dead end for the
 /// simulator: a three-day CRAWDAD/ONE trace cannot drive a two-week
 /// experiment, every node of a fleet would see the identical stream, and
 /// day-to-day variation is lost. `TraceReplayProcess` closes that gap:

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -49,9 +48,6 @@ enum class ExplorationPolicyKind {
 /// Stable identifier used in configs, CLI flags and bench JSON.
 [[nodiscard]] std::string_view exploration_policy_kind_id(
     ExplorationPolicyKind kind);
-/// Inverse of exploration_policy_kind_id(); nullopt on unknown ids.
-[[nodiscard]] std::optional<ExplorationPolicyKind>
-parse_exploration_policy_kind(std::string_view id);
 
 struct ExplorationConfig {
   ExplorationPolicyKind kind{ExplorationPolicyKind::kNone};

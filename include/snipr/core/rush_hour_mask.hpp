@@ -70,8 +70,6 @@ class RushHourMask {
   [[nodiscard]] std::size_t rush_slot_count() const noexcept {
     return rush_count_;
   }
-  /// Total rush time per epoch (Trh).
-  [[nodiscard]] sim::Duration rush_time_per_epoch() const noexcept;
 
   void set(contact::SlotIndex s, bool rush);
   /// The bitmap, one entry per slot.

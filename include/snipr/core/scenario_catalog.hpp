@@ -64,8 +64,6 @@ class ScenarioCatalog {
   /// valid name (so CLI users see the menu, not a silent default).
   [[nodiscard]] const CatalogEntry& at(std::string_view name) const;
 
-  /// All names, in registry order.
-  [[nodiscard]] std::vector<std::string> names() const;
 
  private:
   ScenarioCatalog();

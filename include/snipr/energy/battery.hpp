@@ -18,35 +18,19 @@ class Battery {
   /// \param capacity_j usable energy in Joules (> 0).
   explicit Battery(double capacity_j);
 
-  /// Two AA alkaline cells (~2600 mAh at 3 V, ~70% usable at mote loads):
-  /// the TELOSB reference supply, ~19.6 kJ usable.
+  /// Two AA alkaline cells (2600 mAh at 3 V, 70% usable at mote loads):
+  /// the TELOSB reference supply, ~19.7 kJ usable.
   [[nodiscard]] static Battery two_aa();
 
-  /// From charge and voltage: capacity_j = mAh/1000 * 3600 * V * derating.
-  [[nodiscard]] static Battery from_mah(double mah, double voltage_v,
-                                        double usable_fraction = 0.7);
-
   [[nodiscard]] double capacity_j() const noexcept { return capacity_j_; }
-  [[nodiscard]] double consumed_j() const noexcept { return consumed_j_; }
-  [[nodiscard]] double remaining_j() const noexcept;
-  [[nodiscard]] bool depleted() const noexcept {
-    return remaining_j() <= 0.0;
-  }
 
-  /// Drain `joules` (>= 0). Over-draining clamps at depletion.
-  void drain(double joules);
-
-  /// Epochs of operation left at a steady per-epoch draw; +inf for zero
-  /// draw, 0 when depleted.
-  [[nodiscard]] double epochs_remaining(double joules_per_epoch) const;
-
-  /// Projected lifetime in years at a steady per-epoch draw.
+  /// Projected lifetime in years at a steady per-epoch draw (>= 0); +inf
+  /// for zero draw.
   [[nodiscard]] double lifetime_years(double joules_per_epoch,
                                       sim::Duration epoch) const;
 
  private:
   double capacity_j_;
-  double consumed_j_{0.0};
 };
 
 }  // namespace snipr::energy

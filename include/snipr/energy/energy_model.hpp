@@ -67,78 +67,23 @@ struct EnergyModel {
   [[nodiscard]] static EnergyModel telosb() noexcept { return {}; }
 };
 
-/// Integrates time spent per radio state along a simulation run.
-///
-/// Drive it with state transitions; it accumulates the closed interval for
-/// the state being left. `radio_on_time()` is Σ(listen+tx+rx) — the paper's
-/// Φ when the meter tracks only probing activity.
+/// Integrates time spent per radio state along a simulation run. Each
+/// activity adds its span when it is scheduled, since its duration is
+/// known then (e.g. a beacon of fixed airtime).
 class EnergyMeter {
  public:
-  explicit EnergyMeter(EnergyModel model = EnergyModel::telosb(),
-                       RadioState initial = RadioState::kOff,
-                       sim::TimePoint at = sim::TimePoint::zero()) noexcept;
+  explicit EnergyMeter(EnergyModel model = EnergyModel::telosb()) noexcept
+      : model_{model} {}
 
-  /// Switch state at time `at` (must be >= the previous transition).
-  void transition(RadioState to, sim::TimePoint at);
-
-  /// Close the open interval at `at` without changing state (end of run /
-  /// end of epoch snapshotting).
-  void flush(sim::TimePoint at);
-
-  /// Directly add `span` of state `s` without touching the open interval.
-  /// Use when an activity's duration is known at scheduling time (e.g. a
-  /// beacon of fixed airtime) — it avoids open intervals dated in the
-  /// future, which would break snapshotting at epoch boundaries.
+  /// Add `span` of state `s`.
   void accumulate(RadioState s, sim::Duration span) noexcept;
 
-  [[nodiscard]] RadioState state() const noexcept { return state_; }
-  [[nodiscard]] sim::Duration time_in(RadioState s) const noexcept {
-    return accumulated_[static_cast<std::size_t>(s)];
-  }
-  /// Total time with the radio powered (listen + tx + rx).
-  [[nodiscard]] sim::Duration radio_on_time() const noexcept;
   /// Total accumulated energy in Joules under the model.
   [[nodiscard]] double energy_j() const noexcept;
 
-  [[nodiscard]] const EnergyModel& model() const noexcept { return model_; }
-
-  /// Zero the accumulators, keeping current state and model.
-  void reset(sim::TimePoint at) noexcept;
-
  private:
   EnergyModel model_;
-  RadioState state_;
-  sim::TimePoint last_transition_;
   std::array<sim::Duration, kRadioStateCount> accumulated_{};
-};
-
-/// Per-epoch probing-energy budget (Φmax in the paper), tracked in
-/// radio-on seconds. Schedulers consult it before activating SNIP
-/// (condition 3 of SNIP-RH) and charge it for every probing wakeup.
-class ProbingBudget {
- public:
-  /// `limit` may be Duration::max() for an unbounded budget.
-  explicit ProbingBudget(sim::Duration limit) noexcept;
-
-  /// Charge `cost` against the epoch budget. Over-consumption is allowed
-  /// (a wakeup in flight completes) and shows up as remaining() == 0.
-  void consume(sim::Duration cost) noexcept;
-
-  [[nodiscard]] sim::Duration limit() const noexcept { return limit_; }
-  [[nodiscard]] sim::Duration used() const noexcept { return used_; }
-  [[nodiscard]] sim::Duration remaining() const noexcept;
-  /// True when at least `cost` is still available.
-  [[nodiscard]] bool can_afford(sim::Duration cost) const noexcept;
-  [[nodiscard]] bool exhausted() const noexcept {
-    return remaining().is_zero();
-  }
-
-  /// New epoch: usage returns to zero.
-  void reset() noexcept { used_ = sim::Duration::zero(); }
-
- private:
-  sim::Duration limit_;
-  sim::Duration used_{};
 };
 
 }  // namespace snipr::energy

@@ -64,15 +64,11 @@ class EpochModel {
 
   /// Total contact capacity arriving during slot `s` (t_i·f_i·Tcontact), s.
   [[nodiscard]] double slot_contact_time_s(contact::SlotIndex s) const;
-  /// Total contact capacity per epoch, seconds.
-  [[nodiscard]] double epoch_contact_time_s() const;
   /// ζ_i(d): capacity probed in slot `s` at duty `d` (fluid), seconds.
   [[nodiscard]] double slot_capacity_s(contact::SlotIndex s, double duty) const;
   /// Knee duty Ton/T̄contact of the capacity-weighted mean (clamped to 1) —
   /// the duty SNIP-RH derives from its single learned length.
   [[nodiscard]] double knee() const;
-  /// Knee duty of slot `s` (Ton/Tcontact_s, clamped to 1).
-  [[nodiscard]] double slot_knee(contact::SlotIndex s) const;
 
   /// ζ for a uniform duty across the whole epoch (SNIP-AT's shape).
   [[nodiscard]] double capacity_at_uniform_duty(double duty) const;

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <optional>
-
 #include "snipr/sim/distributions.hpp"
 #include "snipr/sim/rng.hpp"
 
@@ -42,12 +40,6 @@ struct SnipParams {
 /// The knee duty Ton/Tcontact, clamped to 1.
 [[nodiscard]] double knee_duty(double tcontact_s, double ton_s);
 
-/// Inverse of eq. 1: smallest duty achieving the given Υ, or nullopt when
-/// unreachable at d = 1.
-[[nodiscard]] std::optional<double> duty_for_upsilon_fixed(double upsilon,
-                                                           double tcontact_s,
-                                                           double ton_s);
-
 /// Capacity-weighted probed fraction for exponentially distributed contact
 /// lengths with the given mean (footnote 1 of the paper):
 ///   Ῡ = E[Tprobed]/E[Tcontact] with
@@ -65,11 +57,5 @@ struct SnipParams {
 /// Expected probed time for one contact of length `l` under cycle `tcycle`
 /// (the primitive behind every Υ form above).
 [[nodiscard]] double expected_probed_time(double l_s, double tcycle_s);
-
-/// Per-unit probing cost ρ = Φ/ζ for a slot with arrival rate `rate` and
-/// fixed contact length, at the given duty (Sec. VI-C): constant
-/// 2·Ton/(f·Tcontact²) below the knee, increasing above it.
-[[nodiscard]] double unit_cost(double duty, double rate_per_s,
-                               double tcontact_s, double ton_s);
 
 }  // namespace snipr::model

@@ -26,8 +26,8 @@
 /// departed and advances it linearly — amortised O(1) across a run. A
 /// backward query (the post-probe `active_contact` re-read, replay,
 /// tests) steps the cursor back over the contacts that have not departed
-/// by then, so any query sequence returns exactly what ContactSchedule's
-/// own binary-search lookups would.
+/// by then, so any query sequence returns exactly what a binary search
+/// over the schedule would.
 
 namespace snipr::radio {
 
@@ -47,8 +47,8 @@ class Channel {
   [[nodiscard]] std::optional<contact::Contact> active_contact(
       sim::TimePoint t) const;
 
-  /// First contact with arrival >= t (cursor-accelerated counterpart of
-  /// ContactSchedule::next_arrival_at_or_after).
+  /// First contact with arrival >= t (the cursor-accelerated form of a
+  /// binary search over the arrivals).
   [[nodiscard]] std::optional<contact::Contact> next_arrival_at_or_after(
       sim::TimePoint t) const;
   /// Index in schedule().contacts() of that contact; size() when none

@@ -37,9 +37,6 @@ class Simulator {
   /// `until` even if idle. Returns the number of events executed.
   std::size_t run_until(TimePoint until);
 
-  /// Run until the event queue drains. Returns events executed.
-  std::size_t run();
-
   /// Execute at most `max_events` events. Returns events executed.
   std::size_t step(std::size_t max_events = 1);
 

@@ -24,17 +24,12 @@ class Ewma {
   /// unless a prior was supplied.
   void add(double sample) noexcept;
 
-  /// Current estimate. Requires has_value().
-  [[nodiscard]] double value() const;
   /// Estimate, or `fallback` before any data.
   [[nodiscard]] double value_or(double fallback) const noexcept;
 
   [[nodiscard]] bool has_value() const noexcept { return initialised_; }
   [[nodiscard]] double weight() const noexcept { return weight_; }
   [[nodiscard]] std::size_t count() const noexcept { return count_; }
-
-  /// Forget everything (including a seeded prior).
-  void reset() noexcept;
 
   /// Raw mean regardless of initialisation (0.0 before any data) — the
   /// checkpoint-side counterpart of restore().

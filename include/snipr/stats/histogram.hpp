@@ -30,20 +30,11 @@ class Histogram {
   }
   [[nodiscard]] double bin_lo(std::size_t bin) const;
   [[nodiscard]] double bin_hi(std::size_t bin) const;
-  [[nodiscard]] double count(std::size_t bin) const;
   [[nodiscard]] double underflow() const noexcept { return underflow_; }
   [[nodiscard]] double overflow() const noexcept { return overflow_; }
   [[nodiscard]] double total() const noexcept { return total_; }
-  /// Fraction of in-range mass in `bin` (0 when empty).
-  [[nodiscard]] double fraction(std::size_t bin) const;
-
-  /// Index of the fullest bin (ties -> lowest index). Requires total() > 0.
-  [[nodiscard]] std::size_t mode_bin() const;
-
   /// Simple fixed-width ASCII rendering, one row per bin.
   [[nodiscard]] std::string render(std::size_t width = 50) const;
-
-  void reset() noexcept;
 
  private:
   double lo_;

@@ -21,10 +21,6 @@ class OnlineStats {
   };
 
   void add(double sample) noexcept;
-  /// Merge another accumulator (parallel reduction of per-epoch stats).
-  /// Merging an empty accumulator (either side) is the identity: min/max
-  /// never absorb the empty side's meaningless zeros.
-  void merge(const OnlineStats& other) noexcept;
 
   [[nodiscard]] Snapshot snapshot() const noexcept {
     return {n_, mean_, m2_, min_, max_};
@@ -41,12 +37,9 @@ class OnlineStats {
   [[nodiscard]] double mean() const noexcept { return n_ ? mean_ : 0.0; }
   /// Population variance; 0 with fewer than two samples.
   [[nodiscard]] double variance() const noexcept;
-  /// Unbiased sample variance; 0 with fewer than two samples.
-  [[nodiscard]] double sample_variance() const noexcept;
   [[nodiscard]] double stddev() const noexcept;
   [[nodiscard]] double min() const noexcept { return n_ ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return n_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const noexcept;
 
   void reset() noexcept { *this = OnlineStats{}; }
 

@@ -5,7 +5,7 @@
 #include <vector>
 
 /// \file quantile_sketch.hpp
-/// Mergeable fixed-relative-error quantile sketch (DDSketch-style).
+/// Fixed-relative-error quantile sketch (DDSketch-style).
 ///
 /// Values are filed into geometrically spaced buckets: bucket i covers
 /// (γ^(i−1), γ^i] with γ = (1+ε)/(1−ε), so any reported quantile is
@@ -13,10 +13,8 @@
 /// legitimately be exactly zero for a starved node) collapse into a
 /// dedicated zero bucket reported as 0.0.
 ///
-/// The state is nothing but integer counts, so merging sketches is exact
-/// (count addition), commutative and associative — per-shard sketches
-/// merged in any order give byte-identical quantiles, which is what the
-/// streaming fleet aggregation needs. Memory is O(log(max/min)/ε):
+/// The state is nothing but integer counts, so a snapshot restores it
+/// exactly (the streaming fleet's checkpoints). Memory is O(log(max/min)/ε):
 /// ~2.3k buckets cover 12 decades at ε = 1%, independent of how many
 /// samples stream through.
 namespace snipr::stats {
@@ -35,9 +33,6 @@ class QuantileSketch {
   explicit QuantileSketch(const Snapshot& snapshot);
 
   void add(double value);
-  /// Exact merge: bucket-wise count addition. Both sketches must share
-  /// the same relative error (throws std::invalid_argument otherwise).
-  void merge(const QuantileSketch& other);
 
   /// Value at quantile `q` in [0, 1] (0 = min bucket, 1 = max bucket),
   /// within the configured relative error. Returns 0.0 on an empty

@@ -56,11 +56,6 @@ OneStreamStats stream_one_connectivity(
     std::istream& is, const std::string& host,
     const std::function<void(const contact::Contact&)>& sink);
 
-/// File variant; throws std::runtime_error when the file cannot be opened.
-OneStreamStats stream_one_connectivity_file(
-    const std::string& path, const std::string& host,
-    const std::function<void(const contact::Contact&)>& sink);
-
 /// Collect the streaming core's output into a vector, sorted by arrival.
 [[nodiscard]] std::vector<contact::Contact> read_one_connectivity(
     std::istream& is, const std::string& host);

@@ -15,14 +15,6 @@
 
 namespace snipr::trace {
 
-struct SlotSummary {
-  std::size_t contact_count{0};
-  sim::Duration capacity{};       ///< Σ Tcontact of contacts in the slot
-  double mean_length_s{0.0};      ///< mean Tcontact (0 when empty)
-  double contacts_per_epoch{0.0}; ///< count / epochs observed
-  double est_mean_interval_s{0.0};///< slot_len / contacts_per_epoch (0 = dead)
-};
-
 class TraceSlotStats {
  public:
   /// Aggregate `contacts` into the slot grid of `layout`. The number of
@@ -31,9 +23,8 @@ class TraceSlotStats {
                  const contact::ArrivalProfile& layout);
 
   [[nodiscard]] std::size_t slot_count() const noexcept {
-    return summaries_.size();
+    return counts_.size();
   }
-  [[nodiscard]] const SlotSummary& slot(contact::SlotIndex s) const;
   [[nodiscard]] std::int64_t epochs_observed() const noexcept {
     return epochs_;
   }
@@ -41,12 +32,13 @@ class TraceSlotStats {
   /// Slots ordered by decreasing observed contact count.
   [[nodiscard]] std::vector<contact::SlotIndex> slots_by_count() const;
 
-  /// Estimated arrival profile (mean interval per slot) from the trace.
+  /// Estimated arrival profile from the trace: a slot's mean interval is
+  /// slot length / (contacts per observed epoch); 0 (dead) when empty.
   [[nodiscard]] contact::ArrivalProfile estimate_profile() const;
 
  private:
   contact::ArrivalProfile layout_;
-  std::vector<SlotSummary> summaries_;
+  std::vector<std::size_t> counts_;  ///< contacts arriving in each slot
   std::int64_t epochs_{1};
 };
 

@@ -68,8 +68,6 @@ class TraceCatalog {
   [[nodiscard]] const TraceEntry* find(std::string_view name) const;
   /// Entry by name; throws std::out_of_range listing every valid name.
   [[nodiscard]] const TraceEntry& at(std::string_view name) const;
-  /// All names, in registry order.
-  [[nodiscard]] std::vector<std::string> names() const;
 
   /// Materialise an entry's contacts (sorted, non-overlapping).
   /// Deterministic: same entry (and for file entries, same file bytes),
@@ -78,10 +76,6 @@ class TraceCatalog {
   /// std::runtime_error when the file cannot be read or parsed.
   [[nodiscard]] static std::vector<contact::Contact> load(
       const TraceEntry& entry, const std::string& data_dir = {});
-
-  /// Convenience: `load(at(name), data_dir)`.
-  [[nodiscard]] std::vector<contact::Contact> load_by_name(
-      std::string_view name, const std::string& data_dir = {}) const;
 
   /// The directory file-backed entries resolve against when no override
   /// is given: $SNIPR_TRACE_DATA_DIR or the compiled-in default.

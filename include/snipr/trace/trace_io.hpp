@@ -1,7 +1,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "snipr/contact/contact.hpp"
@@ -19,17 +18,9 @@ namespace snipr::trace {
 /// Write `contacts` (sorted by arrival) as CSV to `os`.
 void write_csv(std::ostream& os, const std::vector<contact::Contact>& contacts);
 
-/// Write to a file; throws std::runtime_error when the file cannot be opened.
-void write_csv_file(const std::string& path,
-                    const std::vector<contact::Contact>& contacts);
-
 /// Parse a CSV trace. Throws std::runtime_error with a line number on
 /// malformed input (bad header, non-numeric fields, negative lengths,
 /// unsorted arrivals).
 [[nodiscard]] std::vector<contact::Contact> read_csv(std::istream& is);
-
-/// Read from a file; throws std::runtime_error when the file cannot be opened.
-[[nodiscard]] std::vector<contact::Contact> read_csv_file(
-    const std::string& path);
 
 }  // namespace snipr::trace

@@ -1,7 +1,5 @@
 #include "snipr/contact/process.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -122,61 +120,6 @@ void IntervalContactProcess::reset() {
   previous_.reset();
   fresh_slot_ = true;
 }
-
-PoissonContactProcess::PoissonContactProcess(
-    ArrivalProfile profile, std::unique_ptr<sim::Distribution> contact_length)
-    : profile_{std::move(profile)},
-      contact_length_{std::move(contact_length)},
-      max_rate_{0.0} {
-  if (contact_length_ == nullptr) {
-    throw std::invalid_argument(
-        "PoissonContactProcess: contact length distribution required");
-  }
-  for (SlotIndex s = 0; s < profile_.slot_count(); ++s) {
-    max_rate_ = std::max(max_rate_, profile_.arrival_rate(s));
-  }
-}
-
-std::optional<Contact> PoissonContactProcess::next(sim::Rng& rng) {
-  if (max_rate_ <= 0.0) return std::nullopt;
-  for (;;) {
-    // Candidate from the homogeneous majorant, thinned by the local rate.
-    const double gap_s = -std::log(1.0 - rng.uniform()) / max_rate_;
-    cursor_ = cursor_ + sim::Duration::seconds(gap_s);
-    const double accept =
-        profile_.arrival_rate(profile_.slot_of(cursor_)) / max_rate_;
-    if (!rng.bernoulli(accept)) continue;
-    sim::TimePoint arrival = cursor_;
-    if (arrival < last_departure_) arrival = last_departure_;
-    const Contact c{arrival,
-                    sim::Duration::seconds(contact_length_->sample(rng))};
-    last_departure_ = c.departure();
-    return c;
-  }
-}
-
-void PoissonContactProcess::reset() {
-  cursor_ = sim::TimePoint::zero();
-  last_departure_ = sim::TimePoint::zero();
-}
-
-TraceContactProcess::TraceContactProcess(std::vector<Contact> contacts)
-    : contacts_{std::move(contacts)} {
-  if (!std::is_sorted(contacts_.begin(), contacts_.end(),
-                      [](const Contact& a, const Contact& b) {
-                        return a.arrival < b.arrival;
-                      })) {
-    throw std::invalid_argument(
-        "TraceContactProcess: contacts must be sorted by arrival");
-  }
-}
-
-std::optional<Contact> TraceContactProcess::next(sim::Rng& /*rng*/) {
-  if (cursor_ >= contacts_.size()) return std::nullopt;
-  return contacts_[cursor_++];
-}
-
-void TraceContactProcess::reset() { cursor_ = 0; }
 
 std::vector<Contact> materialize(ContactProcess& process,
                                  sim::Duration horizon, sim::Rng& rng) {

@@ -24,10 +24,6 @@ sim::TimePoint ArrivalProfile::slot_start(sim::TimePoint t) const noexcept {
   return sim::TimePoint::at(sim::Duration::microseconds(floored));
 }
 
-std::int64_t ArrivalProfile::epoch_of(sim::TimePoint t) const noexcept {
-  return t.count() / epoch().count();
-}
-
 double ArrivalProfile::mean_interval_s(SlotIndex s) const {
   if (s >= mean_intervals_.size()) {
     throw std::out_of_range("ArrivalProfile::mean_interval_s");

@@ -21,15 +21,6 @@ std::string_view exploration_policy_kind_id(ExplorationPolicyKind kind) {
   return "none";
 }
 
-std::optional<ExplorationPolicyKind> parse_exploration_policy_kind(
-    std::string_view id) {
-  if (id == "none") return ExplorationPolicyKind::kNone;
-  if (id == "eps-floor") return ExplorationPolicyKind::kEpsilonFloor;
-  if (id == "optimistic") return ExplorationPolicyKind::kOptimistic;
-  if (id == "ucb") return ExplorationPolicyKind::kUcb;
-  return std::nullopt;
-}
-
 ExplorationPolicy::ExplorationPolicy(ExplorationConfig config)
     : config_{config} {
   if (!(config.epsilon >= 0.0) || config.epsilon > 1.0) {

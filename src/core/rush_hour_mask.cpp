@@ -73,10 +73,6 @@ std::optional<sim::TimePoint> RushHourMask::next_rush_after(
   return from.start + slot_length() * static_cast<std::int64_t>(ahead);
 }
 
-sim::Duration RushHourMask::rush_time_per_epoch() const noexcept {
-  return slot_length() * static_cast<std::int64_t>(rush_count_);
-}
-
 void RushHourMask::set(contact::SlotIndex s, bool rush) {
   if (s >= slot_count()) throw std::out_of_range("RushHourMask::set");
   if (bit(s) == rush) return;

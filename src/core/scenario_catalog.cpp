@@ -573,13 +573,6 @@ const CatalogEntry& ScenarioCatalog::at(std::string_view name) const {
   throw std::out_of_range(message);
 }
 
-std::vector<std::string> ScenarioCatalog::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const CatalogEntry& entry : entries_) out.push_back(entry.name);
-  return out;
-}
-
 RoadsideScenario make_replay_scenario(
     const trace::TraceEntry& entry,
     std::shared_ptr<const std::vector<contact::Contact>> contacts,

@@ -1,6 +1,5 @@
 #include "snipr/energy/battery.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -12,39 +11,9 @@ Battery::Battery(double capacity_j) : capacity_j_{capacity_j} {
   }
 }
 
-Battery Battery::two_aa() { return from_mah(2600.0, 3.0); }
-
-Battery Battery::from_mah(double mah, double voltage_v,
-                          double usable_fraction) {
-  if (!(mah > 0.0) || !(voltage_v > 0.0)) {
-    throw std::invalid_argument("Battery: charge and voltage must be > 0");
-  }
-  if (!(usable_fraction > 0.0) || usable_fraction > 1.0) {
-    throw std::invalid_argument("Battery: usable fraction in (0, 1]");
-  }
-  return Battery{mah / 1000.0 * 3600.0 * voltage_v * usable_fraction};
-}
-
-double Battery::remaining_j() const noexcept {
-  return std::max(0.0, capacity_j_ - consumed_j_);
-}
-
-void Battery::drain(double joules) {
-  if (joules < 0.0) {
-    throw std::invalid_argument("Battery::drain: negative energy");
-  }
-  consumed_j_ += joules;
-}
-
-double Battery::epochs_remaining(double joules_per_epoch) const {
-  if (joules_per_epoch < 0.0) {
-    throw std::invalid_argument("Battery: negative per-epoch draw");
-  }
-  if (depleted()) return 0.0;
-  if (joules_per_epoch == 0.0) {
-    return std::numeric_limits<double>::infinity();
-  }
-  return remaining_j() / joules_per_epoch;
+Battery Battery::two_aa() {
+  // mAh / 1000 * 3600 s * voltage * usable fraction.
+  return Battery{2600.0 / 1000.0 * 3600.0 * 3.0 * 0.7};
 }
 
 double Battery::lifetime_years(double joules_per_epoch,
@@ -52,7 +21,12 @@ double Battery::lifetime_years(double joules_per_epoch,
   if (!(epoch > sim::Duration::zero())) {
     throw std::invalid_argument("Battery: epoch must be positive");
   }
-  const double epochs = epochs_remaining(joules_per_epoch);
+  if (joules_per_epoch < 0.0) {
+    throw std::invalid_argument("Battery: negative per-epoch draw");
+  }
+  const double epochs = joules_per_epoch == 0.0
+                            ? std::numeric_limits<double>::infinity()
+                            : capacity_j_ / joules_per_epoch;
   return epochs * epoch.to_seconds() / (365.25 * 86400.0);
 }
 

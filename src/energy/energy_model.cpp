@@ -1,31 +1,9 @@
 #include "snipr/energy/energy_model.hpp"
 
-#include <stdexcept>
-
 namespace snipr::energy {
-
-EnergyMeter::EnergyMeter(EnergyModel model, RadioState initial,
-                         sim::TimePoint at) noexcept
-    : model_{model}, state_{initial}, last_transition_{at} {}
-
-void EnergyMeter::transition(RadioState to, sim::TimePoint at) {
-  if (at < last_transition_) {
-    throw std::logic_error("EnergyMeter::transition: time went backwards");
-  }
-  accumulated_[static_cast<std::size_t>(state_)] += at - last_transition_;
-  state_ = to;
-  last_transition_ = at;
-}
-
-void EnergyMeter::flush(sim::TimePoint at) { transition(state_, at); }
 
 void EnergyMeter::accumulate(RadioState s, sim::Duration span) noexcept {
   accumulated_[static_cast<std::size_t>(s)] += span;
-}
-
-sim::Duration EnergyMeter::radio_on_time() const noexcept {
-  return time_in(RadioState::kListen) + time_in(RadioState::kTx) +
-         time_in(RadioState::kRx);
 }
 
 double EnergyMeter::energy_j() const noexcept {
@@ -34,23 +12,6 @@ double EnergyMeter::energy_j() const noexcept {
     total += model_.energy_j(static_cast<RadioState>(s), accumulated_[s]);
   }
   return total;
-}
-
-void EnergyMeter::reset(sim::TimePoint at) noexcept {
-  accumulated_ = {};
-  last_transition_ = at;
-}
-
-ProbingBudget::ProbingBudget(sim::Duration limit) noexcept : limit_{limit} {}
-
-void ProbingBudget::consume(sim::Duration cost) noexcept { used_ += cost; }
-
-sim::Duration ProbingBudget::remaining() const noexcept {
-  return used_ >= limit_ ? sim::Duration::zero() : limit_ - used_;
-}
-
-bool ProbingBudget::can_afford(sim::Duration cost) const noexcept {
-  return remaining() >= cost;
 }
 
 }  // namespace snipr::energy

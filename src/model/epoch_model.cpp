@@ -68,14 +68,6 @@ double EpochModel::slot_contact_time_s(contact::SlotIndex s) const {
   return profile_.expected_contacts(s) * slot_tcontact_s(s);
 }
 
-double EpochModel::epoch_contact_time_s() const {
-  double total = 0.0;
-  for (contact::SlotIndex s = 0; s < slot_count(); ++s) {
-    total += slot_contact_time_s(s);
-  }
-  return total;
-}
-
 double EpochModel::slot_capacity_s(contact::SlotIndex s, double duty) const {
   return slot_contact_time_s(s) *
          upsilon_fixed(duty, slot_tcontact_s(s), params_.ton_s);
@@ -83,10 +75,6 @@ double EpochModel::slot_capacity_s(contact::SlotIndex s, double duty) const {
 
 double EpochModel::knee() const {
   return knee_duty(tcontact_mean_s_, params_.ton_s);
-}
-
-double EpochModel::slot_knee(contact::SlotIndex s) const {
-  return knee_duty(slot_tcontact_s(s), params_.ton_s);
 }
 
 double EpochModel::capacity_at_uniform_duty(double duty) const {

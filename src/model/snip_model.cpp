@@ -43,25 +43,6 @@ double knee_duty(double tcontact_s, double ton_s) {
   return std::min(1.0, ton_s / tcontact_s);
 }
 
-std::optional<double> duty_for_upsilon_fixed(double upsilon, double tcontact_s,
-                                             double ton_s) {
-  check_positive(tcontact_s, "tcontact");
-  check_positive(ton_s, "ton");
-  if (upsilon <= 0.0) return 0.0;
-  const double max_upsilon = upsilon_fixed(1.0, tcontact_s, ton_s);
-  if (upsilon > max_upsilon) return std::nullopt;
-  if (upsilon <= 0.5) {
-    // Linear branch: Υ = Tcontact·d/(2·Ton).
-    const double d = upsilon * 2.0 * ton_s / tcontact_s;
-    if (d <= 1.0) return d;
-    // Ton >= Tcontact keeps the linear branch all the way to d = 1; the
-    // max_upsilon check above already rejected unreachable values.
-    return 1.0;
-  }
-  // Saturating branch: Υ = 1 − Ton/(2·d·Tcontact).
-  return ton_s / (2.0 * tcontact_s * (1.0 - upsilon));
-}
-
 double upsilon_exponential(double duty, double mean_s, double ton_s) {
   check_positive(mean_s, "mean contact length");
   check_positive(ton_s, "ton");
@@ -96,15 +77,6 @@ double upsilon_monte_carlo(double duty, const sim::Distribution& length,
     capacity += l;
   }
   return capacity > 0.0 ? probed / capacity : 0.0;
-}
-
-double unit_cost(double duty, double rate_per_s, double tcontact_s,
-                 double ton_s) {
-  check_positive(rate_per_s, "rate");
-  check_positive(duty, "duty");
-  const double upsilon = upsilon_fixed(duty, tcontact_s, ton_s);
-  // Φ per second of slot time = d; ζ per second = f·Tcontact·Υ.
-  return std::min(duty, 1.0) / (rate_per_s * tcontact_s * upsilon);
 }
 
 }  // namespace snipr::model

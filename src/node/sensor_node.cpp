@@ -21,8 +21,8 @@ SensorNode::SensorNode(sim::Simulator& simulator, radio::Channel& channel,
       scheduler_{scheduler},
       config_{config},
       buffer_{config.sensing_rate_bps},
-      probing_meter_{config.energy_model, RadioState::kOff, simulator.now()},
-      transfer_meter_{config.energy_model, RadioState::kOff, simulator.now()} {
+      probing_meter_{config.energy_model},
+      transfer_meter_{config.energy_model} {
   if (!(config.ton > sim::Duration::zero())) {
     throw std::invalid_argument("SensorNode: ton must be positive");
   }

@@ -55,7 +55,7 @@ std::size_t Channel::next_arrival_index(sim::TimePoint t) const {
   // stepped past it even though its arrival satisfies >= t. Walk back
   // over any such contacts (all necessarily zero-length at exactly t —
   // arrival >= t and departure() <= t force both) so the result matches
-  // ContactSchedule::next_arrival_at_or_after on every schedule.
+  // a binary search for the first arrival >= t on every schedule.
   while (i > 0 && contacts[i - 1].arrival >= t) --i;
   // The contact at the cursor has not departed yet, but may be active
   // (arrival < t); every later contact arrives strictly after t.

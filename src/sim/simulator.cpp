@@ -75,10 +75,6 @@ std::size_t Simulator::run_until(TimePoint until) {
   return n;
 }
 
-std::size_t Simulator::run() {
-  return drain(TimePoint::max(), std::numeric_limits<std::size_t>::max());
-}
-
 std::size_t Simulator::step(std::size_t max_events) {
   return drain(TimePoint::max(), max_events);
 }

@@ -23,21 +23,8 @@ void Ewma::add(double sample) noexcept {
   ++count_;
 }
 
-double Ewma::value() const {
-  if (!initialised_) {
-    throw std::logic_error("Ewma::value: no samples and no prior");
-  }
-  return mean_;
-}
-
 double Ewma::value_or(double fallback) const noexcept {
   return initialised_ ? mean_ : fallback;
-}
-
-void Ewma::reset() noexcept {
-  mean_ = 0.0;
-  initialised_ = false;
-  count_ = 0;
 }
 
 }  // namespace snipr::stats

@@ -38,23 +38,6 @@ double Histogram::bin_hi(std::size_t bin) const {
   return lo_ + bin_width_ * static_cast<double>(bin + 1);
 }
 
-double Histogram::count(std::size_t bin) const {
-  if (bin >= counts_.size()) throw std::out_of_range("Histogram::count");
-  return counts_[bin];
-}
-
-double Histogram::fraction(std::size_t bin) const {
-  const double in_range = total_ - underflow_ - overflow_;
-  if (in_range <= 0.0) return 0.0;
-  return count(bin) / in_range;
-}
-
-std::size_t Histogram::mode_bin() const {
-  if (total_ <= 0.0) throw std::logic_error("Histogram::mode_bin: empty");
-  const auto it = std::max_element(counts_.begin(), counts_.end());
-  return static_cast<std::size_t>(it - counts_.begin());
-}
-
 std::string Histogram::render(std::size_t width) const {
   const double peak = counts_.empty()
                           ? 0.0
@@ -69,11 +52,6 @@ std::string Histogram::render(std::size_t width) const {
        << std::string(bar_len, '#') << ' ' << counts_[i] << '\n';
   }
   return os.str();
-}
-
-void Histogram::reset() noexcept {
-  std::fill(counts_.begin(), counts_.end(), 0.0);
-  underflow_ = overflow_ = total_ = 0.0;
 }
 
 }  // namespace snipr::stats

@@ -18,35 +18,10 @@ void OnlineStats::add(double sample) noexcept {
   m2_ += delta * (sample - mean_);
 }
 
-void OnlineStats::merge(const OnlineStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
 double OnlineStats::variance() const noexcept {
   return n_ >= 2 ? m2_ / static_cast<double>(n_) : 0.0;
 }
 
-double OnlineStats::sample_variance() const noexcept {
-  return n_ >= 2 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
 double OnlineStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-double OnlineStats::sum() const noexcept {
-  return mean_ * static_cast<double>(n_);
-}
 
 }  // namespace snipr::stats

@@ -58,36 +58,6 @@ void QuantileSketch::add(double value) {
   ++counts_[static_cast<std::size_t>(index - base_)];
 }
 
-void QuantileSketch::merge(const QuantileSketch& other) {
-  if (relative_error_ != other.relative_error_) {
-    throw std::invalid_argument(
-        "QuantileSketch: cannot merge sketches of different resolution");
-  }
-  zero_count_ += other.zero_count_;
-  total_ += other.total_;
-  if (other.counts_.empty()) return;
-  if (counts_.empty()) {
-    base_ = other.base_;
-    counts_ = other.counts_;
-    return;
-  }
-  const std::int32_t lo = std::min(base_, other.base_);
-  const std::int32_t hi =
-      std::max(base_ + static_cast<std::int32_t>(counts_.size()),
-               other.base_ + static_cast<std::int32_t>(other.counts_.size()));
-  if (lo < base_) {
-    counts_.insert(counts_.begin(), static_cast<std::size_t>(base_ - lo), 0);
-    base_ = lo;
-  }
-  if (hi > base_ + static_cast<std::int32_t>(counts_.size())) {
-    counts_.resize(static_cast<std::size_t>(hi - base_), 0);
-  }
-  for (std::size_t i = 0; i < other.counts_.size(); ++i) {
-    counts_[static_cast<std::size_t>(other.base_ - base_) + i] +=
-        other.counts_[i];
-  }
-}
-
 double QuantileSketch::quantile(double q) const {
   if (total_ == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);

@@ -217,14 +217,6 @@ OneStreamStats stream_one_connectivity(
   return stats;
 }
 
-OneStreamStats stream_one_connectivity_file(
-    const std::string& path, const std::string& host,
-    const std::function<void(const contact::Contact&)>& sink) {
-  std::ifstream is{path};
-  if (!is) throw std::runtime_error("cannot open for reading: " + path);
-  return stream_one_connectivity(is, host, sink);
-}
-
 std::vector<contact::Contact> read_one_connectivity(std::istream& is,
                                                     const std::string& host) {
   std::vector<contact::Contact> contacts;

@@ -2,57 +2,39 @@
 
 #include <algorithm>
 #include <numeric>
-#include <stdexcept>
 
 namespace snipr::trace {
 
 TraceSlotStats::TraceSlotStats(const std::vector<contact::Contact>& contacts,
                                const contact::ArrivalProfile& layout)
-    : layout_{layout}, summaries_(layout.slot_count()) {
+    : layout_{layout}, counts_(layout.slot_count(), 0) {
   if (!contacts.empty()) {
     const sim::TimePoint end = contacts.back().departure();
     epochs_ = std::max<std::int64_t>(
         1, (end.count() + layout.epoch().count() - 1) / layout.epoch().count());
   }
   for (const contact::Contact& c : contacts) {
-    SlotSummary& s = summaries_[layout_.slot_of(c.arrival)];
-    ++s.contact_count;
-    s.capacity += c.length;
+    ++counts_[layout_.slot_of(c.arrival)];
   }
-  const double slot_len_s = layout_.slot_length().to_seconds();
-  for (SlotSummary& s : summaries_) {
-    if (s.contact_count > 0) {
-      s.mean_length_s =
-          s.capacity.to_seconds() / static_cast<double>(s.contact_count);
-    }
-    s.contacts_per_epoch =
-        static_cast<double>(s.contact_count) / static_cast<double>(epochs_);
-    s.est_mean_interval_s =
-        s.contacts_per_epoch > 0.0 ? slot_len_s / s.contacts_per_epoch : 0.0;
-  }
-}
-
-const SlotSummary& TraceSlotStats::slot(contact::SlotIndex s) const {
-  if (s >= summaries_.size()) throw std::out_of_range("TraceSlotStats::slot");
-  return summaries_[s];
 }
 
 std::vector<contact::SlotIndex> TraceSlotStats::slots_by_count() const {
-  std::vector<contact::SlotIndex> order(summaries_.size());
+  std::vector<contact::SlotIndex> order(counts_.size());
   std::iota(order.begin(), order.end(), contact::SlotIndex{0});
   std::stable_sort(order.begin(), order.end(),
                    [this](contact::SlotIndex a, contact::SlotIndex b) {
-                     return summaries_[a].contact_count >
-                            summaries_[b].contact_count;
+                     return counts_[a] > counts_[b];
                    });
   return order;
 }
 
 contact::ArrivalProfile TraceSlotStats::estimate_profile() const {
-  std::vector<double> intervals(summaries_.size(),
-                                contact::ArrivalProfile::kNoContacts);
-  for (std::size_t s = 0; s < summaries_.size(); ++s) {
-    intervals[s] = summaries_[s].est_mean_interval_s;
+  const double slot_len_s = layout_.slot_length().to_seconds();
+  std::vector<double> intervals(counts_.size());
+  for (std::size_t s = 0; s < counts_.size(); ++s) {
+    const double per_epoch =
+        static_cast<double>(counts_[s]) / static_cast<double>(epochs_);
+    intervals[s] = per_epoch > 0.0 ? slot_len_s / per_epoch : 0.0;
   }
   return contact::ArrivalProfile{layout_.epoch(), std::move(intervals)};
 }

@@ -128,13 +128,6 @@ const TraceEntry& TraceCatalog::at(std::string_view name) const {
   throw std::out_of_range(message);
 }
 
-std::vector<std::string> TraceCatalog::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const TraceEntry& entry : entries_) out.push_back(entry.name);
-  return out;
-}
-
 std::string TraceCatalog::default_data_dir() {
   if (const char* env = std::getenv("SNIPR_TRACE_DATA_DIR");
       env != nullptr && env[0] != '\0') {
@@ -157,11 +150,6 @@ std::vector<contact::Contact> TraceCatalog::load(
       return SyntheticTraceGenerator{entry.spec}.generate();
   }
   throw std::logic_error("TraceCatalog::load: unknown source");
-}
-
-std::vector<contact::Contact> TraceCatalog::load_by_name(
-    std::string_view name, const std::string& data_dir) const {
-  return load(at(name), data_dir);
 }
 
 }  // namespace snipr::trace

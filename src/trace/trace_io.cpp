@@ -2,10 +2,10 @@
 
 #include <charconv>
 #include <cstdio>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 
 namespace snipr::trace {
@@ -43,14 +43,6 @@ void write_csv(std::ostream& os,
   }
 }
 
-void write_csv_file(const std::string& path,
-                    const std::vector<contact::Contact>& contacts) {
-  std::ofstream os{path};
-  if (!os) throw std::runtime_error("cannot open for writing: " + path);
-  write_csv(os, contacts);
-  if (!os) throw std::runtime_error("write failed: " + path);
-}
-
 std::vector<contact::Contact> read_csv(std::istream& is) {
   std::string line;
   std::size_t line_no = 1;
@@ -78,12 +70,6 @@ std::vector<contact::Contact> read_csv(std::istream& is) {
     contacts.push_back(c);
   }
   return contacts;
-}
-
-std::vector<contact::Contact> read_csv_file(const std::string& path) {
-  std::ifstream is{path};
-  if (!is) throw std::runtime_error("cannot open for reading: " + path);
-  return read_csv(is);
 }
 
 }  // namespace snipr::trace

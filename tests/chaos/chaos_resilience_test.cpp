@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "snipr/core/metrics.hpp"
 #include "snipr/core/scenario.hpp"
 #include "snipr/deploy/fleet_engine.hpp"
 #include "snipr/fault/fault_plan.hpp"
@@ -60,7 +61,7 @@ FleetSpec fleet_for(core::Strategy strategy,
 /// ρ = ΣΦ/Σζ over the fleet: probing radio-on seconds spent per second
 /// of probed contact capacity (lower is better).
 double fleet_rho(const DeploymentOutcome& outcome) {
-  return outcome.total_phi_s / outcome.total_zeta_s;
+  return core::rho(outcome.total_phi_s, outcome.total_zeta_s);
 }
 
 DeploymentOutcome run_weeks(const FleetSpec& spec, std::size_t epochs) {

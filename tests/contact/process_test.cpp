@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "snipr/contact/schedule.hpp"
+#include <algorithm>
 
 namespace snipr::contact {
 namespace {
@@ -27,13 +27,15 @@ TEST(IntervalContactProcess, DeterministicRoadsideCountsMatchPaper) {
   // Steady state: 4 rush slots x 12 + 20 off slots x 2 = 88 contacts/day.
   // Day 1 misses slot 0's boundary arrival (nothing precedes t=0): 87.
   EXPECT_EQ(contacts.size(), 87U + 88U);
-  const ContactSchedule sched{contacts};
   const TimePoint day2 = TimePoint::zero() + Duration::hours(24);
   for (std::size_t s = 0; s < 24; ++s) {
     const bool rush = s == 7 || s == 8 || s == 17 || s == 18;
     const TimePoint lo = day2 + Duration::hours(static_cast<std::int64_t>(s));
-    const std::size_t n = sched.count_in(lo, lo + Duration::hours(1));
-    EXPECT_EQ(n, rush ? 12U : 2U) << "slot " << s;
+    const auto n = std::count_if(
+        contacts.begin(), contacts.end(), [&](const Contact& c) {
+          return c.arrival >= lo && c.arrival < lo + Duration::hours(1);
+        });
+    EXPECT_EQ(n, rush ? 12 : 2) << "slot " << s;
   }
 }
 
@@ -122,63 +124,6 @@ TEST(IntervalContactProcess, ResetReplaysFromOrigin) {
   EXPECT_EQ(first->arrival, again->arrival);  // deterministic process
 }
 
-TEST(PoissonContactProcess, RateMatchesProfile) {
-  const ArrivalProfile p = ArrivalProfile::roadside();
-  PoissonContactProcess proc{p, fixed(2.0)};
-  sim::Rng rng{5};
-  const auto contacts = materialize(proc, Duration::hours(24) * 50, rng);
-  const double per_day = static_cast<double>(contacts.size()) / 50.0;
-  EXPECT_NEAR(per_day, 88.0, 5.0);
-}
-
-TEST(PoissonContactProcess, ThinningRespectsSlotRatio) {
-  const ArrivalProfile p = ArrivalProfile::roadside();
-  PoissonContactProcess proc{p, fixed(2.0)};
-  sim::Rng rng{6};
-  const ContactSchedule sched{
-      materialize(proc, Duration::hours(24) * 100, rng)};
-  const auto counts = sched.count_by_slot(p);
-  const double rush = static_cast<double>(counts[7] + counts[8] + counts[17] +
-                                          counts[18]) /
-                      4.0;
-  double other = 0.0;
-  for (const std::size_t s : {0U, 1U, 2U, 3U, 4U, 5U}) {
-    other += static_cast<double>(counts[s]);
-  }
-  other /= 6.0;
-  EXPECT_NEAR(rush / other, 6.0, 0.8);  // 1800/300 = 6x
-}
-
-TEST(PoissonContactProcess, DeadProfileYieldsNothing) {
-  ArrivalProfile dead{Duration::hours(24),
-                      std::vector<double>(24, ArrivalProfile::kNoContacts)};
-  PoissonContactProcess p{dead, fixed(1.0)};
-  sim::Rng rng{1};
-  EXPECT_FALSE(p.next(rng).has_value());
-}
-
-TEST(TraceContactProcess, ReplaysInOrderThenExhausts) {
-  std::vector<Contact> trace{
-      {TimePoint::zero() + Duration::seconds(10), Duration::seconds(2)},
-      {TimePoint::zero() + Duration::seconds(50), Duration::seconds(3)},
-  };
-  TraceContactProcess p{trace};
-  sim::Rng rng{1};
-  EXPECT_EQ(p.next(rng)->arrival.to_seconds(), 10.0);
-  EXPECT_EQ(p.next(rng)->length.to_seconds(), 3.0);
-  EXPECT_FALSE(p.next(rng).has_value());
-  p.reset();
-  EXPECT_EQ(p.next(rng)->arrival.to_seconds(), 10.0);
-}
-
-TEST(TraceContactProcess, RejectsUnsortedTrace) {
-  std::vector<Contact> bad{
-      {TimePoint::zero() + Duration::seconds(50), Duration::seconds(2)},
-      {TimePoint::zero() + Duration::seconds(10), Duration::seconds(2)},
-  };
-  EXPECT_THROW(TraceContactProcess{bad}, std::invalid_argument);
-}
-
 TEST(Materialize, HonoursHorizon) {
   IntervalContactProcess p{ArrivalProfile::roadside(), fixed(2.0)};
   sim::Rng rng{1};
@@ -190,15 +135,6 @@ TEST(Materialize, HonoursHorizon) {
   for (const Contact& c : one_day) {
     EXPECT_LT(c.arrival, TimePoint::zero() + Duration::hours(24));
   }
-}
-
-TEST(TotalCapacity, SumsLengths) {
-  std::vector<Contact> contacts{
-      {TimePoint::zero(), Duration::seconds(2)},
-      {TimePoint::zero() + Duration::seconds(10), Duration::seconds(3)},
-  };
-  EXPECT_EQ(total_capacity(contacts), Duration::seconds(5));
-  EXPECT_EQ(total_capacity({}), Duration::zero());
 }
 
 }  // namespace

@@ -52,14 +52,6 @@ TEST(ArrivalProfile, SlotStartFloors) {
   EXPECT_EQ(p.slot_start(at_h(7.0)), at_h(7.0));
 }
 
-TEST(ArrivalProfile, EpochOf) {
-  const ArrivalProfile p = ArrivalProfile::roadside();
-  EXPECT_EQ(p.epoch_of(at_h(0.0)), 0);
-  EXPECT_EQ(p.epoch_of(at_h(23.999)), 0);
-  EXPECT_EQ(p.epoch_of(at_h(24.0)), 1);
-  EXPECT_EQ(p.epoch_of(at_h(24.0 * 13 + 5)), 13);
-}
-
 TEST(ArrivalProfile, ArrivalRateInverseOfInterval) {
   const ArrivalProfile p = ArrivalProfile::roadside();
   EXPECT_DOUBLE_EQ(p.arrival_rate(7), 1.0 / 300.0);

@@ -8,12 +8,15 @@
 #include <string>
 
 #include "snipr/sim/rng.hpp"
+#include "support/schedule_lookup.hpp"
 
 namespace snipr::contact {
 namespace {
 
 using sim::Duration;
 using sim::TimePoint;
+using testing::active_at;
+using testing::next_arrival_at_or_after;
 
 TimePoint at_s(double s) { return TimePoint::zero() + Duration::seconds(s); }
 
@@ -100,68 +103,38 @@ TEST(ContactSchedule, ZeroLengthContactBoundaries) {
                               {at_s(12), Duration::zero()}};
   EXPECT_THROW(ContactSchedule{inside}, std::invalid_argument);
 
-  // Zero-length contacts cover no instant but still count as arrivals.
+  // Zero-length contacts cover no instant but still count as arrivals
+  // (in the reference lookups the channel cursor is held to).
   const ContactSchedule s{{{at_s(10), Duration::zero()}}};
-  EXPECT_FALSE(s.active_at(at_s(10)).has_value());
-  ASSERT_TRUE(s.next_arrival_at_or_after(at_s(10)).has_value());
-  EXPECT_EQ(s.next_arrival_at_or_after(at_s(10))->arrival, at_s(10));
-  EXPECT_EQ(s.count_in(at_s(0), at_s(20)), 1u);
+  EXPECT_FALSE(active_at(s.contacts(), at_s(10)).has_value());
+  ASSERT_TRUE(next_arrival_at_or_after(s.contacts(), at_s(10)).has_value());
+  EXPECT_EQ(next_arrival_at_or_after(s.contacts(), at_s(10))->arrival,
+            at_s(10));
 }
 
-TEST(ContactSchedule, ActiveAtInsideAndOutside) {
-  const ContactSchedule s{three_contacts()};
-  EXPECT_FALSE(s.active_at(at_s(9.999)).has_value());
-  ASSERT_TRUE(s.active_at(at_s(10)).has_value());  // arrival inclusive
-  EXPECT_TRUE(s.active_at(at_s(11.5)).has_value());
-  EXPECT_FALSE(s.active_at(at_s(12)).has_value());  // departure exclusive
-  EXPECT_TRUE(s.active_at(at_s(53.9)).has_value());
-  EXPECT_FALSE(s.active_at(at_s(200)).has_value());
+TEST(ContactScheduleReference, ActiveAtInsideAndOutside) {
+  const std::vector<Contact> c = three_contacts();
+  EXPECT_FALSE(active_at(c, at_s(9.999)).has_value());
+  ASSERT_TRUE(active_at(c, at_s(10)).has_value());  // arrival inclusive
+  EXPECT_TRUE(active_at(c, at_s(11.5)).has_value());
+  EXPECT_FALSE(active_at(c, at_s(12)).has_value());  // departure exclusive
+  EXPECT_TRUE(active_at(c, at_s(53.9)).has_value());
+  EXPECT_FALSE(active_at(c, at_s(200)).has_value());
 }
 
-TEST(ContactSchedule, NextArrival) {
-  const ContactSchedule s{three_contacts()};
-  EXPECT_EQ(s.next_arrival_at_or_after(at_s(0))->arrival, at_s(10));
-  EXPECT_EQ(s.next_arrival_at_or_after(at_s(10))->arrival, at_s(10));
-  EXPECT_EQ(s.next_arrival_at_or_after(at_s(10.5))->arrival, at_s(50));
-  EXPECT_FALSE(s.next_arrival_at_or_after(at_s(101)).has_value());
-}
-
-TEST(ContactSchedule, CapacityAndCountInWindow) {
-  const ContactSchedule s{three_contacts()};
-  EXPECT_EQ(s.capacity_in(at_s(0), at_s(200)), Duration::seconds(8));
-  EXPECT_EQ(s.capacity_in(at_s(0), at_s(50)), Duration::seconds(2));
-  EXPECT_EQ(s.capacity_in(at_s(50), at_s(100)), Duration::seconds(4));
-  EXPECT_EQ(s.count_in(at_s(0), at_s(200)), 3U);
-  EXPECT_EQ(s.count_in(at_s(10), at_s(51)), 2U);
-  EXPECT_EQ(s.count_in(at_s(20), at_s(30)), 0U);
+TEST(ContactScheduleReference, NextArrival) {
+  const std::vector<Contact> c = three_contacts();
+  EXPECT_EQ(next_arrival_at_or_after(c, at_s(0))->arrival, at_s(10));
+  EXPECT_EQ(next_arrival_at_or_after(c, at_s(10))->arrival, at_s(10));
+  EXPECT_EQ(next_arrival_at_or_after(c, at_s(10.5))->arrival, at_s(50));
+  EXPECT_FALSE(next_arrival_at_or_after(c, at_s(101)).has_value());
 }
 
 TEST(ContactSchedule, EmptySchedule) {
   const ContactSchedule s{{}};
   EXPECT_TRUE(s.empty());
-  EXPECT_FALSE(s.active_at(at_s(1)).has_value());
-  EXPECT_FALSE(s.next_arrival_at_or_after(at_s(0)).has_value());
-  EXPECT_EQ(s.capacity_in(at_s(0), at_s(100)), Duration::zero());
-}
-
-TEST(ContactSchedule, PerSlotAggregation) {
-  const ArrivalProfile layout = ArrivalProfile::roadside();
-  // Two contacts in slot 7 (across two different days) and one in slot 0.
-  std::vector<Contact> contacts{
-      {TimePoint::zero() + Duration::minutes(10), Duration::seconds(2)},
-      {TimePoint::zero() + Duration::hours(7) + Duration::minutes(5),
-       Duration::seconds(3)},
-      {TimePoint::zero() + Duration::hours(31) + Duration::minutes(40),
-       Duration::seconds(5)},
-  };
-  const ContactSchedule s{contacts};
-  const auto counts = s.count_by_slot(layout);
-  const auto capacity = s.capacity_by_slot(layout);
-  EXPECT_EQ(counts[0], 1U);
-  EXPECT_EQ(counts[7], 2U);
-  EXPECT_EQ(capacity[7], Duration::seconds(8));
-  EXPECT_EQ(capacity[0], Duration::seconds(2));
-  EXPECT_EQ(counts[12], 0U);
+  EXPECT_FALSE(active_at(s.contacts(), at_s(1)).has_value());
+  EXPECT_FALSE(next_arrival_at_or_after(s.contacts(), at_s(0)).has_value());
 }
 
 }  // namespace

@@ -19,7 +19,6 @@ TEST(RushHourMask, FromHoursMarksExactlyThoseSlots) {
   EXPECT_TRUE(m.is_rush_slot(7));
   EXPECT_TRUE(m.is_rush_slot(18));
   EXPECT_FALSE(m.is_rush_slot(9));
-  EXPECT_EQ(m.rush_time_per_epoch(), Duration::hours(4));
 }
 
 TEST(RushHourMask, IsRushBoundariesAreHalfOpen) {

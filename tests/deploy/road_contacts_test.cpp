@@ -102,7 +102,11 @@ TEST(BuildRoadSchedules, RushHourStructureSurvivesPropagation) {
   const auto schedules =
       build_road_schedules({100.0, 5000.0}, 10.0, vehicles);
   for (const auto& s : schedules) {
-    const auto counts = s.count_by_slot(contact::ArrivalProfile::roadside());
+    const contact::ArrivalProfile layout = contact::ArrivalProfile::roadside();
+    std::vector<std::size_t> counts(layout.slot_count(), 0);
+    for (const contact::Contact& c : s.contacts()) {
+      ++counts[layout.slot_of(c.arrival)];
+    }
     const double rush =
         static_cast<double>(counts[7] + counts[8] + counts[17] + counts[18]);
     const double off = static_cast<double>(counts[0] + counts[1] +

@@ -7,51 +7,22 @@
 namespace snipr::energy {
 namespace {
 
-TEST(Battery, CapacityAndDrain) {
-  Battery b{100.0};
-  EXPECT_DOUBLE_EQ(b.capacity_j(), 100.0);
-  EXPECT_DOUBLE_EQ(b.remaining_j(), 100.0);
-  b.drain(30.0);
-  EXPECT_DOUBLE_EQ(b.remaining_j(), 70.0);
-  EXPECT_FALSE(b.depleted());
-}
-
-TEST(Battery, OverdrainClampsAtZero) {
-  Battery b{10.0};
-  b.drain(25.0);
-  EXPECT_DOUBLE_EQ(b.remaining_j(), 0.0);
-  EXPECT_TRUE(b.depleted());
-  EXPECT_DOUBLE_EQ(b.consumed_j(), 25.0);
-}
-
-TEST(Battery, FromMahConversion) {
-  // 1000 mAh at 3 V fully usable = 1 Ah·3 V = 10800 J.
-  const Battery b = Battery::from_mah(1000.0, 3.0, 1.0);
-  EXPECT_DOUBLE_EQ(b.capacity_j(), 10800.0);
-  const Battery derated = Battery::from_mah(1000.0, 3.0, 0.5);
-  EXPECT_DOUBLE_EQ(derated.capacity_j(), 5400.0);
-}
-
-TEST(Battery, TwoAaBallpark) {
-  const Battery b = Battery::two_aa();
-  EXPECT_GT(b.capacity_j(), 15000.0);
-  EXPECT_LT(b.capacity_j(), 25000.0);
-}
-
-TEST(Battery, EpochsRemaining) {
-  Battery b{100.0};
-  EXPECT_DOUBLE_EQ(b.epochs_remaining(10.0), 10.0);
-  b.drain(50.0);
-  EXPECT_DOUBLE_EQ(b.epochs_remaining(10.0), 5.0);
-  EXPECT_TRUE(std::isinf(b.epochs_remaining(0.0)));
-  b.drain(100.0);
-  EXPECT_DOUBLE_EQ(b.epochs_remaining(10.0), 0.0);
+TEST(Battery, TwoAaCapacity) {
+  // 2600 mAh at 3 V, 70% usable: 2.6 Ah * 3600 s * 3 V * 0.7.
+  EXPECT_DOUBLE_EQ(Battery::two_aa().capacity_j(), 19656.0);
 }
 
 TEST(Battery, LifetimeYears) {
   // 365.25 epochs of one day = exactly one year.
   const Battery b{365.25};
   EXPECT_NEAR(b.lifetime_years(1.0, sim::Duration::hours(24)), 1.0, 1e-12);
+  // Half-day epochs at the same draw per epoch last half as long.
+  EXPECT_NEAR(b.lifetime_years(1.0, sim::Duration::hours(12)), 0.5, 1e-12);
+}
+
+TEST(Battery, ZeroDrawLastsForever) {
+  const Battery b{100.0};
+  EXPECT_TRUE(std::isinf(b.lifetime_years(0.0, sim::Duration::hours(24))));
 }
 
 TEST(Battery, PaperScenarioLifetimes) {
@@ -69,12 +40,9 @@ TEST(Battery, PaperScenarioLifetimes) {
 
 TEST(Battery, Validation) {
   EXPECT_THROW(Battery{0.0}, std::invalid_argument);
-  EXPECT_THROW((void)Battery::from_mah(0.0, 3.0), std::invalid_argument);
-  EXPECT_THROW((void)Battery::from_mah(100.0, 3.0, 1.5),
+  const Battery b{10.0};
+  EXPECT_THROW((void)b.lifetime_years(-1.0, sim::Duration::hours(24)),
                std::invalid_argument);
-  Battery b{10.0};
-  EXPECT_THROW(b.drain(-1.0), std::invalid_argument);
-  EXPECT_THROW((void)b.epochs_remaining(-1.0), std::invalid_argument);
   EXPECT_THROW((void)b.lifetime_years(1.0, sim::Duration::zero()),
                std::invalid_argument);
 }

@@ -6,9 +6,6 @@ namespace snipr::energy {
 namespace {
 
 using sim::Duration;
-using sim::TimePoint;
-
-TimePoint at_s(double s) { return TimePoint::zero() + Duration::seconds(s); }
 
 TEST(EnergyModel, TelosbDefaults) {
   const EnergyModel m = EnergyModel::telosb();
@@ -33,94 +30,16 @@ TEST(EnergyModel, StateNames) {
   EXPECT_STREQ(to_string(RadioState::kRx), "rx");
 }
 
-TEST(EnergyMeter, AccumulatesPerState) {
-  EnergyMeter m;
-  m.transition(RadioState::kTx, at_s(1));     // off for [0,1)
-  m.transition(RadioState::kListen, at_s(3)); // tx for [1,3)
-  m.transition(RadioState::kOff, at_s(7));    // listen for [3,7)
-  m.flush(at_s(10));                          // off for [7,10)
-  EXPECT_EQ(m.time_in(RadioState::kOff), Duration::seconds(4));
-  EXPECT_EQ(m.time_in(RadioState::kTx), Duration::seconds(2));
-  EXPECT_EQ(m.time_in(RadioState::kListen), Duration::seconds(4));
-  EXPECT_EQ(m.time_in(RadioState::kRx), Duration::zero());
-}
-
-TEST(EnergyMeter, RadioOnTimeSumsActiveStates) {
-  EnergyMeter m;
-  m.transition(RadioState::kTx, at_s(0));
-  m.transition(RadioState::kRx, at_s(1));
-  m.transition(RadioState::kListen, at_s(2));
-  m.transition(RadioState::kOff, at_s(4));
-  EXPECT_EQ(m.radio_on_time(), Duration::seconds(4));
-}
-
 TEST(EnergyMeter, EnergyMatchesHandComputation) {
   const EnergyModel model;
   EnergyMeter m{model};
-  m.transition(RadioState::kTx, at_s(0));
-  m.transition(RadioState::kOff, at_s(2));
-  const double expected = model.power_w(RadioState::kTx) * 2.0;
+  EXPECT_EQ(m.energy_j(), 0.0);
+  m.accumulate(RadioState::kTx, Duration::seconds(2));
+  m.accumulate(RadioState::kListen, Duration::seconds(1));
+  m.accumulate(RadioState::kTx, Duration::seconds(1));
+  const double expected = model.power_w(RadioState::kTx) * 3.0 +
+                          model.power_w(RadioState::kListen) * 1.0;
   EXPECT_NEAR(m.energy_j(), expected, 1e-12);
-}
-
-TEST(EnergyMeter, BackwardsTransitionThrows) {
-  EnergyMeter m;
-  m.transition(RadioState::kTx, at_s(5));
-  EXPECT_THROW(m.transition(RadioState::kOff, at_s(4)), std::logic_error);
-}
-
-TEST(EnergyMeter, SameTimeTransitionIsNoOpAccumulation) {
-  EnergyMeter m;
-  m.transition(RadioState::kTx, at_s(1));
-  m.transition(RadioState::kListen, at_s(1));
-  EXPECT_EQ(m.time_in(RadioState::kTx), Duration::zero());
-  EXPECT_EQ(m.state(), RadioState::kListen);
-}
-
-TEST(EnergyMeter, ResetKeepsStateDropsTotals) {
-  EnergyMeter m;
-  m.transition(RadioState::kListen, at_s(0));
-  m.flush(at_s(5));
-  m.reset(at_s(5));
-  EXPECT_EQ(m.radio_on_time(), Duration::zero());
-  EXPECT_EQ(m.state(), RadioState::kListen);
-  m.flush(at_s(7));
-  EXPECT_EQ(m.time_in(RadioState::kListen), Duration::seconds(2));
-}
-
-TEST(ProbingBudget, ConsumeAndRemaining) {
-  ProbingBudget b{Duration::seconds(10)};
-  EXPECT_EQ(b.remaining(), Duration::seconds(10));
-  EXPECT_FALSE(b.exhausted());
-  b.consume(Duration::seconds(4));
-  EXPECT_EQ(b.used(), Duration::seconds(4));
-  EXPECT_EQ(b.remaining(), Duration::seconds(6));
-  EXPECT_TRUE(b.can_afford(Duration::seconds(6)));
-  EXPECT_FALSE(b.can_afford(Duration::seconds(7)));
-}
-
-TEST(ProbingBudget, OverconsumptionClampsRemaining) {
-  ProbingBudget b{Duration::seconds(1)};
-  b.consume(Duration::seconds(5));
-  EXPECT_EQ(b.remaining(), Duration::zero());
-  EXPECT_TRUE(b.exhausted());
-  EXPECT_EQ(b.used(), Duration::seconds(5));  // actual spend is preserved
-}
-
-TEST(ProbingBudget, ResetStartsNewEpoch) {
-  ProbingBudget b{Duration::seconds(2)};
-  b.consume(Duration::seconds(2));
-  EXPECT_TRUE(b.exhausted());
-  b.reset();
-  EXPECT_FALSE(b.exhausted());
-  EXPECT_EQ(b.remaining(), Duration::seconds(2));
-}
-
-TEST(ProbingBudget, UnboundedBudget) {
-  ProbingBudget b{Duration::max()};
-  b.consume(Duration::hours(1000));
-  EXPECT_FALSE(b.exhausted());
-  EXPECT_TRUE(b.can_afford(Duration::hours(1)));
 }
 
 }  // namespace

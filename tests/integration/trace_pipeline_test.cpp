@@ -88,7 +88,11 @@ TEST(TracePipeline, EstimatedProfileSupportsPlanning) {
   const contact::ArrivalProfile estimated = stats.estimate_profile();
   const model::EpochModel m{estimated, 2.0, model::SnipParams{}};
   // The estimated environment carries ~176 s/epoch of contact time.
-  EXPECT_NEAR(m.epoch_contact_time_s(), 176.0, 20.0);
+  double epoch_s = 0.0;
+  for (std::size_t s = 0; s < m.slot_count(); ++s) {
+    epoch_s += m.slot_contact_time_s(s);
+  }
+  EXPECT_NEAR(epoch_s, 176.0, 20.0);
   const auto at = m.snip_at(16.0, 864.0);
   EXPECT_TRUE(at.met_target);
   EXPECT_NEAR(at.metrics.phi_s, 16.0 * 86400.0 / 8800.0, 30.0);

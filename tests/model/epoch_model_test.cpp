@@ -19,7 +19,11 @@ std::vector<bool> roadside_mask() {
 
 TEST(EpochModel, ContactTimes) {
   const EpochModel m = roadside_model();
-  EXPECT_DOUBLE_EQ(m.epoch_contact_time_s(), 176.0);  // 96 rush + 80 other
+  double epoch_s = 0.0;
+  for (std::size_t s = 0; s < m.slot_count(); ++s) {
+    epoch_s += m.slot_contact_time_s(s);
+  }
+  EXPECT_DOUBLE_EQ(epoch_s, 176.0);  // 96 rush + 80 other
   EXPECT_DOUBLE_EQ(m.slot_contact_time_s(7), 24.0);   // 12 contacts x 2 s
   EXPECT_DOUBLE_EQ(m.slot_contact_time_s(0), 4.0);    // 2 contacts x 2 s
   EXPECT_DOUBLE_EQ(m.knee(), 0.01);

@@ -65,25 +65,6 @@ TEST(UpsilonFixed, Validation) {
   EXPECT_THROW((void)upsilon_fixed(0.5, 2.0, 0.0), std::invalid_argument);
 }
 
-TEST(DutyForUpsilon, InvertsBothBranches) {
-  for (const double d : {0.0005, 0.002, 0.01, 0.05, 0.5}) {
-    const double u = upsilon_fixed(d, 2.0, kTon);
-    const auto back = duty_for_upsilon_fixed(u, 2.0, kTon);
-    ASSERT_TRUE(back.has_value()) << "duty " << d;
-    EXPECT_NEAR(*back, d, 1e-12) << "duty " << d;
-  }
-}
-
-TEST(DutyForUpsilon, UnreachableReturnsNullopt) {
-  const double max_u = upsilon_fixed(1.0, 2.0, kTon);
-  EXPECT_FALSE(duty_for_upsilon_fixed(max_u + 0.01, 2.0, kTon).has_value());
-  EXPECT_FALSE(duty_for_upsilon_fixed(1.0, 2.0, kTon).has_value());
-}
-
-TEST(DutyForUpsilon, ZeroTargetIsFree) {
-  EXPECT_DOUBLE_EQ(duty_for_upsilon_fixed(0.0, 2.0, kTon).value(), 0.0);
-}
-
 TEST(UpsilonExponential, LinearRegimeDoublesFixedValue) {
   // For exponential lengths E[l²] = 2µ², so in the linear regime Ῡ is twice
   // the fixed-length value at the same mean.
@@ -136,24 +117,6 @@ TEST(UpsilonMonteCarlo, Validation) {
   const sim::FixedDistribution dist{2.0};
   EXPECT_THROW((void)upsilon_monte_carlo(0.5, dist, kTon, 0, rng),
                std::invalid_argument);
-}
-
-TEST(UnitCost, FlatBelowKneeRisingAbove) {
-  const double rate = 1.0 / 300.0;
-  const double at_low = unit_cost(0.001, rate, 2.0, kTon);
-  const double at_knee = unit_cost(0.01, rate, 2.0, kTon);
-  const double above = unit_cost(0.05, rate, 2.0, kTon);
-  EXPECT_NEAR(at_low, at_knee, 1e-9);
-  EXPECT_GT(above, at_knee * 2);
-  // Closed form below the knee: 2·Ton/(f·Tcontact²) = 3 for the scenario.
-  EXPECT_NEAR(at_low, 3.0, 1e-9);
-}
-
-TEST(UnitCost, OffPeakCostsSixfold) {
-  // ρ scales with 1/f: 1800 s intervals cost 6x the 300 s ones.
-  const double rush = unit_cost(0.005, 1.0 / 300.0, 2.0, kTon);
-  const double off = unit_cost(0.005, 1.0 / 1800.0, 2.0, kTon);
-  EXPECT_NEAR(off / rush, 6.0, 1e-9);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 /// Property: the Channel's monotone-cursor queries are observationally
-/// identical to ContactSchedule's binary-search lookups, for any query
+/// identical to the reference binary-search lookups of
+/// support/schedule_lookup.hpp, for any query
 /// sequence — forward-running (the simulation hot path the cursor
 /// accelerates), backward jumps (which step the cursor back), the
 /// probe's own pattern (a beacon at t, the reply one airtime later, then
@@ -14,6 +15,7 @@
 #include "snipr/contact/schedule.hpp"
 #include "snipr/radio/channel.hpp"
 #include "snipr/sim/rng.hpp"
+#include "support/schedule_lookup.hpp"
 
 namespace snipr::radio {
 namespace {
@@ -109,7 +111,7 @@ TEST(ChannelCursorProperty, MatchesBinarySearchOnRandomQuerySequences) {
       if (rng.bernoulli(0.3)) {
         (void)channel.active_contact(t + Duration::microseconds(1000));
       }
-      const auto expected = schedule.active_at(t);
+      const auto expected = testing::active_at(schedule.contacts(), t);
       const auto actual = channel.active_contact(t);
       ASSERT_EQ(expected.has_value(), actual.has_value())
           << "active_contact mismatch at t=" << t << " round " << round;
@@ -129,7 +131,8 @@ TEST(ChannelCursorProperty, MatchesBinarySearchOnRandomQuerySequences) {
                 static_cast<std::size_t>(first_at_or_after))
           << "next_arrival_index mismatch at t=" << t << " round " << round;
 
-      const auto expected_next = schedule.next_arrival_at_or_after(t);
+      const auto expected_next =
+          testing::next_arrival_at_or_after(schedule.contacts(), t);
       const auto actual_next = channel.next_arrival_at_or_after(t);
       ASSERT_EQ(expected_next.has_value(), actual_next.has_value())
           << "next_arrival mismatch at t=" << t << " round " << round;
@@ -152,7 +155,7 @@ TEST(ChannelCursorProperty, ZeroLengthContactAtTheQueryInstantIsReported) {
   // Regression: a zero-length contact arriving exactly at t has
   // departure() == t, so the monotone cursor (which discards departed
   // contacts) used to step past it and report the *next* arrival, while
-  // ContactSchedule::next_arrival_at_or_after correctly returns it.
+  // the reference next_arrival_at_or_after correctly returns it.
   const TimePoint blip = TimePoint::zero() + Duration::seconds(5);
   const ContactSchedule schedule{{Contact{blip, Duration::zero()},
                                   Contact{blip + Duration::seconds(3),
@@ -174,7 +177,7 @@ TEST(ChannelCursorProperty, StrictlyForwardSweepMatchesBinarySearch) {
   const TimePoint end =
       schedule.contacts().back().departure() + Duration::seconds(1);
   while (t <= end) {
-    const auto expected = schedule.active_at(t);
+    const auto expected = testing::active_at(schedule.contacts(), t);
     const auto actual = channel.active_contact(t);
     ASSERT_EQ(expected.has_value(), actual.has_value()) << "t=" << t;
     if (expected.has_value()) {

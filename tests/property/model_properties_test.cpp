@@ -50,26 +50,6 @@ TEST_P(UpsilonInvariants, KneeValueIsHalfWhenReachable) {
   }
 }
 
-TEST_P(UpsilonInvariants, InverseRoundTrips) {
-  const auto [tc, ton] = GetParam();
-  for (double d = 0.001; d <= 1.0; d += 0.013) {
-    const double u = upsilon_fixed(d, tc, ton);
-    const auto back = duty_for_upsilon_fixed(u, tc, ton);
-    ASSERT_TRUE(back.has_value()) << "d=" << d;
-    EXPECT_NEAR(upsilon_fixed(*back, tc, ton), u, 1e-9) << "d=" << d;
-  }
-}
-
-TEST_P(UpsilonInvariants, UnitCostMinimisedAtOrBelowKnee) {
-  const auto [tc, ton] = GetParam();
-  const double rate = 1.0 / 300.0;
-  const double knee = knee_duty(tc, ton);
-  const double at_knee = unit_cost(std::min(knee, 1.0), rate, tc, ton);
-  for (double d = 0.001; d <= 1.0; d += 0.01) {
-    EXPECT_GE(unit_cost(d, rate, tc, ton) + 1e-9, at_knee) << "d=" << d;
-  }
-}
-
 TEST_P(UpsilonInvariants, ExponentialUpsilonBoundedAndMonotone) {
   const auto [tc, ton] = GetParam();
   double prev = -1.0;

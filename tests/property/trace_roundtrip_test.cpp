@@ -64,9 +64,13 @@ TEST_P(TraceRoundTrip, EstimatedProfileRecoversThePlantedRushHours) {
   // 3. Ties are deterministic: equal-count slots appear in ascending
   // index order (stable sort over iota), so re-running can never shuffle
   // an adopted mask.
+  std::vector<std::size_t> counts(kSlots, 0);
+  for (const contact::Contact& c : contacts) {
+    ++counts[planted_profile().slot_of(c.arrival)];
+  }
   for (std::size_t i = 1; i < by_count.size(); ++i) {
-    const std::size_t prev = stats.slot(by_count[i - 1]).contact_count;
-    const std::size_t curr = stats.slot(by_count[i]).contact_count;
+    const std::size_t prev = counts[by_count[i - 1]];
+    const std::size_t curr = counts[by_count[i]];
     ASSERT_GE(prev, curr);
     if (prev == curr) {
       EXPECT_LT(by_count[i - 1], by_count[i]);
@@ -76,7 +80,7 @@ TEST_P(TraceRoundTrip, EstimatedProfileRecoversThePlantedRushHours) {
   // 4. Peak-slot interval estimates are close to the planted 300 s truth
   // (exact rates need infinitely many epochs; 3 epochs bound the error).
   for (const contact::SlotIndex s : kPlantedRush) {
-    EXPECT_NEAR(stats.slot(s).est_mean_interval_s, 300.0, 60.0)
+    EXPECT_NEAR(stats.estimate_profile().mean_interval_s(s), 300.0, 60.0)
         << "slot " << s;
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -10,6 +11,11 @@ namespace snipr::sim {
 namespace {
 
 TimePoint at_s(double s) { return TimePoint::zero() + Duration::seconds(s); }
+
+/// Run until the event queue drains; returns the events executed.
+std::size_t run_all(Simulator& s) {
+  return s.step(std::numeric_limits<std::size_t>::max());
+}
 
 TEST(Simulator, StartsAtOrigin) {
   Simulator s;
@@ -22,7 +28,7 @@ TEST(Simulator, RunExecutesInOrderAndAdvancesClock) {
   std::vector<double> fire_times;
   s.schedule_at(at_s(2), [&] { fire_times.push_back(s.now().to_seconds()); });
   s.schedule_at(at_s(1), [&] { fire_times.push_back(s.now().to_seconds()); });
-  const std::size_t n = s.run();
+  const std::size_t n = run_all(s);
   EXPECT_EQ(n, 2U);
   EXPECT_EQ(fire_times, (std::vector<double>{1.0, 2.0}));
   EXPECT_EQ(s.now(), at_s(2));
@@ -34,14 +40,14 @@ TEST(Simulator, ScheduleAfterIsRelative) {
     s.schedule_after(Duration::seconds(3),
                      [&] { EXPECT_EQ(s.now(), at_s(8)); });
   });
-  s.run();
+  run_all(s);
   EXPECT_EQ(s.now(), at_s(8));
 }
 
 TEST(Simulator, SchedulingInThePastThrows) {
   Simulator s;
   s.schedule_at(at_s(10), [] {});
-  s.run();
+  run_all(s);
   EXPECT_THROW(s.schedule_at(at_s(5), [] {}), std::logic_error);
   EXPECT_THROW(s.schedule_after(Duration::seconds(-1), [] {}),
                std::logic_error);
@@ -91,7 +97,7 @@ TEST(Simulator, EventsCanScheduleRecursively) {
     if (++count < 100) s.schedule_after(Duration::seconds(1), tick);
   };
   s.schedule_at(at_s(1), tick);
-  s.run();
+  run_all(s);
   EXPECT_EQ(count, 100);
   EXPECT_EQ(s.now(), at_s(100));
 }
@@ -115,7 +121,7 @@ TEST(Simulator, FastForwardIsClosedOutsideACallback) {
   EXPECT_EQ(s.fast_forward_limit(), s.now());
   EXPECT_EQ(s.fast_forward_budget(), 0U);
   EXPECT_THROW(s.fast_forward(at_s(1), 1), std::logic_error);
-  s.run();
+  run_all(s);
   EXPECT_EQ(s.fast_forward_budget(), 0U);
 }
 

@@ -32,80 +32,8 @@ TEST(OnlineStats, KnownMoments) {
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
   EXPECT_DOUBLE_EQ(s.variance(), 4.0);          // population
   EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-  EXPECT_NEAR(s.sample_variance(), 32.0 / 7.0, 1e-12);
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(OnlineStats, MergeMatchesSequential) {
-  OnlineStats all;
-  OnlineStats left;
-  OnlineStats right;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(i) * 10.0;
-    all.add(x);
-    (i % 2 == 0 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-12);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(OnlineStats, MergeWithEmpty) {
-  OnlineStats a;
-  a.add(1.0);
-  a.add(3.0);
-  OnlineStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2U);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2U);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
-
-TEST(OnlineStats, MergeEmptyIntoEmptyStaysEmpty) {
-  OnlineStats a;
-  OnlineStats b;
-  a.merge(b);
-  EXPECT_EQ(a.count(), 0U);
-  EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(a.variance(), 0.0);
-  // An accumulator that only ever merged empties must behave exactly
-  // like a fresh one: the first real sample still seeds min/max.
-  a.add(-4.0);
-  EXPECT_DOUBLE_EQ(a.min(), -4.0);
-  EXPECT_DOUBLE_EQ(a.max(), -4.0);
-}
-
-TEST(OnlineStats, MergeWithEmptyNeverPoisonsMinMax) {
-  // The empty side's default min_/max_ of 0.0 must not leak: samples on
-  // one side of zero keep their true extrema through merges in both
-  // directions.
-  OnlineStats negatives;
-  negatives.add(-7.0);
-  negatives.add(-2.0);
-  OnlineStats empty;
-  negatives.merge(empty);
-  EXPECT_DOUBLE_EQ(negatives.min(), -7.0);
-  EXPECT_DOUBLE_EQ(negatives.max(), -2.0);
-
-  OnlineStats into_empty;
-  into_empty.merge(negatives);
-  EXPECT_DOUBLE_EQ(into_empty.min(), -7.0);
-  EXPECT_DOUBLE_EQ(into_empty.max(), -2.0);
-
-  OnlineStats positives;
-  positives.add(3.0);
-  positives.add(9.0);
-  OnlineStats empty2;
-  empty2.merge(positives);
-  EXPECT_DOUBLE_EQ(empty2.min(), 3.0);
-  EXPECT_DOUBLE_EQ(empty2.max(), 9.0);
 }
 
 TEST(OnlineStats, SnapshotRestoreRoundTripsExactly) {
@@ -131,7 +59,7 @@ TEST(OnlineStats, NumericallyStableForLargeOffsets) {
   const double base = 1e9;
   for (const double x : {base + 1.0, base + 2.0, base + 3.0}) s.add(x);
   EXPECT_NEAR(s.mean(), base + 2.0, 1e-3);
-  EXPECT_NEAR(s.sample_variance(), 1.0, 1e-6);
+  EXPECT_NEAR(s.variance(), 2.0 / 3.0, 1e-6);
 }
 
 TEST(OnlineStats, ResetClears) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -49,41 +48,6 @@ TEST(QuantileSketch, NonPositivesLandInTheZeroBucket) {
   EXPECT_EQ(sketch.quantile(0.0), 0.0);
   EXPECT_EQ(sketch.quantile(0.4), 0.0);
   EXPECT_NEAR(sketch.quantile(1.0), 1.0, 0.01);
-}
-
-TEST(QuantileSketch, MergeEqualsAddingEverything) {
-  // Bucket counts add exactly, so merging any partition of a sample set
-  // reproduces the single-sketch result bit for bit — the property the
-  // streaming fleet's shard folding rests on.
-  QuantileSketch all, left, right;
-  sim::Rng rng{13};
-  for (int i = 0; i < 5000; ++i) {
-    const double v = rng.uniform(1e-6, 1e6);
-    all.add(v);
-    (i % 3 == 0 ? left : right).add(v);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  for (const double q : {0.0, 0.1, 0.5, 0.9, 0.999, 1.0}) {
-    EXPECT_EQ(left.quantile(q), all.quantile(q)) << "q=" << q;
-  }
-}
-
-TEST(QuantileSketch, MergeWithEmptyIsIdentity) {
-  QuantileSketch sketch, empty;
-  sketch.add(2.0);
-  sketch.add(8.0);
-  sketch.merge(empty);
-  EXPECT_EQ(sketch.count(), 2u);
-  empty.merge(sketch);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_EQ(empty.quantile(1.0), sketch.quantile(1.0));
-}
-
-TEST(QuantileSketch, MergeRejectsDifferentResolutions) {
-  QuantileSketch fine{0.001};
-  const QuantileSketch coarse{0.05};
-  EXPECT_THROW(fine.merge(coarse), std::invalid_argument);
 }
 
 TEST(QuantileSketch, SnapshotRoundTripsExactly) {

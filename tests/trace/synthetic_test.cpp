@@ -6,7 +6,6 @@
 
 #include "snipr/contact/schedule.hpp"
 #include "snipr/trace/one_format.hpp"
-#include "snipr/trace/slot_stats.hpp"
 
 namespace snipr::trace {
 namespace {
@@ -56,10 +55,13 @@ TEST(SyntheticTrace, DeterministicFlowMatchesThePaperCounts) {
   spec.tcontact_stddev_s = 0.0;
   spec.epochs = 1;
   const auto contacts = SyntheticTraceGenerator{spec}.generate();
-  const TraceSlotStats stats{contacts, spec.profile};
-  EXPECT_EQ(stats.slot(7).contact_count, 12U);
-  EXPECT_EQ(stats.slot(8).contact_count, 12U);
-  EXPECT_EQ(stats.slot(3).contact_count, 2U);
+  std::vector<std::size_t> counts(spec.profile.slot_count(), 0);
+  for (const contact::Contact& c : contacts) {
+    ++counts[spec.profile.slot_of(c.arrival)];
+  }
+  EXPECT_EQ(counts[7], 12U);
+  EXPECT_EQ(counts[8], 12U);
+  EXPECT_EQ(counts[3], 2U);
 }
 
 TEST(SyntheticTrace, OverhangingContactsNeverOverlapAcrossEpochs) {

@@ -61,16 +61,16 @@ TEST(TraceCatalog, EveryEntryLoadsToAValidSchedule) {
 TEST(TraceCatalog, LoadIsDeterministic) {
   const std::string dir = std::string{SNIPR_TEST_DATA_DIR} + "/one";
   const TraceCatalog& catalog = TraceCatalog::instance();
-  EXPECT_EQ(catalog.load_by_name("campus-3day", dir),
-            catalog.load_by_name("campus-3day", dir));
-  EXPECT_EQ(catalog.load_by_name("synthetic-metro-drift"),
-            catalog.load_by_name("synthetic-metro-drift"));
+  EXPECT_EQ(TraceCatalog::load(catalog.at("campus-3day"), dir),
+            TraceCatalog::load(catalog.at("campus-3day"), dir));
+  EXPECT_EQ(TraceCatalog::load(catalog.at("synthetic-metro-drift")),
+            TraceCatalog::load(catalog.at("synthetic-metro-drift")));
 }
 
 TEST(TraceCatalog, CheckedInCorpusSpansThreeDaysWithCommutePeaks) {
   const std::string dir = std::string{SNIPR_TEST_DATA_DIR} + "/one";
   const auto contacts =
-      TraceCatalog::instance().load_by_name("campus-3day", dir);
+      TraceCatalog::load(TraceCatalog::instance().at("campus-3day"), dir);
   ASSERT_GT(contacts.size(), 100U);
   const double last_s = contacts.back().arrival.to_seconds();
   EXPECT_GT(last_s, 2 * 86400.0);

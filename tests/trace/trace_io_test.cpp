@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 namespace snipr::trace {
@@ -95,21 +93,6 @@ TEST(TraceIo, UnsortedArrivalsFail) {
 TEST(TraceIo, BlankLinesAreSkipped) {
   std::istringstream is{"arrival_s,length_s\n10,2\n\n20,2\n"};
   EXPECT_EQ(read_csv(is).size(), 2U);
-}
-
-TEST(TraceIo, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/snipr_trace_test.csv";
-  write_csv_file(path, sample_trace());
-  const auto back = read_csv_file(path);
-  EXPECT_EQ(back.size(), 2U);
-  std::remove(path.c_str());
-}
-
-TEST(TraceIo, MissingFileThrows) {
-  EXPECT_THROW((void)read_csv_file("/nonexistent/dir/trace.csv"),
-               std::runtime_error);
-  EXPECT_THROW(write_csv_file("/nonexistent/dir/trace.csv", {}),
-               std::runtime_error);
 }
 
 }  // namespace
