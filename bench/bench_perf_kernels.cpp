@@ -1,15 +1,16 @@
 /// Performance microbenchmarks (google-benchmark) for the computational
-/// kernels behind the figure harnesses: event-queue operations, a full
-/// simulated day, the water-filling solver, the closed-form model and
-/// trace parsing, and the planning layer (one SNIP-AT/SNIP-OPT plan, the
-/// solve a fleet runs once). These guard against regressions that would make the
-/// two-week sweeps (Figs. 7-8) impractical. Per-layer rows for the
-/// probing hot path: one lone node's event loop, a lone node's runs of
-/// missed probes with and without their fast-forward (on the road-side
-/// schedule, and on a dense schedule of contacts the probe grid steps
-/// over), the rush-mask slot scan and one adaptive SNIP-RH wakeup in the
-/// exploit phase. Per-layer rows for the relay fleet's serial tail: one
-/// store-and-forward collection pass and the JSON writer's numbers.
+/// kernels behind the figure harnesses: a full simulated day, the
+/// water-filling solver, the closed-form model and trace parsing, and the
+/// planning layer (one SNIP-AT/SNIP-OPT plan, the solve a fleet runs
+/// once). These guard against regressions that would make the two-week
+/// sweeps (Figs. 7-8) impractical. Per-layer rows for the probing hot
+/// path: a lone node's runs of missed probes with and without their
+/// fast-forward (the per-wakeup rows fire every wakeup through the
+/// node's own loop), on the road-side schedule and on a dense schedule
+/// of contacts the probe grid steps over, the rush-mask slot scan and
+/// one adaptive SNIP-RH wakeup in the exploit phase. Per-layer rows for
+/// the relay fleet's serial tail: one store-and-forward collection pass
+/// and the JSON writer's numbers.
 
 #include <benchmark/benchmark.h>
 
@@ -32,8 +33,6 @@
 #include "snipr/deploy/fleet_engine.hpp"
 #include "snipr/fault/fault_plan.hpp"
 #include "snipr/model/optimizer.hpp"
-#include "snipr/sim/event_queue.hpp"
-#include "snipr/sim/simulator.hpp"
 #include "snipr/trace/one_format.hpp"
 #include "snipr/trace/synthetic.hpp"
 #include "snipr/trace/trace_io.hpp"
@@ -43,45 +42,6 @@
 namespace {
 
 using namespace snipr;
-
-void BM_EventQueueScheduleAndPop(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    sim::EventQueue q;
-    for (std::size_t i = 0; i < n; ++i) {
-      q.schedule(sim::TimePoint::zero() +
-                     sim::Duration::microseconds(
-                         static_cast<std::int64_t>((i * 7919) % n)),
-                 [] {});
-    }
-    while (auto e = q.pop()) benchmark::DoNotOptimize(e->at);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(n) *
-                          state.iterations());
-}
-BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1000)->Arg(100000);
-
-void BM_SimulatorLoneNode(benchmark::State& state) {
-  // The event loop of one fleet node alone in its simulator: a
-  // self-rescheduling probing wakeup every 10 s beside a self-rescheduling
-  // 24 h epoch event. Each iteration executes one event, so the time per
-  // iteration is ns/event.
-  struct Repeat {
-    sim::Simulator* simulator;
-    sim::Duration period;
-    void operator()() const { simulator->schedule_after(period, *this); }
-  };
-  sim::Simulator simulator{1};
-  simulator.schedule_after(sim::Duration::seconds(10),
-                           Repeat{&simulator, sim::Duration::seconds(10)});
-  simulator.schedule_after(sim::Duration::hours(24),
-                           Repeat{&simulator, sim::Duration::hours(24)});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simulator.step());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SimulatorLoneNode);
 
 void BM_SimulatedDaySnipRh(benchmark::State& state) {
   const core::RoadsideScenario sc;

@@ -83,7 +83,9 @@ int main() {
   node_cfg.epoch = sim::Duration::hours(24);
   node_cfg.budget_limit = sim::Duration::seconds(before.phi_max_large_s());
   node_cfg.sensing_rate_bps = before.sensing_rate_for_target(16.0);
-  node::SensorNode sensor{simulator, channel, sink, scheduler, node_cfg};
+  node::NodeBlock block{1};
+  node::SensorNode sensor{simulator, channel, sink, scheduler,
+                          node_cfg, block, 0};
   sensor.start();
 
   std::printf("day | mask (hour 0..23)          | phase    | ζ (s)\n");

@@ -33,7 +33,7 @@
 /// Emitted contacts are always sorted by arrival and never overlap (a
 /// jittered arrival is pushed to the previous departure, matching the
 /// one-mobile-at-a-time channel model every other process honours), so a
-/// replayed trace runs through ContactSchedule, the Simulator and every
+/// replayed trace runs through ContactSchedule, the sensor node and every
 /// scheduler unchanged.
 
 namespace snipr::contact {

@@ -19,7 +19,7 @@
 /// more seeds, more strategies — is the same grid grown larger. The
 /// BatchRunner takes that grid as a declarative list of `BatchRun`s, fans
 /// the runs out across a `core::ThreadPool` (each run owns an independent
-/// `Simulator` seeded from its own spec, so no state is shared between
+/// node seeded from its own spec, so no state is shared between
 /// workers), and returns results in spec order. Because each run's
 /// RNG stream is a pure function of its spec, the output — including the
 /// aggregated JSON — is byte-identical no matter how many workers execute

@@ -11,9 +11,9 @@
 ///
 /// The FleetEngine partitions the fleet into shards of contiguous nodes
 /// and fans the shards out across a `core::ThreadPool`. Inside a shard,
-/// every node runs alone in its own `Simulator` up to the horizon
+/// every node runs alone on its own clock up to the horizon
 /// (node::run_lone_node), one node after the other: nodes never interact
-/// while probing, so each node's event queue stays a few events deep.
+/// while probing, so each node is just its own two timers.
 ///
 /// Determinism contract (the PR 1/PR 2 guarantee, extended to shards):
 /// node i's RNG stream is forked from a root seeded with `config.seed`
@@ -23,7 +23,7 @@
 /// per-shard NodeOutcomes are merged back in node order, then aggregated
 /// in one `stats::OnlineStats` pass. The outcome — and `to_json`'s
 /// bytes — is therefore identical for ANY shard and thread count, and
-/// to a run with the whole fleet in one shared `Simulator`.
+/// to a run with the whole fleet on one `sim::Simulator`.
 
 namespace snipr::deploy {
 

@@ -59,7 +59,7 @@ struct FleetSummary {
   double zeta_p99_s{0.0};
   /// Probed sessions summed over the whole fleet and run (exact).
   std::uint64_t contacts_probed{0};
-  /// Discrete events executed across every node's simulator.
+  /// Discrete events executed across every node.
   std::uint64_t events_executed{0};
 };
 

@@ -28,20 +28,6 @@ enum class RadioState : std::size_t {
 
 inline constexpr std::size_t kRadioStateCount = 4;
 
-[[nodiscard]] constexpr const char* to_string(RadioState s) noexcept {
-  switch (s) {
-    case RadioState::kOff:
-      return "off";
-    case RadioState::kListen:
-      return "listen";
-    case RadioState::kTx:
-      return "tx";
-    case RadioState::kRx:
-      return "rx";
-  }
-  return "?";
-}
-
 /// Per-state supply currents and the supply voltage.
 struct EnergyModel {
   double voltage_v{3.0};

@@ -13,7 +13,7 @@
 #include "snipr/sim/time.hpp"
 
 /// \file lone_node.hpp
-/// One sensor node run alone in its own event loop, and its summary.
+/// One sensor node run alone on its own clock, and its summary.
 ///
 /// A node's outcome depends only on its scheduler, contacts, link,
 /// channel stream, config and fault stream: it never interacts with
@@ -39,14 +39,14 @@ struct LoneNodeRun {
   /// Contacts in the schedule the node ran over.
   std::size_t total_contacts{0};
   double mean_delivery_latency_s{0.0};
-  /// Events the node's simulator executed up to the horizon.
+  /// Events the node executed up to the horizon.
   std::size_t events{0};
 };
 
-/// Run a node driven by `scheduler` over `schedule` alone in a fresh
-/// Simulator from time zero to `horizon`. `channel_rng` is the channel's
-/// frame-loss stream. The per-epoch history is always recorded, reserved
-/// for the horizon's epochs. `faults` (null = none) must outlive the
+/// Run a node driven by `scheduler` over `schedule` alone from time zero
+/// to `horizon`. `channel_rng` is the channel's frame-loss stream. The
+/// per-epoch history is always recorded, reserved for the horizon's
+/// epochs. `faults` (null = none) must outlive the
 /// call. Throws std::invalid_argument on a null schedule or an unusable
 /// `config`.
 [[nodiscard]] LoneNodeRun run_lone_node(

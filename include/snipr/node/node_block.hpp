@@ -11,9 +11,9 @@
 /// Every probing wakeup mutates a handful of counters (Φ, ζ, bytes,
 /// wakeups, the budget meter, the retiming hints). A standalone
 /// SensorNode holds its NodeCounters by value. A NodeBlock holds one
-/// NodeCounters per node for callers that run several nodes in one
-/// shared Simulator and want their counters side by side; a node built
-/// over a block writes its own entry.
+/// NodeCounters per node for callers that run several nodes on one
+/// sim::Simulator (each to a common bound in turn) and want their
+/// counters side by side; a node built over a block writes its own entry.
 
 namespace snipr::node {
 

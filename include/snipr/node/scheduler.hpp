@@ -24,8 +24,9 @@
 /// says so in two steps. repeat_bound() is a pure question: for how many
 /// wakeups would the verdict just carried out repeat? The node asks it
 /// first, walks the contact schedule only as far as that bound, takes the
-/// shortest of the bound, the walk and the simulator's event budget, and
-/// then hands the chosen run to commit_repeats(), which applies the side
+/// shortest of the bound, the walk and the node's own limits (its epoch
+/// timer and run bound), and then hands the chosen run to
+/// commit_repeats(), which applies the side
 /// effects of exactly those wakeups (DESIGN.md, "Missed-probe
 /// fast-forward"). The node proves the misses; the scheduler bounds the
 /// run only where its verdict could change (its budget, a slot end where

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -29,11 +28,17 @@
 /// the per-epoch probing budget); transfer airtime is metered separately,
 /// matching the paper's Table I definition of Φ.
 ///
+/// The node is its own event loop, written as firmware writes it: two
+/// timers, not an event queue (DESIGN.md, "A node is two timers"). One
+/// holds the next CPU wakeup or, while a transfer runs, its end; the
+/// other holds the epoch boundary. run_until() fires them in time order.
+///
 /// The per-wakeup-mutated counters (Φ, ζ, bytes, wakeups, budget, the
 /// retiming hints) are one node::NodeCounters, held by value, or an entry
-/// of a caller's node::NodeBlock when several nodes share one Simulator.
-/// node::run_lone_node (lone_node.hpp) runs a node alone and summarises
-/// it; every single-node experiment and every fleet node runs that way.
+/// of a caller's node::NodeBlock when several nodes run on one
+/// sim::Simulator. node::run_lone_node (lone_node.hpp) runs a node alone
+/// and summarises it; every single-node experiment and every fleet node
+/// runs that way.
 
 namespace snipr::fault {
 class NodeFaultInjector;
@@ -102,23 +107,35 @@ struct ProbedContactRecord {
 
 class SensorNode {
  public:
-  /// All references must outlive the node. Call start() once before
-  /// running the simulator. This standalone form holds its counters.
-  SensorNode(sim::Simulator& simulator, radio::Channel& channel,
-             MobileNode& sink, Scheduler& scheduler, SensorNodeConfig config);
+  /// All references must outlive the node. Call start() once, then
+  /// run_until(). This standalone form holds its counters.
+  SensorNode(radio::Channel& channel, MobileNode& sink, Scheduler& scheduler,
+             SensorNodeConfig config);
 
-  /// Block form: the counters are `block.lanes[lane]` (owned by the
-  /// caller; must outlive the node).
+  /// Block form, for several nodes run side by side: start() puts the
+  /// node on `simulator`, whose run_until() runs it, and the counters
+  /// are `block.lanes[lane]`. The simulator and block are the caller's
+  /// and must outlive the node's runs.
   SensorNode(sim::Simulator& simulator, radio::Channel& channel,
              MobileNode& sink, Scheduler& scheduler, SensorNodeConfig config,
              NodeBlock& block, std::size_t lane);
 
-  /// Scheduled events hold `this`, and the counters may be the node's own.
+  /// A simulator may hold `this`, and the counters may be the node's own.
   SensorNode(const SensorNode&) = delete;
   SensorNode& operator=(const SensorNode&) = delete;
 
-  /// Schedule the first CPU wakeup and the epoch-boundary bookkeeping.
+  /// Arm the first CPU wakeup now and the first epoch boundary one epoch
+  /// later; the block form starts at its simulator's now().
   void start();
+
+  /// Fire every timer due at or before `until`, in (time, arm order),
+  /// then idle the clock forward to `until`. Returns the events executed,
+  /// counting the wakeups a fast-forward resolved. Throws
+  /// std::logic_error on a bound before now().
+  std::size_t run_until(sim::TimePoint until);
+
+  /// The node's clock.
+  [[nodiscard]] sim::TimePoint now() const noexcept { return now_; }
 
   [[nodiscard]] const SensorNodeConfig& config() const noexcept {
     return config_;
@@ -175,17 +192,24 @@ class SensorNode {
   /// (stepping over the contacts the grid t0 + j·cycle falls between),
   /// and charges the run in one step (scheduler.hpp, repeat_bound).
   void fast_forward_misses(sim::TimePoint t0, sim::Duration cycle);
-  /// The first `bound` wakeups now + j·delay cut to those the simulator
-  /// can skip: no later than its fast_forward_limit() and within its
-  /// event budget (0 for a bound of 0).
+  /// The first `bound` wakeups now + j·delay cut to those that land
+  /// strictly before the epoch timer and within the run bound (0 for a
+  /// bound of 0).
   [[nodiscard]] std::int64_t within_limits(std::int64_t bound,
                                            sim::Duration delay) const;
+  /// Count `events` wakeups resolved without firing, the last at `to`.
+  void fast_forward(sim::TimePoint to, std::int64_t events) noexcept {
+    now_ = to;
+    events_ += static_cast<std::size_t>(events);
+  }
   void mip_wakeup();
   /// `new_session` is false when re-beaconing inside an already-probed
   /// contact (after an early buffer drain): more data may flow, but ζ,
   /// contact counts and learning observations are not double-counted.
   void begin_transfer(const contact::Contact& active, sim::TimePoint probe_time,
                       sim::Duration cycle_hint, bool new_session);
+  /// The transfer timer fired: meter, deliver and report the session.
+  void end_transfer();
   void epoch_boundary();
   /// Crash/reboot step of the epoch boundary (fault plan attached only):
   /// draw the crash, wipe or restore the scheduler, and track how many
@@ -193,7 +217,18 @@ class SensorNode {
   void crash_and_recovery_step();
   [[nodiscard]] SensorContext make_context() const;
 
-  sim::Simulator& sim_;
+  /// A timer: when it fires, and the order it was armed in, which breaks
+  /// ties at one microsecond (the earlier armed fires first).
+  struct Timer {
+    sim::TimePoint at;
+    std::uint64_t seq{0};
+  };
+  [[nodiscard]] Timer arm(sim::TimePoint at) noexcept {
+    return {at, armed_++};
+  }
+
+  /// Null for the standalone form.
+  sim::Simulator* simulator_{nullptr};
   radio::Channel& channel_;
   MobileNode& sink_;
   Scheduler& scheduler_;
@@ -207,6 +242,24 @@ class SensorNode {
   FluidBuffer buffer_;
   energy::EnergyMeter probing_meter_;
   energy::EnergyMeter transfer_meter_;
+
+  sim::TimePoint now_{sim::TimePoint::zero()};
+  /// The next CPU wakeup, or the end of the transfer in progress.
+  Timer next_;
+  bool next_is_transfer_{false};
+  /// The next epoch boundary.
+  Timer epoch_;
+  std::uint64_t armed_{0};
+  /// The running run_until()'s bound and events so far.
+  sim::TimePoint bound_{sim::TimePoint::zero()};
+  std::size_t events_{0};
+
+  /// The transfer in progress (valid while next_is_transfer_).
+  contact::Contact transfer_contact_{};
+  sim::TimePoint transfer_probe_time_{};
+  sim::Duration transfer_cycle_{};
+  bool transfer_saw_departure_{false};
+  bool transfer_new_session_{false};
 
   std::int64_t epoch_index_{0};
   std::vector<EpochStats> history_;

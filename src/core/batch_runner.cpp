@@ -138,7 +138,7 @@ std::vector<BatchRunResult> BatchRunner::run(
   });
 
   std::vector<BatchRunResult> results(runs.size());
-  // Result slot i belongs to spec i and each run seeds its own Simulator,
+  // Result slot i belongs to spec i and each run seeds its own node,
   // so worker assignment cannot influence output order or RNG streams.
   pool.parallel_for(runs.size(), [&](std::size_t i) {
     results[i] = execute_one(runs[i], schedules[group_of[i]]);

@@ -33,10 +33,10 @@
 /// Fleet nodes never interact while probing: each has its own channel,
 /// buffer, budget, scheduler and fault stream, and the store-and-forward
 /// pass runs only afterwards, over the exported probed contacts. So a
-/// range simulates its nodes one at a time, each alone in its own
-/// `sim::Simulator` up to the horizon (node::run_lone_node, the runner
-/// single-node experiments use too), whose event queue then holds about
-/// three events. The results are the same as in one shared loop.
+/// range simulates its nodes one at a time, each alone on its own clock
+/// up to the horizon (node::run_lone_node, the runner single-node
+/// experiments use too). The results are the same as on one shared
+/// `sim::Simulator`.
 
 namespace snipr::deploy {
 

@@ -4,7 +4,6 @@
 
 #include "snipr/node/mobile_node.hpp"
 #include "snipr/radio/channel.hpp"
-#include "snipr/sim/simulator.hpp"
 
 namespace snipr::node {
 
@@ -14,9 +13,6 @@ LoneNodeRun run_lone_node(
     const radio::LinkParams& link, sim::Rng channel_rng,
     SensorNodeConfig config, sim::Duration horizon,
     fault::NodeFaultInjector* faults) {
-  // The channel's stream is the caller's, so the simulator's own seed
-  // never reaches the run.
-  sim::Simulator simulator;
   radio::Channel channel{std::move(schedule), link, std::move(channel_rng)};
   MobileNode sink;
   config.record_epoch_history = true;
@@ -24,12 +20,12 @@ LoneNodeRun run_lone_node(
     config.expected_epochs =
         static_cast<std::size_t>(horizon.count() / config.epoch.count());
   }
-  SensorNode sensor{simulator, channel, sink, scheduler, config};
+  SensorNode sensor{channel, sink, scheduler, config};
   sensor.attach_faults(faults);
   sensor.start();
 
   LoneNodeRun run;
-  run.events = simulator.run_until(sim::TimePoint::zero() + horizon);
+  run.events = sensor.run_until(sim::TimePoint::zero() + horizon);
   run.per_epoch = sensor.take_epoch_history();
   run.probed = sensor.take_probed_contacts();
   run.probed_sessions = sensor.counters().probed_sessions;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 
 #include "snipr/fault/fault_plan.hpp"
@@ -12,11 +13,9 @@ namespace {
 using energy::RadioState;
 }  // namespace
 
-SensorNode::SensorNode(sim::Simulator& simulator, radio::Channel& channel,
-                       MobileNode& sink, Scheduler& scheduler,
-                       SensorNodeConfig config)
-    : sim_{simulator},
-      channel_{channel},
+SensorNode::SensorNode(radio::Channel& channel, MobileNode& sink,
+                       Scheduler& scheduler, SensorNodeConfig config)
+    : channel_{channel},
       sink_{sink},
       scheduler_{scheduler},
       config_{config},
@@ -35,10 +34,11 @@ SensorNode::SensorNode(sim::Simulator& simulator, radio::Channel& channel,
                        MobileNode& sink, Scheduler& scheduler,
                        SensorNodeConfig config, NodeBlock& block,
                        std::size_t lane)
-    : SensorNode{simulator, channel, sink, scheduler, std::move(config)} {
+    : SensorNode{channel, sink, scheduler, std::move(config)} {
   if (lane >= block.lanes.size()) {
     throw std::out_of_range("SensorNode: lane outside the node block");
   }
+  simulator_ = &simulator;
   counters_ = &block.lanes[lane];
 }
 
@@ -57,13 +57,42 @@ void SensorNode::start() {
     constexpr std::size_t kProbedReserveCap = 1024;
     probed_.reserve(std::min(channel_.schedule().size(), kProbedReserveCap));
   }
-  sim_.schedule_at(sim_.now(), [this] { cpu_wakeup(); });
-  sim_.schedule_after(config_.epoch, [this] { epoch_boundary(); });
+  if (simulator_ != nullptr) {
+    now_ = simulator_->now();
+    simulator_->nodes_.push_back(this);
+  }
+  next_ = arm(now_);
+  epoch_ = arm(now_ + config_.epoch);
+}
+
+std::size_t SensorNode::run_until(sim::TimePoint until) {
+  if (until < now_) {
+    throw std::logic_error("SensorNode::run_until: target is in the past");
+  }
+  bound_ = until;
+  events_ = 0;
+  while (started_) {
+    const bool epoch_first =
+        epoch_.at != next_.at ? epoch_.at < next_.at : epoch_.seq < next_.seq;
+    const Timer due = epoch_first ? epoch_ : next_;
+    if (due.at > until) break;
+    now_ = due.at;
+    ++events_;
+    if (epoch_first) {
+      epoch_boundary();
+    } else if (next_is_transfer_) {
+      end_transfer();
+    } else {
+      cpu_wakeup();
+    }
+  }
+  now_ = until;  // idle advance
+  return events_;
 }
 
 SensorContext SensorNode::make_context() const {
   SensorContext ctx;
-  ctx.now = sim_.now();
+  ctx.now = now_;
   ctx.buffer_bytes = buffer_.available(ctx.now);
   ctx.budget_used = budget_used();
   ctx.budget_limit = config_.budget_limit;
@@ -85,7 +114,8 @@ EpochStats SensorNode::current_epoch() const noexcept {
 }
 
 void SensorNode::schedule_next(sim::Duration delay) {
-  sim_.schedule_after(delay, [this] { cpu_wakeup(); });
+  next_ = arm(now_ + delay);
+  next_is_transfer_ = false;
 }
 
 void SensorNode::cpu_wakeup() {
@@ -105,8 +135,7 @@ void SensorNode::cpu_wakeup() {
         decision.next_wakeup);
     if (k > 0) {
       scheduler_.commit_repeats(ctx, decision, k);
-      sim_.fast_forward(ctx.now + decision.next_wakeup * k,
-                        static_cast<std::size_t>(k));
+      fast_forward(ctx.now + decision.next_wakeup * k, k);
     }
     schedule_next(decision.next_wakeup);
   }
@@ -122,7 +151,7 @@ void SensorNode::probing_wakeup() {
 }
 
 void SensorNode::snip_wakeup() {
-  const sim::TimePoint t0 = sim_.now();
+  const sim::TimePoint t0 = now_;
   const radio::LinkParams& link = channel_.link();
   const sim::Duration last_next_wakeup =
       sim::Duration::microseconds(counters_->last_wakeup_us);
@@ -201,17 +230,12 @@ void SensorNode::snip_wakeup() {
 
 std::int64_t SensorNode::within_limits(std::int64_t bound,
                                        sim::Duration delay) const {
-  // Wakeups now + j·delay, j = 1..bound, no later than the simulator's
-  // limit and within its event budget. A bound of 0 reads neither.
+  // Wakeups now + j·delay, j = 1..bound, strictly before the epoch timer
+  // (which, armed earlier, wins a tie) and within the run bound.
   if (bound <= 0) return 0;
-  const std::int64_t through =
-      wakeups_through(sim_.now(), delay, sim_.fast_forward_limit());
-  const std::size_t budget = sim_.fast_forward_budget();
-  std::int64_t k = std::min(bound, through);
-  if (static_cast<std::uint64_t>(k) > budget) {
-    k = static_cast<std::int64_t>(budget);
-  }
-  return k;
+  const sim::TimePoint limit =
+      std::min(bound_, epoch_.at - sim::Duration::microseconds(1));
+  return std::min(bound, wakeups_through(now_, delay, limit));
 }
 
 void SensorNode::fast_forward_misses(sim::TimePoint t0, sim::Duration cycle) {
@@ -261,11 +285,11 @@ void SensorNode::fast_forward_misses(sim::TimePoint t0, sim::Duration cycle) {
                             (config_.ton - link.beacon_airtime) * k);
   counters_->budget_used_us += config_.ton.count() * k;
   counters_->phi_us += config_.ton.count() * k;
-  sim_.fast_forward(t0 + cycle * k, static_cast<std::size_t>(k));
+  fast_forward(t0 + cycle * k, k);
 }
 
 void SensorNode::mip_wakeup() {
-  const sim::TimePoint t0 = sim_.now();
+  const sim::TimePoint t0 = now_;
   const radio::LinkParams& link = channel_.link();
   const sim::TimePoint listen_end = t0 + config_.ton;
   const sim::Duration last_next_wakeup =
@@ -383,35 +407,41 @@ void SensorNode::begin_transfer(const contact::Contact& active,
     ++counters_->contacts_probed;
   }
 
-  // Bools ride at the tail of the capture list so the closure packs into
-  // the event queue's 64-byte inline storage; the link rate is re-read at
-  // completion (constant during a run) rather than captured.
-  const sim::Duration cycle = cycle_hint;
-  sim_.schedule_at(transfer_end, [this, active, probe_time, transfer_end,
-                                  cycle, saw_departure, new_session] {
-    // Metered on completion; a transfer straddling an epoch boundary is
-    // attributed to the epoch in which it ends, like its bytes.
-    transfer_meter_.accumulate(RadioState::kTx, transfer_end - probe_time);
-    const double duration_s = (transfer_end - probe_time).to_seconds();
-    const double bytes = buffer_.take(
-        transfer_end, channel_.link().data_rate_bps * duration_s);
-    counters_->bytes_uploaded += bytes;
-    sink_.deliver(bytes, transfer_end, new_session);
-    if (new_session) {
-      ++counters_->probed_sessions;
-      if (config_.record_probed_contacts) {
-        probed_.push_back(ProbedContactRecord{active, probe_time, bytes});
-      }
-      ProbedContactObservation obs;
-      obs.probe_time = probe_time;
-      obs.observed_probed_len = transfer_end - probe_time;
-      obs.bytes_uploaded = bytes;
-      obs.cycle_at_probe = cycle;
-      obs.saw_departure = saw_departure;
-      scheduler_.on_contact_probed(obs);
+  // The transfer's end takes the wakeup's place on the next timer.
+  next_ = arm(transfer_end);
+  next_is_transfer_ = true;
+  transfer_contact_ = active;
+  transfer_probe_time_ = probe_time;
+  transfer_cycle_ = cycle_hint;
+  transfer_saw_departure_ = saw_departure;
+  transfer_new_session_ = new_session;
+}
+
+void SensorNode::end_transfer() {
+  // Metered on completion; a transfer straddling an epoch boundary is
+  // attributed to the epoch in which it ends, like its bytes.
+  const sim::TimePoint probe_time = transfer_probe_time_;
+  transfer_meter_.accumulate(RadioState::kTx, now_ - probe_time);
+  const double duration_s = (now_ - probe_time).to_seconds();
+  const double bytes =
+      buffer_.take(now_, channel_.link().data_rate_bps * duration_s);
+  counters_->bytes_uploaded += bytes;
+  sink_.deliver(bytes, now_, transfer_new_session_);
+  if (transfer_new_session_) {
+    ++counters_->probed_sessions;
+    if (config_.record_probed_contacts) {
+      probed_.push_back(
+          ProbedContactRecord{transfer_contact_, probe_time, bytes});
     }
-    schedule_next(sim::Duration::microseconds(counters_->last_wakeup_us));
-  });
+    ProbedContactObservation obs;
+    obs.probe_time = probe_time;
+    obs.observed_probed_len = now_ - probe_time;
+    obs.bytes_uploaded = bytes;
+    obs.cycle_at_probe = transfer_cycle_;
+    obs.saw_departure = transfer_saw_departure_;
+    scheduler_.on_contact_probed(obs);
+  }
+  schedule_next(sim::Duration::microseconds(counters_->last_wakeup_us));
 }
 
 void SensorNode::epoch_boundary() {
@@ -435,7 +465,7 @@ void SensorNode::epoch_boundary() {
   } else {
     scheduler_.on_epoch_start(epoch_index_);
   }
-  sim_.schedule_after(config_.epoch, [this] { epoch_boundary(); });
+  epoch_ = arm(now_ + config_.epoch);
 }
 
 void SensorNode::crash_and_recovery_step() {

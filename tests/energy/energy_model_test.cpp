@@ -23,13 +23,6 @@ TEST(EnergyModel, EnergyScalesWithTime) {
   EXPECT_NEAR(ten, 10.0 * one, 1e-12);
 }
 
-TEST(EnergyModel, StateNames) {
-  EXPECT_STREQ(to_string(RadioState::kOff), "off");
-  EXPECT_STREQ(to_string(RadioState::kListen), "listen");
-  EXPECT_STREQ(to_string(RadioState::kTx), "tx");
-  EXPECT_STREQ(to_string(RadioState::kRx), "rx");
-}
-
 TEST(EnergyMeter, EnergyMatchesHandComputation) {
   const EnergyModel model;
   EnergyMeter m{model};

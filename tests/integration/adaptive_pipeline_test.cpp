@@ -129,9 +129,8 @@ TEST(MipVsSnipPipeline, FullExperimentComparison) {
     core::SnipRh rh{sc.rush_mask, core::SnipRhConfig{}};
     sim::Rng rng{cfg.seed};
     auto schedule = sc.make_schedule(cfg.epochs, cfg.jitter, rng);
-    sim::Simulator simulator{cfg.seed};
     radio::Channel channel{std::move(schedule), sc.link,
-                           simulator.rng().fork()};
+                           sim::Rng{cfg.seed}.fork()};
     node::MobileNode sink;
     node::SensorNodeConfig ncfg;
     ncfg.ton = sim::Duration::seconds(sc.snip.ton_s);
@@ -139,11 +138,11 @@ TEST(MipVsSnipPipeline, FullExperimentComparison) {
     ncfg.budget_limit = sim::Duration::max();
     ncfg.sensing_rate_bps = cfg.sensing_rate_bps;
     ncfg.protocol = protocol;
-    node::SensorNode sensor{simulator, channel, sink, rh, ncfg};
+    node::SensorNode sensor{channel, sink, rh, ncfg};
     sensor.start();
-    simulator.run_until(sim::TimePoint::zero() +
-                        sc.profile.epoch() *
-                            static_cast<std::int64_t>(cfg.epochs));
+    sensor.run_until(sim::TimePoint::zero() +
+                     sc.profile.epoch() *
+                         static_cast<std::int64_t>(cfg.epochs));
     double zeta = 0.0;
     for (const auto& e : sensor.epoch_history()) {
       zeta += e.zeta.to_seconds();

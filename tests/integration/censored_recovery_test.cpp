@@ -9,7 +9,7 @@
 #include "snipr/node/mobile_node.hpp"
 #include "snipr/node/sensor_node.hpp"
 #include "snipr/radio/channel.hpp"
-#include "snipr/sim/simulator.hpp"
+#include "snipr/sim/rng.hpp"
 
 /// The headline censored-feedback scenario, end to end. A node learns the
 /// roadside rush hours {7,8,17,18} — while slots {12,13,22,23} are dead
@@ -102,8 +102,7 @@ std::pair<core::RushHourMask, std::vector<double>> run_policy(
     const AdaptiveSnipRhConfig& cfg, const contact::ContactSchedule& sched) {
   const core::RoadsideScenario sc;
   const std::size_t epochs = kPhase1Epochs + kPhase2Epochs;
-  sim::Simulator simulator{3};
-  radio::Channel channel{sched, sc.link, simulator.rng().fork()};
+  radio::Channel channel{sched, sc.link, sim::Rng{3}.fork()};
   node::MobileNode sink;
   AdaptiveSnipRh scheduler{sc.profile.epoch(), sc.profile.slot_count(), cfg};
   node::SensorNodeConfig node_cfg;
@@ -112,10 +111,10 @@ std::pair<core::RushHourMask, std::vector<double>> run_policy(
   node_cfg.budget_limit =
       Duration::seconds(sc.profile.epoch().to_seconds() / 500.0);
   node_cfg.sensing_rate_bps = 1e6;
-  node::SensorNode sensor{simulator, channel, sink, scheduler, node_cfg};
+  node::SensorNode sensor{channel, sink, scheduler, node_cfg};
   sensor.start();
-  simulator.run_until(sim::TimePoint::zero() +
-                      sc.profile.epoch() * static_cast<std::int64_t>(epochs));
+  sensor.run_until(sim::TimePoint::zero() +
+                   sc.profile.epoch() * static_cast<std::int64_t>(epochs));
   std::vector<double> zetas;
   for (const auto& e : sensor.epoch_history()) {
     zetas.push_back(e.zeta.to_seconds());

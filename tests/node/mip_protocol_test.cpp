@@ -39,7 +39,6 @@ SensorNodeConfig mip_config() {
 }
 
 struct World {
-  sim::Simulator simulator{1};
   radio::Channel channel;
   MobileNode sink;
 
@@ -52,9 +51,9 @@ TEST(MipProtocol, BeaconInsideListenWindowProbes) {
   // at arrival, so awareness comes at 100 + beacon + ack = 100.002.
   World w{{{at_s(100), Duration::seconds(2)}}};
   AlwaysProbe sched{Duration::seconds(1)};
-  SensorNode node{w.simulator, w.channel, w.sink, sched, mip_config()};
+  SensorNode node{w.channel, w.sink, sched, mip_config()};
   node.start();
-  w.simulator.run_until(at_s(200));
+  node.run_until(at_s(200));
   ASSERT_EQ(node.probed_contacts().size(), 1U);
   EXPECT_EQ(node.probed_contacts().front().probe_time,
             at_s(100) + Duration::milliseconds(2));
@@ -65,9 +64,9 @@ TEST(MipProtocol, LaterBeaconCaughtMidWindow) {
   // 100.005 (arrival). Awareness at 100.007.
   World w{{{at_s(100.005), Duration::seconds(2)}}};
   AlwaysProbe sched{Duration::seconds(100)};
-  SensorNode node{w.simulator, w.channel, w.sink, sched, mip_config()};
+  SensorNode node{w.channel, w.sink, sched, mip_config()};
   node.start();
-  w.simulator.run_until(at_s(150));
+  node.run_until(at_s(150));
   ASSERT_EQ(node.probed_contacts().size(), 1U);
   EXPECT_EQ(node.probed_contacts().front().probe_time,
             at_s(100.005) + Duration::milliseconds(2));
@@ -78,9 +77,9 @@ TEST(MipProtocol, MissesWhenNoBeaconAligns) {
   // grid (windows at 100.0-100.02, 110.0-110.02, ...).
   World w{{{at_s(100.5), Duration::seconds(2)}}};
   AlwaysProbe sched{Duration::seconds(10)};
-  SensorNode node{w.simulator, w.channel, w.sink, sched, mip_config()};
+  SensorNode node{w.channel, w.sink, sched, mip_config()};
   node.start();
-  w.simulator.run_until(at_s(200));
+  node.run_until(at_s(200));
   EXPECT_TRUE(node.probed_contacts().empty());
   // Every wakeup cost the full Ton of listening.
   EXPECT_EQ(node.current_epoch().phi,
@@ -91,9 +90,9 @@ TEST(MipProtocol, MissesWhenNoBeaconAligns) {
 TEST(MipProtocol, ProbedWakeupChargesOnlyUntilAwareness) {
   World w{{{at_s(100), Duration::seconds(2)}}};
   AlwaysProbe sched{Duration::seconds(100)};
-  SensorNode node{w.simulator, w.channel, w.sink, sched, mip_config()};
+  SensorNode node{w.channel, w.sink, sched, mip_config()};
   node.start();
-  w.simulator.run_until(at_s(150));
+  node.run_until(at_s(150));
   // Wakeups at 0 (idle, 20 ms) and 100 (probed at +2 ms).
   EXPECT_EQ(node.current_epoch().phi,
             Duration::milliseconds(20) + Duration::milliseconds(2));
@@ -114,9 +113,9 @@ TEST(MipProtocol, LossyBeaconsRetryWithinWindow) {
   }
   World w{contacts, link};
   AlwaysProbe sched{Duration::seconds(1)};
-  SensorNode node{w.simulator, w.channel, w.sink, sched, mip_config()};
+  SensorNode node{w.channel, w.sink, sched, mip_config()};
   node.start();
-  w.simulator.run_until(at_s(100.0 + 60.0 * 20));
+  node.run_until(at_s(100.0 + 60.0 * 20));
   EXPECT_GE(node.probed_contacts().size(), 14U);
   EXPECT_LE(node.probed_contacts().size(), 20U);
 }
@@ -136,9 +135,9 @@ TEST(MipProtocol, SnipOutperformsMipAtEqualDuty) {
     SensorNodeConfig cfg = mip_config();
     cfg.protocol = protocol;
     cfg.epoch = Duration::hours(2);
-    SensorNode node{w.simulator, w.channel, w.sink, sched, cfg};
+    SensorNode node{w.channel, w.sink, sched, cfg};
     node.start();
-    w.simulator.run_until(at_s(3600));
+    node.run_until(at_s(3600));
     return node.current_epoch().zeta.to_seconds();
   };
 

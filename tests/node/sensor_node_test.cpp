@@ -39,7 +39,6 @@ class NeverProbe final : public Scheduler {
 };
 
 struct World {
-  sim::Simulator simulator{1};
   radio::Channel channel;
   MobileNode sink;
 
@@ -60,9 +59,9 @@ SensorNodeConfig small_config() {
 TEST(SensorNode, ProbesContactAndAccountsCapacity) {
   World w{{{at_s(100), Duration::seconds(2)}}};
   AlwaysProbe sched{Duration::seconds(1)};
-  SensorNode node{w.simulator, w.channel, w.sink, sched, small_config()};
+  SensorNode node{w.channel, w.sink, sched, small_config()};
   node.start();
-  w.simulator.run_until(at_s(200));
+  node.run_until(at_s(200));
 
   ASSERT_EQ(node.probed_contacts().size(), 1U);
   const ProbedContactRecord& rec = node.probed_contacts().front();
@@ -77,9 +76,9 @@ TEST(SensorNode, ProbesContactAndAccountsCapacity) {
 TEST(SensorNode, PhiCountsFullTonForIdleWakeups) {
   World w{{}};  // no contacts at all
   AlwaysProbe sched{Duration::seconds(10)};
-  SensorNode node{w.simulator, w.channel, w.sink, sched, small_config()};
+  SensorNode node{w.channel, w.sink, sched, small_config()};
   node.start();
-  w.simulator.run_until(at_s(100));
+  node.run_until(at_s(100));
   // Wakeups at 0,10,...,90 and 100 = 11; each costs the full 20 ms.
   EXPECT_EQ(node.current_epoch().wakeups, 11U);
   EXPECT_EQ(node.current_epoch().phi, Duration::milliseconds(20) * 11);
@@ -89,9 +88,9 @@ TEST(SensorNode, PhiCountsFullTonForIdleWakeups) {
 TEST(SensorNode, ProbedWakeupChargesOnlyExchange) {
   World w{{{at_s(0), Duration::seconds(2)}}};
   AlwaysProbe sched{Duration::seconds(100)};
-  SensorNode node{w.simulator, w.channel, w.sink, sched, small_config()};
+  SensorNode node{w.channel, w.sink, sched, small_config()};
   node.start();
-  w.simulator.run_until(at_s(50));
+  node.run_until(at_s(50));
   // One probing wakeup that succeeded: Φ = 2 ms, not 20 ms.
   EXPECT_EQ(node.current_epoch().phi, Duration::milliseconds(2));
 }
@@ -101,9 +100,9 @@ TEST(SensorNode, UploadsBacklogDuringContact) {
   // can carry ~25 kB, so the transfer drains the buffer.
   World w{{{at_s(100), Duration::seconds(2)}}};
   AlwaysProbe sched{Duration::seconds(1)};
-  SensorNode node{w.simulator, w.channel, w.sink, sched, small_config()};
+  SensorNode node{w.channel, w.sink, sched, small_config()};
   node.start();
-  w.simulator.run_until(at_s(200));
+  node.run_until(at_s(200));
   EXPECT_NEAR(node.current_epoch().bytes_uploaded, 1000.0, 15.0);
   EXPECT_NEAR(w.sink.bytes_received(), node.current_epoch().bytes_uploaded,
               1e-9);
@@ -120,9 +119,9 @@ TEST(SensorNode, TransferLimitedByDeparture) {
   AlwaysProbe sched{Duration::seconds(1)};
   SensorNodeConfig cfg = small_config();
   cfg.sensing_rate_bps = 1e6;
-  SensorNode node{w.simulator, w.channel, w.sink, sched, cfg};
+  SensorNode node{w.channel, w.sink, sched, cfg};
   node.start();
-  w.simulator.run_until(at_s(200));
+  node.run_until(at_s(200));
   ASSERT_EQ(sched.observations.size(), 1U);
   EXPECT_TRUE(sched.observations[0].saw_departure);
   const double expected =
@@ -135,9 +134,9 @@ TEST(SensorNode, ObservationCarriesCycleHint) {
   // Cycle 7 s puts a wakeup at t=98, inside the contact [98, 100).
   World w{{{at_s(98), Duration::seconds(2)}}};
   AlwaysProbe sched{Duration::seconds(7)};
-  SensorNode node{w.simulator, w.channel, w.sink, sched, small_config()};
+  SensorNode node{w.channel, w.sink, sched, small_config()};
   node.start();
-  w.simulator.run_until(at_s(200));
+  node.run_until(at_s(200));
   ASSERT_EQ(sched.observations.size(), 1U);
   EXPECT_EQ(sched.observations[0].cycle_at_probe, Duration::seconds(7));
 }
@@ -145,9 +144,9 @@ TEST(SensorNode, ObservationCarriesCycleHint) {
 TEST(SensorNode, EpochBoundarySnapshotsAndResets) {
   World w{{{at_s(100), Duration::seconds(2)}}};
   AlwaysProbe sched{Duration::seconds(10)};
-  SensorNode node{w.simulator, w.channel, w.sink, sched, small_config()};
+  SensorNode node{w.channel, w.sink, sched, small_config()};
   node.start();
-  w.simulator.run_until(at_s(3600 * 2));  // two 1 h epochs
+  node.run_until(at_s(3600 * 2));  // two 1 h epochs
   ASSERT_EQ(node.epoch_history().size(), 2U);
   const EpochStats& first = node.epoch_history()[0];
   EXPECT_EQ(first.epoch_index, 0);
@@ -177,9 +176,9 @@ TEST(SensorNode, BudgetGateObservedThroughContext) {
   BudgetAware sched;
   SensorNodeConfig cfg = small_config();
   cfg.budget_limit = Duration::milliseconds(100);
-  SensorNode node{w.simulator, w.channel, w.sink, sched, cfg};
+  SensorNode node{w.channel, w.sink, sched, cfg};
   node.start();
-  w.simulator.run_until(at_s(1000));
+  node.run_until(at_s(1000));
   EXPECT_EQ(node.current_epoch().wakeups, 5U);
   EXPECT_EQ(node.budget_used(), Duration::milliseconds(100));
 }
@@ -187,9 +186,9 @@ TEST(SensorNode, BudgetGateObservedThroughContext) {
 TEST(SensorNode, NeverProbeSpendsNothing) {
   World w{{{at_s(100), Duration::seconds(2)}}};
   NeverProbe sched;
-  SensorNode node{w.simulator, w.channel, w.sink, sched, small_config()};
+  SensorNode node{w.channel, w.sink, sched, small_config()};
   node.start();
-  w.simulator.run_until(at_s(1000));
+  node.run_until(at_s(1000));
   EXPECT_EQ(node.current_epoch().phi, Duration::zero());
   EXPECT_EQ(node.current_epoch().wakeups, 0U);
   EXPECT_TRUE(node.probed_contacts().empty());
@@ -200,9 +199,9 @@ TEST(SensorNode, LostBeaconsMeanNoProbe) {
   lossy.frame_loss = 1.0;
   World w{{{at_s(100), Duration::seconds(2)}}, lossy};
   AlwaysProbe sched{Duration::seconds(1)};
-  SensorNode node{w.simulator, w.channel, w.sink, sched, small_config()};
+  SensorNode node{w.channel, w.sink, sched, small_config()};
   node.start();
-  w.simulator.run_until(at_s(200));
+  node.run_until(at_s(200));
   EXPECT_TRUE(node.probed_contacts().empty());
   // Every wakeup paid the full Ton.
   EXPECT_EQ(node.current_epoch().phi,
@@ -213,7 +212,7 @@ TEST(SensorNode, LostBeaconsMeanNoProbe) {
 TEST(SensorNode, StartTwiceThrows) {
   World w{{}};
   NeverProbe sched;
-  SensorNode node{w.simulator, w.channel, w.sink, sched, small_config()};
+  SensorNode node{w.channel, w.sink, sched, small_config()};
   node.start();
   EXPECT_THROW(node.start(), std::logic_error);
 }
@@ -224,12 +223,12 @@ TEST(SensorNode, RejectsBadConfig) {
   SensorNodeConfig bad = small_config();
   bad.ton = Duration::zero();
   EXPECT_THROW(
-      SensorNode(w.simulator, w.channel, w.sink, sched, bad),
+      SensorNode(w.channel, w.sink, sched, bad),
       std::invalid_argument);
   SensorNodeConfig bad2 = small_config();
   bad2.epoch = Duration::zero();
   EXPECT_THROW(
-      SensorNode(w.simulator, w.channel, w.sink, sched, bad2),
+      SensorNode(w.channel, w.sink, sched, bad2),
       std::invalid_argument);
 }
 
@@ -243,9 +242,9 @@ TEST(SensorNode, NonPositiveNextWakeupIsSchedulerBug) {
   };
   World w{{}};
   Broken sched;
-  SensorNode node{w.simulator, w.channel, w.sink, sched, small_config()};
+  SensorNode node{w.channel, w.sink, sched, small_config()};
   node.start();
-  EXPECT_THROW(w.simulator.run_until(at_s(10)), std::logic_error);
+  EXPECT_THROW(node.run_until(at_s(10)), std::logic_error);
 }
 
 TEST(SensorNode, DetectionHookFiresAtDetectionNotTransferCompletion) {
@@ -258,7 +257,6 @@ TEST(SensorNode, DetectionHookFiresAtDetectionNotTransferCompletion) {
   // epoch's statistics.
   class DetectionSpy final : public Scheduler {
    public:
-    explicit DetectionSpy(sim::Simulator& sim) : sim_{sim} {}
     SchedulerDecision on_wakeup(const SensorContext&) override {
       return {.probe = true, .next_wakeup = Duration::seconds(1)};
     }
@@ -266,26 +264,23 @@ TEST(SensorNode, DetectionHookFiresAtDetectionNotTransferCompletion) {
       detections.push_back(when);
     }
     void on_contact_probed(const ProbedContactObservation& obs) override {
-      completion_times.push_back(sim_.now());
+      completion_times.push_back(obs.probe_time + obs.observed_probed_len);
       observations.push_back(obs);
     }
     std::string name() const override { return "detection-spy"; }
     std::vector<TimePoint> detections;
     std::vector<TimePoint> completion_times;
     std::vector<ProbedContactObservation> observations;
-
-   private:
-    sim::Simulator& sim_;
   };
 
   // 10 B/s sensing for 3599 s ≈ 36 kB backlog; at 12.5 kB/s the transfer
   // runs ~2.9 s — across the 1 h epoch boundary. The contact itself (10 s)
   // outlives the drain, so departure is never observed.
   World w{{{at_s(3599), Duration::seconds(10)}}};
-  DetectionSpy sched{w.simulator};
-  SensorNode node{w.simulator, w.channel, w.sink, sched, small_config()};
+  DetectionSpy sched;
+  SensorNode node{w.channel, w.sink, sched, small_config()};
   node.start();
-  w.simulator.run_until(at_s(3700));
+  node.run_until(at_s(3700));
 
   const TimePoint boundary = at_s(3600);
   ASSERT_EQ(sched.detections.size(), 1U);
@@ -298,6 +293,65 @@ TEST(SensorNode, DetectionHookFiresAtDetectionNotTransferCompletion) {
   EXPECT_EQ(node.epoch_history()[0].contacts_probed, 1U);
 }
 
+TEST(SensorNode, RunUntilFiresTimersAtTheBoundAndIdlesForward) {
+  World w{{}};
+  AlwaysProbe sched{Duration::seconds(10)};
+  SensorNode node{w.channel, w.sink, sched, small_config()};
+  EXPECT_EQ(node.run_until(at_s(3)), 0U);  // not started: the clock idles
+  EXPECT_EQ(node.now(), at_s(3));
+  node.start();
+  // The first wakeup fires at the start, the next one 10 s later.
+  EXPECT_EQ(node.run_until(at_s(5)), 1U);
+  EXPECT_EQ(node.now(), at_s(5));
+  EXPECT_EQ(node.run_until(at_s(13) - Duration::microseconds(1)), 0U);
+  EXPECT_EQ(node.run_until(at_s(13)), 1U);  // a timer at the bound fires
+  EXPECT_EQ(node.current_epoch().wakeups, 2U);
+  EXPECT_EQ(node.run_until(at_s(13)), 0U);
+  EXPECT_THROW(node.run_until(at_s(12)), std::logic_error);
+}
+
+TEST(SensorNode, TimersAtOneInstantFireInArmOrder) {
+  // 10 min wakeups meet the hourly boundary at 1 h. The boundary was
+  // armed first (at the start), so it fires first and the wakeup is
+  // charged to the new epoch.
+  {
+    World w{{}};
+    AlwaysProbe sched{Duration::minutes(10)};
+    SensorNode node{w.channel, w.sink, sched, small_config()};
+    node.start();
+    EXPECT_EQ(node.run_until(at_s(3600)), 8U);
+    ASSERT_EQ(node.epoch_history().size(), 1U);
+    EXPECT_EQ(node.epoch_history()[0].wakeups, 6U);
+    EXPECT_EQ(node.current_epoch().wakeups, 1U);
+  }
+  // A 2 h cycle arms the wakeup at 2 h before the boundary at 1 h re-arms
+  // itself for 2 h, so at 2 h the wakeup fires first and is charged to
+  // the epoch that ends there.
+  {
+    World w{{}};
+    AlwaysProbe sched{Duration::hours(2)};
+    SensorNode node{w.channel, w.sink, sched, small_config()};
+    node.start();
+    node.run_until(at_s(7200));
+    ASSERT_EQ(node.epoch_history().size(), 2U);
+    EXPECT_EQ(node.epoch_history()[0].wakeups, 1U);
+    EXPECT_EQ(node.epoch_history()[1].wakeups, 1U);
+    EXPECT_EQ(node.current_epoch().wakeups, 0U);
+  }
+}
+
+TEST(SensorNode, TwoWeekClockIsExact) {
+  World w{{}};
+  NeverProbe sched;
+  SensorNodeConfig cfg = small_config();
+  cfg.epoch = Duration::hours(24);
+  SensorNode node{w.channel, w.sink, sched, cfg};
+  node.start();
+  node.run_until(TimePoint::zero() + Duration::hours(24) * 14);
+  EXPECT_EQ(node.now().count(), 14LL * 86400 * 1'000'000);
+  EXPECT_EQ(node.epoch_history().size(), 14U);
+}
+
 TEST(SensorNode, ConsecutiveContactsAllProbedAtHighDuty) {
   std::vector<Contact> contacts;
   for (int i = 0; i < 20; ++i) {
@@ -305,9 +359,9 @@ TEST(SensorNode, ConsecutiveContactsAllProbedAtHighDuty) {
   }
   World w{contacts};
   AlwaysProbe sched{Duration::seconds(1)};
-  SensorNode node{w.simulator, w.channel, w.sink, sched, small_config()};
+  SensorNode node{w.channel, w.sink, sched, small_config()};
   node.start();
-  w.simulator.run_until(at_s(200));
+  node.run_until(at_s(200));
   EXPECT_EQ(node.probed_contacts().size(), 20U);
   EXPECT_EQ(w.sink.contacts_served(), 20U);
 }

@@ -1,10 +1,10 @@
 /// Property: fleet nodes never interact while probing, so simulating
-/// each node alone in its own event loop (what both fleet engines do)
-/// gives exactly what one shared `Simulator` over the whole fleet gives.
+/// each node alone on its own clock (what both fleet engines do) gives
+/// exactly what one `Simulator` running the whole fleet gives.
 /// The test builds a small faulted relay fleet on the
 /// `chaos-lossy-collection` geometry and runs it twice: through
 /// `FleetEngine::run`, and by hand from the public sim/radio/node/fault
-/// API with every node in one shared simulator, node streams forked in
+/// API with every node on one simulator, node streams forked in
 /// node order, node i on fault stream i and each probed contact mapped
 /// to its carrier through the contact plan. The `snipr.fleet.v3`
 /// documents, per-node rows, network and resilience sections included,

@@ -1,13 +1,13 @@
-/// Steady-state zero-allocation guarantee for the event loop.
+/// Steady-state zero-allocation guarantee for a node's event loop.
 ///
 /// This binary replaces global operator new with the shared counting
-/// hook. After a warm-up (which is allowed to allocate: the heap, slot
-/// and free-list vectors grow to their steady-state capacity), a
-/// forward-running mix of self-rescheduling timers and one-shot churn
-/// through Simulator::run_until must perform exactly zero allocations —
-/// the guarantee the InlineCallback + recycled-slot EventQueue exists to
-/// provide, and the one a stray std::function or node-based container on
-/// the hot path would break.
+/// hook. After a warm-up day (which is allowed to allocate: the history
+/// and the learner's state reach their capacity), a node's
+/// SensorNode::run_until through wakeups, fast-forwarded runs, probes,
+/// transfers and epoch boundaries must perform exactly zero allocations —
+/// the guarantee the node's two plain timers exist to keep, and the one a
+/// stray std::function or node-based container on the hot path would
+/// break.
 
 #include <gtest/gtest.h>
 
@@ -18,88 +18,11 @@
 #include "snipr/core/adaptive_snip_rh.hpp"
 #include "snipr/core/snip_at.hpp"
 #include "snipr/node/sensor_node.hpp"
-#include "snipr/sim/simulator.hpp"
 #include "support/counting_alloc_hook.hpp"
 #include "support/pass_through_scheduler.hpp"
 
 namespace snipr::sim {
 namespace {
-
-/// Self-rescheduling timer with a deliberately fat closure (the size
-/// class of SensorNode::begin_transfer's completion callback).
-struct FatTick {
-  Simulator* simulator;
-  Duration period;
-  std::uint64_t* fired;
-  std::uint64_t payload[3];
-
-  void operator()() const {
-    ++*fired;
-    simulator->schedule_after(period, *this);
-  }
-};
-
-/// One-shot churn: every fire schedules a short-lived one-shot event
-/// beside its own next fire, so slots retire and recycle through the
-/// free list on every event while the pending population stays bounded
-/// (about eight events).
-struct Churner {
-  Simulator* simulator;
-  std::uint64_t* fired;
-
-  void operator()() const {
-    ++*fired;
-    simulator->schedule_after(Duration::milliseconds(50),
-                              [count = fired] { ++*count; });
-    simulator->schedule_after(Duration::milliseconds(7), *this);
-  }
-};
-
-TEST(ZeroAllocTest, EventLoopSteadyStateAllocatesNothing) {
-  Simulator simulator{1};
-  std::uint64_t fired = 0;
-  for (std::int64_t i = 0; i < 16; ++i) {
-    FatTick tick{};
-    tick.simulator = &simulator;
-    tick.period = Duration::microseconds(911 + 17 * i);
-    tick.fired = &fired;
-    tick.payload[0] = static_cast<std::uint64_t>(i);
-    simulator.schedule_after(tick.period, tick);
-  }
-  simulator.schedule_after(Duration::milliseconds(1),
-                           Churner{&simulator, &fired});
-
-  // Warm-up: vectors (heap, slots, free list) reach steady capacity.
-  simulator.run_until(simulator.now() + Duration::seconds(2));
-  const std::uint64_t fired_before = fired;
-
-  const std::uint64_t allocs_before =
-      testing::alloc_calls.load(std::memory_order_relaxed);
-  simulator.run_until(simulator.now() + Duration::seconds(10));
-  const std::uint64_t allocs_after =
-      testing::alloc_calls.load(std::memory_order_relaxed);
-
-  EXPECT_GT(fired - fired_before, 100000U) << "hot loop barely ran";
-  EXPECT_EQ(allocs_after, allocs_before)
-      << "the steady-state event loop must not allocate";
-}
-
-TEST(ZeroAllocTest, OneShotChurnAllocatesNothingAfterWarmup) {
-  Simulator simulator{7};
-  // Pure one-shot churn (no timer mix): slot reuse through the free list
-  // runs inside the measured region and must stay allocation-free too.
-  std::uint64_t fired = 0;
-  simulator.schedule_after(Duration::milliseconds(1),
-                           Churner{&simulator, &fired});
-  simulator.run_until(simulator.now() + Duration::seconds(5));
-
-  const std::uint64_t allocs_before =
-      testing::alloc_calls.load(std::memory_order_relaxed);
-  simulator.run_until(simulator.now() + Duration::seconds(60));
-  EXPECT_EQ(testing::alloc_calls.load(std::memory_order_relaxed),
-            allocs_before);
-  EXPECT_GT(fired, 1000U);
-}
 
 /// A SNIP node whose probes mostly miss: runs of misses are
 /// fast-forwarded between hourly contacts, and neither the skip nor the
@@ -111,19 +34,18 @@ void expect_miss_runs_allocate_nothing(const node::SensorNodeConfig& config) {
                             Duration::seconds(1800),
                         Duration::seconds(30)});
   }
-  Simulator simulator{3};
   radio::Channel channel{contact::ContactSchedule{std::move(contacts)},
                          radio::LinkParams{}, Rng{5}};
   node::MobileNode sink;
   core::SnipAt scheduler{0.01, Duration::milliseconds(20)};
-  node::SensorNode sensor{simulator, channel, sink, scheduler, config};
+  node::SensorNode sensor{channel, sink, scheduler, config};
   sensor.start();
-  simulator.run_until(TimePoint::zero() + Duration::hours(24));
+  sensor.run_until(TimePoint::zero() + Duration::hours(24));
 
   const std::uint64_t allocs_before =
       testing::alloc_calls.load(std::memory_order_relaxed);
   const std::size_t events =
-      simulator.run_until(TimePoint::zero() + Duration::hours(24 * 7));
+      sensor.run_until(TimePoint::zero() + Duration::hours(24 * 7));
   EXPECT_EQ(testing::alloc_calls.load(std::memory_order_relaxed),
             allocs_before);
   EXPECT_GT(events, 100000U) << "skipped wakeups count as events";
@@ -167,7 +89,6 @@ TEST(ZeroAllocTest, AdaptiveNodePollAndTrackerRunsAllocateNothing) {
       }
     }
   }
-  Simulator simulator{3};
   radio::Channel channel{contact::ContactSchedule{std::move(contacts)},
                          radio::LinkParams{}, Rng{5}};
   node::MobileNode sink;
@@ -185,17 +106,17 @@ TEST(ZeroAllocTest, AdaptiveNodePollAndTrackerRunsAllocateNothing) {
   config.budget_limit = Duration::seconds(8);
   config.record_epoch_history = false;
   config.record_probed_contacts = false;
-  node::SensorNode sensor{simulator, channel, sink, scheduler, config};
+  node::SensorNode sensor{channel, sink, scheduler, config};
   sensor.start();
-  simulator.run_until(TimePoint::zero() + Duration::hours(24 * 3) +
-                      Duration::seconds(1));
+  sensor.run_until(TimePoint::zero() + Duration::hours(24 * 3) +
+                   Duration::seconds(1));
 
   const std::uint64_t polls_before = scheduler.skipped_polls();
   const std::uint64_t tracker_before = scheduler.skipped_tracker_probes();
   const std::uint64_t allocs_before =
       testing::alloc_calls.load(std::memory_order_relaxed);
-  simulator.run_until(TimePoint::zero() + Duration::hours(24 * 4) -
-                      Duration::seconds(1));
+  sensor.run_until(TimePoint::zero() + Duration::hours(24 * 4) -
+                   Duration::seconds(1));
   EXPECT_EQ(testing::alloc_calls.load(std::memory_order_relaxed),
             allocs_before);
   EXPECT_GT(scheduler.skipped_polls() - polls_before, 1000U);

@@ -6,7 +6,7 @@
 namespace snipr::sim {
 
 struct PlantedBad {
-  std::function<void()> callback;  // should be sim::InlineCallback
+  std::function<void()> callback;  // should be a plain member
 };
 
 }  // namespace snipr::sim

@@ -11,10 +11,10 @@ they are not translation units).
 Rules (ids are stable; use them in suppressions):
 
 * ``hotpath-std-function`` — no ``std::function`` (or ``<functional>``
-  include) inside the sim/ node/ radio/ hot-path directories. Closures
-  there must use ``sim::InlineCallback``: std::function heap-allocates
-  past its small-buffer size, which silently reintroduces the
-  per-event malloc/free pair PR 5 removed.
+  include) inside the sim/ node/ radio/ hot-path directories. A node's
+  timers there hold plain members, not closures: std::function
+  heap-allocates past its small-buffer size, which silently
+  reintroduces a per-event malloc/free pair on the node's loop.
 * ``unordered-json-iteration`` — no range-for / ``.begin()`` iteration
   over a ``std::unordered_map``/``unordered_set`` in any file that
   emits JSON (includes core/json_writer.hpp, calls ``json::…`` or
@@ -276,17 +276,17 @@ def check_file(rel, raw_lines, findings):
                  "NOLINT without a written justification (trailing text or "
                  "a comment in the 3 lines above)")
 
-    # hotpath-std-function: sim/ node/ radio/ must stay InlineCallback-only.
+    # hotpath-std-function: sim/ node/ radio/ hold no std::function.
     if HOTPATH_RE.match(rel_posix):
         for idx, line in enumerate(stripped, start=1):
             if STD_FUNCTION_RE.search(line):
                 emit(idx, "hotpath-std-function",
                      "std::function in a hot-path directory heap-allocates "
-                     "per closure; use sim::InlineCallback")
+                     "per closure; hot-path timers hold plain members")
             elif FUNCTIONAL_INCLUDE_RE.match(line):
                 emit(idx, "hotpath-std-function",
                      "<functional> include in a hot-path directory; "
-                     "hot-path closures must use sim::InlineCallback")
+                     "hot-path timers hold plain members")
 
     # unordered-json-iteration: nondeterministic order must never reach
     # an emitter.
