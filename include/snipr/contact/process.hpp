@@ -40,9 +40,6 @@ class ContactProcess {
 
   /// Next contact, or nullopt when the stream is exhausted (trace end).
   [[nodiscard]] virtual std::optional<Contact> next(sim::Rng& rng) = 0;
-
-  /// Restart the stream from the origin.
-  virtual void reset() = 0;
 };
 
 /// Sequential interval-based generator (the paper's environment).
@@ -82,7 +79,6 @@ class IntervalContactProcess final : public ContactProcess {
       IntervalJitter jitter = IntervalJitter::kNone);
 
   [[nodiscard]] std::optional<Contact> next(sim::Rng& rng) override;
-  void reset() override;
 
   [[nodiscard]] const ArrivalProfile& profile() const noexcept {
     return profile_;

@@ -62,7 +62,6 @@ class TraceReplayProcess final : public ContactProcess {
                               TraceReplayConfig config = {});
 
   [[nodiscard]] std::optional<Contact> next(sim::Rng& rng) override;
-  void reset() override;
 
   /// Number of contacts in one pass of the (rotated) base trace.
   [[nodiscard]] std::size_t size() const noexcept { return base_.size(); }

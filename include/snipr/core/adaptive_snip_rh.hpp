@@ -15,7 +15,10 @@
 /// few epochs to rank the time-slots, then switch to SNIP-RH. To keep
 /// tracking a drifting pattern, SNIP-AT continues in the background at a
 /// much smaller duty; when the learned ranking changes, the rush-hour mask
-/// is refreshed at the next epoch boundary.
+/// is refreshed at the next epoch boundary. The refresh has hysteresis: a
+/// slot outside the mask replaces the weakest slot inside it only when its
+/// score exceeds the incumbent's by 30%, so the mask does not flicker on
+/// single-sample noise yet still follows a real shift within a few epochs.
 ///
 /// The learner only ever sees what the node detected (censored feedback),
 /// so an adopted mask starves out-of-mask slots of observations. An
@@ -37,11 +40,6 @@ struct AdaptiveSnipRhConfig {
   std::size_t rush_slots{4};
   /// EWMA weight per epoch when updating slot scores.
   double score_weight{0.3};
-  /// A slot outside the mask replaces the weakest slot inside it only when
-  /// its score exceeds the incumbent's by this margin. Prevents the mask
-  /// from flickering on single-sample noise while still following a real
-  /// shift within a few epochs. 0 disables hysteresis.
-  double mask_hysteresis{0.3};
   /// Exploration over out-of-mask slots; the default kind (kNone) keeps
   /// the legacy tracker-only behaviour bit-for-bit.
   ExplorationConfig exploration{};

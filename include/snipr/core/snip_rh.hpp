@@ -10,7 +10,9 @@
 /// SNIP is activated only when all three conditions hold:
 ///   1. the current time-slot is marked as a Rush Hour;
 ///   2. the buffer holds at least the learned mean amount of data uploaded
-///      per probed contact (so probed capacity is never wasted);
+///      per probed contact (an EWMA of weight 0.1, Sec. VI-B), and at
+///      least one byte before any upload is seen (so probed capacity is
+///      never wasted);
 ///   3. the epoch's probing-energy budget Φmax still affords a wakeup.
 ///
 /// The duty-cycle is d_rh = Ton / T̄contact where T̄contact is an EWMA of
@@ -25,6 +27,8 @@
 /// Tcycle < Tcontact; without it the estimator settles at ~2/3·Tcontact
 /// and the duty lands slightly above the knee (the paper notes ρ is not
 /// very sensitive there). The ablation bench A3 quantifies both choices.
+/// An observation a drained buffer cut short under-estimates the contact
+/// length even after head correction, so it feeds only the upload mean.
 
 namespace snipr::core {
 
@@ -36,16 +40,8 @@ struct SnipRhConfig {
   double initial_tcontact_s{2.0};
   /// EWMA weight for T̄contact ("a small weight", Sec. VI-C).
   double length_ewma_weight{0.1};
-  /// EWMA weight for the mean upload per probed contact (Sec. VI-B).
-  double upload_ewma_weight{0.1};
-  /// Condition 2 floor: probe only when at least this many bytes wait,
-  /// even before any upload has been observed.
-  double min_data_bytes{1.0};
   /// Reconstruct Tcontact from Tprobed by adding Tcycle/2 (see above).
   bool head_correction{true};
-  /// Learn from observations truncated by buffer drain (default: skip,
-  /// they under-estimate the contact length).
-  bool learn_truncated{false};
   /// Floor for CPU sleep intervals between condition checks.
   sim::Duration min_sleep{sim::Duration::seconds(1)};
 };

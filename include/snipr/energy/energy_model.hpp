@@ -48,9 +48,6 @@ struct EnergyModel {
                                 sim::Duration span) const noexcept {
     return power_w(s) * span.to_seconds();
   }
-
-  /// TELOSB/CC2420 defaults (same as a default-constructed model).
-  [[nodiscard]] static EnergyModel telosb() noexcept { return {}; }
 };
 
 /// Integrates time spent per radio state along a simulation run. Each
@@ -58,17 +55,14 @@ struct EnergyModel {
 /// known then (e.g. a beacon of fixed airtime).
 class EnergyMeter {
  public:
-  explicit EnergyMeter(EnergyModel model = EnergyModel::telosb()) noexcept
-      : model_{model} {}
-
   /// Add `span` of state `s`.
   void accumulate(RadioState s, sim::Duration span) noexcept;
 
-  /// Total accumulated energy in Joules under the model.
+  /// Total accumulated energy in Joules under the TELOSB/CC2420 model (a
+  /// default-constructed EnergyModel).
   [[nodiscard]] double energy_j() const noexcept;
 
  private:
-  EnergyModel model_;
   std::array<sim::Duration, kRadioStateCount> accumulated_{};
 };
 

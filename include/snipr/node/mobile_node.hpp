@@ -2,8 +2,6 @@
 
 #include <cstdint>
 
-#include "snipr/sim/time.hpp"
-
 /// \file mobile_node.hpp
 /// The data sink carried through the deployment.
 ///
@@ -19,19 +17,16 @@ class MobileNode {
  public:
   /// Sink callback: `bytes` arrived over a probed contact. `new_contact`
   /// is false for follow-up transfers within the same contact.
-  void deliver(double bytes, sim::TimePoint at,
-               bool new_contact = true) noexcept;
+  void deliver(double bytes, bool new_contact) noexcept;
 
   [[nodiscard]] double bytes_received() const noexcept { return bytes_; }
   [[nodiscard]] std::uint64_t contacts_served() const noexcept {
     return contacts_;
   }
-  [[nodiscard]] sim::TimePoint last_delivery() const noexcept { return last_; }
 
  private:
   double bytes_{0.0};
   std::uint64_t contacts_{0};
-  sim::TimePoint last_{sim::TimePoint::zero()};
 };
 
 }  // namespace snipr::node

@@ -46,17 +46,6 @@ class NodeFaultInjector;
 
 namespace snipr::node {
 
-/// Who initiates the probe during a wakeup window.
-enum class ProbingProtocol {
-  /// SNIP (the paper, Sec. III): the sensor beacons, the mobile replies.
-  kSnip,
-  /// MIP baseline ([15] in the paper): the sensor only listens; the
-  /// mobile broadcasts beacons every LinkParams::mobile_beacon_period
-  /// while in range, and the contact is probed when one lands wholly
-  /// inside the listen window.
-  kMip,
-};
-
 struct SensorNodeConfig {
   /// Radio-on time per probing wakeup (SNIP's Ton).
   sim::Duration ton{sim::Duration::milliseconds(20)};
@@ -66,10 +55,6 @@ struct SensorNodeConfig {
   sim::Duration budget_limit{sim::Duration::max()};
   /// Data generation rate, bytes/second.
   double sensing_rate_bps{1.0};
-  /// Physical energy model for Joule reporting.
-  energy::EnergyModel energy_model{};
-  /// Probing protocol executed on each wakeup.
-  ProbingProtocol protocol{ProbingProtocol::kSnip};
   /// Epochs the run is expected to simulate (0 = unknown). Drivers that
   /// know their horizon set it so the per-epoch history is reserved up
   /// front instead of growing geometrically across a long run
@@ -184,7 +169,6 @@ class SensorNode {
  private:
   void cpu_wakeup();
   void schedule_next(sim::Duration delay);
-  void probing_wakeup();
   void snip_wakeup();
   /// After a SNIP miss at `t0` with next delay `cycle`: asks the
   /// scheduler how many of the next probes would repeat the verdict,
@@ -202,7 +186,6 @@ class SensorNode {
     now_ = to;
     events_ += static_cast<std::size_t>(events);
   }
-  void mip_wakeup();
   /// `new_session` is false when re-beaconing inside an already-probed
   /// contact (after an early buffer drain): more data may flow, but ζ,
   /// contact counts and learning observations are not double-counted.

@@ -47,13 +47,10 @@ class Channel {
   [[nodiscard]] std::optional<contact::Contact> active_contact(
       sim::TimePoint t) const;
 
-  /// First contact with arrival >= t (the cursor-accelerated form of a
-  /// binary search over the arrivals).
-  [[nodiscard]] std::optional<contact::Contact> next_arrival_at_or_after(
-      sim::TimePoint t) const;
-  /// Index in schedule().contacts() of that contact; size() when none
-  /// arrives at or after t. A forward walk over the schedule from here
-  /// sees every later arrival in order.
+  /// Index in schedule().contacts() of the first contact with arrival
+  /// >= t (the cursor-accelerated form of a binary search over the
+  /// arrivals); size() when none arrives at or after t. A forward walk
+  /// over the schedule from here sees every later arrival in order.
   [[nodiscard]] std::size_t next_arrival_index(sim::TimePoint t) const;
 
   /// True when a frame transmitted over [start, start+airtime) is

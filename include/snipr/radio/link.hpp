@@ -22,9 +22,6 @@ struct LinkParams {
   /// Independent loss probability applied to each beacon and each reply.
   /// Sparse deployments make loss unlikely (Sec. III); default 0.
   double frame_loss{0.0};
-  /// Mobile-initiated probing (MIP baseline) only: the mobile node
-  /// broadcasts a beacon this often while in range, starting at arrival.
-  sim::Duration mobile_beacon_period{sim::Duration::milliseconds(100)};
 };
 
 }  // namespace snipr::radio

@@ -24,13 +24,13 @@ namespace snipr::radio {
     const contact::Contact& c, sim::Duration tcycle, sim::Duration ton,
     const LinkParams& link, sim::Duration phase = sim::Duration::zero());
 
-/// MIP: the mobile beacons at arrival + k·period while in range; the
+/// MIP: the mobile beacons at arrival + k·beacon_period while in range; the
 /// sensor listens over [phase + n·Tcycle, phase + n·Tcycle + Ton). The
 /// contact is probed at the end of the first mobile beacon that lies
 /// wholly inside a listen window. Returns awareness time or nullopt.
 [[nodiscard]] std::optional<sim::TimePoint> mip_awareness_time(
     const contact::Contact& c, sim::Duration tcycle, sim::Duration ton,
-    const LinkParams& link, sim::Duration mobile_beacon_period,
+    const LinkParams& link, sim::Duration beacon_period,
     sim::Duration phase = sim::Duration::zero());
 
 /// Probed capacity Tprobed = departure − awareness for an awareness time,

@@ -58,7 +58,6 @@ class Duration {
   }
 
   [[nodiscard]] constexpr bool is_zero() const noexcept { return us_ == 0; }
-  [[nodiscard]] constexpr bool is_negative() const noexcept { return us_ < 0; }
 
   constexpr auto operator<=>(const Duration&) const noexcept = default;
 
@@ -131,8 +130,6 @@ class TimePoint {
     return TimePoint{since_start};
   }
 
-  /// Elapsed time since the simulation origin.
-  [[nodiscard]] constexpr Duration since_origin() const noexcept { return d_; }
   [[nodiscard]] constexpr std::int64_t count() const noexcept {
     return d_.count();
   }

@@ -115,12 +115,6 @@ std::optional<Contact> IntervalContactProcess::next(sim::Rng& rng) {
   }
 }
 
-void IntervalContactProcess::reset() {
-  cursor_ = sim::TimePoint::zero();
-  previous_.reset();
-  fresh_slot_ = true;
-}
-
 std::vector<Contact> materialize(ContactProcess& process,
                                  sim::Duration horizon, sim::Rng& rng) {
   const sim::TimePoint end = sim::TimePoint::zero() + horizon;

@@ -112,10 +112,4 @@ std::optional<Contact> TraceReplayProcess::next(sim::Rng& rng) {
   return c;
 }
 
-void TraceReplayProcess::reset() {
-  cursor_ = 0;
-  repetition_ = 0;
-  last_departure_ = sim::TimePoint::zero();
-}
-
 }  // namespace snipr::contact

@@ -12,6 +12,9 @@ namespace {
 /// The exploit phase's re-check period while the tracker or the
 /// exploration floor is overdue.
 constexpr sim::Duration kPollPeriod = sim::Duration::seconds(1);
+/// The mask refresh's hysteresis: an outsider slot enters only when its
+/// score exceeds the weakest incumbent's by this fraction.
+constexpr double kMaskHysteresis = 0.3;
 
 }  // namespace
 
@@ -228,7 +231,7 @@ void AdaptiveSnipRh::on_epoch_start(std::int64_t /*epoch_index*/) {
     return;
   }
   // Exploit phase: refresh the mask with hysteresis — an outsider slot
-  // must beat the weakest incumbent by the configured margin to enter.
+  // must beat the weakest incumbent by kMaskHysteresis to enter.
   // Optimistic exploration inflates under-explored slots' scores here, so
   // the same hysteresis machinery grants them trial membership.
   const std::vector<double> optimistic =
@@ -237,7 +240,7 @@ void AdaptiveSnipRh::on_epoch_start(std::int64_t /*epoch_index*/) {
   const std::vector<double>& scores =
       policy_.inflates_scores() ? optimistic : learner_.scores();
   RushHourMask mask = rh_.mask();
-  const double margin = 1.0 + config_.mask_hysteresis;
+  const double margin = 1.0 + kMaskHysteresis;
   for (;;) {
     std::size_t weakest = mask.slot_count();
     std::size_t strongest = mask.slot_count();

@@ -10,6 +10,12 @@
 namespace snipr::core {
 namespace {
 
+/// EWMA weight for the mean upload per probed contact (Sec. VI-B).
+constexpr double kUploadEwmaWeight = 0.1;
+/// Condition 2 floor: probe only when at least this many bytes wait,
+/// even before any upload has been observed.
+constexpr double kMinDataBytes = 1.0;
+
 void append_ewma(std::string& out, const stats::Ewma& ewma) {
   ckpt::append_double(out, ewma.mean_raw());
   ckpt::append_u64(out, ewma.has_value() ? 1 : 0);
@@ -34,7 +40,7 @@ SnipRh::SnipRh(RushHourMask mask, SnipRhConfig config)
     : mask_{std::move(mask)},
       config_{config},
       tcontact_s_{config.length_ewma_weight, config.initial_tcontact_s},
-      upload_bytes_{config.upload_ewma_weight} {
+      upload_bytes_{kUploadEwmaWeight} {
   if (!(config.ton > sim::Duration::zero())) {
     throw std::invalid_argument("SnipRh: ton must be positive");
   }
@@ -67,7 +73,7 @@ double SnipRh::duty() const noexcept {
 }
 
 double SnipRh::upload_threshold_bytes() const noexcept {
-  return std::max(config_.min_data_bytes, upload_bytes_.value_or(0.0));
+  return std::max(kMinDataBytes, upload_bytes_.value_or(0.0));
 }
 
 node::SchedulerDecision SnipRh::on_wakeup(const node::SensorContext& ctx) {
@@ -130,7 +136,7 @@ std::int64_t SnipRh::repeat_bound(const node::SensorContext& ctx,
 }
 
 void SnipRh::on_contact_probed(const node::ProbedContactObservation& obs) {
-  if (!obs.saw_departure && !config_.learn_truncated) {
+  if (!obs.saw_departure) {
     // A drained buffer truncated the observation; it under-estimates the
     // contact length, so skip it (upload amount is still informative).
     upload_bytes_.add(obs.bytes_uploaded);
@@ -187,7 +193,7 @@ bool SnipRh::restore(std::string_view blob) {
 void SnipRh::reset() {
   tcontact_s_ =
       stats::Ewma{config_.length_ewma_weight, config_.initial_tcontact_s};
-  upload_bytes_ = stats::Ewma{config_.upload_ewma_weight};
+  upload_bytes_ = stats::Ewma{kUploadEwmaWeight};
   refresh_cycle();
 }
 

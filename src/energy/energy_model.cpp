@@ -7,9 +7,10 @@ void EnergyMeter::accumulate(RadioState s, sim::Duration span) noexcept {
 }
 
 double EnergyMeter::energy_j() const noexcept {
+  const EnergyModel model{};
   double total = 0.0;
   for (std::size_t s = 0; s < kRadioStateCount; ++s) {
-    total += model_.energy_j(static_cast<RadioState>(s), accumulated_[s]);
+    total += model.energy_j(static_cast<RadioState>(s), accumulated_[s]);
   }
   return total;
 }

@@ -2,11 +2,9 @@
 
 namespace snipr::node {
 
-void MobileNode::deliver(double bytes, sim::TimePoint at,
-                         bool new_contact) noexcept {
+void MobileNode::deliver(double bytes, bool new_contact) noexcept {
   bytes_ += bytes;
   if (new_contact) ++contacts_;
-  last_ = at;
 }
 
 }  // namespace snipr::node

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 
 #include "snipr/fault/fault_plan.hpp"
@@ -19,9 +18,7 @@ SensorNode::SensorNode(radio::Channel& channel, MobileNode& sink,
       sink_{sink},
       scheduler_{scheduler},
       config_{config},
-      buffer_{config.sensing_rate_bps},
-      probing_meter_{config.energy_model},
-      transfer_meter_{config.energy_model} {
+      buffer_{config.sensing_rate_bps} {
   if (!(config.ton > sim::Duration::zero())) {
     throw std::invalid_argument("SensorNode: ton must be positive");
   }
@@ -126,7 +123,8 @@ void SensorNode::cpu_wakeup() {
   }
   counters_->last_wakeup_us = decision.next_wakeup.count();
   if (decision.probe) {
-    probing_wakeup();  // schedules the next CPU wakeup itself
+    ++counters_->wakeups;
+    snip_wakeup();  // schedules the next CPU wakeup itself
   } else {
     // A non-probing wakeup touches neither the radio nor a fault stream:
     // only pending events and the run bound limit a run of them.
@@ -138,15 +136,6 @@ void SensorNode::cpu_wakeup() {
       fast_forward(ctx.now + decision.next_wakeup * k, k);
     }
     schedule_next(decision.next_wakeup);
-  }
-}
-
-void SensorNode::probing_wakeup() {
-  ++counters_->wakeups;
-  if (config_.protocol == ProbingProtocol::kMip) {
-    mip_wakeup();
-  } else {
-    snip_wakeup();
   }
 }
 
@@ -288,84 +277,6 @@ void SensorNode::fast_forward_misses(sim::TimePoint t0, sim::Duration cycle) {
   fast_forward(t0 + cycle * k, k);
 }
 
-void SensorNode::mip_wakeup() {
-  const sim::TimePoint t0 = now_;
-  const radio::LinkParams& link = channel_.link();
-  const sim::TimePoint listen_end = t0 + config_.ton;
-  const sim::Duration last_next_wakeup =
-      sim::Duration::microseconds(counters_->last_wakeup_us);
-
-  // MIP: the sensor only listens; the mobile beacons every
-  // mobile_beacon_period while in range. Candidate contact: the one in
-  // range now, else the first arriving inside the listen window.
-  std::optional<contact::Contact> cand = channel_.active_contact(t0);
-  if (!cand.has_value()) {
-    const auto next = channel_.next_arrival_at_or_after(t0);
-    if (next.has_value() && next->arrival < listen_end) cand = next;
-  }
-
-  bool probed = false;
-  sim::TimePoint aware = t0;
-  if (cand.has_value()) {
-    const std::int64_t period = link.mobile_beacon_period.count();
-    // First mobile beacon at or after max(t0, arrival).
-    const sim::TimePoint from = std::max(t0, cand->arrival);
-    const std::int64_t offset = from.count() - cand->arrival.count();
-    std::int64_t k = (offset + period - 1) / period;
-    for (;; ++k) {
-      const sim::TimePoint b =
-          cand->arrival + link.mobile_beacon_period * k;
-      if (b + link.beacon_airtime > std::min(listen_end, cand->departure())) {
-        break;  // no more beacons fit the window
-      }
-      // Beacon (mobile -> sensor) then the sensor's acknowledgement; the
-      // sensor stretches its on-time to finish the handshake if needed.
-      const sim::TimePoint ack_end =
-          b + link.beacon_airtime + link.reply_airtime;
-      if (channel_.try_deliver(b, link.beacon_airtime) &&
-          ack_end <= cand->departure() &&
-          channel_.try_deliver(b + link.beacon_airtime,
-                               link.reply_airtime)) {
-        if (faults_ != nullptr && cand->length > sim::Duration::zero()) {
-          // Injected false negative: this beacon was dropped by the
-          // listener; keep listening — a later beacon in the window may
-          // still be caught.
-          const double contact_fraction =
-              (b - cand->arrival).to_seconds() / cand->length.to_seconds();
-          if (faults_->miss_probe(contact_fraction)) continue;
-        }
-        probed = true;
-        aware = ack_end;
-        probing_meter_.accumulate(RadioState::kListen, b - t0);
-        probing_meter_.accumulate(RadioState::kRx, link.beacon_airtime);
-        probing_meter_.accumulate(RadioState::kTx, link.reply_airtime);
-        break;
-      }
-    }
-  }
-
-  if (!probed) {
-    if (faults_ != nullptr && faults_->spurious_detection()) {
-      // Ghost beacon: the scheduler logs a detection that never was.
-      scheduler_.on_probe_detected(t0 + config_.ton);
-    }
-    probing_meter_.accumulate(RadioState::kListen, config_.ton);
-    counters_->budget_used_us += config_.ton.count();
-    counters_->phi_us += config_.ton.count();
-    schedule_next(std::max(last_next_wakeup, config_.ton));
-    return;
-  }
-
-  const sim::Duration probe_cost = aware - t0;
-  counters_->budget_used_us += probe_cost.count();
-  counters_->phi_us += probe_cost.count();
-  const bool new_session =
-      counters_->last_probed_arrival_us != cand->arrival.count();
-  counters_->last_probed_arrival_us = cand->arrival.count();
-  if (new_session) scheduler_.on_probe_detected(aware);
-  begin_transfer(*cand, aware, last_next_wakeup, new_session);
-}
-
 void SensorNode::begin_transfer(const contact::Contact& active,
                                 sim::TimePoint probe_time,
                                 sim::Duration cycle_hint, bool new_session) {
@@ -426,7 +337,7 @@ void SensorNode::end_transfer() {
   const double bytes =
       buffer_.take(now_, channel_.link().data_rate_bps * duration_s);
   counters_->bytes_uploaded += bytes;
-  sink_.deliver(bytes, now_, transfer_new_session_);
+  sink_.deliver(bytes, transfer_new_session_);
   if (transfer_new_session_) {
     ++counters_->probed_sessions;
     if (config_.record_probed_contacts) {

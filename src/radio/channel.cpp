@@ -63,14 +63,6 @@ std::size_t Channel::next_arrival_index(sim::TimePoint t) const {
   return i;
 }
 
-std::optional<contact::Contact> Channel::next_arrival_at_or_after(
-    sim::TimePoint t) const {
-  const std::vector<contact::Contact>& contacts = schedule_->contacts();
-  const std::size_t i = next_arrival_index(t);
-  if (i >= contacts.size()) return std::nullopt;
-  return contacts[i];
-}
-
 bool Channel::try_deliver(sim::TimePoint start, sim::Duration airtime) {
   if (!(airtime > sim::Duration::zero())) {
     // A zero-length frame carries no bytes over the air (a transfer with

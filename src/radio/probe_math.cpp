@@ -30,13 +30,13 @@ std::optional<sim::TimePoint> snip_awareness_time(const contact::Contact& c,
 
 std::optional<sim::TimePoint> mip_awareness_time(
     const contact::Contact& c, sim::Duration tcycle, sim::Duration ton,
-    const LinkParams& link, sim::Duration mobile_beacon_period,
+    const LinkParams& link, sim::Duration beacon_period,
     sim::Duration phase) {
   if (link.beacon_airtime > ton) return std::nullopt;
   // Walk the mobile node's beacons; the count is bounded by the contact
   // length over the beacon period.
   for (sim::TimePoint b = c.arrival; b + link.beacon_airtime <= c.departure();
-       b += mobile_beacon_period) {
+       b += beacon_period) {
     // Listen window containing b: w <= b with w = grid point.
     const sim::TimePoint after =
         first_grid_point_at_or_after(b, tcycle, phase);

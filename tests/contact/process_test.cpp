@@ -113,23 +113,12 @@ TEST(IntervalContactProcess, ContactsNeverOverlap) {
   }
 }
 
-TEST(IntervalContactProcess, ResetReplaysFromOrigin) {
-  IntervalContactProcess p{ArrivalProfile::roadside(), fixed(2.0)};
-  sim::Rng rng{1};
-  const auto first = p.next(rng);
-  p.reset();
-  const auto again = p.next(rng);
-  ASSERT_TRUE(first.has_value());
-  ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(first->arrival, again->arrival);  // deterministic process
-}
-
 TEST(Materialize, HonoursHorizon) {
   IntervalContactProcess p{ArrivalProfile::roadside(), fixed(2.0)};
+  IntervalContactProcess fresh{ArrivalProfile::roadside(), fixed(2.0)};
   sim::Rng rng{1};
   const auto one_day = materialize(p, Duration::hours(24), rng);
-  p.reset();
-  const auto two_days = materialize(p, Duration::hours(48), rng);
+  const auto two_days = materialize(fresh, Duration::hours(48), rng);
   EXPECT_EQ(one_day.size(), 87U);           // start-up transient, see above
   EXPECT_EQ(two_days.size(), 87U + 88U);    // steady state afterwards
   for (const Contact& c : one_day) {

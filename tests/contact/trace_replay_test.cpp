@@ -129,18 +129,6 @@ TEST(TraceReplay, JitterIsDeterministicPerRngStream) {
   EXPECT_EQ(out_a, out_b);
 }
 
-TEST(TraceReplay, ResetRestartsFromTheOrigin) {
-  TraceReplayConfig config;
-  config.period = Duration::seconds(100);
-  TraceReplayProcess p{{c(10, 2)}, config};
-  sim::Rng rng{1};
-  (void)drain(p, 3, rng);
-  p.reset();
-  const auto out = drain(p, 1, rng);
-  ASSERT_EQ(out.size(), 1U);
-  EXPECT_EQ(out[0].arrival, at_s(10));
-}
-
 TEST(TraceReplay, EmptyTraceIsAnEmptyStream) {
   TraceReplayConfig config;
   config.period = Duration::seconds(100);

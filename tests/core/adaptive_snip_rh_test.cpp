@@ -150,6 +150,33 @@ TEST(AdaptiveSnipRh, TrackingDutyZeroIsSafeAndFreezesTheMask) {
   EXPECT_TRUE(sched.current_mask().is_rush_slot(17));
 }
 
+TEST(AdaptiveSnipRh, MaskRefreshAdmitsAnOutsiderOnlyPastThirtyPercent) {
+  // The refresh's hysteresis margin is 30%: against incumbents scoring
+  // 1000, an outsider scoring 1299 stays out and one scoring 1301 enters.
+  for (const int outsider : {1299, 1301}) {
+    AdaptiveSnipRhConfig cfg = quick_config();
+    cfg.score_weight = 1.0;  // each epoch's counts become the scores
+    AdaptiveSnipRh sched{Duration::hours(24), 24, cfg};
+    const auto run_epoch = [&](int day, int slot_three_probes) {
+      for (int i = 0; i < 1000; ++i) {
+        sched.on_probe_detected(detect_at(day * 24 + 7.5));
+        sched.on_probe_detected(detect_at(day * 24 + 17.5));
+      }
+      for (int i = 0; i < slot_three_probes; ++i) {
+        sched.on_probe_detected(detect_at(day * 24 + 3.5));
+      }
+      sched.on_epoch_start(day + 1);
+    };
+    run_epoch(0, 1);
+    run_epoch(1, 1);
+    ASSERT_FALSE(sched.learning());
+    ASSERT_FALSE(sched.current_mask().is_rush_slot(3));
+    run_epoch(2, outsider);
+    EXPECT_EQ(sched.current_mask().is_rush_slot(3), outsider > 1300)
+        << "outsider score " << outsider;
+  }
+}
+
 TEST(AdaptiveSnipRh, CompletionObservationsNeverReachTheLearner) {
   // The censoring contract: on_contact_probed carries transfer metadata
   // for SNIP-RH's Tcontact estimate; the learner's per-slot counts are

@@ -203,7 +203,7 @@ TEST(SkipMissedProbes, SnipRhStopsWhereTheBudgetRunsOut) {
 TEST(SkipMissedProbes, SnipRhSkipsNothingBelowTheUploadThreshold) {
   SnipRh rh = rush_seven();
   const Duration cycle = rh.on_wakeup(context(at_s(25300))).next_wakeup;
-  // min_data_bytes = 1: an empty buffer would not probe.
+  // The 1-byte upload floor: an empty buffer would not probe.
   EXPECT_EQ(skip_run(rh, context(at_s(25300), kTon, Duration::max(), 0.5),
                      probing(cycle), kTon, kUnbounded),
             0);

@@ -114,20 +114,6 @@ TEST(SnipRh, TruncatedObservationsSkippedByDefault) {
   EXPECT_NEAR(rh.upload_threshold_bytes(), 42.0, 1e-9);
 }
 
-TEST(SnipRh, LearnTruncatedOptIn) {
-  SnipRhConfig cfg = default_config();
-  cfg.learn_truncated = true;
-  cfg.head_correction = false;
-  cfg.length_ewma_weight = 1.0;
-  SnipRh rh{RushHourMask::from_hours({7}), cfg};
-  ProbedContactObservation obs;
-  obs.observed_probed_len = Duration::seconds(0.5);
-  obs.cycle_at_probe = Duration::seconds(1);
-  obs.saw_departure = false;
-  rh.on_contact_probed(obs);
-  EXPECT_DOUBLE_EQ(rh.tcontact_estimate_s(), 0.5);
-}
-
 TEST(SnipRh, DutyClampsForTinyEstimates) {
   // A 5 ms contact estimate would need duty 4 > 1: clamp to 1.
   SnipRhConfig cfg = default_config();

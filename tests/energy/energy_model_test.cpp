@@ -8,7 +8,7 @@ namespace {
 using sim::Duration;
 
 TEST(EnergyModel, TelosbDefaults) {
-  const EnergyModel m = EnergyModel::telosb();
+  const EnergyModel m{};
   EXPECT_DOUBLE_EQ(m.voltage_v, 3.0);
   // Listening draws ~18.8 mA at 3 V.
   EXPECT_NEAR(m.power_w(RadioState::kListen), 0.0564, 1e-6);
@@ -25,7 +25,7 @@ TEST(EnergyModel, EnergyScalesWithTime) {
 
 TEST(EnergyMeter, EnergyMatchesHandComputation) {
   const EnergyModel model;
-  EnergyMeter m{model};
+  EnergyMeter m;
   EXPECT_EQ(m.energy_j(), 0.0);
   m.accumulate(RadioState::kTx, Duration::seconds(2));
   m.accumulate(RadioState::kListen, Duration::seconds(1));

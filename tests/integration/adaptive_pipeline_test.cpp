@@ -114,47 +114,5 @@ TEST(HeterogeneousDeployment, MixedPoliciesPerNode) {
   EXPECT_GT(out.nodes[1].mean_zeta_s, 15.0);
 }
 
-TEST(MipVsSnipPipeline, FullExperimentComparison) {
-  // Protocol ablation through the whole experiment stack: identical
-  // scenario, SNIP vs MIP wakeups at the same duty.
-  const core::RoadsideScenario sc;
-  core::ExperimentConfig cfg;
-  cfg.epochs = 6;
-  cfg.phi_max_s = 1e9;
-  cfg.sensing_rate_bps = 1e6;
-  cfg.jitter = contact::IntervalJitter::kNormalTenth;
-  cfg.seed = 8;
-
-  auto run_protocol = [&](node::ProbingProtocol protocol) {
-    core::SnipRh rh{sc.rush_mask, core::SnipRhConfig{}};
-    sim::Rng rng{cfg.seed};
-    auto schedule = sc.make_schedule(cfg.epochs, cfg.jitter, rng);
-    radio::Channel channel{std::move(schedule), sc.link,
-                           sim::Rng{cfg.seed}.fork()};
-    node::MobileNode sink;
-    node::SensorNodeConfig ncfg;
-    ncfg.ton = sim::Duration::seconds(sc.snip.ton_s);
-    ncfg.epoch = sc.profile.epoch();
-    ncfg.budget_limit = sim::Duration::max();
-    ncfg.sensing_rate_bps = cfg.sensing_rate_bps;
-    ncfg.protocol = protocol;
-    node::SensorNode sensor{channel, sink, rh, ncfg};
-    sensor.start();
-    sensor.run_until(sim::TimePoint::zero() +
-                     sc.profile.epoch() *
-                         static_cast<std::int64_t>(cfg.epochs));
-    double zeta = 0.0;
-    for (const auto& e : sensor.epoch_history()) {
-      zeta += e.zeta.to_seconds();
-    }
-    return zeta / static_cast<double>(cfg.epochs);
-  };
-
-  const double snip_zeta = run_protocol(node::ProbingProtocol::kSnip);
-  const double mip_zeta = run_protocol(node::ProbingProtocol::kMip);
-  EXPECT_GT(snip_zeta, 35.0);              // near the knee's 48 s
-  EXPECT_GT(snip_zeta, 1.5 * mip_zeta);    // Sec. III's qualitative claim
-}
-
 }  // namespace
 }  // namespace snipr

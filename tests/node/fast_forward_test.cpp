@@ -594,7 +594,7 @@ TEST(FastForward, AdaptiveNodeSkipsPollsAndTrackerProbes) {
   }
 }
 
-TEST(FastForward, FaultPlansAndMipKeepTheirBytes) {
+TEST(FastForward, FaultPlansKeepTheirBytes) {
   const std::vector<Contact> contacts{{at_s(20), Duration::seconds(1)},
                                       {at_s(91), Duration::seconds(4)},
                                       {at_s(1400), Duration::seconds(3)}};
@@ -603,31 +603,26 @@ TEST(FastForward, FaultPlansAndMipKeepTheirBytes) {
   misses.radio.transfer_abort_prob = 0.5;
   fault::FaultSpec spurious = misses;
   spurious.radio.spurious_detect_prob = 0.01;
-  SensorNodeConfig mip = config();
-  mip.protocol = ProbingProtocol::kMip;
 
   struct Case {
     const fault::FaultSpec* faults;
-    SensorNodeConfig cfg;
     bool skips;
   };
-  for (const Case& c : {Case{&misses, config(), true},
-                        Case{&spurious, config(), false},
-                        Case{nullptr, mip, false}}) {
+  for (const Case& c : {Case{&misses, true}, Case{&spurious, false}}) {
     std::vector<std::string> prints;
     std::uint64_t skipped = 0;
     for (const Variant v :
          {Variant::kPlain, Variant::kReference, Variant::kCounted}) {
       World w{1};
-      w.add(contacts, wrap(snip_at(), v), c.cfg, {}, c.faults);
+      w.add(contacts, wrap(snip_at(), v), config(), {}, c.faults);
       w.simulator.run_until(at_s(3 * 3600));
       prints.push_back(fingerprint(w));
       if (v == Variant::kCounted) skipped = w.counted(0).skipped_probes();
     }
     EXPECT_EQ(prints[0], prints[1]);
     EXPECT_EQ(prints[0], prints[2]);
-    // Spurious detections draw on every miss and MIP listens rather than
-    // beacons: both keep the per-wakeup path.
+    // Spurious detections draw on every miss: they keep the per-wakeup
+    // path.
     EXPECT_EQ(skipped > 0, c.skips);
   }
 }

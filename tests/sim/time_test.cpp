@@ -37,7 +37,7 @@ TEST(Duration, ArithmeticAndComparison) {
   EXPECT_LT(b, a);
   EXPECT_GE(a, a);
   EXPECT_TRUE((a - a).is_zero());
-  EXPECT_TRUE((b - a).is_negative());
+  EXPECT_LT(b - a, Duration::zero());
 }
 
 TEST(Duration, CompoundAssignment) {
@@ -71,7 +71,7 @@ TEST(TimePoint, OriginAndOffsets) {
   const TimePoint t0 = TimePoint::zero();
   EXPECT_EQ(t0.count(), 0);
   const TimePoint t1 = t0 + Duration::seconds(5);
-  EXPECT_EQ(t1.since_origin(), Duration::seconds(5));
+  EXPECT_EQ(t1 - TimePoint::zero(), Duration::seconds(5));
   EXPECT_EQ(t1 - t0, Duration::seconds(5));
   EXPECT_EQ(t1 - Duration::seconds(5), t0);
 }

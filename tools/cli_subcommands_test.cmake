@@ -57,7 +57,10 @@ foreach(case "--budget;run --budget inf" "--target;run --target nan"
              "--targets;batch --targets 16,nan --seeds 1 --epochs 2"
              "warmup_epochs;run --warmup 20 --epochs 14"
              "epochs;run --epochs 0"
-             "epochs;fleet fleet-rural-sparse --epochs 0")
+             "epochs;fleet fleet-rural-sparse --epochs 0"
+             "ton;run --ton 0" "tcontact;run --tcontact 0"
+             "tcontact;run --mechanism at --tcontact 0"
+             "ton;trace synthetic-metro-drift --ton 0 --epochs 2")
   list(POP_FRONT case expected)
   separate_arguments(args UNIX_COMMAND "${case}")
   run_cli(out rc ${args})

@@ -774,11 +774,11 @@ int main(int argc, char** argv) {
   cfg.warmup_epochs = opt.warmup;
 
   const core::Strategy strategy = *core::parse_strategy(opt.mechanism);
-  const std::unique_ptr<node::Scheduler> scheduler =
-      core::make_scheduler(scenario, strategy, opt.target_s, budget_s);
-
   core::RunResult r;
   try {
+    // The scheduler's constructor rejects a zero Ton or Tcontact.
+    const std::unique_ptr<node::Scheduler> scheduler =
+        core::make_scheduler(scenario, strategy, opt.target_s, budget_s);
     r = core::run_experiment(scenario, *scheduler, cfg);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
