@@ -87,4 +87,33 @@ struct RoadContactPlan {
     const std::vector<double>& positions_m, double range_m,
     const std::vector<VehicleEntry>& vehicles);
 
+/// build_road_contact_plan one node at a time: a fleet range runs each
+/// node as soon as its schedule exists, so only one node's contacts are
+/// live at once rather than the whole range's. `vehicles` must outlive
+/// the builder. Throws as build_road_contact_plan does: the constructor
+/// on a bad `range_m` or vehicle, next() on a bad position.
+class RoadContactBuilder {
+ public:
+  RoadContactBuilder(double range_m,
+                     const std::vector<VehicleEntry>& vehicles);
+
+  /// The schedule of the node at `x_m`. When `carriers` is non-null it
+  /// receives the vehicle behind each contact. Nodes given in position
+  /// order cost the least.
+  [[nodiscard]] contact::ContactSchedule next(
+      double x_m, std::vector<std::uint32_t>* carriers = nullptr);
+
+ private:
+  double range_m_;
+  const std::vector<VehicleEntry>& vehicles_;
+  /// Run r of vehicles sharing (speed, exit) is
+  /// [run_ends_[r-1], run_ends_[r]).
+  std::vector<std::uint32_t> run_ends_;
+  /// Per-node keys, reused across nodes; a zero length means no pass.
+  std::vector<sim::TimePoint> arrival_;
+  std::vector<sim::Duration> length_;
+  /// Vehicles in (arrival, vehicle) order, carried from node to node.
+  std::vector<std::uint32_t> order_;
+};
+
 }  // namespace snipr::deploy

@@ -101,7 +101,7 @@ DeploymentOutcome FleetEngine::run(const core::RoadsideScenario& scenario,
   input.sensing_rate_bps = config.deployment.node.sensing_rate_bps;
   input.data_rate_bps = config.deployment.link.data_rate_bps;
   input.range_m = in.road->range_m;
-  input.positions_m = std::move(in.positions_m);
+  input.positions_m = road_positions(*in.road, 0, in.nodes());
   input.vehicles = std::move(in.vehicles);
   input.horizon_s = in.contact_horizon.to_seconds();
   // Collection-layer faults consume the plan's dedicated stream (forked

@@ -96,18 +96,23 @@ FleetInputs start_inputs(const char* engine, SchedulerFactory make_scheduler,
   in.deployment.node.record_probed_contacts = record_probed;
   in.horizon = config.deployment.node.epoch *
                static_cast<std::int64_t>(config.deployment.epochs);
-  in.node_rngs.reserve(nodes);
-  for (std::size_t i = 0; i < nodes; ++i) in.node_rngs.push_back(root.fork());
+  in.node_streams = ForkedStreams{root, nodes};
   if (faults != nullptr && faults->enabled()) {
     in.faults = std::make_unique<fault::FaultPlan>(*faults, nodes);
   }
   return in;
 }
 
+/// Where node i sits on `road`.
+double road_position_m(const RoadWorkload& road, std::size_t i) {
+  return road.first_position_m + road.spacing_m * static_cast<double>(i);
+}
+
 /// Simulate node `index` of `in` alone from time zero to the horizon
-/// over `schedule`.
+/// over `schedule`, with `channel_rng` as its channel stream.
 FleetNodeRun run_fleet_node(const FleetInputs& in, std::size_t index,
-                            contact::ContactSchedule schedule) {
+                            contact::ContactSchedule schedule,
+                            sim::Rng channel_rng) {
   const std::unique_ptr<node::Scheduler> scheduler = in.make_scheduler(index);
   if (scheduler == nullptr) {
     throw std::invalid_argument("FleetEngine: factory returned null");
@@ -119,7 +124,7 @@ FleetNodeRun run_fleet_node(const FleetInputs& in, std::size_t index,
   // its stream, and every fault decision, is independent of the shard
   // layout; injectors are never shared, so range workers never race.
   run.lone = node::run_lone_node(
-      *scheduler, run.schedule, in.deployment.link, in.node_rngs[index],
+      *scheduler, run.schedule, in.deployment.link, channel_rng,
       in.deployment.node, in.horizon,
       in.faults != nullptr ? &in.faults->node(index) : nullptr);
   static_cast<node::NodeSummary&>(run.row) = node::summarize(run.lone);
@@ -155,10 +160,7 @@ FleetInputs build_fleet_inputs(const core::RoadsideScenario& scenario,
     // Tile at the trace's own recorded epoch: the flow profile's epoch
     // governs the horizon and the nodes' slot grids, not the replay.
     in.trace_period = entry.epoch;
-    in.trace_rngs.reserve(spec.nodes);
-    for (std::size_t i = 0; i < spec.nodes; ++i) {
-      in.trace_rngs.push_back(root.fork());
-    }
+    in.trace_streams = ForkedStreams{root, spec.nodes};
     return in;
   }
 
@@ -175,16 +177,12 @@ FleetInputs build_fleet_inputs(const core::RoadsideScenario& scenario,
         std::make_unique<sim::FixedDistribution>(road.speed_mean_mps);
   }
   in.vehicles = materialize_vehicles(flow, in.contact_horizon, root);
-  in.positions_m.reserve(spec.nodes);
-  for (std::size_t i = 0; i < spec.nodes; ++i) {
-    in.positions_m.push_back(road.first_position_m +
-                             road.spacing_m * static_cast<double>(i));
-  }
   // Early exits, drawn from the root *after* the flow, so a pure
   // through-flow (through_fraction == 1, no draws) leaves every stream
   // unchanged.
   if (road.through_fraction < 1.0) {
-    const double road_end = in.positions_m.back() + road.range_m;
+    const double road_end =
+        road_position_m(road, spec.nodes - 1) + road.range_m;
     for (VehicleEntry& v : in.vehicles) {
       if (!root.bernoulli(road.through_fraction)) {
         v.exit_m = root.uniform(0.0, road_end);
@@ -215,6 +213,31 @@ FleetInputs prebuilt_fleet_inputs(
   return in;
 }
 
+ForkedStreams::ForkedStreams(sim::Rng& parent, std::size_t count)
+    : count_{count} {
+  marks_.reserve((count + kStride - 1) / kStride);
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i % kStride == 0) marks_.push_back(parent);
+    (void)parent.fork();
+  }
+}
+
+sim::Rng ForkedStreams::before(std::size_t i) const {
+  sim::Rng parent = marks_.at(i / kStride);
+  for (std::size_t k = i % kStride; k > 0; --k) (void)parent.fork();
+  return parent;
+}
+
+std::vector<double> road_positions(const RoadWorkload& road,
+                                   std::size_t begin, std::size_t end) {
+  std::vector<double> positions;
+  positions.reserve(end - begin);
+  for (std::size_t i = begin; i < end; ++i) {
+    positions.push_back(road_position_m(road, i));
+  }
+  return positions;
+}
+
 FleetPartition partition_fleet(const FleetConfig& config, std::size_t nodes) {
   const std::size_t hardware = core::ThreadPool::hardware_threads();
   const std::size_t workers = config.threads == 0 ? hardware : config.threads;
@@ -235,25 +258,31 @@ FleetPartition partition_fleet(const FleetConfig& config, std::size_t nodes) {
 
 void simulate_range(FleetInputs& in, std::size_t begin, std::size_t end,
                     const std::function<void(FleetNodeRun&)>& on_node) {
-  std::vector<contact::ContactSchedule> built;
-  std::vector<std::vector<std::uint32_t>> carriers;
+  // Each node runs as soon as its schedule exists, so a range holds one
+  // node's contacts at a time, never the whole range's.
+  sim::Rng channel_forks = in.node_streams.before(begin);
+  const auto run_node = [&](std::size_t i, contact::ContactSchedule schedule,
+                            std::vector<std::uint32_t> carriers) {
+    FleetNodeRun run =
+        run_fleet_node(in, i, std::move(schedule), channel_forks.fork());
+    run.carriers = std::move(carriers);
+    on_node(run);
+  };
   if (in.road != nullptr) {
-    const std::vector<double> positions(
-        in.positions_m.begin() + static_cast<std::ptrdiff_t>(begin),
-        in.positions_m.begin() + static_cast<std::ptrdiff_t>(end));
+    RoadContactBuilder contacts{in.road->range_m, in.vehicles};
     // Carriers are read only to map probed contacts to sessions.
-    if (in.deployment.node.record_probed_contacts) {
-      RoadContactPlan plan =
-          build_road_contact_plan(positions, in.road->range_m, in.vehicles);
-      built = std::move(plan.schedules);
-      carriers = std::move(plan.carriers);
-    } else {
-      built = build_road_schedules(positions, in.road->range_m, in.vehicles);
+    const bool with_carriers = in.deployment.node.record_probed_contacts;
+    for (std::size_t i = begin; i < end; ++i) {
+      std::vector<std::uint32_t> carriers;
+      contact::ContactSchedule schedule =
+          contacts.next(road_position_m(*in.road, i),
+                        with_carriers ? &carriers : nullptr);
+      run_node(i, std::move(schedule), std::move(carriers));
     }
   } else if (in.trace != nullptr) {
     // Node i replays the trace phase-rotated by i * stagger and jittered
-    // from its own pre-forked stream.
-    built.reserve(end - begin);
+    // from its own replay stream.
+    sim::Rng replay_forks = in.trace_streams.before(begin);
     for (std::size_t i = begin; i < end; ++i) {
       contact::TraceReplayConfig config;
       config.period = in.trace_period;
@@ -261,19 +290,16 @@ void simulate_range(FleetInputs& in, std::size_t begin, std::size_t end,
                                              static_cast<double>(i));
       config.jitter_stddev_s = in.trace->jitter_stddev_s;
       contact::TraceReplayProcess process{in.trace_base, config};
-      sim::Rng rng = in.trace_rngs[i];  // a copy: a range may run again
-      built.emplace_back(
-          contact::materialize(process, in.contact_horizon, rng));
+      sim::Rng rng = replay_forks.fork();
+      run_node(i,
+               contact::ContactSchedule{
+                   contact::materialize(process, in.contact_horizon, rng)},
+               {});
     }
-  }
-
-  for (std::size_t i = begin; i < end; ++i) {
-    FleetNodeRun run = run_fleet_node(
-        in, i,
-        in.schedules.empty() ? std::move(built[i - begin])
-                             : std::move(in.schedules[i]));
-    if (!carriers.empty()) run.carriers = std::move(carriers[i - begin]);
-    on_node(run);
+  } else {
+    for (std::size_t i = begin; i < end; ++i) {
+      run_node(i, std::move(in.schedules[i]), {});
+    }
   }
 }
 

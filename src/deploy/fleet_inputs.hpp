@@ -40,6 +40,29 @@
 
 namespace snipr::deploy {
 
+/// The first `size()` forks of a parent stream, kept as the parent's
+/// state before every kStride-th fork rather than as one engine per fork:
+/// a streaming fleet of a million nodes would otherwise hold 32 MB of
+/// streams on the calling thread. A node range rebuilds its forks in
+/// order from the nearest mark.
+class ForkedStreams {
+ public:
+  ForkedStreams() = default;
+  /// Record `count` forks of `parent`, leaving it advanced past them.
+  ForkedStreams(sim::Rng& parent, std::size_t count);
+
+  [[nodiscard]] std::size_t size() const noexcept { return count_; }
+
+  /// The parent as it stood before fork `i` (i < size()): its next
+  /// fork() is fork i, the one after it fork i + 1.
+  [[nodiscard]] sim::Rng before(std::size_t i) const;
+
+ private:
+  static constexpr std::size_t kStride = 64;
+  std::vector<sim::Rng> marks_;  ///< the parent before forks 0, kStride, ...
+  std::size_t count_{0};
+};
+
 /// Which engine consumes the inputs. The summary engine keeps no
 /// per-node state, so it rejects routing and an enabled fault spec.
 enum class FleetOutput { kRows, kSummary };
@@ -56,7 +79,7 @@ struct FleetInputs {
   sim::Duration horizon{};
   /// Span the contact sources cover: the flow profile's epoch × epochs.
   sim::Duration contact_horizon{};
-  std::vector<sim::Rng> node_rngs;  ///< channel stream per node
+  ForkedStreams node_streams;  ///< fork i is node i's channel stream
   /// Attached when the fault spec is enabled.
   std::unique_ptr<fault::FaultPlan> faults;
 
@@ -64,16 +87,15 @@ struct FleetInputs {
   std::vector<contact::ContactSchedule> schedules;
 
   const RoadWorkload* road{nullptr};
-  std::vector<double> positions_m;
   std::vector<VehicleEntry> vehicles;
 
   const TraceWorkload* trace{nullptr};
   std::vector<contact::Contact> trace_base;
   sim::Duration trace_period{};
-  std::vector<sim::Rng> trace_rngs;  ///< replay stream per node
+  ForkedStreams trace_streams;  ///< fork i is node i's replay stream
 
   [[nodiscard]] std::size_t nodes() const noexcept {
-    return node_rngs.size();
+    return node_streams.size();
   }
 };
 
@@ -92,6 +114,12 @@ struct FleetInputs {
     std::vector<contact::ContactSchedule> schedules,
     const SchedulerFactory& make_scheduler, const FleetConfig& config,
     const fault::FaultSpec* faults);
+
+/// Positions of nodes [begin, end) on `road`: node i sits at
+/// first_position_m + i × spacing_m.
+[[nodiscard]] std::vector<double> road_positions(const RoadWorkload& road,
+                                                 std::size_t begin,
+                                                 std::size_t end);
 
 /// How a run splits the fleet: `shards` contiguous node ranges, handed
 /// to a pool of `threads` workers.
@@ -124,8 +152,8 @@ struct FleetNodeRun {
   std::vector<std::uint32_t> carriers;
 };
 
-/// Build the schedules of nodes [begin, end) only, simulate each node in
-/// node order, and hand each result to `on_node`. Concurrent calls over
+/// Simulate nodes [begin, end) in node order, each built just before it
+/// runs, and hand each result to `on_node`. Concurrent calls over
 /// disjoint ranges are safe.
 void simulate_range(FleetInputs& inputs, std::size_t begin, std::size_t end,
                     const std::function<void(FleetNodeRun&)>& on_node);

@@ -69,15 +69,28 @@ RoadContactPlan build_plan(const std::vector<double>& positions_m,
     throw std::invalid_argument(
         "build_road_contact_plan: positions_m is empty");
   }
+  RoadContactBuilder builder{range_m, vehicles};
+  RoadContactPlan plan;
+  plan.schedules.reserve(positions_m.size());
+  if (with_carriers) plan.carriers.reserve(positions_m.size());
+  for (const double x : positions_m) {
+    if (with_carriers) {
+      plan.schedules.push_back(builder.next(x, &plan.carriers.emplace_back()));
+    } else {
+      plan.schedules.push_back(builder.next(x));
+    }
+  }
+  return plan;
+}
+
+}  // namespace
+
+RoadContactBuilder::RoadContactBuilder(
+    double range_m, const std::vector<VehicleEntry>& vehicles)
+    : range_m_{range_m}, vehicles_{vehicles} {
   if (!(range_m > 0.0) || !std::isfinite(range_m)) {
     throw std::invalid_argument(
         "build_road_contact_plan: range_m must be finite and > 0");
-  }
-  for (const double x : positions_m) {
-    if (!(x >= 0.0) || !std::isfinite(x)) {
-      throw std::invalid_argument(
-          "build_road_contact_plan: positions_m must be finite and >= 0");
-    }
   }
   for (const VehicleEntry& v : vehicles) {
     if (!(v.speed_mps > 0.0) || !std::isfinite(v.speed_mps)) {
@@ -96,71 +109,68 @@ RoadContactPlan build_plan(const std::vector<double>& positions_m,
   // Consecutive vehicles that share (speed, exit) share every offset at
   // a node, so each node computes them once per run of such vehicles.
   const auto count = static_cast<std::uint32_t>(vehicles.size());
-  std::vector<std::uint32_t> run_ends;  // run r is [run_ends[r-1], run_ends[r])
   for (std::uint32_t k = 1; k <= count; ++k) {
     if (k == count || vehicles[k].speed_mps != vehicles[k - 1].speed_mps ||
         vehicles[k].exit_m != vehicles[k - 1].exit_m) {
-      run_ends.push_back(k);
+      run_ends_.push_back(k);
     }
   }
-  // Per-node keys, reused across nodes; a zero length means no pass.
-  std::vector<sim::TimePoint> arrival(count);
-  std::vector<sim::Duration> length(count);
-  // Vehicles in (arrival, vehicle) order, carried from node to node.
-  std::vector<std::uint32_t> order(count);
-  for (std::uint32_t k = 0; k < count; ++k) order[k] = k;
-
-  RoadContactPlan plan;
-  plan.schedules.reserve(positions_m.size());
-  if (with_carriers) plan.carriers.reserve(positions_m.size());
-  for (const double x : positions_m) {
-    const double near_edge = std::max(0.0, x - range_m);
-    std::size_t passes = 0;
-    std::uint32_t k = 0;
-    for (const std::uint32_t run_end : run_ends) {
-      const VehicleEntry& v = vehicles[k];
-      const double start_s = near_edge / v.speed_mps;
-      const double end_s = std::min(x + range_m, v.exit_m) / v.speed_mps;
-      const sim::Duration start = sim::Duration::seconds(start_s);
-      // A vehicle exiting before the near edge never reaches range.
-      const sim::Duration span =
-          v.exit_m <= near_edge
-              ? sim::Duration::zero()
-              : std::max(sim::Duration::zero(),
-                         sim::Duration::seconds(end_s - start_s));
-      if (span > sim::Duration::zero()) passes += run_end - k;
-      for (; k < run_end; ++k) {
-        arrival[k] = vehicles[k].entry + start;
-        length[k] = span;
-      }
-    }
-    restore_pass_order(order, arrival);
-
-    // Merge overlapping passes into single contacts. The merged contact
-    // keeps the first pass's vehicle: the carrier a probe would reach.
-    std::vector<contact::Contact> merged;
-    std::vector<std::uint32_t> carriers;
-    merged.reserve(passes);
-    if (with_carriers) carriers.reserve(passes);
-    for (const std::uint32_t vehicle : order) {
-      if (length[vehicle] == sim::Duration::zero()) continue;
-      const contact::Contact c{arrival[vehicle], length[vehicle]};
-      if (!merged.empty() && c.arrival < merged.back().departure()) {
-        const sim::TimePoint span_end =
-            std::max(merged.back().departure(), c.departure());
-        merged.back().length = span_end - merged.back().arrival;
-      } else {
-        merged.push_back(c);
-        if (with_carriers) carriers.push_back(vehicle);
-      }
-    }
-    plan.schedules.emplace_back(std::move(merged));
-    if (with_carriers) plan.carriers.push_back(std::move(carriers));
-  }
-  return plan;
+  arrival_.resize(count);
+  length_.resize(count);
+  order_.resize(count);
+  for (std::uint32_t k = 0; k < count; ++k) order_[k] = k;
 }
 
-}  // namespace
+contact::ContactSchedule RoadContactBuilder::next(
+    double x_m, std::vector<std::uint32_t>* carriers) {
+  if (!(x_m >= 0.0) || !std::isfinite(x_m)) {
+    throw std::invalid_argument(
+        "build_road_contact_plan: positions_m must be finite and >= 0");
+  }
+  const double near_edge = std::max(0.0, x_m - range_m_);
+  std::size_t passes = 0;
+  std::uint32_t k = 0;
+  for (const std::uint32_t run_end : run_ends_) {
+    const VehicleEntry& v = vehicles_[k];
+    const double start_s = near_edge / v.speed_mps;
+    const double end_s = std::min(x_m + range_m_, v.exit_m) / v.speed_mps;
+    const sim::Duration start = sim::Duration::seconds(start_s);
+    // A vehicle exiting before the near edge never reaches range.
+    const sim::Duration span =
+        v.exit_m <= near_edge
+            ? sim::Duration::zero()
+            : std::max(sim::Duration::zero(),
+                       sim::Duration::seconds(end_s - start_s));
+    if (span > sim::Duration::zero()) passes += run_end - k;
+    for (; k < run_end; ++k) {
+      arrival_[k] = vehicles_[k].entry + start;
+      length_[k] = span;
+    }
+  }
+  restore_pass_order(order_, arrival_);
+
+  // Merge overlapping passes into single contacts. The merged contact
+  // keeps the first pass's vehicle: the carrier a probe would reach.
+  std::vector<contact::Contact> merged;
+  merged.reserve(passes);
+  if (carriers != nullptr) {
+    carriers->clear();
+    carriers->reserve(passes);
+  }
+  for (const std::uint32_t vehicle : order_) {
+    if (length_[vehicle] == sim::Duration::zero()) continue;
+    const contact::Contact c{arrival_[vehicle], length_[vehicle]};
+    if (!merged.empty() && c.arrival < merged.back().departure()) {
+      const sim::TimePoint span_end =
+          std::max(merged.back().departure(), c.departure());
+      merged.back().length = span_end - merged.back().arrival;
+    } else {
+      merged.push_back(c);
+      if (carriers != nullptr) carriers->push_back(vehicle);
+    }
+  }
+  return contact::ContactSchedule{std::move(merged)};
+}
 
 RoadContactPlan build_road_contact_plan(
     const std::vector<double>& positions_m, double range_m,

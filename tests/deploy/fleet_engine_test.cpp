@@ -1,7 +1,11 @@
 #include "snipr/deploy/fleet_engine.hpp"
 
+#include <algorithm>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "snipr/core/scenario_catalog.hpp"
 #include "snipr/core/snip_rh.hpp"
 #include "snipr/deploy/road_contacts.hpp"
 
@@ -165,6 +169,44 @@ TEST(FleetEngine, Validation) {
   EXPECT_THROW((void)FleetEngine{}.run(scenario, bad, quick_config(1)),
                std::invalid_argument);
 }
+
+/// Catalog fleets grown past two marks of the node streams (a range
+/// rebuilds its streams from the parent's state every 64 forks).
+class EveryRangeStart : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(EveryRangeStart, GivesTheOneRangeBytes) {
+  // One shard per node starts a range on, just before and just after
+  // every mark; each node must still get its own channel and replay
+  // stream and its own contacts and carriers.
+  const core::CatalogEntry& entry =
+      core::ScenarioCatalog::instance().at(GetParam());
+  FleetSpec spec = *entry.fleet;
+  spec.nodes = 150;
+  FleetConfig config;
+  config.deployment = make_fleet_deployment_config(
+      entry.scenario, spec, entry.phi_max_s, /*epochs=*/2, /*seed=*/7);
+  // Lost frames make every node draw from its channel stream.
+  config.deployment.link.frame_loss = 0.2;
+  config.threads = 1;
+  config.shards = 1;
+  const std::string one_range =
+      FleetEngine::to_json(FleetEngine{}.run(entry.scenario, spec, config));
+  config.threads = 3;
+  config.shards = spec.nodes;
+  EXPECT_EQ(
+      FleetEngine::to_json(FleetEngine{}.run(entry.scenario, spec, config)),
+      one_range);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Catalog, EveryRangeStart,
+    ::testing::Values("fleet-rural-sparse", "fleet-trace-metro",
+                      "fleet-multihop-relay"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      std::string name = info.param;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 }  // namespace
 }  // namespace snipr::deploy

@@ -180,5 +180,40 @@ TEST(BuildRoadContactPlan, InfiniteExitStillDrivesThrough) {
   EXPECT_EQ(plan.carriers[0], (std::vector<std::uint32_t>{0}));
 }
 
+TEST(RoadContactBuilder, NodeByNodeMatchesTheWholePlan) {
+  // Out-of-order positions exercise the pass-order carry's fallback;
+  // early exits split the vehicles into many (speed, exit) runs.
+  VehicleFlow flow;
+  sim::Rng rng{11};
+  std::vector<VehicleEntry> vehicles =
+      materialize_vehicles(flow, Duration::hours(24), rng);
+  for (std::size_t k = 0; k < vehicles.size(); k += 3) {
+    vehicles[k].exit_m = 2500.0;
+  }
+  const std::vector<double> positions{100.0, 2400.0, 900.0, 2600.0, 5.0};
+  const RoadContactPlan plan =
+      build_road_contact_plan(positions, 10.0, vehicles);
+  RoadContactBuilder builder{10.0, vehicles};
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    SCOPED_TRACE(i);
+    std::vector<std::uint32_t> carriers{99};
+    const contact::ContactSchedule schedule =
+        builder.next(positions[i], &carriers);
+    EXPECT_EQ(schedule.contacts(), plan.schedules[i].contacts());
+    EXPECT_EQ(carriers, plan.carriers[i]);
+  }
+  EXPECT_EQ(builder.next(100.0).contacts(), plan.schedules[0].contacts());
+}
+
+TEST(RoadContactBuilder, RejectsWhatThePlanRejects) {
+  const std::vector<VehicleEntry> ok{{at_s(0), 10.0}};
+  EXPECT_THROW((void)RoadContactBuilder(0.0, ok), std::invalid_argument);
+  const std::vector<VehicleEntry> bad{{at_s(0), 0.0}};
+  EXPECT_THROW((void)RoadContactBuilder(10.0, bad), std::invalid_argument);
+  RoadContactBuilder builder{10.0, ok};
+  EXPECT_THROW((void)builder.next(kNaN), std::invalid_argument);
+  EXPECT_THROW((void)builder.next(-1.0), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace snipr::deploy
