@@ -10,10 +10,13 @@
 /// of contacts the probe grid steps over, the rush-mask slot scan and
 /// one adaptive SNIP-RH wakeup in the exploit phase. Per-layer rows for
 /// the relay fleet's serial tail: one store-and-forward collection pass
-/// and the JSON writer's numbers.
+/// and the JSON writer's numbers. Per-layer rows for the fleet engines:
+/// a road's node-by-node contact builds, and `ThreadPool::ordered_for`
+/// with the streaming fleet's slow checkpoint commits.
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -29,6 +32,7 @@
 #include "snipr/core/snip_at.hpp"
 #include "snipr/core/snip_rh.hpp"
 #include "snipr/core/strategy.hpp"
+#include "snipr/core/thread_pool.hpp"
 #include "snipr/deploy/collection.hpp"
 #include "snipr/deploy/fleet_engine.hpp"
 #include "snipr/fault/fault_plan.hpp"
@@ -389,6 +393,82 @@ void BM_RunCollection(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_RunCollection)->Unit(benchmark::kMicrosecond);
+
+/// `RoadContactBuilder::next` node by node in position order, as a fleet
+/// shard builds its range, over two road shapes. `highway`: the
+/// streaming benchmark's road, equal-speed vehicles (20 m/s, 10 m range)
+/// on a uniform hourly flow past 2,000 nodes at 1 m spacing, over 52
+/// one-hour epochs (about 620 vehicles). `urban`: catalog
+/// `fleet-urban-grid`'s mixed-speed road at 120 m spacing, 1,024 nodes,
+/// over 14 epochs (about 1,350 vehicles), as the adaptive benchmark
+/// fleet runs. Items are contacts built.
+void BM_RoadContactBuilder(benchmark::State& state, const char* entry_name,
+                           bool highway) {
+  const core::CatalogEntry& entry =
+      core::ScenarioCatalog::instance().at(entry_name);
+  deploy::FleetSpec spec = *entry.fleet;
+  if (highway) {
+    deploy::RoadWorkload road;
+    road.first_position_m = 50.0;
+    road.spacing_m = 1.0;
+    road.range_m = 10.0;
+    road.speed_mean_mps = 20.0;
+    road.speed_stddev_mps = 0.0;
+    spec = deploy::FleetSpec::road(2000, road, spec.strategy,
+                                   spec.zeta_target_s);
+    spec.flow_profile =
+        contact::ArrivalProfile::uniform(sim::Duration::hours(1), 24, 300.0);
+  } else {
+    spec.nodes = 1024;
+  }
+  const sim::Duration horizon =
+      spec.flow_profile.epoch() * (highway ? 52 : 14);
+  const testing::RoadInputs road = testing::materialize_road(spec, 1, horizon);
+  const double range_m = spec.road_workload()->range_m;
+  std::size_t contacts = 0;
+  for (auto _ : state) {
+    deploy::RoadContactBuilder builder{range_m, road.vehicles};
+    contacts = 0;
+    for (const double x : road.positions_m) {
+      const contact::ContactSchedule schedule = builder.next(x);
+      contacts += schedule.size();
+    }
+    benchmark::DoNotOptimize(contacts);
+  }
+  state.counters["vehicles"] = static_cast<double>(road.vehicles.size());
+  state.counters["contacts"] = static_cast<double>(contacts);
+  state.SetItemsProcessed(static_cast<std::int64_t>(contacts) *
+                          state.iterations());
+}
+BENCHMARK_CAPTURE(BM_RoadContactBuilder, highway, "fleet-highway-1k", true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RoadContactBuilder, urban, "fleet-urban-grid", false)
+    ->Unit(benchmark::kMillisecond);
+
+/// `ThreadPool::ordered_for` shaped like the streaming fleet's run: 4
+/// workers, a window of 8, bodies of ~50 µs of work (a shard) and every
+/// 4th commit spinning ~50 µs (a checkpoint write). Items are bodies.
+void BM_OrderedForSlowCommit(benchmark::State& state) {
+  constexpr std::size_t kItems = 256;
+  const auto spin = [](std::chrono::microseconds span) {
+    const auto until = std::chrono::steady_clock::now() + span;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  };
+  const core::ThreadPool pool{4};
+  for (auto _ : state) {
+    pool.ordered_for(
+        kItems, 8, [&](std::size_t) { spin(std::chrono::microseconds(50)); },
+        [&](std::size_t i) {
+          if ((i + 1) % 4 == 0) spin(std::chrono::microseconds(50));
+        });
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(kItems) *
+                          state.iterations());
+}
+BENCHMARK(BM_OrderedForSlowCommit)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /// The JSON writer's number formatting ("%.10g"), over metric-like
 /// doubles spread across 26 decades.

@@ -71,7 +71,6 @@ int main() {
   cfg.learning_duty = 0.002;
   cfg.tracking_duty = 0.0005;
   cfg.rush_slots = 4;
-  cfg.score_weight = 0.3;
   core::AdaptiveSnipRh scheduler{sim::Duration::hours(24), 24, cfg};
 
   sim::Simulator simulator{1};

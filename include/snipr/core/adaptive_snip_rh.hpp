@@ -15,7 +15,8 @@
 /// few epochs to rank the time-slots, then switch to SNIP-RH. To keep
 /// tracking a drifting pattern, SNIP-AT continues in the background at a
 /// much smaller duty; when the learned ranking changes, the rush-hour mask
-/// is refreshed at the next epoch boundary. The refresh has hysteresis: a
+/// is refreshed at the next epoch boundary. Slot scores blend each epoch's
+/// sample in with a fixed EWMA weight of 0.3. The refresh has hysteresis: a
 /// slot outside the mask replaces the weakest slot inside it only when its
 /// score exceeds the incumbent's by 30%, so the mask does not flicker on
 /// single-sample noise yet still follows a real shift within a few epochs.
@@ -38,8 +39,6 @@ struct AdaptiveSnipRhConfig {
   double tracking_duty{0.0001};
   /// Slots the mask marks as rush.
   std::size_t rush_slots{4};
-  /// EWMA weight per epoch when updating slot scores.
-  double score_weight{0.3};
   /// Exploration over out-of-mask slots; the default kind (kNone) keeps
   /// the legacy tracker-only behaviour bit-for-bit.
   ExplorationConfig exploration{};

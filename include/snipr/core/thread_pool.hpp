@@ -44,17 +44,22 @@ class ThreadPool {
 
   /// Invoke `body(i)` for every i in [0, count) concurrently, and
   /// `commit(i)` once body(i) has returned, in index order: commit(i)
-  /// runs only after commit(i − 1), under one lock, on whichever worker
-  /// completed the prefix up to i. At most `window` items are started
-  /// but not yet committed, so a body may write a slot indexed by
-  /// i % window that commit(i) reads. Bodies must not share mutable state
-  /// except through their own index; commits may share anything.
+  /// starts only after commit(i − 1) returned, on whichever worker
+  /// completed the prefix up to i. Commits run one at a time but outside
+  /// the mutex that hands out work, so other workers keep starting and
+  /// finishing bodies while a commit is in flight. At most `window` items
+  /// are started but not yet committed, and item i + window is not handed
+  /// out until commit(i) has returned, so a body may write a slot indexed
+  /// by i % window that commit(i) reads. Bodies must not share mutable
+  /// state except through their own index; commits may share anything,
+  /// since each one happens-before the next.
   ///
   /// Failure is sequential-equivalent: the first exception (from a body
   /// or a commit) stops hand-out and wakes every waiting worker; items
-  /// already running finish. After the join, the exception of the
-  /// lowest failed index f is rethrown, and commit has run for exactly
-  /// [0, f). Throws std::invalid_argument when `window` is 0.
+  /// already running finish. Each commit runs at most once, also when it
+  /// throws. After the join, the exception of the lowest failed index f
+  /// is rethrown, and commit has run for exactly [0, f). Throws
+  /// std::invalid_argument when `window` is 0.
   void ordered_for(std::size_t count, std::size_t window,
                    const std::function<void(std::size_t)>& body,
                    const std::function<void(std::size_t)>& commit) const;

@@ -132,7 +132,9 @@ class SensorNode {
     return history_;
   }
   /// Counters for the epoch in progress.
-  [[nodiscard]] EpochStats current_epoch() const noexcept;
+  [[nodiscard]] EpochStats current_epoch() const noexcept {
+    return epoch_stats(probing_meter_.energy_j(), transfer_meter_.energy_j());
+  }
   /// Every successfully probed contact since start(). Empty when
   /// `config.record_probed_contacts` is off (the count survives in
   /// counters().probed_sessions).
@@ -194,6 +196,9 @@ class SensorNode {
   /// The transfer timer fired: meter, deliver and report the session.
   void end_transfer();
   void epoch_boundary();
+  /// The epoch in progress, given both meters' totals read once.
+  [[nodiscard]] EpochStats epoch_stats(double probing_j,
+                                       double transfer_j) const noexcept;
   /// Crash/reboot step of the epoch boundary (fault plan attached only):
   /// draw the crash, wipe or restore the scheduler, and track how many
   /// epochs the relearned mask needs to re-cover the pre-crash one.

@@ -15,13 +15,15 @@ constexpr sim::Duration kPollPeriod = sim::Duration::seconds(1);
 /// The mask refresh's hysteresis: an outsider slot enters only when its
 /// score exceeds the weakest incumbent's by this fraction.
 constexpr double kMaskHysteresis = 0.3;
+/// The learner's per-epoch EWMA weight when it updates slot scores.
+constexpr double kScoreWeight = 0.3;
 
 }  // namespace
 
 AdaptiveSnipRh::AdaptiveSnipRh(sim::Duration epoch, std::size_t slot_count,
                                AdaptiveSnipRhConfig config)
     : config_{config},
-      learner_{epoch, slot_count, config.rush_slots, config.score_weight},
+      learner_{epoch, slot_count, config.rush_slots, kScoreWeight},
       learn_probe_{config.learning_duty, config.rh.ton},
       track_probe_{std::max(config.tracking_duty, 1e-9), config.rh.ton},
       explore_probe_{std::max(config.exploration.explore_duty, 1e-9),

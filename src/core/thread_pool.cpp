@@ -74,17 +74,21 @@ void ThreadPool::ordered_for(
     return;
   }
 
-  // All hand-out, completion and commit state lives under one mutex. A
-  // worker that finishes an item commits every finished item from the
-  // committed prefix onwards, so commits run in index order on whichever
-  // worker closes the gap.
+  // Hand-out, completion and commit bookkeeping live under one mutex;
+  // bodies and commits run outside it. A worker that finishes an item
+  // while no commit is in flight becomes the committer and commits every
+  // finished item from the committed prefix onwards, releasing the mutex
+  // for each commit, so the other workers keep taking and finishing items
+  // meanwhile. Their finished items wait for the committer, which checks
+  // for them under the mutex before it gives the role up.
   std::mutex mutex;
   std::condition_variable window_open;
   std::size_t next = 0;       // next index to hand out
   std::size_t committed = 0;  // commit(committed) is the next commit
-  // finished[i % window]: body(i) returned. Started-but-uncommitted
-  // items span fewer than `window` consecutive indices, so slots never
-  // collide.
+  bool committing = false;    // a worker holds the committer role
+  // finished[i % window]: body(i) returned and commit(i) has not started.
+  // Started-but-uncommitted items span fewer than `window` consecutive
+  // indices, so slots never collide.
   std::vector<char> finished(window, 0);
   std::size_t failed = count;  // lowest failed index; count = none
   std::exception_ptr error;
@@ -95,6 +99,7 @@ void ThreadPool::ordered_for(
       error = std::move(e);
     }
     stop = true;
+    window_open.notify_all();
   };
 
   auto worker = [&] {
@@ -115,22 +120,35 @@ void ThreadPool::ordered_for(
       lock.lock();
       if (body_error) {
         record(i, std::move(body_error));
-      } else {
-        finished[i % window] = 1;
-        // Items below a failure still commit; a failed item is never
-        // marked finished, so the committed prefix ends right before it.
-        while (committed < count && finished[committed % window] != 0) {
-          finished[committed % window] = 0;
-          try {
-            commit(committed);
-          } catch (...) {
-            record(committed, std::current_exception());
-            break;
-          }
-          ++committed;
-        }
+        continue;
       }
-      window_open.notify_all();
+      finished[i % window] = 1;
+      if (committing) continue;
+      // Items below a failure still commit; a failed item is never marked
+      // finished, so the committed prefix ends right before it. A mark is
+      // cleared before its commit starts, so a commit that throws is never
+      // run again.
+      committing = true;
+      while (committed < count && finished[committed % window] != 0) {
+        const std::size_t c = committed;
+        finished[c % window] = 0;
+        lock.unlock();
+        std::exception_ptr commit_error;
+        try {
+          commit(c);
+        } catch (...) {
+          commit_error = std::current_exception();
+        }
+        lock.lock();
+        if (commit_error) {
+          record(c, std::move(commit_error));
+          break;
+        }
+        // Only now may slot c % window go to item c + window.
+        ++committed;
+        window_open.notify_all();
+      }
+      committing = false;
     }
   };
 

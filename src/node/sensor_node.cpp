@@ -97,7 +97,8 @@ SensorContext SensorNode::make_context() const {
   return ctx;
 }
 
-EpochStats SensorNode::current_epoch() const noexcept {
+EpochStats SensorNode::epoch_stats(double probing_j,
+                                   double transfer_j) const noexcept {
   EpochStats e;
   e.epoch_index = epoch_index_;
   e.phi = sim::Duration::microseconds(counters_->phi_us);
@@ -105,8 +106,8 @@ EpochStats SensorNode::current_epoch() const noexcept {
   e.bytes_uploaded = counters_->bytes_uploaded;
   e.contacts_probed = counters_->contacts_probed;
   e.wakeups = counters_->wakeups;
-  e.probing_energy_j = probing_meter_.energy_j() - probing_j_mark_;
-  e.transfer_energy_j = transfer_meter_.energy_j() - transfer_j_mark_;
+  e.probing_energy_j = probing_j - probing_j_mark_;
+  e.transfer_energy_j = transfer_j - transfer_j_mark_;
   return e;
 }
 
@@ -356,11 +357,15 @@ void SensorNode::end_transfer() {
 }
 
 void SensorNode::epoch_boundary() {
+  // Each meter sums its radio states on every read: read it once, for
+  // both the epoch's history row and the next epoch's mark.
+  const double probing_j = probing_meter_.energy_j();
+  const double transfer_j = transfer_meter_.energy_j();
   if (config_.record_epoch_history) {
-    history_.push_back(current_epoch());
+    history_.push_back(epoch_stats(probing_j, transfer_j));
   }
-  probing_j_mark_ = probing_meter_.energy_j();
-  transfer_j_mark_ = transfer_meter_.energy_j();
+  probing_j_mark_ = probing_j;
+  transfer_j_mark_ = transfer_j;
 
   // The epoch is recorded: zero its counters.
   NodeCounters& c = *counters_;

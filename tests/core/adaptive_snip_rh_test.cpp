@@ -72,9 +72,7 @@ TEST(AdaptiveSnipRh, AdoptsLearnedMaskAfterLearningEpochs) {
 }
 
 TEST(AdaptiveSnipRh, TracksSeasonalShift) {
-  AdaptiveSnipRhConfig cfg = quick_config();
-  cfg.score_weight = 0.5;
-  AdaptiveSnipRh sched{Duration::hours(24), 24, cfg};
+  AdaptiveSnipRh sched{Duration::hours(24), 24, quick_config()};
   // Learn {7, 17} first.
   for (int day = 0; day < 2; ++day) {
     for (int i = 0; i < 12; ++i) {
@@ -150,13 +148,26 @@ TEST(AdaptiveSnipRh, TrackingDutyZeroIsSafeAndFreezesTheMask) {
   EXPECT_TRUE(sched.current_mask().is_rush_slot(17));
 }
 
+TEST(AdaptiveSnipRh, ScoreWeightIsThirtyPercent) {
+  // A slot's first sample seeds its score; each later epoch's sample is
+  // blended in with weight 0.3: 10 detections, then 20, score 13.
+  AdaptiveSnipRh sched{Duration::hours(24), 24, quick_config()};
+  for (int day = 0; day < 2; ++day) {
+    for (int i = 0; i < 10 * (day + 1); ++i) {
+      sched.on_probe_detected(detect_at(day * 24 + 7.5));
+    }
+    sched.on_epoch_start(day + 1);
+  }
+  EXPECT_DOUBLE_EQ(sched.learner().scores()[7], 13.0);
+}
+
 TEST(AdaptiveSnipRh, MaskRefreshAdmitsAnOutsiderOnlyPastThirtyPercent) {
   // The refresh's hysteresis margin is 30%: against incumbents scoring
-  // 1000, an outsider scoring 1299 stays out and one scoring 1301 enters.
-  for (const int outsider : {1299, 1301}) {
-    AdaptiveSnipRhConfig cfg = quick_config();
-    cfg.score_weight = 1.0;  // each epoch's counts become the scores
-    AdaptiveSnipRh sched{Duration::hours(24), 24, cfg};
+  // 1000, an outsider scoring 1299 stays out and one scoring 1302 enters.
+  // Slot 3 scores 0 until epoch 2 blends its count c in with the 0.3
+  // weight, so c = 4330 scores 1299 and c = 4340 scores 1302.
+  for (const int outsider : {4330, 4340}) {
+    AdaptiveSnipRh sched{Duration::hours(24), 24, quick_config()};
     const auto run_epoch = [&](int day, int slot_three_probes) {
       for (int i = 0; i < 1000; ++i) {
         sched.on_probe_detected(detect_at(day * 24 + 7.5));
@@ -167,13 +178,15 @@ TEST(AdaptiveSnipRh, MaskRefreshAdmitsAnOutsiderOnlyPastThirtyPercent) {
       }
       sched.on_epoch_start(day + 1);
     };
-    run_epoch(0, 1);
-    run_epoch(1, 1);
+    run_epoch(0, 0);
+    run_epoch(1, 0);
     ASSERT_FALSE(sched.learning());
     ASSERT_FALSE(sched.current_mask().is_rush_slot(3));
     run_epoch(2, outsider);
-    EXPECT_EQ(sched.current_mask().is_rush_slot(3), outsider > 1300)
-        << "outsider score " << outsider;
+    const double score = sched.learner().scores()[3];
+    ASSERT_NEAR(score, 0.3 * outsider, 1e-9);
+    EXPECT_EQ(sched.current_mask().is_rush_slot(3), score > 1300.0)
+        << "outsider score " << score;
   }
 }
 

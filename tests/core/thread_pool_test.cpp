@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -132,6 +134,70 @@ TEST(ThreadPoolOrderedFor, ThrowingCommitStopsTheRun) {
                    }),
                std::logic_error);
   EXPECT_EQ(committed, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6}));
+}
+
+TEST(ThreadPoolOrderedFor, ThrowingCommitRunsOnce) {
+  // A commit that throws must not be retried by the next worker to take
+  // the committer role: count every call, successful or not.
+  constexpr std::size_t kCount = 24;
+  constexpr std::size_t kFailAt = 3;
+  const ThreadPool pool{4};
+  for (int run = 0; run < 200; ++run) {
+    std::vector<std::size_t> calls(kCount, 0);
+    std::vector<std::size_t> succeeded;
+    EXPECT_THROW(pool.ordered_for(
+                     kCount, 4,
+                     [](std::size_t i) {
+                       std::this_thread::sleep_for(
+                           std::chrono::microseconds((i * 7919) % 40));
+                     },
+                     [&](std::size_t i) {
+                       ++calls[i];
+                       if (i == kFailAt) throw std::logic_error("commit 3");
+                       succeeded.push_back(i);
+                     }),
+                 std::logic_error);
+    for (std::size_t i = 0; i < kCount; ++i) {
+      ASSERT_LE(calls[i], 1U) << "commit " << i << " ran twice, run " << run;
+    }
+    ASSERT_EQ(succeeded, (std::vector<std::size_t>{0, 1, 2})) << "run " << run;
+  }
+}
+
+TEST(ThreadPoolOrderedFor, BodiesRunWhileACommitIsInFlight) {
+  // Bodies 1..3 hold their workers until commit(0) has begun, so before
+  // it no worker can have been handed an index of 4 or more. commit(0)
+  // then waits for such a body to start. It can only start if hand-out
+  // goes on while a commit is in flight; a pool that commits under its
+  // hand-out lock fails here on the timeout.
+  constexpr std::size_t kThreads = 4;
+  constexpr auto kTimeout = std::chrono::seconds(3);
+  std::mutex mutex;
+  std::condition_variable changed;
+  bool commit_started = false;
+  bool later_body_started = false;
+  bool seen = false;
+  const ThreadPool pool{kThreads};
+  pool.ordered_for(
+      16, 2 * kThreads,
+      [&](std::size_t i) {
+        std::unique_lock lock{mutex};
+        if (i >= kThreads) {
+          later_body_started = true;
+          changed.notify_all();
+        } else if (i > 0) {
+          changed.wait_for(lock, kTimeout, [&] { return commit_started; });
+        }
+      },
+      [&](std::size_t i) {
+        if (i != 0) return;
+        std::unique_lock lock{mutex};
+        commit_started = true;
+        changed.notify_all();
+        seen = changed.wait_for(lock, kTimeout,
+                                [&] { return later_body_started; });
+      });
+  EXPECT_TRUE(seen) << "no body started while commit(0) was in flight";
 }
 
 TEST(ThreadPoolOrderedFor, EmptyRangeAndZeroWindow) {
