@@ -11,11 +11,13 @@
 /// one adaptive SNIP-RH wakeup in the exploit phase. Per-layer rows for
 /// the relay fleet's serial tail: one store-and-forward collection pass
 /// and the JSON writer's numbers. Per-layer rows for the fleet engines:
-/// a road's node-by-node contact builds, and `ThreadPool::ordered_for`
-/// with the streaming fleet's slow checkpoint commits.
+/// a road's node-by-node contact builds, one builder per road or per
+/// shard range, and `ThreadPool::ordered_for` with the streaming fleet's
+/// slow checkpoint commits.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -394,16 +396,23 @@ void BM_RunCollection(benchmark::State& state) {
 }
 BENCHMARK(BM_RunCollection)->Unit(benchmark::kMicrosecond);
 
-/// `RoadContactBuilder::next` node by node in position order, as a fleet
-/// shard builds its range, over two road shapes. `highway`: the
-/// streaming benchmark's road, equal-speed vehicles (20 m/s, 10 m range)
-/// on a uniform hourly flow past 2,000 nodes at 1 m spacing, over 52
-/// one-hour epochs (about 620 vehicles). `urban`: catalog
-/// `fleet-urban-grid`'s mixed-speed road at 120 m spacing, 1,024 nodes,
-/// over 14 epochs (about 1,350 vehicles), as the adaptive benchmark
-/// fleet runs. Items are contacts built.
+/// `RoadContactBuilder::next` node by node in position order, as fleet
+/// shards build their ranges, with a new builder every `range_nodes`
+/// nodes (0 = one builder for the whole road). `highway`: the streaming
+/// benchmark's road, equal-speed vehicles (20 m/s, 10 m range) on a
+/// uniform hourly flow past 2,000 nodes at 1 m spacing, over 52 one-hour
+/// epochs (about 620 vehicles). `highway_ranges`: the same road in
+/// ranges of 16 nodes, as the 50k-node streaming fleet's 3,128 ranges
+/// each build their own. `urban`: catalog `fleet-urban-grid`'s
+/// mixed-speed road at 120 m spacing, 1,024 nodes, over 14 epochs (about
+/// 1,350 vehicles), as the adaptive benchmark fleet runs. `relay`:
+/// catalog `chaos-lossy-collection`'s road, 96 nodes at 1 km spacing
+/// with per-vehicle speeds and 40% early exits, over 52 epochs (about
+/// 970 vehicles), as the relay benchmark fleet runs. Items are contacts
+/// built.
 void BM_RoadContactBuilder(benchmark::State& state, const char* entry_name,
-                           bool highway) {
+                           bool highway, std::size_t nodes,
+                           std::int64_t epochs, std::size_t range_nodes) {
   const core::CatalogEntry& entry =
       core::ScenarioCatalog::instance().at(entry_name);
   deploy::FleetSpec spec = *entry.fleet;
@@ -414,24 +423,28 @@ void BM_RoadContactBuilder(benchmark::State& state, const char* entry_name,
     road.range_m = 10.0;
     road.speed_mean_mps = 20.0;
     road.speed_stddev_mps = 0.0;
-    spec = deploy::FleetSpec::road(2000, road, spec.strategy,
+    spec = deploy::FleetSpec::road(nodes, road, spec.strategy,
                                    spec.zeta_target_s);
     spec.flow_profile =
         contact::ArrivalProfile::uniform(sim::Duration::hours(1), 24, 300.0);
   } else {
-    spec.nodes = 1024;
+    spec.nodes = nodes;
   }
-  const sim::Duration horizon =
-      spec.flow_profile.epoch() * (highway ? 52 : 14);
+  const sim::Duration horizon = spec.flow_profile.epoch() * epochs;
   const testing::RoadInputs road = testing::materialize_road(spec, 1, horizon);
   const double range_m = spec.road_workload()->range_m;
+  const std::size_t per_builder = range_nodes == 0 ? nodes : range_nodes;
   std::size_t contacts = 0;
   for (auto _ : state) {
-    deploy::RoadContactBuilder builder{range_m, road.vehicles};
     contacts = 0;
-    for (const double x : road.positions_m) {
-      const contact::ContactSchedule schedule = builder.next(x);
-      contacts += schedule.size();
+    for (std::size_t begin = 0; begin < nodes; begin += per_builder) {
+      deploy::RoadContactBuilder builder{range_m, road.vehicles};
+      for (std::size_t i = begin; i < std::min(nodes, begin + per_builder);
+           ++i) {
+        const contact::ContactSchedule schedule =
+            builder.next(road.positions_m[i]);
+        contacts += schedule.size();
+      }
     }
     benchmark::DoNotOptimize(contacts);
   }
@@ -440,9 +453,17 @@ void BM_RoadContactBuilder(benchmark::State& state, const char* entry_name,
   state.SetItemsProcessed(static_cast<std::int64_t>(contacts) *
                           state.iterations());
 }
-BENCHMARK_CAPTURE(BM_RoadContactBuilder, highway, "fleet-highway-1k", true)
+BENCHMARK_CAPTURE(BM_RoadContactBuilder, highway, "fleet-highway-1k", true,
+                  2000, 52, 0)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_RoadContactBuilder, urban, "fleet-urban-grid", false)
+BENCHMARK_CAPTURE(BM_RoadContactBuilder, highway_ranges, "fleet-highway-1k",
+                  true, 2000, 52, 16)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RoadContactBuilder, urban, "fleet-urban-grid", false,
+                  1024, 14, 0)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RoadContactBuilder, relay, "chaos-lossy-collection",
+                  false, 96, 52, 0)
     ->Unit(benchmark::kMillisecond);
 
 /// `ThreadPool::ordered_for` shaped like the streaming fleet's run: 4

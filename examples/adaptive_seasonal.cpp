@@ -16,7 +16,7 @@
 #include "snipr/radio/channel.hpp"
 #include "snipr/node/mobile_node.hpp"
 #include "snipr/node/sensor_node.hpp"
-#include "snipr/sim/simulator.hpp"
+#include "snipr/sim/rng.hpp"
 
 namespace {
 
@@ -73,26 +73,22 @@ int main() {
   cfg.rush_slots = 4;
   core::AdaptiveSnipRh scheduler{sim::Duration::hours(24), 24, cfg};
 
-  sim::Simulator simulator{1};
   radio::Channel channel{contact::ContactSchedule{std::move(all)},
-                        before.link, simulator.rng().fork()};
+                        before.link, sim::Rng{1}.fork()};
   node::MobileNode sink;
   node::SensorNodeConfig node_cfg;
   node_cfg.ton = sim::Duration::seconds(before.snip.ton_s);
   node_cfg.epoch = sim::Duration::hours(24);
   node_cfg.budget_limit = sim::Duration::seconds(before.phi_max_large_s());
   node_cfg.sensing_rate_bps = before.sensing_rate_for_target(16.0);
-  node::NodeBlock block{1};
-  node::SensorNode sensor{simulator, channel, sink, scheduler,
-                          node_cfg, block, 0};
+  node::SensorNode sensor{channel, sink, scheduler, node_cfg};
   sensor.start();
 
   std::printf("day | mask (hour 0..23)          | phase    | ζ (s)\n");
   const std::size_t total_days = days_before_shift + days_after_shift;
   for (std::size_t day = 1; day <= total_days; ++day) {
-    simulator.run_until(sim::TimePoint::zero() +
-                        sim::Duration::hours(24) *
-                            static_cast<std::int64_t>(day));
+    sensor.run_until(sim::TimePoint::zero() +
+                     sim::Duration::hours(24) * static_cast<std::int64_t>(day));
     const auto& history = sensor.epoch_history();
     const double zeta = history.empty()
                             ? 0.0

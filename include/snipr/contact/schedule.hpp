@@ -17,6 +17,12 @@ class ContactSchedule {
   /// throws if unsorted or if contacts overlap.
   explicit ContactSchedule(std::vector<Contact> contacts);
 
+  /// This schedule with every arrival moved by `by`. A checked schedule
+  /// moved as a whole stays sorted and non-overlapping, so the copy is
+  /// not checked again; throws std::invalid_argument only when the first
+  /// arrival or the last departure would leave the microsecond clock.
+  [[nodiscard]] ContactSchedule shifted(sim::Duration by) const;
+
   [[nodiscard]] const std::vector<Contact>& contacts() const noexcept {
     return contacts_;
   }

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "snipr/contact/process.hpp"
@@ -76,12 +77,17 @@ struct RoadContactPlan {
 /// each contact — the contact plan the store-and-forward collection pass
 /// routes data over.
 ///
-/// Cost: each node computes its offsets once per run of consecutive
-/// vehicles with equal (speed, exit), and carries the previous node's
-/// (arrival, vehicle) pass order forward, so sorted positions cost
-/// O(V + overtakes) per node. Throws std::invalid_argument naming
-/// `positions_m` (empty, negative or non-finite), `range_m` (not finite
-/// and positive), `VehicleEntry::speed_mps` (not finite and positive) or
+/// Cost: on a one-class road, where every vehicle shares (speed, exit),
+/// every node sees one pattern of passes shifted by its travel offset,
+/// so the passes are merged once per builder in O(V), again only for a
+/// node whose pass span differs (x < R, or cut short by the shared
+/// exit), and each node costs an O(contacts) shifted copy. On a mixed
+/// road each node computes every vehicle's offsets and carries the
+/// previous node's (arrival, vehicle) pass order forward, so sorted
+/// positions cost O(V + overtakes) per node. Throws
+/// std::invalid_argument naming `positions_m` (empty, negative or
+/// non-finite), `range_m` (not finite and positive),
+/// `VehicleEntry::speed_mps` (not finite and positive) or
 /// `VehicleEntry::exit_m` (NaN or −∞; +∞ drives through).
 [[nodiscard]] RoadContactPlan build_road_contact_plan(
     const std::vector<double>& positions_m, double range_m,
@@ -104,16 +110,27 @@ class RoadContactBuilder {
       double x_m, std::vector<std::uint32_t>* carriers = nullptr);
 
  private:
+  /// Restore order_ to (arrival_, vehicle) order and merge the passes
+  /// into contacts, `passes` of them of non-zero length; `carriers`
+  /// (null = not kept) receives the vehicle behind each contact.
+  [[nodiscard]] contact::ContactSchedule merge_passes(
+      std::size_t passes, std::vector<std::uint32_t>* carriers);
+
   double range_m_;
   const std::vector<VehicleEntry>& vehicles_;
-  /// Run r of vehicles sharing (speed, exit) is
-  /// [run_ends_[r-1], run_ends_[r]).
-  std::vector<std::uint32_t> run_ends_;
+  /// Every vehicle shares (speed, exit), and there is at least one.
+  bool one_class_{false};
   /// Per-node keys, reused across nodes; a zero length means no pass.
+  /// On a one-class road they hold the passes at start 0.
   std::vector<sim::TimePoint> arrival_;
   std::vector<sim::Duration> length_;
   /// Vehicles in (arrival, vehicle) order, carried from node to node.
   std::vector<std::uint32_t> order_;
+  /// One-class road: the merged passes at start 0 for the span they were
+  /// last built for, and the vehicle behind each.
+  std::optional<contact::ContactSchedule> pattern_;
+  sim::Duration pattern_span_{};
+  std::vector<std::uint32_t> pattern_carriers_;
 };
 
 }  // namespace snipr::deploy

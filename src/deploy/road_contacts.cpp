@@ -60,6 +60,25 @@ void restore_pass_order(std::vector<std::uint32_t>& order,
   }
 }
 
+/// When a vehicle is in range of a node: `start` after its entry, for
+/// `span` (zero = never in range).
+struct PassOffsets {
+  sim::Duration start;
+  sim::Duration span;
+};
+
+/// The pass of `v` at the node whose range is [near_edge, far_edge).
+PassOffsets pass_offsets(const VehicleEntry& v, double near_edge,
+                         double far_edge) {
+  const double start_s = near_edge / v.speed_mps;
+  const sim::Duration start = sim::Duration::seconds(start_s);
+  // A vehicle exiting before the near edge never reaches range.
+  if (v.exit_m <= near_edge) return {start, sim::Duration::zero()};
+  const double end_s = std::min(far_edge, v.exit_m) / v.speed_mps;
+  return {start, std::max(sim::Duration::zero(),
+                          sim::Duration::seconds(end_s - start_s))};
+}
+
 /// The contact plan, with carrier lists only when `with_carriers`.
 RoadContactPlan build_plan(const std::vector<double>& positions_m,
                            double range_m,
@@ -106,19 +125,21 @@ RoadContactBuilder::RoadContactBuilder(
     }
   }
 
-  // Consecutive vehicles that share (speed, exit) share every offset at
-  // a node, so each node computes them once per run of such vehicles.
   const auto count = static_cast<std::uint32_t>(vehicles.size());
-  for (std::uint32_t k = 1; k <= count; ++k) {
-    if (k == count || vehicles[k].speed_mps != vehicles[k - 1].speed_mps ||
-        vehicles[k].exit_m != vehicles[k - 1].exit_m) {
-      run_ends_.push_back(k);
-    }
-  }
+  one_class_ =
+      !vehicles.empty() &&
+      std::all_of(vehicles.begin(), vehicles.end(),
+                  [&first = vehicles.front()](const VehicleEntry& v) {
+                    return v.speed_mps == first.speed_mps &&
+                           v.exit_m == first.exit_m;
+                  });
   arrival_.resize(count);
   length_.resize(count);
   order_.resize(count);
-  for (std::uint32_t k = 0; k < count; ++k) order_[k] = k;
+  for (std::uint32_t k = 0; k < count; ++k) {
+    order_[k] = k;
+    if (one_class_) arrival_[k] = vehicles[k].entry;
+  }
 }
 
 contact::ContactSchedule RoadContactBuilder::next(
@@ -128,25 +149,36 @@ contact::ContactSchedule RoadContactBuilder::next(
         "build_road_contact_plan: positions_m must be finite and >= 0");
   }
   const double near_edge = std::max(0.0, x_m - range_m_);
-  std::size_t passes = 0;
-  std::uint32_t k = 0;
-  for (const std::uint32_t run_end : run_ends_) {
-    const VehicleEntry& v = vehicles_[k];
-    const double start_s = near_edge / v.speed_mps;
-    const double end_s = std::min(x_m + range_m_, v.exit_m) / v.speed_mps;
-    const sim::Duration start = sim::Duration::seconds(start_s);
-    // A vehicle exiting before the near edge never reaches range.
-    const sim::Duration span =
-        v.exit_m <= near_edge
-            ? sim::Duration::zero()
-            : std::max(sim::Duration::zero(),
-                       sim::Duration::seconds(end_s - start_s));
-    if (span > sim::Duration::zero()) passes += run_end - k;
-    for (; k < run_end; ++k) {
-      arrival_[k] = vehicles_[k].entry + start;
-      length_[k] = span;
+  const double far_edge = x_m + range_m_;
+  if (one_class_) {
+    // Every pass starts `start` after its vehicle's entry and lasts
+    // `span`, so this node's contacts are the pattern at start 0 moved
+    // by `start`: passes keep their (entry, vehicle) order and merge
+    // alike.
+    const PassOffsets pass =
+        pass_offsets(vehicles_.front(), near_edge, far_edge);
+    if (!pattern_.has_value() || pass.span != pattern_span_) {
+      std::fill(length_.begin(), length_.end(), pass.span);
+      const std::size_t passes =
+          pass.span > sim::Duration::zero() ? length_.size() : 0;
+      pattern_ = merge_passes(passes, &pattern_carriers_);
+      pattern_span_ = pass.span;
     }
+    if (carriers != nullptr) *carriers = pattern_carriers_;
+    return pattern_->shifted(pass.start);
   }
+  std::size_t passes = 0;
+  for (std::size_t k = 0; k < vehicles_.size(); ++k) {
+    const PassOffsets pass = pass_offsets(vehicles_[k], near_edge, far_edge);
+    arrival_[k] = vehicles_[k].entry + pass.start;
+    length_[k] = pass.span;
+    if (pass.span > sim::Duration::zero()) ++passes;
+  }
+  return merge_passes(passes, carriers);
+}
+
+contact::ContactSchedule RoadContactBuilder::merge_passes(
+    std::size_t passes, std::vector<std::uint32_t>* carriers) {
   restore_pass_order(order_, arrival_);
 
   // Merge overlapping passes into single contacts. The merged contact

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -135,6 +137,53 @@ TEST(ContactSchedule, EmptySchedule) {
   EXPECT_TRUE(s.empty());
   EXPECT_FALSE(active_at(s.contacts(), at_s(1)).has_value());
   EXPECT_FALSE(next_arrival_at_or_after(s.contacts(), at_s(0)).has_value());
+}
+
+TEST(ContactSchedule, ShiftedMatchesCheckedConstruction) {
+  // Random sorted, non-overlapping contacts, back-to-back ones included,
+  // moved forward, backward and not at all.
+  sim::Rng rng{31};
+  std::vector<Contact> contacts;
+  TimePoint t = at_s(1000);
+  for (int k = 0; k < 200; ++k) {
+    t += Duration::microseconds(static_cast<std::int64_t>(
+        rng.uniform_int(3) * rng.uniform_int(1'000'000)));  // 0: back to back
+    contacts.push_back({t, Duration::microseconds(static_cast<std::int64_t>(
+                               1 + rng.uniform_int(500'000)))});
+    t = contacts.back().departure();
+  }
+  const ContactSchedule base{contacts};
+  for (const Duration by :
+       {Duration::zero(), Duration::microseconds(1), Duration::seconds(37.25),
+        -Duration::seconds(999), Duration::hours(24 * 365)}) {
+    std::vector<Contact> moved = contacts;
+    for (Contact& c : moved) c.arrival += by;
+    const ContactSchedule want{std::move(moved)};
+    const ContactSchedule got = base.shifted(by);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t j = 0; j < want.size(); ++j) {
+      ASSERT_EQ(got.contacts()[j].arrival, want.contacts()[j].arrival) << j;
+      ASSERT_EQ(got.contacts()[j].length, want.contacts()[j].length) << j;
+    }
+  }
+  EXPECT_TRUE(ContactSchedule{{}}.shifted(Duration::max()).empty());
+
+  // The guard: the last departure may reach the clock's end, not pass it;
+  // the first arrival likewise its start.
+  const ContactSchedule high{{{at_s(10), Duration::seconds(5)}}};
+  const Duration room = TimePoint::max() - at_s(15);
+  EXPECT_EQ(high.shifted(room).contacts().front().departure(),
+            TimePoint::max());
+  EXPECT_THROW((void)high.shifted(room + Duration::microseconds(1)),
+               std::invalid_argument);
+  const ContactSchedule low{{{at_s(-10), Duration::seconds(5)}}};
+  const Duration floor =
+      Duration::microseconds(std::numeric_limits<std::int64_t>::min()) +
+      Duration::seconds(10);
+  EXPECT_EQ(low.shifted(floor).contacts().front().arrival.count(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_THROW((void)low.shifted(floor - Duration::microseconds(1)),
+               std::invalid_argument);
 }
 
 }  // namespace

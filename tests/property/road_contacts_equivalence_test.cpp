@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,10 +12,13 @@
 
 /// build_road_contact_plan against a plain reference builder: every
 /// node's passes collected from scratch and std::sort-ed by (arrival,
-/// vehicle), then merged. The library instead computes offsets once per
-/// run of equal (speed, exit) vehicles and carries the pass order from
-/// node to node; this pins it to the reference element by element over
-/// random flows.
+/// vehicle), then merged. The library takes one of two paths. On a mixed
+/// road it carries the pass order from node to node. On a one-class road
+/// (every vehicle shares speed and exit) it merges the passes once per
+/// pass span and hands each node a copy shifted by its travel offset,
+/// rebuilding the merge for a node whose span differs (x < R, or a node
+/// straddling or past the shared exit). This pins both paths to the
+/// reference element by element over random flows.
 
 namespace snipr::deploy {
 namespace {
@@ -215,6 +219,81 @@ TEST(RoadContactsEquivalence, UnsortedEntriesStayExact) {
       random_flow(rng, Speeds::kRuns, 120, 0.8, 2000.0);
   std::reverse(vehicles.begin(), vehicles.end());
   expect_same_plan({100.0, 700.0, 1500.0}, 15.0, vehicles, "reversed entries");
+}
+
+/// A one-class flow: `count` vehicles at `speed`, all leaving the road at
+/// `exit_m`, entering at whole-second steps of 0 to 3 × `step_s` (a step
+/// of 0 ties two entries, and short steps overlap passes).
+std::vector<VehicleEntry> one_class_flow(sim::Rng& rng, std::size_t count,
+                                         double speed, double exit_m,
+                                         double step_s) {
+  std::vector<VehicleEntry> vehicles;
+  double t = 0.0;
+  for (std::size_t k = 0; k < count; ++k) {
+    t += static_cast<double>(pick(rng, 0, 3)) * step_s;
+    vehicles.push_back(
+        VehicleEntry{TimePoint::zero() + Duration::seconds(t), speed, exit_m});
+  }
+  return vehicles;
+}
+
+/// expect_same_plan, plus the carrier-free schedules.
+void expect_same_one_class_plan(const std::vector<double>& positions,
+                                double range_m,
+                                const std::vector<VehicleEntry>& vehicles,
+                                const std::string& label) {
+  expect_same_plan(positions, range_m, vehicles, label);
+  const RoadContactPlan want = reference_plan(positions, range_m, vehicles);
+  const std::vector<contact::ContactSchedule> got =
+      build_road_schedules(positions, range_m, vehicles);
+  ASSERT_EQ(got.size(), want.schedules.size()) << label;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].contacts(), want.schedules[i].contacts())
+        << label << ", node " << i;
+  }
+}
+
+TEST(RoadContactsEquivalence, OneClassRoadsMatchTheSortingBuilder) {
+  sim::Rng rng{4242};
+  for (int trial = 0; trial < 120; ++trial) {
+    const bool shuffle = trial % 2 == 1;
+    const double range_m = rng.uniform(5.0, 60.0);
+    const double speed = rng.uniform(5.0, 30.0);
+    // Nodes from inside the first range (spans clamped by x < R) outward,
+    // with duplicates.
+    const std::vector<double> positions = random_positions(
+        rng, pick(rng, 2, 40), rng.uniform(0.0, 2.0 * range_m),
+        rng.uniform(1.0, 3.0 * range_m), shuffle);
+    const double road_end =
+        *std::max_element(positions.begin(), positions.end()) + range_m;
+    // A shared exit the nodes straddle; every third road drives through.
+    const double exit_m = trial % 3 == 0
+                              ? std::numeric_limits<double>::infinity()
+                              : rng.uniform(0.0, road_end);
+    const double step_s = static_cast<double>(pick(rng, 1, 20));
+    const std::vector<VehicleEntry> vehicles =
+        one_class_flow(rng, pick(rng, 1, 200), speed, exit_m, step_s);
+    expect_same_one_class_plan(positions, range_m, vehicles,
+                               "one-class trial " + std::to_string(trial));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(RoadContactsEquivalence, OneClassPatternFollowsEverySpan) {
+  // 20 m/s, R = 10 m, all exiting at 100 m: x = 0, 3 and 5 clamp to the
+  // entry with spans of 0.5, 0.65 and 0.75 s; 12, 40 and 60 see the full
+  // 1 s; 95 straddles the exit (0.75 s again); 200 is past it. Out of
+  // order and repeated, so the pattern is rebuilt and reused in turn.
+  sim::Rng rng{8};
+  const std::vector<VehicleEntry> vehicles =
+      one_class_flow(rng, 300, 20.0, 100.0, 1.0);
+  expect_same_one_class_plan(
+      {0.0, 3.0, 12.0, 40.0, 40.0, 5.0, 95.0, 200.0, 60.0, 3.0, 0.0}, 10.0,
+      vehicles, "one-class spans");
+  std::vector<VehicleEntry> reversed = vehicles;
+  std::reverse(reversed.begin(), reversed.end());
+  expect_same_one_class_plan({95.0, 0.0, 12.0, 13.0}, 10.0, reversed,
+                             "one-class reversed entries");
 }
 
 }  // namespace

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <sstream>
+#include <vector>
+
+#include "snipr/sim/rng.hpp"
 
 namespace snipr::sim {
 namespace {
@@ -21,6 +26,43 @@ TEST(Duration, DoubleSecondsRoundsToMicroseconds) {
   EXPECT_EQ(Duration::seconds(0.0000004).count(), 0);   // rounds down
   EXPECT_EQ(Duration::seconds(2.5).count(), 2'500'000);
   EXPECT_EQ(Duration::seconds(-1.25).count(), -1'250'000);
+}
+
+TEST(Duration, RoundsExactlyLikeLlround) {
+  // The scalar product by a double and seconds(double) round half away
+  // from zero as std::llround does: random magnitudes across the clock's
+  // range and past it, every value k + 0.5 with its neighbours one ulp
+  // either side, the exactness edges 2^52, 2^53 and 2^62, and the
+  // values std::llround itself handles (±inf, NaN).
+  const auto expect_llround = [](double y) {
+    ASSERT_EQ((Duration::microseconds(1) * y).count(), std::llround(y)) << y;
+    ASSERT_EQ(Duration::seconds(y).count(), std::llround(y * 1e6)) << y;
+  };
+  Rng rng{2011};
+  std::vector<double> values{0.0, -0.0, 0.5, -0.5, 0x1p52, 0x1p53, 0x1p62,
+                             0x1p63, -0x1p62, 1e300,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::denorm_min()};
+  for (int i = 0; i < 200'000; ++i) {
+    const double sign = rng.bernoulli(0.5) ? -1.0 : 1.0;
+    values.push_back(sign * std::ldexp(rng.uniform(1.0, 2.0),
+                                       static_cast<int>(rng.uniform_int(90)) -
+                                           24));
+    const double whole = std::floor(std::ldexp(
+        rng.uniform(), static_cast<int>(rng.uniform_int(52))));
+    values.push_back(sign * (whole + 0.5));
+  }
+  for (const double base : std::vector<double>(values)) {
+    values.push_back(std::nextafter(base, std::numeric_limits<double>::max()));
+    values.push_back(
+        std::nextafter(base, -std::numeric_limits<double>::max()));
+  }
+  for (const double y : values) {
+    expect_llround(y);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 TEST(Duration, ToSecondsIsInverseOfSeconds) {
