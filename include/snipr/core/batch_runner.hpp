@@ -125,7 +125,8 @@ class BatchRunner {
   explicit BatchRunner(Config config);
 
   /// Execute every run. Results are in spec order and independent of the
-  /// worker count; the first exception thrown by a run is rethrown after
+  /// worker count. A run that throws stops the hand-out of later runs,
+  /// and the exception of the lowest failed run index is rethrown after
   /// all workers join.
   ///
   /// Contact schedules are shared across the grid: a schedule is a pure

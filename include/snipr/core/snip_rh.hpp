@@ -1,5 +1,8 @@
 #pragma once
 
+#include <string>
+#include <vector>
+
 #include "snipr/core/rush_hour_mask.hpp"
 #include "snipr/node/scheduler.hpp"
 #include "snipr/stats/ewma.hpp"
@@ -31,6 +34,18 @@
 /// length even after head correction, so it feeds only the upload mean.
 
 namespace snipr::core {
+
+namespace ckpt {
+class TokenReader;
+}  // namespace ckpt
+
+/// A mask's checkpoint tokens, for every scheduler that checkpoints one:
+/// the slot count, then 0 or 1 per slot.
+void append_mask_bits(std::string& out, const RushHourMask& mask);
+/// Read the tokens append_mask_bits wrote into `bits`. False on a missing
+/// or malformed token.
+[[nodiscard]] bool read_mask_bits(ckpt::TokenReader& reader,
+                                  std::vector<bool>& bits);
 
 struct SnipRhConfig {
   /// SNIP's per-wakeup radio-on time (Ton).
@@ -79,6 +94,20 @@ class SnipRh final : public node::Scheduler {
   [[nodiscard]] std::string checkpoint() const override;
   bool restore(std::string_view blob) override;
   void reset() override;
+
+  /// A checkpoint's state, read but not yet applied.
+  struct Checkpoint {
+    std::vector<bool> mask_bits;
+    stats::Ewma tcontact_s;
+    stats::Ewma upload_bytes;
+  };
+  /// restore() in two steps, for a scheduler whose checkpoint embeds this
+  /// one's (AdaptiveSnipRh): read checkpoint()'s tokens from `reader`
+  /// (false on a malformed token or a mask of another slot count), then,
+  /// once the rest of the embedding checkpoint has read too, apply them.
+  [[nodiscard]] bool read_checkpoint(ckpt::TokenReader& reader,
+                                     Checkpoint& state) const;
+  void apply(Checkpoint state);
   [[nodiscard]] std::vector<bool> rush_mask_bits() const override {
     return mask_.bits();
   }

@@ -15,15 +15,16 @@
 /// assignment order can never influence output order — each item owns its
 /// own result slot and its own deterministic state.
 ///
-/// Two primitives:
-///  - `parallel_for` runs independent items; the first exception thrown
-///    by any item is rethrown on the caller's thread after all workers
-///    join.
+/// One hand-out loop serves both primitives:
 ///  - `ordered_for` runs items concurrently and *commits* them one at a
 ///    time in index order, as a sequential loop would, with a bounded
 ///    number of items in flight. It is how a run folds results into one
 ///    order-sensitive accumulator (and checkpoints it) without a
 ///    spawn-join barrier between folds.
+///  - `parallel_for` is `ordered_for` with no commit and a window of the
+///    whole range.
+/// Both fail the same way: hand-out stops at the first failure, and the
+/// exception of the lowest failed index is rethrown after the join.
 
 namespace snipr::core {
 
@@ -35,10 +36,12 @@ class ThreadPool {
   /// Workers this pool will spawn (never 0).
   [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
 
-  /// Invoke `body(i)` for every i in [0, count). Bodies run concurrently
-  /// (at most min(threads(), count) at a time) and must not share mutable
-  /// state except through their own index. Blocks until every body
-  /// returned; rethrows the first exception any body threw.
+  /// Invoke `body(i)` for every i in [0, count): ordered_for(count,
+  /// count, body, no commit). Bodies run concurrently (at most
+  /// min(threads(), count) at a time) and must not share mutable state
+  /// except through their own index. Blocks until every started body
+  /// returned; on failure rethrows the exception of the lowest failed
+  /// index, and no index above it that was not yet handed out runs.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& body) const;
 

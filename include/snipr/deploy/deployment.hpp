@@ -31,9 +31,9 @@ struct NodeOutcome : node::NodeSummary {
   std::string scheduler_name;
 };
 
-/// Whole-deployment outcome.
-struct DeploymentOutcome {
-  std::vector<NodeOutcome> nodes;
+/// The fleet aggregate both engines report, over each node's mean ζ, Φ
+/// and bytes per epoch.
+struct FleetAggregate {
   double total_zeta_s{0.0};
   double total_phi_s{0.0};
   double total_bytes{0.0};
@@ -46,6 +46,11 @@ struct DeploymentOutcome {
   double zeta_stddev_s{0.0};
   /// Jain's fairness index over per-node ζ (1 = perfectly even).
   double zeta_fairness{1.0};
+};
+
+/// Whole-deployment outcome: the aggregate plus one row per node.
+struct DeploymentOutcome : FleetAggregate {
+  std::vector<NodeOutcome> nodes;
   /// Store-and-forward collection results, present when the fleet ran
   /// with a RoutingSpec (upgrades the JSON schema to snipr.fleet.v2).
   std::optional<NetworkOutcome> network;
@@ -67,10 +72,10 @@ struct DeploymentConfig {
 using SchedulerFactory =
     std::function<std::unique_ptr<node::Scheduler>(std::size_t node_index)>;
 
-/// Recompute every aggregate field of `outcome` from its per-node rows,
-/// in node order, with `stats::OnlineStats` (single Welford pass — never
-/// a raw Σζ² that cancels catastrophically at fleet scale). Safe on an
-/// empty outcome (leaves the zero/identity defaults).
+/// Recompute every aggregate field of `outcome` from its per-node rows
+/// in node order: sums plus one Welford pass (never a raw Σζ² that
+/// cancels catastrophically at fleet scale). Safe on an empty outcome
+/// (leaves the zero/identity defaults).
 void finalize_outcome(DeploymentOutcome& outcome);
 
 }  // namespace snipr::deploy

@@ -12,16 +12,16 @@
 /// Bounded-memory streaming fleet runs.
 ///
 /// Both fleet engines share one pipeline: one input builder (the node
-/// streams, the shared vehicle flow or the trace replay streams), and
-/// one range runner that builds a shard's schedules just before
-/// simulating it. `FleetEngine::run` keeps one NodeOutcome row per node,
-/// O(fleet) memory that a million-node run cannot afford. The streaming
-/// engine keeps none: its workers simulate shards concurrently, and each
-/// shard's per-node results fold into scalar accumulators (Welford
-/// mean/variance via `stats::OnlineStats`, quantiles via
-/// `stats::QuantileSketch`) as soon as every earlier shard has folded.
-/// Peak memory is the vehicle flow plus the schedules of the shards
-/// being simulated (at most one per worker), independent of fleet size.
+/// streams, the shared vehicle flow or the trace replay streams) and one
+/// shard runner, which builds each node's contacts just before it runs
+/// and commits shards in node order. `FleetEngine::run` keeps one
+/// NodeOutcome row per node, O(fleet) memory that a million-node run
+/// cannot afford. The streaming engine keeps none: each committed
+/// shard's rows fold into the fleet aggregate `FleetEngine` reports
+/// (node-order sums and one Welford pass) and a `stats::QuantileSketch`,
+/// and are dropped. Peak memory is the vehicle flow, one node's contacts
+/// per worker and the rows of at most 2 × workers shards, independent of
+/// fleet size.
 ///
 /// Determinism matches the run() contract: node i's RNG stream is a
 /// pure function of (seed, i); per-node values are folded into the
@@ -38,20 +38,10 @@ namespace snipr::deploy {
 
 /// Aggregate outcome of a streaming fleet run (the whole point: no
 /// per-node vector).
-struct FleetSummary {
+struct FleetSummary : FleetAggregate {
   std::uint64_t nodes{0};
   std::uint64_t epochs{0};
   std::uint64_t shards{0};
-  double total_zeta_s{0.0};
-  double total_phi_s{0.0};
-  double total_bytes{0.0};
-  double min_zeta_s{0.0};
-  double max_zeta_s{0.0};
-  double mean_zeta_s{0.0};
-  double zeta_variance{0.0};
-  double zeta_stddev_s{0.0};
-  /// Jain's fairness index over per-node ζ (1 = perfectly even).
-  double zeta_fairness{1.0};
   /// Per-node mean-ζ quantiles from the merged sketch (1% relative
   /// error).
   double zeta_p50_s{0.0};
@@ -68,11 +58,7 @@ struct StreamingOptions {
   std::string checkpoint_path;
   /// Checkpoint cadence: the state is written after every `batch_shards`
   /// folded shards, counted from the resume point, and at the end of the
-  /// call. It also sets the fold window: at most 2 × `batch_shards`
-  /// shards are simulated or awaiting their fold at once, so a slow shard
-  /// stalls the workers only after they run that far ahead of it.
-  /// Schedules coexist only for the shards being simulated, at most the
-  /// worker count. 0 = the worker count.
+  /// call. 0 = the worker count.
   std::size_t batch_shards{0};
   /// Process at most this many shards in this call, then checkpoint and
   /// return nullopt (time-slicing a huge run). 0 = run to completion.
@@ -83,7 +69,8 @@ struct StreamingOptions {
 /// Run `spec` as a streaming fleet. Returns the summary, or nullopt when
 /// `options.max_shards` stopped the run early (state saved to the
 /// checkpoint). The run is one `core::ThreadPool::ordered_for` call over
-/// this call's shards. Store-and-forward routing is rejected: replaying
+/// this call's shards, at most 2 × workers of them simulated or awaiting
+/// their fold at once. Store-and-forward routing is rejected: replaying
 /// per-contact sessions is exactly the per-node state streaming exists
 /// to avoid. An enabled `spec.faults` is rejected too (std::invalid_argument
 /// naming the field): this engine has no fault plane, and quietly

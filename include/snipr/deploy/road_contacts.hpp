@@ -93,7 +93,7 @@ struct RoadContactPlan {
     const std::vector<double>& positions_m, double range_m,
     const std::vector<VehicleEntry>& vehicles);
 
-/// build_road_contact_plan one node at a time: a fleet range runs each
+/// build_road_contact_plan one node at a time: a fleet shard runs each
 /// node as soon as its schedule exists, so only one node's contacts are
 /// live at once rather than the whole range's. `vehicles` must outlive
 /// the builder. Throws as build_road_contact_plan does: the constructor

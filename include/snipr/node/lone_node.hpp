@@ -18,8 +18,8 @@
 /// A node's outcome depends only on its scheduler, contacts, link,
 /// channel stream, config and fault stream: it never interacts with
 /// another node while probing. So every single-node experiment
-/// (core::run_experiment_on_schedule) and every fleet node
-/// (deploy::simulate_range) runs through run_lone_node, and both report
+/// (core::run_experiment_on_schedule) and every fleet node (deploy's
+/// shard runner, run_shards) runs through run_lone_node, and both report
 /// the means of summarize().
 
 namespace snipr::fault {

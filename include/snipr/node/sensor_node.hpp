@@ -92,18 +92,19 @@ struct ProbedContactRecord {
 
 class SensorNode {
  public:
-  /// All references must outlive the node. Call start() once, then
-  /// run_until(). This standalone form holds its counters.
-  SensorNode(radio::Channel& channel, MobileNode& sink, Scheduler& scheduler,
-             SensorNodeConfig config);
+  /// The channel and scheduler must outlive the node; the stateless sink
+  /// is not kept. Call start() once, then run_until(). This standalone
+  /// form holds its counters.
+  SensorNode(radio::Channel& channel, MobileNode& /*sink*/,
+             Scheduler& scheduler, SensorNodeConfig config);
 
   /// Block form, for several nodes run side by side: start() puts the
   /// node on `simulator`, whose run_until() runs it, and the counters
   /// are `block.lanes[lane]`. The simulator and block are the caller's
   /// and must outlive the node's runs.
   SensorNode(sim::Simulator& simulator, radio::Channel& channel,
-             MobileNode& sink, Scheduler& scheduler, SensorNodeConfig config,
-             NodeBlock& block, std::size_t lane);
+             MobileNode& /*sink*/, Scheduler& scheduler,
+             SensorNodeConfig config, NodeBlock& block, std::size_t lane);
 
   /// A simulator may hold `this`, and the counters may be the node's own.
   SensorNode(const SensorNode&) = delete;
@@ -218,7 +219,6 @@ class SensorNode {
   /// Null for the standalone form.
   sim::Simulator* simulator_{nullptr};
   radio::Channel& channel_;
-  MobileNode& sink_;
   Scheduler& scheduler_;
   SensorNodeConfig config_;
 

@@ -265,29 +265,6 @@ void AdaptiveSnipRh::on_epoch_start(std::int64_t /*epoch_index*/) {
   plan_ = policy_.plan_epoch(learner_, rh_.mask());
 }
 
-namespace {
-
-void append_mask_bits(std::string& out, const RushHourMask& mask) {
-  ckpt::append_u64(out, static_cast<std::uint64_t>(mask.slot_count()));
-  for (std::size_t s = 0; s < mask.slot_count(); ++s) {
-    ckpt::append_u64(out, mask.is_rush_slot(s) ? 1 : 0);
-  }
-}
-
-bool read_mask_bits(ckpt::TokenReader& reader, std::vector<bool>& bits) {
-  std::uint64_t slots = 0;
-  if (!reader.read_u64(slots)) return false;
-  bits.assign(static_cast<std::size_t>(slots), false);
-  for (std::size_t s = 0; s < bits.size(); ++s) {
-    std::uint64_t bit = 0;
-    if (!reader.read_u64(bit)) return false;
-    bits[s] = bit != 0;
-  }
-  return true;
-}
-
-}  // namespace
-
 std::string AdaptiveSnipRh::checkpoint() const {
   std::string out;
   out += "adaptive-snip-rh-v1 ";
@@ -361,21 +338,8 @@ bool AdaptiveSnipRh::restore(std::string_view blob) {
   snap.effort_mode = effort_mode != 0;
   snap.epochs = static_cast<std::size_t>(epochs);
 
-  // The inner SNIP-RH blob is self-delimiting (fixed token count for a
-  // given slot count), so hand the reader's remainder to SnipRh and let it
-  // consume its share. Re-tokenise: find where its tokens end by length.
-  // Simpler: SnipRh::restore requires exhaustion, so rebuild its blob from
-  // the known token count (1 magic + 1 slots + slots bits + 2x3 ewma).
-  std::string rh_blob;
-  {
-    std::string_view token;
-    const std::size_t rh_tokens = 2 + static_cast<std::size_t>(slots) + 6;
-    for (std::size_t i = 0; i < rh_tokens; ++i) {
-      if (!reader.next(token)) return false;
-      rh_blob.append(token);
-      rh_blob += ' ';
-    }
-  }
+  SnipRh::Checkpoint rh_state;
+  if (!rh_.read_checkpoint(reader, rh_state)) return false;
 
   std::uint64_t cursor = 0;
   std::uint64_t plan_active = 0;
@@ -392,9 +356,8 @@ bool AdaptiveSnipRh::restore(std::string_view blob) {
     return false;
   }
 
-  // All tokens parsed and validated; commit. rh_ goes first since it can
-  // still reject (slot-count cross-check against its own mask).
-  if (!rh_.restore(rh_blob)) return false;
+  // All tokens parsed and validated; commit.
+  rh_.apply(std::move(rh_state));
   learner_.restore(snap);
   learning_ = learning != 0;
   policy_.set_cursor(static_cast<std::size_t>(cursor));

@@ -154,13 +154,31 @@ void SnipRh::on_contact_probed(const node::ProbedContactObservation& obs) {
   upload_bytes_.add(obs.bytes_uploaded);
 }
 
+void append_mask_bits(std::string& out, const RushHourMask& mask) {
+  ckpt::append_u64(out, static_cast<std::uint64_t>(mask.slot_count()));
+  for (std::size_t s = 0; s < mask.slot_count(); ++s) {
+    ckpt::append_u64(out, mask.is_rush_slot(s) ? 1 : 0);
+  }
+}
+
+bool read_mask_bits(ckpt::TokenReader& reader, std::vector<bool>& bits) {
+  std::uint64_t slots = 0;
+  if (!reader.read_u64(slots)) return false;
+  // Grown one read token at a time, so a corrupt slot count cannot make
+  // it allocate more than the blob holds.
+  bits.clear();
+  for (std::uint64_t s = 0; s < slots; ++s) {
+    std::uint64_t bit = 0;
+    if (!reader.read_u64(bit)) return false;
+    bits.push_back(bit != 0);
+  }
+  return true;
+}
+
 std::string SnipRh::checkpoint() const {
   std::string out;
   out += "snip-rh-v1 ";
-  ckpt::append_u64(out, static_cast<std::uint64_t>(mask_.slot_count()));
-  for (std::size_t s = 0; s < mask_.slot_count(); ++s) {
-    ckpt::append_u64(out, mask_.is_rush_slot(s) ? 1 : 0);
-  }
+  append_mask_bits(out, mask_);
   append_ewma(out, tcontact_s_);
   append_ewma(out, upload_bytes_);
   return out;
@@ -168,26 +186,28 @@ std::string SnipRh::checkpoint() const {
 
 bool SnipRh::restore(std::string_view blob) {
   ckpt::TokenReader reader{blob};
-  if (!reader.expect("snip-rh-v1")) return false;
-  std::uint64_t slots = 0;
-  if (!reader.read_u64(slots) || slots != mask_.slot_count()) return false;
-  std::vector<bool> bits(static_cast<std::size_t>(slots), false);
-  for (std::size_t s = 0; s < bits.size(); ++s) {
-    std::uint64_t bit = 0;
-    if (!reader.read_u64(bit)) return false;
-    bits[s] = bit != 0;
-  }
-  stats::Ewma tcontact = tcontact_s_;
-  stats::Ewma upload = upload_bytes_;
-  if (!read_ewma(reader, tcontact) || !read_ewma(reader, upload) ||
-      !reader.exhausted()) {
-    return false;
-  }
-  mask_ = RushHourMask{mask_.epoch(), bits};
-  tcontact_s_ = tcontact;
-  upload_bytes_ = upload;
-  refresh_cycle();
+  Checkpoint state;
+  if (!read_checkpoint(reader, state) || !reader.exhausted()) return false;
+  apply(std::move(state));
   return true;
+}
+
+bool SnipRh::read_checkpoint(ckpt::TokenReader& reader,
+                             Checkpoint& state) const {
+  state.tcontact_s = tcontact_s_;
+  state.upload_bytes = upload_bytes_;
+  return reader.expect("snip-rh-v1") &&
+         read_mask_bits(reader, state.mask_bits) &&
+         state.mask_bits.size() == mask_.slot_count() &&
+         read_ewma(reader, state.tcontact_s) &&
+         read_ewma(reader, state.upload_bytes);
+}
+
+void SnipRh::apply(Checkpoint state) {
+  mask_ = RushHourMask{mask_.epoch(), state.mask_bits};
+  tcontact_s_ = state.tcontact_s;
+  upload_bytes_ = state.upload_bytes;
+  refresh_cycle();
 }
 
 void SnipRh::reset() {

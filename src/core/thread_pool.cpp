@@ -1,7 +1,6 @@
 #include "snipr/core/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -23,37 +22,7 @@ std::size_t ThreadPool::hardware_threads() noexcept {
 void ThreadPool::parallel_for(
     std::size_t count, const std::function<void(std::size_t)>& body) const {
   if (count == 0) return;
-
-  const std::size_t workers = std::min(threads_, count);
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-
-  // Work stealing over a shared index: item i goes to whichever worker
-  // increments past it, so load balances itself while every item keeps a
-  // stable identity.
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      try {
-        body(i);
-      } catch (...) {
-        const std::scoped_lock lock{error_mutex};
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+  ordered_for(count, count, body, [](std::size_t) {});
 }
 
 void ThreadPool::ordered_for(

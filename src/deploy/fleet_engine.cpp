@@ -2,42 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "snipr/core/json_writer.hpp"
-#include "snipr/core/thread_pool.hpp"
 #include "snipr/deploy/collection.hpp"
 #include "fleet_inputs.hpp"
 
 namespace snipr::deploy {
 namespace {
-
-/// Append one collection session per contact `run` probed, mapped to its
-/// carrier through the node's contact plan.
-void append_sessions(const FleetNodeRun& run,
-                     std::vector<CollectionSession>& sessions) {
-  const std::vector<contact::Contact>& contacts = run.schedule->contacts();
-  for (const node::ProbedContactRecord& record : run.lone.probed) {
-    const auto it = std::lower_bound(
-        contacts.begin(), contacts.end(), record.contact.arrival,
-        [](const contact::Contact& c, sim::TimePoint t) {
-          return c.arrival < t;
-        });
-    if (it == contacts.end() || it->arrival != record.contact.arrival) {
-      throw std::logic_error(
-          "FleetEngine: probed contact missing from the contact plan");
-    }
-    CollectionSession session;
-    session.node = static_cast<std::uint32_t>(run.row.node_index);
-    session.vehicle = run.carriers[static_cast<std::size_t>(
-        it - contacts.begin())];
-    session.probe_time_s = record.probe_time.to_seconds();
-    session.departure_s = record.contact.departure().to_seconds();
-    sessions.push_back(session);
-  }
-}
 
 /// Run every node of `in` across the partition's shards into one row per
 /// node. When `sessions` is non-null, each node's probed contacts become
@@ -46,24 +21,16 @@ DeploymentOutcome run_rows(FleetInputs& in, const FleetConfig& config,
                            std::vector<CollectionSession>* sessions) {
   const FleetPartition partition = partition_fleet(config, in.nodes());
   DeploymentOutcome outcome;
-  outcome.nodes.resize(in.nodes());
-  std::vector<std::vector<CollectionSession>> shard_sessions(
-      sessions != nullptr ? partition.shards : 0);
-  const core::ThreadPool pool{partition.threads};
-  pool.parallel_for(partition.shards, [&](std::size_t s) {
-    simulate_range(in, partition.begin(s), partition.begin(s + 1),
-                   [&](FleetNodeRun& run) {
-                     if (sessions != nullptr) {
-                       append_sessions(run, shard_sessions[s]);
-                     }
-                     // Shards own disjoint slots, so workers never race.
-                     outcome.nodes[run.row.node_index] = std::move(run.row);
-                   });
-  });
-  for (const std::vector<CollectionSession>& shard : shard_sessions) {
-    sessions->insert(sessions->end(), shard.begin(), shard.end());
-  }
-
+  outcome.nodes.reserve(in.nodes());
+  run_shards(in, partition, 0, partition.shards,
+             [&](std::size_t, ShardRun& shard) {
+               std::move(shard.rows.begin(), shard.rows.end(),
+                         std::back_inserter(outcome.nodes));
+               if (sessions != nullptr) {
+                 sessions->insert(sessions->end(), shard.sessions.begin(),
+                                  shard.sessions.end());
+               }
+             });
   finalize_outcome(outcome);
   if (in.faults != nullptr) {
     fault::ResilienceOutcome resilience;
@@ -138,15 +105,7 @@ std::string FleetEngine::to_json(const DeploymentOutcome& outcome) {
   if (outcome.resilience.has_value()) schema = core::json::kFleetSchemaV3;
   core::json::open_document(out, schema);
   append_uint_field(out, "nodes", outcome.nodes.size());
-  append_field(out, "total_zeta_s", outcome.total_zeta_s);
-  append_field(out, "total_phi_s", outcome.total_phi_s);
-  append_field(out, "total_bytes", outcome.total_bytes);
-  append_field(out, "mean_zeta_s", outcome.mean_zeta_s);
-  append_field(out, "zeta_variance", outcome.zeta_variance);
-  append_field(out, "zeta_stddev_s", outcome.zeta_stddev_s);
-  append_field(out, "min_zeta_s", outcome.min_zeta_s);
-  append_field(out, "max_zeta_s", outcome.max_zeta_s);
-  append_field(out, "zeta_fairness", outcome.zeta_fairness);
+  append_aggregate(out, outcome);
   out += "\"per_node\":[";
   bool first = true;
   for (const NodeOutcome& n : outcome.nodes) {

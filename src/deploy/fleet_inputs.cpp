@@ -109,28 +109,92 @@ double road_position_m(const RoadWorkload& road, std::size_t i) {
 }
 
 /// Simulate node `index` of `in` alone from time zero to the horizon
-/// over `schedule`, with `channel_rng` as its channel stream.
-FleetNodeRun run_fleet_node(const FleetInputs& in, std::size_t index,
-                            contact::ContactSchedule schedule,
-                            sim::Rng channel_rng) {
+/// over `schedule`, with `channel_rng` as its channel stream, and add its
+/// row, counts and sessions to `shard`. `carriers[j]` is the vehicle
+/// behind contact j; it is read only when routing records probed
+/// contacts.
+void run_fleet_node(const FleetInputs& in, std::size_t index,
+                    contact::ContactSchedule schedule,
+                    const std::vector<std::uint32_t>& carriers,
+                    sim::Rng channel_rng, ShardRun& shard) {
   const std::unique_ptr<node::Scheduler> scheduler = in.make_scheduler(index);
   if (scheduler == nullptr) {
     throw std::invalid_argument("FleetEngine: factory returned null");
   }
-  FleetNodeRun run;
-  run.schedule =
+  const auto contacts =
       std::make_shared<const contact::ContactSchedule>(std::move(schedule));
   // Node i's injector was forked in node order before partitioning, so
   // its stream, and every fault decision, is independent of the shard
-  // layout; injectors are never shared, so range workers never race.
-  run.lone = node::run_lone_node(
-      *scheduler, run.schedule, in.deployment.link, channel_rng,
+  // layout; injectors are never shared, so shard workers never race.
+  const node::LoneNodeRun lone = node::run_lone_node(
+      *scheduler, contacts, in.deployment.link, channel_rng,
       in.deployment.node, in.horizon,
       in.faults != nullptr ? &in.faults->node(index) : nullptr);
-  static_cast<node::NodeSummary&>(run.row) = node::summarize(run.lone);
-  run.row.node_index = index;
-  run.row.scheduler_name = scheduler->name();
-  return run;
+  NodeOutcome& row = shard.rows.emplace_back();
+  static_cast<node::NodeSummary&>(row) = node::summarize(lone);
+  row.node_index = index;
+  row.scheduler_name = scheduler->name();
+  shard.probed_sessions += lone.probed_sessions;
+  shard.events += lone.events;
+  // Each probed contact becomes a session on its carrier.
+  const std::vector<contact::Contact>& plan = contacts->contacts();
+  for (const node::ProbedContactRecord& record : lone.probed) {
+    const auto it = std::lower_bound(
+        plan.begin(), plan.end(), record.contact.arrival,
+        [](const contact::Contact& c, sim::TimePoint t) {
+          return c.arrival < t;
+        });
+    if (it == plan.end() || it->arrival != record.contact.arrival) {
+      throw std::logic_error(
+          "FleetEngine: probed contact missing from the contact plan");
+    }
+    CollectionSession& session = shard.sessions.emplace_back();
+    session.node = static_cast<std::uint32_t>(index);
+    session.vehicle = carriers[static_cast<std::size_t>(it - plan.begin())];
+    session.probe_time_s = record.probe_time.to_seconds();
+    session.departure_s = record.contact.departure().to_seconds();
+  }
+}
+
+/// Simulate nodes [begin, end) of `in` in node order into `shard`.
+void simulate_shard(FleetInputs& in, std::size_t begin, std::size_t end,
+                    ShardRun& shard) {
+  sim::Rng channel_forks = in.node_streams.before(begin);
+  if (in.road != nullptr) {
+    RoadContactBuilder contacts{in.road->range_m, in.vehicles};
+    // Carriers are read only to map probed contacts to sessions.
+    const bool with_carriers = in.deployment.node.record_probed_contacts;
+    std::vector<std::uint32_t> carriers;
+    for (std::size_t i = begin; i < end; ++i) {
+      contact::ContactSchedule schedule =
+          contacts.next(road_position_m(*in.road, i),
+                        with_carriers ? &carriers : nullptr);
+      run_fleet_node(in, i, std::move(schedule), carriers,
+                     channel_forks.fork(), shard);
+    }
+  } else if (in.trace != nullptr) {
+    // Node i replays the trace phase-rotated by i * stagger and jittered
+    // from its own replay stream.
+    sim::Rng replay_forks = in.trace_streams.before(begin);
+    for (std::size_t i = begin; i < end; ++i) {
+      contact::TraceReplayConfig config;
+      config.period = in.trace_period;
+      config.offset = sim::Duration::seconds(in.trace->stagger_s *
+                                             static_cast<double>(i));
+      config.jitter_stddev_s = in.trace->jitter_stddev_s;
+      contact::TraceReplayProcess process{in.trace_base, config};
+      sim::Rng rng = replay_forks.fork();
+      run_fleet_node(in, i,
+                     contact::ContactSchedule{contact::materialize(
+                         process, in.contact_horizon, rng)},
+                     {}, channel_forks.fork(), shard);
+    }
+  } else {
+    for (std::size_t i = begin; i < end; ++i) {
+      run_fleet_node(in, i, std::move(in.schedules[i]), {},
+                     channel_forks.fork(), shard);
+    }
+  }
 }
 
 }  // namespace
@@ -256,51 +320,24 @@ FleetPartition partition_fleet(const FleetConfig& config, std::size_t nodes) {
   return {nodes, shards, std::min(workers, shards)};
 }
 
-void simulate_range(FleetInputs& in, std::size_t begin, std::size_t end,
-                    const std::function<void(FleetNodeRun&)>& on_node) {
-  // Each node runs as soon as its schedule exists, so a range holds one
-  // node's contacts at a time, never the whole range's.
-  sim::Rng channel_forks = in.node_streams.before(begin);
-  const auto run_node = [&](std::size_t i, contact::ContactSchedule schedule,
-                            std::vector<std::uint32_t> carriers) {
-    FleetNodeRun run =
-        run_fleet_node(in, i, std::move(schedule), channel_forks.fork());
-    run.carriers = std::move(carriers);
-    on_node(run);
-  };
-  if (in.road != nullptr) {
-    RoadContactBuilder contacts{in.road->range_m, in.vehicles};
-    // Carriers are read only to map probed contacts to sessions.
-    const bool with_carriers = in.deployment.node.record_probed_contacts;
-    for (std::size_t i = begin; i < end; ++i) {
-      std::vector<std::uint32_t> carriers;
-      contact::ContactSchedule schedule =
-          contacts.next(road_position_m(*in.road, i),
-                        with_carriers ? &carriers : nullptr);
-      run_node(i, std::move(schedule), std::move(carriers));
-    }
-  } else if (in.trace != nullptr) {
-    // Node i replays the trace phase-rotated by i * stagger and jittered
-    // from its own replay stream.
-    sim::Rng replay_forks = in.trace_streams.before(begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      contact::TraceReplayConfig config;
-      config.period = in.trace_period;
-      config.offset = sim::Duration::seconds(in.trace->stagger_s *
-                                             static_cast<double>(i));
-      config.jitter_stddev_s = in.trace->jitter_stddev_s;
-      contact::TraceReplayProcess process{in.trace_base, config};
-      sim::Rng rng = replay_forks.fork();
-      run_node(i,
-               contact::ContactSchedule{
-                   contact::materialize(process, in.contact_horizon, rng)},
-               {});
-    }
-  } else {
-    for (std::size_t i = begin; i < end; ++i) {
-      run_node(i, std::move(in.schedules[i]), {});
-    }
-  }
+void run_shards(FleetInputs& in, const FleetPartition& partition,
+                std::size_t first, std::size_t count,
+                const std::function<void(std::size_t, ShardRun&)>& commit) {
+  // Shard first + k is simulated into slot k % window, which its commit
+  // releases to shard first + k + window.
+  const std::size_t window = 2 * partition.threads;
+  std::vector<ShardRun> slots(std::min(window, count));
+  core::ThreadPool{partition.threads}.ordered_for(
+      count, window,
+      [&](std::size_t k) {
+        const std::size_t s = first + k;
+        ShardRun& shard = slots[k % window];
+        shard.rows.clear();
+        shard.sessions.clear();
+        shard.probed_sessions = shard.events = 0;
+        simulate_shard(in, partition.begin(s), partition.begin(s + 1), shard);
+      },
+      [&](std::size_t k) { commit(first + k, slots[k % window]); });
 }
 
 }  // namespace snipr::deploy

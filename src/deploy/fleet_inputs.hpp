@@ -4,10 +4,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "snipr/contact/schedule.hpp"
 #include "snipr/core/scenario.hpp"
+#include "snipr/deploy/collection.hpp"
 #include "snipr/deploy/fleet.hpp"
 #include "snipr/deploy/fleet_engine.hpp"
 #include "snipr/deploy/road_contacts.hpp"
@@ -18,9 +20,9 @@
 
 /// \file fleet_inputs.hpp
 /// The fleet pipeline both engines share (library-internal): one input
-/// builder, one partition rule and one node-range runner. `FleetEngine`
-/// and `run_streaming_fleet` differ only in what their `simulate_range`
-/// callback keeps of each node.
+/// builder, one partition rule, one shard runner and one aggregate.
+/// `FleetEngine` and `run_streaming_fleet` differ only in what their
+/// `run_shards` commit keeps of each shard.
 ///
 /// Determinism contract: node i's channel stream is the i-th fork of
 /// root(seed), taken in node order before any partitioning. Every
@@ -83,7 +85,7 @@ struct FleetInputs {
   /// Attached when the fault spec is enabled.
   std::unique_ptr<fault::FaultPlan> faults;
 
-  /// Prebuilt schedules; simulate_range moves schedules[i] out.
+  /// Prebuilt schedules; run_shards moves schedules[i] out.
   std::vector<contact::ContactSchedule> schedules;
 
   const RoadWorkload* road{nullptr};
@@ -138,39 +140,44 @@ struct FleetPartition {
 [[nodiscard]] FleetPartition partition_fleet(const FleetConfig& config,
                                              std::size_t nodes);
 
-/// One node's run, as simulate_range hands it to its callback.
-struct FleetNodeRun {
-  /// The node's row: node::summarize over `lone`.
-  NodeOutcome row;
-  /// The lone node's run; its probed-contact log is empty unless routing
-  /// records it.
-  node::LoneNodeRun lone;
-  /// The contacts the node ran over.
-  std::shared_ptr<const contact::ContactSchedule> schedule;
-  /// Road fleets that record probed contacts: carriers[j] is the vehicle
-  /// behind contact j; empty otherwise.
-  std::vector<std::uint32_t> carriers;
+/// One shard's results, as run_shards hands them to its commit.
+struct ShardRun {
+  /// One row per node, in node order.
+  std::vector<NodeOutcome> rows;
+  /// One collection session per probed contact, in node order; empty
+  /// unless routing records probed contacts.
+  std::vector<CollectionSession> sessions;
+  std::uint64_t probed_sessions{0};  ///< summed over the shard's nodes
+  std::uint64_t events{0};           ///< events executed, summed likewise
 };
 
-/// Simulate nodes [begin, end) in node order, each built just before it
-/// runs, and hand each result to `on_node`. Concurrent calls over
-/// disjoint ranges are safe.
-void simulate_range(FleetInputs& inputs, std::size_t begin, std::size_t end,
-                    const std::function<void(FleetNodeRun&)>& on_node);
+/// Simulate shards [first, first + count) of `partition` and hand each
+/// to `commit(s, shard)` in shard order, so the commits see every node
+/// in node order: one ThreadPool::ordered_for call over
+/// `partition.threads` workers with a window of twice that, and its
+/// failure rule. A shard builds each node just before it runs, so a
+/// worker holds one node's contacts at a time. The commit may move out
+/// of `shard`.
+void run_shards(FleetInputs& inputs, const FleetPartition& partition,
+                std::size_t first, std::size_t count,
+                const std::function<void(std::size_t, ShardRun&)>& commit);
 
-/// Set either engine's per-node ζ spread from a non-empty fleet's stats.
-/// Jain's index (Σζ)²/(nΣζ²) is taken as mean²/(mean² + var), the same
-/// value conditioned on the spread, not on two huge nearly-equal sums.
-template <class Result>
-void set_zeta_spread(Result& out, const stats::OnlineStats& zeta) {
-  out.min_zeta_s = zeta.min();
-  out.max_zeta_s = zeta.max();
-  out.mean_zeta_s = zeta.mean();
-  out.zeta_variance = zeta.variance();
-  out.zeta_stddev_s = zeta.stddev();
-  const double mean_sq = out.mean_zeta_s * out.mean_zeta_s;
-  const double denom = mean_sq + out.zeta_variance;
-  out.zeta_fairness = denom > 0.0 ? mean_sq / denom : 1.0;
-}
+/// The fleet aggregate, defined once: each node's ζ, Φ and bytes summed
+/// in node order, plus one Welford pass over ζ. Both engines add rows in
+/// node order, so their aggregates agree bit for bit at any partition.
+struct FleetTotals {
+  stats::OnlineStats zeta;
+  double zeta_s{0.0};
+  double phi_s{0.0};
+  double bytes{0.0};
+
+  void add(const node::NodeSummary& node) noexcept;
+  /// Jain's index (Σζ)²/(nΣζ²) is taken as mean²/(mean² + var), the same
+  /// value conditioned on the spread, not on two huge nearly-equal sums.
+  [[nodiscard]] FleetAggregate aggregate() const noexcept;
+};
+
+/// Append the aggregate's nine JSON fields, each followed by a comma.
+void append_aggregate(std::string& out, const FleetAggregate& aggregate);
 
 }  // namespace snipr::deploy

@@ -13,7 +13,6 @@
 #include "snipr/core/checkpoint_io.hpp"
 #include "snipr/core/crc32.hpp"
 #include "snipr/core/json_writer.hpp"
-#include "snipr/core/thread_pool.hpp"
 #include "snipr/stats/online_stats.hpp"
 #include "snipr/stats/quantile_sketch.hpp"
 #include "fleet_inputs.hpp"
@@ -21,43 +20,20 @@
 namespace snipr::deploy {
 namespace {
 
-/// Per-node means a shard hands back — a few doubles per node, held only
-/// until the shard folds. (Shards fold one at a time in shard order, so
-/// the accumulator state never depends on the partition.)
-struct NodeAgg {
-  double mean_zeta_s{0.0};
-  double mean_phi_s{0.0};
-  double mean_bytes{0.0};
-  std::uint64_t probed_sessions{0};
-};
-
-struct ShardResult {
-  std::vector<NodeAgg> nodes;
-  std::uint64_t events{0};
-};
-
 /// Running aggregate across all folded shards — the entire resident
 /// state of a streaming run between checkpoints.
 struct Accumulator {
-  stats::OnlineStats zeta;
+  FleetTotals totals;
   stats::QuantileSketch sketch{0.01};
-  // Naive node-order sums, matching finalize_outcome term for term so
-  // the streaming totals are bit-equal to the materialising engine's.
-  double total_zeta_s{0.0};
-  double total_phi_s{0.0};
-  double total_bytes{0.0};
   std::uint64_t contacts_probed{0};
   std::uint64_t events{0};
 
-  void fold(const ShardResult& shard) {
-    for (const NodeAgg& n : shard.nodes) {
-      zeta.add(n.mean_zeta_s);
-      sketch.add(n.mean_zeta_s);
-      total_zeta_s += n.mean_zeta_s;
-      total_phi_s += n.mean_phi_s;
-      total_bytes += n.mean_bytes;
-      contacts_probed += n.probed_sessions;
+  void fold(const ShardRun& shard) {
+    for (const NodeOutcome& row : shard.rows) {
+      totals.add(row);
+      sketch.add(row.mean_zeta_s);
     }
+    contacts_probed += shard.probed_sessions;
     events += shard.events;
   }
 };
@@ -98,15 +74,15 @@ void write_checkpoint(const std::string& path, const FleetConfig& config,
   append_u64(out, shards);
   append_u64(out, shards_done);
   end_line(out);
-  const stats::OnlineStats::Snapshot z = acc.zeta.snapshot();
+  const stats::OnlineStats::Snapshot z = acc.totals.zeta.snapshot();
   append_u64(out, z.n);
   append_double(out, z.mean);
   append_double(out, z.m2);
   append_double(out, z.min);
   append_double(out, z.max);
-  append_double(out, acc.total_zeta_s);
-  append_double(out, acc.total_phi_s);
-  append_double(out, acc.total_bytes);
+  append_double(out, acc.totals.zeta_s);
+  append_double(out, acc.totals.phi_s);
+  append_double(out, acc.totals.bytes);
   append_u64(out, acc.contacts_probed);
   append_u64(out, acc.events);
   end_line(out);
@@ -204,9 +180,9 @@ CheckpointLoad load_checkpoint(const std::string& path,
   std::uint64_t n = 0;
   if (!f.read_u64(n) || !f.read_double(z.mean) || !f.read_double(z.m2) ||
       !f.read_double(z.min) || !f.read_double(z.max) ||
-      !f.read_double(parsed.total_zeta_s) ||
-      !f.read_double(parsed.total_phi_s) ||
-      !f.read_double(parsed.total_bytes) ||
+      !f.read_double(parsed.totals.zeta_s) ||
+      !f.read_double(parsed.totals.phi_s) ||
+      !f.read_double(parsed.totals.bytes) ||
       !f.read_u64(parsed.contacts_probed) || !f.read_u64(parsed.events)) {
     return CheckpointLoad::kCorrupt;
   }
@@ -228,7 +204,7 @@ CheckpointLoad load_checkpoint(const std::string& path,
     if (!f.read_u64(c)) return CheckpointLoad::kCorrupt;
   }
   if (!f.exhausted()) return CheckpointLoad::kCorrupt;
-  parsed.zeta.restore(z);
+  parsed.totals.zeta.restore(z);
   parsed.sketch = stats::QuantileSketch{s};
   shards_done = ck_done;
   acc = std::move(parsed);
@@ -263,19 +239,15 @@ bool read_checkpoint(const std::string& path, const FleetConfig& config,
 FleetSummary finalize(const Accumulator& acc, std::uint64_t nodes,
                       std::uint64_t epochs, std::uint64_t shards) {
   FleetSummary s;
+  static_cast<FleetAggregate&>(s) = acc.totals.aggregate();
   s.nodes = nodes;
   s.epochs = epochs;
   s.shards = shards;
-  s.total_zeta_s = acc.total_zeta_s;
-  s.total_phi_s = acc.total_phi_s;
-  s.total_bytes = acc.total_bytes;
-  s.contacts_probed = acc.contacts_probed;
-  s.events_executed = acc.events;
-  if (acc.zeta.count() == 0) return s;
-  set_zeta_spread(s, acc.zeta);
   s.zeta_p50_s = acc.sketch.quantile(0.50);
   s.zeta_p90_s = acc.sketch.quantile(0.90);
   s.zeta_p99_s = acc.sketch.quantile(0.99);
+  s.contacts_probed = acc.contacts_probed;
+  s.events_executed = acc.events;
   return s;
 }
 
@@ -296,9 +268,8 @@ std::optional<FleetSummary> run_streaming_fleet(
   const std::size_t n = spec.nodes;
   const FleetPartition partition = partition_fleet(config, n);
   const std::size_t shards = partition.shards;
-  const core::ThreadPool pool{partition.threads};
   const std::size_t batch_shards =
-      options.batch_shards == 0 ? pool.threads() : options.batch_shards;
+      options.batch_shards == 0 ? partition.threads : options.batch_shards;
 
   Accumulator acc;
   std::uint64_t done = 0;
@@ -313,40 +284,21 @@ std::optional<FleetSummary> run_streaming_fleet(
       options.max_shards == 0
           ? shards - start
           : std::min<std::size_t>(options.max_shards, shards - start);
-  // Up to `window` shards are simulated or awaiting their fold at once;
-  // slot k % window holds shard start + k until it folds.
-  const std::size_t window = 2 * batch_shards;
-  std::vector<ShardResult> pending(std::min(window, slice));
-  pool.ordered_for(
-      slice, window,
-      [&](std::size_t k) {
-        const std::size_t s = start + k;
-        ShardResult& result = pending[k % window];
-        result.nodes.clear();
-        result.nodes.reserve(partition.begin(s + 1) - partition.begin(s));
-        result.events = 0;
-        simulate_range(in, partition.begin(s), partition.begin(s + 1),
-                       [&result](FleetNodeRun& run) {
-                         result.nodes.push_back(
-                             NodeAgg{run.row.mean_zeta_s, run.row.mean_phi_s,
-                                     run.row.mean_bytes_uploaded,
-                                     run.lone.probed_sessions});
-                         result.events += run.lone.events;
-                       });
-      },
-      // Commits run in shard order — node order overall, so the
-      // accumulator state is independent of the thread count. The
-      // checkpoint cadence is every `batch_shards` shards from the resume
-      // point, plus the slice end.
-      [&](std::size_t k) {
-        acc.fold(pending[k % window]);
-        done = start + k + 1;
-        if (!options.checkpoint_path.empty() &&
-            ((k + 1) % batch_shards == 0 || k + 1 == slice)) {
-          write_checkpoint(options.checkpoint_path, config, n, shards, done,
-                           acc);
-        }
-      });
+  // Shards commit in shard order — node order overall, so the
+  // accumulator state is independent of the thread count. The checkpoint
+  // cadence is every `batch_shards` shards from the resume point, plus
+  // the slice end.
+  run_shards(in, partition, start, slice,
+             [&](std::size_t s, const ShardRun& shard) {
+               acc.fold(shard);
+               done = s + 1;
+               const std::size_t folded = done - start;
+               if (!options.checkpoint_path.empty() &&
+                   (folded % batch_shards == 0 || folded == slice)) {
+                 write_checkpoint(options.checkpoint_path, config, n, shards,
+                                  done, acc);
+               }
+             });
   if (done < shards) {
     return std::nullopt;  // time slice exhausted; checkpoint holds state
   }
@@ -369,15 +321,7 @@ std::string to_json(const FleetSummary& s) {
   append_uint_field(out, "epochs", s.epochs);
   // No "shards" field: the partition is a performance knob, and the JSON
   // must be byte-identical across partitions (shard invariance test).
-  append_field(out, "total_zeta_s", s.total_zeta_s);
-  append_field(out, "total_phi_s", s.total_phi_s);
-  append_field(out, "total_bytes", s.total_bytes);
-  append_field(out, "mean_zeta_s", s.mean_zeta_s);
-  append_field(out, "zeta_variance", s.zeta_variance);
-  append_field(out, "zeta_stddev_s", s.zeta_stddev_s);
-  append_field(out, "min_zeta_s", s.min_zeta_s);
-  append_field(out, "max_zeta_s", s.max_zeta_s);
-  append_field(out, "zeta_fairness", s.zeta_fairness);
+  append_aggregate(out, s);
   append_field(out, "zeta_p50_s", s.zeta_p50_s);
   append_field(out, "zeta_p90_s", s.zeta_p90_s);
   append_field(out, "zeta_p99_s", s.zeta_p99_s);

@@ -12,10 +12,9 @@ namespace {
 using energy::RadioState;
 }  // namespace
 
-SensorNode::SensorNode(radio::Channel& channel, MobileNode& sink,
+SensorNode::SensorNode(radio::Channel& channel, MobileNode& /*sink*/,
                        Scheduler& scheduler, SensorNodeConfig config)
     : channel_{channel},
-      sink_{sink},
       scheduler_{scheduler},
       config_{config},
       buffer_{config.sensing_rate_bps} {
@@ -338,7 +337,6 @@ void SensorNode::end_transfer() {
   const double bytes =
       buffer_.take(now_, channel_.link().data_rate_bps * duration_s);
   counters_->bytes_uploaded += bytes;
-  sink_.deliver(bytes, transfer_new_session_);
   if (transfer_new_session_) {
     ++counters_->probed_sessions;
     if (config_.record_probed_contacts) {

@@ -14,7 +14,8 @@
 
 /// `ThreadPool::ordered_for`: concurrent bodies, index-ordered commits, a
 /// bounded window of uncommitted items, and sequential-equivalent
-/// failure. Labelled `unit`, so the ThreadSanitizer leg runs it.
+/// failure; and `parallel_for`, the same loop without a commit. Labelled
+/// `unit`, so the ThreadSanitizer leg runs it.
 
 namespace snipr::core {
 namespace {
@@ -208,6 +209,53 @@ TEST(ThreadPoolOrderedFor, EmptyRangeAndZeroWindow) {
   EXPECT_EQ(calls, 0U);
   EXPECT_THROW(pool.ordered_for(3, 0, count, count), std::invalid_argument);
   EXPECT_EQ(calls, 0U);
+}
+
+TEST(ThreadPoolParallelFor, EveryIndexRunsExactlyOnce) {
+  for (const std::size_t threads : {1U, 2U, 8U}) {
+    const ThreadPool pool{threads};
+    for (const std::size_t count : {0U, 1U, 5U, 7U, 97U}) {
+      std::vector<std::size_t> runs(count, 0);
+      pool.parallel_for(count, [&](std::size_t i) {
+        jitter(i);
+        ++runs[i];
+      });
+      EXPECT_EQ(runs, std::vector<std::size_t>(count, 1))
+          << threads << " threads, count " << count;
+    }
+  }
+}
+
+TEST(ThreadPoolParallelFor, LowestFailedIndexWinsAtEveryThreadCount) {
+  // Item 11 fails at once; item 5 fails later but is earlier in index
+  // order, so its exception is the one rethrown.
+  for (const std::size_t threads : {1U, 2U, 8U}) {
+    const ThreadPool pool{threads};
+    try {
+      pool.parallel_for(40, [](std::size_t i) {
+        if (i == 5) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+          throw std::runtime_error("item 5");
+        }
+        if (i == 11) throw std::runtime_error("item 11");
+      });
+      FAIL() << "no exception at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string{e.what()}, "item 5") << threads << " threads";
+    }
+  }
+}
+
+TEST(ThreadPoolParallelFor, OneThreadRunsNoBodyAfterTheFailure) {
+  const ThreadPool pool{1};
+  std::vector<std::size_t> ran;
+  EXPECT_THROW(pool.parallel_for(10,
+                                 [&](std::size_t i) {
+                                   ran.push_back(i);
+                                   if (i == 4) throw std::logic_error("4");
+                                 }),
+               std::logic_error);
+  EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
 }  // namespace

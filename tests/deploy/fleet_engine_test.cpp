@@ -1,7 +1,10 @@
 #include "snipr/deploy/fleet_engine.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <stdexcept>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -168,6 +171,32 @@ TEST(FleetEngine, Validation) {
   bad.nodes = 0;
   EXPECT_THROW((void)FleetEngine{}.run(scenario, bad, quick_config(1)),
                std::invalid_argument);
+}
+
+TEST(FleetEngine, LowerNodesErrorWinsWhenTwoShardsFail) {
+  // Node 2 (shard 1) fails late, node 13 (shard 6) at once. A sequential
+  // loop would stop at node 2, so its error must come back at any thread
+  // count, whichever failure happens first in time.
+  std::vector<double> positions;
+  for (int i = 0; i < 16; ++i) positions.push_back(100.0 * (i + 1));
+  const SchedulerFactory make = [](std::size_t i) {
+    if (i == 2) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      throw std::runtime_error("node 2");
+    }
+    if (i == 13) throw std::runtime_error("node 13");
+    return rh_factory()(i);
+  };
+  for (const std::size_t threads : {1U, 2U, 8U}) {
+    FleetConfig config = quick_config(8);
+    config.threads = threads;
+    try {
+      (void)FleetEngine{}.run(two_day_schedules(positions), make, config);
+      FAIL() << "no error at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string{e.what()}, "node 2") << threads << " threads";
+    }
+  }
 }
 
 /// Catalog fleets grown past two marks of the node streams (a range

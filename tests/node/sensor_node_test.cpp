@@ -104,9 +104,9 @@ TEST(SensorNode, UploadsBacklogDuringContact) {
   node.start();
   node.run_until(at_s(200));
   EXPECT_NEAR(node.current_epoch().bytes_uploaded, 1000.0, 15.0);
-  EXPECT_NEAR(w.sink.bytes_received(), node.current_epoch().bytes_uploaded,
+  EXPECT_NEAR(node.buffer().uploaded(), node.current_epoch().bytes_uploaded,
               1e-9);
-  EXPECT_EQ(w.sink.contacts_served(), 1U);
+  EXPECT_EQ(node.counters().probed_sessions, 1U);
   // The buffer drained before departure: truncated observation.
   ASSERT_EQ(sched.observations.size(), 1U);
   EXPECT_FALSE(sched.observations[0].saw_departure);
@@ -363,7 +363,7 @@ TEST(SensorNode, ConsecutiveContactsAllProbedAtHighDuty) {
   node.start();
   node.run_until(at_s(200));
   EXPECT_EQ(node.probed_contacts().size(), 20U);
-  EXPECT_EQ(w.sink.contacts_served(), 20U);
+  EXPECT_EQ(node.counters().probed_sessions, 20U);
 }
 
 }  // namespace
