@@ -4,7 +4,7 @@
 ///
 /// Every `bench_fig*` binary prints the data series behind one figure of
 /// the paper (Wu, Brown, Sreenan, ICDCSW 2011) in a gnuplot-friendly
-/// column format; EXPERIMENTS.md records the paper-vs-measured comparison.
+/// column format; README.md ("Run experiments") shows how to run them.
 ///
 /// Analysis figures (5/6) evaluate the fluid model directly; simulation
 /// figures (7/8) fan their mechanism × ζtarget grid out through the

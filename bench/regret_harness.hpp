@@ -35,7 +35,7 @@
 /// an unreachable ζtarget saturates the budget). Regret of a policy is
 /// Σ_e (ζ_opt[e] − ζ_policy[e]): what the learner's censored view of the
 /// environment cost it, epoch by epoch.
-// snipr-lint: oracle-file — clairvoyant benchmark; reads ground truth by design.
+// snipr-lint: oracle-file — a clairvoyant benchmark reads ground truth.
 
 namespace snipr::bench {
 

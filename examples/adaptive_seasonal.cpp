@@ -74,7 +74,7 @@ int main() {
   core::AdaptiveSnipRh scheduler{sim::Duration::hours(24), 24, cfg};
 
   radio::Channel channel{contact::ContactSchedule{std::move(all)},
-                        before.link, sim::Rng{1}.fork()};
+                         before.link};
   node::MobileNode sink;
   node::SensorNodeConfig node_cfg;
   node_cfg.ton = sim::Duration::seconds(before.snip.ton_s);

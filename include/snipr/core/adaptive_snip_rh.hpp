@@ -83,16 +83,16 @@ class AdaptiveSnipRh final : public node::Scheduler {
   [[nodiscard]] const RushHourLearner& learner() const noexcept {
     return learner_;
   }
-  /// The exploration slots planned for the current epoch (inactive until
-  /// the first mask is adopted, and always inactive for kNone/kOptimistic).
-  [[nodiscard]] const ExplorationPlan& exploration_plan() const noexcept {
+  /// The exploration slots planned for the current epoch (empty until
+  /// the first mask is adopted, and always empty for kNone/kOptimistic).
+  [[nodiscard]] const RushHourMask& exploration_mask() const noexcept {
     return plan_;
   }
 
   /// Crash/recovery seam: the checkpoint carries the learner snapshot
   /// (scores, in-flight samples, effort totals, UCB sample counts), the
   /// adopted mask and SNIP-RH estimators, the exploration cursor and
-  /// plan, the phase flag and the pacing deadlines — restore() resumes
+  /// mask, the phase flag and the pacing deadlines — restore() resumes
   /// bit-identically. reset() is full amnesia: back to the learning
   /// phase with an empty mask, as on first boot.
   [[nodiscard]] std::string checkpoint() const override;
@@ -121,7 +121,7 @@ class AdaptiveSnipRh final : public node::Scheduler {
   SnipAt explore_probe_;  ///< duty floor inside planned exploration slots
   SnipRh rh_;
   ExplorationPolicy policy_;
-  ExplorationPlan plan_;
+  RushHourMask plan_;  ///< this epoch's exploration slots
   bool learning_{true};
   /// Alternates RH and tracker decisions so both make progress; the
   /// tracker's tiny duty means it rarely wins the earlier wakeup anyway.

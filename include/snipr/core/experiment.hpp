@@ -45,6 +45,8 @@ struct ExperimentConfig {
   /// Contact-interval jitter (kNone = analysis env, kNormalTenth = paper's
   /// simulation env).
   contact::IntervalJitter jitter{contact::IntervalJitter::kNormalTenth};
+  /// Seeds the schedule run_experiment draws; a run over a given
+  /// schedule draws nothing.
   std::uint64_t seed{1};
   /// Epochs dropped from the aggregate as warm-up (learning transients).
   std::size_t warmup_epochs{0};

@@ -70,15 +70,6 @@ struct ExplorationConfig {
   std::size_t optimism_slots{1};
 };
 
-/// One epoch's exploration decision: probe at `duty` inside `mask`.
-/// Inactive plans (kNone, kOptimistic, or nothing outside the rush mask)
-/// schedule no exploration wakeups.
-struct ExplorationPlan {
-  RushHourMask mask{sim::Duration::seconds(1), 1};
-  double duty{0.0};
-  bool active{false};
-};
-
 class ExplorationPolicy {
  public:
   explicit ExplorationPolicy(ExplorationConfig config);
@@ -99,10 +90,13 @@ class ExplorationPolicy {
   }
 
   /// Decide next epoch's exploration slots given the learner's statistics
-  /// and the mask SNIP-RH is about to exploit. Slots inside `rush_mask`
-  /// are never planned — they already receive full knee duty.
-  [[nodiscard]] ExplorationPlan plan_epoch(const RushHourLearner& learner,
-                                           const RushHourMask& rush_mask);
+  /// and the mask SNIP-RH is about to exploit: the slots the returned mask
+  /// marks are probed at `explore_duty` next epoch. Slots inside
+  /// `rush_mask` are never planned — they already receive full knee duty.
+  /// The mask is empty for kNone and kOptimistic, for a zero epsilon or
+  /// duty, and when nothing lies outside `rush_mask`.
+  [[nodiscard]] RushHourMask plan_epoch(const RushHourLearner& learner,
+                                        const RushHourMask& rush_mask);
 
   /// Score view with optimism applied (kOptimistic); other kinds return
   /// the learner's scores unchanged.

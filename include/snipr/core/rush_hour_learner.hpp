@@ -14,9 +14,9 @@
 /// The paper observes that a node "only needs to learn the order of these
 /// time-slots' contact capacity", so a short low-duty SNIP-AT phase with
 /// per-slot probe counting suffices. This learner accumulates per-slot
-/// scores — EWMA-smoothed across epochs so a slowly shifting mobility
-/// pattern (seasonal rush-hour drift) is tracked — and emits a mask of the
-/// top-k slots.
+/// scores — EWMA-smoothed across epochs with a weight of 0.3, so a slowly
+/// shifting mobility pattern (seasonal rush-hour drift) is tracked — and
+/// emits a mask of the top-k slots.
 ///
 /// **Censoring contract.** Everything fed in here must be something the
 /// node could actually observe at its duty cycle: record_probe() takes
@@ -32,11 +32,13 @@
 ///    probe count. Valid while probing effort is uniform across slots
 ///    (pure SNIP-AT learning).
 ///  - Effort-normalised mode (record_effort() called): the sample is
-///    probes per radio-on second spent in the slot — an unbiased contact-
-///    rate estimate even when effort is highly non-uniform, as it is once
+///    probes per radio-on second spent in the slot — a contact-rate
+///    estimate even when effort is highly non-uniform, as it is once
 ///    SNIP-RH exploits a mask (knee duty inside, tiny tracker duty
-///    outside). Without this correction an adopted mask self-reinforces
-///    and a shifted pattern is never relearned. Slots with zero effort in
+///    outside). The rate is count/(effort + 2 s): the 2 s prior damps the
+///    explosive estimate of a lucky probe under near-zero effort. Without
+///    this correction an adopted mask self-reinforces and a shifted
+///    pattern is never relearned. Slots with zero effort in
 ///    an epoch carry no information and keep their score. Effort mode is
 ///    sticky: once any effort has been recorded, a later epoch with zero
 ///    effort *and* zero counts is a zero-information epoch (radio never
@@ -55,18 +57,11 @@ namespace snipr::core {
 
 class RushHourLearner {
  public:
-  /// \param epoch          epoch length (Tepoch).
-  /// \param slot_count     number of slots N.
-  /// \param rush_slots     how many slots the emitted mask marks as rush.
-  /// \param epoch_weight   EWMA weight when folding an epoch's samples
-  ///                       into the long-term per-slot score.
-  /// \param effort_prior_s additive smoothing for effort-normalised
-  ///                       samples: rate = count/(effort + prior). Damps
-  ///                       the explosive estimate of a lucky probe under
-  ///                       near-zero effort; irrelevant in count mode.
+  /// \param epoch       epoch length (Tepoch).
+  /// \param slot_count  number of slots N.
+  /// \param rush_slots  how many slots the emitted mask marks as rush.
   RushHourLearner(sim::Duration epoch, std::size_t slot_count,
-                  std::size_t rush_slots, double epoch_weight = 0.3,
-                  double effort_prior_s = 2.0);
+                  std::size_t rush_slots);
 
   /// Record one *detected* contact at its detection instant `t`. Call at
   /// detection time, not transfer completion: a transfer that straddles
@@ -157,8 +152,6 @@ class RushHourLearner {
  private:
   contact::SlotClock clock_;
   std::size_t rush_slots_;
-  double epoch_weight_;
-  double effort_prior_s_;
   std::vector<double> scores_;
   std::vector<double> current_counts_;
   std::vector<double> current_effort_s_;

@@ -15,11 +15,9 @@ namespace snipr::core {
 
 class SnipAt final : public node::Scheduler {
  public:
-  /// \param duty         d0 in (0, 1]; use EpochModel::snip_at to size it.
-  /// \param ton          SNIP's per-wakeup radio-on time.
-  /// \param idle_check   CPU re-check period once the budget is exhausted.
-  explicit SnipAt(double duty, sim::Duration ton,
-                  sim::Duration idle_check = sim::Duration::minutes(10));
+  /// \param duty  d0 in (0, 1]; use EpochModel::snip_at to size it.
+  /// \param ton   SNIP's per-wakeup radio-on time.
+  explicit SnipAt(double duty, sim::Duration ton);
 
   [[nodiscard]] node::SchedulerDecision on_wakeup(
       const node::SensorContext& ctx) override;
@@ -36,7 +34,6 @@ class SnipAt final : public node::Scheduler {
   double duty_;
   sim::Duration ton_;
   sim::Duration cycle_;
-  sim::Duration idle_check_;
 };
 
 }  // namespace snipr::core

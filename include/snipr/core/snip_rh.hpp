@@ -57,8 +57,6 @@ struct SnipRhConfig {
   double length_ewma_weight{0.1};
   /// Reconstruct Tcontact from Tprobed by adding Tcycle/2 (see above).
   bool head_correction{true};
-  /// Floor for CPU sleep intervals between condition checks.
-  sim::Duration min_sleep{sim::Duration::seconds(1)};
 };
 
 class SnipRh final : public node::Scheduler {

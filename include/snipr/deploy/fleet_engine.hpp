@@ -16,8 +16,8 @@
 /// while probing, so each node is just its own two timers.
 ///
 /// Determinism contract (the PR 1/PR 2 guarantee, extended to shards):
-/// node i's RNG stream is forked from a root seeded with `config.seed`
-/// in node order, *before* any partitioning — a pure function of
+/// node i's contacts and fault stream are forked from their roots in
+/// node order, *before* any partitioning — a pure function of
 /// (seed, i). Nodes never share mutable state (each has its own channel,
 /// buffer, budget and scheduler, so no node can observe another), and
 /// per-shard NodeOutcomes are merged back in node order, then aggregated
@@ -44,7 +44,7 @@ class FleetEngine {
  public:
   /// Run over pre-built schedules (node i runs schedules[i]). An enabled
   /// `faults` spec attaches one deterministic fault stream per node
-  /// (fault::FaultPlan, forked in node order like the channel streams,
+  /// (fault::FaultPlan, forked in node order before any partitioning,
   /// so the outcome stays shard- and thread-count independent) and adds
   /// a `resilience` section to the outcome; null or disabled specs leave
   /// the run byte-identical to a fault-free one.
@@ -58,8 +58,8 @@ class FleetEngine {
   /// trace replay streams, plan `spec.strategy` once against `scenario`
   /// (core::plan_scheduler), build one scheduler per node from that
   /// plan, and run. Each shard builds the schedules of its own node range
-  /// inside its worker. The vehicle-flow RNG stream is drawn after all
-  /// per-node forks, so it is independent of every node stream. Throws
+  /// inside its worker. The vehicle flow is drawn from the root seeded
+  /// with `config.deployment.seed`; node faults have their own root. Throws
   /// std::invalid_argument naming the offending field of an invalid spec
   /// (a non-finite or negative ζtarget or a negative budget included).
   [[nodiscard]] DeploymentOutcome run(const core::RoadsideScenario& scenario,

@@ -11,19 +11,19 @@
 /// \file fleet_streaming.hpp
 /// Bounded-memory streaming fleet runs.
 ///
-/// Both fleet engines share one pipeline: one input builder (the node
-/// streams, the shared vehicle flow or the trace replay streams) and one
-/// shard runner, which builds each node's contacts just before it runs
-/// and commits shards in node order. `FleetEngine::run` keeps one
-/// NodeOutcome row per node, O(fleet) memory that a million-node run
-/// cannot afford. The streaming engine keeps none: each committed
+/// Both fleet engines share one pipeline: one input builder (the shared
+/// vehicle flow or the trace replay streams) and one shard runner,
+/// which builds each node's contacts just before it runs and commits
+/// shards in node order. `FleetEngine::run` keeps one NodeOutcome row
+/// per node, O(fleet) memory that a million-node run cannot afford. The
+/// streaming engine keeps none: each committed
 /// shard's rows fold into the fleet aggregate `FleetEngine` reports
 /// (node-order sums and one Welford pass) and a `stats::QuantileSketch`,
 /// and are dropped. Peak memory is the vehicle flow, one node's contacts
 /// per worker and the rows of at most 2 × workers shards, independent of
 /// fleet size.
 ///
-/// Determinism matches the run() contract: node i's RNG stream is a
+/// Determinism matches the run() contract: node i's contacts are a
 /// pure function of (seed, i); per-node values are folded into the
 /// accumulators in node order regardless of shard/thread count, so the
 /// summary — and its JSON — is byte-identical for any partitioning.

@@ -13,14 +13,15 @@
 /// A FaultSpec describes *what* can go wrong — radio false negatives and
 /// spurious detections, mid-transfer aborts, node crash/reboot cycles,
 /// lossy store-and-forward hand-offs — and a FaultPlan turns it into
-/// *when*, using per-node RNG streams forked with the same discipline as
-/// the node channel streams: in node order, before any partitioning, from
-/// one root seeded with `FaultSpec::seed`. Every fault decision for node
-/// i is therefore a pure function of (spec, i) and the node's own event
-/// sequence, so a faulted fleet run stays byte-identical at any shard and
-/// thread count. With no plan attached nothing here runs and no stream is
-/// consumed, which keeps fault-free outputs byte-identical to builds that
-/// predate the fault plane.
+/// *when*, using per-node RNG streams forked in node order, before any
+/// partitioning, from one root seeded with `FaultSpec::seed`. They are
+/// the only random streams a node draws from while it runs, and
+/// `probe_miss_prob` is the simulator's one radio-loss model. Every fault
+/// decision for node i is therefore a pure function of (spec, i) and the
+/// node's own event sequence, so a faulted fleet run stays byte-identical
+/// at any shard and thread count. With no plan attached nothing here runs
+/// and no stream is consumed, which keeps fault-free outputs
+/// byte-identical to builds that predate the fault plane.
 ///
 /// Fault decisions must come from these plan-forked streams only; the
 /// injectors are handed precomputed scalars (a contact-position fraction,
@@ -227,9 +228,9 @@ struct ResilienceOutcome {
 };
 
 /// A fleet run's worth of per-node fault streams. Forked once, in node
-/// order, before any partitioning — the same discipline as the node
-/// channel streams — then handed out one injector per node. Non-copyable
-/// so injector spec pointers stay valid for the plan's lifetime.
+/// order, before any partitioning, then handed out one injector per
+/// node. Non-copyable so injector spec pointers stay valid for the
+/// plan's lifetime.
 class FaultPlan {
  public:
   FaultPlan(const FaultSpec& spec, std::size_t nodes);

@@ -9,15 +9,14 @@
 #include "snipr/node/scheduler.hpp"
 #include "snipr/node/sensor_node.hpp"
 #include "snipr/radio/link.hpp"
-#include "snipr/sim/rng.hpp"
 #include "snipr/sim/time.hpp"
 
 /// \file lone_node.hpp
 /// One sensor node run alone on its own clock, and its summary.
 ///
 /// A node's outcome depends only on its scheduler, contacts, link,
-/// channel stream, config and fault stream: it never interacts with
-/// another node while probing. So every single-node experiment
+/// config and fault stream: it never interacts with another node while
+/// probing. So every single-node experiment
 /// (core::run_experiment_on_schedule) and every fleet node (deploy's
 /// shard runner, run_shards) runs through run_lone_node, and both report
 /// the means of summarize().
@@ -44,17 +43,15 @@ struct LoneNodeRun {
 };
 
 /// Run a node driven by `scheduler` over `schedule` alone from time zero
-/// to `horizon`. `channel_rng` is the channel's frame-loss stream. The
-/// per-epoch history is always recorded, reserved for the horizon's
-/// epochs. `faults` (null = none) must outlive the
-/// call. Throws std::invalid_argument on a null schedule or an unusable
-/// `config`.
+/// to `horizon`. The per-epoch history is always recorded, reserved for
+/// the horizon's epochs. `faults` (null = none) is the node's only random
+/// stream and must outlive the call. Throws std::invalid_argument on a
+/// null schedule or an unusable `config`.
 [[nodiscard]] LoneNodeRun run_lone_node(
     Scheduler& scheduler,
     std::shared_ptr<const contact::ContactSchedule> schedule,
-    const radio::LinkParams& link, sim::Rng channel_rng,
-    SensorNodeConfig config, sim::Duration horizon,
-    fault::NodeFaultInjector* faults = nullptr);
+    const radio::LinkParams& link, SensorNodeConfig config,
+    sim::Duration horizon, fault::NodeFaultInjector* faults = nullptr);
 
 /// A node's run as per-epoch means over its counted epochs, plus two
 /// whole-run figures. core::RunResult and deploy::NodeOutcome extend it.

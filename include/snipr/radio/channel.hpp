@@ -11,14 +11,15 @@
 /// Contact-driven radio channel.
 ///
 /// Geometry is abstracted by the contact schedule (Sec. II reference
-/// model): a frame between the sensor node and the mobile node can be
-/// delivered iff a contact covers the transmission. Frame loss is an
-/// independent Bernoulli draw per frame.
+/// model): a frame between the sensor node and the mobile node is
+/// delivered iff a contact covers the transmission. The channel loses no
+/// frame of its own; an unreliable receiver is the fault plane's
+/// `RadioFaultSpec::probe_miss_prob`, drawn from the node's fault stream.
 ///
 /// The schedule is held by shared_ptr-to-const so one materialised
 /// schedule can back many channels (BatchRunner builds each distinct
 /// (scenario, epochs, jitter, seed) schedule once per grid); per-channel
-/// mutable state is only the RNG and the query cursor.
+/// mutable state is only the query cursor.
 ///
 /// Queries are served through a monotone cursor: simulation time only
 /// moves forward, so instead of a fresh O(log n) binary search per
@@ -33,10 +34,13 @@ namespace snipr::radio {
 
 class Channel {
  public:
-  Channel(contact::ContactSchedule schedule, LinkParams link, sim::Rng rng);
+  /// The channel draws nothing, so the trailing stream is unused; it
+  /// stays so that callers which pass one still compile.
+  Channel(contact::ContactSchedule schedule, LinkParams link,
+          sim::Rng /*unused*/ = sim::Rng{});
   /// Throws std::invalid_argument when `schedule` is null.
   Channel(std::shared_ptr<const contact::ContactSchedule> schedule,
-          LinkParams link, sim::Rng rng);
+          LinkParams link);
 
   [[nodiscard]] const contact::ContactSchedule& schedule() const noexcept {
     return *schedule_;
@@ -54,10 +58,9 @@ class Channel {
   [[nodiscard]] std::size_t next_arrival_index(sim::TimePoint t) const;
 
   /// True when a frame transmitted over [start, start+airtime) is
-  /// delivered: the receiver must be in range for the whole airtime and
-  /// the Bernoulli loss draw must pass. Mutates the RNG (one draw per call
-  /// made while in range), so call exactly once per frame.
-  [[nodiscard]] bool try_deliver(sim::TimePoint start, sim::Duration airtime);
+  /// delivered: the receiver is in range for the whole airtime.
+  [[nodiscard]] bool try_deliver(sim::TimePoint start,
+                                 sim::Duration airtime) const;
 
  private:
   /// Advance (or step back) the cursor to the first contact
@@ -67,7 +70,6 @@ class Channel {
 
   std::shared_ptr<const contact::ContactSchedule> schedule_;
   LinkParams link_;
-  sim::Rng rng_;
   /// Invariant: every contact before cursor_ has departure() <=
   /// cursor_time_ (initially vacuous), so forward queries never look
   /// behind it.

@@ -19,9 +19,6 @@ struct LinkParams {
   sim::Duration reply_airtime{sim::Duration::milliseconds(1)};
   /// Effective payload throughput during data transfer, bytes/second.
   double data_rate_bps{12500.0};
-  /// Independent loss probability applied to each beacon and each reply.
-  /// Sparse deployments make loss unlikely (Sec. III); default 0.
-  double frame_loss{0.0};
 };
 
 }  // namespace snipr::radio

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "snipr/sim/rng.hpp"
 #include "snipr/sim/time.hpp"
 
 /// \file simulator.hpp
@@ -24,13 +23,12 @@ namespace snipr::sim {
 
 class Simulator {
  public:
-  explicit Simulator(std::uint64_t seed = 1);
+  /// The seed is unused: a node draws only from its own fault stream. It
+  /// stays so that callers which pass one still compile.
+  explicit Simulator(std::uint64_t /*seed*/ = 1) noexcept {}
 
   /// The bound the nodes were last run to; a node started now starts here.
   [[nodiscard]] TimePoint now() const noexcept { return now_; }
-
-  /// Deterministic random source seeded by the constructor.
-  [[nodiscard]] Rng& rng() noexcept { return rng_; }
 
   /// Run every started node to `until`, in start order. Returns the
   /// events they executed, summed. Throws std::logic_error on a bound
@@ -43,7 +41,6 @@ class Simulator {
   friend class node::SensorNode;
 
   TimePoint now_{TimePoint::zero()};
-  Rng rng_;
   std::vector<node::SensorNode*> nodes_;
 };
 

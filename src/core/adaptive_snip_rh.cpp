@@ -15,21 +15,20 @@ constexpr sim::Duration kPollPeriod = sim::Duration::seconds(1);
 /// The mask refresh's hysteresis: an outsider slot enters only when its
 /// score exceeds the weakest incumbent's by this fraction.
 constexpr double kMaskHysteresis = 0.3;
-/// The learner's per-epoch EWMA weight when it updates slot scores.
-constexpr double kScoreWeight = 0.3;
 
 }  // namespace
 
 AdaptiveSnipRh::AdaptiveSnipRh(sim::Duration epoch, std::size_t slot_count,
                                AdaptiveSnipRhConfig config)
     : config_{config},
-      learner_{epoch, slot_count, config.rush_slots, kScoreWeight},
+      learner_{epoch, slot_count, config.rush_slots},
       learn_probe_{config.learning_duty, config.rh.ton},
       track_probe_{std::max(config.tracking_duty, 1e-9), config.rh.ton},
       explore_probe_{std::max(config.exploration.explore_duty, 1e-9),
                      config.rh.ton},
       rh_{RushHourMask{epoch, slot_count}, config.rh},
-      policy_{config.exploration} {
+      policy_{config.exploration},
+      plan_{epoch, slot_count} {
   if (config.learning_epochs == 0) {
     throw std::invalid_argument(
         "AdaptiveSnipRh: need at least one learning epoch");
@@ -74,7 +73,8 @@ node::SchedulerDecision AdaptiveSnipRh::on_wakeup(
   // probes at explore_duty regardless of the rush-hour mask, so slots the
   // mask censors still produce (effort, detection) samples the learner
   // can rank. Same alternation discipline as the tracker.
-  const bool in_explore_slot = plan_.active && plan_.mask.is_rush(ctx.now);
+  const bool exploring = plan_.rush_slot_count() > 0;
+  const bool in_explore_slot = exploring && plan_.is_rush(ctx.now);
   if (in_explore_slot && ctx.now >= next_explore_due_) {
     const node::SchedulerDecision ex = explore_probe_.on_wakeup(ctx);
     if (ex.probe) {
@@ -94,11 +94,13 @@ node::SchedulerDecision AdaptiveSnipRh::on_wakeup(
         next_track_due_ > ctx.now ? next_track_due_ - ctx.now : kPollPeriod;
     next = std::min(next, until_track);
   }
-  if (plan_.active) {
+  if (exploring) {
     sim::Duration until_explore = kPollPeriod;
     if (in_explore_slot) {
-      if (next_explore_due_ > ctx.now) until_explore = next_explore_due_ - ctx.now;
-    } else if (const auto start = plan_.mask.next_rush_after(ctx.now)) {
+      if (next_explore_due_ > ctx.now) {
+        until_explore = next_explore_due_ - ctx.now;
+      }
+    } else if (const auto start = plan_.next_rush_after(ctx.now)) {
       until_explore = std::max(*start - ctx.now, kPollPeriod);
     }
     next = std::min(next, until_explore);
@@ -151,12 +153,12 @@ std::int64_t AdaptiveSnipRh::repeat_bound(const node::SensorContext& ctx,
   // The same for the exploration floor: inside a planned slot, its due
   // time; outside one, the plan's next rush start, which caps the wakeup
   // delay only when the cycle exceeds one second.
-  if (plan_.active) {
-    if (plan_.mask.is_rush(ctx.now)) {
+  if (plan_.rush_slot_count() > 0) {
+    if (plan_.is_rush(ctx.now)) {
       bound = std::min(bound, node::wakeups_through(
                                   ctx.now, cycle, next_explore_due_ - cycle));
     } else if (cycle > kPollPeriod) {
-      const auto start = plan_.mask.next_rush_after(ctx.now);
+      const auto start = plan_.next_rush_after(ctx.now);
       if (!start.has_value()) return 0;
       bound = std::min(bound,
                        node::wakeups_through(ctx.now, cycle, *start - cycle));
@@ -184,14 +186,15 @@ std::int64_t AdaptiveSnipRh::poll_run_bound(const node::SensorContext& ctx,
   // on_wakeup() changes nothing and cuts SNIP-RH's sleep until the epoch
   // end down to the poll period. Both stay overdue, and the run stays in
   // ctx.now's slot, so the floor's clamp does not change either.
-  // SNIP-RH's sleep can drop below the poll period in the epoch's last
-  // second: stop by the epoch end − cycle.
+  // The run also stops by the epoch end − cycle. SNIP-RH's 1 s sleep
+  // floor keeps its sleep at the poll period in the epoch's last second
+  // too, so that stop is conservative; the pinned work counts record it.
   if (learning_ || cycle != kPollPeriod || config_.tracking_duty <= 0.0 ||
       next_track_due_ > ctx.now ||
       ctx.budget_used + config_.rh.ton <= ctx.budget_limit) {
     return 0;
   }
-  if (plan_.active && plan_.mask.is_rush(ctx.now) &&
+  if (plan_.rush_slot_count() > 0 && plan_.is_rush(ctx.now) &&
       next_explore_due_ > ctx.now) {
     return 0;
   }
@@ -267,7 +270,7 @@ void AdaptiveSnipRh::on_epoch_start(std::int64_t /*epoch_index*/) {
 
 std::string AdaptiveSnipRh::checkpoint() const {
   std::string out;
-  out += "adaptive-snip-rh-v1 ";
+  out += "adaptive-snip-rh-v2 ";
   ckpt::append_u64(out, learning_ ? 1 : 0);
 
   const RushHourLearner::Snapshot snap = learner_.snapshot();
@@ -285,9 +288,7 @@ std::string AdaptiveSnipRh::checkpoint() const {
   out += rh_.checkpoint();
 
   ckpt::append_u64(out, static_cast<std::uint64_t>(policy_.cursor()));
-  ckpt::append_u64(out, plan_.active ? 1 : 0);
-  ckpt::append_double(out, plan_.duty);
-  append_mask_bits(out, plan_.mask);
+  append_mask_bits(out, plan_);
 
   ckpt::append_u64(out, static_cast<std::uint64_t>(next_track_due_.count()));
   ckpt::append_u64(out, static_cast<std::uint64_t>(next_explore_due_.count()));
@@ -296,7 +297,7 @@ std::string AdaptiveSnipRh::checkpoint() const {
 
 bool AdaptiveSnipRh::restore(std::string_view blob) {
   ckpt::TokenReader reader{blob};
-  if (!reader.expect("adaptive-snip-rh-v1")) return false;
+  if (!reader.expect("adaptive-snip-rh-v2")) return false;
   std::uint64_t learning = 0;
   if (!reader.read_u64(learning)) return false;
 
@@ -342,11 +343,9 @@ bool AdaptiveSnipRh::restore(std::string_view blob) {
   if (!rh_.read_checkpoint(reader, rh_state)) return false;
 
   std::uint64_t cursor = 0;
-  std::uint64_t plan_active = 0;
-  double plan_duty = 0.0;
   std::vector<bool> plan_bits;
-  if (!reader.read_u64(cursor) || !reader.read_u64(plan_active) ||
-      !reader.read_double(plan_duty) || !read_mask_bits(reader, plan_bits)) {
+  if (!reader.read_u64(cursor) || !read_mask_bits(reader, plan_bits) ||
+      plan_bits.size() != learner_.slot_count()) {
     return false;
   }
   std::uint64_t track_due_us = 0;
@@ -361,9 +360,7 @@ bool AdaptiveSnipRh::restore(std::string_view blob) {
   learner_.restore(snap);
   learning_ = learning != 0;
   policy_.set_cursor(static_cast<std::size_t>(cursor));
-  plan_.active = plan_active != 0;
-  plan_.duty = plan_duty;
-  plan_.mask = RushHourMask{learner_.epoch(), plan_bits};
+  plan_ = RushHourMask{learner_.epoch(), plan_bits};
   next_track_due_ = sim::TimePoint::at(
       sim::Duration::microseconds(static_cast<std::int64_t>(track_due_us)));
   next_explore_due_ = sim::TimePoint::at(
@@ -379,7 +376,7 @@ void AdaptiveSnipRh::reset() {
   rh_.reset();
   rh_.set_mask(RushHourMask{learner_.epoch(), learner_.slot_count()});
   policy_.set_cursor(0);
-  plan_ = ExplorationPlan{};
+  plan_ = RushHourMask{learner_.epoch(), learner_.slot_count()};
   learning_ = true;
   next_track_due_ = sim::TimePoint::zero();
   next_explore_due_ = sim::TimePoint::zero();

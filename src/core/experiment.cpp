@@ -46,12 +46,8 @@ RunResult run_experiment_on_schedule(
   node_cfg.sensing_rate_bps = config.sensing_rate_bps;
   node_cfg.record_probed_contacts = false;  // the count is enough
 
-  // The channel's frame-loss stream is the first fork of Rng{seed}
-  // (what `Simulator{seed}.rng().fork()` yields), the stream every golden
-  // was recorded with.
   node::LoneNodeRun run = node::run_lone_node(
-      scheduler, std::move(schedule), scenario.link,
-      sim::Rng{config.seed}.fork(), node_cfg,
+      scheduler, std::move(schedule), scenario.link, node_cfg,
       scenario.profile.epoch() * static_cast<std::int64_t>(config.epochs));
 
   RunResult result;

@@ -40,12 +40,10 @@ ExplorationPolicy::ExplorationPolicy(ExplorationConfig config)
   }
 }
 
-ExplorationPlan ExplorationPolicy::plan_epoch(const RushHourLearner& learner,
-                                              const RushHourMask& rush_mask) {
+RushHourMask ExplorationPolicy::plan_epoch(const RushHourLearner& learner,
+                                           const RushHourMask& rush_mask) {
   const std::size_t n = rush_mask.slot_count();
-  ExplorationPlan plan{.mask = RushHourMask{learner.epoch(), n},
-                       .duty = 0.0,
-                       .active = false};
+  RushHourMask plan{learner.epoch(), n};
   const bool plans_wakeups =
       config_.kind == ExplorationPolicyKind::kEpsilonFloor ||
       config_.kind == ExplorationPolicyKind::kUcb;
@@ -74,7 +72,7 @@ ExplorationPlan ExplorationPolicy::plan_epoch(const RushHourLearner& learner,
     std::size_t idx = cursor_ % n;
     while (picked < m && scanned < n) {
       if (!rush_mask.is_rush_slot(idx)) {
-        plan.mask.set(idx, true);
+        plan.set(idx, true);
         ++picked;
       }
       idx = (idx + 1) % n;
@@ -113,12 +111,9 @@ ExplorationPlan ExplorationPolicy::plan_epoch(const RushHourLearner& learner,
                                (index_[a] == index_[b] && a < b);
                       });
     for (std::size_t i = 0; i < m; ++i) {
-      plan.mask.set(candidates_[order_[i]], true);
+      plan.set(candidates_[order_[i]], true);
     }
   }
-
-  plan.duty = config_.explore_duty;
-  plan.active = true;
   return plan;
 }
 

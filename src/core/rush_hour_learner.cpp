@@ -5,31 +5,29 @@
 #include <stdexcept>
 
 namespace snipr::core {
+namespace {
+
+/// EWMA weight when folding an epoch's samples into a slot's score.
+constexpr double kEpochWeight = 0.3;
+/// Additive smoothing of an effort-normalised sample:
+/// rate = count/(effort + prior). Irrelevant in count mode.
+constexpr double kEffortPriorS = 2.0;
+
+}  // namespace
 
 RushHourLearner::RushHourLearner(sim::Duration epoch, std::size_t slot_count,
-                                 std::size_t rush_slots, double epoch_weight,
-                                 double effort_prior_s)
+                                 std::size_t rush_slots)
     : clock_{epoch, slot_count, "RushHourLearner"},
       rush_slots_{rush_slots},
-      epoch_weight_{epoch_weight},
-      effort_prior_s_{effort_prior_s},
       scores_(slot_count, 0.0),
       current_counts_(slot_count, 0.0),
       current_effort_s_(slot_count, 0.0),
       total_effort_s_(slot_count, 0.0),
       slot_samples_(slot_count, 0),
       slot_seeded_(slot_count, 0) {
-  if (effort_prior_s < 0.0) {
-    throw std::invalid_argument(
-        "RushHourLearner: effort prior must be >= 0");
-  }
   if (rush_slots == 0 || rush_slots > slot_count) {
     throw std::invalid_argument(
         "RushHourLearner: rush_slots must be in [1, slot_count]");
-  }
-  if (!(epoch_weight > 0.0) || epoch_weight > 1.0) {
-    throw std::invalid_argument(
-        "RushHourLearner: epoch_weight must be in (0, 1]");
   }
 }
 
@@ -87,20 +85,20 @@ void RushHourLearner::finish_epoch() {
       if (effort_epoch) {
         if (current_effort_s_[s] <= 0.0) continue;  // no information: hold
         sample =
-            current_counts_[s] / (current_effort_s_[s] + effort_prior_s_);
+            current_counts_[s] / (current_effort_s_[s] + kEffortPriorS);
       } else {
         sample = current_counts_[s];
       }
       // A slot's first real sample seeds its score; only later samples are
       // EWMA-blended. Seeding is per slot: a slot skipped above (no effort,
       // no information) must not be treated as initialised-at-0.0, or its
-      // eventual first sample would be damped by epoch_weight_ against a
+      // eventual first sample would be damped by kEpochWeight against a
       // prior that was never observed.
       if (slot_seeded_[s] == 0) {
         scores_[s] = sample;
         slot_seeded_[s] = 1;
       } else {
-        scores_[s] += epoch_weight_ * (sample - scores_[s]);
+        scores_[s] += kEpochWeight * (sample - scores_[s]);
       }
       ++slot_samples_[s];
     }

@@ -4,17 +4,20 @@
 #include <stdexcept>
 
 namespace snipr::core {
+namespace {
 
-SnipAt::SnipAt(double duty, sim::Duration ton, sim::Duration idle_check)
-    : duty_{duty}, ton_{ton}, cycle_{}, idle_check_{idle_check} {
+/// CPU re-check period once the budget is exhausted.
+constexpr sim::Duration kIdleCheck = sim::Duration::minutes(10);
+
+}  // namespace
+
+SnipAt::SnipAt(double duty, sim::Duration ton)
+    : duty_{duty}, ton_{ton}, cycle_{} {
   if (!(duty > 0.0) || duty > 1.0) {
     throw std::invalid_argument("SnipAt: duty must be in (0, 1]");
   }
   if (!(ton > sim::Duration::zero())) {
     throw std::invalid_argument("SnipAt: ton must be positive");
-  }
-  if (!(idle_check > sim::Duration::zero())) {
-    throw std::invalid_argument("SnipAt: idle_check must be positive");
   }
   cycle_ = sim::Duration::seconds(ton.to_seconds() / duty);
 }
@@ -24,7 +27,7 @@ node::SchedulerDecision SnipAt::on_wakeup(const node::SensorContext& ctx) {
   // (condition: one more full wakeup must still fit).
   const bool affordable = ctx.budget_used + ton_ <= ctx.budget_limit;
   if (!affordable) {
-    return {.probe = false, .next_wakeup = idle_check_};
+    return {.probe = false, .next_wakeup = kIdleCheck};
   }
   return {.probe = true, .next_wakeup = cycle_};
 }

@@ -15,6 +15,8 @@ constexpr double kUploadEwmaWeight = 0.1;
 /// Condition 2 floor: probe only when at least this many bytes wait,
 /// even before any upload has been observed.
 constexpr double kMinDataBytes = 1.0;
+/// Floor for CPU sleep intervals between condition checks.
+constexpr sim::Duration kMinSleep = sim::Duration::seconds(1);
 
 void append_ewma(std::string& out, const stats::Ewma& ewma) {
   ckpt::append_double(out, ewma.mean_raw());
@@ -46,9 +48,6 @@ SnipRh::SnipRh(RushHourMask mask, SnipRhConfig config)
   }
   if (!(config.initial_tcontact_s > 0.0)) {
     throw std::invalid_argument("SnipRh: initial tcontact must be positive");
-  }
-  if (!(config.min_sleep > sim::Duration::zero())) {
-    throw std::invalid_argument("SnipRh: min_sleep must be positive");
   }
   refresh_cycle();
 }
@@ -82,7 +81,7 @@ node::SchedulerDecision SnipRh::on_wakeup(const node::SensorContext& ctx) {
     // Budget resets at the next epoch boundary.
     const sim::TimePoint wake = mask_.slot_clock().next_epoch_start(ctx.now);
     return {.probe = false,
-            .next_wakeup = std::max(wake - ctx.now, config_.min_sleep)};
+            .next_wakeup = std::max(wake - ctx.now, kMinSleep)};
   }
 
   // Condition 1: only probe inside Rush Hours.
@@ -94,15 +93,15 @@ node::SchedulerDecision SnipRh::on_wakeup(const node::SensorContext& ctx) {
       return {.probe = false, .next_wakeup = mask_.epoch()};
     }
     return {.probe = false,
-            .next_wakeup = std::max(*next - ctx.now, config_.min_sleep)};
+            .next_wakeup = std::max(*next - ctx.now, kMinSleep)};
   }
 
   // Condition 2: enough data must wait so probed capacity is not wasted.
   const double threshold = upload_threshold_bytes();
   if (ctx.buffer_bytes < threshold) {
     // Sleep until the constant-rate sensing refills the gap (bounded below
-    // by min_sleep; re-evaluated on the next wakeup anyway).
-    sim::Duration wait = config_.min_sleep;
+    // by kMinSleep; re-evaluated on the next wakeup anyway).
+    sim::Duration wait = kMinSleep;
     // The node's sensing rate is not in the context; a half-threshold
     // heuristic keeps checks cheap without assuming the rate: re-check
     // after one rush-slot fraction.
@@ -111,7 +110,7 @@ node::SchedulerDecision SnipRh::on_wakeup(const node::SensorContext& ctx) {
   }
 
   if (duty_ <= 0.0) {
-    return {.probe = false, .next_wakeup = config_.min_sleep};
+    return {.probe = false, .next_wakeup = kMinSleep};
   }
   return {.probe = true, .next_wakeup = probe_cycle_};
 }

@@ -72,8 +72,8 @@ void validate(const FleetSpec& spec, const DeploymentConfig& deployment,
 }
 
 /// What every contact source shares: the node environment, the node
-/// channel streams (the first `nodes` forks of `root`, which is left
-/// advanced past them) and the fault plan. Rejects, in `engine`'s name,
+/// count and the fault plan; `root` is left advanced past `nodes` forks.
+/// Rejects, in `engine`'s name,
 /// a run of no epochs (it would report all-zero rows as if it had run)
 /// and a sensing rate no node could run at.
 FleetInputs start_inputs(const char* engine, SchedulerFactory make_scheduler,
@@ -96,7 +96,12 @@ FleetInputs start_inputs(const char* engine, SchedulerFactory make_scheduler,
   in.deployment.node.record_probed_contacts = record_probed;
   in.horizon = config.deployment.node.epoch *
                static_cast<std::int64_t>(config.deployment.epochs);
-  in.node_streams = ForkedStreams{root, nodes};
+  in.node_count = nodes;
+  // Skip the `nodes` forks that once fed per-node channel streams: every
+  // contact stream drawn from `root` after this point (the vehicle flow,
+  // the early exits, the replay streams) starts where it always has, so
+  // the recorded outputs hold.
+  for (std::size_t i = 0; i < nodes; ++i) (void)root.fork();
   if (faults != nullptr && faults->enabled()) {
     in.faults = std::make_unique<fault::FaultPlan>(*faults, nodes);
   }
@@ -109,14 +114,13 @@ double road_position_m(const RoadWorkload& road, std::size_t i) {
 }
 
 /// Simulate node `index` of `in` alone from time zero to the horizon
-/// over `schedule`, with `channel_rng` as its channel stream, and add its
-/// row, counts and sessions to `shard`. `carriers[j]` is the vehicle
-/// behind contact j; it is read only when routing records probed
-/// contacts.
+/// over `schedule`, and add its row, counts and sessions to `shard`.
+/// `carriers[j]` is the vehicle behind contact j; it is read only when
+/// routing records probed contacts.
 void run_fleet_node(const FleetInputs& in, std::size_t index,
                     contact::ContactSchedule schedule,
                     const std::vector<std::uint32_t>& carriers,
-                    sim::Rng channel_rng, ShardRun& shard) {
+                    ShardRun& shard) {
   const std::unique_ptr<node::Scheduler> scheduler = in.make_scheduler(index);
   if (scheduler == nullptr) {
     throw std::invalid_argument("FleetEngine: factory returned null");
@@ -127,8 +131,8 @@ void run_fleet_node(const FleetInputs& in, std::size_t index,
   // its stream, and every fault decision, is independent of the shard
   // layout; injectors are never shared, so shard workers never race.
   const node::LoneNodeRun lone = node::run_lone_node(
-      *scheduler, contacts, in.deployment.link, channel_rng,
-      in.deployment.node, in.horizon,
+      *scheduler, contacts, in.deployment.link, in.deployment.node,
+      in.horizon,
       in.faults != nullptr ? &in.faults->node(index) : nullptr);
   NodeOutcome& row = shard.rows.emplace_back();
   static_cast<node::NodeSummary&>(row) = node::summarize(lone);
@@ -159,7 +163,6 @@ void run_fleet_node(const FleetInputs& in, std::size_t index,
 /// Simulate nodes [begin, end) of `in` in node order into `shard`.
 void simulate_shard(FleetInputs& in, std::size_t begin, std::size_t end,
                     ShardRun& shard) {
-  sim::Rng channel_forks = in.node_streams.before(begin);
   if (in.road != nullptr) {
     RoadContactBuilder contacts{in.road->range_m, in.vehicles};
     // Carriers are read only to map probed contacts to sessions.
@@ -169,8 +172,7 @@ void simulate_shard(FleetInputs& in, std::size_t begin, std::size_t end,
       contact::ContactSchedule schedule =
           contacts.next(road_position_m(*in.road, i),
                         with_carriers ? &carriers : nullptr);
-      run_fleet_node(in, i, std::move(schedule), carriers,
-                     channel_forks.fork(), shard);
+      run_fleet_node(in, i, std::move(schedule), carriers, shard);
     }
   } else if (in.trace != nullptr) {
     // Node i replays the trace phase-rotated by i * stagger and jittered
@@ -187,12 +189,11 @@ void simulate_shard(FleetInputs& in, std::size_t begin, std::size_t end,
       run_fleet_node(in, i,
                      contact::ContactSchedule{contact::materialize(
                          process, in.contact_horizon, rng)},
-                     {}, channel_forks.fork(), shard);
+                     {}, shard);
     }
   } else {
     for (std::size_t i = begin; i < end; ++i) {
-      run_fleet_node(in, i, std::move(in.schedules[i]), {},
-                     channel_forks.fork(), shard);
+      run_fleet_node(in, i, std::move(in.schedules[i]), {}, shard);
     }
   }
 }

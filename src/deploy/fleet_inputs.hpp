@@ -24,13 +24,13 @@
 /// `FleetEngine` and `run_streaming_fleet` differ only in what their
 /// `run_shards` commit keeps of each shard.
 ///
-/// Determinism contract: node i's channel stream is the i-th fork of
-/// root(seed), taken in node order before any partitioning. Every
-/// auxiliary stream comes from the root after those forks: the shared
-/// vehicle flow and then the early-exit draws (road), or one replay
-/// stream per node (trace). A node's contacts and results are therefore
-/// a pure function of (spec, seed, i), whatever the shard and thread
-/// counts.
+/// Determinism contract: the contact streams come from root(seed) after
+/// `nodes` forks of it are skipped, a stream order every recorded output
+/// and the benchmark's own rebuild of the flow rely on. Then come the
+/// shared vehicle flow and the early-exit draws (road), or one replay
+/// stream per node (trace), each forked in node order before any
+/// partitioning. A node's contacts and results are therefore a pure
+/// function of (spec, seed, i), whatever the shard and thread counts.
 ///
 /// Fleet nodes never interact while probing: each has its own channel,
 /// buffer, budget, scheduler and fault stream, and the store-and-forward
@@ -81,7 +81,7 @@ struct FleetInputs {
   sim::Duration horizon{};
   /// Span the contact sources cover: the flow profile's epoch × epochs.
   sim::Duration contact_horizon{};
-  ForkedStreams node_streams;  ///< fork i is node i's channel stream
+  std::size_t node_count{0};
   /// Attached when the fault spec is enabled.
   std::unique_ptr<fault::FaultPlan> faults;
 
@@ -96,16 +96,14 @@ struct FleetInputs {
   sim::Duration trace_period{};
   ForkedStreams trace_streams;  ///< fork i is node i's replay stream
 
-  [[nodiscard]] std::size_t nodes() const noexcept {
-    return node_streams.size();
-  }
+  [[nodiscard]] std::size_t nodes() const noexcept { return node_count; }
 };
 
 /// Validate `spec` and the node budget for the `output` engine, plan
 /// `spec.strategy` once (the maker in `make_scheduler` only constructs),
-/// then fork the node streams and draw the road flow and exits, or fork
-/// the trace replay streams. Throws std::invalid_argument naming the
-/// offending field. `spec` must outlive the result.
+/// then draw the road flow and exits, or fork the trace replay streams.
+/// Throws std::invalid_argument naming the offending field. `spec` must
+/// outlive the result.
 [[nodiscard]] FleetInputs build_fleet_inputs(
     const core::RoadsideScenario& scenario, const FleetSpec& spec,
     const FleetConfig& config, FleetOutput output);

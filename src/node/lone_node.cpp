@@ -10,10 +10,9 @@ namespace snipr::node {
 LoneNodeRun run_lone_node(
     Scheduler& scheduler,
     std::shared_ptr<const contact::ContactSchedule> schedule,
-    const radio::LinkParams& link, sim::Rng channel_rng,
-    SensorNodeConfig config, sim::Duration horizon,
-    fault::NodeFaultInjector* faults) {
-  radio::Channel channel{std::move(schedule), link, std::move(channel_rng)};
+    const radio::LinkParams& link, SensorNodeConfig config,
+    sim::Duration horizon, fault::NodeFaultInjector* faults) {
+  radio::Channel channel{std::move(schedule), link};
   MobileNode sink;
   config.record_epoch_history = true;
   if (config.epoch > sim::Duration::zero()) {  // else SensorNode throws

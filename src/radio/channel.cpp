@@ -6,14 +6,14 @@
 namespace snipr::radio {
 
 Channel::Channel(contact::ContactSchedule schedule, LinkParams link,
-                 sim::Rng rng)
+                 sim::Rng /*unused*/)
     : Channel{std::make_shared<const contact::ContactSchedule>(
                   std::move(schedule)),
-              link, rng} {}
+              link} {}
 
 Channel::Channel(std::shared_ptr<const contact::ContactSchedule> schedule,
-                 LinkParams link, sim::Rng rng)
-    : schedule_{std::move(schedule)}, link_{link}, rng_{rng} {
+                 LinkParams link)
+    : schedule_{std::move(schedule)}, link_{link} {
   if (schedule_ == nullptr) {
     throw std::invalid_argument("radio::Channel: schedule must not be null");
   }
@@ -63,16 +63,15 @@ std::size_t Channel::next_arrival_index(sim::TimePoint t) const {
   return i;
 }
 
-bool Channel::try_deliver(sim::TimePoint start, sim::Duration airtime) {
+bool Channel::try_deliver(sim::TimePoint start,
+                          sim::Duration airtime) const {
   if (!(airtime > sim::Duration::zero())) {
     // A zero-length frame carries no bytes over the air (a transfer with
     // zero bytes remaining degenerates to this). It is deliverable
     // whenever the receiver is in range at the instant itself — under the
     // *closed* interval [arrival, departure], since exactly-at-departure
     // and zero-length contacts are still "in range for the whole (empty)
-    // airtime" — and it must not consume a frame-loss draw: there is no
-    // airtime to lose a frame in, and a draw here would shift every later
-    // draw in the node's stream.
+    // airtime".
     const std::vector<contact::Contact>& contacts = schedule_->contacts();
     const std::size_t i = position_cursor(start);
     if (i < contacts.size() && contacts[i].covers(start)) return true;
@@ -85,9 +84,7 @@ bool Channel::try_deliver(sim::TimePoint start, sim::Duration airtime) {
   if (!active.has_value()) return false;
   // A frame ending exactly at departure is still fully in range
   // ([start, start+airtime) against [arrival, departure)): strict >.
-  if (start + airtime > active->departure()) return false;
-  if (link_.frame_loss > 0.0 && rng_.bernoulli(link_.frame_loss)) return false;
-  return true;
+  return start + airtime <= active->departure();
 }
 
 }  // namespace snipr::radio

@@ -6,8 +6,6 @@
 
 namespace snipr::sim {
 
-Simulator::Simulator(std::uint64_t seed) : rng_{seed} {}
-
 std::size_t Simulator::run_until(TimePoint until) {
   if (until < now_) {
     throw std::logic_error("Simulator::run_until: target is in the past");

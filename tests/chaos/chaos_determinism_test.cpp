@@ -11,8 +11,8 @@
 /// The fault plane's determinism contract (`ctest -L chaos`): a faulted
 /// fleet run is a pure function of (deployment seed, fault seed) — the
 /// shard and thread partition must never show through, because every
-/// fault stream is forked per node before any partitioning, exactly like
-/// the channel streams. And the zero-config guarantees: a null plan and
+/// fault stream is forked per node before any partitioning. And the
+/// zero-config guarantees: a null plan and
 /// an all-zero plan are byte-identical to each other (no stream is even
 /// consumed), so fault-free outputs match builds that predate the fault
 /// plane.

@@ -210,23 +210,23 @@ TEST(AdaptiveSnipRh, ExplorationFloorProbesPlannedCensoredSlot) {
   cfg.exploration.epsilon = 0.125;
   cfg.exploration.explore_duty = 0.002;
   AdaptiveSnipRh sched{Duration::hours(24), 24, cfg};
-  EXPECT_FALSE(sched.exploration_plan().active);  // nothing to plan yet
+  // Nothing to plan yet.
+  EXPECT_EQ(sched.exploration_mask().rush_slot_count(), 0U);
   for (int day = 0; day < 2; ++day) {
     sched.on_probe_detected(detect_at(day * 24 + 7.5));
     sched.on_probe_detected(detect_at(day * 24 + 17.5));
     sched.on_epoch_start(day + 1);
   }
   ASSERT_FALSE(sched.learning());
-  const ExplorationPlan& plan = sched.exploration_plan();
-  ASSERT_TRUE(plan.active);
-  EXPECT_EQ(plan.duty, 0.002);
-  EXPECT_FALSE(plan.mask.is_rush_slot(7));
-  EXPECT_FALSE(plan.mask.is_rush_slot(17));
+  const RushHourMask& plan = sched.exploration_mask();
+  ASSERT_GT(plan.rush_slot_count(), 0U);
+  EXPECT_FALSE(plan.is_rush_slot(7));
+  EXPECT_FALSE(plan.is_rush_slot(17));
   // Inside a planned slot the duty floor probes even though SNIP-RH
   // would sleep there.
   std::size_t planned = 24;
   for (std::size_t s = 0; s < 24 && planned == 24; ++s) {
-    if (plan.mask.is_rush_slot(s)) planned = s;
+    if (plan.is_rush_slot(s)) planned = s;
   }
   ASSERT_LT(planned, 24U);
   const auto d =

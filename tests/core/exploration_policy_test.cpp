@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <set>
@@ -62,9 +61,7 @@ TEST(ExplorationPolicy, NoneAndOptimisticPlanNoWakeups) {
   for (const auto kind :
        {ExplorationPolicyKind::kNone, ExplorationPolicyKind::kOptimistic}) {
     ExplorationPolicy policy{config_of(kind)};
-    const ExplorationPlan plan = policy.plan_epoch(learner, mask);
-    EXPECT_FALSE(plan.active);
-    EXPECT_EQ(plan.duty, 0.0);
+    EXPECT_EQ(policy.plan_epoch(learner, mask).rush_slot_count(), 0U);
   }
 }
 
@@ -75,12 +72,10 @@ TEST(ExplorationPolicy, EpsilonFloorNeverPlansInsideRushMask) {
   cfg.epsilon = 0.125;  // 3 of 24 slots per epoch
   ExplorationPolicy policy{cfg};
   for (int epoch = 0; epoch < 10; ++epoch) {
-    const ExplorationPlan plan = policy.plan_epoch(learner, mask);
-    ASSERT_TRUE(plan.active);
-    EXPECT_EQ(plan.duty, cfg.explore_duty);
-    EXPECT_EQ(plan.mask.rush_slot_count(), 3U);
+    const RushHourMask plan = policy.plan_epoch(learner, mask);
+    EXPECT_EQ(plan.rush_slot_count(), 3U);
     for (const std::size_t s : {7U, 8U, 17U, 18U}) {
-      EXPECT_FALSE(plan.mask.is_rush_slot(s)) << "epoch " << epoch;
+      EXPECT_FALSE(plan.is_rush_slot(s)) << "epoch " << epoch;
     }
   }
 }
@@ -96,21 +91,21 @@ TEST(ExplorationPolicy, EpsilonFloorRotationCoversEveryCensoredSlot) {
   ExplorationPolicy policy{cfg};
   std::set<std::size_t> visited;
   for (int epoch = 0; epoch < 7; ++epoch) {
-    const ExplorationPlan plan = policy.plan_epoch(learner, mask);
+    const RushHourMask plan = policy.plan_epoch(learner, mask);
     for (std::size_t s = 0; s < 24; ++s) {
-      if (plan.mask.is_rush_slot(s)) visited.insert(s);
+      if (plan.is_rush_slot(s)) visited.insert(s);
     }
   }
   EXPECT_EQ(visited.size(), 20U);
 }
 
-TEST(ExplorationPolicy, PlanInactiveWhenMaskCoversEverySlot) {
+TEST(ExplorationPolicy, PlanEmptyWhenMaskCoversEverySlot) {
   const RushHourLearner learner = make_learner();
   RushHourMask everything{Duration::hours(24), 24};
   for (std::size_t s = 0; s < 24; ++s) everything.set(s, true);
   ExplorationConfig cfg = config_of(ExplorationPolicyKind::kEpsilonFloor);
   ExplorationPolicy policy{cfg};
-  EXPECT_FALSE(policy.plan_epoch(learner, everything).active);
+  EXPECT_EQ(policy.plan_epoch(learner, everything).rush_slot_count(), 0U);
 }
 
 TEST(ExplorationPolicy, UcbPrefersLeastSampledSlotUnderEqualScores) {
@@ -127,11 +122,10 @@ TEST(ExplorationPolicy, UcbPrefersLeastSampledSlotUnderEqualScores) {
   cfg.epsilon = 1.0 / 24.0;  // plan exactly one slot
   cfg.ucb_c = 5.0;           // bonus dominates the exploitation term
   ExplorationPolicy policy{cfg};
-  const ExplorationPlan plan = policy.plan_epoch(learner, mask);
-  ASSERT_TRUE(plan.active);
-  EXPECT_EQ(plan.mask.rush_slot_count(), 1U);
-  EXPECT_FALSE(plan.mask.is_rush_slot(5));
-  EXPECT_TRUE(plan.mask.is_rush_slot(0));  // unsampled, lowest index
+  const RushHourMask plan = policy.plan_epoch(learner, mask);
+  EXPECT_EQ(plan.rush_slot_count(), 1U);
+  EXPECT_FALSE(plan.is_rush_slot(5));
+  EXPECT_TRUE(plan.is_rush_slot(0));  // unsampled, lowest index
 }
 
 TEST(ExplorationPolicy, UcbWithZeroBonusExploitsBestCensoredScore) {
@@ -147,24 +141,20 @@ TEST(ExplorationPolicy, UcbWithZeroBonusExploitsBestCensoredScore) {
   cfg.epsilon = 1.0 / 24.0;
   cfg.ucb_c = 0.0;
   ExplorationPolicy policy{cfg};
-  const ExplorationPlan plan = policy.plan_epoch(learner, mask);
-  ASSERT_TRUE(plan.active);
-  EXPECT_TRUE(plan.mask.is_rush_slot(11));
+  EXPECT_TRUE(policy.plan_epoch(learner, mask).is_rush_slot(11));
 }
 
 /// The UCB plan as first written: every candidate's index, a stable
 /// descending sort of all of them, the first m taken. Sets
 /// `boundary_tie` when the m-th pick ties with the first one left out,
 /// where the choice rests on the tie-break alone.
-ExplorationPlan stable_sort_ucb_plan(const ExplorationConfig& cfg,
-                                     const RushHourLearner& learner,
-                                     const RushHourMask& rush_mask,
-                                     bool& boundary_tie) {
+RushHourMask stable_sort_ucb_plan(const ExplorationConfig& cfg,
+                                  const RushHourLearner& learner,
+                                  const RushHourMask& rush_mask,
+                                  bool& boundary_tie) {
   boundary_tie = false;
   const std::size_t n = rush_mask.slot_count();
-  ExplorationPlan plan{.mask = RushHourMask{learner.epoch(), n},
-                       .duty = 0.0,
-                       .active = false};
+  RushHourMask plan{learner.epoch(), n};
   std::vector<std::size_t> candidates;
   for (std::size_t s = 0; s < n; ++s) {
     if (!rush_mask.is_rush_slot(s)) candidates.push_back(s);
@@ -195,10 +185,8 @@ ExplorationPlan stable_sort_ucb_plan(const ExplorationConfig& cfg,
                    [&](std::size_t a, std::size_t b) {
                      return index[a] > index[b];
                    });
-  for (std::size_t i = 0; i < m; ++i) plan.mask.set(candidates[order[i]], true);
+  for (std::size_t i = 0; i < m; ++i) plan.set(candidates[order[i]], true);
   boundary_tie = m < order.size() && index[order[m - 1]] == index[order[m]];
-  plan.duty = cfg.explore_duty;
-  plan.active = true;
   return plan;
 }
 
@@ -235,16 +223,12 @@ TEST(ExplorationPolicy, UcbPlanMatchesTheStableSortSelection) {
         if (rng.bernoulli(rush_share)) mask.set(s, true);
       }
       bool boundary_tie = false;
-      const ExplorationPlan expected =
+      const RushHourMask expected =
           stable_sort_ucb_plan(cfg, learner, mask, boundary_tie);
-      const ExplorationPlan plan = policy.plan_epoch(learner, mask);
+      const RushHourMask plan = policy.plan_epoch(learner, mask);
       const std::string label =
           std::to_string(config) + "/" + std::to_string(state);
-      EXPECT_EQ(plan.active, expected.active) << label;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(plan.duty),
-                std::bit_cast<std::uint64_t>(expected.duty))
-          << label;
-      EXPECT_EQ(plan.mask.bits(), expected.mask.bits()) << label;
+      EXPECT_EQ(plan.bits(), expected.bits()) << label;
       if (boundary_tie) ++ties;
     }
   }

@@ -43,17 +43,15 @@ TEST(RushHourLearner, RecoversGroundTruthMask) {
 }
 
 TEST(RushHourLearner, EffortModeMaskInvariantUnderUniformEffortScaling) {
-  // With a zero effort prior the score is a pure probes-per-second rate:
-  // multiplying every recorded effort by the same constant rescales all
-  // rates identically, so the ranking — and the mask — cannot move. The
-  // learner's verdict must not depend on the *unit* effort is recorded
-  // in (seconds vs milliseconds of radio-on time).
-  const double scales[] = {1.0, 10.0, 1000.0, 0.001};
+  // The score is a probes-per-second rate, damped by the 2 s effort
+  // prior: multiplying every recorded effort by the same constant that
+  // keeps the efforts large against the prior rescales all rates alike,
+  // so the ranking — and the mask — cannot move.
+  const double scales[] = {1.0, 10.0, 1000.0};
   std::vector<RushHourMask> masks;
   std::vector<std::vector<contact::SlotIndex>> orders;
   for (const double k : scales) {
-    RushHourLearner learner{Duration::hours(24), 24, 4,
-                            /*epoch_weight=*/0.3, /*effort_prior_s=*/0.0};
+    RushHourLearner learner = make_learner();
     for (int day = 0; day < 3; ++day) {
       // Non-uniform effort across slots (a mask in force): rates, not raw
       // counts, decide — slot 12 gets many probes only because it gets
@@ -83,8 +81,9 @@ TEST(RushHourLearner, EffortModeMaskInvariantUnderUniformEffortScaling) {
           << "scale " << scales[i] << " slot " << s;
     }
   }
-  // And the ranking is the rate ranking: 17 (0.5/s) > 7 (0.5/s, later
-  // index) is a tie broken by index; both beat 12 (0.2/s) and 3 (0.125/s).
+  // And the ranking is the rate ranking: 7 (2 probes in 4 s) and 17 (1 in
+  // 2 s) share a raw 0.5/s, which the prior splits in favour of the slot
+  // with more effort; both beat 12 (0.2/s) and 3 (0.125/s).
   EXPECT_EQ(orders[0][0], 7U);
   EXPECT_EQ(orders[0][1], 17U);
   EXPECT_EQ(orders[0][2], 12U);
@@ -127,17 +126,17 @@ TEST(RushHourLearner, OrderOnlyMattersNotMagnitude) {
 }
 
 TEST(RushHourLearner, ScoresSmoothAcrossEpochs) {
-  RushHourLearner learner{Duration::hours(24), 24, 4, /*epoch_weight=*/0.5};
+  RushHourLearner learner = make_learner();
   feed_epoch(learner, 0, {{7.5, 10}});
   EXPECT_DOUBLE_EQ(learner.scores()[7], 10.0);  // first epoch initialises
   feed_epoch(learner, 1, {{7.5, 20}});
-  EXPECT_DOUBLE_EQ(learner.scores()[7], 15.0);  // 10 + 0.5·(20−10)
+  EXPECT_DOUBLE_EQ(learner.scores()[7], 13.0);  // 10 + 0.3·(20−10)
 }
 
 TEST(RushHourLearner, TracksShiftedPattern) {
-  // Rush hours move from {7,8} to {9,10}; with weight 0.5 the ranking
-  // flips after a couple of shifted epochs.
-  RushHourLearner learner{Duration::hours(24), 24, 2, 0.5};
+  // Rush hours move from {7,8} to {9,10}; with weight 0.3 the ranking
+  // flips after a few shifted epochs.
+  RushHourLearner learner = make_learner(2);
   for (int day = 0; day < 3; ++day) {
     feed_epoch(learner, day, {{7.5, 12}, {8.5, 12}, {3.5, 2}});
   }
@@ -157,7 +156,7 @@ TEST(RushHourLearner, EffortModeSeedsSlotOnItsFirstRealSample) {
   // treated as initialised-at-0.0 and its *first real* sample in a later
   // epoch was EWMA-damped against that bogus prior. Initialisation must
   // be per slot: the first sample seeds the score outright.
-  RushHourLearner learner{Duration::hours(24), 24, 1, /*epoch_weight=*/0.3};
+  RushHourLearner learner = make_learner(1);
   // Epoch 0: effort (and probes) only in slot 7 -> rate 4/(10+2) = 1/3.
   learner.record_effort(at_h(7.5), Duration::seconds(10));
   for (int i = 0; i < 4; ++i) learner.record_probe(at_h(7.5));
@@ -246,8 +245,6 @@ TEST(RushHourLearner, Validation) {
   EXPECT_THROW((RushHourLearner{Duration::hours(24), 24, 0}),
                std::invalid_argument);
   EXPECT_THROW((RushHourLearner{Duration::hours(24), 24, 25}),
-               std::invalid_argument);
-  EXPECT_THROW((RushHourLearner{Duration::hours(24), 24, 4, 0.0}),
                std::invalid_argument);
   EXPECT_THROW((RushHourLearner{Duration::hours(24), 7, 2}),
                std::invalid_argument);

@@ -336,8 +336,8 @@ TEST(SkipMissedProbes, AdaptiveExploitRunEndsOneCycleShortOfTheTracker) {
 }
 
 /// An adaptive checkpoint as tokens, to restore an edited state. The
-/// trailing tokens are the plan's active flag, duty, slot count and 24
-/// bits, then the tracker's and the floor's due times (µs).
+/// trailing tokens are the exploration mask's slot count and 24 bits,
+/// then the tracker's and the floor's due times (µs).
 std::vector<std::string> tokens_of(const AdaptiveSnipRh& s) {
   std::vector<std::string> tokens;
   const std::string blob = s.checkpoint();
@@ -366,14 +366,13 @@ std::size_t explore_due_token(const std::vector<std::string>& tokens) {
 std::string due_us(TimePoint t) { return std::to_string(t.count()); }
 std::string bit(bool set) { return set ? "1" : "0"; }
 
-/// `s`'s checkpoint with the exploration plan made active over `slots`,
-/// its floor due at `explore_due`.
+/// `s`'s checkpoint with the exploration mask set to `slots`, its floor
+/// due at `explore_due`.
 std::string with_plan(const AdaptiveSnipRh& s,
                       const std::vector<std::size_t>& slots,
                       TimePoint explore_due = TimePoint::zero()) {
   std::vector<std::string> tokens = tokens_of(s);
   const std::size_t bits = tokens.size() - 2 - 24;
-  tokens[bits - 3] = bit(true);
   for (std::size_t slot = 0; slot < 24; ++slot) {
     const bool planned =
         std::find(slots.begin(), slots.end(), slot) != slots.end();
@@ -392,7 +391,7 @@ TEST(SkipMissedProbes, AdaptiveExploitRunStopsShortOfTheExplorationFloor) {
   config.exploration.explore_duty = 0.002;  // a 10 s floor cycle
   AdaptiveSnipRh learned{Duration::hours(24), 24, config};
   learn_rush_seven_and_seventeen(learned);
-  ASSERT_TRUE(learned.exploration_plan().active);
+  ASSERT_GT(learned.exploration_mask().rush_slot_count(), 0U);
 
   // Inside the planned slot the floor probes at t0, due again 10 s later;
   // SNIP-RH's 2 s cycle may run to due − 2 s: four skipped wakeups.
@@ -574,40 +573,30 @@ TEST(SkipMissedProbes, PollRunEndsOneMicrosecondBeforeTheSlotBoundary) {
 }
 
 TEST(SkipMissedProbes, PollRunStopsOneDelayBeforeTheEpochEnds) {
-  // In the epoch's last second SNIP-RH's sleep to the boundary drops
-  // below the poll period when min_sleep allows it: with 100 ms, the
-  // wakeup 0.25 s before the boundary sleeps 0.25 s. The run stops one
-  // delay before the boundary whatever min_sleep is.
+  // In the epoch's last second SNIP-RH's sleep to the boundary is held at
+  // its 1 s floor, the poll period: the wakeup 0.25 s before the boundary
+  // sleeps 1 s. The run stops one delay before the boundary.
   const TimePoint epoch_end = at_s(3 * 86400.0);
   const SensorContext ctx = spent(epoch_end - Duration::milliseconds(20250));
-  for (const Duration min_sleep : {Duration::milliseconds(100), kPoll}) {
-    AdaptiveSnipRhConfig config = adaptive_config(1e-4);
-    config.rh.min_sleep = min_sleep;
-    AdaptiveSnipRh fast{Duration::hours(24), 24, config};
-    AdaptiveSnipRh ref{Duration::hours(24), 24, config};
-    learn_rush_seven_and_seventeen(fast);
-    learn_rush_seven_and_seventeen(ref);
-    EXPECT_EQ(skip_against_twin(fast, ref, ctx, kUnbounded, false), 19);
-    const SchedulerDecision last =
-        ref.on_wakeup(spent(epoch_end - Duration::milliseconds(250)));
-    EXPECT_FALSE(last.probe);
-    EXPECT_EQ(last.next_wakeup,
-              std::max(Duration::milliseconds(250), min_sleep));
-  }
+  AdaptiveSnipRh fast{Duration::hours(24), 24, adaptive_config(1e-4)};
+  AdaptiveSnipRh ref{Duration::hours(24), 24, adaptive_config(1e-4)};
+  learn_rush_seven_and_seventeen(fast);
+  learn_rush_seven_and_seventeen(ref);
+  EXPECT_EQ(skip_against_twin(fast, ref, ctx, kUnbounded, false), 19);
+  const SchedulerDecision last =
+      ref.on_wakeup(spent(epoch_end - Duration::milliseconds(250)));
+  EXPECT_FALSE(last.probe);
+  EXPECT_EQ(last.next_wakeup, kPoll);
 }
 
 TEST(SkipMissedProbes, PollInTheEpochsLastSecondSkipsNothing) {
-  for (const Duration min_sleep : {Duration::milliseconds(100), kPoll}) {
-    AdaptiveSnipRhConfig config = adaptive_config(1e-4);
-    config.rh.min_sleep = min_sleep;
-    AdaptiveSnipRh s{Duration::hours(24), 24, config};
-    learn_rush_seven_and_seventeen(s);
-    const SensorContext ctx =
-        spent(at_s(3 * 86400.0) - Duration::milliseconds(750));
-    const SchedulerDecision d = s.on_wakeup(ctx);
-    ASSERT_FALSE(d.probe);
-    EXPECT_EQ(skip_run(s, ctx, d, Duration::zero(), kUnbounded), 0);
-  }
+  AdaptiveSnipRh s{Duration::hours(24), 24, adaptive_config(1e-4)};
+  learn_rush_seven_and_seventeen(s);
+  const SensorContext ctx =
+      spent(at_s(3 * 86400.0) - Duration::milliseconds(750));
+  const SchedulerDecision d = s.on_wakeup(ctx);
+  ASSERT_FALSE(d.probe);
+  EXPECT_EQ(skip_run(s, ctx, d, Duration::zero(), kUnbounded), 0);
 }
 
 TEST(SkipMissedProbes, PollRunNeedsAnExploitPhaseWithAnOverdueTracker) {

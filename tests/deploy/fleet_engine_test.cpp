@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -11,6 +12,7 @@
 #include "snipr/core/scenario_catalog.hpp"
 #include "snipr/core/snip_rh.hpp"
 #include "snipr/deploy/road_contacts.hpp"
+#include "snipr/fault/fault_plan.hpp"
 
 namespace snipr::deploy {
 namespace {
@@ -199,13 +201,13 @@ TEST(FleetEngine, LowerNodesErrorWinsWhenTwoShardsFail) {
   }
 }
 
-/// Catalog fleets grown past two marks of the node streams (a range
+/// Catalog fleets grown past two marks of the replay streams (a range
 /// rebuilds its streams from the parent's state every 64 forks).
 class EveryRangeStart : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(EveryRangeStart, GivesTheOneRangeBytes) {
   // One shard per node starts a range on, just before and just after
-  // every mark; each node must still get its own channel and replay
+  // every mark; each node must still get its own fault and replay
   // stream and its own contacts and carriers.
   const core::CatalogEntry& entry =
       core::ScenarioCatalog::instance().at(GetParam());
@@ -214,8 +216,10 @@ TEST_P(EveryRangeStart, GivesTheOneRangeBytes) {
   FleetConfig config;
   config.deployment = make_fleet_deployment_config(
       entry.scenario, spec, entry.phi_max_s, /*epochs=*/2, /*seed=*/7);
-  // Lost frames make every node draw from its channel stream.
-  config.deployment.link.frame_loss = 0.2;
+  // Missed probes make every node draw from its own fault stream.
+  auto faults = std::make_shared<fault::FaultSpec>();
+  faults->radio.probe_miss_prob = 0.2;
+  spec.faults = faults;
   config.threads = 1;
   config.shards = 1;
   const std::string one_range =

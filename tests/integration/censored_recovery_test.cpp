@@ -102,7 +102,7 @@ std::pair<core::RushHourMask, std::vector<double>> run_policy(
     const AdaptiveSnipRhConfig& cfg, const contact::ContactSchedule& sched) {
   const core::RoadsideScenario sc;
   const std::size_t epochs = kPhase1Epochs + kPhase2Epochs;
-  radio::Channel channel{sched, sc.link, sim::Rng{3}.fork()};
+  radio::Channel channel{sched, sc.link};
   node::MobileNode sink;
   AdaptiveSnipRh scheduler{sc.profile.epoch(), sc.profile.slot_count(), cfg};
   node::SensorNodeConfig node_cfg;

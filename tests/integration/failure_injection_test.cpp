@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "snipr/core/experiment.hpp"
 #include "snipr/core/snip_rh.hpp"
+#include "snipr/fault/fault_plan.hpp"
+#include "snipr/node/lone_node.hpp"
 
-/// Degraded-environment behaviour: beacon loss, starved buffers, empty
+/// Degraded-environment behaviour: probe loss, starved buffers, empty
 /// masks, budget exhaustion mid-epoch. The system must degrade gracefully
 /// (reduced ζ, bounded Φ), never violate the budget by more than one
 /// wakeup, and never crash.
@@ -21,17 +25,39 @@ ExperimentConfig base_config(const RoadsideScenario& sc, double target) {
   return cfg;
 }
 
-TEST(FailureInjection, BeaconLossReducesCapacityNotStability) {
-  RoadsideScenario lossy;
-  lossy.link.frame_loss = 0.3;
-  RoadsideScenario clean;
+/// run_experiment's single-node run, with a radio that misses each
+/// would-be detection with probability `miss` (the fault plane's
+/// probe_miss_prob, drawn from the node's own fault stream).
+node::NodeSummary run_lossy(const RoadsideScenario& sc,
+                            node::Scheduler& scheduler,
+                            const ExperimentConfig& cfg, double miss) {
+  sim::Rng rng{cfg.seed};
+  auto schedule = std::make_shared<const contact::ContactSchedule>(
+      sc.make_schedule(cfg.epochs, cfg.jitter, rng));
+  node::SensorNodeConfig node_cfg;
+  node_cfg.ton = sim::Duration::seconds(sc.snip.ton_s);
+  node_cfg.epoch = sc.profile.epoch();
+  node_cfg.budget_limit = sim::Duration::seconds(cfg.phi_max_s);
+  node_cfg.sensing_rate_bps = cfg.sensing_rate_bps;
+  fault::FaultSpec spec;
+  spec.radio.probe_miss_prob = miss;
+  fault::NodeFaultInjector faults{&spec, sim::Rng{spec.seed}};
+  return node::summarize(node::run_lone_node(
+      scheduler, std::move(schedule), sc.link, node_cfg,
+      sc.profile.epoch() * static_cast<std::int64_t>(cfg.epochs), &faults));
+}
 
-  SnipRh rh_lossy{lossy.rush_mask, SnipRhConfig{}};
-  SnipRh rh_clean{clean.rush_mask, SnipRhConfig{}};
-  const auto rl =
-      run_experiment(lossy, rh_lossy, base_config(lossy, 28.0));
-  const auto rc =
-      run_experiment(clean, rh_clean, base_config(clean, 28.0));
+TEST(FailureInjection, BeaconLossReducesCapacityNotStability) {
+  const RoadsideScenario sc;
+  SnipRh rh_lossy{sc.rush_mask, SnipRhConfig{}};
+  SnipRh rh_clean{sc.rush_mask, SnipRhConfig{}};
+  const auto rl = run_lossy(sc, rh_lossy, base_config(sc, 28.0), 0.3);
+  const auto rc = run_lossy(sc, rh_clean, base_config(sc, 28.0), 0.0);
+  // Without misses the helper's run is run_experiment's.
+  SnipRh rh_reference{sc.rush_mask, SnipRhConfig{}};
+  EXPECT_EQ(rc.mean_zeta_s,
+            run_experiment(sc, rh_reference, base_config(sc, 28.0))
+                .mean_zeta_s);
   EXPECT_LT(rl.mean_zeta_s, rc.mean_zeta_s);
   EXPECT_GT(rl.mean_zeta_s, 0.0);
   // Budget still respected (one in-flight wakeup of slack).
@@ -39,10 +65,9 @@ TEST(FailureInjection, BeaconLossReducesCapacityNotStability) {
 }
 
 TEST(FailureInjection, TotalLossProbesNothingButSpendsBudget) {
-  RoadsideScenario sc;
-  sc.link.frame_loss = 1.0;
+  const RoadsideScenario sc;
   SnipRh rh{sc.rush_mask, SnipRhConfig{}};
-  const auto r = run_experiment(sc, rh, base_config(sc, 16.0));
+  const auto r = run_lossy(sc, rh, base_config(sc, 16.0), 1.0);
   EXPECT_DOUBLE_EQ(r.mean_zeta_s, 0.0);
   EXPECT_DOUBLE_EQ(r.mean_bytes_uploaded, 0.0);
   EXPECT_EQ(r.miss_ratio, 1.0);

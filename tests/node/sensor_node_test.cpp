@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "snipr/fault/fault_plan.hpp"
+
 namespace snipr::node {
 namespace {
 
@@ -42,9 +44,8 @@ struct World {
   radio::Channel channel;
   MobileNode sink;
 
-  World(std::vector<Contact> contacts, radio::LinkParams link = {})
-      : channel{ContactSchedule{std::move(contacts)}, link,
-                sim::Rng{99}} {}
+  explicit World(std::vector<Contact> contacts)
+      : channel{ContactSchedule{std::move(contacts)}, radio::LinkParams{}} {}
 };
 
 SensorNodeConfig small_config() {
@@ -195,11 +196,13 @@ TEST(SensorNode, NeverProbeSpendsNothing) {
 }
 
 TEST(SensorNode, LostBeaconsMeanNoProbe) {
-  radio::LinkParams lossy;
-  lossy.frame_loss = 1.0;
-  World w{{{at_s(100), Duration::seconds(2)}}, lossy};
+  fault::FaultSpec lossy;
+  lossy.radio.probe_miss_prob = 1.0;
+  fault::NodeFaultInjector faults{&lossy, sim::Rng{99}};
+  World w{{{at_s(100), Duration::seconds(2)}}};
   AlwaysProbe sched{Duration::seconds(1)};
   SensorNode node{w.channel, w.sink, sched, small_config()};
+  node.attach_faults(&faults);
   node.start();
   node.run_until(at_s(200));
   EXPECT_TRUE(node.probed_contacts().empty());

@@ -99,11 +99,7 @@ TEST(ChannelCursorProperty, MatchesBinarySearchOnRandomQuerySequences) {
     // search's arrival-based lookup could disagree.
     const ContactSchedule schedule =
         random_schedule(rng, contacts, round % 2 == 1 ? 0.3 : 0.0);
-    // frame_loss = 0 keeps try_deliver deterministic, so the cursor and
-    // reference channels cannot diverge through their RNG streams.
-    LinkParams link;
-    link.frame_loss = 0.0;
-    Channel channel{schedule, link, Rng{1}};
+    Channel channel{schedule, LinkParams{}};
 
     for (const TimePoint t : random_queries(rng, schedule, 400)) {
       // A probe's reply query one airtime ahead, so the queries below at
@@ -150,7 +146,7 @@ TEST(ChannelCursorProperty, ZeroLengthContactAtTheQueryInstantIsReported) {
   const ContactSchedule schedule{{Contact{blip, Duration::zero()},
                                   Contact{blip + Duration::seconds(3),
                                           Duration::seconds(1)}}};
-  Channel channel{schedule, LinkParams{}, Rng{1}};
+  Channel channel{schedule, LinkParams{}};
   // Covers nothing, but advances the cursor past the zero-length contact.
   EXPECT_FALSE(channel.active_contact(blip).has_value());
   EXPECT_EQ(channel.next_arrival_index(blip), 0U);
@@ -159,7 +155,7 @@ TEST(ChannelCursorProperty, ZeroLengthContactAtTheQueryInstantIsReported) {
 TEST(ChannelCursorProperty, StrictlyForwardSweepMatchesBinarySearch) {
   Rng rng{42};
   const ContactSchedule schedule = random_schedule(rng, 64);
-  Channel channel{schedule, LinkParams{}, Rng{1}};
+  Channel channel{schedule, LinkParams{}};
   TimePoint t = TimePoint::zero();
   const TimePoint end =
       schedule.contacts().back().departure() + Duration::seconds(1);

@@ -20,8 +20,8 @@
 ///  - on adversarial schedules built to trip the contact step-over:
 ///    contacts shorter than the cycle, back-to-back and zero-length
 ///    contacts, and probes landing inside a contact's last beacon
-///    airtime, under frame loss and probe-miss and abort faults (a
-///    spurious-detection fault keeps every probe on the per-wakeup path),
+///    airtime, under probe-miss and abort faults (a spurious-detection
+///    fault keeps every probe on the per-wakeup path),
 ///    for every strategy and adaptive SNIP-RH under every exploration
 ///    policy with a nonzero tracking duty, and with the scheduler's bound
 ///    capped at a few wakeups so walks end exactly on, or 1 µs before,
@@ -412,9 +412,9 @@ contact::ContactSchedule adversarial_schedule(sim::Rng& rng,
 }
 
 /// The road-side scenario's node and link over kAdversarialEpochs days,
-/// at Φmax `phi_max_s` and with `frame_loss`.
+/// at Φmax `phi_max_s`.
 deploy::FleetConfig adversarial_config(const core::RoadsideScenario& scenario,
-                                       double phi_max_s, double frame_loss) {
+                                       double phi_max_s) {
   deploy::FleetConfig config;
   deploy::DeploymentConfig& d = config.deployment;
   d.node.ton = sim::Duration::seconds(scenario.snip.ton_s);
@@ -422,7 +422,6 @@ deploy::FleetConfig adversarial_config(const core::RoadsideScenario& scenario,
   d.node.budget_limit = sim::Duration::seconds(phi_max_s);
   d.node.sensing_rate_bps = scenario.sensing_rate_for_target(16.0);
   d.link = scenario.link;
-  d.link.frame_loss = frame_loss;
   d.epochs = kAdversarialEpochs;
   d.seed = kSeed;
   config.shards = 2;
@@ -442,14 +441,16 @@ TEST(AdversarialFastForward, EveryStrategyMatchesUnderLossAndFaults) {
                  static_cast<std::int64_t>(kAdversarialEpochs)));
   }
 
-  fault::FaultSpec miss_and_abort;
-  miss_and_abort.radio.probe_miss_prob = 0.3;
+  // Every leg loses probes at 0.3.
+  fault::FaultSpec miss;
+  miss.radio.probe_miss_prob = 0.3;
+  fault::FaultSpec miss_and_abort = miss;
   miss_and_abort.radio.snr_edge_weight = 1.0;
   miss_and_abort.radio.transfer_abort_prob = 0.3;
-  fault::FaultSpec spurious;
+  fault::FaultSpec spurious = miss;
   spurious.radio.spurious_detect_prob = 0.01;
   const std::array<const fault::FaultSpec*, 3> fault_specs{
-      nullptr, &miss_and_abort, &spurious};
+      &miss, &miss_and_abort, &spurious};
 
   // The fixed plans through the planner; adaptive SNIP-RH built with a
   // tracker ten times the default duty, so its lone tracker probes meet
@@ -486,11 +487,11 @@ TEST(AdversarialFastForward, EveryStrategyMatchesUnderLossAndFaults) {
   for (const auto& [name, make] : makers) {
     for (const double phi_max_s : {entry.phi_max_s, 4.0}) {
       const deploy::FleetConfig config =
-          adversarial_config(scenario, phi_max_s, 0.3);
+          adversarial_config(scenario, phi_max_s);
       for (const fault::FaultSpec* faults : fault_specs) {
         const std::string label =
             name + "/" + std::to_string(phi_max_s) + "/" +
-            (faults == nullptr       ? "no-faults"
+            (faults == &miss       ? "miss"
              : faults == &spurious ? "spurious"
                                    : "miss-and-abort");
         PassThroughTally tally;
@@ -510,10 +511,10 @@ TEST(AdversarialFastForward, ProbesInsideAContactsLastAirtimeOrAtItsArrival) {
   // keeps its grid j·20 s. Every third grid point falls 0.5 ms before a
   // 3 ms contact departs, inside the last beacon airtime (1 ms): the
   // contact covers the probe, but the beacon cannot finish, so the probe
-  // misses without a frame-loss draw. Contacts between grid points are
+  // misses without a fault draw. Contacts between grid points are
   // stepped over; runs stop before each covering one. The last contact,
   // 5 ms long, arrives exactly on the third grid point of a run: without
-  // frame loss it is the one contact probed.
+  // probe misses it is the one contact probed.
   const core::RoadsideScenario& scenario =
       core::ScenarioCatalog::instance().at("roadside").scenario;
   const sim::Duration ton = sim::Duration::seconds(scenario.snip.ton_s);
@@ -533,15 +534,18 @@ TEST(AdversarialFastForward, ProbesInsideAContactsLastAirtimeOrAtItsArrival) {
   contacts.push_back({sim::TimePoint::zero() + cycle * (j + 1), ms * 5});
   const std::vector<contact::ContactSchedule> schedules{
       contact::ContactSchedule{std::move(contacts)}};
-  for (const double frame_loss : {0.5, 0.0}) {
+  fault::FaultSpec lossy;
+  lossy.radio.probe_miss_prob = 0.5;
+  const std::array<const fault::FaultSpec*, 2> legs{&lossy, nullptr};
+  for (const fault::FaultSpec* faults : legs) {
+    const std::string label = faults != nullptr ? "lossy" : "lossless";
     PassThroughTally tally;
     expect_same_fleet_json(
         schedules,
         [ton] { return std::make_unique<core::SnipAt>(0.001, ton); },
-        adversarial_config(scenario, 1e9, frame_loss),
-        nullptr, "frame loss " + std::to_string(frame_loss), tally);
-    EXPECT_GT(tally.skipped_probes.load(), 0U);
-    if (frame_loss == 0.0) {
+        adversarial_config(scenario, 1e9), faults, label, tally);
+    EXPECT_GT(tally.skipped_probes.load(), 0U) << label;
+    if (faults == nullptr) {
       EXPECT_EQ(tally.contacts_probed.load(), 1U);
     }
   }
@@ -591,7 +595,7 @@ TEST(AdversarialFastForward, CappedWalksEndingOnAContact) {
   // than the cycle 1 µs after them (stepped over). A run whose last
   // grid point holds a contact stops one short of B; one 1 µs after it
   // keeps B. The last contact, 5 ms long, arrives exactly on a grid
-  // point and is probed without frame loss.
+  // point and is probed without probe misses.
   const core::RoadsideScenario& scenario =
       core::ScenarioCatalog::instance().at("roadside").scenario;
   const sim::Duration ton = sim::Duration::seconds(scenario.snip.ton_s);
@@ -615,10 +619,13 @@ TEST(AdversarialFastForward, CappedWalksEndingOnAContact) {
                       sim::Duration::milliseconds(5)});
   const std::vector<contact::ContactSchedule> schedules{
       contact::ContactSchedule{std::move(contacts)}};
+  fault::FaultSpec lossy;
+  lossy.radio.probe_miss_prob = 0.5;
+  const std::array<const fault::FaultSpec*, 2> legs{&lossy, nullptr};
   for (const std::int64_t cap : {1, 2, 3, 7}) {
-    for (const double frame_loss : {0.5, 0.0}) {
+    for (const fault::FaultSpec* faults : legs) {
       const std::string label = "cap " + std::to_string(cap) +
-                                ", frame loss " + std::to_string(frame_loss);
+                                (faults != nullptr ? ", lossy" : "");
       PassThroughTally tally;
       expect_same_fleet_json(
           schedules,
@@ -626,10 +633,9 @@ TEST(AdversarialFastForward, CappedWalksEndingOnAContact) {
             return std::make_unique<CappedBound>(
                 std::make_unique<core::SnipAt>(0.001, ton), cap);
           },
-          adversarial_config(scenario, 1e9, frame_loss), nullptr, label,
-          tally);
+          adversarial_config(scenario, 1e9), faults, label, tally);
       EXPECT_GT(tally.skipped_probes.load(), 0U) << label;
-      if (frame_loss == 0.0) {
+      if (faults == nullptr) {
         EXPECT_EQ(tally.contacts_probed.load(), 1U) << label;
       }
     }

@@ -93,9 +93,7 @@ Trace run_variant(ExplorationPolicyKind kind, std::size_t variant,
     }
     sched.on_epoch_start(day + 1);
     trace.masks.push_back(mask_bits(sched.current_mask()));
-    trace.plans.push_back(sched.exploration_plan().active
-                              ? mask_bits(sched.exploration_plan().mask)
-                              : std::string{"-"});
+    trace.plans.push_back(mask_bits(sched.exploration_mask()));
     trace.scores.push_back(sched.learner().scores());
   }
   return trace;

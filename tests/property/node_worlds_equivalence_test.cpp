@@ -3,10 +3,7 @@
 /// and `FleetEngine::run` must report the same ζ, Φ, bytes, contacts,
 /// miss ratio, delivery latency and epoch count, to the last bit, for
 /// every strategy at two ζ targets, the paper's small and large budgets
-/// and two seeds, on a lossless link and on one that drops 5% of frames.
-/// (Node 0 of a fleet draws its channel stream as the first fork of
-/// Rng{seed}, the stream an experiment gives its channel; only a lossy
-/// link draws from it.)
+/// and two seeds.
 
 #include <gtest/gtest.h>
 
@@ -81,21 +78,17 @@ void expect_same_node(const RoadsideScenario& sc, Strategy strategy,
 }
 
 TEST(NodeWorldsEquivalence, ExperimentMatchesOneNodeFleet) {
-  for (const double frame_loss : {0.0, 0.05}) {
-    RoadsideScenario sc;
-    sc.link.frame_loss = frame_loss;
-    const double epoch_s = sc.profile.epoch().to_seconds();
-    for (const Strategy strategy : all_strategies()) {
-      for (const double target : {16.0, 48.0}) {
-        for (const double phi_max : {epoch_s / 1000.0, epoch_s / 100.0}) {
-          for (const std::uint64_t seed : {1U, 7U}) {
-            SCOPED_TRACE(std::string{strategy_id(strategy)} + " target " +
-                         std::to_string(target) + " phi_max " +
-                         std::to_string(phi_max) + " seed " +
-                         std::to_string(seed) + " frame_loss " +
-                         std::to_string(frame_loss));
-            expect_same_node(sc, strategy, target, phi_max, seed);
-          }
+  const RoadsideScenario sc;
+  const double epoch_s = sc.profile.epoch().to_seconds();
+  for (const Strategy strategy : all_strategies()) {
+    for (const double target : {16.0, 48.0}) {
+      for (const double phi_max : {epoch_s / 1000.0, epoch_s / 100.0}) {
+        for (const std::uint64_t seed : {1U, 7U}) {
+          SCOPED_TRACE(std::string{strategy_id(strategy)} + " target " +
+                       std::to_string(target) + " phi_max " +
+                       std::to_string(phi_max) + " seed " +
+                       std::to_string(seed));
+          expect_same_node(sc, strategy, target, phi_max, seed);
         }
       }
     }

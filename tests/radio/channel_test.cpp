@@ -21,43 +21,22 @@ ContactSchedule one_contact() {
 }
 
 TEST(Channel, DeliversInsideContact) {
-  Channel ch{one_contact(), LinkParams{}, sim::Rng{1}};
+  Channel ch{one_contact(), LinkParams{}};
   EXPECT_TRUE(ch.try_deliver(at_s(100), Duration::milliseconds(1)));
   EXPECT_TRUE(ch.try_deliver(at_s(101.5), Duration::milliseconds(1)));
 }
 
 TEST(Channel, FailsOutsideContact) {
-  Channel ch{one_contact(), LinkParams{}, sim::Rng{1}};
+  Channel ch{one_contact(), LinkParams{}};
   EXPECT_FALSE(ch.try_deliver(at_s(99), Duration::milliseconds(1)));
   EXPECT_FALSE(ch.try_deliver(at_s(102.5), Duration::milliseconds(1)));
 }
 
 TEST(Channel, FrameCrossingDepartureIsLost) {
-  Channel ch{one_contact(), LinkParams{}, sim::Rng{1}};
+  Channel ch{one_contact(), LinkParams{}};
   // Transmission starts in range but the mobile leaves mid-frame.
   EXPECT_FALSE(ch.try_deliver(at_s(101.9995), Duration::milliseconds(1)));
   EXPECT_TRUE(ch.try_deliver(at_s(101.999), Duration::milliseconds(1)));
-}
-
-TEST(Channel, CertainLossDropsEverything) {
-  LinkParams link;
-  link.frame_loss = 1.0;
-  Channel ch{one_contact(), link, sim::Rng{1}};
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_FALSE(ch.try_deliver(at_s(100.5), Duration::milliseconds(1)));
-  }
-}
-
-TEST(Channel, PartialLossDropsSomeFrames) {
-  LinkParams link;
-  link.frame_loss = 0.5;
-  Channel ch{one_contact(), link, sim::Rng{7}};
-  int delivered = 0;
-  const int n = 2000;
-  for (int i = 0; i < n; ++i) {
-    delivered += ch.try_deliver(at_s(100.5), Duration::milliseconds(1)) ? 1 : 0;
-  }
-  EXPECT_NEAR(static_cast<double>(delivered) / n, 0.5, 0.05);
 }
 
 TEST(Channel, ZeroAirtimeProbesTheClosedContactInterval) {
@@ -66,7 +45,7 @@ TEST(Channel, ZeroAirtimeProbesTheClosedContactInterval) {
   // interval [arrival, departure] — a frame *starting* exactly at the
   // departure instant with no airtime still sees the vehicle, while the
   // half-open covers() test would already say no.
-  Channel ch{one_contact(), LinkParams{}, sim::Rng{1}};
+  Channel ch{one_contact(), LinkParams{}};
   EXPECT_TRUE(ch.try_deliver(at_s(100), Duration::zero()));    // arrival
   EXPECT_TRUE(ch.try_deliver(at_s(101), Duration::zero()));    // middle
   EXPECT_TRUE(ch.try_deliver(at_s(102), Duration::zero()));    // departure
@@ -74,36 +53,10 @@ TEST(Channel, ZeroAirtimeProbesTheClosedContactInterval) {
   EXPECT_FALSE(ch.try_deliver(at_s(102.001), Duration::zero()));
 }
 
-TEST(Channel, ZeroAirtimeNeverConsumesTheLossStream) {
-  // Presence queries must not advance the frame-loss RNG: a zero-length
-  // frame has no bits to lose, and burning a draw would make delivery
-  // outcomes depend on how often the caller *looked*.
-  LinkParams lossy;
-  lossy.frame_loss = 1.0;  // every real frame dies...
-  Channel ch{one_contact(), lossy, sim::Rng{1}};
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_TRUE(ch.try_deliver(at_s(101), Duration::zero()));
-  }
-  // ...and the stream is untouched: a channel that made 20 zero-airtime
-  // queries draws the same sequence as a fresh one.
-  LinkParams half;
-  half.frame_loss = 0.5;
-  Channel queried{one_contact(), half, sim::Rng{9}};
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_TRUE(queried.try_deliver(at_s(100.5), Duration::zero()));
-  }
-  Channel fresh{one_contact(), half, sim::Rng{9}};
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(queried.try_deliver(at_s(100.5), Duration::milliseconds(1)),
-              fresh.try_deliver(at_s(100.5), Duration::milliseconds(1)))
-        << "draw " << i;
-  }
-}
-
 TEST(Channel, FrameEndingExactlyAtDepartureIsDelivered) {
   // A positive-airtime frame needs the receiver for the whole airtime;
   // one that ends exactly at the departure instant just makes it.
-  Channel ch{one_contact(), LinkParams{}, sim::Rng{1}};
+  Channel ch{one_contact(), LinkParams{}};
   EXPECT_TRUE(ch.try_deliver(at_s(101.999), Duration::milliseconds(1)));
   // Starting exactly at departure with positive airtime cannot.
   EXPECT_FALSE(ch.try_deliver(at_s(102), Duration::milliseconds(1)));
@@ -114,7 +67,7 @@ TEST(Channel, ZeroLengthContactIsVisibleOnlyToZeroAirtime) {
   // No positive-airtime frame fits inside it, but a presence query at
   // that instant must still see it.
   ContactSchedule schedule{{{at_s(50), Duration::zero()}}};
-  Channel ch{schedule, LinkParams{}, sim::Rng{1}};
+  Channel ch{schedule, LinkParams{}};
   EXPECT_TRUE(ch.try_deliver(at_s(50), Duration::zero()));
   EXPECT_FALSE(ch.try_deliver(at_s(50), Duration::milliseconds(1)));
   EXPECT_FALSE(ch.try_deliver(at_s(49.999), Duration::zero()));
@@ -129,7 +82,7 @@ TEST(Channel, ZeroAirtimeBetweenAdjacentContactsMatchesEither) {
   ContactSchedule schedule{{{at_s(10), Duration::seconds(2)},
                             {at_s(12), Duration::seconds(2)},
                             {at_s(20), Duration::seconds(1)}}};
-  Channel ch{schedule, LinkParams{}, sim::Rng{1}};
+  Channel ch{schedule, LinkParams{}};
   EXPECT_TRUE(ch.try_deliver(at_s(12), Duration::zero()));
   EXPECT_TRUE(ch.try_deliver(at_s(14), Duration::zero()));  // 1 departs
   EXPECT_FALSE(ch.try_deliver(at_s(15), Duration::zero()));
@@ -138,7 +91,7 @@ TEST(Channel, ZeroAirtimeBetweenAdjacentContactsMatchesEither) {
 }
 
 TEST(Channel, ActiveContactLookup) {
-  Channel ch{one_contact(), LinkParams{}, sim::Rng{1}};
+  Channel ch{one_contact(), LinkParams{}};
   EXPECT_TRUE(ch.active_contact(at_s(100.1)).has_value());
   EXPECT_FALSE(ch.active_contact(at_s(99.0)).has_value());
   EXPECT_EQ(ch.active_contact(at_s(100.1))->arrival, at_s(100));
@@ -146,15 +99,14 @@ TEST(Channel, ActiveContactLookup) {
 
 TEST(Channel, NullScheduleIsRejected) {
   EXPECT_THROW((Channel{std::shared_ptr<const ContactSchedule>{},
-                        LinkParams{}, sim::Rng{1}}),
+                        LinkParams{}}),
                std::invalid_argument);
 }
 
 TEST(Channel, DefaultLinkParameters) {
-  const Channel ch{one_contact(), LinkParams{}, sim::Rng{1}};
+  const Channel ch{one_contact(), LinkParams{}};
   EXPECT_EQ(ch.link().beacon_airtime, Duration::milliseconds(1));
   EXPECT_DOUBLE_EQ(ch.link().data_rate_bps, 12500.0);
-  EXPECT_DOUBLE_EQ(ch.link().frame_loss, 0.0);
 }
 
 }  // namespace

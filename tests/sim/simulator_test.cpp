@@ -37,7 +37,7 @@ struct Fleet {
   node::NodeBlock block{2};
   radio::Channel channel{
       contact::ContactSchedule{std::vector<contact::Contact>{}},
-      radio::LinkParams{}, Rng{9}};
+      radio::LinkParams{}};
   node::MobileNode sink;
   std::vector<std::pair<int, TimePoint>> log;
   LoggingPoll first{0, &log};
@@ -57,12 +57,6 @@ TEST(Simulator, RunUntilBackwardsThrows) {
   Simulator s;
   s.run_until(at_s(5));
   EXPECT_THROW(s.run_until(at_s(1)), std::logic_error);
-}
-
-TEST(Simulator, SeededRngIsDeterministic) {
-  Simulator a{99};
-  Simulator b{99};
-  EXPECT_EQ(a.rng().next(), b.rng().next());
 }
 
 TEST(Simulator, RunsEachNodeToTheBoundInStartOrder) {

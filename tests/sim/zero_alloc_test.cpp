@@ -35,7 +35,7 @@ void expect_miss_runs_allocate_nothing(const node::SensorNodeConfig& config) {
                         Duration::seconds(30)});
   }
   radio::Channel channel{contact::ContactSchedule{std::move(contacts)},
-                         radio::LinkParams{}, Rng{5}};
+                         radio::LinkParams{}};
   node::MobileNode sink;
   core::SnipAt scheduler{0.01, Duration::milliseconds(20)};
   node::SensorNode sensor{channel, sink, scheduler, config};
@@ -90,7 +90,7 @@ TEST(ZeroAllocTest, AdaptiveNodePollAndTrackerRunsAllocateNothing) {
     }
   }
   radio::Channel channel{contact::ContactSchedule{std::move(contacts)},
-                         radio::LinkParams{}, Rng{5}};
+                         radio::LinkParams{}};
   node::MobileNode sink;
   core::AdaptiveSnipRhConfig adaptive;
   adaptive.learning_epochs = 2;

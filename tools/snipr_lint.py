@@ -48,9 +48,9 @@ Rules (ids are stable; use them in suppressions):
   ``// snipr-lint: oracle-file <why>`` marker.
 * ``fault-stream-discipline`` — no direct seeded ``sim::Rng``
   construction inside the fault plane. Injector streams must be
-  forked from the FaultPlan root in node order (the same discipline
-  the node channel RNGs follow), or byte-identical-at-any-shard-count
-  gains a second, unforked seed to drift on. The single legitimate
+  forked from the FaultPlan root in node order, before any
+  partitioning, or byte-identical-at-any-shard-count gains a second,
+  unforked seed to drift on. The single legitimate
   root seeding in the plan constructor carries a justified
   ``allow()``.
 * ``nolint-justification`` — every ``NOLINT``/``NOLINTNEXTLINE`` and
